@@ -10,6 +10,10 @@ Balance of a sorted multiset is equivalent to d[j] = -d[N-1-j] for all j,
 which is what the verdicts check; in float mode the comparison happens within
 an absolute tolerance derived from the determinant scale.
 
+Every verdict reads the configuration's one determinant table,
+Configuration.det_table, built on first use with one det2 per unordered
+pair; predicates called on the same configuration share it.
+
 For uniform balanced configurations of odd size m = 2n+1 this module also
 builds the pairing structure: for each index i the remaining indices split
 into n pairs {k, l} with det(v_i, v_k) = -det(v_i, v_l) != 0, and the pair
@@ -30,7 +34,7 @@ from .errors import (
     NotUniform,
     OddM,
 )
-from .geometry import EXACT, Configuration, Scalar, cyclic_index, det2
+from .geometry import EXACT, Configuration, Scalar, cyclic_index
 
 # Relative factor for the default float tolerance: tol = 1e-9 * max |det|.
 DEFAULT_REL_TOL = 1e-9
@@ -67,22 +71,15 @@ class StepConstants:
     An: Scalar
 
 
-def _det_rows(c: Configuration) -> List[List[Scalar]]:
-    """Row i holds det(v_i, v_j) for j != i, in j order."""
-    vecs = c.vectors
-    return [
-        [det2(vi, vj) for j, vj in enumerate(vecs) if j != i]
-        for i, vi in enumerate(vecs)
-    ]
-
-
-def _default_tol(c: Configuration, rows: List[List[Scalar]], tol: Optional[float]) -> Scalar:
+def _tolerance(c: Configuration, tol: Optional[float]) -> Scalar:
+    """Absolute tolerance for comparing entries of c's determinant table:
+    0 in exact mode (tol ignored), else tol, else DEFAULT_REL_TOL * max |det|."""
     if c.mode == EXACT:
         return 0
     if tol is not None:
         return tol
-    top = max((abs(d) for row in rows for d in row), default=0.0)
-    return DEFAULT_REL_TOL * top
+    # the table holds -d next to every d, so its largest entry is max |det|
+    return DEFAULT_REL_TOL * max(map(max, c.det_table))
 
 
 def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
@@ -92,11 +89,12 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
     greedily matches extremes x with -x within the absolute tolerance
     (default 1e-9 * max |det|). The witness is the first unmatched value.
     """
-    rows = _det_rows(c)
-    eff = _default_tol(c, rows, tol)
+    eff = _tolerance(c, tol)
+    rows = tuple(
+        tuple(sorted(row[:i] + row[i + 1 :])) for i, row in enumerate(c.det_table)
+    )
     witness = None
-    for i, row in enumerate(rows):
-        srow = sorted(row)
+    for i, srow in enumerate(rows):
         lo, hi = 0, len(srow) - 1
         while lo <= hi:
             if lo == hi:
@@ -112,11 +110,7 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
             hi -= 1
         if witness is not None:
             break
-    return BalanceReport(
-        balanced=witness is None,
-        witness=witness,
-        rows=tuple(tuple(sorted(row)) for row in rows),
-    )
+    return BalanceReport(balanced=witness is None, witness=witness, rows=rows)
 
 
 def is_uniform(
@@ -124,17 +118,10 @@ def is_uniform(
 ) -> Tuple[bool, Optional[Tuple[int, int]]]:
     """True when no pair of members is linearly dependent; otherwise False
     plus the first violating index pair (i, j)."""
-    vecs = c.vectors
-    if c.mode == EXACT:
-        eff = 0
-    elif tol is not None:
-        eff = tol
-    else:
-        rows = _det_rows(c)
-        eff = _default_tol(c, rows, None)
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if abs(det2(vecs[i], vecs[j])) <= eff:
+    eff = _tolerance(c, tol)
+    for i, row in enumerate(c.det_table):
+        for j in range(i + 1, len(row)):
+            if abs(row[j]) <= eff:
                 return False, (i, j)
     return True, None
 
@@ -152,16 +139,13 @@ def even_m_witness(c: Configuration, tol: Optional[float] = None) -> int:
     report = is_balanced(c, tol)
     if not report.balanced:
         raise NotBalanced("configuration is not balanced", witness=report.witness)
-    rows = _det_rows(c)
-    eff = _default_tol(c, rows, tol)
-    best = None
-    for j, d in enumerate(rows[0], start=1):
-        if abs(d) <= eff and (best is None or abs(d) < best[1]):
-            best = (j, abs(d))
-    if best is None:
+    eff = _tolerance(c, tol)
+    row = c.det_table[0]
+    near_zero = [(abs(row[j]), j) for j in range(1, c.m) if abs(row[j]) <= eff]
+    if not near_zero:
         # Unreachable for inputs that passed the balance check above.
         raise NotBalanced("no zero determinant in row 0 despite balance")
-    return best[0]
+    return min(near_zero)[1]
 
 
 def build_pairing(c: Configuration, tol: Optional[float] = None) -> PairingMap:
@@ -182,23 +166,21 @@ def build_pairing(c: Configuration, tol: Optional[float] = None) -> PairingMap:
     if not ok:
         raise NotUniform("configuration is not uniform", witness=pair)
 
-    rows = _det_rows(c)
-    eff = _default_tol(c, rows, tol)
+    eff = _tolerance(c, tol)
     per_index: List[FrozenSet[FrozenSet[int]]] = []
     phi: Dict[FrozenSet[int], int] = {}
-    for i in range(c.m):
-        others = [j for j in range(c.m) if j != i]
-        order = sorted(range(len(others)), key=lambda p: rows[i][p])
+    for i, row in enumerate(c.det_table):
+        order = sorted((j for j in range(c.m) if j != i), key=row.__getitem__)
         pairs = set()
         lo, hi = 0, len(order) - 1
         while lo < hi:
             a, b = order[lo], order[hi]
-            if abs(rows[i][a] + rows[i][b]) > eff:
+            if abs(row[a] + row[b]) > eff:
                 raise AmbiguousPairing(
-                    f"row {i}: extremes {rows[i][a]} and {rows[i][b]} do not cancel",
-                    witness=(i, others[a], others[b]),
+                    f"row {i}: extremes {row[a]} and {row[b]} do not cancel",
+                    witness=(i, a, b),
                 )
-            key = frozenset((others[a], others[b]))
+            key = frozenset((a, b))
             if key in phi:
                 raise AmbiguousPairing(
                     f"pair {set(key)} claimed by rows {phi[key]} and {i}",
@@ -222,14 +204,12 @@ def verify_antisymmetry(
     indices cyclic. Returns (True, None) or (False, first violating (k, a))."""
     if c.m % 2 == 0:
         raise ValueError("antisymmetry is stated for odd m")
-    rows = _det_rows(c)
-    eff = _default_tol(c, rows, tol)
-    vecs = c.vectors
+    eff = _tolerance(c, tol)
     m, n = c.m, c.n
-    for k in range(m):
+    for k, row in enumerate(c.det_table):
         for a in range(1, n + 1):
-            fwd = det2(vecs[k], vecs[cyclic_index(k + a, m)])
-            bwd = det2(vecs[k], vecs[cyclic_index(k - a, m)])
+            fwd = row[cyclic_index(k + a, m)]
+            bwd = row[cyclic_index(k - a, m)]
             if abs(fwd + bwd) > eff:
                 return False, (k, a)
     return True, None
@@ -243,15 +223,13 @@ def step_constants(c: Configuration, tol: Optional[float] = None) -> StepConstan
     """
     if c.m % 2 == 0 or c.m < 3:
         raise ValueError(f"step constants require odd m >= 3, got m = {c.m}")
-    rows = _det_rows(c)
-    eff = _default_tol(c, rows, tol)
-    vecs = c.vectors
+    eff = _tolerance(c, tol)
+    table = c.det_table
     m, n = c.m, c.n
-    a1 = det2(vecs[0], vecs[1])
-    an = det2(vecs[0], vecs[n])
-    for k in range(m):
-        step1 = det2(vecs[k], vecs[cyclic_index(k + 1, m)])
-        stepn = det2(vecs[k], vecs[cyclic_index(k + n, m)])
+    a1, an = table[0][1], table[0][n]
+    for k, row in enumerate(table):
+        step1 = row[cyclic_index(k + 1, m)]
+        stepn = row[cyclic_index(k + n, m)]
         if abs(step1 - a1) > eff or abs(stepn - an) > eff:
             raise InconsistentConstants(
                 f"step determinants at k = {k} differ from (A1, An)", witness=k

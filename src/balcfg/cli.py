@@ -23,9 +23,7 @@ from .balance import even_m_witness, is_balanced, is_uniform, step_constants
 from .canonical import CanonicalForm, canonicalize
 from .errors import (
     BalcfgError,
-    BudgetExceeded,
     CertificateError,
-    ConfigFileError,
     DuplicateArgument,
     NoGridMatch,
     NotBalanced,
@@ -38,7 +36,7 @@ from .geometry import Configuration, roots_of_unity
 from .render import render_svg
 from .search import SearchSpec, enumerate_balanced, random_invertible
 from .sequences import model_configuration, symbolic_sequences, t_grid, wn_equation_roots
-from .serialization import dumps_canonical, load_config, serialize_config
+from .serialization import dumps_canonical, load_config, save_config, serialize_config
 
 CANON_CERTIFICATES = (
     NotBalanced,
@@ -48,16 +46,6 @@ CANON_CERTIFICATES = (
     NotNormalized,
     DuplicateArgument,
 )
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -93,7 +81,7 @@ def _cmd_check(args) -> int:
     report["balanced"] = bal.balanced
     if bal.witness is not None:
         index, value = bal.witness
-        report["balance_witness"] = {"index": index, "value": _jsonable(value)}
+        report["balance_witness"] = {"index": index, "value": value}
     uniform, pair = is_uniform(cfg, args.tol)
     report["uniform"] = uniform
     if pair is not None:
@@ -102,59 +90,42 @@ def _cmd_check(args) -> int:
         report["even_m_witness"] = even_m_witness(cfg, args.tol)
     if bal.balanced and uniform and cfg.m % 2 == 1 and cfg.m >= 3:
         constants = step_constants(cfg, args.tol)
-        report["step_constants"] = {
-            "A1": _jsonable(constants.A1),
-            "An": _jsonable(constants.An),
-        }
+        report["step_constants"] = {"A1": constants.A1, "An": constants.An}
     _emit_report(report, args)
     return 0 if bal.balanced else 1
 
 
-def _canon_report(args, cfg: Configuration, form: CanonicalForm) -> dict:
+def _canon_report(
+    args, cfg: Configuration, form: Optional[CanonicalForm], exc: Optional[Exception]
+) -> dict:
+    """The canon report: the canonical form when there is one, else the
+    certificate's name and witness."""
+    ok = form is not None
     return {
         "command": "canon",
         "input": os.path.basename(args.path),
         "m": cfg.m,
         "mode": cfg.mode,
-        "ok": True,
-        "t": form.t,
-        "k": form.k,
-        "residual": form.residual,
-        "map": [list(row) for row in (_float_rows(form))],
-        "index_map": list(form.index_map),
-        "error": None,
-        "witness": None,
+        "ok": ok,
+        "t": form.t if ok else None,
+        "k": form.k if ok else None,
+        "residual": form.residual if ok else None,
+        "map": [[float(x) for x in row] for row in form.g.rows()] if ok else None,
+        "index_map": form.index_map if ok else None,
+        "error": None if ok else type(exc).__name__,
+        "witness": None if ok else getattr(exc, "witness", None),
     }
-
-
-def _float_rows(form: CanonicalForm):
-    (a, b), (c, d) = form.g.rows()
-    return ((float(a), float(b)), (float(c), float(d)))
 
 
 def _cmd_canon(args) -> int:
     cfg = load_config(args.path)
+    form = exc = None
     try:
         form = canonicalize(cfg, args.tol if args.tol is not None else 1e-8)
-    except CANON_CERTIFICATES as exc:
-        report = {
-            "command": "canon",
-            "input": os.path.basename(args.path),
-            "m": cfg.m,
-            "mode": cfg.mode,
-            "ok": False,
-            "t": None,
-            "k": None,
-            "residual": None,
-            "map": None,
-            "index_map": None,
-            "error": type(exc).__name__,
-            "witness": _jsonable(getattr(exc, "witness", None)),
-        }
-        _emit_report(report, args)
-        return 1
-    _emit_report(_canon_report(args, cfg, form), args)
-    return 0
+    except CANON_CERTIFICATES as caught:
+        exc = caught
+    _emit_report(_canon_report(args, cfg, form, exc), args)
+    return 0 if exc is None else 1
 
 
 def _cmd_roots(args) -> int:
@@ -223,8 +194,7 @@ def _cmd_search(args) -> int:
         files = []
         for idx, cfg in enumerate(hits):
             name = f"balanced_{idx:04d}.json"
-            with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(serialize_config(cfg))
+            save_config(cfg, os.path.join(args.out, name))
             files.append(name)
     summary = {
         "command": "search",
@@ -236,10 +206,9 @@ def _cmd_search(args) -> int:
         "files": files,
     }
     text = dumps_canonical(summary) + "\n"
-    sys.stdout.write(text)
+    _write_output(text, None)
     if args.out is not None:
-        with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_output(text, os.path.join(args.out, "summary.json"))
     return 0
 
 
@@ -329,19 +298,10 @@ def main(argv=None) -> int:
     args.t0 = time.perf_counter()
     try:
         code = args.func(args)
-    except ConfigFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (RootCountMismatch, CertificateError) as exc:
         print(f"certificate: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (BalcfgError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (BalcfgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - args.t0) * 1000.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import DuplicateArgument, ModeMismatch, ZeroVector
@@ -89,12 +90,6 @@ def det2(a: PlaneVector, b: PlaneVector) -> Scalar:
     return a.x * b.y - a.y * b.x
 
 
-def dot2(a: PlaneVector, b: PlaneVector) -> Scalar:
-    if a.mode != b.mode:
-        raise ModeMismatch(f"dot2 operands in different modes: {a.mode} vs {b.mode}")
-    return a.x * b.x + a.y * b.y
-
-
 def argument(v: PlaneVector) -> float:
     """Polar angle of v in [0, 2*pi), measured from the positive x-axis.
 
@@ -161,6 +156,27 @@ class Configuration:
         if self.mode == FLOAT:
             return self
         return Configuration([v.as_float() for v in self.vectors])
+
+    @cached_property
+    def det_table(self) -> tuple:
+        """The antisymmetric m x m table D[i][j] = det(v_i, v_j), built on
+        first use and then shared by every verdict on this configuration.
+
+        det2 runs once per unordered pair i < j; D[j][i] stores -D[i][j],
+        which round-to-nearest makes bit-identical to det2(v_j, v_i) up to
+        the sign of a zero. The diagonal holds this mode's zero.
+        """
+        vecs = self.vectors
+        m = len(vecs)
+        zero = 0.0 if self.mode == FLOAT else Fraction(0)
+        table = [[zero] * m for _ in range(m)]
+        for i, vi in enumerate(vecs):
+            row = table[i]
+            for j in range(i + 1, m):
+                d = det2(vi, vecs[j])
+                row[j] = d
+                table[j][i] = -d
+        return tuple(map(tuple, table))
 
 
 class LabeledConfiguration(Configuration):

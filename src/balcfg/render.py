@@ -58,8 +58,3 @@ def render_svg(c: Configuration) -> str:
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def save_svg(c: Configuration, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_svg(c))

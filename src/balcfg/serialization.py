@@ -91,7 +91,13 @@ def _parse_exact(raw, where: str) -> Fraction:
 def _parse_float(raw, where: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigFileError(f"{where}: float mode needs numbers, got {raw!r}")
-    return float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigFileError(f"{where}: coordinate {raw!r} is not a finite number")
+    return value
 
 
 def parse_config(text: str, source: str = "<string>") -> Configuration:

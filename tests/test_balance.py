@@ -10,6 +10,7 @@ from balcfg import (
     InconsistentConstants,
     NotUniform,
     build_pairing,
+    det2,
     even_m_witness,
     is_balanced,
     is_uniform,
@@ -157,3 +158,49 @@ def test_step_constants_inconsistent_after_perturbation():
 def test_step_constants_reject_even_size():
     with pytest.raises(ValueError):
         step_constants(SQUARE)
+
+
+float_coords = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+rational_coords = st.fractions(
+    min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4
+)
+
+
+def configurations(coords):
+    vectors = st.tuples(coords, coords).filter(lambda v: v != (0, 0))
+    return st.lists(vectors, min_size=1, max_size=7).map(Configuration)
+
+
+def _reference_tol(c, tol):
+    if c.mode == "exact":
+        return 0
+    if tol is not None:
+        return tol
+    return 1e-9 * max(abs(det2(v, w)) for v in c for w in c)
+
+
+@given(
+    st.one_of(configurations(float_coords), configurations(rational_coords)),
+    st.sampled_from([None, 1e-6, 0.5]),
+)
+def test_verdicts_read_the_pairwise_determinants(c, tol):
+    # the shared table must hold exactly det2(v_i, v_j); == is bit equality
+    # for these finite values, except that it does not see the sign of a zero
+    report = is_balanced(c, tol)
+    for i in range(c.m):
+        expected = tuple(sorted(det2(c[i], c[j]) for j in range(c.m) if j != i))
+        assert report.rows[i] == expected
+    eff = _reference_tol(c, tol)
+    first = next(
+        (
+            (i, j)
+            for i in range(c.m)
+            for j in range(i + 1, c.m)
+            if abs(det2(c[i], c[j])) <= eff
+        ),
+        None,
+    )
+    assert is_uniform(c, tol) == (first is None, first)

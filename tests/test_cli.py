@@ -1,8 +1,10 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from balcfg import geometry
 from balcfg.cli import main
 from balcfg.serialization import parse_config
 
@@ -60,6 +62,24 @@ def test_check_reports_square_witnesses(capsys):
     assert report["uniform_witness"] == [0, 2]
     assert report["even_m_witness"] == 2
     assert report["step_constants"] is None
+
+
+@pytest.mark.parametrize("name, pairs", [("u5.json", 10), ("square.json", 6)])
+def test_check_evaluates_each_determinant_once(capsys, monkeypatch, name, pairs):
+    # count det2 through every module binding, as a from-import copies it
+    real = geometry.det2
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("balcfg") and getattr(module, "det2", None) is real:
+            monkeypatch.setattr(module, "det2", counting)
+    code, _, _ = run(capsys, "check", str(DATA / name))
+    assert code == 0
+    assert len(calls) == pairs
 
 
 def test_canon_golden_bytes(capsys):
@@ -189,6 +209,16 @@ def test_malformed_json_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "line" in err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+def test_render_rejects_non_finite_coordinates(capsys, tmp_path, literal):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"mode": "float", "vectors": [[1.0, 0.0], [%s, 1.0]]}' % literal)
+    code, out, err = run(capsys, "render", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "not a finite number" in err
 
 
 def test_unknown_subcommand_exits_two():

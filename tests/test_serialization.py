@@ -80,6 +80,9 @@ def test_parse_rejects_wrong_shape():
         parse_config('{"mode": "half", "vectors": [[1, 0]]}')
     with pytest.raises(ConfigFileError):
         parse_config('{"mode": "float", "vectors": []}')
+    for literal in ("NaN", "Infinity", "1e400", "1" + "0" * 400):
+        with pytest.raises(ConfigFileError):
+            parse_config('{"mode": "float", "vectors": [[1, 0], [%s, 1]]}' % literal)
 
 
 def test_parse_enforces_lexical_mode():
