@@ -11,8 +11,8 @@ which is what the verdicts check; in float mode the comparison happens within
 an absolute tolerance derived from the determinant scale.
 
 Every verdict reads the configuration's one determinant table,
-Configuration.det_table, built on first use with one det2 per unordered
-pair; predicates called on the same configuration share it.
+Configuration.det_table (one det2 per unordered pair), its largest entry and
+its rows sorted once, all cached: predicates on one configuration share them.
 
 For uniform balanced configurations of odd size m = 2n+1 this module also
 builds the pairing structure: for each index i the remaining indices split
@@ -78,8 +78,7 @@ def _tolerance(c: Configuration, tol: Optional[float]) -> Scalar:
         return 0
     if tol is not None:
         return tol
-    # the table holds -d next to every d, so its largest entry is max |det|
-    return DEFAULT_REL_TOL * max(map(max, c.det_table))
+    return DEFAULT_REL_TOL * c.det_max
 
 
 def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
@@ -90,9 +89,7 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
     (default 1e-9 * max |det|). The witness is the first unmatched value.
     """
     eff = _tolerance(c, tol)
-    rows = tuple(
-        tuple(sorted(row[:i] + row[i + 1 :])) for i, row in enumerate(c.det_table)
-    )
+    rows = c.sorted_det_rows
     witness = None
     for i, srow in enumerate(rows):
         lo, hi = 0, len(srow) - 1

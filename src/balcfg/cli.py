@@ -5,8 +5,8 @@ roots (closure parameters, solver vs closed form), gen (write a
 configuration), search (exhaustive grid enumeration), render (SVG figure).
 
 Exit codes: 0 the property holds, 1 the property fails and the report carries
-a certificate, 2 input or usage error. Reports are canonical JSON on stdout
-(or --out); elapsed time goes to stderr, and into the report only under
+a certificate, 2 input, usage or internal error. Reports are canonical JSON on
+stdout (or --out); elapsed time goes to stderr, and into the report only under
 --timing so that default output stays byte-deterministic.
 """
 
@@ -30,12 +30,11 @@ from .errors import (
     NotNormalized,
     NotUniform,
     ResidualTooLarge,
-    RootCountMismatch,
 )
 from .geometry import Configuration, roots_of_unity
 from .render import render_svg
 from .search import SearchSpec, enumerate_balanced, random_invertible
-from .sequences import model_configuration, symbolic_sequences, t_grid, wn_equation_roots
+from .sequences import closure_roots, model_configuration, symbolic_sequences, t_grid
 from .serialization import dumps_canonical, load_config, save_config, serialize_config
 
 CANON_CERTIFICATES = (
@@ -142,12 +141,12 @@ def _cmd_roots(args) -> int:
             print(f"roots: --m must be odd and >= 3, got {args.m}", file=sys.stderr)
             return 2
         m, n = args.m, (args.m - 1) // 2
-    solved = wn_equation_roots(n)
+    _, ws = symbolic_sequences(n)
+    solved = closure_roots(ws[n])
     grid = t_grid(m)
     deviation = max(
         abs(a - b) for a, b in zip(solved.values, grid.values)
     )
-    _, ws = symbolic_sequences(n)
     report = {
         "command": "roots",
         "n": n,
@@ -298,7 +297,7 @@ def main(argv=None) -> int:
     args.t0 = time.perf_counter()
     try:
         code = args.func(args)
-    except (RootCountMismatch, CertificateError) as exc:
+    except CertificateError as exc:
         print(f"certificate: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (BalcfgError, ValueError, OSError) as exc:

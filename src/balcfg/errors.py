@@ -53,7 +53,7 @@ class InconsistentConstants(CertificateError):
 
 
 class RootCountMismatch(BalcfgError):
-    """The filtered root set does not have exactly n elements."""
+    """A closure-parameter grid does not have exactly n = (m-1)/2 values."""
 
 
 class ClosureViolation(BalcfgError):

@@ -178,6 +178,16 @@ class Configuration:
                 table[j][i] = -d
         return tuple(map(tuple, table))
 
+    @cached_property
+    def det_max(self) -> Scalar:
+        """max |det|: the table's largest entry, as it holds -d next to each d."""
+        return max(map(max, self.det_table))
+
+    @cached_property
+    def sorted_det_rows(self) -> tuple:
+        """Each row of det_table without its diagonal entry, sorted once."""
+        return tuple(tuple(sorted(r[:i] + r[i + 1 :])) for i, r in enumerate(self.det_table))
+
 
 class LabeledConfiguration(Configuration):
     """A configuration sorted by strictly increasing argument, remembering the

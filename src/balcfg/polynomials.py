@@ -1,18 +1,18 @@
-"""Integer-coefficient univariate polynomials and certified real root
-isolation.
+"""Integer-coefficient univariate polynomials: arithmetic, primitive gcd and
+certified real root isolation.
 
 Polynomials are tuples of arbitrary-precision ints, ascending degree, trailing
-zeros trimmed; the zero polynomial is the empty tuple. Root isolation uses
-Descartes counts on Moebius-transformed coefficients (bisection on dyadic
-intervals), so every sign decision is exact integer arithmetic; isolating
-intervals are refined by sign-change bisection to a requested width. Rational
-roots hit by a bisection midpoint are recorded exactly and deflated out.
+zeros trimmed; the zero polynomial is the empty tuple. Isolation bisects
+dyadic intervals, each carrying the polynomial mapped onto (0, 1) as integers
+(Vincent-Collins-Akritas), and counts roots by Descartes' rule, so every sign
+decision is exact; intervals are then refined by sign-change bisection.
+Rational roots hit by a bisection midpoint are recorded exactly and divided out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 IntPoly = Tuple[int, ...]
@@ -96,32 +96,32 @@ def root_bound(p: Sequence[int]) -> int:
     return b
 
 
-def _taylor_shift(coeffs: List[Fraction], a: Fraction) -> List[Fraction]:
+def _shift(c: Sequence[int], a: int) -> List[int]:
     # p(x) -> p(x + a), synthetic Horner scheme, on a copy
-    c = list(coeffs)
-    d = len(c) - 1
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
+    c = list(c)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
             c[j] += a * c[j + 1]
     return c
 
 
-def _variations(coeffs: Sequence[Fraction]) -> int:
-    signs = [(x > 0) - (x < 0) for x in coeffs if x != 0]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+def _onto_unit(p: Sequence[int], a: Fraction, b: Fraction) -> List[int]:
+    # den^d * p(a + (b - a) y): the roots of p in (a, b) moved onto (0, 1)
+    den = lcm(a.denominator, b.denominator)
+    q = _shift([c * den ** (len(p) - 1 - i) for i, c in enumerate(p)], int(a * den))
+    return [c * int((b - a) * den) ** i for i, c in enumerate(q)]
+
+
+def _unit_count(q: Sequence[int]) -> int:
+    # the sign variations of (1 + y)^d q(1 / (1 + y)) bound q's roots in (0, 1)
+    signs = [c > 0 for c in _shift(q[::-1], 1) if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def descartes_count(p: Sequence[int], a: Fraction, b: Fraction) -> int:
     """Descartes bound on the number of roots of p in the open interval
     (a, b): zero means none, one means exactly one simple root."""
-    q = _taylor_shift([Fraction(x) for x in p], a)
-    w = b - a
-    scale = Fraction(1)
-    for i in range(len(q)):
-        q[i] *= scale
-        scale *= w
-    r = _taylor_shift(list(reversed(q)), Fraction(1))
-    return _variations(r)
+    return _unit_count(_onto_unit(p, a, b))
 
 
 def _deflate(p: Sequence[int], r: Fraction) -> IntPoly:
@@ -167,32 +167,56 @@ def certified_roots(p: Sequence[int], width: Fraction) -> List[Tuple[Fraction, F
     """All real roots of p as certified dyadic intervals of width <= width,
     sorted ascending; exact rational roots come back zero-width.
 
-    Expects a square-free input; non-termination within MAX_ISOLATION_DEPTH
-    raises ArithmeticError for the caller to interpret.
+    Each bisection node carries p mapped onto (0, 1) as integers; its halves
+    are q(y/2) * 2^d and that shifted by one. Expects a square-free input;
+    non-termination within MAX_ISOLATION_DEPTH raises ArithmeticError for
+    the caller to interpret.
     """
     p = trim(p)
     if len(p) <= 1:
         return []
-    bound = root_bound(p)
+    bound = Fraction(root_bound(p))
     results: List[Tuple[Fraction, Fraction]] = []
-    stack = [(p, Fraction(-bound), Fraction(bound), 0)]
+    stack = [(p, _onto_unit(p, -bound, bound), -bound, bound, 0)]
     while stack:
-        poly, lo, hi, depth = stack.pop()
+        poly, q, lo, hi, depth = stack.pop()
         if depth > MAX_ISOLATION_DEPTH:
             raise ArithmeticError("root isolation did not terminate; input not square-free?")
-        count = descartes_count(poly, lo, hi)
+        count = _unit_count(q)
         if count == 0:
             continue
         if count == 1:
             results.append(refine_root(poly, lo, hi, width))
             continue
         mid = (lo + hi) / 2
-        if sign_at(poly, mid) == 0:
+        left = [c << (len(q) - 1 - i) for i, c in enumerate(q)]
+        right = _shift(left, 1)
+        if right[0] == 0:
+            # q(1/2) = 0: mid is a root; divide it out of both halves
             results.append((mid, mid))
             poly = _deflate(poly, mid)
-            if len(poly) <= 1:
-                continue
-        stack.append((poly, lo, mid, depth + 1))
-        stack.append((poly, mid, hi, depth + 1))
+            right = right[1:]
+            left = _shift(right, -1)
+        stack.append((poly, left, lo, mid, depth + 1))
+        stack.append((poly, right, mid, hi, depth + 1))
     results.sort(key=lambda iv: iv[0])
     return results
+
+
+def primitive_gcd(p: Sequence[int], q: Sequence[int]) -> IntPoly:
+    """Greatest common divisor of p and q in Z[t] up to content: primitive,
+    with a positive leading coefficient, or () when both are zero. Euclid on
+    pseudo-remainders, each made primitive (Brown 1971)."""
+    a, b = _primitive(p), _primitive(q)
+    while b:
+        while len(a) >= len(b):
+            cancel = (0,) * (len(a) - len(b)) + tuple(a[-1] * c for c in b)
+            a = sub(tuple(b[-1] * c for c in a), cancel)
+        a, b = b, _primitive(a)
+    return neg(a) if a and a[-1] < 0 else a
+
+
+def _primitive(p: Sequence[int]) -> IntPoly:
+    p = trim(p)
+    content = gcd(*p)
+    return tuple(c // content for c in p) if content > 1 else p

@@ -18,8 +18,8 @@ of degree 2i-1, x(w_i) odd of degree 2i+1, y(w_i) even of degree 2i.
 The closure parameters are t_k = 2cos(2k*pi/m) for k = 1..n: writing the
 primitive m-th root w = e^{2*pi*i/m}, one has w^{-k} = 2cos(2k*pi/m) - w^k,
 so the frame sending (1, w^k) to ((1,0), (0,1)) sends w^{-k} exactly to
-(2cos(2k*pi/m), -1) = w_0(t_k). The polynomial solver below re-derives the
-same values independently from w_n(t) = (1, 0) by certified bisection.
+(2cos(2k*pi/m), -1) = w_0(t_k). The solver below re-derives them as the real
+roots of gcd(y(w_n), x(w_n) - 1), the fourth-kind Chebyshev polynomial W_n.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .geometry import Configuration, PlaneVector, Scalar
 
 # Certified isolating width for polynomial roots.
 ROOT_WIDTH = Fraction(1, 10**12)
-# |x(w_n)(root) - 1| threshold that keeps a root of y(w_n) in the grid.
-X_FILTER_TOL = Fraction(1, 10**9)
 # Allowed |w_n(t_k) - U| and |u_n(t_k) - V| in the model configuration.
 CLOSURE_TOL = 1e-10
 
@@ -48,9 +46,6 @@ class PolyPair:
 
     x: ip.IntPoly
     y: ip.IntPoly
-
-    def eval(self, t: Scalar) -> PlaneVector:
-        return PlaneVector(ip.eval_at(self.x, t), ip.eval_at(self.y, t))
 
 
 @dataclass(frozen=True)
@@ -151,46 +146,21 @@ def check_parity_degrees(
     return ParityVerdict(True)
 
 
-def wn_equation_roots(n: int) -> RootGrid:
-    """Solve w_n(t) = (1, 0) over the reals, certified.
-
-    Isolates every real root of y(w_n) (even, degree 2n) to width <= 1e-12
-    with exact integer arithmetic, then keeps the roots whose x(w_n) value at
-    the certified midpoint is within 1e-9 of 1. The kept set must have
-    exactly n members; y-roots must come in +/- pairs with at most one of
-    each pair kept (the sign structure of an even polynomial with no root
-    at 0).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _, ws = symbolic_sequences(n)
-    y, x = ws[n].y, ws[n].x
-    if ip.degree(y) != 2 * n:
-        raise RootCountMismatch(f"y(w_n) has degree {ip.degree(y)}, expected {2 * n}")
+def closure_roots(wn: PolyPair) -> RootGrid:
+    """Solve wn(t) = (1, 0), certified, for wn = w_n of symbolic_sequences(n):
+    the real roots of the primitive gcd of y(w_n) and x(w_n) - 1 over Z[t],
+    each the midpoint of an isolating interval of width <= 1e-12."""
+    closure = ip.primitive_gcd(wn.y, ip.sub(wn.x, (1,)))
     try:
-        intervals = ip.certified_roots(y, ROOT_WIDTH)
+        intervals = ip.certified_roots(closure, ROOT_WIDTH)
     except ArithmeticError as exc:
         raise RootCountMismatch(str(exc)) from exc
-    if len(intervals) > 2 * n:
-        raise RootCountMismatch(f"{len(intervals)} roots of a degree-{2*n} polynomial")
-    mids = [(lo + hi) / 2 for lo, hi in intervals]
+    return RootGrid(ip.degree(wn.y) + 1, tuple(float((lo + hi) / 2) for lo, hi in intervals))
 
-    # even polynomial, y(0) != 0: roots pair up as {r, -r}
-    pair_tol = Fraction(1, 10**9)
-    for r in mids:
-        if not any(abs(r + s) <= pair_tol for s in mids):
-            raise RootCountMismatch(f"root {float(r):.12g} of y(w_n) lacks a mirror")
 
-    kept = [r for r in mids if abs(ip.eval_at(x, r) - 1) <= X_FILTER_TOL]
-    for a in kept:
-        for b in kept:
-            if a < b and abs(a + b) <= pair_tol:
-                raise RootCountMismatch("both members of a +/- pair passed the x-filter")
-    if len(kept) != n:
-        raise RootCountMismatch(
-            f"x-filter kept {len(kept)} of {len(mids)} roots; expected n = {n}"
-        )
-    return RootGrid(m=2 * n + 1, values=tuple(sorted(float(r) for r in kept)))
+def wn_equation_roots(n: int) -> RootGrid:
+    """Solve w_n(t) = (1, 0) over the reals, certified (see closure_roots)."""
+    return closure_roots(symbolic_sequences(n)[1][n])
 
 
 def closed_form_t(m: int, k: int) -> float:

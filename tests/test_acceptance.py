@@ -71,7 +71,7 @@ def test_acceptance_01_round_trip_canonicalization():
 def test_acceptance_02_root_set_identity():
     worst = 0.0
     ok = True
-    for n in range(1, 21):
+    for n in range(1, 61):
         solved = wn_equation_roots(n)
         grid = t_grid(2 * n + 1)
         if len(solved.values) != n or len(grid.values) != n:
@@ -83,7 +83,7 @@ def test_acceptance_02_root_set_identity():
     spot2 = wn_equation_roots(2).values
     ok = ok and spot1 == (-1.0,)
     ok = ok and abs(spot2[0] + 1.6180340) < 1e-6 and abs(spot2[1] - 0.6180340) < 1e-6
-    report(ok, f"root sets match the closed-form grid for n=1..20, worst gap {worst:.2e}")
+    report(ok, f"root sets match the closed-form grid for n=1..60, worst gap {worst:.2e}")
 
 
 def test_acceptance_03a_recurrence_sign_regression():

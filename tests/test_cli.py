@@ -1,10 +1,11 @@
 import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from balcfg import geometry
+from balcfg import geometry, polynomials
 from balcfg.cli import main
 from balcfg.serialization import parse_config
 
@@ -107,6 +108,27 @@ def test_roots_accepts_m_spelling(capsys):
     _, by_n, _ = run(capsys, "roots", "--n", "3")
     _, by_m, _ = run(capsys, "roots", "--m", "7")
     assert by_n == by_m
+
+
+@pytest.mark.parametrize("n", [21, 24])
+def test_roots_beyond_twenty_match_the_closed_form(capsys, n):
+    code, out, _ = run(capsys, "roots", "--n", str(n))
+    assert code == 0
+    m = 2 * n + 1
+    grid = sorted(2 * math.cos(2 * math.pi * k / m) for k in range(1, n + 1))
+    solved = json.loads(out)["solver_roots"]
+    assert len(solved) == n
+    assert all(abs(a - b) <= 1e-10 for a, b in zip(solved, grid))
+
+
+def test_roots_solver_fault_is_not_a_certificate(capsys, monkeypatch):
+    def give_up(p, width):
+        raise ArithmeticError("root isolation did not terminate")
+
+    monkeypatch.setattr(polynomials, "certified_roots", give_up)
+    code, _, err = run(capsys, "roots", "--n", "3")
+    assert code == 2
+    assert "certificate" not in err
 
 
 def test_roots_flag_validation(capsys):

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from balcfg import polynomials as ip
@@ -72,6 +72,45 @@ def test_descartes_count_isolates():
     assert ip.descartes_count(p, Fraction(0), Fraction(2)) == 1
     assert ip.descartes_count(p, Fraction(-2), Fraction(0)) == 1
     assert ip.descartes_count(p, Fraction(2), Fraction(4)) == 0
+
+
+def _from_roots(roots):
+    # integer polynomial prod (den * t - num) over the rational roots
+    p = (1,)
+    for r in roots:
+        scaled = ip.shift_up(tuple(r.denominator * a for a in p))
+        p = ip.sub(scaled, tuple(r.numerator * a for a in p))
+    return p
+
+
+RATIONALS = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=12)
+
+
+def _dyadic(x):
+    return x.denominator & (x.denominator - 1) == 0
+
+
+@given(
+    st.lists(RATIONALS, min_size=1, max_size=6, unique=True),
+    RATIONALS,
+    st.fractions(min_value=Fraction(1, 12), max_value=Fraction(6), max_denominator=12),
+)
+def test_descartes_count_is_exact_when_zero_or_one(roots, a, width):
+    b = a + width
+    assume(not _dyadic(a) and not _dyadic(b))
+    inside = sum(1 for r in roots if a < r < b)
+    count = ip.descartes_count(_from_roots(roots), a, b)
+    assert count >= inside and (count - inside) % 2 == 0
+    if count <= 1:
+        assert count == inside
+
+
+def test_primitive_gcd_removes_content_and_sign():
+    # 6(t - 1)(t + 2) and -4(t - 1)(t - 3) share t - 1
+    assert ip.primitive_gcd((-12, 6, 6), (-12, 16, -4)) == (-1, 1)
+    assert ip.primitive_gcd((0, -6), ()) == (0, 1)
+    assert ip.primitive_gcd((), ()) == ()
+    assert ip.primitive_gcd((-1, 0, 1), (1, 0, 1)) == (1,)
 
 
 def test_certified_roots_quadratic():

@@ -88,6 +88,15 @@ def test_roots_agree_with_closed_form_grid():
             assert abs(a - b) < 1e-10
 
 
+def test_closure_gcd_is_the_fourth_kind_chebyshev_polynomial():
+    # W_0 = 1, W_1 = t + 1, W_{j+1} = t W_j - W_{j-1}
+    _, ws = symbolic_sequences(60)
+    prev, cur = (1,), (1, 1)
+    for n in range(1, 61):
+        assert ip.primitive_gcd(ws[n].y, ip.sub(ws[n].x, (1,))) == cur
+        prev, cur = cur, ip.sub(ip.shift_up(cur), prev)
+
+
 def test_exact_root_at_minus_one_when_three_divides_m():
     # m = 9 includes t = 2cos(2pi/3) = -1, a rational root the isolator
     # must peel off exactly
