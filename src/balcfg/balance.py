@@ -124,25 +124,24 @@ def is_uniform(
 
 
 def even_m_witness(c: Configuration, tol: Optional[float] = None) -> int:
-    """For a balanced configuration of even size, return j >= 1 with
-    det(v_0, v_j) = 0.
+    """For a balanced configuration of even size, return the j >= 1 with the
+    smallest |det(v_0, v_j)|, which is 0 (within the tolerance).
 
     The row multiset at index 0 has odd cardinality m-1; a symmetric multiset
-    of odd cardinality contains 0, so such a j exists and certifies that the
-    configuration is not uniform.
+    of odd cardinality contains 0, so such a j exists. The returned j
+    certifies non-uniformity by itself: v_0 and v_j are dependent. Only row 0
+    is read: when it has no zero, that row alone shows the configuration is
+    not balanced, and NotBalanced carries (0, its entry nearest 0).
     """
     if c.m % 2 == 1:
         raise OddM(f"m = {c.m} is odd; the even-m obstruction does not apply")
-    report = is_balanced(c, tol)
-    if not report.balanced:
-        raise NotBalanced("configuration is not balanced", witness=report.witness)
-    eff = _tolerance(c, tol)
     row = c.det_table[0]
-    near_zero = [(abs(row[j]), j) for j in range(1, c.m) if abs(row[j]) <= eff]
-    if not near_zero:
-        # Unreachable for inputs that passed the balance check above.
-        raise NotBalanced("no zero determinant in row 0 despite balance")
-    return min(near_zero)[1]
+    j = min(range(1, c.m), key=lambda i: abs(row[i]))
+    if abs(row[j]) > _tolerance(c, tol):
+        raise NotBalanced(
+            "row 0 has odd cardinality and no zero determinant", witness=(0, row[j])
+        )
+    return j
 
 
 def build_pairing(c: Configuration, tol: Optional[float] = None) -> PairingMap:

@@ -32,6 +32,7 @@ from typing import Optional, Tuple
 
 from .balance import is_balanced, is_uniform
 from .errors import (
+    CertificateError,
     DegenerateStep,
     NoGridMatch,
     NotBalanced,
@@ -53,7 +54,7 @@ from .sequences import closed_form_t
 
 # Absolute |det| threshold for frame construction on unit-scale input.
 FRAME_DET_TOL = 1e-12
-# |t - grid| and |y + 1| matching tolerance; grid gaps exceed 1e-4 for m <= 101.
+# |t - grid| and |y + 1| matching tolerance.
 GRID_TOL = 1e-6
 # Default acceptable residual for canonicalize.
 RESIDUAL_TOL = 1e-8
@@ -115,20 +116,20 @@ class CanonicalForm:
     residual: float
 
 
-def frame_map(v0: PlaneVector, vn: PlaneVector, tol: float = FRAME_DET_TOL) -> LinearMap2:
+def frame_map(v0: PlaneVector, vn: PlaneVector) -> LinearMap2:
     """The unique g with g.v0 = (1,0) and g.vn = (0,1): the inverse of the
     matrix with columns v0, vn."""
     d = det2(v0, vn)
-    if (d == 0) if v0.mode == EXACT else (abs(d) <= tol):
+    if (d == 0) if v0.mode == EXACT else (abs(d) <= FRAME_DET_TOL):
         raise SingularFrame(f"frame vectors are dependent (det = {d})")
     return LinearMap2(vn.y / d, -vn.x / d, -v0.y / d, v0.x / d)
 
 
-def extract_t(g: LinearMap2, v_next: PlaneVector, tol: float = GRID_TOL) -> Scalar:
+def extract_t(g: LinearMap2, v_next: PlaneVector) -> Scalar:
     """x-coordinate of g.v_next, after checking its y-coordinate is -1
     (which the step-constant structure forces for v_{n+1} in frame g)."""
     p = g.apply(v_next)
-    if abs(p.y + 1) > tol:
+    if abs(p.y + 1) > GRID_TOL:
         raise NotNormalized(
             f"g.v_next = ({p.x}, {p.y}) does not have y = -1: "
             "input is not balanced or is mislabeled",
@@ -137,14 +138,20 @@ def extract_t(g: LinearMap2, v_next: PlaneVector, tol: float = GRID_TOL) -> Scal
     return p.x
 
 
-def match_k(t: Scalar, m: int, tol: float = GRID_TOL) -> int:
-    """The unique k in 1..n with t within tol of 2cos(2k*pi/m)."""
+def match_k(t: Scalar, m: int) -> int:
+    """The k in 1..n nearest to t on the grid 2cos(2k*pi/m), provided t lies
+    within GRID_TOL of it.
+
+    Since acos(t_k/2) = 2k*pi/m, k is read off directly as the rounded
+    m*acos(t/2)/(2*pi), with t/2 clamped to [-1, 1] and k to 1..n.
+    """
     if m % 2 == 0 or m < 3:
         raise ValueError(f"matching needs odd m >= 3, got {m}")
     n = (m - 1) // 2
-    for k in range(1, n + 1):
-        if abs(float(t) - closed_form_t(m, k)) <= tol:
-            return k
+    half = min(1.0, max(-1.0, float(t) / 2.0))
+    k = min(n, max(1, round(m * math.acos(half) / (2.0 * math.pi))))
+    if abs(float(t) - closed_form_t(m, k)) <= GRID_TOL:
+        return k
     raise NoGridMatch(
         f"t = {float(t):.9g} is not a grid parameter for m = {m}: "
         "the configuration is not equivalent to the roots of unity",
@@ -157,7 +164,6 @@ def reconstruct_from_triple(
     vn: PlaneVector,
     vn1: PlaneVector,
     m: int,
-    tol: float = FRAME_DET_TOL,
 ) -> Configuration:
     """Rebuild the whole configuration in label order from (v_0, v_n, v_{n+1}).
 
@@ -168,7 +174,7 @@ def reconstruct_from_triple(
         raise ValueError(f"reconstruction needs odd m >= 3, got {m}")
     n = (m - 1) // 2
     an = det2(v0, vn)
-    if (an == 0) if v0.mode == EXACT else (abs(an) <= tol):
+    if (an == 0) if v0.mode == EXACT else (abs(an) <= FRAME_DET_TOL):
         raise SingularFrame(f"det(v0, vn) = {an}; seed frame is singular")
     a1 = det2(vn, vn1)
     ratio = a1 / an
@@ -177,19 +183,19 @@ def reconstruct_from_triple(
     slots[0], slots[n], slots[n + 1] = v0, vn, vn1
     for i in range(1, n):
         produced = -(slots[i - 1] + slots[n + i].scale(ratio))
-        _check_step(produced, i, tol, scale)
+        _check_step(produced, i, scale)
         slots[i] = produced
         produced = -(slots[i].scale(ratio) + slots[n + i])
-        _check_step(produced, n + i + 1, tol, scale)
+        _check_step(produced, n + i + 1, scale)
         slots[n + i + 1] = produced
     return Configuration(slots)
 
 
-def _check_step(v: PlaneVector, slot: int, tol: float, scale: float) -> None:
+def _check_step(v: PlaneVector, slot: int, scale: float) -> None:
     if v.mode == EXACT:
         bad = v.is_zero()
     else:
-        bad = v.norm() <= tol * scale
+        bad = v.norm() <= FRAME_DET_TOL * scale
     if bad:
         raise DegenerateStep(f"reconstruction produced a zero vector at slot {slot}")
 
@@ -205,9 +211,11 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     """Certify that c is GL2-equivalent to the roots of unity and produce
     the explicit map.
 
-    Raises NotBalanced / NotUniform / NoGridMatch with a witness when the
-    input provably is not equivalent, ResidualTooLarge on internal
-    inconsistency (the construction succeeded but missed the targets).
+    Raises a CertificateError with a witness when the input provably is not
+    equivalent: NotBalanced, NotUniform, NotNormalized, NoGridMatch, or
+    ResidualTooLarge when the map misses the roots of unity by more than tol.
+    DuplicateArgument and SingularFrame are float precision refusals, not
+    certificates.
     """
     if c.m < 3:
         raise ValueError(f"canonicalization needs m >= 3, got m = {c.m}")
@@ -271,13 +279,14 @@ def gl2_equivalent(
     a: Configuration, b: Configuration, tol: float = RESIDUAL_TOL
 ) -> EquivalenceVerdict:
     """Two configurations are equivalent iff they have the same odd size and
-    both canonicalize (transitivity onto the roots of unity). Failures come
-    back as a false verdict carrying the certificate name."""
+    both canonicalize (transitivity onto the roots of unity). A certificate
+    comes back as a false verdict carrying its name; a precision refusal
+    (DuplicateArgument, SingularFrame) is raised, as canonicalize raises it."""
     if a.m != b.m:
         return EquivalenceVerdict(False, f"size mismatch: {a.m} != {b.m}")
     for which, cfg in (("first", a), ("second", b)):
         try:
             canonicalize(cfg, tol)
-        except (NotBalanced, NotUniform, NoGridMatch, NotNormalized, ResidualTooLarge) as exc:
+        except CertificateError as exc:
             return EquivalenceVerdict(False, f"{which}: {type(exc).__name__}")
     return EquivalenceVerdict(True)

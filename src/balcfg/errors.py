@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
-Errors split into two families: certificates (the input provably lacks the
-property being tested, and the exception carries the witness) and usage/input
-problems. The CLI maps certificates to exit code 1 and the rest to exit 2.
+Errors split into two families: certificates (CertificateError: the input
+provably lacks the property being tested, and the exception carries the
+witness) and everything else (usage, input, precision limits, solver faults).
+Each CLI command catches the certificates it can meet and reports them, so
+exit code 1 always comes with a report on stdout that names the certificate.
+Every other error, and a certificate that escapes a command, exits 2.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ class ZeroVector(BalcfgError):
 
 
 class DuplicateArgument(BalcfgError):
-    """Two members share a polar argument, so strict ordering is impossible."""
+    """Two members share a polar argument, so strict ordering is impossible.
+
+    A float precision limit (ARGUMENT_TIE_TOL), not a certificate: a GL2
+    image of a uniform configuration can squeeze arguments below it."""
 
 
 class CertificateError(BalcfgError):
@@ -74,8 +80,8 @@ class NoGridMatch(CertificateError):
 
 
 class ResidualTooLarge(CertificateError):
-    """Internal inconsistency: the canonical map does not land on the roots
-    of unity within tolerance."""
+    """The canonical map misses the roots of unity by more than the residual
+    tolerance."""
 
 
 class DegenerateStep(BalcfgError):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import DuplicateArgument, ModeMismatch, ZeroVector
 
@@ -189,18 +189,7 @@ class Configuration:
         return tuple(tuple(sorted(r[:i] + r[i + 1 :])) for i, r in enumerate(self.det_table))
 
 
-class LabeledConfiguration(Configuration):
-    """A configuration sorted by strictly increasing argument, remembering the
-    permutation that produced it: vectors[i] = original[permutation[i]]."""
-
-    def __init__(self, vectors: Iterable, permutation: Sequence[int]):
-        super().__init__(vectors)
-        object.__setattr__(self, "permutation", tuple(permutation))
-
-    permutation: tuple
-
-
-def label_by_increasing_arguments(c: Configuration) -> LabeledConfiguration:
+def label_by_increasing_arguments(c: Configuration) -> Configuration:
     """Sort the members by polar argument ascending in [0, 2*pi).
 
     Raises DuplicateArgument when two members are angularly closer than
@@ -219,7 +208,7 @@ def label_by_increasing_arguments(c: Configuration) -> LabeledConfiguration:
                 raise DuplicateArgument(
                     f"members {i} and {j} share an argument (gap {gap:.3e} rad)"
                 )
-    return LabeledConfiguration([c.vectors[i] for i in order], order)
+    return Configuration([c.vectors[i] for i in order])
 
 
 def cyclic_index(k: int, m: int) -> int:
@@ -229,7 +218,7 @@ def cyclic_index(k: int, m: int) -> int:
     return k % m
 
 
-def roots_of_unity(m: int) -> LabeledConfiguration:
+def roots_of_unity(m: int) -> Configuration:
     """The m-th roots of unity as a float configuration, in label order.
 
     Only odd m is meaningful downstream (m = 1 is allowed as the degenerate
@@ -243,7 +232,7 @@ def roots_of_unity(m: int) -> LabeledConfiguration:
         PlaneVector(math.cos(2.0 * math.pi * k / m), math.sin(2.0 * math.pi * k / m))
         for k in range(m)
     ]
-    return LabeledConfiguration(vecs, range(m))
+    return Configuration(vecs)
 
 
 def unit_vector(theta: float) -> PlaneVector:

@@ -2,8 +2,8 @@
 and exhaustive enumeration of balanced configurations over small exact grids.
 
 Enumeration treats a configuration as a set of pairwise distinct nonzero grid
-vectors (the objects the definitions quantify over); dedupe mode lists each
-set once, in lexicographic order of the sorted representative, so results are
+vectors (the objects the definitions quantify over) and lists each set once,
+in lexicographic order of the sorted representative, so results are
 reproducible byte for byte.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -22,18 +22,18 @@ from .errors import BudgetExceeded
 from .geometry import Configuration, PlaneVector
 
 DEFAULT_BUDGET = 10**7
+# Largest condition number of a random_invertible map.
+COND_MAX = 100.0
 
 
-def random_invertible(seed: int, cond_max: float = 100.0) -> LinearMap2:
-    """Seeded random 2x2 map with condition number <= cond_max and
-    |det| >= 1/cond_max, by rejection sampling of entries in [-1, 1]."""
-    if cond_max <= 1.0:
-        raise ValueError("cond_max must exceed 1")
+def random_invertible(seed: int) -> LinearMap2:
+    """Seeded random 2x2 map with condition number <= COND_MAX and
+    |det| >= 1/COND_MAX, by rejection sampling of entries in [-1, 1]."""
     rng = random.Random(seed)
     while True:
         a, b, c, d = (rng.uniform(-1.0, 1.0) for _ in range(4))
         det = a * d - b * c
-        if abs(det) < 1.0 / cond_max:
+        if abs(det) < 1.0 / COND_MAX:
             continue
         # singular values of a 2x2: s^2 are the eigenvalues of G^T G
         trace = a * a + b * b + c * c + d * d
@@ -42,7 +42,7 @@ def random_invertible(seed: int, cond_max: float = 100.0) -> LinearMap2:
         if smin_sq <= 0.0:
             continue
         cond = math.sqrt((trace + disc) / 2.0 / smin_sq)
-        if cond <= cond_max:
+        if cond <= COND_MAX:
             return LinearMap2(a, b, c, d)
 
 
@@ -69,8 +69,6 @@ class SearchSpec:
     m: int
     coordinate_set: Tuple[Fraction, ...]
     require_uniform: bool = False
-    dedupe: bool = True
-    budget: int = field(default=DEFAULT_BUDGET)
 
     def __post_init__(self):
         if self.m < 1:
@@ -92,20 +90,16 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     """All balanced configurations of m pairwise distinct vectors over the
     grid, exact arithmetic, in deterministic lexicographic order; optionally
     only the uniform ones."""
-    if len(spec.coordinate_set) ** (2 * spec.m) > spec.budget:
+    if len(spec.coordinate_set) ** (2 * spec.m) > DEFAULT_BUDGET:
         raise BudgetExceeded(
             f"{len(spec.coordinate_set)}^{2 * spec.m} candidate tuples exceed "
-            f"the budget of {spec.budget}"
+            f"the budget of {DEFAULT_BUDGET}"
         )
     vectors = grid_vectors(spec.coordinate_set)
     if spec.m > len(vectors):
         return []
-    if spec.dedupe:
-        candidates = itertools.combinations(vectors, spec.m)
-    else:
-        candidates = itertools.permutations(vectors, spec.m)
     hits = []
-    for cand in candidates:
+    for cand in itertools.combinations(vectors, spec.m):
         cfg = Configuration(cand)
         if not is_balanced(cfg).balanced:
             continue

@@ -56,7 +56,7 @@ def test_acceptance_01_round_trip_canonicalization():
     for m in ROUND_TRIP_SIZES:
         u = roots_of_unity(m)
         for seed in range(100):
-            g = random_invertible(seed=seed, cond_max=100.0)
+            g = random_invertible(seed=seed)
             form = canonicalize(g.apply_configuration(u))
             worst = max(worst, form.residual)
     elapsed = time.perf_counter() - start

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from balcfg import (
     Configuration,
     InconsistentConstants,
+    NotBalanced,
     NotUniform,
     build_pairing,
     det2,
@@ -65,6 +66,13 @@ def test_square_is_balanced_but_not_uniform():
 def test_even_m_witness_requires_even_size():
     with pytest.raises(OddM):
         even_m_witness(roots_of_unity(5))
+
+
+def test_even_m_witness_rejects_a_row_0_without_zero():
+    c = Configuration([(1, 0), (0, 1), (1, 1), (1, 2)])
+    with pytest.raises(NotBalanced) as caught:
+        even_m_witness(c)
+    assert caught.value.witness == (0, 1)
 
 
 @given(st.permutations(list(range(7))))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from balcfg import (
     Configuration,
+    DuplicateArgument,
     NoGridMatch,
     NotBalanced,
     NotNormalized,
@@ -26,6 +27,7 @@ from balcfg import (
 )
 from balcfg.canonical import IDENTITY, LinearMap2
 from balcfg.errors import DegenerateStep
+from balcfg.sequences import closed_form_t
 
 
 def test_linear_map_algebra():
@@ -81,8 +83,15 @@ def test_match_k_frozen_values():
 
 
 def test_match_k_rejects_off_grid():
-    with pytest.raises(NoGridMatch):
-        match_k(0.5, 5)
+    # beyond [-2, 2] too, where acos(t/2) is undefined
+    for t in (0.5, 2.5, -2.5):
+        with pytest.raises(NoGridMatch):
+            match_k(t, 5)
+
+
+def test_match_k_finds_every_index_on_a_fine_grid():
+    m = 20001
+    assert all(match_k(closed_form_t(m, k), m) == k for k in range(1, (m - 1) // 2 + 1))
 
 
 def test_reconstruction_recovers_pentagon():
@@ -185,3 +194,10 @@ def test_gl2_equivalence_verdicts():
     assert verdict.reason == "second: NotBalanced"
 
     assert not gl2_equivalent(u5, roots_of_unity(7)).equivalent
+
+
+def test_gl2_equivalent_refuses_arguments_below_float_precision():
+    # a GL2 image of U_5 whose arguments collapse under ARGUMENT_TIE_TOL
+    squeezed = LinearMap2(1.0, 0.0, 0.0, 1e-13).apply_configuration(roots_of_unity(5))
+    with pytest.raises(DuplicateArgument):
+        gl2_equivalent(roots_of_unity(5), squeezed)

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from balcfg import geometry, polynomials
+from balcfg.canonical import LinearMap2
 from balcfg.cli import main
-from balcfg.serialization import parse_config
+from balcfg.geometry import Configuration, roots_of_unity
+from balcfg.serialization import parse_config, save_config
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -53,6 +55,19 @@ def test_check_tol_flag_loosens_the_verdict(capsys, tmp_path):
     assert json.loads(out)["tol"] == 1e-3
 
 
+def test_check_reports_an_unlabeled_file_without_step_constants(capsys, tmp_path):
+    u5 = roots_of_unity(5)
+    path = tmp_path / "u5_swapped.json"
+    save_config(Configuration([u5[0], u5[2], u5[1], u5[3], u5[4]]), path)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["balanced"] is True
+    assert report["uniform"] is True
+    assert report["step_constants"] is None
+    assert "certificate" not in err
+
+
 def test_check_reports_square_witnesses(capsys):
     code, out, _ = run(capsys, "check", str(DATA / "square.json"))
     assert code == 0
@@ -96,6 +111,15 @@ def test_canon_failure_is_a_report_not_a_crash(capsys):
     assert report["ok"] is False
     assert report["error"] == "NotUniform"
     assert report["witness"] == [0, 2]
+
+
+def test_canon_precision_refusal_is_not_a_certificate(capsys, tmp_path):
+    path = tmp_path / "u5_squeezed.json"
+    save_config(LinearMap2(1.0, 0.0, 0.0, 1e-13).apply_configuration(roots_of_unity(5)), path)
+    code, out, err = run(capsys, "canon", str(path))
+    assert code == 2
+    assert out == ""
+    assert "share an argument" in err
 
 
 def test_roots_golden_bytes(capsys):

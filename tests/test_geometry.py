@@ -119,7 +119,7 @@ def test_label_by_increasing_arguments_sorts_a_scramble():
     labeled = label_by_increasing_arguments(scrambled)
     args = [argument(v) for v in labeled]
     assert args == sorted(args)
-    assert labeled.permutation == (1, 3, 4, 0, 2)
+    assert list(labeled) == [scrambled[i] for i in (1, 3, 4, 0, 2)]
     assert list(labeled) == list(u5)
 
 

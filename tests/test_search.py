@@ -30,7 +30,7 @@ def test_random_invertible_is_seed_deterministic():
 
 @given(st.integers(0, 10**6))
 def test_random_invertible_is_well_conditioned(seed):
-    g = random_invertible(seed=seed, cond_max=100.0)
+    g = random_invertible(seed=seed)
     (a, b), (c, d) = g.rows()
     det = a * d - b * c
     assert abs(det) >= 1.0 / 100.0
@@ -81,9 +81,6 @@ def test_enumeration_counts_on_the_small_grid():
     assert len(hits) == 4
     assert all(is_balanced(h).balanced for h in hits)
     assert all(is_uniform(h)[0] for h in hits)
-    # quotient by permutation versus labeled tuples
-    labeled = enumerate_balanced(SearchSpec(m=3, coordinate_set=GRID3, dedupe=False))
-    assert len(labeled) == 24
 
 
 def test_even_grid_is_balanced_but_never_uniform():
@@ -100,5 +97,3 @@ def test_even_grid_is_balanced_but_never_uniform():
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         enumerate_balanced(SearchSpec(m=8, coordinate_set=GRID3))
-    with pytest.raises(BudgetExceeded):
-        enumerate_balanced(SearchSpec(m=3, coordinate_set=GRID3, budget=10))
