@@ -157,10 +157,33 @@ class Configuration:
             return self
         return Configuration([v.as_float() for v in self.vectors])
 
+    def _restrict(self, idx: tuple) -> "Configuration":
+        """The members at the strictly increasing indices idx (as
+        itertools.combinations yields them), with det_table read from this
+        configuration's table rather than recomputed.
+
+        The members were validated here, so they are not checked again. For
+        increasing indices a < b, D[a][b] is exactly det2(v_a, v_b) and D[b][a]
+        its stored negation, which is what the members' own table would hold:
+        the restricted table is bit-identical to it, zeros' signs included,
+        and no det2 runs. Indices out of order or repeated break this, so the
+        method is private to the grid enumeration that yields them in order.
+        """
+        table = self.det_table
+        sub = object.__new__(Configuration)
+        object.__setattr__(sub, "vectors", tuple(self.vectors[a] for a in idx))
+        # cached_property keeps its value in the instance __dict__ under its
+        # own name, so this entry is the cached det_table.
+        sub.__dict__["det_table"] = tuple(
+            tuple(map(table[a].__getitem__, idx)) for a in idx
+        )
+        return sub
+
     @cached_property
     def det_table(self) -> tuple:
         """The antisymmetric m x m table D[i][j] = det(v_i, v_j), built on
-        first use and then shared by every verdict on this configuration.
+        first use (or set by _restrict from a parent's table) and then shared
+        by every verdict on this configuration.
 
         det2 runs once per unordered pair i < j; D[j][i] stores -D[i][j],
         which round-to-nearest makes bit-identical to det2(v_j, v_i) up to

@@ -4,7 +4,11 @@ and exhaustive enumeration of balanced configurations over small exact grids.
 Enumeration treats a configuration as a set of pairwise distinct nonzero grid
 vectors (the objects the definitions quantify over) and lists each set once,
 in lexicographic order of the sorted representative, so results are
-reproducible byte for byte.
+reproducible byte for byte. When the candidates outnumber the grid's pairs
+(m >= 3, unless m is close to the grid size), it builds one determinant table
+for the whole grid and each candidate reads its rows from it, so no grid
+determinant is evaluated twice; otherwise (as for m <= 2) each pair is read at
+most once anyway, and each candidate builds its own small table.
 """
 
 from __future__ import annotations
@@ -96,11 +100,20 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
             f"the budget of {DEFAULT_BUDGET}"
         )
     vectors = grid_vectors(spec.coordinate_set)
-    if spec.m > len(vectors):
+    n = len(vectors)
+    if spec.m > n:
         return []
+    # A grid table of n^2 entries pays only when the candidates outnumber
+    # the grid's pairs; for m <= 2 it would cost memory and save nothing.
+    if math.comb(n, spec.m) > math.comb(n, 2):
+        grid = Configuration(vectors)
+        candidates = (
+            grid._restrict(idx) for idx in itertools.combinations(range(n), spec.m)
+        )
+    else:
+        candidates = map(Configuration, itertools.combinations(vectors, spec.m))
     hits = []
-    for cand in itertools.combinations(vectors, spec.m):
-        cfg = Configuration(cand)
+    for cfg in candidates:
         if not is_balanced(cfg).balanced:
             continue
         if spec.require_uniform and not is_uniform(cfg)[0]:

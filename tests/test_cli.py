@@ -1,11 +1,10 @@
 import json
 import math
-import sys
 from pathlib import Path
 
 import pytest
 
-from balcfg import geometry, polynomials
+from balcfg import polynomials
 from balcfg.canonical import LinearMap2
 from balcfg.cli import main
 from balcfg.geometry import Configuration, roots_of_unity
@@ -81,21 +80,38 @@ def test_check_reports_square_witnesses(capsys):
 
 
 @pytest.mark.parametrize("name, pairs", [("u5.json", 10), ("square.json", 6)])
-def test_check_evaluates_each_determinant_once(capsys, monkeypatch, name, pairs):
-    # count det2 through every module binding, as a from-import copies it
-    real = geometry.det2
-    calls = []
-
-    def counting(a, b):
-        calls.append((a, b))
-        return real(a, b)
-
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("balcfg") and getattr(module, "det2", None) is real:
-            monkeypatch.setattr(module, "det2", counting)
+def test_check_evaluates_each_determinant_once(capsys, det2_calls, name, pairs):
     code, _, _ = run(capsys, "check", str(DATA / name))
     assert code == 0
-    assert len(calls) == pairs
+    assert len(det2_calls) == pairs
+
+
+def test_search_evaluates_each_grid_determinant_once(capsys, det2_calls):
+    # the 8 nonzero vectors of {-1, 0, 1}^2 have C(8, 2) = 28 pairs
+    code, out, _ = run(capsys, "search", "--m", "4", "--coords", "-1,0,1")
+    assert code == 0
+    assert json.loads(out)["count"] == 6
+    assert len(det2_calls) == 28
+
+
+@pytest.mark.parametrize(
+    "m, values, count, calls", [(1, 100, 9999, 0), (2, 10, 136, 4851)]
+)
+def test_small_m_search_builds_no_grid_table(
+    capsys, monkeypatch, det2_calls, m, values, count, calls
+):
+    # with m <= 2 each grid pair is read at most once, so a table of the
+    # whole grid (9999 vectors for 100 values) would only cost memory
+    def forbidden(self, idx):
+        raise AssertionError("a grid table was shared")
+
+    monkeypatch.setattr(Configuration, "_restrict", forbidden)
+    coords = ",".join(str(k) for k in range(values))
+    code, out, _ = run(capsys, "search", "--m", str(m), "--coords", coords)
+    assert code == 0
+    assert json.loads(out)["count"] == count
+    # m = 2 reads each of the C(10^2 - 1, 2) = 4851 pairs once
+    assert len(det2_calls) == calls
 
 
 def test_canon_golden_bytes(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from balcfg import (
     BudgetExceeded,
+    Configuration,
     SearchSpec,
     enumerate_balanced,
     even_m_witness,
@@ -19,6 +21,7 @@ from balcfg import (
 from balcfg.search import grid_vectors
 
 GRID3 = (Fraction(-1), Fraction(0), Fraction(1))
+GRID5 = tuple(Fraction(k, 2) for k in range(-2, 3))
 
 
 def test_random_invertible_is_seed_deterministic():
@@ -92,6 +95,30 @@ def test_even_grid_is_balanced_but_never_uniform():
     assert uniform_hits == []
     for h in hits:
         assert 0 <= even_m_witness(h) < 4
+
+
+def brute_force(coords, m, require_uniform):
+    hits = []
+    for cand in itertools.combinations(grid_vectors(coords), m):
+        cfg = Configuration(cand)
+        if not is_balanced(cfg).balanced:
+            continue
+        if require_uniform and not is_uniform(cfg)[0]:
+            continue
+        hits.append(cfg)
+    return hits
+
+
+@pytest.mark.parametrize("require_uniform", [False, True])
+@pytest.mark.parametrize(
+    "coords, m", [(GRID3, m) for m in range(1, 6)] + [(GRID5, 3)]
+)
+def test_enumeration_equals_its_definition(coords, m, require_uniform):
+    hits = enumerate_balanced(SearchSpec(m, coords, require_uniform))
+    expected = brute_force(coords, m, require_uniform)
+    # Configuration equality compares the vectors in order
+    assert hits == expected
+    assert [h.det_table for h in hits] == [e.det_table for e in expected]
 
 
 def test_budget_guard():
