@@ -11,8 +11,10 @@ which is what the verdicts check; in float mode the comparison happens within
 an absolute tolerance derived from the determinant scale.
 
 Every verdict reads the configuration's one determinant table,
-Configuration.det_table (one det2 per unordered pair), its largest entry and
-its rows sorted once, all cached: predicates on one configuration share them.
+Configuration.det_table (one comprehension per row over the unpacked
+coordinates), its largest entry and its rows sorted once, all cached:
+predicates on one configuration share them. The balance and uniformity scans
+run one C-level pass per row.
 
 For uniform balanced configurations of odd size m = 2n+1 this module also
 builds the pairing structure: for each index i the remaining indices split
@@ -24,7 +26,10 @@ det(v_k, v_{k+a}) = -det(v_k, v_{k-a}) in disguise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, ge, lt
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import (
@@ -71,9 +76,24 @@ class StepConstants:
     An: Scalar
 
 
+def require_tolerance(tol: float) -> float:
+    """tol itself when it is a finite number >= 0; otherwise ValueError.
+
+    A NaN tolerance fails every comparison, so it would pass every row and
+    switch every gate off; inf would bless everything and a negative one
+    nothing.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return tol
+
+
 def _tolerance(c: Configuration, tol: Optional[float]) -> Scalar:
     """Absolute tolerance for comparing entries of c's determinant table:
-    0 in exact mode (tol ignored), else tol, else DEFAULT_REL_TOL * max |det|."""
+    0 in exact mode (tol ignored), else tol, else DEFAULT_REL_TOL * max |det|.
+    An explicit tol must pass require_tolerance in either mode."""
+    if tol is not None:
+        require_tolerance(tol)
     if c.mode == EXACT:
         return 0
     if tol is not None:
@@ -84,42 +104,48 @@ def _tolerance(c: Configuration, tol: Optional[float]) -> Scalar:
 def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
     """Decide multiset symmetry of every determinant row.
 
-    Exact mode compares exactly (tol ignored); float mode sorts each row and
-    greedily matches extremes x with -x within the absolute tolerance
-    (default 1e-9 * max |det|). The witness is the first unmatched value.
+    Exact mode compares exactly (tol ignored); float mode compares within an
+    absolute tolerance (default 1e-9 * max |det|). Each sorted row s of
+    length N is tested in one C-level pass: |s[j] + s[N-1-j]| <= tol for the
+    N // 2 extreme pairs, then |s[N // 2]| <= tol for the middle entry of an
+    odd N. The witness is (i, value) for the first row i that fails: the
+    larger-magnitude side of its first bad pair, else its middle entry.
     """
     eff = _tolerance(c, tol)
     rows = c.sorted_det_rows
-    witness = None
     for i, srow in enumerate(rows):
-        lo, hi = 0, len(srow) - 1
-        while lo <= hi:
-            if lo == hi:
-                bad = abs(srow[lo]) > eff
-                mismatch = srow[lo]
-            else:
-                bad = abs(srow[lo] + srow[hi]) > eff
-                mismatch = srow[hi] if abs(srow[hi]) >= abs(srow[lo]) else srow[lo]
-            if bad:
-                witness = (i, mismatch)
-                break
-            lo += 1
-            hi -= 1
-        if witness is not None:
-            break
-    return BalanceReport(balanced=witness is None, witness=witness, rows=rows)
+        half = len(srow) // 2
+        bad = list(
+            map(lt, repeat(eff, half), map(abs, map(add, srow[:half], reversed(srow))))
+        )
+        if True in bad:
+            j = bad.index(True)
+            lo, hi = srow[j], srow[-1 - j]
+            return BalanceReport(False, (i, hi if abs(hi) >= abs(lo) else lo), rows)
+        if len(srow) % 2 and abs(srow[half]) > eff:
+            return BalanceReport(False, (i, srow[half]), rows)
+    return BalanceReport(True, None, rows)
 
 
 def is_uniform(
     c: Configuration, tol: Optional[float] = None
 ) -> Tuple[bool, Optional[Tuple[int, int]]]:
     """True when no pair of members is linearly dependent; otherwise False
-    plus the first violating index pair (i, j)."""
+    plus the first violating index pair (i, j), i < j.
+
+    The smallest |D[i][j]|, j > i, of each row decides in one C-level pass
+    whether the row holds such a pair; only that row is scanned for its j.
+    """
     eff = _tolerance(c, tol)
     for i, row in enumerate(c.det_table):
-        for j in range(i + 1, len(row)):
-            if abs(row[j]) <= eff:
-                return False, (i, j)
+        rest = row[i + 1 :]
+        # an overflowed entry (inf - inf) is NaN and counts as nonzero: min
+        # skips a NaN unless it comes first and is returned, and "not > eff"
+        # sends that row to the scan, which skips it too
+        if rest and not min(map(abs, rest)) > eff:
+            zero = list(map(ge, repeat(eff), map(abs, rest)))
+            if True in zero:
+                return False, (i, i + 1 + zero.index(True))
     return True, None
 
 

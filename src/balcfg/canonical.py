@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .balance import is_balanced, is_uniform
+from .balance import is_balanced, is_uniform, require_tolerance
 from .errors import (
     CertificateError,
     DegenerateStep,
@@ -215,8 +215,9 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     equivalent: NotBalanced, NotUniform, NotNormalized, NoGridMatch, or
     ResidualTooLarge when the map misses the roots of unity by more than tol.
     DuplicateArgument and SingularFrame are float precision refusals, not
-    certificates.
+    certificates. A tol that is not a finite number >= 0 raises ValueError.
     """
+    require_tolerance(tol)
     if c.m < 3:
         raise ValueError(f"canonicalization needs m >= 3, got m = {c.m}")
     work = c.as_float()

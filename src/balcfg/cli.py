@@ -22,7 +22,13 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from .balance import even_m_witness, is_balanced, is_uniform, step_constants
+from .balance import (
+    even_m_witness,
+    is_balanced,
+    is_uniform,
+    require_tolerance,
+    step_constants,
+)
 from .canonical import RESIDUAL_TOL, CanonicalForm, canonicalize
 from .errors import BalcfgError, CertificateError
 from .geometry import Configuration, roots_of_unity
@@ -30,6 +36,12 @@ from .render import render_svg
 from .search import SearchSpec, enumerate_balanced, random_invertible
 from .sequences import closure_roots, model_configuration, symbolic_sequences, t_grid
 from .serialization import dumps_canonical, load_config, save_config, serialize_config
+
+
+def tolerance(text: str) -> float:
+    """The argparse type of --tol: a finite float >= 0, so that a NaN,
+    infinite or negative tolerance exits 2 before any verdict."""
+    return require_tolerance(float(text))
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -220,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="balance/uniformity verdicts for a configuration file")
     check.add_argument("path")
-    check.add_argument("--tol", type=float, default=None, help="absolute determinant tolerance")
+    check.add_argument("--tol", type=tolerance, default=None, help="absolute determinant tolerance")
     check.add_argument("--out", default=None, help="write the report here instead of stdout")
     check.add_argument("--timing", action="store_true", help="embed elapsed time in the report")
     check.set_defaults(func=_cmd_check)
@@ -228,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     canon = sub.add_parser("canon", help="canonical map onto the roots of unity")
     canon.add_argument("path")
     canon.add_argument(
-        "--tol", type=float, default=RESIDUAL_TOL, help="residual tolerance (default %(default)g)"
+        "--tol", type=tolerance, default=RESIDUAL_TOL, help="residual tolerance (default %(default)g)"
     )
     canon.add_argument("--out", default=None)
     canon.add_argument("--timing", action="store_true")

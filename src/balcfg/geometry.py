@@ -162,12 +162,10 @@ class Configuration:
         itertools.combinations yields them), with det_table read from this
         configuration's table rather than recomputed.
 
-        The members were validated here, so they are not checked again. For
-        increasing indices a < b, D[a][b] is exactly det2(v_a, v_b) and D[b][a]
-        its stored negation, which is what the members' own table would hold:
-        the restricted table is bit-identical to it, zeros' signs included,
-        and no det2 runs. Indices out of order or repeated break this, so the
-        method is private to the grid enumeration that yields them in order.
+        The members were validated here, so they are not checked again. Every
+        entry D[a][b] of this table is exactly det2(v_a, v_b), so the
+        restricted table is bit-identical to the one the members would build,
+        zeros' signs included. The method is private to the grid enumeration.
         """
         table = self.det_table
         sub = object.__new__(Configuration)
@@ -185,26 +183,32 @@ class Configuration:
         first use (or set by _restrict from a parent's table) and then shared
         by every verdict on this configuration.
 
-        det2 runs once per unordered pair i < j; D[j][i] stores -D[i][j],
-        which round-to-nearest makes bit-identical to det2(v_j, v_i) up to
-        the sign of a zero. The diagonal holds this mode's zero.
+        The coordinates are unpacked once and each row is one comprehension,
+        so every entry, diagonal and lower half included, is exactly
+        det2(v_i, v_j), the sign of a zero included. No mode check is needed:
+        __init__ rejects mixed modes.
         """
-        vecs = self.vectors
-        m = len(vecs)
-        zero = 0.0 if self.mode == FLOAT else Fraction(0)
-        table = [[zero] * m for _ in range(m)]
-        for i, vi in enumerate(vecs):
-            row = table[i]
-            for j in range(i + 1, m):
-                d = det2(vi, vecs[j])
-                row[j] = d
-                table[j][i] = -d
-        return tuple(map(tuple, table))
+        xs = [v.x for v in self.vectors]
+        ys = [v.y for v in self.vectors]
+        return tuple(
+            tuple([xi * yj - yi * xj for xj, yj in zip(xs, ys)])
+            for xi, yi in zip(xs, ys)
+        )
 
     @cached_property
     def det_max(self) -> Scalar:
-        """max |det|: the table's largest entry, as it holds -d next to each d."""
-        return max(map(max, self.det_table))
+        """max |det|: the table's largest entry off the diagonal, as it holds
+        -d next to each d; this mode's zero when there is none.
+
+        A float diagonal entry x*y - y*x is NaN when x*y overflows, and max
+        keeps a NaN that comes first. So row 0 is read past its diagonal,
+        every row's maximum comes after a zero, and a NaN row maximum is
+        skipped: a NaN here would make the default tolerance NaN and pass
+        every comparison.
+        """
+        table = self.det_table
+        zero = 0.0 if self.mode == FLOAT else Fraction(0)
+        return max((zero, *table[0][1:], *map(max, table[1:])))
 
     @cached_property
     def sorted_det_rows(self) -> tuple:

@@ -1,22 +1,23 @@
-import sys
+from functools import cached_property
 
 import pytest
 
-from balcfg import geometry
+from balcfg.geometry import Configuration
 
 
 @pytest.fixture
-def det2_calls(monkeypatch):
-    """The list of det2 calls made during the test, counted through every
-    module binding, as a from-import copies it."""
-    real = geometry.det2
-    calls = []
+def tables_built(monkeypatch):
+    """The size m of every determinant table built during the test, in build
+    order. A table that _restrict reads from its parent's table is not built,
+    so it is not listed."""
+    build = Configuration.det_table.func
+    sizes = []
 
-    def counting(a, b):
-        calls.append((a, b))
-        return real(a, b)
+    def counting(self):
+        sizes.append(self.m)
+        return build(self)
 
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("balcfg") and getattr(module, "det2", None) is real:
-            monkeypatch.setattr(module, "det2", counting)
-    return calls
+    counted = cached_property(counting)
+    counted.__set_name__(Configuration, "det_table")
+    monkeypatch.setattr(Configuration, "det_table", counted)
+    return sizes

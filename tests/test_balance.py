@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balcfg import (
@@ -20,7 +20,7 @@ from balcfg import (
     step_constants,
     verify_antisymmetry,
 )
-from balcfg.canonical import LinearMap2
+from balcfg.canonical import LinearMap2, canonicalize
 from balcfg.errors import OddM
 
 SQUARE = Configuration([(1, 0), (0, 1), (-1, 0), (0, -1)])
@@ -183,11 +183,18 @@ def configurations(coords):
 
 
 def _reference_tol(c, tol):
+    """The former default: 1e-9 * the largest entry of a table that held
+    zero on its diagonal and -det2(v_i, v_j) below it."""
     if c.mode == "exact":
         return 0
     if tol is not None:
         return tol
-    return 1e-9 * max(abs(det2(v, w)) for v in c for w in c)
+    table = [[0.0] * c.m for _ in range(c.m)]
+    for i in range(c.m):
+        for j in range(i + 1, c.m):
+            table[i][j] = det2(c[i], c[j])
+            table[j][i] = -table[i][j]
+    return 1e-9 * max(map(max, table))
 
 
 @given(
@@ -195,20 +202,102 @@ def _reference_tol(c, tol):
     st.sampled_from([None, 1e-6, 0.5]),
 )
 def test_verdicts_read_the_pairwise_determinants(c, tol):
-    # the shared table must hold exactly det2(v_i, v_j); == is bit equality
-    # for these finite values, except that it does not see the sign of a zero
+    # the shared table must hold exactly det2(v_i, v_j); repr tells 0.0
+    # from -0.0, which == does not
+    assert repr(c.det_table) == repr(tuple(tuple(det2(v, w) for w in c) for v in c))
     report = is_balanced(c, tol)
     for i in range(c.m):
         expected = tuple(sorted(det2(c[i], c[j]) for j in range(c.m) if j != i))
         assert report.rows[i] == expected
+    assert is_uniform(c, tol) == _reference_is_uniform(c, tol)
+
+
+def _reference_is_balanced(c, tol):
+    """The former two-pointer loop over each sorted row, kept as the oracle
+    for is_balanced's verdict and witness."""
     eff = _reference_tol(c, tol)
-    first = next(
-        (
-            (i, j)
-            for i in range(c.m)
-            for j in range(i + 1, c.m)
-            if abs(det2(c[i], c[j])) <= eff
-        ),
-        None,
-    )
-    assert is_uniform(c, tol) == (first is None, first)
+    for i in range(c.m):
+        srow = sorted(det2(c[i], c[j]) for j in range(c.m) if j != i)
+        lo, hi = 0, len(srow) - 1
+        while lo <= hi:
+            if lo == hi:
+                bad = abs(srow[lo]) > eff
+                mismatch = srow[lo]
+            else:
+                bad = abs(srow[lo] + srow[hi]) > eff
+                mismatch = srow[hi] if abs(srow[hi]) >= abs(srow[lo]) else srow[lo]
+            if bad:
+                return False, (i, mismatch)
+            lo += 1
+            hi -= 1
+    return True, None
+
+
+def _reference_is_uniform(c, tol):
+    """The former scan of every pair i < j, kept as the oracle for
+    is_uniform's first dependent pair."""
+    eff = _reference_tol(c, tol)
+    for i in range(c.m):
+        for j in range(i + 1, c.m):
+            if abs(det2(c[i], c[j])) <= eff:
+                return False, (i, j)
+    return True, None
+
+
+# signed zeros and a few small values make exact ties (|lo| == |hi|) and
+# zero determinants of either sign; the near values land near a tolerance
+tie_coords = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1.0 + 2**-20, -1.0 - 2**-30]
+)
+# products of these overflow to inf, so entries (the diagonal among them)
+# can be inf - inf = NaN
+huge_coords = st.sampled_from([1e200, -1e200, 1e160, 1.0, -1.0, 0.0, 1e-200])
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        configurations(tie_coords),
+        configurations(huge_coords),
+        configurations(float_coords),
+        configurations(rational_coords),
+    ),
+    st.sampled_from([None, 0.0, 2**-25, 1e-6, 0.5]),
+)
+def test_row_kernels_match_the_former_loops(c, tol):
+    report = is_balanced(c, tol)
+    verdict, witness = _reference_is_balanced(c, tol)
+    assert report.balanced == verdict
+    # repr, so that a witness of -0.0 is not passed by 0.0
+    assert repr(report.witness) == repr(witness)
+    assert is_uniform(c, tol) == _reference_is_uniform(c, tol)
+
+
+def test_odd_row_middle_is_compared_with_tol_not_twice_itself():
+    # m = 4: rows of odd length 3. Only rows 0 and 2 are asymmetric, each in
+    # its middle entry: row 0 sorts to (-1, s, 1) and row 2 to (-1, -s, 1)
+    s = 0.25
+    c = Configuration([(1.0, 0.0), (0.0, 1.0), (-1.0, s), (0.0, -1.0)])
+    assert is_balanced(c).rows[0] == (-1.0, s, 1.0)
+    # |s| <= tol < |2 s|: the middle pairs with nothing, so it is within tol
+    assert is_balanced(c, tol=0.3).balanced
+    assert is_balanced(c, tol=s).balanced
+    report = is_balanced(c, tol=0.2)
+    assert not report.balanced
+    assert report.witness == (0, s)
+    assert is_balanced(c).witness == (0, s)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_tolerance_that_is_not_finite_and_nonnegative_raises(bad):
+    u5 = roots_of_unity(5)
+    for verdict in (is_balanced, is_uniform, step_constants):
+        with pytest.raises(ValueError, match="tolerance"):
+            verdict(u5, bad)
+    # exact mode ignores tol, but not one that is malformed
+    with pytest.raises(ValueError, match="tolerance"):
+        is_balanced(SQUARE, bad)
+    with pytest.raises(ValueError, match="tolerance"):
+        canonicalize(u5, bad)
+    # zero stays legal; float U_5 misses it by rounding
+    assert not is_balanced(u5, 0.0).balanced

@@ -54,6 +54,18 @@ def test_check_tol_flag_loosens_the_verdict(capsys, tmp_path):
     assert json.loads(out)["tol"] == 1e-3
 
 
+def test_check_overflowing_diagonal_keeps_the_default_tolerance(capsys, tmp_path):
+    # x*y of v_0 overflows, so the table's diagonal entry x*y - y*x is NaN;
+    # a NaN det_max would make the default tolerance NaN and pass every row
+    path = tmp_path / "huge.json"
+    path.write_text('{"mode": "float", "vectors": [[1e200, 1e200], [1, 0]]}\n')
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert report["balanced"] is False
+    assert report["balance_witness"] == {"index": 0, "value": -1e200}
+
+
 def test_check_reports_an_unlabeled_file_without_step_constants(capsys, tmp_path):
     u5 = roots_of_unity(5)
     path = tmp_path / "u5_swapped.json"
@@ -80,25 +92,27 @@ def test_check_reports_square_witnesses(capsys):
 
 
 @pytest.mark.parametrize("name, pairs", [("u5.json", 10), ("square.json", 6)])
-def test_check_evaluates_each_determinant_once(capsys, det2_calls, name, pairs):
+def test_check_evaluates_each_determinant_once(capsys, tables_built, name, pairs):
     code, _, _ = run(capsys, "check", str(DATA / name))
     assert code == 0
-    assert len(det2_calls) == pairs
+    assert sum(math.comb(size, 2) for size in tables_built) == pairs
 
 
-def test_search_evaluates_each_grid_determinant_once(capsys, det2_calls):
-    # the 8 nonzero vectors of {-1, 0, 1}^2 have C(8, 2) = 28 pairs
+def test_search_evaluates_each_grid_determinant_once(capsys, tables_built):
+    # one table of the 8 nonzero vectors of {-1, 0, 1}^2, with C(8, 2) = 28
+    # pairs; every candidate reads its rows from it
     code, out, _ = run(capsys, "search", "--m", "4", "--coords", "-1,0,1")
     assert code == 0
     assert json.loads(out)["count"] == 6
-    assert len(det2_calls) == 28
+    assert tables_built == [8]
+    assert sum(math.comb(size, 2) for size in tables_built) == 28
 
 
 @pytest.mark.parametrize(
     "m, values, count, calls", [(1, 100, 9999, 0), (2, 10, 136, 4851)]
 )
 def test_small_m_search_builds_no_grid_table(
-    capsys, monkeypatch, det2_calls, m, values, count, calls
+    capsys, monkeypatch, tables_built, m, values, count, calls
 ):
     # with m <= 2 each grid pair is read at most once, so a table of the
     # whole grid (9999 vectors for 100 values) would only cost memory
@@ -110,8 +124,10 @@ def test_small_m_search_builds_no_grid_table(
     code, out, _ = run(capsys, "search", "--m", str(m), "--coords", coords)
     assert code == 0
     assert json.loads(out)["count"] == count
-    # m = 2 reads each of the C(10^2 - 1, 2) = 4851 pairs once
-    assert len(det2_calls) == calls
+    # every table built is a candidate's own, of m members; for m = 2 the
+    # C(10^2 - 1, 2) = 4851 candidates hold one pair each
+    assert set(tables_built) == {m}
+    assert sum(math.comb(size, 2) for size in tables_built) == calls
 
 
 def test_canon_golden_bytes(capsys):
@@ -287,3 +303,30 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", str(DATA / "u5.json"), "--tol", "-1"],
+        ["canon", str(DATA / "u7_moved.json"), "--tol", "-1"],
+        ["canon", str(DATA / "u7_moved.json"), "--tol", "nan"],
+        ["check", str(DATA / "u5.json"), "--tol", "nan"],
+        ["check", str(DATA / "u5.json"), "--tol", "inf"],
+        ["canon", str(DATA / "u7_moved.json"), "--tol=-inf"],
+    ],
+)
+def test_tol_that_would_forge_a_verdict_exits_two_at_parse_time(capsys, argv):
+    # -1 called U_5 unbalanced, and NaN switched canon's residual gate off
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid tolerance value" in captured.err
+
+
+def test_tol_zero_stays_legal(capsys):
+    code, out, _ = run(capsys, "check", str(DATA / "square.json"), "--tol", "0")
+    assert code == 0
+    assert json.loads(out)["tol"] == 0.0

@@ -14,7 +14,6 @@ from balcfg import (
     argument,
     cyclic_index,
     det2,
-    geometry,
     label_by_increasing_arguments,
     roots_of_unity,
     unit_vector,
@@ -85,17 +84,24 @@ def test_restrict_reads_the_parents_table_bit_for_bit(case):
     c, idx = case
     own = Configuration([c[i] for i in idx]).det_table
     c.det_table  # the parent's table exists before restrict runs
-
-    def forbidden(a, b):
-        raise AssertionError("restrict evaluated a determinant")
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "det2", forbidden)
-        sub = c._restrict(idx)
-        table = sub.det_table
+    sub = c._restrict(idx)
+    # the table is cached before anything reads it, so none is built
+    assert "det_table" in sub.__dict__
+    table = sub.det_table
     assert list(sub) == [c[i] for i in idx]
     # repr tells 0.0 from -0.0, which == does not
     assert repr(table) == repr(own)
+
+
+def test_det_max_reads_no_diagonal_entry():
+    # x*y of v_0 overflows, so its diagonal entry x*y - y*x is inf - inf
+    for vecs in ([(1e200, 1e200), (0.0, 1.0)], [(1e200, 1e200), (1.0, 0.0)]):
+        c = Configuration(vecs)
+        assert math.isnan(c.det_table[0][0])
+        # in the first, the largest entry is in row 0, after its diagonal
+        assert c.det_max == 1e200
+    assert repr(Configuration([(1.0, 0.0)]).det_max) == "0.0"
+    assert Configuration([(1, 0), (2, 0)]).det_max == Fraction(0)
 
 
 def test_argument_frozen_values():
