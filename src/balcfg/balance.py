@@ -14,7 +14,13 @@ Every verdict reads the configuration's one determinant table,
 Configuration.det_table (one comprehension per row over the unpacked
 coordinates), its largest entry and its rows sorted once, all cached:
 predicates on one configuration share them. The balance and uniformity scans
-run one C-level pass per row.
+run one C-level pass per row. The verdicts read the table's scaled entries:
+in exact mode the ints D^2 * det (D the lcm of the coordinate denominators),
+which sort, add and compare at C level with tolerance 0, so no verdict
+differs from one on det itself; in float mode the float det values. Every
+value a caller reads (BalanceReport.rows, balance witnesses, StepConstants,
+AmbiguousPairing messages) is divided back to input units by
+DetTable.unscale, and rows only when they are read.
 
 For uniform balanced configurations of odd size m = 2n+1 this module also
 builds the pairing structure: for each index i the remaining indices split
@@ -27,7 +33,8 @@ det(v_k, v_{k+a}) = -det(v_k, v_{k-a}) in disguise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from operator import add, ge, lt
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -47,12 +54,19 @@ DEFAULT_REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BalanceReport:
-    """Outcome of is_balanced: verdict, optional (index, value) witness where
-    multiset symmetry fails, and the per-index sorted determinant multisets."""
+    """Outcome of is_balanced on config: verdict, optional (index, value)
+    witness where multiset symmetry fails, and (rows) the per-index sorted
+    determinant multisets, in input units."""
 
     balanced: bool
     witness: Optional[Tuple[int, Scalar]]
-    rows: Tuple[Tuple[Scalar, ...], ...]
+    config: Configuration = field(repr=False)
+
+    @cached_property
+    def rows(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        """The sorted rows of the table, divided back when first read."""
+        table = self.config.det_table
+        return tuple(map(table.unscale_row, self.config.sorted_det_rows))
 
 
 @dataclass(frozen=True)
@@ -89,9 +103,10 @@ def require_tolerance(tol: float) -> float:
 
 
 def _tolerance(c: Configuration, tol: Optional[float]) -> Scalar:
-    """Absolute tolerance for comparing entries of c's determinant table:
-    0 in exact mode (tol ignored), else tol, else DEFAULT_REL_TOL * max |det|.
-    An explicit tol must pass require_tolerance in either mode."""
+    """Absolute tolerance for comparing the scaled entries of c's
+    determinant table: 0 in exact mode (tol ignored), else tol, else
+    DEFAULT_REL_TOL * max |det| (float tables have scale 1). An explicit tol
+    must pass require_tolerance in either mode."""
     if tol is not None:
         require_tolerance(tol)
     if c.mode == EXACT:
@@ -109,11 +124,12 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
     length N is tested in one C-level pass: |s[j] + s[N-1-j]| <= tol for the
     N // 2 extreme pairs, then |s[N // 2]| <= tol for the middle entry of an
     odd N. The witness is (i, value) for the first row i that fails: the
-    larger-magnitude side of its first bad pair, else its middle entry.
+    larger-magnitude side of its first bad pair, else its middle entry, in
+    input units.
     """
     eff = _tolerance(c, tol)
-    rows = c.sorted_det_rows
-    for i, srow in enumerate(rows):
+    unscale = c.det_table.unscale
+    for i, srow in enumerate(c.sorted_det_rows):
         half = len(srow) // 2
         bad = list(
             map(lt, repeat(eff, half), map(abs, map(add, srow[:half], reversed(srow))))
@@ -121,10 +137,10 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
         if True in bad:
             j = bad.index(True)
             lo, hi = srow[j], srow[-1 - j]
-            return BalanceReport(False, (i, hi if abs(hi) >= abs(lo) else lo), rows)
+            return BalanceReport(False, (i, unscale(hi if abs(hi) >= abs(lo) else lo)), c)
         if len(srow) % 2 and abs(srow[half]) > eff:
-            return BalanceReport(False, (i, srow[half]), rows)
-    return BalanceReport(True, None, rows)
+            return BalanceReport(False, (i, unscale(srow[half])), c)
+    return BalanceReport(True, None, c)
 
 
 def is_uniform(
@@ -137,7 +153,7 @@ def is_uniform(
     whether the row holds such a pair; only that row is scanned for its j.
     """
     eff = _tolerance(c, tol)
-    for i, row in enumerate(c.det_table):
+    for i, row in enumerate(c.det_table.scaled):
         rest = row[i + 1 :]
         # an overflowed entry (inf - inf) is NaN and counts as nonzero: min
         # skips a NaN unless it comes first and is returned, and "not > eff"
@@ -157,15 +173,18 @@ def even_m_witness(c: Configuration, tol: Optional[float] = None) -> int:
     of odd cardinality contains 0, so such a j exists. The returned j
     certifies non-uniformity by itself: v_0 and v_j are dependent. Only row 0
     is read: when it has no zero, that row alone shows the configuration is
-    not balanced, and NotBalanced carries (0, its entry nearest 0).
+    not balanced, and NotBalanced carries (0, its entry nearest 0) in input
+    units.
     """
     if c.m % 2 == 1:
         raise OddM(f"m = {c.m} is odd; the even-m obstruction does not apply")
-    row = c.det_table[0]
+    table = c.det_table
+    row = table.scaled[0]
     j = min(range(1, c.m), key=lambda i: abs(row[i]))
     if abs(row[j]) > _tolerance(c, tol):
         raise NotBalanced(
-            "row 0 has odd cardinality and no zero determinant", witness=(0, row[j])
+            "row 0 has odd cardinality and no zero determinant",
+            witness=(0, table.unscale(row[j])),
         )
     return j
 
@@ -189,9 +208,10 @@ def build_pairing(c: Configuration, tol: Optional[float] = None) -> PairingMap:
         raise NotUniform("configuration is not uniform", witness=pair)
 
     eff = _tolerance(c, tol)
+    table = c.det_table
     per_index: List[FrozenSet[FrozenSet[int]]] = []
     phi: Dict[FrozenSet[int], int] = {}
-    for i, row in enumerate(c.det_table):
+    for i, row in enumerate(table.scaled):
         order = sorted((j for j in range(c.m) if j != i), key=row.__getitem__)
         pairs = set()
         lo, hi = 0, len(order) - 1
@@ -199,7 +219,8 @@ def build_pairing(c: Configuration, tol: Optional[float] = None) -> PairingMap:
             a, b = order[lo], order[hi]
             if abs(row[a] + row[b]) > eff:
                 raise AmbiguousPairing(
-                    f"row {i}: extremes {row[a]} and {row[b]} do not cancel",
+                    f"row {i}: extremes {table.unscale(row[a])} and "
+                    f"{table.unscale(row[b])} do not cancel",
                     witness=(i, a, b),
                 )
             key = frozenset((a, b))
@@ -228,7 +249,7 @@ def verify_antisymmetry(
         raise ValueError("antisymmetry is stated for odd m")
     eff = _tolerance(c, tol)
     m, n = c.m, c.n
-    for k, row in enumerate(c.det_table):
+    for k, row in enumerate(c.det_table.scaled):
         for a in range(1, n + 1):
             fwd = row[cyclic_index(k + a, m)]
             bwd = row[cyclic_index(k - a, m)]
@@ -241,19 +262,20 @@ def step_constants(c: Configuration, tol: Optional[float] = None) -> StepConstan
     """Return (A1, An) for a uniform balanced labeled configuration and verify
     det(v_k, v_{k+1}) = A1 and det(v_k, v_{k+n}) = An for every k cyclically.
 
-    Raises InconsistentConstants naming the first violating k.
+    Raises InconsistentConstants naming the first violating k. A1 and An
+    come back in input units.
     """
     if c.m % 2 == 0 or c.m < 3:
         raise ValueError(f"step constants require odd m >= 3, got m = {c.m}")
     eff = _tolerance(c, tol)
     table = c.det_table
     m, n = c.m, c.n
-    a1, an = table[0][1], table[0][n]
-    for k, row in enumerate(table):
+    a1, an = table.scaled[0][1], table.scaled[0][n]
+    for k, row in enumerate(table.scaled):
         step1 = row[cyclic_index(k + 1, m)]
         stepn = row[cyclic_index(k + n, m)]
         if abs(step1 - a1) > eff or abs(stepn - an) > eff:
             raise InconsistentConstants(
                 f"step determinants at k = {k} differ from (A1, An)", witness=k
             )
-    return StepConstants(A1=a1, An=an)
+    return StepConstants(A1=table.unscale(a1), An=table.unscale(an))

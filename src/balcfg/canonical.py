@@ -54,7 +54,8 @@ from .sequences import closed_form_t
 
 # Absolute |det| threshold for frame construction on unit-scale input.
 FRAME_DET_TOL = 1e-12
-# |t - grid| and |y + 1| matching tolerance.
+# |t - grid| and |y + 1| matching tolerance; match_k narrows its |t - grid|
+# window where grid values lie closer than 4 * GRID_TOL.
 GRID_TOL = 1e-6
 # Default acceptable residual for canonicalize.
 RESIDUAL_TOL = 1e-8
@@ -139,18 +140,25 @@ def extract_t(g: LinearMap2, v_next: PlaneVector) -> Scalar:
 
 
 def match_k(t: Scalar, m: int) -> int:
-    """The k in 1..n nearest to t on the grid 2cos(2k*pi/m), provided t lies
-    within GRID_TOL of it.
+    """The k in 1..n nearest to t on the grid t_k = 2cos(2k*pi/m), provided
+    t lies within the window of t_k: GRID_TOL, or a quarter of the gap from
+    t_k to its nearest grid neighbour when that is smaller.
 
     Since acos(t_k/2) = 2k*pi/m, k is read off directly as the rounded
-    m*acos(t/2)/(2*pi), with t/2 clamped to [-1, 1] and k to 1..n.
+    m*acos(t/2)/(2*pi), with t/2 clamped to [-1, 1] and k to 1..n. The
+    smallest gap, between t_{n-1} and t_n, is about 8*pi^2/m^2, so the
+    window is GRID_TOL for every m <= 4441 and shrinks as 1/m^2 beyond, so
+    the windows of two neighbours never meet (GRID_TOL alone makes them
+    overlap from m = 6285 on).
     """
     if m % 2 == 0 or m < 3:
         raise ValueError(f"matching needs odd m >= 3, got {m}")
     n = (m - 1) // 2
     half = min(1.0, max(-1.0, float(t) / 2.0))
     k = min(n, max(1, round(m * math.acos(half) / (2.0 * math.pi))))
-    if abs(float(t) - closed_form_t(m, k)) <= GRID_TOL:
+    t_k = closed_form_t(m, k)
+    gaps = [abs(closed_form_t(m, j) - t_k) for j in (k - 1, k + 1) if 1 <= j <= n]
+    if abs(float(t) - t_k) <= min([GRID_TOL, *(g / 4 for g in gaps)]):
         return k
     raise NoGridMatch(
         f"t = {float(t):.9g} is not a grid parameter for m = {m}: "

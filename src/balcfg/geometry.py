@@ -5,11 +5,20 @@ Every vector carries either exact rational coordinates (fractions.Fraction,
 kept in lowest terms by construction) or binary floats; the two modes never
 mix inside one operation. Configurations are immutable ordered lists of
 nonzero vectors with a single mode.
+
+A configuration's determinant table (DetTable) keeps its entries at one
+scale. In exact mode, with D the lcm of the coordinate denominators, it is
+built from the integer coordinates x*D, y*D, so every entry is the int
+D^2 * det2 and the scale is D^2; the verdicts sort, add and compare these
+ints. In float mode the entries are the float det2 values and the scale is 1.
+Whatever leaves the package in input units (rows, witnesses, constants) is
+divided back by the scale when it is read.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -107,6 +116,51 @@ def argument(v: PlaneVector) -> float:
     return theta
 
 
+class DetTable(Sequence):
+    """The determinant table of a configuration, held at one scale.
+
+    scaled[i][j] is det2(v_i, v_j) * scale: the ints D^2 * det2 in exact
+    mode, the float det2 values (scale 1) in float mode. Read as a sequence,
+    the table gives each row in input units, every entry equal to
+    det2(v_i, v_j), and it compares and prints as the tuple of those rows; a
+    row is divided back only when it is read.
+    """
+
+    __slots__ = ("scaled", "scale", "exact")
+
+    def __init__(self, scaled: tuple, scale: int, exact: bool):
+        self.scaled = scaled
+        self.scale = scale
+        self.exact = exact
+
+    def unscale(self, value) -> Scalar:
+        """A scaled entry, or a sum of them, in input units."""
+        return Fraction(value, self.scale) if self.exact else value
+
+    def unscale_row(self, row: tuple) -> tuple:
+        """A tuple of scaled entries in input units."""
+        if not self.exact:
+            return row
+        scale = self.scale
+        return tuple([Fraction(e, scale) for e in row])
+
+    def __len__(self) -> int:
+        return len(self.scaled)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.unscale_row, self.scaled[i]))
+        return self.unscale_row(self.scaled[i])
+
+    def __eq__(self, other):
+        if isinstance(other, (DetTable, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Ordered list of m >= 1 nonzero vectors sharing one arithmetic mode."""
@@ -162,43 +216,59 @@ class Configuration:
         itertools.combinations yields them), with det_table read from this
         configuration's table rather than recomputed.
 
-        The members were validated here, so they are not checked again. Every
-        entry D[a][b] of this table is exactly det2(v_a, v_b), so the
-        restricted table is bit-identical to the one the members would build,
-        zeros' signs included. The method is private to the grid enumeration.
+        The members were validated here, so they are not checked again. The
+        restricted table keeps this table's scale, so its entries are this
+        table's entries bit for bit, zeros' signs included, and it reads in
+        input units exactly as the table the members would build. The method
+        is private to the grid enumeration.
         """
         table = self.det_table
+        rows = table.scaled
         sub = object.__new__(Configuration)
         object.__setattr__(sub, "vectors", tuple(self.vectors[a] for a in idx))
         # cached_property keeps its value in the instance __dict__ under its
         # own name, so this entry is the cached det_table.
-        sub.__dict__["det_table"] = tuple(
-            tuple(map(table[a].__getitem__, idx)) for a in idx
+        sub.__dict__["det_table"] = DetTable(
+            tuple(tuple(map(rows[a].__getitem__, idx)) for a in idx),
+            table.scale,
+            table.exact,
         )
         return sub
 
     @cached_property
-    def det_table(self) -> tuple:
-        """The antisymmetric m x m table D[i][j] = det(v_i, v_j), built on
-        first use (or set by _restrict from a parent's table) and then shared
-        by every verdict on this configuration.
+    def det_table(self) -> DetTable:
+        """The antisymmetric m x m table of det(v_i, v_j), built on first use
+        (or set by _restrict from a parent's table) and then shared by every
+        verdict on this configuration.
 
-        The coordinates are unpacked once and each row is one comprehension,
-        so every entry, diagonal and lower half included, is exactly
-        det2(v_i, v_j), the sign of a zero included. No mode check is needed:
+        The coordinates are unpacked once, as the ints x*D, y*D in exact
+        mode (D the lcm of their denominators), and each row is one
+        comprehension. So every scaled entry, diagonal and lower half
+        included, is exactly D^2 * det2(v_i, v_j), or det2(v_i, v_j) itself
+        in float mode, the sign of a zero included. No mode check is needed:
         __init__ rejects mixed modes.
         """
-        xs = [v.x for v in self.vectors]
-        ys = [v.y for v in self.vectors]
-        return tuple(
+        vecs = self.vectors
+        if self.mode == FLOAT:
+            scale = 1
+            xs = [v.x for v in vecs]
+            ys = [v.y for v in vecs]
+        else:
+            d = math.lcm(*[v.x.denominator for v in vecs], *[v.y.denominator for v in vecs])
+            scale = d * d
+            xs = [v.x.numerator * (d // v.x.denominator) for v in vecs]
+            ys = [v.y.numerator * (d // v.y.denominator) for v in vecs]
+        scaled = tuple(
             tuple([xi * yj - yi * xj for xj, yj in zip(xs, ys)])
             for xi, yi in zip(xs, ys)
         )
+        return DetTable(scaled, scale, self.mode == EXACT)
 
     @cached_property
     def det_max(self) -> Scalar:
-        """max |det|: the table's largest entry off the diagonal, as it holds
-        -d next to each d; this mode's zero when there is none.
+        """max |det| in input units: the table's largest entry off the
+        diagonal, as it holds -d next to each d; this mode's zero when there
+        is none.
 
         A float diagonal entry x*y - y*x is NaN when x*y overflows, and max
         keeps a NaN that comes first. So row 0 is read past its diagonal,
@@ -207,13 +277,17 @@ class Configuration:
         every comparison.
         """
         table = self.det_table
-        zero = 0.0 if self.mode == FLOAT else Fraction(0)
-        return max((zero, *table[0][1:], *map(max, table[1:])))
+        rows = table.scaled
+        zero = 0.0 if self.mode == FLOAT else 0
+        return table.unscale(max((zero, *rows[0][1:], *map(max, rows[1:]))))
 
     @cached_property
     def sorted_det_rows(self) -> tuple:
-        """Each row of det_table without its diagonal entry, sorted once."""
-        return tuple(tuple(sorted(r[:i] + r[i + 1 :])) for i, r in enumerate(self.det_table))
+        """Each scaled row of det_table without its diagonal entry, sorted
+        once (in table units: divide by det_table.scale for input units)."""
+        return tuple(
+            tuple(sorted(r[:i] + r[i + 1 :])) for i, r in enumerate(self.det_table.scaled)
+        )
 
 
 def label_by_increasing_arguments(c: Configuration) -> Configuration:

@@ -5,7 +5,8 @@ Polynomials are tuples of arbitrary-precision ints, ascending degree, trailing
 zeros trimmed; the zero polynomial is the empty tuple. Isolation bisects
 dyadic intervals, each carrying the polynomial mapped onto (0, 1) as integers
 (Vincent-Collins-Akritas), and counts roots by Descartes' rule, so every sign
-decision is exact; intervals are then refined by sign-change bisection.
+decision is exact; intervals are then refined by sign-change bisection on
+integer endpoints over one power-of-two denominator.
 Rational roots hit by a bisection midpoint are recorded exactly and divided out.
 """
 
@@ -75,12 +76,16 @@ def sign_at(p: Sequence[int], x: Fraction) -> int:
     p(num/den) * den^deg."""
     if not p:
         return 0
-    num, den = x.numerator, x.denominator
-    acc = p[-1]
+    return _scaled_sign(p[::-1], x.numerator, x.denominator)
+
+
+def _scaled_sign(rev: Sequence[int], num: int, den: int) -> int:
+    # sign of P(num / den) * den^d for P with descending coefficients rev
+    acc = rev[0]
     power = 1
-    for a in reversed(p[:-1]):
+    for c in rev[1:]:
         power *= den
-        acc = acc * num + a * power
+        acc = acc * num + c * power
     return (acc > 0) - (acc < 0)
 
 
@@ -144,23 +149,37 @@ def refine_root(
     p: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction
 ) -> Tuple[Fraction, Fraction]:
     """Shrink an isolating interval by sign-change bisection until
-    hi - lo <= width (or an exact root is hit)."""
+    hi - lo <= width (or an exact root is hit).
+
+    The endpoints are kept as ints a, b over one denominator den * 2^e, den
+    the lcm of their own denominators, and each sign is taken by integer
+    Horner at a / (den * 2^e), with no Fraction built. The number of halvings,
+    the least s with (hi - lo) / 2^s <= width, comes from one bit length up
+    front.
+    """
     if lo == hi:
         return lo, hi
-    s_lo = sign_at(p, lo)
-    s_hi = sign_at(p, hi)
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width}")
+    rev = trim(p)[::-1]
+    den = lcm(lo.denominator, hi.denominator)
+    a, b = int(lo * den), int(hi * den)
+    s_lo = _scaled_sign(rev, a, den)
+    s_hi = _scaled_sign(rev, b, den)
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         raise ArithmeticError("interval endpoints must straddle the single root")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        s_mid = sign_at(p, mid)
+    ratio = (hi - lo) / width
+    steps = ((ratio.numerator - 1) // ratio.denominator).bit_length()
+    for e in range(1, steps + 1):
+        mid = a + b
+        s_mid = _scaled_sign(rev, mid, den << e)
         if s_mid == 0:
-            return mid, mid
+            return Fraction(mid, den << e), Fraction(mid, den << e)
         if s_mid == s_lo:
-            lo = mid
+            a, b = mid, b << 1
         else:
-            hi = mid
-    return lo, hi
+            a, b = a << 1, mid
+    return Fraction(a, den << steps), Fraction(b, den << steps)
 
 
 def certified_roots(p: Sequence[int], width: Fraction) -> List[Tuple[Fraction, Fraction]]:

@@ -198,6 +198,18 @@ def test_acceptance_08_even_size_enumeration():
                "all with a collinear witness")
 
 
+def test_acceptance_08b_no_uniform_balanced_exact_pentagon():
+    # Niven (1956): a uniform balanced exact configuration of odd size
+    # m >= 5 does not exist, so the exact oracle finds balanced m = 5 sets
+    # over a rational grid but none of them uniform
+    counts = []
+    for coords in ((-2, -1, 0, 1, 2), (-1, Fraction(-1, 2), 0, Fraction(1, 2), 1)):
+        hits = enumerate_balanced(SearchSpec(m=5, coordinate_set=coords))
+        counts.append((len(hits), sum(is_uniform(h)[0] for h in hits)))
+    report(counts == [(92, 0), (92, 0)],
+           f"exact m = 5 search: (balanced, uniform) hits {counts}, none uniform")
+
+
 def test_acceptance_09_model_sequence_identity():
     worst = 0.0
     for m in range(3, 22, 2):

@@ -25,7 +25,7 @@ from balcfg import (
     roots_of_unity,
     unit_vector,
 )
-from balcfg.canonical import IDENTITY, LinearMap2
+from balcfg.canonical import GRID_TOL, IDENTITY, LinearMap2
 from balcfg.errors import DegenerateStep
 from balcfg.sequences import closed_form_t
 
@@ -92,6 +92,24 @@ def test_match_k_rejects_off_grid():
 def test_match_k_finds_every_index_on_a_fine_grid():
     m = 20001
     assert all(match_k(closed_form_t(m, k), m) == k for k in range(1, (m - 1) // 2 + 1))
+
+
+def test_match_k_window_keeps_grid_tol_up_to_m_4441():
+    m = 4441
+    n = (m - 1) // 2
+    for t in (closed_form_t(m, n) - 0.999 * GRID_TOL, closed_form_t(m, n) + 0.999 * GRID_TOL):
+        assert match_k(t, m) == n
+
+
+def test_match_k_window_shrinks_with_the_grid_gap():
+    # at m = 10001 grid neighbours lie 7.9e-7 apart, closer than 2 * GRID_TOL:
+    # their midpoint is a grid parameter of neither
+    m = 10001
+    n = (m - 1) // 2
+    midpoint = (closed_form_t(m, n - 1) + closed_form_t(m, n)) / 2
+    with pytest.raises(NoGridMatch):
+        match_k(midpoint, m)
+    assert match_k(closed_form_t(m, n - 1), m) == n - 1
 
 
 def test_reconstruction_recovers_pentagon():

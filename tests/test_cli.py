@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from balcfg import polynomials
 from balcfg.canonical import LinearMap2
 from balcfg.cli import main
-from balcfg.geometry import Configuration, roots_of_unity
+from balcfg.geometry import Configuration, det2, roots_of_unity
 from balcfg.serialization import parse_config, save_config
 
 HERE = Path(__file__).parent
@@ -89,6 +90,42 @@ def test_check_reports_square_witnesses(capsys):
     assert report["uniform_witness"] == [0, 2]
     assert report["even_m_witness"] == 2
     assert report["step_constants"] is None
+
+
+def _exact_file(tmp_path, vectors):
+    path = tmp_path / "exact.json"
+    rows = ", ".join(f'["{x}", "{y}"]' for x, y in vectors)
+    path.write_text(f'{{"mode": "exact", "vectors": [{rows}]}}\n')
+    return path, Configuration([(Fraction(x), Fraction(y)) for x, y in vectors])
+
+
+def test_check_reports_exact_step_constants_in_input_units(capsys, tmp_path):
+    # the members' denominators differ, so the table's scale is 6^2
+    path, _ = _exact_file(tmp_path, [("1/2", "0"), ("0", "1/3"), ("-1/2", "-1/3")])
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["balanced"] is True and report["uniform"] is True
+    assert report["step_constants"] == {"A1": "1/6", "An": "1/6"}
+
+
+def test_check_reports_an_exact_balance_witness_in_input_units(capsys, tmp_path):
+    path, cfg = _exact_file(tmp_path, [("1/2", "0"), ("0", "1/3"), ("-1/2", "-1/5")])
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    witness = json.loads(out)["balance_witness"]
+    i, value = witness["index"], Fraction(witness["value"])
+    assert value in [det2(cfg[i], w) for w in cfg]
+
+
+def test_check_reports_an_exact_even_m_witness(capsys, tmp_path):
+    path, cfg = _exact_file(
+        tmp_path, [("1/2", "1/3"), ("1/5", "0"), ("-1/2", "-1/3"), ("-1/5", "0")]
+    )
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    j = json.loads(out)["even_m_witness"]
+    assert j >= 1 and det2(cfg[0], cfg[j]) == 0
 
 
 @pytest.mark.parametrize("name, pairs", [("u5.json", 10), ("square.json", 6)])

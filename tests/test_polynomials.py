@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -155,3 +156,40 @@ def test_certified_roots_degenerate_inputs():
     # constants (and the zero polynomial) have no isolatable roots
     assert ip.certified_roots((), Fraction(1, 2)) == []
     assert ip.certified_roots((7,), Fraction(1, 2)) == []
+
+
+def _reference_refine(p, lo, hi, width):
+    """The former Fraction bisection, kept as the oracle for refine_root."""
+    s_lo = ip.sign_at(p, lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s_mid = ip.sign_at(p, mid)
+        if s_mid == 0:
+            return mid, mid
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@given(
+    st.lists(RATIONALS, min_size=1, max_size=5, unique=True),
+    st.sampled_from([0, 2, 3]),
+    st.sampled_from([Fraction(1, 3), Fraction(1, 2**20), Fraction(1, 10**9)]),
+)
+def test_refine_root_matches_the_fraction_bisection(roots, irrational, width):
+    # rational roots (dyadic ones are hit exactly) and, for 2 and 3, the
+    # irrational pair +-sqrt(k)
+    p = _from_roots(roots)
+    if irrational:
+        p = ip.sub(ip.shift_up(ip.shift_up(p)), tuple(irrational * a for a in p))
+    for lo, hi in ip.certified_roots(p, Fraction(1, 2)):
+        # an endpoint can be a root certified_roots divided out before
+        if lo != hi and ip.sign_at(p, lo) and ip.sign_at(p, hi):
+            assert ip.refine_root(p, lo, hi, width) == _reference_refine(p, lo, hi, width)
+
+
+def test_refine_root_rejects_a_width_that_is_not_positive():
+    with pytest.raises(ValueError):
+        ip.refine_root((-2, 0, 1), Fraction(1), Fraction(2), Fraction(0))

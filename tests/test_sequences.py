@@ -97,6 +97,29 @@ def test_closure_gcd_is_the_fourth_kind_chebyshev_polynomial():
         prev, cur = cur, ip.sub(ip.shift_up(cur), prev)
 
 
+def _remainder_by_monic(p, divisor):
+    # remainder of p on division by a monic divisor in Z[t]
+    assert divisor[-1] == 1
+    rem = list(ip.trim(p))
+    while len(rem) >= len(divisor):
+        lead, shift = rem[-1], len(rem) - len(divisor)
+        for i, c in enumerate(divisor):
+            rem[shift + i] -= lead * c
+        rem = list(ip.trim(rem))
+    return tuple(rem)
+
+
+def test_closure_gcd_divides_both_closure_equations_exactly():
+    # the closure claim for every k at once: W_n divides y(w_n), x(w_n) - 1,
+    # x(u_n) and y(u_n) - 1 in Z[t], so u_n = (0, 1) and w_n = (1, 0) at
+    # every root of W_n, with no tolerance
+    us, ws = symbolic_sequences(40)
+    for n in range(1, 41):
+        closure = ip.primitive_gcd(ws[n].y, ip.sub(ws[n].x, (1,)))
+        for p in (ws[n].y, ip.sub(ws[n].x, (1,)), us[n].x, ip.sub(us[n].y, (1,))):
+            assert _remainder_by_monic(p, closure) == ()
+
+
 def test_exact_root_at_minus_one_when_three_divides_m():
     # m = 9 includes t = 2cos(2pi/3) = -1, a rational root the isolator
     # must peel off exactly
