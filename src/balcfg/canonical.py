@@ -15,13 +15,15 @@ exponents
 a bijection onto {0..m-1}. The residual (max distance from the assigned
 roots of unity) certifies the equivalence.
 
-Seed-triple reconstruction: with A1 = det(v_n, v_{n+1}), An = det(v_0, v_n),
-the members interleave out of the triple via
+Seed-triple reconstruction: with A1 = det(v_n, v_{n+1}), An = det(v_0, v_n)
+and r = -A1/An, the members interleave out of the triple via
 
-    v_i      = -v_{i-1} - (A1/An) v_{n+i}
-    v_{n+i+1} = -(A1/An) v_i - v_{n+i}        for i = 1..n-1,
+    v_i      = r v_{n+i} - v_{i-1}
+    v_{n+i+1} = r v_i - v_{n+i}        for i = 1..n-1,
 
-the first sign being forced by det(v_{i-1}, v_{n+i}) = -An.
+the first sign being forced by det(v_{i-1}, v_{n+i}) = -An. Read in the order
+y = v_0, v_{n+1}, v_1, v_{n+2}, ..., that is the one three-term recurrence
+y_{j+1} = r y_j - y_{j-1}, the same as the model sequences' (r = t there).
 """
 
 from __future__ import annotations
@@ -184,19 +186,15 @@ def reconstruct_from_triple(
     an = det2(v0, vn)
     if (an == 0) if v0.mode == EXACT else (abs(an) <= FRAME_DET_TOL):
         raise SingularFrame(f"det(v0, vn) = {an}; seed frame is singular")
-    a1 = det2(vn, vn1)
-    ratio = a1 / an
+    r = -(det2(vn, vn1) / an)
     scale = max(v.norm() for v in (v0, vn, vn1))
-    slots: list = [None] * m
-    slots[0], slots[n], slots[n + 1] = v0, vn, vn1
-    for i in range(1, n):
-        produced = -(slots[i - 1] + slots[n + i].scale(ratio))
-        _check_step(produced, i, scale)
-        slots[i] = produced
-        produced = -(slots[i].scale(ratio) + slots[n + i])
-        _check_step(produced, n + i + 1, scale)
-        slots[n + i + 1] = produced
-    return Configuration(slots)
+    # y_j = slot j/2 (j even) or slot n+1+j//2 (j odd): y_{j+1} = r y_j - y_{j-1}
+    ys = [v0, vn1]
+    for j in range(2, 2 * n):
+        produced = ys[j - 1].scale(r) - ys[j - 2]
+        _check_step(produced, j // 2 if j % 2 == 0 else n + 1 + j // 2, scale)
+        ys.append(produced)
+    return Configuration(ys[0::2] + [vn] + ys[1::2])
 
 
 def _check_step(v: PlaneVector, slot: int, scale: float) -> None:

@@ -30,8 +30,8 @@ from .balance import (
     step_constants,
 )
 from .canonical import RESIDUAL_TOL, CanonicalForm, canonicalize
-from .errors import BalcfgError, CertificateError
-from .geometry import Configuration, roots_of_unity
+from .errors import BalcfgError, CertificateError, DuplicateArgument, InconsistentConstants
+from .geometry import Configuration, label_by_increasing_arguments, roots_of_unity
 from .render import render_svg
 from .search import SearchSpec, enumerate_balanced, random_invertible
 from .sequences import closure_roots, model_configuration, symbolic_sequences, t_grid
@@ -85,12 +85,15 @@ def _cmd_check(args) -> int:
     if bal.balanced and cfg.m % 2 == 0:
         report["even_m_witness"] = even_m_witness(cfg, args.tol)
     if bal.balanced and uniform and cfg.m % 2 == 1 and cfg.m >= 3:
-        # step constants exist only in label order; a file in another order
-        # is still balanced and uniform, and reports null here
+        # constants exist in label order: the file's own table has them when
+        # the file is in that order; null when no order has them
         try:
-            constants = step_constants(cfg, args.tol)
+            try:
+                constants = step_constants(cfg, args.tol)
+            except InconsistentConstants:
+                constants = step_constants(label_by_increasing_arguments(cfg), args.tol)
             report["step_constants"] = {"A1": constants.A1, "An": constants.An}
-        except CertificateError:
+        except (InconsistentConstants, DuplicateArgument):
             pass
     _emit_report(report, args)
     return 0 if bal.balanced else 1

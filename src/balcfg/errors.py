@@ -62,10 +62,6 @@ class RootCountMismatch(BalcfgError):
     """A closure-parameter grid does not have exactly n = (m-1)/2 values."""
 
 
-class ClosureViolation(BalcfgError):
-    """The model sequence fails to close (w_n != U or u_n != V)."""
-
-
 class SingularFrame(BalcfgError):
     """The would-be frame vectors are linearly dependent."""
 

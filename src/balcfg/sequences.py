@@ -11,32 +11,36 @@ The recurrence is
 the sign and index placement being forced by the seed-triple linear solve
 (expand v_i over the basis {v_{n+i}, v_{i-1}}; the divisor is -A_n and the
 step ratio A_1/A_n equals -t in the frame where v_0 = (1,0), v_n = (0,1),
-v_{n+1} = (t,-1)). Coordinates of u_i and w_i are integer polynomials in t
-with strict parity and degree structure: x(u_i) even of degree 2i, y(u_i) odd
-of degree 2i-1, x(w_i) odd of degree 2i+1, y(w_i) even of degree 2i.
+v_{n+1} = (t,-1)). Interleaved as z_0 = u_0, z_1 = w_0, z_2 = u_1, ..., every
+z_j = (s_j, -s_{j-1}) for the one scalar recurrence s_{-1} = 0, s_0 = 1,
+s_{j+1} = t * s_j - s_{j-1}, so s_j = U_j(t/2) is the second-kind Chebyshev
+polynomial (Mason and Handscomb 2003). As U_j has degree j and the parity of
+j, x(u_i) is even of degree 2i, y(u_i) odd of degree 2i-1, x(w_i) odd of
+degree 2i+1 and y(w_i) even of degree 2i.
 
 The closure parameters are t_k = 2cos(2k*pi/m) for k = 1..n: writing the
 primitive m-th root w = e^{2*pi*i/m}, one has w^{-k} = 2cos(2k*pi/m) - w^k,
 so the frame sending (1, w^k) to ((1,0), (0,1)) sends w^{-k} exactly to
 (2cos(2k*pi/m), -1) = w_0(t_k). The solver below re-derives them as the real
-roots of gcd(y(w_n), x(w_n) - 1), the fourth-kind Chebyshev polynomial W_n.
+roots of gcd(y(w_n), x(w_n) - 1), the fourth-kind Chebyshev polynomial W_n,
+which divides y(w_n), x(w_n) - 1, x(u_n) and y(u_n) - 1 over Z[t]: the
+sequence closes exactly at every t_k.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import polynomials as ip
-from .errors import ClosureViolation, RootCountMismatch
+from .errors import RootCountMismatch
 from .geometry import Configuration, PlaneVector, Scalar
 
 # Certified isolating width for polynomial roots.
 ROOT_WIDTH = Fraction(1, 10**12)
-# Allowed |w_n(t_k) - U| and |u_n(t_k) - V| in the model configuration.
-CLOSURE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,42 +82,37 @@ class RootGrid:
         return (self.m - 1) // 2
 
 
+def _interleaved(n: int, zero, one, times_t, sub, neg, pair) -> Tuple[list, list]:
+    """u_0..u_n and w_0..w_n from the scalar recurrence s_{j+1} = t s_j -
+    s_{j-1}, in the ring that zero, one, times_t, sub and neg define; pair
+    builds one vector z_j = (s_j, -s_{j-1})."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    s = [zero, one]  # s[j + 1] holds s_j, from s_{-1} = 0
+    for _ in range(2 * n + 1):
+        s.append(sub(times_t(s[-1]), s[-2]))
+    z = [pair(s[j + 1], neg(s[j])) for j in range(2 * n + 2)]
+    return z[0::2], z[1::2]
+
+
 def numeric_sequences(
     t: Scalar, n: int
 ) -> Tuple[List[PlaneVector], List[PlaneVector]]:
     """u_0..u_n and w_0..w_n evaluated at t, in t's arithmetic mode."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if isinstance(t, float):
         one, zero = 1.0, 0.0
     else:
         t = Fraction(t)
         one, zero = Fraction(1), Fraction(0)
-    us = [PlaneVector(one, zero)]
-    ws = [PlaneVector(t, -one)]
-    for _ in range(n):
-        u_next = ws[-1].scale(t) - us[-1]
-        w_next = u_next.scale(t) - ws[-1]
-        us.append(u_next)
-        ws.append(w_next)
-    return us, ws
+    # zero - s rather than -s keeps u_0 = (1, +0)
+    return _interleaved(
+        n, zero, one, lambda s: t * s, operator.sub, lambda s: zero - s, PlaneVector
+    )
 
 
 def symbolic_sequences(n: int) -> Tuple[List[PolyPair], List[PolyPair]]:
     """u_0..u_n and w_0..w_n as exact integer-polynomial pairs."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    us = [PolyPair(x=(1,), y=())]
-    ws = [PolyPair(x=(0, 1), y=(-1,))]
-    for _ in range(n):
-        u, w = us[-1], ws[-1]
-        ux = ip.sub(ip.shift_up(w.x), u.x)
-        uy = ip.sub(ip.shift_up(w.y), u.y)
-        wx = ip.sub(ip.shift_up(ux), w.x)
-        wy = ip.sub(ip.shift_up(uy), w.y)
-        us.append(PolyPair(x=ux, y=uy))
-        ws.append(PolyPair(x=wx, y=wy))
-    return us, ws
+    return _interleaved(n, (), (1,), ip.shift_up, ip.sub, ip.neg, PolyPair)
 
 
 @dataclass(frozen=True)
@@ -179,21 +178,15 @@ def t_grid(m: int) -> RootGrid:
 def model_configuration(m: int, k: int) -> Configuration:
     """The size-m configuration in the canonical frame at parameter t_k:
     slots [u_0, .., u_{n-1}, (0,1), w_0, .., w_{n-1}] (u_i at slot i, V at
-    slot n, w_i at slot n+1+i). Asserts closure w_n(t_k) = (1,0) and
-    u_n(t_k) = (0,1) within 1e-10."""
+    slot n, w_i at slot n+1+i), from the closed form s_j(t_k) =
+    sin(2*pi (j+1) k / m) / sin(2*pi k / m) of z_j = (s_j, -s_{j-1}), each
+    multiple of k reduced mod m as an integer first. Closure is not checked
+    here: W_n divides the closure equations over Z[t] (module docstring)."""
     if m % 2 == 0 or m < 3:
         raise ValueError(f"model configuration needs odd m >= 3, got {m}")
     n = (m - 1) // 2
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    t = closed_form_t(m, k)
-    us, ws = numeric_sequences(t, n)
-    u_gap = (us[n] - PlaneVector(0.0, 1.0)).norm()
-    w_gap = (ws[n] - PlaneVector(1.0, 0.0)).norm()
-    if u_gap > CLOSURE_TOL or w_gap > CLOSURE_TOL:
-        raise ClosureViolation(
-            f"sequence at t_{k} (m={m}) does not close: |u_n - V| = {u_gap:.3e}, "
-            f"|w_n - U| = {w_gap:.3e}"
-        )
-    vectors = us[:n] + [PlaneVector(0.0, 1.0)] + ws[:n]
-    return Configuration(vectors)
+    sines = [math.sin(2.0 * math.pi * (j * k % m) / m) for j in range(2 * n + 1)]
+    z = [PlaneVector(sines[j + 1] / sines[1], -sines[j] / sines[1]) for j in range(2 * n)]
+    return Configuration(z[0::2] + [PlaneVector(0.0, 1.0)] + z[1::2])

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from balcfg import polynomials
+from balcfg.balance import step_constants
 from balcfg.canonical import LinearMap2
 from balcfg.cli import main
 from balcfg.geometry import Configuration, det2, roots_of_unity
@@ -67,7 +68,7 @@ def test_check_overflowing_diagonal_keeps_the_default_tolerance(capsys, tmp_path
     assert report["balance_witness"] == {"index": 0, "value": -1e200}
 
 
-def test_check_reports_an_unlabeled_file_without_step_constants(capsys, tmp_path):
+def test_check_reports_an_unlabeled_file_with_label_order_step_constants(capsys, tmp_path):
     u5 = roots_of_unity(5)
     path = tmp_path / "u5_swapped.json"
     save_config(Configuration([u5[0], u5[2], u5[1], u5[3], u5[4]]), path)
@@ -76,8 +77,25 @@ def test_check_reports_an_unlabeled_file_without_step_constants(capsys, tmp_path
     report = json.loads(out)
     assert report["balanced"] is True
     assert report["uniform"] is True
-    assert report["step_constants"] is None
+    constants = step_constants(u5)
+    assert report["step_constants"] == {"A1": constants.A1, "An": constants.An}
     assert "certificate" not in err
+
+
+def test_check_reports_null_step_constants_when_the_labeling_ties(capsys, tmp_path):
+    # the file's order has no step constants, and the squeeze collapses the
+    # arguments under ARGUMENT_TIE_TOL, so there is no label order either
+    u5 = roots_of_unity(5)
+    squeezed = LinearMap2(1.0, 0.0, 0.0, 1e-13).apply_configuration(
+        Configuration([u5[0], u5[2], u5[1], u5[3], u5[4]])
+    )
+    path = tmp_path / "squeezed_u5.json"
+    save_config(squeezed, path)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["balanced"] is True and report["uniform"] is True
+    assert report["step_constants"] is None
 
 
 def test_check_reports_square_witnesses(capsys):
@@ -247,6 +265,16 @@ def test_gen_model_configuration(capsys):
     c = parse_config(out)
     assert c.m == 5
     assert c[2].as_tuple() == (0.0, 1.0)
+
+
+def test_gen_model_configuration_closes_at_m801(capsys):
+    # at k = 1 and k = n the float vector recurrence misses closure by up to 1.6e-9
+    for k in ("1", "400"):
+        code, out, _ = run(capsys, "gen", "--m", "801", "--k", k)
+        assert code == 0
+        c = parse_config(out)
+        assert c.m == 801
+        assert c[400].as_tuple() == (0.0, 1.0)
 
 
 def test_gen_rejects_even_m(capsys):

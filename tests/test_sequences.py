@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from balcfg import polynomials as ip
+from balcfg.canonical import frame_map
 from balcfg.errors import RootCountMismatch
+from balcfg.geometry import roots_of_unity
 from balcfg.sequences import (
     PolyPair,
     RootGrid,
@@ -21,6 +23,29 @@ from balcfg.sequences import (
 U1 = PolyPair(x=(-1, 0, 1), y=(0, -1))            # (t^2 - 1, -t)
 W1 = PolyPair(x=(0, -2, 0, 1), y=(1, 0, -1))      # (t^3 - 2t, 1 - t^2)
 W2 = PolyPair(x=(0, 3, 0, -4, 0, 1), y=(-1, 0, 3, 0, -1))
+
+
+def _reference_symbolic_sequences(n):
+    # the vector recurrence u_{i+1} = t w_i - u_i, w_{i+1} = t u_{i+1} - w_i
+    us = [PolyPair(x=(1,), y=())]
+    ws = [PolyPair(x=(0, 1), y=(-1,))]
+    for _ in range(n):
+        u, w = us[-1], ws[-1]
+        ux = ip.sub(ip.shift_up(w.x), u.x)
+        uy = ip.sub(ip.shift_up(w.y), u.y)
+        wx = ip.sub(ip.shift_up(ux), w.x)
+        wy = ip.sub(ip.shift_up(uy), w.y)
+        us.append(PolyPair(x=ux, y=uy))
+        ws.append(PolyPair(x=wx, y=wy))
+    return us, ws
+
+
+def test_symbolic_sequences_equal_the_vector_recurrence():
+    reference = _reference_symbolic_sequences(60)
+    for n in range(1, 61):
+        us, ws = symbolic_sequences(n)
+        assert us == reference[0][: n + 1]
+        assert ws == reference[1][: n + 1]
 
 
 def test_symbolic_frozen_low_orders():
@@ -156,11 +181,23 @@ def test_model_configuration_layout_m5():
         assert c.m == 5
         t = closed_form_t(5, k)
         us, ws = numeric_sequences(t, 2)
-        assert c[0].as_tuple() == us[0].as_tuple()
-        assert c[1].as_tuple() == us[1].as_tuple()
         assert c[2].as_tuple() == (0.0, 1.0)
-        assert c[3].as_tuple() == ws[0].as_tuple()
-        assert c[4].as_tuple() == ws[1].as_tuple()
+        for slot, v in ((0, us[0]), (1, us[1]), (3, ws[0]), (4, ws[1])):
+            for got, want in zip(c[slot].as_tuple(), v.as_tuple()):
+                assert math.isclose(got, want, rel_tol=0.0, abs_tol=1e-15)
+
+
+def test_model_configuration_is_the_frame_image_of_the_roots_of_unity_m801():
+    # the float vector recurrence misses closure by up to 1.6e-9 here; the
+    # model must land on g_k . w^e, with g_k the frame of (1, w^k), for every k
+    m, n = 801, 400
+    u = roots_of_unity(m)
+    for k in range(1, n + 1):
+        g = frame_map(u[0], u[k])
+        exponents = [-2 * k * i for i in range(n)] + [k] + [-k * (2 * i + 1) for i in range(n)]
+        for v, e in zip(model_configuration(m, k).vectors, exponents):
+            x, y = u[e % m].as_tuple()
+            assert math.hypot(v.x - (g.a * x + g.b * y), v.y - (g.c * x + g.d * y)) <= 1e-12
 
 
 def test_model_configuration_rejects_bad_k():
