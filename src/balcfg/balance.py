@@ -14,13 +14,14 @@ Every verdict reads the configuration's one determinant table,
 Configuration.det_table (one comprehension per row over the unpacked
 coordinates), its largest entry and its rows sorted once, all cached:
 predicates on one configuration share them. The balance and uniformity scans
-run one C-level pass per row. The verdicts read the table's scaled entries:
-in exact mode the ints D^2 * det (D the lcm of the coordinate denominators),
-which sort, add and compare at C level with tolerance 0, so no verdict
-differs from one on det itself; in float mode the float det values. Every
-value a caller reads (BalanceReport.rows, balance witnesses, StepConstants,
-AmbiguousPairing messages) is divided back to input units by
-DetTable.unscale, and rows only when they are read.
+run one C-level pass per row; the symmetry test of one sorted row lives in
+_row_fault, which the grid search runs on its candidates' rows too. The
+verdicts read the table's scaled entries: in exact mode the ints D^2 * det
+(D the lcm of the coordinate denominators), which sort, add and compare at
+C level with tolerance 0, so no verdict differs from one on det itself; in
+float mode the float det values. Every value a caller reads
+(BalanceReport.rows, balance witnesses, StepConstants) is divided back to
+input units by DetTable.unscale, and rows only when they are read.
 
 For uniform balanced configurations of odd size m = 2n+1 this module also
 builds the pairing structure: for each index i the remaining indices split
@@ -116,30 +117,43 @@ def _tolerance(c: Configuration, tol: Optional[float]) -> Scalar:
     return DEFAULT_REL_TOL * c.det_max
 
 
+def _row_fault(srow: tuple, eff: Scalar) -> Optional[int]:
+    """The first j at which the sorted row srow (length N) fails symmetry
+    within eff, or None when it is symmetric.
+
+    One C-level pass tests |srow[j] + srow[N-1-j]| <= eff for the N // 2
+    extreme pairs; then an odd N tests |srow[N // 2]| <= eff for its middle
+    entry, and reports j = N // 2, where srow[j] and srow[N-1-j] are that
+    one entry. A NaN sum or entry fails no comparison, so it passes.
+    """
+    half = len(srow) // 2
+    bad = list(
+        map(lt, repeat(eff, half), map(abs, map(add, srow[:half], reversed(srow))))
+    )
+    if True in bad:
+        return bad.index(True)
+    if len(srow) % 2 and abs(srow[half]) > eff:
+        return half
+    return None
+
+
 def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
     """Decide multiset symmetry of every determinant row.
 
     Exact mode compares exactly (tol ignored); float mode compares within an
-    absolute tolerance (default 1e-9 * max |det|). Each sorted row s of
-    length N is tested in one C-level pass: |s[j] + s[N-1-j]| <= tol for the
-    N // 2 extreme pairs, then |s[N // 2]| <= tol for the middle entry of an
-    odd N. The witness is (i, value) for the first row i that fails: the
+    absolute tolerance (default 1e-9 * max |det|). Each sorted row goes
+    through _row_fault, the row test that the grid search shares. The
+    witness is (i, value) for the first row i that fails: the
     larger-magnitude side of its first bad pair, else its middle entry, in
     input units.
     """
     eff = _tolerance(c, tol)
-    unscale = c.det_table.unscale
     for i, srow in enumerate(c.sorted_det_rows):
-        half = len(srow) // 2
-        bad = list(
-            map(lt, repeat(eff, half), map(abs, map(add, srow[:half], reversed(srow))))
-        )
-        if True in bad:
-            j = bad.index(True)
+        j = _row_fault(srow, eff)
+        if j is not None:
             lo, hi = srow[j], srow[-1 - j]
-            return BalanceReport(False, (i, unscale(hi if abs(hi) >= abs(lo) else lo)), c)
-        if len(srow) % 2 and abs(srow[half]) > eff:
-            return BalanceReport(False, (i, unscale(srow[half])), c)
+            value = hi if abs(hi) >= abs(lo) else lo
+            return BalanceReport(False, (i, c.det_table.unscale(value)), c)
     return BalanceReport(True, None, c)
 
 
@@ -193,10 +207,13 @@ def build_pairing(c: Configuration, tol: Optional[float] = None) -> PairingMap:
     """Construct the pairing map of a uniform balanced configuration of odd
     size: per index i the n determinant-opposite pairs, plus the global phi.
 
-    Each row is matched greedily (sorted extremes pair with each other), and
-    the per-row structures are then checked for global disjointness: a pair
-    {k, l} claimed by two different rows means the float clustering was
-    inconsistent at this tolerance.
+    Each row is matched greedily (sorted extremes pair with each other). The
+    indices sort by their entries in the permutation that sorted_det_rows
+    applies, so each pair's sum is one that is_balanced has already bounded
+    by the same tolerance, and every pair cancels. The per-row structures
+    are then checked for global disjointness: a pair {k, l} claimed by two
+    different rows means the float clustering was inconsistent at this
+    tolerance.
     """
     if c.m % 2 == 0 or c.m < 3:
         raise ValueError(f"pairing requires odd m >= 3, got m = {c.m}")
@@ -207,22 +224,14 @@ def build_pairing(c: Configuration, tol: Optional[float] = None) -> PairingMap:
     if not ok:
         raise NotUniform("configuration is not uniform", witness=pair)
 
-    eff = _tolerance(c, tol)
-    table = c.det_table
     per_index: List[FrozenSet[FrozenSet[int]]] = []
     phi: Dict[FrozenSet[int], int] = {}
-    for i, row in enumerate(table.scaled):
+    for i, row in enumerate(c.det_table.scaled):
         order = sorted((j for j in range(c.m) if j != i), key=row.__getitem__)
         pairs = set()
         lo, hi = 0, len(order) - 1
         while lo < hi:
             a, b = order[lo], order[hi]
-            if abs(row[a] + row[b]) > eff:
-                raise AmbiguousPairing(
-                    f"row {i}: extremes {table.unscale(row[a])} and "
-                    f"{table.unscale(row[b])} do not cancel",
-                    witness=(i, a, b),
-                )
             key = frozenset((a, b))
             if key in phi:
                 raise AmbiguousPairing(

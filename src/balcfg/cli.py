@@ -191,7 +191,11 @@ def _cmd_search(args) -> int:
         return 2
     spec = SearchSpec(m=args.m, coordinate_set=coords, require_uniform=args.uniform)
     hits = enumerate_balanced(spec)
-    uniform_count = sum(1 for cfg in hits if is_uniform(cfg)[0])
+    if args.uniform:
+        # every hit has passed is_uniform in enumerate_balanced
+        uniform_count = len(hits)
+    else:
+        uniform_count = sum(1 for cfg in hits if is_uniform(cfg)[0])
     files = None
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)

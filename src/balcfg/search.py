@@ -6,8 +6,10 @@ vectors (the objects the definitions quantify over) and lists each set once,
 in lexicographic order of the sorted representative, so results are
 reproducible byte for byte. When the candidates outnumber the grid's pairs
 (m >= 3, unless m is close to the grid size), it builds one determinant table
-for the whole grid and each candidate reads its rows from it, so no grid
-determinant is evaluated twice; otherwise (as for m <= 2) each pair is read at
+for the whole grid, so no grid determinant is evaluated twice: each candidate
+reads its members' int rows from that table and stops at the first row that
+is not symmetric, and only a hit becomes a Configuration (with its table
+restricted from the grid's). Otherwise (as for m <= 2) each pair is read at
 most once anyway, and each candidate builds its own small table.
 """
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .balance import is_balanced, is_uniform
+from .balance import _row_fault, is_balanced, is_uniform
 from .canonical import LinearMap2
 from .errors import BudgetExceeded
 from .geometry import Configuration, PlaneVector
@@ -93,7 +95,12 @@ def grid_vectors(coords: Tuple[Fraction, ...]) -> List[PlaneVector]:
 def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     """All balanced configurations of m pairwise distinct vectors over the
     grid, exact arithmetic, in deterministic lexicographic order; optionally
-    only the uniform ones."""
+    only the uniform ones.
+
+    With a grid table, a candidate is tested on the table's int rows and
+    rejected at its first asymmetric row; only a hit is built as a
+    Configuration and, under require_uniform, tested for uniformity.
+    """
     if len(spec.coordinate_set) ** (2 * spec.m) > DEFAULT_BUDGET:
         raise BudgetExceeded(
             f"{len(spec.coordinate_set)}^{2 * spec.m} candidate tuples exceed "
@@ -106,17 +113,29 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     # A grid table of n^2 entries pays only when the candidates outnumber
     # the grid's pairs; for m <= 2 it would cost memory and save nothing.
     if math.comb(n, spec.m) > math.comb(n, 2):
-        grid = Configuration(vectors)
-        candidates = (
-            grid._restrict(idx) for idx in itertools.combinations(range(n), spec.m)
-        )
+        balanced = _balanced_subsets(Configuration(vectors), spec.m)
     else:
-        candidates = map(Configuration, itertools.combinations(vectors, spec.m))
-    hits = []
-    for cfg in candidates:
-        if not is_balanced(cfg).balanced:
-            continue
-        if spec.require_uniform and not is_uniform(cfg)[0]:
-            continue
-        hits.append(cfg)
-    return hits
+        balanced = (
+            cfg
+            for cfg in map(Configuration, itertools.combinations(vectors, spec.m))
+            if is_balanced(cfg).balanced
+        )
+    if spec.require_uniform:
+        return [cfg for cfg in balanced if is_uniform(cfg)[0]]
+    return list(balanced)
+
+
+def _balanced_subsets(grid: Configuration, m: int):
+    """The balanced m-member subsets of grid, in combinations order. Each
+    member's row of the grid's scaled ints, restricted to the candidate and
+    sorted, goes through _row_fault at the exact tolerance 0; these are the
+    entries _restrict would copy, so the verdict is is_balanced's. Only a
+    hit is restricted into a Configuration."""
+    rows = grid.det_table.scaled
+    for idx in itertools.combinations(range(len(rows)), m):
+        for a in idx:
+            row = rows[a]
+            if _row_fault(sorted([row[b] for b in idx if b != a]), 0) is not None:
+                break
+        else:
+            yield grid._restrict(idx)

@@ -163,6 +163,26 @@ def test_search_evaluates_each_grid_determinant_once(capsys, tables_built):
     assert sum(math.comb(size, 2) for size in tables_built) == 28
 
 
+def test_search_builds_a_configuration_only_for_a_hit(
+    capsys, monkeypatch, tables_built
+):
+    # the 70 candidates of m = 4 over {-1, 0, 1}^2 are decided on the grid
+    # table's int rows; only the 6 hits are restricted into a Configuration
+    restrict = Configuration._restrict
+    calls = []
+
+    def counting(self, idx):
+        calls.append(idx)
+        return restrict(self, idx)
+
+    monkeypatch.setattr(Configuration, "_restrict", counting)
+    code, out, _ = run(capsys, "search", "--m", "4", "--coords", "-1,0,1")
+    assert code == 0
+    assert json.loads(out)["count"] == 6
+    assert len(calls) == 6
+    assert tables_built == [8]
+
+
 @pytest.mark.parametrize(
     "m, values, count, calls", [(1, 100, 9999, 0), (2, 10, 136, 4851)]
 )

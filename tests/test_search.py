@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balcfg import (
@@ -124,3 +124,23 @@ def test_enumeration_equals_its_definition(coords, m, require_uniform):
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         enumerate_balanced(SearchSpec(m=8, coordinate_set=GRID3))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(
+        st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5])),
+        min_size=2,
+        max_size=5,
+        unique=True,
+    ),
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_enumeration_equals_brute_force_on_random_grids(coords, m, require_uniform):
+    # m >= 3 over 3 or more values takes the grid-table route, the rest the
+    # per-candidate one; both must list exactly the brute-force hits
+    hits = enumerate_balanced(SearchSpec(m, tuple(coords), require_uniform))
+    expected = brute_force(tuple(sorted(coords)), m, require_uniform)
+    assert hits == expected
+    assert [h.det_table for h in hits] == [e.det_table for e in expected]
