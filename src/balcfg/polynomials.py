@@ -5,9 +5,10 @@ Polynomials are tuples of arbitrary-precision ints, ascending degree, trailing
 zeros trimmed; the zero polynomial is the empty tuple. Isolation bisects
 dyadic intervals, each carrying the polynomial mapped onto (0, 1) as integers
 (Vincent-Collins-Akritas), and counts roots by Descartes' rule, so every sign
-decision is exact; intervals are then refined by sign-change bisection on
-integer endpoints over one power-of-two denominator.
-Rational roots hit by a bisection midpoint are recorded exactly and divided out.
+decision is exact. Rational roots hit by a bisection midpoint are recorded
+exactly and divided out. Each isolating interval is then refined to the cell
+that bisection would reach, by an exact secant search (Illinois regula falsi,
+with bisection steps as a safeguard) over the integer points of that grid.
 """
 
 from __future__ import annotations
@@ -76,17 +77,27 @@ def sign_at(p: Sequence[int], x: Fraction) -> int:
     p(num/den) * den^deg."""
     if not p:
         return 0
-    return _scaled_sign(p[::-1], x.numerator, x.denominator)
+    value = _scaled_value(_scaled_coeffs(p, x.denominator), x.numerator)
+    return (value > 0) - (value < 0)
 
 
-def _scaled_sign(rev: Sequence[int], num: int, den: int) -> int:
-    # sign of P(num / den) * den^d for P with descending coefficients rev
-    acc = rev[0]
+def _scaled_coeffs(p: Sequence[int], den: int) -> List[int]:
+    # p's coefficients from the top down, the i-th times den^i, so that
+    # _scaled_value(_scaled_coeffs(p, den), num) = p(num / den) * den^deg
+    scaled = []
     power = 1
-    for c in rev[1:]:
+    for c in reversed(p):
+        scaled.append(c * power)
         power *= den
-        acc = acc * num + c * power
-    return (acc > 0) - (acc < 0)
+    return scaled
+
+
+def _scaled_value(scaled: Sequence[int], num: int) -> int:
+    # integer Horner on the coefficients from _scaled_coeffs
+    acc = 0
+    for c in scaled:
+        acc = acc * num + c
+    return acc
 
 
 def root_bound(p: Sequence[int]) -> int:
@@ -148,38 +159,66 @@ def _deflate(p: Sequence[int], r: Fraction) -> IntPoly:
 def refine_root(
     p: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction
 ) -> Tuple[Fraction, Fraction]:
-    """Shrink an isolating interval by sign-change bisection until
-    hi - lo <= width (or an exact root is hit).
+    """Shrink an isolating interval to the cell that bisection down to
+    hi - lo <= width would return: the cell of the level-s dyadic grid over
+    [lo, hi] (s the least with (hi - lo) / 2^s <= width) that holds the root,
+    or the root itself, zero-width, when it is a grid point.
 
-    The endpoints are kept as ints a, b over one denominator den * 2^e, den
-    the lcm of their own denominators, and each sign is taken by integer
-    Horner at a / (den * 2^e), with no Fraction built. The number of halvings,
-    the least s with (hi - lo) / 2^s <= width, comes from one bit length up
-    front.
+    The search runs over the cell index c in [0, 2^s]: grid point c is the
+    int (a << s) + c * (b - a) over den << s, with lo = a / den and
+    hi = b / den, and every value is the exact integer Horner of
+    _scaled_value over that one denominator. The next index is the Illinois
+    secant guess (regula falsi that halves the weight of an endpoint kept
+    twice; Dowell & Jarratt 1971), clamped strictly inside the bracket, and
+    a guess that leaves more than half of the bracket is followed by one
+    bisection step. So each pair of evaluations at least halves the bracket,
+    and a call makes at most 2s + 2 evaluations, two of them at lo and hi.
     """
+    if lo > hi:
+        raise ValueError(f"interval is inverted: lo = {lo} > hi = {hi}")
     if lo == hi:
         return lo, hi
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    rev = trim(p)[::-1]
     den = lcm(lo.denominator, hi.denominator)
     a, b = int(lo * den), int(hi * den)
-    s_lo = _scaled_sign(rev, a, den)
-    s_hi = _scaled_sign(rev, b, den)
-    if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
-        raise ArithmeticError("interval endpoints must straddle the single root")
     ratio = (hi - lo) / width
     steps = ((ratio.numerator - 1) // ratio.denominator).bit_length()
-    for e in range(1, steps + 1):
-        mid = a + b
-        s_mid = _scaled_sign(rev, mid, den << e)
-        if s_mid == 0:
-            return Fraction(mid, den << e), Fraction(mid, den << e)
-        if s_mid == s_lo:
-            a, b = mid, b << 1
+    base, span, scale = a << steps, b - a, den << steps
+    scaled = _scaled_coeffs(trim(p), scale)
+    f_lo = _scaled_value(scaled, base)
+    f_hi = _scaled_value(scaled, b << steps)
+    if not f_lo or not f_hi or (f_lo > 0) == (f_hi > 0):
+        raise ArithmeticError("interval endpoints must straddle the single root")
+    # the side test reads the low end's sign, fixed for the whole search;
+    # the weights that Illinois halves only steer the guess
+    lo_positive = f_lo > 0
+    c_lo, c_hi = 0, 1 << steps
+    w_lo, w_hi = abs(f_lo), abs(f_hi)
+    moved = 0  # +1 (-1): the last step moved the low (high) end
+    bisect = False
+    while c_hi - c_lo > 1:
+        gap = c_hi - c_lo
+        if bisect:
+            c = (c_lo + c_hi) >> 1
         else:
-            a, b = a << 1, mid
-    return Fraction(a, den << steps), Fraction(b, den << steps)
+            c = min(max(c_lo + gap * w_lo // (w_lo + w_hi), c_lo + 1), c_hi - 1)
+        value = _scaled_value(scaled, base + c * span)
+        if not value:
+            root = Fraction(base + c * span, scale)
+            return root, root
+        if (value > 0) == lo_positive:
+            c_lo, w_lo = c, abs(value)
+            if moved == 1:
+                w_hi >>= 1
+            moved = 1
+        else:
+            c_hi, w_hi = c, abs(value)
+            if moved == -1:
+                w_lo >>= 1
+            moved = -1
+        bisect = not bisect and 2 * (c_hi - c_lo) > gap
+    return Fraction(base + c_lo * span, scale), Fraction(base + c_hi * span, scale)
 
 
 def certified_roots(p: Sequence[int], width: Fraction) -> List[Tuple[Fraction, Fraction]]:

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from balcfg import polynomials as ip
+from balcfg import sequences
 
 # ascending coefficient tuples: (2, -2, -1, 1) is t^3 - t^2 - 2t + 2
 CUBIC_MIXED = (2, -2, -1, 1)
@@ -84,6 +86,14 @@ def _from_roots(roots):
     return p
 
 
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return ip.trim(out)
+
+
 RATIONALS = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=12)
 
 
@@ -158,8 +168,9 @@ def test_certified_roots_degenerate_inputs():
     assert ip.certified_roots((7,), Fraction(1, 2)) == []
 
 
-def _reference_refine(p, lo, hi, width):
-    """The former Fraction bisection, kept as the oracle for refine_root."""
+def _fraction_bisection(p, lo, hi, width):
+    """Bisection on Fraction endpoints: the plainest statement of the cell
+    refine_root returns."""
     s_lo = ip.sign_at(p, lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
@@ -187,9 +198,168 @@ def test_refine_root_matches_the_fraction_bisection(roots, irrational, width):
     for lo, hi in ip.certified_roots(p, Fraction(1, 2)):
         # an endpoint can be a root certified_roots divided out before
         if lo != hi and ip.sign_at(p, lo) and ip.sign_at(p, hi):
-            assert ip.refine_root(p, lo, hi, width) == _reference_refine(p, lo, hi, width)
+            assert ip.refine_root(p, lo, hi, width) == _fraction_bisection(p, lo, hi, width)
 
 
 def test_refine_root_rejects_a_width_that_is_not_positive():
     with pytest.raises(ValueError):
         ip.refine_root((-2, 0, 1), Fraction(1), Fraction(2), Fraction(0))
+
+
+def test_refine_root_rejects_an_inverted_interval():
+    with pytest.raises(ValueError):
+        ip.refine_root((-2, 0, 1), Fraction(2), Fraction(1), Fraction(1, 10**6))
+
+
+def _reference_refine(p, lo, hi, width):
+    """The former bisection refine_root (integer endpoints over one
+    power-of-two denominator, one halving per step), kept as the oracle for
+    the secant refinement."""
+    if lo == hi:
+        return lo, hi
+    rev = ip.trim(p)[::-1]
+    den = lcm(lo.denominator, hi.denominator)
+    a, b = int(lo * den), int(hi * den)
+
+    def sign(num, d):
+        acc, power = rev[0], 1
+        for c in rev[1:]:
+            power *= d
+            acc = acc * num + c * power
+        return (acc > 0) - (acc < 0)
+
+    s_lo = sign(a, den)
+    ratio = (hi - lo) / width
+    steps = ((ratio.numerator - 1) // ratio.denominator).bit_length()
+    for e in range(1, steps + 1):
+        mid = a + b
+        s_mid = sign(mid, den << e)
+        if s_mid == 0:
+            return Fraction(mid, den << e), Fraction(mid, den << e)
+        if s_mid == s_lo:
+            a, b = mid, b << 1
+        else:
+            a, b = a << 1, mid
+    return Fraction(a, den << steps), Fraction(b, den << steps)
+
+
+def _halvings(lo, hi, width):
+    # the bisection's step count: the least s with (hi - lo) / 2^s <= width
+    steps = 0
+    while (hi - lo) / 2**steps > width:
+        steps += 1
+    return steps
+
+
+def _counted_refine(p, lo, hi, width):
+    """refine_root's result and the number of polynomial evaluations it
+    made, counted on the Horner helper."""
+    evaluations = 0
+    horner = ip._scaled_value
+
+    def counted(*args):
+        nonlocal evaluations
+        evaluations += 1
+        return horner(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ip, "_scaled_value", counted)
+        result = ip.refine_root(p, lo, hi, width)
+    return result, evaluations
+
+
+def _closure_intervals(n_max):
+    """Every (polynomial, lo, hi, width) that certified_roots hands to
+    refine_root while solving w_n(t) = (1, 0) for n = 1..n_max."""
+    seen = []
+    refine = ip.refine_root
+
+    def record(p, lo, hi, width):
+        seen.append((tuple(p), lo, hi, width))
+        return refine(p, lo, hi, width)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ip, "refine_root", record)
+        for n in range(1, n_max + 1):
+            sequences.wn_equation_roots(n)
+    return tuple(seen)
+
+
+def test_refine_root_matches_the_bisection_on_every_closure_interval():
+    for p, lo, hi, width in _closure_intervals(40):
+        result, evaluations = _counted_refine(p, lo, hi, width)
+        assert result == _reference_refine(p, lo, hi, width)
+        assert evaluations <= 2 * _halvings(lo, hi, width) + 2
+
+
+def test_refine_root_needs_half_the_evaluations_of_bisection():
+    intervals = _closure_intervals(24)
+    secant = sum(_counted_refine(*iv)[1] for iv in intervals)
+    # bisection evaluates both endpoints and one midpoint per halving
+    bisection = sum(_halvings(lo, hi, width) + 2 for _, lo, hi, width in intervals)
+    assert secant <= bisection / 2
+
+
+@pytest.mark.parametrize("degree", [5, 11, 25, 51])
+def test_refine_root_bisects_where_the_secant_stalls(degree):
+    # t^d + t - 1 is flat left of its root and steep right of it, so from a
+    # wide bracket regula falsi creeps in from one side; the bisection steps
+    # keep the count within 2 * halvings + 2
+    p = (-1, 1) + (0,) * (degree - 2) + (1,)
+    width = Fraction(1, 10**12)
+    for lo, hi in ((Fraction(0), Fraction(2)), (Fraction(-1, 3), Fraction(5))):
+        result, evaluations = _counted_refine(p, lo, hi, width)
+        assert result == _reference_refine(p, lo, hi, width)
+        assert evaluations <= 2 * _halvings(lo, hi, width) + 2
+
+
+def test_refine_root_lands_on_a_grid_root_exactly():
+    # (8t - 3)(4t - 5)(t^2 - 2): 3/8 is a point of the dyadic grid over
+    # [0, 1], and 5/4 one of the grid over [1, 4/3], so both refinements
+    # stop there, zero-width
+    p = _times(_from_roots([Fraction(3, 8), Fraction(5, 4)]), (-2, 0, 1))
+    for lo, hi, root in ((Fraction(0), Fraction(1), Fraction(3, 8)),
+                         (Fraction(1), Fraction(4, 3), Fraction(5, 4))):
+        assert ip.descartes_count(p, lo, hi) == 1
+        assert ip.refine_root(p, lo, hi, Fraction(1, 10**12)) == (root, root)
+        assert _reference_refine(p, lo, hi, Fraction(1, 10**12)) == (root, root)
+
+
+WIDTHS = st.sampled_from([Fraction(1, 2**40), Fraction(1, 10**12), Fraction(1, 7**9)])
+# non-dyadic margins: denominators 3, 5, 7, ... times a power of two
+MARGINS = st.builds(
+    lambda k, odd, e: Fraction(k, odd << e),
+    st.integers(1, 40), st.sampled_from([3, 5, 7, 9, 11, 15]), st.integers(0, 12),
+)
+
+
+@given(
+    st.lists(RATIONALS, min_size=0, max_size=4, unique=True),
+    st.sampled_from([(-2, 0, 1), (-3, 0, 1), (-1, -1, 1), (1, -5, 2)]),
+    WIDTHS,
+    MARGINS,
+    MARGINS,
+    st.integers(0, 8),
+)
+def test_refine_root_matches_the_bisection_on_square_free_polynomials(
+    roots, quadratic, width, left, right, level
+):
+    # a product of (q t - p) factors with an irreducible quadratic; every
+    # root's isolating interval, as certified_roots leaves it (dyadic
+    # endpoints, so dyadic roots are hit exactly) and widened by non-dyadic
+    # margins, plus, per rational root, an interval with non-dyadic endpoints
+    # whose level-`level` grid holds that root
+    p = _times(_from_roots(roots), quadratic)
+    candidates = []
+    for lo, hi in ip.certified_roots(p, Fraction(1, 2)):
+        if lo != hi:
+            candidates += [(lo, hi), (lo - left, hi + right)]
+    for r in roots:
+        span = left + right
+        offset = span * Fraction(1 + 2 * (left.numerator % (1 << level)), 2 << level)
+        candidates.append((r - offset, r - offset + span))
+    for lo, hi in candidates:
+        if ip.sign_at(p, lo) and ip.sign_at(p, hi) and ip.descartes_count(p, lo, hi) == 1:
+            result, evaluations = _counted_refine(p, lo, hi, width)
+            assert result == _reference_refine(p, lo, hi, width)
+            assert evaluations <= 2 * _halvings(lo, hi, width) + 2
