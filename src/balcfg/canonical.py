@@ -15,6 +15,15 @@ exponents
 a bijection onto {0..m-1}. The residual (max distance from the assigned
 roots of unity) certifies the equivalence.
 
+Certificate first, table last: the steps above run before any determinant
+table. Their residual bounds every determinant of the input and its
+distance from a symmetric row (_residual_bounds); when those bounds clear the
+balance tolerance, balance and uniformity are certified and no table is
+built. Any refusal on the route, a non-finite value, or a bound that does
+not clear sends the call to the table's verdicts first, in today's order, so
+the verdicts, witnesses and certificate classes do not depend on the route.
+check runs the same route on odd float input (certified_labeling).
+
 Seed-triple reconstruction: with A1 = det(v_n, v_{n+1}), An = det(v_0, v_n)
 and r = -A1/An, the members interleave out of the triple via
 
@@ -32,8 +41,18 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .balance import is_balanced, is_uniform, require_tolerance
+from .balance import (
+    BOUND_SLACK,
+    UNIT_ROUNDOFF,
+    _Bracket,
+    in_safe_range,
+    is_balanced,
+    is_uniform,
+    norm_sq_bounds,
+    require_tolerance,
+)
 from .errors import (
+    BalcfgError,
     CertificateError,
     DegenerateStep,
     NoGridMatch,
@@ -61,6 +80,10 @@ FRAME_DET_TOL = 1e-12
 GRID_TOL = 1e-6
 # Default acceptable residual for canonicalize.
 RESIDUAL_TOL = 1e-8
+# Distance bound between a float target unit_vector(2*pi*e/m) and the exact
+# root of unity: the float angle is within about 4 ulp of 2*pi of the exact
+# one, and cos and sin round to within 1 ulp.
+TARGET_ERR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -213,35 +236,35 @@ def _diagram_exponents(m: int, k: int) -> Tuple[int, ...]:
     return tuple(exps)
 
 
-def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
-    """Certify that c is GL2-equivalent to the roots of unity and produce
-    the explicit map.
+class _Route:
+    """What the label, frame, match and residual steps produce. A plain
+    class, as a NamedTuple class is slow to create when the CLI imports the
+    module."""
 
-    Raises a CertificateError with a witness when the input provably is not
-    equivalent: NotBalanced, NotUniform, NotNormalized, NoGridMatch, or
-    ResidualTooLarge when the map misses the roots of unity by more than tol.
-    DuplicateArgument and SingularFrame are float precision refusals, not
-    certificates. A tol that is not a finite number >= 0 raises ValueError.
-    """
-    require_tolerance(tol)
-    if c.m < 3:
-        raise ValueError(f"canonicalization needs m >= 3, got m = {c.m}")
-    work = c.as_float()
-    scale = max(v.norm() for v in work.vectors)
-    work = Configuration([v.scale(1.0 / scale) for v in work.vectors])
+    __slots__ = ("labeled", "g", "t", "k", "exponents", "residual")
 
-    report = is_balanced(work)
-    if not report.balanced:
-        raise NotBalanced("configuration is not balanced", witness=report.witness)
-    uniform, pair = is_uniform(work)
-    if not uniform:
-        raise NotUniform("configuration is not uniform", witness=pair)
-    if c.m % 2 == 0:
-        # balanced + even size excludes uniformity; reachable only when the
-        # tolerance blessed a borderline input, so refuse with the true reason
-        raise NotUniform(f"even m = {c.m} cannot be uniform balanced", witness=None)
+    def __init__(
+        self,
+        labeled: Configuration,
+        g: LinearMap2,
+        t: Scalar,
+        k: int,
+        exponents: Tuple[int, ...],
+        residual: float,
+    ):
+        self.labeled = labeled
+        self.g = g
+        self.t = t
+        self.k = k
+        self.exponents = exponents
+        self.residual = residual
 
-    labeled = label_by_increasing_arguments(work)
+
+def _map_onto_roots(c: Configuration) -> _Route:
+    """Label c by argument, frame it, match t_C on the grid, and measure the
+    residual of the composite map against the assigned roots of unity; c is
+    a float configuration of odd m >= 3. Raises what those steps raise."""
+    labeled = label_by_increasing_arguments(c)
     m, n = labeled.m, labeled.n
     g_frame = frame_map(labeled[0], labeled[n])
     t_c = extract_t(g_frame, labeled[n + 1])
@@ -260,16 +283,143 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     for i, v in enumerate(labeled.vectors):
         target = unit_vector(2.0 * math.pi * exponents[i] / m)
         residual = max(residual, (g.apply(v) - target).norm())
-    if residual > tol:
+    return _Route(labeled, g, t_c, k_c, exponents, residual)
+
+
+def _residual_bounds(route: _Route) -> Optional[Tuple[float, float]]:
+    """(pair, floor) from the route's map and residual: every pair sum that
+    _row_fault forms on a sorted row of the float determinant table of the
+    route's members is at most pair in magnitude, and every off-diagonal
+    |entry| is at least floor. None when no bound holds: a coordinate or an
+    entry of the map outside balance.SAFE_COORDINATE_RANGE (where products
+    may round other than relatively), a map whose determinant is not bounded
+    away from 0, or a bound that is not finite.
+
+    Let G be the float map read as an exact matrix, omega_i the exact root
+    of unity assigned to member v_i, and u the unit roundoff. Forward-error
+    terms:
+    - r >= max |G v_i - omega_i|: the residual as evaluated, times 1 + 4u
+      for the subtraction and hypot; plus 3u (|a| + |b| + |c| + |d|) max |v|
+      for the evaluation of G v_i (two products and a sum per coordinate);
+      plus TARGET_ERR for the float target.
+    - det(G v_i, G v_j) = det(G) det(v_i, v_j) = sin(2 pi (e_j - e_i) / m) +
+      delta_ij, |delta_ij| <= 2r + r^2, as |det(a, b)| <= |a| |b|.
+    - |det G| is bracketed by fl(ad - bc) -+ 3u (|ad| + |bc|).
+    - Each table entry fl(x_i y_j - y_i x_j) is within 3u max |v|^2 of
+      det(v_i, v_j) (products and sum normal or exact; Higham 2002, ch. 3).
+    The exponents e are a bijection onto Z/m, so each exact row
+    {sin(2 pi (e_j - e_i) / m) : j != i} is symmetric. Sorting is 1-Lipschitz
+    in the max norm, so each sorted pair sum of the float row is within
+    2 (2r + r^2) / |det G| + 2 * 3u max |v|^2 of 0, times 1 + u for the sum
+    itself: that is pair. For odd m, the smallest |sin(2 pi k / m)|, k != 0,
+    is sin(pi / m), so every |entry| is at least (sin(pi / m) - 2r - r^2) /
+    |det G| - 3u max |v|^2: that is floor. Each term is rounded outward by
+    BOUND_SLACK.
+    """
+    g = route.g
+    norms = norm_sq_bounds(route.labeled)
+    if norms is None or not in_safe_range((g.a, g.b, g.c, g.d)):
+        return None
+    high = norms[1]
+    u = UNIT_ROUNDOFF
+    up, down = 1.0 + BOUND_SLACK, 1.0 - BOUND_SLACK
+    cross = abs(g.a * g.d) + abs(g.b * g.c)
+    det_g = abs(g.a * g.d - g.b * g.c)
+    det_lo = (det_g * down - 3.0 * u * cross * up) * down
+    if not det_lo > 0:
+        return None
+    det_hi = (det_g + 3.0 * u * cross) * up
+    size = abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d)
+    r = (route.residual * (1.0 + 4.0 * u) + 3.0 * u * size * math.sqrt(high) + TARGET_ERR) * up
+    spread = (2.0 * r + r * r) * up
+    entry_err = 3.0 * u * high * up
+    m = route.labeled.m
+    pair = (2.0 * spread / det_lo + 2.0 * entry_err) * (1.0 + u) * up
+    floor = ((math.sin(math.pi / m) * down - spread) / det_hi * down - entry_err) * down
+    if not (math.isfinite(pair) and math.isfinite(floor)):
+        return None
+    return pair, floor
+
+
+def _certified_route(c: Configuration, tol: Optional[float]) -> Optional[_Route]:
+    """The route of a float configuration c of odd m >= 3 when its bounds
+    certify that c is balanced and uniform at tol (the verdicts' default
+    when None), with no determinant table; None when the route refuses or
+    its bounds do not clear the tolerance's bracket."""
+    try:
+        route = _map_onto_roots(c)
+    except (BalcfgError, ArithmeticError, ValueError):
+        return None
+    bounds = _residual_bounds(route)
+    if bounds is None:
+        return None
+    pair, floor = bounds
+    bracket = _Bracket(route.labeled, tol)
+    return route if pair <= bracket.lo and floor > bracket.hi else None
+
+
+def certified_labeling(c: Configuration, tol: Optional[float] = None) -> Optional[Configuration]:
+    """c in label order (label_by_increasing_arguments) when the canonical
+    route certifies that c is balanced and uniform at tol, as is_balanced
+    and is_uniform would find it; None when the certificate does not apply
+    (exact mode, even m, m < 3, a refusal on the route, or a bound that does
+    not clear), and the table must decide. A tol that is not a finite
+    number >= 0 raises ValueError."""
+    if tol is not None:
+        require_tolerance(tol)
+    if c.mode == EXACT or c.m % 2 == 0 or c.m < 3:
+        return None
+    route = _certified_route(c, tol)
+    return None if route is None else route.labeled
+
+
+def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
+    """Certify that c is GL2-equivalent to the roots of unity and produce
+    the explicit map.
+
+    Raises a CertificateError with a witness when the input provably is not
+    equivalent: NotBalanced, NotUniform, NotNormalized, NoGridMatch, or
+    ResidualTooLarge when the map misses the roots of unity by more than tol.
+    DuplicateArgument and SingularFrame are float precision refusals, not
+    certificates. A tol that is not a finite number >= 0 raises ValueError.
+
+    The route (label, frame, match, residual) runs first; when its bounds
+    certify balance and uniformity, no table is built. Otherwise the
+    balance and uniformity verdicts run before the route's refusals, as
+    they always have.
+    """
+    require_tolerance(tol)
+    if c.m < 3:
+        raise ValueError(f"canonicalization needs m >= 3, got m = {c.m}")
+    work = c.as_float()
+    scale = max(v.norm() for v in work.vectors)
+    work = Configuration([v.scale(1.0 / scale) for v in work.vectors])
+
+    route = _certified_route(work, None) if c.m % 2 == 1 else None
+    if route is None:
+        report = is_balanced(work)
+        if not report.balanced:
+            raise NotBalanced("configuration is not balanced", witness=report.witness)
+        uniform, pair = is_uniform(work)
+        if not uniform:
+            raise NotUniform("configuration is not uniform", witness=pair)
+        if c.m % 2 == 0:
+            # balanced + even size excludes uniformity; reachable only when
+            # the tolerance blessed a borderline input, so refuse with the
+            # true reason
+            raise NotUniform(f"even m = {c.m} cannot be uniform balanced", witness=None)
+        route = _map_onto_roots(work)
+
+    if route.residual > tol:
         raise ResidualTooLarge(
-            f"residual {residual:.3e} exceeds {tol:.3e}", witness=residual
+            f"residual {route.residual:.3e} exceeds {tol:.3e}", witness=route.residual
         )
     return CanonicalForm(
-        g=g.scale(1.0 / scale),
-        t=float(t_c),
-        k=k_c,
-        index_map=exponents,
-        residual=residual,
+        g=route.g.scale(1.0 / scale),
+        t=float(route.t),
+        k=route.k,
+        index_map=route.exponents,
+        residual=route.residual,
     )
 
 

@@ -29,7 +29,7 @@ from .balance import (
     require_tolerance,
     step_constants,
 )
-from .canonical import RESIDUAL_TOL, CanonicalForm, canonicalize
+from .canonical import RESIDUAL_TOL, CanonicalForm, canonicalize, certified_labeling
 from .errors import BalcfgError, CertificateError, DuplicateArgument, InconsistentConstants
 from .geometry import Configuration, label_by_increasing_arguments, roots_of_unity
 from .render import render_svg
@@ -73,30 +73,40 @@ def _cmd_check(args) -> int:
         "even_m_witness": None,
         "step_constants": None,
     }
-    bal = is_balanced(cfg, args.tol)
-    report["balanced"] = bal.balanced
-    if bal.witness is not None:
-        index, value = bal.witness
-        report["balance_witness"] = {"index": index, "value": value}
-    uniform, pair = is_uniform(cfg, args.tol)
+    # a GL2 image of U_m is certified balanced and uniform by the canonical
+    # map's residual, with no determinant table; anything else is decided
+    # by the verdicts
+    labeled = certified_labeling(cfg, args.tol)
+    if labeled is not None:
+        balanced = uniform = True
+    else:
+        bal = is_balanced(cfg, args.tol)
+        balanced = bal.balanced
+        if bal.witness is not None:
+            index, value = bal.witness
+            report["balance_witness"] = {"index": index, "value": value}
+        uniform, pair = is_uniform(cfg, args.tol)
+        if pair is not None:
+            report["uniform_witness"] = list(pair)
+    report["balanced"] = balanced
     report["uniform"] = uniform
-    if pair is not None:
-        report["uniform_witness"] = list(pair)
-    if bal.balanced and cfg.m % 2 == 0:
+    if balanced and cfg.m % 2 == 0:
         report["even_m_witness"] = even_m_witness(cfg, args.tol)
-    if bal.balanced and uniform and cfg.m % 2 == 1 and cfg.m >= 3:
-        # constants exist in label order: the file's own table has them when
-        # the file is in that order; null when no order has them
+    if balanced and uniform and cfg.m % 2 == 1 and cfg.m >= 3:
+        # constants exist in label order: the file's own determinants have
+        # them when the file is in that order; null when no order has them
         try:
             try:
                 constants = step_constants(cfg, args.tol)
             except InconsistentConstants:
-                constants = step_constants(label_by_increasing_arguments(cfg), args.tol)
+                if labeled is None:
+                    labeled = label_by_increasing_arguments(cfg)
+                constants = step_constants(labeled, args.tol)
             report["step_constants"] = {"A1": constants.A1, "An": constants.An}
         except (InconsistentConstants, DuplicateArgument):
             pass
     _emit_report(report, args)
-    return 0 if bal.balanced else 1
+    return 0 if balanced else 1
 
 
 def _canon_report(

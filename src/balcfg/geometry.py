@@ -6,12 +6,14 @@ kept in lowest terms by construction) or binary floats; the two modes never
 mix inside one operation. Configurations are immutable ordered lists of
 nonzero vectors with a single mode.
 
-A configuration's determinant table (DetTable) keeps its entries at one
-scale. In exact mode, with D the lcm of the coordinate denominators, it is
-built from the integer coordinates x*D, y*D, so every entry is the int
-D^2 * det2 and the scale is D^2; the verdicts sort, add and compare these
-ints. In float mode the entries are the float det2 values and the scale is 1.
-Whatever leaves the package in input units (rows, witnesses, constants) is
+A configuration's determinant rows keep their entries at one scale. In
+exact mode, with D the lcm of the coordinate denominators, each row is built
+from the integer coordinates x*D, y*D, so every entry is the int D^2 * det2
+and the scale is D^2; the verdicts sort, add and compare these ints. In float
+mode the entries are the float det2 values and the scale is 1. Rows are built
+one at a time, on demand, by one comprehension (Configuration.det_row); the
+whole table (DetTable) is those rows, built only for a verdict that reads
+them all. Whatever leaves the package in input units (rows, witnesses) is
 divided back by the scale when it is read.
 """
 
@@ -133,10 +135,6 @@ class DetTable(Sequence):
         self.scale = scale
         self.exact = exact
 
-    def unscale(self, value) -> Scalar:
-        """A scaled entry, or a sum of them, in input units."""
-        return Fraction(value, self.scale) if self.exact else value
-
     def unscale_row(self, row: tuple) -> tuple:
         """A tuple of scaled entries in input units."""
         if not self.exact:
@@ -224,45 +222,77 @@ class Configuration:
         """
         table = self.det_table
         rows = table.scaled
+        xs, ys, scale = self._det_coords
         sub = object.__new__(Configuration)
         object.__setattr__(sub, "vectors", tuple(self.vectors[a] for a in idx))
         # cached_property keeps its value in the instance __dict__ under its
-        # own name, so this entry is the cached det_table.
-        sub.__dict__["det_table"] = DetTable(
-            tuple(tuple(map(rows[a].__getitem__, idx)) for a in idx),
-            table.scale,
-            table.exact,
-        )
+        # own name, so these entries are the cached coordinates, rows and
+        # det_table.
+        sub.__dict__["_det_coords"] = ([xs[a] for a in idx], [ys[a] for a in idx], scale)
+        sub.__dict__["_det_rows"] = [tuple(map(rows[a].__getitem__, idx)) for a in idx]
+        sub.__dict__["det_table"] = DetTable(tuple(sub._det_rows), scale, table.exact)
         return sub
 
     @cached_property
-    def det_table(self) -> DetTable:
-        """The antisymmetric m x m table of det(v_i, v_j), built on first use
-        (or set by _restrict from a parent's table) and then shared by every
-        verdict on this configuration.
-
-        The coordinates are unpacked once, as the ints x*D, y*D in exact
-        mode (D the lcm of their denominators), and each row is one
-        comprehension. So every scaled entry, diagonal and lower half
-        included, is exactly D^2 * det2(v_i, v_j), or det2(v_i, v_j) itself
-        in float mode, the sign of a zero included. No mode check is needed:
-        __init__ rejects mixed modes.
-        """
+    def _det_coords(self) -> tuple:
+        """(xs, ys, scale): the coordinates every determinant row is built
+        from, unpacked once. In exact mode they are the ints x*D, y*D (D the
+        lcm of the denominators) and the scale is D^2; in float mode they are
+        the floats themselves and the scale is 1."""
         vecs = self.vectors
         if self.mode == FLOAT:
-            scale = 1
-            xs = [v.x for v in vecs]
-            ys = [v.y for v in vecs]
-        else:
-            d = math.lcm(*[v.x.denominator for v in vecs], *[v.y.denominator for v in vecs])
-            scale = d * d
-            xs = [v.x.numerator * (d // v.x.denominator) for v in vecs]
-            ys = [v.y.numerator * (d // v.y.denominator) for v in vecs]
-        scaled = tuple(
-            tuple([xi * yj - yi * xj for xj, yj in zip(xs, ys)])
-            for xi, yi in zip(xs, ys)
+            return [v.x for v in vecs], [v.y for v in vecs], 1
+        d = math.lcm(*[v.x.denominator for v in vecs], *[v.y.denominator for v in vecs])
+        xs = [v.x.numerator * (d // v.x.denominator) for v in vecs]
+        ys = [v.y.numerator * (d // v.y.denominator) for v in vecs]
+        return xs, ys, d * d
+
+    @cached_property
+    def _det_rows(self) -> list:
+        """Row i of the scaled table once det_row has built it, else None."""
+        return [None] * self.m
+
+    @cached_property
+    def _sorted_rows(self) -> list:
+        """Row i of sorted_det_row once it has been sorted, else None."""
+        return [None] * self.m
+
+    def det_row(self, i: int) -> tuple:
+        """Row i of the scaled determinant table, built on first use by the
+        one comprehension every row comes from and then cached: entry j is
+        exactly D^2 * det2(v_i, v_j) in exact mode, det2(v_i, v_j) itself in
+        float mode, the sign of a zero included. No mode check is needed:
+        __init__ rejects mixed modes."""
+        row = self._det_rows[i]
+        if row is None:
+            xs, ys, _ = self._det_coords
+            xi, yi = xs[i], ys[i]
+            row = self._det_rows[i] = tuple([xi * yj - yi * xj for xj, yj in zip(xs, ys)])
+        return row
+
+    def sorted_det_row(self, i: int) -> tuple:
+        """det_row(i) without its diagonal entry, sorted once (in table
+        units: see unscale)."""
+        srow = self._sorted_rows[i]
+        if srow is None:
+            row = self.det_row(i)
+            srow = self._sorted_rows[i] = tuple(sorted(row[:i] + row[i + 1 :]))
+        return srow
+
+    def unscale(self, value) -> Scalar:
+        """A scaled table entry, or a sum of them, in input units."""
+        return value if self.mode == FLOAT else Fraction(value, self._det_coords[2])
+
+    @cached_property
+    def det_table(self) -> DetTable:
+        """The antisymmetric m x m table of det(v_i, v_j): every det_row,
+        built on first use (or set by _restrict from a parent's table) and
+        then shared by every verdict that reads the whole table."""
+        return DetTable(
+            tuple(map(self.det_row, range(self.m))),
+            self._det_coords[2],
+            self.mode == EXACT,
         )
-        return DetTable(scaled, scale, self.mode == EXACT)
 
     @cached_property
     def det_max(self) -> Scalar:
@@ -276,18 +306,9 @@ class Configuration:
         skipped: a NaN here would make the default tolerance NaN and pass
         every comparison.
         """
-        table = self.det_table
-        rows = table.scaled
+        rows = self.det_table.scaled
         zero = 0.0 if self.mode == FLOAT else 0
-        return table.unscale(max((zero, *rows[0][1:], *map(max, rows[1:]))))
-
-    @cached_property
-    def sorted_det_rows(self) -> tuple:
-        """Each scaled row of det_table without its diagonal entry, sorted
-        once (in table units: divide by det_table.scale for input units)."""
-        return tuple(
-            tuple(sorted(r[:i] + r[i + 1 :])) for i, r in enumerate(self.det_table.scaled)
-        )
+        return self.unscale(max((zero, *rows[0][1:], *map(max, rows[1:]))))
 
 
 def label_by_increasing_arguments(c: Configuration) -> Configuration:
