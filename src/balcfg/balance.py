@@ -14,11 +14,10 @@ The verdicts read the configuration's determinant rows one at a time,
 Configuration.det_row (one comprehension per row over the unpacked
 coordinates, cached), and each row sorted once. is_balanced builds and sorts
 rows in order and stops at the first asymmetric one; the symmetry test of one
-sorted row lives in _row_fault, which the grid search runs on its
-candidates' rows too. The rows hold scaled entries: in exact mode the ints
-D^2 * det (D the lcm of the coordinate denominators), which sort, add and
-compare at C level with tolerance 0, so no verdict differs from one on det
-itself; in float mode the float det values. Every value a caller reads
+sorted row lives in _row_fault. The rows hold scaled entries: in exact mode
+the ints D^2 * det (D the lcm of the coordinate denominators), which sort,
+add and compare at C level with tolerance 0, so no verdict differs from one
+on det itself; in float mode the float det values. Every value a caller reads
 (BalanceReport.rows, balance witnesses) is divided back to input units by
 Configuration.unscale, and rows only when they are read. step_constants
 reads its 2m entries through det2, the same expression.
@@ -229,8 +228,8 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
 
     Exact mode compares exactly (tol ignored); float mode compares within an
     absolute tolerance (default 1e-9 * max |det|). The rows are built and
-    sorted in order, on demand, and each goes through _row_fault, the row
-    test that the grid search shares, first against the tolerance's bracket.
+    sorted in order, on demand, and each goes through _row_fault, first
+    against the tolerance's bracket.
     The witness is (i, value) for the first row i that fails: the
     larger-magnitude side of its first bad pair, else its middle entry, in
     input units.

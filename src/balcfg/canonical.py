@@ -341,21 +341,29 @@ def _residual_bounds(route: _Route) -> Optional[Tuple[float, float]]:
     return pair, floor
 
 
-def _certified_route(c: Configuration, tol: Optional[float]) -> Optional[_Route]:
-    """The route of a float configuration c of odd m >= 3 when its bounds
-    certify that c is balanced and uniform at tol (the verdicts' default
-    when None), with no determinant table; None when the route refuses or
-    its bounds do not clear the tolerance's bracket."""
+def _route_or_refusal(c: Configuration):
+    """_map_onto_roots(c), or the BalcfgError, ArithmeticError or
+    ValueError it raised."""
     try:
-        route = _map_onto_roots(c)
-    except (BalcfgError, ArithmeticError, ValueError):
-        return None
+        return _map_onto_roots(c)
+    except (BalcfgError, ArithmeticError, ValueError) as exc:
+        return exc
+
+
+def _certifies(route, tol: Optional[float]) -> bool:
+    """True when route, what _route_or_refusal returned for a float
+    configuration of odd m >= 3, certifies with no determinant table that
+    the configuration is balanced and uniform at tol (the verdicts' default
+    when None); False for a refusal or bounds that do not clear the
+    tolerance's bracket."""
+    if not isinstance(route, _Route):
+        return False
     bounds = _residual_bounds(route)
     if bounds is None:
-        return None
+        return False
     pair, floor = bounds
     bracket = _Bracket(route.labeled, tol)
-    return route if pair <= bracket.lo and floor > bracket.hi else None
+    return pair <= bracket.lo and floor > bracket.hi
 
 
 def certified_labeling(c: Configuration, tol: Optional[float] = None) -> Optional[Configuration]:
@@ -369,8 +377,8 @@ def certified_labeling(c: Configuration, tol: Optional[float] = None) -> Optiona
         require_tolerance(tol)
     if c.mode == EXACT or c.m % 2 == 0 or c.m < 3:
         return None
-    route = _certified_route(c, tol)
-    return None if route is None else route.labeled
+    route = _route_or_refusal(c)
+    return route.labeled if _certifies(route, tol) else None
 
 
 def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
@@ -383,10 +391,10 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     DuplicateArgument and SingularFrame are float precision refusals, not
     certificates. A tol that is not a finite number >= 0 raises ValueError.
 
-    The route (label, frame, match, residual) runs first; when its bounds
-    certify balance and uniformity, no table is built. Otherwise the
+    The route (label, frame, match, residual) runs once, first; when its
+    bounds certify balance and uniformity, no table is built. Otherwise the
     balance and uniformity verdicts run before the route's refusals, as
-    they always have.
+    they always have, and the route's result or refusal is then used.
     """
     require_tolerance(tol)
     if c.m < 3:
@@ -395,8 +403,8 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     scale = max(v.norm() for v in work.vectors)
     work = Configuration([v.scale(1.0 / scale) for v in work.vectors])
 
-    route = _certified_route(work, None) if c.m % 2 == 1 else None
-    if route is None:
+    route = _route_or_refusal(work) if c.m % 2 == 1 else None
+    if not _certifies(route, None):
         report = is_balanced(work)
         if not report.balanced:
             raise NotBalanced("configuration is not balanced", witness=report.witness)
@@ -408,7 +416,9 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
             # the tolerance blessed a borderline input, so refuse with the
             # true reason
             raise NotUniform(f"even m = {c.m} cannot be uniform balanced", witness=None)
-        route = _map_onto_roots(work)
+        if not isinstance(route, _Route):
+            # the route's refusal, raised after the verdicts as always
+            raise route
 
     if route.residual > tol:
         raise ResidualTooLarge(

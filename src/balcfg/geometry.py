@@ -209,30 +209,6 @@ class Configuration:
             return self
         return Configuration([v.as_float() for v in self.vectors])
 
-    def _restrict(self, idx: tuple) -> "Configuration":
-        """The members at the strictly increasing indices idx (as
-        itertools.combinations yields them), with det_table read from this
-        configuration's table rather than recomputed.
-
-        The members were validated here, so they are not checked again. The
-        restricted table keeps this table's scale, so its entries are this
-        table's entries bit for bit, zeros' signs included, and it reads in
-        input units exactly as the table the members would build. The method
-        is private to the grid enumeration.
-        """
-        table = self.det_table
-        rows = table.scaled
-        xs, ys, scale = self._det_coords
-        sub = object.__new__(Configuration)
-        object.__setattr__(sub, "vectors", tuple(self.vectors[a] for a in idx))
-        # cached_property keeps its value in the instance __dict__ under its
-        # own name, so these entries are the cached coordinates, rows and
-        # det_table.
-        sub.__dict__["_det_coords"] = ([xs[a] for a in idx], [ys[a] for a in idx], scale)
-        sub.__dict__["_det_rows"] = [tuple(map(rows[a].__getitem__, idx)) for a in idx]
-        sub.__dict__["det_table"] = DetTable(tuple(sub._det_rows), scale, table.exact)
-        return sub
-
     @cached_property
     def _det_coords(self) -> tuple:
         """(xs, ys, scale): the coordinates every determinant row is built
@@ -286,8 +262,8 @@ class Configuration:
     @cached_property
     def det_table(self) -> DetTable:
         """The antisymmetric m x m table of det(v_i, v_j): every det_row,
-        built on first use (or set by _restrict from a parent's table) and
-        then shared by every verdict that reads the whole table."""
+        built on first use and then shared by every verdict that reads the
+        whole table."""
         return DetTable(
             tuple(map(self.det_row, range(self.m))),
             self._det_coords[2],

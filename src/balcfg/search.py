@@ -4,13 +4,12 @@ and exhaustive enumeration of balanced configurations over small exact grids.
 Enumeration treats a configuration as a set of pairwise distinct nonzero grid
 vectors (the objects the definitions quantify over) and lists each set once,
 in lexicographic order of the sorted representative, so results are
-reproducible byte for byte. When the candidates outnumber the grid's pairs
-(m >= 3, unless m is close to the grid size), it builds one determinant table
-for the whole grid, so no grid determinant is evaluated twice: each candidate
-reads its members' int rows from that table and stops at the first row that
-is not symmetric, and only a hit becomes a Configuration (with its table
-restricted from the grid's). Otherwise (as for m <= 2) each pair is read at
-most once anyway, and each candidate builds its own small table.
+reproducible byte for byte. It never tests all C(n, m) candidates: a balanced
+set is collinear or sums to zero, so it lists the collinear sets of each line
+through the origin and walks the (m - 1)-prefixes of the grid, completing
+each by the one grid point that cancels its sum. Each zero-sum set that is
+not collinear is decided by is_balanced on its own Configuration; no grid
+table is built.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .balance import _row_fault, is_balanced, is_uniform
+from .balance import is_balanced, is_uniform
 from .canonical import LinearMap2
 from .errors import BudgetExceeded
 from .geometry import Configuration, PlaneVector
@@ -97,9 +96,12 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     grid, exact arithmetic, in deterministic lexicographic order; optionally
     only the uniform ones.
 
-    With a grid table, a candidate is tested on the table's int rows and
-    rejected at its first asymmetric row; only a hit is built as a
-    Configuration and, under require_uniform, tested for uniformity.
+    Row i of a configuration sums to det(v_i, S), S the sum of its members,
+    and a symmetric row sums to 0. So a balanced set is collinear (every det
+    is 0, and it is balanced) or has S = 0 (two independent members force
+    it). The collinear sets are listed line by line. Every other candidate
+    is an (m - 1)-prefix completed by the grid point at minus its sum, and
+    is decided by is_balanced on its own Configuration.
     """
     if len(spec.coordinate_set) ** (2 * spec.m) > DEFAULT_BUDGET:
         raise BudgetExceeded(
@@ -107,35 +109,32 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
             f"the budget of {DEFAULT_BUDGET}"
         )
     vectors = grid_vectors(spec.coordinate_set)
-    n = len(vectors)
-    if spec.m > n:
+    m, n = spec.m, len(vectors)
+    if m > n:
         return []
-    # A grid table of n^2 entries pays only when the candidates outnumber
-    # the grid's pairs; for m <= 2 it would cost memory and save nothing.
-    if math.comb(n, spec.m) > math.comb(n, 2):
-        balanced = _balanced_subsets(Configuration(vectors), spec.m)
-    else:
-        balanced = (
-            cfg
-            for cfg in map(Configuration, itertools.combinations(vectors, spec.m))
-            if is_balanced(cfg).balanced
-        )
+    xs, ys, _ = Configuration(vectors)._det_coords
+    # each point's line through the origin: its gcd-reduced direction, with
+    # the first nonzero coordinate positive
+    line_of = []
+    lines = {}
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        g = math.gcd(x, y)
+        line = (x // g, y // g) if (x, y) > (0, 0) else (-x // g, -y // g)
+        line_of.append(line)
+        lines.setdefault(line, []).append(i)
+    found = {
+        idx: Configuration([vectors[a] for a in idx])
+        for members in lines.values()
+        for idx in itertools.combinations(members, m)
+    }
+    index = {p: i for i, p in enumerate(zip(xs, ys))}
+    for prefix in itertools.combinations(range(n), m - 1):
+        j = index.get((-sum([xs[a] for a in prefix]), -sum([ys[a] for a in prefix])), -1)
+        if j > max(prefix, default=-1) and any([line_of[a] != line_of[j] for a in prefix]):
+            cfg = Configuration([vectors[a] for a in prefix + (j,)])
+            if is_balanced(cfg).balanced:
+                found[prefix + (j,)] = cfg
+    hits = [found[idx] for idx in sorted(found)]
     if spec.require_uniform:
-        return [cfg for cfg in balanced if is_uniform(cfg)[0]]
-    return list(balanced)
-
-
-def _balanced_subsets(grid: Configuration, m: int):
-    """The balanced m-member subsets of grid, in combinations order. Each
-    member's row of the grid's scaled ints, restricted to the candidate and
-    sorted, goes through _row_fault at the exact tolerance 0; these are the
-    entries _restrict would copy, so the verdict is is_balanced's. Only a
-    hit is restricted into a Configuration."""
-    rows = grid.det_table.scaled
-    for idx in itertools.combinations(range(len(rows)), m):
-        for a in idx:
-            row = rows[a]
-            if _row_fault(sorted([row[b] for b in idx if b != a]), 0) is not None:
-                break
-        else:
-            yield grid._restrict(idx)
+        return [cfg for cfg in hits if is_uniform(cfg)[0]]
+    return hits

@@ -7,9 +7,9 @@ from balcfg.geometry import Configuration
 
 @pytest.fixture
 def tables_built(monkeypatch):
-    """The size m of every determinant table built during the test, in build
-    order. A table that _restrict reads from its parent's table is not built,
-    so it is not listed."""
+    """The size m of every determinant table (Configuration.det_table) built
+    during the test, in build order. Rows built on demand by det_row, with no
+    whole table, are not listed."""
     build = Configuration.det_table.func
     sizes = []
 

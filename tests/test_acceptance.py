@@ -245,6 +245,21 @@ def test_acceptance_10_cli_golden_files(capsys):
         report(ok, "CLI reports and SVG are byte-identical to the golden files")
 
 
+def test_acceptance_10_search_golden_directory(capsys, tmp_path):
+    # three of the 14 hits are collinear with a nonzero sum, so the golden
+    # directory pins the collinear listing as well as the zero-sum walk
+    golden = GOLDEN / "search_m3_-1_0_1_2"
+    out = tmp_path / "hits"
+    code = main(["search", "--m", "3", "--coords", "-1,0,1,2", "--out", str(out)])
+    stdout = capsys.readouterr().out
+    names = sorted(p.name for p in golden.iterdir())
+    ok = code == 0 and stdout == (golden / "summary.json").read_text()
+    ok = ok and sorted(p.name for p in out.iterdir()) == names
+    ok = ok and all((out / name).read_bytes() == (golden / name).read_bytes() for name in names)
+    with capsys.disabled():
+        report(ok, "search --out writes the golden hit files and summary byte for byte")
+
+
 def test_acceptance_10_check_report_is_valid_json(capsys):
     main(["check", str(DATA / "u5.json")])
     out = capsys.readouterr().out

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balcfg import canonical
 from balcfg.balance import (
     DEFAULT_REL_TOL,
     _Bracket,
@@ -265,3 +266,24 @@ def test_certified_labeling_declines_a_bound_that_does_not_clear():
     assert certified_labeling(moved) is None
     # an explicit tolerance of 1 makes some |det| fall under it
     assert certified_labeling(image, 1.0) is None
+
+
+@pytest.mark.parametrize("eps", [1e-11, 3e-11])
+def test_canonicalize_maps_onto_the_roots_once(monkeypatch, eps):
+    # moved by eps, a U_201 image still canonicalizes, but the route's bound
+    # does not clear: the verdicts run on the table, and the route's first
+    # result is the one returned
+    c = perturb(random_invertible(11).apply_configuration(roots_of_unity(201)), eps, seed=5)
+    assert certified_labeling(c) is None
+    route = canonical._map_onto_roots
+    calls = []
+
+    def counting(work):
+        calls.append(work.m)
+        return route(work)
+
+    monkeypatch.setattr(canonical, "_map_onto_roots", counting)
+    form = canonicalize(c)
+    assert calls == [201]
+    found = form.g.rows(), form.k, form.index_map, form.residual
+    assert repr(found) == repr(_ref_canonicalize(c, RESIDUAL_TOL))

@@ -247,55 +247,28 @@ def test_item4_check_agrees_with_canon_at_float_scale_extremes(capsys, tmp_path,
     assert json.loads(out)["uniform"] is True
 
 
-def test_search_evaluates_each_grid_determinant_once(capsys, tables_built):
-    # one table of the 8 nonzero vectors of {-1, 0, 1}^2, with C(8, 2) = 28
-    # pairs; every candidate reads its rows from it
+def test_search_builds_no_grid_table(capsys, tables_built):
+    # m = 4 over {-1, 0, 1}^2: no table of the 8 grid vectors; the zero-sum
+    # candidates are decided on rows built on demand, and only the 6 hits
+    # build their own tables, when the summary tests them for uniformity
     code, out, _ = run(capsys, "search", "--m", "4", "--coords", "-1,0,1")
     assert code == 0
     assert json.loads(out)["count"] == 6
-    assert tables_built == [8]
-    assert sum(math.comb(size, 2) for size in tables_built) == 28
-
-
-def test_search_builds_a_configuration_only_for_a_hit(
-    capsys, monkeypatch, tables_built
-):
-    # the 70 candidates of m = 4 over {-1, 0, 1}^2 are decided on the grid
-    # table's int rows; only the 6 hits are restricted into a Configuration
-    restrict = Configuration._restrict
-    calls = []
-
-    def counting(self, idx):
-        calls.append(idx)
-        return restrict(self, idx)
-
-    monkeypatch.setattr(Configuration, "_restrict", counting)
-    code, out, _ = run(capsys, "search", "--m", "4", "--coords", "-1,0,1")
-    assert code == 0
-    assert json.loads(out)["count"] == 6
-    assert len(calls) == 6
-    assert tables_built == [8]
+    assert tables_built == [4] * 6
 
 
 @pytest.mark.parametrize(
     "m, values, count, calls", [(1, 100, 9999, 0), (2, 10, 136, 136)]
 )
-def test_small_m_search_builds_no_grid_table(
-    capsys, monkeypatch, tables_built, m, values, count, calls
-):
-    # with m <= 2 each grid pair is read at most once, so a table of the
-    # whole grid (9999 vectors for 100 values) would only cost memory
-    def forbidden(self, idx):
-        raise AssertionError("a grid table was shared")
-
-    monkeypatch.setattr(Configuration, "_restrict", forbidden)
+def test_small_m_search_builds_no_grid_table(capsys, tables_built, m, values, count, calls):
+    # a table of the whole grid (9999 vectors for 100 values) would only
+    # cost memory
     coords = ",".join(str(k) for k in range(values))
     code, out, _ = run(capsys, "search", "--m", str(m), "--coords", coords)
     assert code == 0
     assert json.loads(out)["count"] == count
-    # is_balanced reads each candidate's rows without a table; only a hit
-    # builds its own, of m members, when the summary tests it for
-    # uniformity: for m = 2 the 136 hits hold one pair each
+    # only a hit builds its own table, of m members, when the summary tests
+    # it for uniformity: for m = 2 the 136 hits hold one pair each
     assert set(tables_built) == {m}
     assert sum(math.comb(size, 2) for size in tables_built) == calls
 

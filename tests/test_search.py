@@ -22,6 +22,9 @@ from balcfg.search import grid_vectors
 
 GRID3 = (Fraction(-1), Fraction(0), Fraction(1))
 GRID5 = tuple(Fraction(k, 2) for k in range(-2, 3))
+# lines through the origin with three grid points and a nonzero sum, such as
+# (-1, -1), (1, 1), (2, 2): balanced only as collinear sets
+GRID4 = tuple(map(Fraction, (-1, 0, 1, 2)))
 
 
 def test_random_invertible_is_seed_deterministic():
@@ -111,7 +114,7 @@ def brute_force(coords, m, require_uniform):
 
 @pytest.mark.parametrize("require_uniform", [False, True])
 @pytest.mark.parametrize(
-    "coords, m", [(GRID3, m) for m in range(1, 6)] + [(GRID5, 3)]
+    "coords, m", [(GRID3, m) for m in range(1, 6)] + [(GRID5, 3), (GRID4, 2), (GRID4, 3)]
 )
 def test_enumeration_equals_its_definition(coords, m, require_uniform):
     hits = enumerate_balanced(SearchSpec(m, coords, require_uniform))
@@ -138,8 +141,8 @@ def test_budget_guard():
     st.booleans(),
 )
 def test_enumeration_equals_brute_force_on_random_grids(coords, m, require_uniform):
-    # m >= 3 over 3 or more values takes the grid-table route, the rest the
-    # per-candidate one; both must list exactly the brute-force hits
+    # the collinear listing and the zero-sum walk together must list exactly
+    # the brute-force hits
     hits = enumerate_balanced(SearchSpec(m, tuple(coords), require_uniform))
     expected = brute_force(tuple(sorted(coords)), m, require_uniform)
     assert hits == expected
