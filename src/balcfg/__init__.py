@@ -35,19 +35,14 @@ from .errors import (
     BudgetExceeded,
     CertificateError,
     ConfigFileError,
-    DegenerateStep,
     DuplicateArgument,
     InconsistentConstants,
-    ModeMismatch,
     NoGridMatch,
     NotBalanced,
     NotNormalized,
     NotUniform,
-    OddM,
     ResidualTooLarge,
-    RootCountMismatch,
     SingularFrame,
-    ZeroVector,
 )
 from .geometry import (
     Configuration,
@@ -84,28 +79,23 @@ __all__ = [
     "CertificateError",
     "ConfigFileError",
     "Configuration",
-    "DegenerateStep",
     "DuplicateArgument",
     "EquivalenceVerdict",
     "InconsistentConstants",
     "LinearMap2",
-    "ModeMismatch",
     "NoGridMatch",
     "NotBalanced",
     "NotNormalized",
     "NotUniform",
-    "OddM",
     "PairingMap",
     "ParityVerdict",
     "PlaneVector",
     "PolyPair",
     "ResidualTooLarge",
-    "RootCountMismatch",
     "RootGrid",
     "SearchSpec",
     "SingularFrame",
     "StepConstants",
-    "ZeroVector",
     "argument",
     "build_pairing",
     "canonicalize",

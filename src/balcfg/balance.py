@@ -18,9 +18,9 @@ sorted row lives in _row_fault. The rows hold scaled entries: in exact mode
 the ints D^2 * det (D the lcm of the coordinate denominators), which sort,
 add and compare at C level with tolerance 0, so no verdict differs from one
 on det itself; in float mode the float det values. Every value a caller reads
-(BalanceReport.rows, balance witnesses) is divided back to input units by
-Configuration.unscale, and rows only when they are read. step_constants
-reads its 2m entries through det2, the same expression.
+(a balance witness, det_max) is divided back to input units by
+Configuration.unscale. step_constants reads its 2m entries through det2, the
+same expression.
 
 The default float tolerance is 1e-9 * det_max, and det_max needs the whole
 m x m table. Every verdict first decides against a bracket of it instead
@@ -44,19 +44,12 @@ det(v_k, v_{k+a}) = -det(v_k, v_{k-a}) in disguise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import repeat
 from operator import add, ge, lt, sub
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import (
-    AmbiguousPairing,
-    InconsistentConstants,
-    NotBalanced,
-    NotUniform,
-    OddM,
-)
+from .errors import AmbiguousPairing, InconsistentConstants, NotBalanced, NotUniform
 from .geometry import EXACT, Configuration, Scalar, argument, cyclic_index, det2
 
 # Relative factor for the default float tolerance: tol = 1e-9 * max |det|.
@@ -77,19 +70,11 @@ ARGUMENT_ERR = 1e-14
 
 @dataclass(frozen=True)
 class BalanceReport:
-    """Outcome of is_balanced on config: verdict, optional (index, value)
-    witness where multiset symmetry fails, and (rows) the per-index sorted
-    determinant multisets, in input units."""
+    """Outcome of is_balanced: the verdict, and the (index, value) witness
+    where multiset symmetry fails, in input units."""
 
     balanced: bool
     witness: Optional[Tuple[int, Scalar]]
-    config: Configuration = field(repr=False)
-
-    @cached_property
-    def rows(self) -> Tuple[Tuple[Scalar, ...], ...]:
-        """The sorted rows of the table, divided back when first read."""
-        c = self.config
-        return tuple(tuple(map(c.unscale, c.sorted_det_row(i))) for i in range(c.m))
 
 
 @dataclass(frozen=True)
@@ -241,8 +226,8 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
         if j is not None:
             lo, hi = srow[j], srow[-1 - j]
             value = hi if abs(hi) >= abs(lo) else lo
-            return BalanceReport(False, (i, c.unscale(value)), c)
-    return BalanceReport(True, None, c)
+            return BalanceReport(False, (i, c.unscale(value)))
+    return BalanceReport(True, None)
 
 
 def _gap_floor(c: Configuration) -> Optional[float]:
@@ -287,7 +272,7 @@ def is_uniform(
         if floor is not None and floor > _Bracket(c, tol).hi:
             return True, None
     eff = _tolerance(c, tol)
-    for i, row in enumerate(c.det_table.scaled):
+    for i, row in enumerate(c.det_table):
         rest = row[i + 1 :]
         # an overflowed entry (inf - inf) is NaN and counts as nonzero: min
         # skips a NaN unless it comes first and is returned, and "not > eff"
@@ -311,7 +296,7 @@ def even_m_witness(c: Configuration, tol: Optional[float] = None) -> int:
     units.
     """
     if c.m % 2 == 1:
-        raise OddM(f"m = {c.m} is odd; the even-m obstruction does not apply")
+        raise ValueError(f"m = {c.m} is odd; the even-m obstruction does not apply")
     row = c.det_row(0)
     j = min(range(1, c.m), key=lambda i: abs(row[i]))
     if _Bracket(c, tol).fault(lambda eff: True if abs(row[j]) > eff else None):
@@ -345,7 +330,7 @@ def build_pairing(c: Configuration, tol: Optional[float] = None) -> PairingMap:
 
     per_index: List[FrozenSet[FrozenSet[int]]] = []
     phi: Dict[FrozenSet[int], int] = {}
-    for i, row in enumerate(c.det_table.scaled):
+    for i, row in enumerate(c.det_table):
         order = sorted((j for j in range(c.m) if j != i), key=row.__getitem__)
         pairs = set()
         lo, hi = 0, len(order) - 1
@@ -377,7 +362,7 @@ def verify_antisymmetry(
         raise ValueError("antisymmetry is stated for odd m")
     eff = _tolerance(c, tol)
     m, n = c.m, c.n
-    for k, row in enumerate(c.det_table.scaled):
+    for k, row in enumerate(c.det_table):
         for a in range(1, n + 1):
             fwd = row[cyclic_index(k + a, m)]
             bwd = row[cyclic_index(k - a, m)]

@@ -54,7 +54,6 @@ from .balance import (
 from .errors import (
     BalcfgError,
     CertificateError,
-    DegenerateStep,
     NoGridMatch,
     NotBalanced,
     NotNormalized,
@@ -124,9 +123,6 @@ class LinearMap2:
 
     def rows(self) -> Tuple[Tuple[Scalar, Scalar], Tuple[Scalar, Scalar]]:
         return ((self.a, self.b), (self.c, self.d))
-
-
-IDENTITY = LinearMap2(1.0, 0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -226,7 +222,7 @@ def _check_step(v: PlaneVector, slot: int, scale: float) -> None:
     else:
         bad = v.norm() <= FRAME_DET_TOL * scale
     if bad:
-        raise DegenerateStep(f"reconstruction produced a zero vector at slot {slot}")
+        raise ValueError(f"reconstruction produced a zero vector at slot {slot}")
 
 
 def _diagram_exponents(m: int, k: int) -> Tuple[int, ...]:

@@ -6,6 +6,13 @@ witness) and everything else (usage, input, precision limits, solver faults).
 Each CLI command catches the certificates it can meet and reports them, so
 exit code 1 always comes with a report on stdout that names the certificate.
 Every other error, and a certificate that escapes a command, exits 2.
+
+Only errors that some caller tells apart get a class here: the certificates,
+whose names the canon report prints; DuplicateArgument, which check catches;
+SingularFrame; BudgetExceeded; ConfigFileError. A bad argument (mixed modes,
+a zero vector, a size of the wrong parity, a degenerate reconstruction, a
+root solver that gives up) is a plain ValueError, which the CLI maps to exit
+2 like every BalcfgError.
 """
 
 from __future__ import annotations
@@ -13,14 +20,6 @@ from __future__ import annotations
 
 class BalcfgError(Exception):
     """Base class for every error raised by this package."""
-
-
-class ModeMismatch(BalcfgError):
-    """Operands mix exact-rational and float arithmetic."""
-
-
-class ZeroVector(BalcfgError):
-    """A configuration member (or argument() input) is the zero vector."""
 
 
 class DuplicateArgument(BalcfgError):
@@ -46,20 +45,12 @@ class NotUniform(CertificateError):
     """Some pair of members is linearly dependent."""
 
 
-class OddM(BalcfgError):
-    """An even-size operation was called with odd m."""
-
-
 class AmbiguousPairing(CertificateError):
     """Float clustering produced an inconsistent pairing at this tolerance."""
 
 
 class InconsistentConstants(CertificateError):
     """det(v_k, v_{k+1}) or det(v_k, v_{k+n}) is not constant in k."""
-
-
-class RootCountMismatch(BalcfgError):
-    """A closure-parameter grid does not have exactly n = (m-1)/2 values."""
 
 
 class SingularFrame(BalcfgError):
@@ -78,10 +69,6 @@ class NoGridMatch(CertificateError):
 class ResidualTooLarge(CertificateError):
     """The canonical map misses the roots of unity by more than the residual
     tolerance."""
-
-
-class DegenerateStep(BalcfgError):
-    """Reconstruction produced a zero vector."""
 
 
 class BudgetExceeded(BalcfgError):

@@ -12,21 +12,20 @@ from the integer coordinates x*D, y*D, so every entry is the int D^2 * det2
 and the scale is D^2; the verdicts sort, add and compare these ints. In float
 mode the entries are the float det2 values and the scale is 1. Rows are built
 one at a time, on demand, by one comprehension (Configuration.det_row); the
-whole table (DetTable) is those rows, built only for a verdict that reads
-them all. Whatever leaves the package in input units (rows, witnesses) is
-divided back by the scale when it is read.
+whole table (det_table) is the tuple of those rows, built only for a verdict
+that reads them all. A value that leaves the package (a witness, a maximum)
+is divided back to input units by Configuration.unscale.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Union
 
-from .errors import DuplicateArgument, ModeMismatch, ZeroVector
+from .errors import DuplicateArgument
 
 Scalar = Union[Fraction, float]
 
@@ -97,7 +96,7 @@ class PlaneVector:
 def det2(a: PlaneVector, b: PlaneVector) -> Scalar:
     """Determinant of the 2x2 matrix with columns a, b: a.x*b.y - a.y*b.x."""
     if a.mode != b.mode:
-        raise ModeMismatch(f"det2 operands in different modes: {a.mode} vs {b.mode}")
+        raise ValueError(f"det2 operands in different modes: {a.mode} vs {b.mode}")
     return a.x * b.y - a.y * b.x
 
 
@@ -108,7 +107,7 @@ def argument(v: PlaneVector) -> float:
     float and is used for ordering only.
     """
     if v.is_zero():
-        raise ZeroVector("argument of the zero vector is undefined")
+        raise ValueError("argument of the zero vector is undefined")
     theta = math.atan2(float(v.y), float(v.x))
     if theta < 0.0:
         theta += 2.0 * math.pi
@@ -116,47 +115,6 @@ def argument(v: PlaneVector) -> float:
     if theta >= 2.0 * math.pi:
         theta = 0.0
     return theta
-
-
-class DetTable(Sequence):
-    """The determinant table of a configuration, held at one scale.
-
-    scaled[i][j] is det2(v_i, v_j) * scale: the ints D^2 * det2 in exact
-    mode, the float det2 values (scale 1) in float mode. Read as a sequence,
-    the table gives each row in input units, every entry equal to
-    det2(v_i, v_j), and it compares and prints as the tuple of those rows; a
-    row is divided back only when it is read.
-    """
-
-    __slots__ = ("scaled", "scale", "exact")
-
-    def __init__(self, scaled: tuple, scale: int, exact: bool):
-        self.scaled = scaled
-        self.scale = scale
-        self.exact = exact
-
-    def unscale_row(self, row: tuple) -> tuple:
-        """A tuple of scaled entries in input units."""
-        if not self.exact:
-            return row
-        scale = self.scale
-        return tuple([Fraction(e, scale) for e in row])
-
-    def __len__(self) -> int:
-        return len(self.scaled)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.unscale_row, self.scaled[i]))
-        return self.unscale_row(self.scaled[i])
-
-    def __eq__(self, other):
-        if isinstance(other, (DetTable, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -174,10 +132,10 @@ class Configuration:
             raise ValueError("a configuration needs at least one vector")
         modes = {v.mode for v in vecs}
         if len(modes) > 1:
-            raise ModeMismatch("configuration mixes exact and float vectors")
+            raise ValueError("configuration mixes exact and float vectors")
         for i, v in enumerate(vecs):
             if v.is_zero():
-                raise ZeroVector(f"configuration member {i} is the zero vector")
+                raise ValueError(f"configuration member {i} is the zero vector")
         object.__setattr__(self, "vectors", vecs)
 
     @property
@@ -260,15 +218,11 @@ class Configuration:
         return value if self.mode == FLOAT else Fraction(value, self._det_coords[2])
 
     @cached_property
-    def det_table(self) -> DetTable:
-        """The antisymmetric m x m table of det(v_i, v_j): every det_row,
-        built on first use and then shared by every verdict that reads the
-        whole table."""
-        return DetTable(
-            tuple(map(self.det_row, range(self.m))),
-            self._det_coords[2],
-            self.mode == EXACT,
-        )
+    def det_table(self) -> tuple:
+        """The antisymmetric m x m table, scaled: every det_row, built on
+        first use and then shared by every verdict that reads the whole
+        table."""
+        return tuple(map(self.det_row, range(self.m)))
 
     @cached_property
     def det_max(self) -> Scalar:
@@ -282,7 +236,7 @@ class Configuration:
         skipped: a NaN here would make the default tolerance NaN and pass
         every comparison.
         """
-        rows = self.det_table.scaled
+        rows = self.det_table
         zero = 0.0 if self.mode == FLOAT else 0
         return self.unscale(max((zero, *rows[0][1:], *map(max, rows[1:]))))
 

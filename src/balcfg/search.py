@@ -101,15 +101,19 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     is 0, and it is balanced) or has S = 0 (two independent members force
     it). The collinear sets are listed line by line. Every other candidate
     is an (m - 1)-prefix completed by the grid point at minus its sum, and
-    is decided by is_balanced on its own Configuration.
+    is decided by is_balanced on its own Configuration. BudgetExceeded
+    refuses a walk of more than DEFAULT_BUDGET prefixes, C(n, m - 1) for n
+    grid vectors.
     """
-    if len(spec.coordinate_set) ** (2 * spec.m) > DEFAULT_BUDGET:
+    coords = spec.coordinate_set
+    # the grid's nonzero vectors, counted before any is built
+    m, n = spec.m, len(coords) ** 2 - (0 in coords)
+    prefixes = math.comb(n, m - 1)
+    if prefixes > DEFAULT_BUDGET:
         raise BudgetExceeded(
-            f"{len(spec.coordinate_set)}^{2 * spec.m} candidate tuples exceed "
-            f"the budget of {DEFAULT_BUDGET}"
+            f"C({n}, {m - 1}) = {prefixes} prefixes exceed the budget of {DEFAULT_BUDGET}"
         )
-    vectors = grid_vectors(spec.coordinate_set)
-    m, n = spec.m, len(vectors)
+    vectors = grid_vectors(coords)
     if m > n:
         return []
     xs, ys, _ = Configuration(vectors)._det_coords

@@ -36,7 +36,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import polynomials as ip
-from .errors import RootCountMismatch
 from .geometry import Configuration, PlaneVector, Scalar
 
 # Certified isolating width for polynomial roots.
@@ -65,9 +64,7 @@ class RootGrid:
         if self.m % 2 == 0 or self.m < 3:
             raise ValueError(f"grid needs odd m >= 3, got {self.m}")
         if len(self.values) != n:
-            raise RootCountMismatch(
-                f"grid for m = {self.m} needs {n} values, got {len(self.values)}"
-            )
+            raise ValueError(f"grid for m = {self.m} needs {n} values, got {len(self.values)}")
         if list(self.values) != sorted(self.values):
             raise ValueError("grid values must be sorted ascending")
         for v in self.values:
@@ -148,12 +145,14 @@ def check_parity_degrees(
 def closure_roots(wn: PolyPair) -> RootGrid:
     """Solve wn(t) = (1, 0), certified, for wn = w_n of symbolic_sequences(n):
     the real roots of the primitive gcd of y(w_n) and x(w_n) - 1 over Z[t],
-    each the midpoint of an isolating interval of width <= 1e-12."""
+    each the midpoint of an isolating interval of width <= 1e-12. A solver
+    that gives up (ArithmeticError) raises ValueError: it is not a
+    certificate."""
     closure = ip.primitive_gcd(wn.y, ip.sub(wn.x, (1,)))
     try:
         intervals = ip.certified_roots(closure, ROOT_WIDTH)
     except ArithmeticError as exc:
-        raise RootCountMismatch(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     return RootGrid(ip.degree(wn.y) + 1, tuple(float((lo + hi) / 2) for lo, hi in intervals))
 
 

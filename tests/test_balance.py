@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balcfg import (
+    AmbiguousPairing,
     Configuration,
     InconsistentConstants,
     NotBalanced,
@@ -21,7 +22,6 @@ from balcfg import (
     verify_antisymmetry,
 )
 from balcfg.canonical import LinearMap2, canonicalize
-from balcfg.errors import OddM
 
 SQUARE = Configuration([(1, 0), (0, 1), (-1, 0), (0, -1)])
 
@@ -37,8 +37,10 @@ def test_roots_of_unity_are_balanced_and_uniform():
 
 
 def test_balance_rows_are_sign_symmetric():
-    report = is_balanced(roots_of_unity(7))
-    for row in report.rows:
+    c = roots_of_unity(7)
+    assert is_balanced(c).balanced
+    for i in range(c.m):
+        row = tuple(map(c.unscale, c.sorted_det_row(i)))
         assert len(row) == 6
         for a, b in zip(row, reversed(row)):
             assert math.isclose(a, -b, abs_tol=1e-12)
@@ -49,8 +51,9 @@ def test_unbalanced_witness_points_at_an_unmatched_value():
     report = is_balanced(c)
     assert not report.balanced
     i, value = report.witness
-    assert value in report.rows[i]
-    assert min(abs(value + d) for d in report.rows[i]) > 1e-9
+    row = tuple(map(c.unscale, c.sorted_det_row(i)))
+    assert value in row
+    assert min(abs(value + d) for d in row) > 1e-9
 
 
 def test_square_is_balanced_but_not_uniform():
@@ -64,7 +67,7 @@ def test_square_is_balanced_but_not_uniform():
 
 
 def test_even_m_witness_requires_even_size():
-    with pytest.raises(OddM):
+    with pytest.raises(ValueError, match="m = 5 is odd"):
         even_m_witness(roots_of_unity(5))
 
 
@@ -136,6 +139,25 @@ def test_pairing_rejects_even_and_non_uniform():
         build_pairing(collinear)
 
 
+def test_pairing_names_a_pair_two_rows_claim():
+    # a float m = 5 set that is balanced and uniform at tol 0.45, where rows
+    # 0 and 3 both pair member 2 with member 4
+    c = Configuration(
+        [
+            (1.11927274492244, -0.09693755220174939),
+            (0.12864575258786445, 0.7252064687844431),
+            (-1.0219684647689085, 0.9187988951729917),
+            (-0.7573265257430035, -0.595905989893189),
+            (0.5053854004991467, -1.0988691926353142),
+        ]
+    )
+    assert is_balanced(c, tol=0.45).balanced
+    assert is_uniform(c, tol=0.45) == (True, None)
+    with pytest.raises(AmbiguousPairing) as caught:
+        build_pairing(c, tol=0.45)
+    assert caught.value.witness == (0, 3, (2, 4))
+
+
 def test_antisymmetry_on_roots_of_unity():
     for m in (3, 5, 7, 21):
         ok, witness = verify_antisymmetry(roots_of_unity(m), tol=1e-12)
@@ -202,13 +224,13 @@ def _reference_tol(c, tol):
     st.sampled_from([None, 1e-6, 0.5]),
 )
 def test_verdicts_read_the_pairwise_determinants(c, tol):
-    # the shared table must hold exactly det2(v_i, v_j); repr tells 0.0
-    # from -0.0, which == does not
-    assert repr(c.det_table) == repr(tuple(tuple(det2(v, w) for w in c) for v in c))
-    report = is_balanced(c, tol)
+    # the shared table, divided back, must hold exactly det2(v_i, v_j); repr
+    # tells 0.0 from -0.0, which == does not
+    table = tuple(tuple(map(c.unscale, row)) for row in c.det_table)
+    assert repr(table) == repr(tuple(tuple(det2(v, w) for w in c) for v in c))
     for i in range(c.m):
         expected = tuple(sorted(det2(c[i], c[j]) for j in range(c.m) if j != i))
-        assert report.rows[i] == expected
+        assert tuple(map(c.unscale, c.sorted_det_row(i))) == expected
     assert is_uniform(c, tol) == _reference_is_uniform(c, tol)
 
 
@@ -278,7 +300,7 @@ def test_odd_row_middle_is_compared_with_tol_not_twice_itself():
     # its middle entry: row 0 sorts to (-1, s, 1) and row 2 to (-1, -s, 1)
     s = 0.25
     c = Configuration([(1.0, 0.0), (0.0, 1.0), (-1.0, s), (0.0, -1.0)])
-    assert is_balanced(c).rows[0] == (-1.0, s, 1.0)
+    assert c.sorted_det_row(0) == (-1.0, s, 1.0)
     # |s| <= tol < |2 s|: the middle pairs with nothing, so it is within tol
     assert is_balanced(c, tol=0.3).balanced
     assert is_balanced(c, tol=s).balanced

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from balcfg import polynomials
+from balcfg import sequences
 from balcfg.balance import step_constants
 from balcfg.canonical import LinearMap2
 from balcfg.cli import main
@@ -321,12 +321,16 @@ def test_roots_beyond_twenty_match_the_closed_form(capsys, n):
 
 
 def test_roots_solver_fault_is_not_a_certificate(capsys, monkeypatch):
+    # closure_roots turns the solver's ArithmeticError into the ValueError
+    # that main maps to exit 2; uncaught, it would be a traceback
     def give_up(p, width):
         raise ArithmeticError("root isolation did not terminate")
 
-    monkeypatch.setattr(polynomials, "certified_roots", give_up)
-    code, _, err = run(capsys, "roots", "--n", "3")
+    monkeypatch.setattr(sequences.ip, "certified_roots", give_up)
+    code, out, err = run(capsys, "roots", "--n", "3")
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: root isolation did not terminate")
     assert "certificate" not in err
 
 
@@ -423,9 +427,15 @@ def test_search_summary_and_files(capsys, tmp_path):
 
 
 def test_search_budget_exit(capsys):
-    code, _, err = run(capsys, "search", "--m", "8", "--coords", "-1,0,1")
+    code, _, err = run(capsys, "search", "--m", "6", "--coords", "0,1,2,3,4,5,6,7,8,9")
     assert code == 2
     assert "error" in err
+
+
+def test_search_within_the_prefix_budget_runs(capsys):
+    code, out, _ = run(capsys, "search", "--m", "8", "--coords", "-1,0,1")
+    assert code == 0
+    assert json.loads(out)["count"] == 1
 
 
 def test_missing_file_exits_two(capsys):

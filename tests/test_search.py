@@ -125,8 +125,17 @@ def test_enumeration_equals_its_definition(coords, m, require_uniform):
 
 
 def test_budget_guard():
-    with pytest.raises(BudgetExceeded):
-        enumerate_balanced(SearchSpec(m=8, coordinate_set=GRID3))
+    # the walk visits C(n, m - 1) prefixes of the n grid vectors: C(99, 5)
+    # is about 7.2e7
+    with pytest.raises(BudgetExceeded, match=r"C\(99, 5\)"):
+        enumerate_balanced(SearchSpec(m=6, coordinate_set=tuple(range(10))))
+
+
+def test_budget_counts_prefixes_not_coordinate_tuples():
+    # 3^16 coordinate tuples, but only C(8, 7) = 8 prefixes: the one hit is
+    # every nonzero vector of the grid
+    hits = enumerate_balanced(SearchSpec(m=8, coordinate_set=GRID3))
+    assert hits == [Configuration(grid_vectors(GRID3))]
 
 
 @settings(max_examples=15, deadline=None)

@@ -5,7 +5,6 @@ import pytest
 
 from balcfg import polynomials as ip
 from balcfg.canonical import frame_map
-from balcfg.errors import RootCountMismatch
 from balcfg.geometry import roots_of_unity
 from balcfg.sequences import (
     PolyPair,
@@ -164,7 +163,7 @@ def test_t_grid_rejects_even_m():
 
 
 def test_root_grid_validates_count():
-    with pytest.raises(RootCountMismatch):
+    with pytest.raises(ValueError, match="needs 2 values"):
         RootGrid(m=5, values=(-1.0,))
 
 
