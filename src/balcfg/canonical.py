@@ -38,7 +38,7 @@ y_{j+1} = r y_j - y_{j-1}, the same as the model sequences' (r = t there).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from .balance import (
@@ -232,34 +232,11 @@ def _diagram_exponents(m: int, k: int) -> Tuple[int, ...]:
     return tuple(exps)
 
 
-class _Route:
-    """What the label, frame, match and residual steps produce. A plain
-    class, as a NamedTuple class is slow to create when the CLI imports the
-    module."""
-
-    __slots__ = ("labeled", "g", "t", "k", "exponents", "residual")
-
-    def __init__(
-        self,
-        labeled: Configuration,
-        g: LinearMap2,
-        t: Scalar,
-        k: int,
-        exponents: Tuple[int, ...],
-        residual: float,
-    ):
-        self.labeled = labeled
-        self.g = g
-        self.t = t
-        self.k = k
-        self.exponents = exponents
-        self.residual = residual
-
-
-def _map_onto_roots(c: Configuration) -> _Route:
-    """Label c by argument, frame it, match t_C on the grid, and measure the
-    residual of the composite map against the assigned roots of unity; c is
-    a float configuration of odd m >= 3. Raises what those steps raise."""
+def _map_onto_roots(c: Configuration) -> Tuple[Configuration, CanonicalForm]:
+    """c labeled by argument, and the form that frames it, matches t_C on
+    the grid, and measures the residual of the composite map against the
+    assigned roots of unity; c is a float configuration of odd m >= 3.
+    Raises what those steps raise."""
     labeled = label_by_increasing_arguments(c)
     m, n = labeled.m, labeled.n
     g_frame = frame_map(labeled[0], labeled[n])
@@ -279,17 +256,17 @@ def _map_onto_roots(c: Configuration) -> _Route:
     for i, v in enumerate(labeled.vectors):
         target = unit_vector(2.0 * math.pi * exponents[i] / m)
         residual = max(residual, (g.apply(v) - target).norm())
-    return _Route(labeled, g, t_c, k_c, exponents, residual)
+    return labeled, CanonicalForm(g, t_c, k_c, exponents, residual)
 
 
-def _residual_bounds(route: _Route) -> Optional[Tuple[float, float]]:
-    """(pair, floor) from the route's map and residual: every pair sum that
-    _row_fault forms on a sorted row of the float determinant table of the
-    route's members is at most pair in magnitude, and every off-diagonal
-    |entry| is at least floor. None when no bound holds: a coordinate or an
-    entry of the map outside balance.SAFE_COORDINATE_RANGE (where products
-    may round other than relatively), a map whose determinant is not bounded
-    away from 0, or a bound that is not finite.
+def _residual_bounds(labeled: Configuration, form: CanonicalForm) -> Optional[Tuple[float, float]]:
+    """(pair, floor) from _map_onto_roots's labeling and form: every pair
+    sum that _row_fault forms on a sorted row of the float determinant table
+    of the labeled members is at most pair in magnitude, and every
+    off-diagonal |entry| is at least floor. None when no bound holds: a
+    coordinate or an entry of the map outside balance.SAFE_COORDINATE_RANGE
+    (where products may round other than relatively), a map whose
+    determinant is not bounded away from 0, or a bound that is not finite.
 
     Let G be the float map read as an exact matrix, omega_i the exact root
     of unity assigned to member v_i, and u the unit roundoff. Forward-error
@@ -312,8 +289,8 @@ def _residual_bounds(route: _Route) -> Optional[Tuple[float, float]]:
     |det G| - 3u max |v|^2: that is floor. Each term is rounded outward by
     BOUND_SLACK.
     """
-    g = route.g
-    norms = norm_sq_bounds(route.labeled)
+    g = form.g
+    norms = norm_sq_bounds(labeled)
     if norms is None or not in_safe_range((g.a, g.b, g.c, g.d)):
         return None
     high = norms[1]
@@ -326,10 +303,10 @@ def _residual_bounds(route: _Route) -> Optional[Tuple[float, float]]:
         return None
     det_hi = (det_g + 3.0 * u * cross) * up
     size = abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d)
-    r = (route.residual * (1.0 + 4.0 * u) + 3.0 * u * size * math.sqrt(high) + TARGET_ERR) * up
+    r = (form.residual * (1.0 + 4.0 * u) + 3.0 * u * size * math.sqrt(high) + TARGET_ERR) * up
     spread = (2.0 * r + r * r) * up
     entry_err = 3.0 * u * high * up
-    m = route.labeled.m
+    m = labeled.m
     pair = (2.0 * spread / det_lo + 2.0 * entry_err) * (1.0 + u) * up
     floor = ((math.sin(math.pi / m) * down - spread) / det_hi * down - entry_err) * down
     if not (math.isfinite(pair) and math.isfinite(floor)):
@@ -338,8 +315,8 @@ def _residual_bounds(route: _Route) -> Optional[Tuple[float, float]]:
 
 
 def _route_or_refusal(c: Configuration):
-    """_map_onto_roots(c), or the BalcfgError, ArithmeticError or
-    ValueError it raised."""
+    """_map_onto_roots(c), the pair (labeled, form), or the BalcfgError,
+    ArithmeticError or ValueError it raised."""
     try:
         return _map_onto_roots(c)
     except (BalcfgError, ArithmeticError, ValueError) as exc:
@@ -352,13 +329,13 @@ def _certifies(route, tol: Optional[float]) -> bool:
     the configuration is balanced and uniform at tol (the verdicts' default
     when None); False for a refusal or bounds that do not clear the
     tolerance's bracket."""
-    if not isinstance(route, _Route):
+    if not isinstance(route, tuple):
         return False
-    bounds = _residual_bounds(route)
+    bounds = _residual_bounds(*route)
     if bounds is None:
         return False
     pair, floor = bounds
-    bracket = _Bracket(route.labeled, tol)
+    bracket = _Bracket(route[0], tol)
     return pair <= bracket.lo and floor > bracket.hi
 
 
@@ -374,7 +351,7 @@ def certified_labeling(c: Configuration, tol: Optional[float] = None) -> Optiona
     if c.mode == EXACT or c.m % 2 == 0 or c.m < 3:
         return None
     route = _route_or_refusal(c)
-    return route.labeled if _certifies(route, tol) else None
+    return route[0] if _certifies(route, tol) else None
 
 
 def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
@@ -386,6 +363,9 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     ResidualTooLarge when the map misses the roots of unity by more than tol.
     DuplicateArgument and SingularFrame are float precision refusals, not
     certificates. A tol that is not a finite number >= 0 raises ValueError.
+    The work runs on a float copy of c scaled to max norm 1, and NotBalanced's
+    witness value is in that copy's units: c's determinant divided by the
+    square of c's largest norm.
 
     The route (label, frame, match, residual) runs once, first; when its
     bounds certify balance and uniformity, no table is built. Otherwise the
@@ -412,21 +392,16 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
             # the tolerance blessed a borderline input, so refuse with the
             # true reason
             raise NotUniform(f"even m = {c.m} cannot be uniform balanced", witness=None)
-        if not isinstance(route, _Route):
+        if not isinstance(route, tuple):
             # the route's refusal, raised after the verdicts as always
             raise route
 
-    if route.residual > tol:
+    form = route[1]
+    if form.residual > tol:
         raise ResidualTooLarge(
-            f"residual {route.residual:.3e} exceeds {tol:.3e}", witness=route.residual
+            f"residual {form.residual:.3e} exceeds {tol:.3e}", witness=form.residual
         )
-    return CanonicalForm(
-        g=route.g.scale(1.0 / scale),
-        t=float(route.t),
-        k=route.k,
-        index_map=route.exponents,
-        residual=route.residual,
-    )
+    return replace(form, g=form.g.scale(1.0 / scale))
 
 
 @dataclass(frozen=True)

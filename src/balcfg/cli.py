@@ -5,12 +5,18 @@ roots (closure parameters, solver vs closed form), gen (write a
 configuration), search (exhaustive grid enumeration), render (SVG figure).
 
 Exit codes: 0 the property holds; 1 the property provably fails, and the
-report on stdout names the certificate; 2 input, usage or internal error,
-including float precision limits such as DuplicateArgument. Each command
-catches CertificateError itself, so a certificate that escapes one is an
-internal fault and exits 2. Reports are canonical JSON on stdout (or --out);
-elapsed time goes to stderr, and into the report only under --timing so that
-default output stays byte-deterministic.
+report names the certificate; 2 input, usage or internal error, including
+float precision limits such as DuplicateArgument. Each command catches
+CertificateError itself, so a certificate that escapes one is an internal
+fault and exits 2.
+
+Each command returns its report (a dict) or text with its exit code, and
+main writes it through the one writer to --out or stdout: a report as
+canonical JSON, with elapsed_ms only under --timing so that default output
+stays byte-deterministic, then an elapsed_ms= line on stderr. search writes
+its hit files and summary.json through the same writer. Past argparse,
+every exit-2 error is one "error: ..." line on stderr instead, with no
+elapsed_ms.
 """
 
 from __future__ import annotations
@@ -20,22 +26,16 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
-from .balance import (
-    even_m_witness,
-    is_balanced,
-    is_uniform,
-    require_tolerance,
-    step_constants,
-)
-from .canonical import RESIDUAL_TOL, CanonicalForm, canonicalize, certified_labeling
+from .balance import even_m_witness, is_balanced, is_uniform, require_tolerance, step_constants
+from .canonical import RESIDUAL_TOL, canonicalize, certified_labeling
 from .errors import BalcfgError, CertificateError, DuplicateArgument, InconsistentConstants
 from .geometry import Configuration, label_by_increasing_arguments, roots_of_unity
 from .render import render_svg
 from .search import SearchSpec, enumerate_balanced, random_invertible
 from .sequences import closure_roots, model_configuration, symbolic_sequences, t_grid
-from .serialization import dumps_canonical, load_config, save_config, serialize_config
+from .serialization import dumps_canonical, load_config, serialize_config
 
 
 def tolerance(text: str) -> float:
@@ -44,21 +44,20 @@ def tolerance(text: str) -> float:
     return require_tolerance(float(text))
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
-    if out is None:
+def _write(text: str, path: Optional[str]) -> None:
+    """The one writer: text to the file at path, or to stdout when None."""
+    if path is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
 
 
-def _emit_report(report: dict, args) -> None:
-    if getattr(args, "timing", False):
-        report["elapsed_ms"] = (time.perf_counter() - args.t0) * 1000.0
-    _write_output(dumps_canonical(report) + "\n", args.out)
+def _config_text(cfg: Configuration, fmt: str) -> str:
+    return render_svg(cfg) if fmt == "svg" else serialize_config(cfg)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> Tuple[dict, int]:
     cfg = load_config(args.path)
     report = {
         "command": "check",
@@ -88,8 +87,7 @@ def _cmd_check(args) -> int:
         uniform, pair = is_uniform(cfg, args.tol)
         if pair is not None:
             report["uniform_witness"] = list(pair)
-    report["balanced"] = balanced
-    report["uniform"] = uniform
+    report.update(balanced=balanced, uniform=uniform)
     if balanced and cfg.m % 2 == 0:
         report["even_m_witness"] = even_m_witness(cfg, args.tol)
     if balanced and uniform and cfg.m % 2 == 1 and cfg.m >= 3:
@@ -105,17 +103,18 @@ def _cmd_check(args) -> int:
             report["step_constants"] = {"A1": constants.A1, "An": constants.An}
         except (InconsistentConstants, DuplicateArgument):
             pass
-    _emit_report(report, args)
-    return 0 if balanced else 1
+    return report, 0 if balanced else 1
 
 
-def _canon_report(
-    args, cfg: Configuration, form: Optional[CanonicalForm], exc: Optional[Exception]
-) -> dict:
-    """The canon report: the canonical form when there is one, else the
-    certificate's name and witness."""
+def _cmd_canon(args) -> Tuple[dict, int]:
+    cfg = load_config(args.path)
+    form = exc = None
+    try:
+        form = canonicalize(cfg, args.tol)
+    except CertificateError as caught:
+        exc = caught
     ok = form is not None
-    return {
+    report = {
         "command": "canon",
         "input": os.path.basename(args.path),
         "m": cfg.m,
@@ -129,39 +128,24 @@ def _canon_report(
         "error": None if ok else type(exc).__name__,
         "witness": None if ok else getattr(exc, "witness", None),
     }
+    return report, 0 if ok else 1
 
 
-def _cmd_canon(args) -> int:
-    cfg = load_config(args.path)
-    form = exc = None
-    try:
-        form = canonicalize(cfg, args.tol)
-    except CertificateError as caught:
-        exc = caught
-    _emit_report(_canon_report(args, cfg, form, exc), args)
-    return 0 if exc is None else 1
-
-
-def _cmd_roots(args) -> int:
+def _cmd_roots(args) -> Tuple[dict, int]:
     if (args.n is None) == (args.m is None):
-        print("roots: give exactly one of --n or --m", file=sys.stderr)
-        return 2
+        raise ValueError("roots: give exactly one of --n or --m")
     if args.n is not None:
         if args.n < 1:
-            print(f"roots: --n must be >= 1, got {args.n}", file=sys.stderr)
-            return 2
+            raise ValueError(f"roots: --n must be >= 1, got {args.n}")
         n, m = args.n, 2 * args.n + 1
     else:
         if args.m < 3 or args.m % 2 == 0:
-            print(f"roots: --m must be odd and >= 3, got {args.m}", file=sys.stderr)
-            return 2
+            raise ValueError(f"roots: --m must be odd and >= 3, got {args.m}")
         m, n = args.m, (args.m - 1) // 2
     _, ws = symbolic_sequences(n)
     solved = closure_roots(ws[n])
     grid = t_grid(m)
-    deviation = max(
-        abs(a - b) for a, b in zip(solved.values, grid.values)
-    )
+    deviation = max(abs(a - b) for a, b in zip(solved.values, grid.values))
     report = {
         "command": "roots",
         "n": n,
@@ -172,33 +156,23 @@ def _cmd_roots(args) -> int:
         "wn_x_coefficients": list(ws[n].x),
         "wn_y_coefficients": list(ws[n].y),
     }
-    _emit_report(report, args)
-    return 0
+    return report, 0
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> Tuple[str, int]:
     if args.m < 1 or args.m % 2 == 0:
-        print(f"gen: --m must be odd and >= 1, got {args.m}", file=sys.stderr)
-        return 2
-    if args.k is not None:
-        cfg = model_configuration(args.m, args.k)
-    else:
-        cfg = roots_of_unity(args.m)
+        raise ValueError(f"gen: --m must be odd and >= 1, got {args.m}")
+    cfg = roots_of_unity(args.m) if args.k is None else model_configuration(args.m, args.k)
     if args.seed is not None:
         cfg = random_invertible(args.seed).apply_configuration(cfg)
-    if args.format == "svg":
-        _write_output(render_svg(cfg), args.out)
-    else:
-        _write_output(serialize_config(cfg), args.out)
-    return 0
+    return _config_text(cfg, args.format), 0
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> Tuple[dict, int]:
     try:
         coords = tuple(Fraction(part.strip()) for part in args.coords.split(",") if part.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"search: bad --coords: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"search: bad --coords: {exc}") from exc
     spec = SearchSpec(m=args.m, coordinate_set=coords, require_uniform=args.uniform)
     hits = enumerate_balanced(spec)
     if args.uniform:
@@ -206,14 +180,6 @@ def _cmd_search(args) -> int:
         uniform_count = len(hits)
     else:
         uniform_count = sum(1 for cfg in hits if is_uniform(cfg)[0])
-    files = None
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        files = []
-        for idx, cfg in enumerate(hits):
-            name = f"balanced_{idx:04d}.json"
-            save_config(cfg, os.path.join(args.out, name))
-            files.append(name)
     summary = {
         "command": "search",
         "m": args.m,
@@ -221,22 +187,19 @@ def _cmd_search(args) -> int:
         "require_uniform": args.uniform,
         "count": len(hits),
         "uniform_count": uniform_count,
-        "files": files,
+        "files": None,
     }
-    text = dumps_canonical(summary) + "\n"
-    _write_output(text, None)
-    if args.out is not None:
-        _write_output(text, os.path.join(args.out, "summary.json"))
-    return 0
+    if args.out_dir is not None:
+        os.makedirs(args.out_dir, exist_ok=True)
+        summary["files"] = [f"balanced_{idx:04d}.json" for idx in range(len(hits))]
+        for name, cfg in zip(summary["files"], hits):
+            _write(serialize_config(cfg), os.path.join(args.out_dir, name))
+        _write(dumps_canonical(summary) + "\n", os.path.join(args.out_dir, "summary.json"))
+    return summary, 0
 
 
-def _cmd_render(args) -> int:
-    cfg = load_config(args.path)
-    if args.format == "json":
-        _write_output(serialize_config(cfg), args.out)
-    else:
-        _write_output(render_svg(cfg), args.out)
-    return 0
+def _cmd_render(args) -> Tuple[str, int]:
+    return _config_text(load_config(args.path), args.format), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--m", type=int, required=True)
     search.add_argument("--coords", required=True, help="comma-separated exact coordinates")
     search.add_argument("--uniform", action="store_true", help="keep only uniform hits")
-    search.add_argument("--out", default=None, help="directory for hit files and summary.json")
+    search.add_argument(
+        "--out", dest="out_dir", metavar="OUT", help="directory for hit files and summary.json"
+    )
     search.set_defaults(func=_cmd_search)
 
     render = sub.add_parser("render", help="render a configuration file")
@@ -296,32 +261,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _fuse_coords(argv):
     # argparse mistakes "-1,0,1" for an option; pass the value through "="
-    fused = []
-    skip = False
-    for pos, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token == "--coords" and pos + 1 < len(argv):
-            fused.append(f"--coords={argv[pos + 1]}")
-            skip = True
-        else:
-            fused.append(token)
+    fused, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token == "--coords" else None
+        fused.append(token if value is None else f"--coords={value}")
     return fused
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_fuse_coords(list(argv)))
-    args.t0 = time.perf_counter()
+    args = parser.parse_args(_fuse_coords(sys.argv[1:] if argv is None else list(argv)))
+    t0 = time.perf_counter()
     try:
-        code = args.func(args)
+        payload, code = args.func(args)
+        if isinstance(payload, dict):
+            if getattr(args, "timing", False):
+                payload["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0
+            payload = dumps_canonical(payload) + "\n"
+        _write(payload, getattr(args, "out", None))
     except (BalcfgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    elapsed_ms = (time.perf_counter() - args.t0) * 1000.0
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
     print(f"elapsed_ms={elapsed_ms:.3f}", file=sys.stderr)
     return code
 

@@ -108,11 +108,16 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     coords = spec.coordinate_set
     # the grid's nonzero vectors, counted before any is built
     m, n = spec.m, len(coords) ** 2 - (0 in coords)
-    prefixes = math.comb(n, m - 1)
-    if prefixes > DEFAULT_BUDGET:
-        raise BudgetExceeded(
-            f"C({n}, {m - 1}) = {prefixes} prefixes exceed the budget of {DEFAULT_BUDGET}"
-        )
+    # C(n, m - 1) = C(n, k), and C(n, j) grows with j <= k <= n / 2
+    k = min(m - 1, n - m + 1)
+    prefixes = int(k >= 0)
+    for j in range(1, k + 1):
+        prefixes = prefixes * (n - j + 1) // j
+        if prefixes > DEFAULT_BUDGET:
+            raise BudgetExceeded(
+                f"C({n}, {m - 1}) {'=' if j == k else '>='} {prefixes} prefixes "
+                f"exceed the budget of {DEFAULT_BUDGET}"
+            )
     vectors = grid_vectors(coords)
     if m > n:
         return []

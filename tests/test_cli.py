@@ -395,11 +395,41 @@ def test_render_json_round_trips_the_file(capsys):
     assert out == (DATA / "u5.json").read_text()
 
 
-def test_out_flag_writes_stdout_bytes(capsys, tmp_path):
-    target = tmp_path / "report.json"
-    code, out, _ = run(capsys, "check", str(DATA / "u5.json"), "--out", str(target))
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["check", str(DATA / "u5.json")], GOLDEN / "check_u5.json"),
+        (["canon", str(DATA / "u7_moved.json")], GOLDEN / "canon_u7_moved.json"),
+        (["roots", "--n", "3"], GOLDEN / "roots_n3.json"),
+        (["gen", "--m", "5"], DATA / "u5.json"),
+        (["render", str(DATA / "u5.json"), "--format", "svg"], GOLDEN / "u5.svg"),
+    ],
+    ids=["check", "canon", "roots", "gen", "render"],
+)
+def test_out_flag_writes_stdout_bytes(capsys, tmp_path, argv, expected):
+    target = tmp_path / "report"
+    code, out, _ = run(capsys, *argv, "--out", str(target))
     assert code == 0
-    assert target.read_text() == (GOLDEN / "check_u5.json").read_text()
+    assert out == ""
+    assert target.read_text() == expected.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--n", "2", "--m", "7"],
+        ["roots", "--n", "0"],
+        ["gen", "--m", "4"],
+        ["search", "--m", "3", "--coords", "1/0"],
+    ],
+    ids=["roots-n-and-m", "roots-n0", "gen-even-m", "search-bad-coords"],
+)
+def test_usage_errors_take_the_one_error_path(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
 
 
 def test_timing_flag_embeds_elapsed(capsys):

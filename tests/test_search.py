@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,15 @@ def test_budget_guard():
     # is about 7.2e7
     with pytest.raises(BudgetExceeded, match=r"C\(99, 5\)"):
         enumerate_balanced(SearchSpec(m=6, coordinate_set=tuple(range(10))))
+
+
+def test_budget_refuses_a_huge_walk_without_counting_it_in_full():
+    # C(999999, 500000) has about 300 000 digits; the refusal stops at the
+    # first C(n, j) past the budget, so it takes milliseconds
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"C\(999999, 500000\) >= "):
+        enumerate_balanced(SearchSpec(m=500001, coordinate_set=tuple(range(1000))))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_budget_counts_prefixes_not_coordinate_tuples():
