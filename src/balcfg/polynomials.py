@@ -3,18 +3,23 @@ certified real root isolation.
 
 Polynomials are tuples of arbitrary-precision ints, ascending degree, trailing
 zeros trimmed; the zero polynomial is the empty tuple. Isolation bisects
-dyadic intervals, each carrying the polynomial mapped onto (0, 1) as integers
-(Vincent-Collins-Akritas), and counts roots by Descartes' rule, so every sign
-decision is exact. Rational roots hit by a bisection midpoint are recorded
-exactly and divided out. Each isolating interval is then refined to the cell
-that bisection would reach, by an exact secant search (Illinois regula falsi,
-with bisection steps as a safeguard) over the integer points of that grid.
+dyadic intervals (Vincent-Collins-Akritas) in the Bernstein basis (Rouillier &
+Zimmermann 2004): the polynomial is converted once, at the root interval, to
+integer Bernstein coefficients; each node counts roots by Descartes' rule as
+the sign variations of its coefficients, and splits by one de Casteljau
+triangle at 1/2 in integer additions, so every sign decision is exact. A
+rational root hit by a bisection midpoint is recorded exactly and divided
+out of the polynomial and of both halves. Each isolating interval is then
+refined to the cell that bisection would reach, by an exact secant search
+(Illinois regula falsi, with bisection steps as a safeguard) over the
+integer points of that grid.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import add as _add_ints
 from typing import List, Sequence, Tuple
 
 IntPoly = Tuple[int, ...]
@@ -128,16 +133,42 @@ def _onto_unit(p: Sequence[int], a: Fraction, b: Fraction) -> List[int]:
     return [c * int((b - a) * den) ** i for i, c in enumerate(q)]
 
 
-def _unit_count(q: Sequence[int]) -> int:
-    # the sign variations of (1 + y)^d q(1 / (1 + y)) bound q's roots in (0, 1)
-    signs = [c > 0 for c in _shift(q[::-1], 1) if c]
+def _variations(coeffs: Sequence[int]) -> int:
+    # sign changes along coeffs, zeros skipped
+    signs = [c > 0 for c in coeffs if c]
     return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _bernstein(q: Sequence[int]) -> List[int]:
+    # the Bernstein coefficients b_k of q on (0, 1), all times lcm_k C(d, k):
+    # (1 + y)^d q(1 / (1 + y)) has C(d, k) b_k at y^(d - k)
+    d = len(q) - 1
+    binomials = [comb(d, k) for k in range(d + 1)]
+    scale = lcm(*binomials)
+    return [c * (scale // b) for c, b in zip(reversed(_shift(q[::-1], 1)), binomials)]
+
+
+def _split(b: Sequence[int]) -> Tuple[List[int], List[int]]:
+    # de Casteljau at 1/2 in additions: row r of the triangle holds 2^r times
+    # the true values, so the halves' coefficients, its edges, are scaled
+    # by 2^(d - r) onto 2^d times the Bernstein coefficients of each half
+    d = len(b) - 1
+    left, right = [], []
+    row = list(b)
+    for r in range(d + 1):
+        left.append(row[0] << (d - r))
+        right.append(row[-1] << (d - r))
+        row = list(map(_add_ints, row, row[1:]))
+    right.reverse()
+    return left, right
 
 
 def descartes_count(p: Sequence[int], a: Fraction, b: Fraction) -> int:
     """Descartes bound on the number of roots of p in the open interval
     (a, b): zero means none, one means exactly one simple root."""
-    return _unit_count(_onto_unit(p, a, b))
+    # (1 + y)^d q(1 / (1 + y)) holds p's Bernstein coefficients on (a, b)
+    # times C(d, k), in reverse order: the same sign variations
+    return _variations(_shift(_onto_unit(p, a, b)[::-1], 1))
 
 
 def _deflate(p: Sequence[int], r: Fraction) -> IntPoly:
@@ -225,36 +256,46 @@ def certified_roots(p: Sequence[int], width: Fraction) -> List[Tuple[Fraction, F
     """All real roots of p as certified dyadic intervals of width <= width,
     sorted ascending; exact rational roots come back zero-width.
 
-    Each bisection node carries p mapped onto (0, 1) as integers; its halves
-    are q(y/2) * 2^d and that shifted by one. Expects a square-free input;
-    non-termination within MAX_ISOLATION_DEPTH raises ArithmeticError for
-    the caller to interpret.
+    The root interval (-B, B) of root_bound is mapped onto (0, 1) and
+    converted to integer Bernstein coefficients, two Taylor shifts in all.
+    Each bisection node then carries its coefficients, all times one
+    positive constant: the sign variations count its roots in O(d), and
+    one de Casteljau triangle at 1/2 gives both halves'. A zero apex means
+    the midpoint is a root: it is returned zero-width and divided out of p
+    and of both halves. Expects a square-free input; non-termination within
+    MAX_ISOLATION_DEPTH raises ArithmeticError for the caller to interpret,
+    and a width that is not positive raises ValueError.
     """
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width}")
     p = trim(p)
     if len(p) <= 1:
         return []
     bound = Fraction(root_bound(p))
     results: List[Tuple[Fraction, Fraction]] = []
-    stack = [(p, _onto_unit(p, -bound, bound), -bound, bound, 0)]
+    stack = [(p, _bernstein(_onto_unit(p, -bound, bound)), -bound, bound, 0)]
     while stack:
-        poly, q, lo, hi, depth = stack.pop()
+        poly, b, lo, hi, depth = stack.pop()
         if depth > MAX_ISOLATION_DEPTH:
             raise ArithmeticError("root isolation did not terminate; input not square-free?")
-        count = _unit_count(q)
+        count = _variations(b)
         if count == 0:
             continue
         if count == 1:
             results.append(refine_root(poly, lo, hi, width))
             continue
         mid = (lo + hi) / 2
-        left = [c << (len(q) - 1 - i) for i, c in enumerate(q)]
-        right = _shift(left, 1)
+        left, right = _split(b)
         if right[0] == 0:
-            # q(1/2) = 0: mid is a root; divide it out of both halves
+            # the apex q(1/2) is 0: mid is a root. Divide y out of the right
+            # half, b'_j = b_(j+1) d / (j + 1), and 1 - y out of the left,
+            # b'_j = b_j d / (d - j), both times lcm(1..d) / d
             results.append((mid, mid))
             poly = _deflate(poly, mid)
-            right = right[1:]
-            left = _shift(right, -1)
+            d = len(b) - 1
+            scale = lcm(*range(1, d + 1))
+            right = [c * (scale // j) for j, c in enumerate(right[1:], 1)]
+            left = [c * (scale // (d - j)) for j, c in enumerate(left[:-1])]
         stack.append((poly, left, lo, mid, depth + 1))
         stack.append((poly, right, mid, hi, depth + 1))
     results.sort(key=lambda iv: iv[0])

@@ -231,6 +231,7 @@ def test_acceptance_10_cli_golden_files(capsys):
         (["canon", str(DATA / "u7_moved.json")], GOLDEN / "canon_u7_moved.json", 0),
         (["roots", "--n", "3"], GOLDEN / "roots_n3.json", 0),
         (["roots", "--n", "24"], GOLDEN / "roots_n24.json", 0),
+        (["roots", "--n", "61"], GOLDEN / "roots_n61.json", 0),
         (["render", str(DATA / "u5.json"), "--format", "svg"], GOLDEN / "u5.svg", 0),
     ]
     ok = True

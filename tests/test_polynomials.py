@@ -168,6 +168,136 @@ def test_certified_roots_degenerate_inputs():
     assert ip.certified_roots((7,), Fraction(1, 2)) == []
 
 
+@pytest.mark.parametrize("p", [(), (7,), (1, 0, 1), (-1, 0, 1), CUBIC_MIXED])
+@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 2)])
+def test_certified_roots_rejects_a_width_that_is_not_positive(p, width):
+    # on entry, so a root-free input cannot return [] for a width of 0
+    with pytest.raises(ValueError, match="width must be positive"):
+        ip.certified_roots(p, width)
+
+
+def test_certified_roots_gives_up_on_a_double_root():
+    # (3t - 1)^2: no dyadic midpoint hits 1/3 and every interval around it
+    # counts 2, so bisection runs past MAX_ISOLATION_DEPTH
+    with pytest.raises(ArithmeticError, match="did not terminate"):
+        ip.certified_roots((1, -6, 9), Fraction(1, 10**12))
+
+
+def _reference_shift(c, a):
+    # p(x) -> p(x + a), synthetic Horner scheme, on a copy
+    c = list(c)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
+
+
+def _reference_unit_count(q):
+    """The former Descartes count on (0, 1): the sign variations of
+    (1 + y)^d q(1 / (1 + y)), one Taylor shift per call."""
+    signs = [c > 0 for c in _reference_shift(q[::-1], 1) if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _reference_certified_roots(p, width):
+    """The former isolator, kept as the oracle for the Bernstein one: each
+    node carries q, p mapped onto (0, 1), its halves are q(y/2) * 2^d and
+    that shifted by one, and a midpoint root is divided out of both."""
+    p = ip.trim(p)
+    if len(p) <= 1:
+        return []
+    bound = Fraction(ip.root_bound(p))
+    results = []
+    stack = [(p, ip._onto_unit(p, -bound, bound), -bound, bound, 0)]
+    while stack:
+        poly, q, lo, hi, depth = stack.pop()
+        if depth > ip.MAX_ISOLATION_DEPTH:
+            raise ArithmeticError("root isolation did not terminate; input not square-free?")
+        count = _reference_unit_count(q)
+        if count == 0:
+            continue
+        if count == 1:
+            results.append(ip.refine_root(poly, lo, hi, width))
+            continue
+        mid = (lo + hi) / 2
+        left = [c << (len(q) - 1 - i) for i, c in enumerate(q)]
+        right = _reference_shift(left, 1)
+        if right[0] == 0:
+            results.append((mid, mid))
+            poly = ip._deflate(poly, mid)
+            right = right[1:]
+            left = _reference_shift(right, -1)
+        stack.append((poly, left, lo, mid, depth + 1))
+        stack.append((poly, right, mid, hi, depth + 1))
+    results.sort(key=lambda iv: iv[0])
+    return results
+
+
+def _outcome(isolate, p, width):
+    # the intervals, or the error's type and message
+    try:
+        return isolate(p, width)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# roots that bisection from a power-of-two bound meets as a midpoint
+DYADIC_MIDPOINTS = st.sampled_from(
+    [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(-3, 2), Fraction(2)]
+)
+IRREDUCIBLE = st.sampled_from([(1,), (-2, 0, 1), (-3, 0, 1), (-1, -1, 1), (1, -5, 2), (1, 0, 1)])
+
+
+@given(
+    st.lists(st.one_of(RATIONALS, DYADIC_MIDPOINTS), min_size=0, max_size=6),
+    IRREDUCIBLE,
+    st.sampled_from([Fraction(1, 3), Fraction(1, 2**20), Fraction(1, 10**12)]),
+)
+def test_certified_roots_match_the_shift_isolator(roots, quadratic, width):
+    # repeated entries make the input non-square-free: the isolator gives
+    # up, peels a repeated dyadic root, or isolates the rest, and the two
+    # routes must agree on every outcome
+    p = _times(_from_roots(roots), quadratic)
+    expect = _outcome(_reference_certified_roots, p, width)
+    assert _outcome(ip.certified_roots, p, width) == expect
+
+
+@given(
+    st.lists(st.one_of(RATIONALS, DYADIC_MIDPOINTS), min_size=1, max_size=7),
+    IRREDUCIBLE,
+    RATIONALS,
+    st.fractions(min_value=Fraction(1, 100), max_value=Fraction(12), max_denominator=100),
+)
+def test_descartes_count_matches_the_shift_count(roots, quadratic, a, width):
+    # every count, not only 0 and 1, on intervals with any endpoints
+    p = _times(_from_roots(roots), quadratic)
+    b = a + width
+    assert ip.descartes_count(p, a, b) == _reference_unit_count(ip._onto_unit(p, a, b))
+
+
+def _closure_polynomial(n):
+    wn = sequences.symbolic_sequences(n)[1][n]
+    return ip.primitive_gcd(wn.y, ip.sub(wn.x, (1,)))
+
+
+@pytest.mark.parametrize("n, peeled", [(24, 0), (61, 1)])
+def test_isolation_shifts_only_at_the_root(monkeypatch, n, peeled):
+    # the Taylor shifts are the root's conversion to Bernstein form, not one
+    # or two per bisection node; n = 61 (m = 123 = 3 * 41) also peels t = -1
+    # at a bisection midpoint
+    calls = {"_shift": 0, "_deflate": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(ip, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(ip, name, counted)
+    p = _closure_polynomial(n)
+    roots = ip.certified_roots(p, Fraction(1, 10**12))
+    assert calls == {"_shift": 2, "_deflate": peeled}
+    assert len(roots) == ip.degree(p)
+    assert ((Fraction(-1), Fraction(-1)) in roots) == bool(peeled)
+
+
 def _fraction_bisection(p, lo, hi, width):
     """Bisection on Fraction endpoints: the plainest statement of the cell
     refine_root returns."""
