@@ -284,6 +284,17 @@ def is_uniform(
     return True, None
 
 
+def require_balanced_uniform(c: Configuration, tol: Optional[float] = None) -> None:
+    """Raise NotBalanced with is_balanced's witness, else NotUniform with
+    is_uniform's pair, unless c is balanced and uniform at tol."""
+    report = is_balanced(c, tol)
+    if not report.balanced:
+        raise NotBalanced("configuration is not balanced", witness=report.witness)
+    ok, pair = is_uniform(c, tol)
+    if not ok:
+        raise NotUniform("configuration is not uniform", witness=pair)
+
+
 def even_m_witness(c: Configuration, tol: Optional[float] = None) -> int:
     """For a balanced configuration of even size, return the j >= 1 with the
     smallest |det(v_0, v_j)|, which is 0 (within the tolerance).
@@ -321,12 +332,7 @@ def build_pairing(c: Configuration, tol: Optional[float] = None) -> PairingMap:
     """
     if c.m % 2 == 0 or c.m < 3:
         raise ValueError(f"pairing requires odd m >= 3, got m = {c.m}")
-    report = is_balanced(c, tol)
-    if not report.balanced:
-        raise NotBalanced("configuration is not balanced", witness=report.witness)
-    ok, pair = is_uniform(c, tol)
-    if not ok:
-        raise NotUniform("configuration is not uniform", witness=pair)
+    require_balanced_uniform(c, tol)
 
     per_index: List[FrozenSet[FrozenSet[int]]] = []
     phi: Dict[FrozenSet[int], int] = {}

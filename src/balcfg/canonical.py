@@ -22,7 +22,9 @@ balance tolerance, balance and uniformity are certified and no table is
 built. Any refusal on the route, a non-finite value, or a bound that does
 not clear sends the call to the table's verdicts first, in today's order, so
 the verdicts, witnesses and certificate classes do not depend on the route.
-check runs the same route on odd float input (certified_labeling).
+check runs the same route on odd float input (certified_labeling). Exact
+input takes check's exact verdicts on itself instead, and only an input that
+passes them (m = 3, by Niven's theorem) goes on to the float map.
 
 Seed-triple reconstruction: with A1 = det(v_n, v_{n+1}), An = det(v_0, v_n)
 and r = -A1/An, the members interleave out of the triple via
@@ -46,16 +48,14 @@ from .balance import (
     UNIT_ROUNDOFF,
     _Bracket,
     in_safe_range,
-    is_balanced,
-    is_uniform,
     norm_sq_bounds,
+    require_balanced_uniform,
     require_tolerance,
 )
 from .errors import (
     BalcfgError,
     CertificateError,
     NoGridMatch,
-    NotBalanced,
     NotNormalized,
     NotUniform,
     ResidualTooLarge,
@@ -72,7 +72,8 @@ from .geometry import (
 )
 from .sequences import closed_form_t
 
-# Absolute |det| threshold for frame construction on unit-scale input.
+# Relative threshold for frame construction: a frame (v0, vn) with
+# |det(v0, vn)| <= FRAME_DET_TOL * |v0| * |vn| is singular, at any scale.
 FRAME_DET_TOL = 1e-12
 # |t - grid| and |y + 1| matching tolerance; match_k narrows its |t - grid|
 # window where grid values lie closer than 4 * GRID_TOL.
@@ -142,7 +143,7 @@ def frame_map(v0: PlaneVector, vn: PlaneVector) -> LinearMap2:
     """The unique g with g.v0 = (1,0) and g.vn = (0,1): the inverse of the
     matrix with columns v0, vn."""
     d = det2(v0, vn)
-    if (d == 0) if v0.mode == EXACT else (abs(d) <= FRAME_DET_TOL):
+    if (d == 0) if v0.mode == EXACT else (abs(d) <= FRAME_DET_TOL * v0.norm() * vn.norm()):
         raise SingularFrame(f"frame vectors are dependent (det = {d})")
     return LinearMap2(vn.y / d, -vn.x / d, -v0.y / d, v0.x / d)
 
@@ -203,7 +204,7 @@ def reconstruct_from_triple(
         raise ValueError(f"reconstruction needs odd m >= 3, got {m}")
     n = (m - 1) // 2
     an = det2(v0, vn)
-    if (an == 0) if v0.mode == EXACT else (abs(an) <= FRAME_DET_TOL):
+    if (an == 0) if v0.mode == EXACT else (abs(an) <= FRAME_DET_TOL * v0.norm() * vn.norm()):
         raise SingularFrame(f"det(v0, vn) = {an}; seed frame is singular")
     r = -(det2(vn, vn1) / an)
     scale = max(v.norm() for v in (v0, vn, vn1))
@@ -314,29 +315,24 @@ def _residual_bounds(labeled: Configuration, form: CanonicalForm) -> Optional[Tu
     return pair, floor
 
 
-def _route_or_refusal(c: Configuration):
-    """_map_onto_roots(c), the pair (labeled, form), or the BalcfgError,
-    ArithmeticError or ValueError it raised."""
+def _certified_route(c: Configuration, tol: Optional[float]):
+    """(route, certified): route is _map_onto_roots(c), the pair (labeled,
+    form), or the BalcfgError, ArithmeticError or ValueError it raised, or
+    None in exact mode, at even m or at m < 3; certified is True when the
+    route's bounds clear the bracket of tol (the verdicts' default when None),
+    so that c is balanced and uniform at tol with no determinant table."""
+    if c.mode == EXACT or c.m % 2 == 0 or c.m < 3:
+        return None, False
     try:
-        return _map_onto_roots(c)
+        route = _map_onto_roots(c)
     except (BalcfgError, ArithmeticError, ValueError) as exc:
-        return exc
-
-
-def _certifies(route, tol: Optional[float]) -> bool:
-    """True when route, what _route_or_refusal returned for a float
-    configuration of odd m >= 3, certifies with no determinant table that
-    the configuration is balanced and uniform at tol (the verdicts' default
-    when None); False for a refusal or bounds that do not clear the
-    tolerance's bracket."""
-    if not isinstance(route, tuple):
-        return False
+        return exc, False
     bounds = _residual_bounds(*route)
     if bounds is None:
-        return False
+        return route, False
     pair, floor = bounds
     bracket = _Bracket(route[0], tol)
-    return pair <= bracket.lo and floor > bracket.hi
+    return route, pair <= bracket.lo and floor > bracket.hi
 
 
 def certified_labeling(c: Configuration, tol: Optional[float] = None) -> Optional[Configuration]:
@@ -344,14 +340,12 @@ def certified_labeling(c: Configuration, tol: Optional[float] = None) -> Optiona
     route certifies that c is balanced and uniform at tol, as is_balanced
     and is_uniform would find it; None when the certificate does not apply
     (exact mode, even m, m < 3, a refusal on the route, or a bound that does
-    not clear), and the table must decide. A tol that is not a finite
+    not clear), and the verdicts must decide. A tol that is not a finite
     number >= 0 raises ValueError."""
     if tol is not None:
         require_tolerance(tol)
-    if c.mode == EXACT or c.m % 2 == 0 or c.m < 3:
-        return None
-    route = _route_or_refusal(c)
-    return route[0] if _certifies(route, tol) else None
+    route, certified = _certified_route(c, tol)
+    return route[0] if certified else None
 
 
 def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
@@ -363,30 +357,28 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     ResidualTooLarge when the map misses the roots of unity by more than tol.
     DuplicateArgument and SingularFrame are float precision refusals, not
     certificates. A tol that is not a finite number >= 0 raises ValueError.
-    The work runs on a float copy of c scaled to max norm 1, and NotBalanced's
-    witness value is in that copy's units: c's determinant divided by the
-    square of c's largest norm.
 
-    The route (label, frame, match, residual) runs once, first; when its
-    bounds certify balance and uniformity, no table is built. Otherwise the
-    balance and uniformity verdicts run before the route's refusals, as
-    they always have, and the route's result or refusal is then used.
+    Exact c takes the exact verdicts on c itself, as check does, so their
+    witnesses are in c's units; by Niven's theorem only m = 3 passes them.
+    The map is computed on a float copy of c scaled to max norm 1. For float
+    c the route (label, frame, match, residual) runs on that copy once,
+    first, and builds no table when its bounds certify. Otherwise the
+    copy's verdicts run before the route's refusals, and NotBalanced's
+    witness is in the copy's units: c's determinant over c's largest norm^2.
     """
     require_tolerance(tol)
     if c.m < 3:
         raise ValueError(f"canonicalization needs m >= 3, got m = {c.m}")
+    if c.mode == EXACT:
+        require_balanced_uniform(c)
     work = c.as_float()
     scale = max(v.norm() for v in work.vectors)
     work = Configuration([v.scale(1.0 / scale) for v in work.vectors])
 
-    route = _route_or_refusal(work) if c.m % 2 == 1 else None
-    if not _certifies(route, None):
-        report = is_balanced(work)
-        if not report.balanced:
-            raise NotBalanced("configuration is not balanced", witness=report.witness)
-        uniform, pair = is_uniform(work)
-        if not uniform:
-            raise NotUniform("configuration is not uniform", witness=pair)
+    route, certified = _certified_route(work, None)
+    if not certified:
+        if c.mode != EXACT:
+            require_balanced_uniform(work)
         if c.m % 2 == 0:
             # balanced + even size excludes uniformity; reachable only when
             # the tolerance blessed a borderline input, so refuse with the

@@ -165,10 +165,9 @@ def _split(b: Sequence[int]) -> Tuple[List[int], List[int]]:
 
 def descartes_count(p: Sequence[int], a: Fraction, b: Fraction) -> int:
     """Descartes bound on the number of roots of p in the open interval
-    (a, b): zero means none, one means exactly one simple root."""
-    # (1 + y)^d q(1 / (1 + y)) holds p's Bernstein coefficients on (a, b)
-    # times C(d, k), in reverse order: the same sign variations
-    return _variations(_shift(_onto_unit(p, a, b)[::-1], 1))
+    (a, b), from p's Bernstein coefficients there, as certified_roots counts
+    each node: zero means none, one means exactly one simple root."""
+    return _variations(_bernstein(_onto_unit(p, a, b)))
 
 
 def _deflate(p: Sequence[int], r: Fraction) -> IntPoly:

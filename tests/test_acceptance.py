@@ -233,6 +233,13 @@ def test_acceptance_10_cli_golden_files(capsys):
         (["roots", "--n", "24"], GOLDEN / "roots_n24.json", 0),
         (["roots", "--n", "61"], GOLDEN / "roots_n61.json", 0),
         (["render", str(DATA / "u5.json"), "--format", "svg"], GOLDEN / "u5.svg", 0),
+        # exact input: canon takes check's verdicts, so U_5 rounded to
+        # 10^-12 is not balanced, with check's witness, and an exact
+        # triple that sums to zero is U_3's image
+        (["check", str(DATA / "u5_exact_rounded.json")], GOLDEN / "check_u5_exact_rounded.json", 1),
+        (["canon", str(DATA / "u5_exact_rounded.json")], GOLDEN / "canon_u5_exact_rounded.json", 1),
+        (["check", str(DATA / "u3_exact.json")], GOLDEN / "check_u3_exact.json", 0),
+        (["canon", str(DATA / "u3_exact.json")], GOLDEN / "canon_u3_exact.json", 0),
     ]
     ok = True
     for argv, golden, want_code in cases:

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from balcfg import (
+    CertificateError,
     Configuration,
     DuplicateArgument,
     NoGridMatch,
@@ -17,6 +19,8 @@ from balcfg import (
     extract_t,
     frame_map,
     gl2_equivalent,
+    is_balanced,
+    is_uniform,
     label_by_increasing_arguments,
     match_k,
     perturb,
@@ -218,3 +222,66 @@ def test_gl2_equivalent_refuses_arguments_below_float_precision():
     squeezed = LinearMap2(1.0, 0.0, 0.0, 1e-13).apply_configuration(roots_of_unity(5))
     with pytest.raises(DuplicateArgument):
         gl2_equivalent(roots_of_unity(5), squeezed)
+
+
+def _rounded(c, den):
+    """The members of c with every coordinate rounded to a multiple of 1/den."""
+    return [(Fraction(round(v.x * den), den), Fraction(round(v.y * den), den)) for v in c]
+
+
+_SMALL = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+_VECTOR = st.tuples(_SMALL, _SMALL).filter(lambda v: v != (0, 0))
+
+
+@st.composite
+def _exact_inputs(draw):
+    kind = draw(st.sampled_from(["image", "triple", "symmetric"]))
+    if kind == "image":
+        # a rational rounding of a GL2 image of U_m, odd m <= 15
+        m = draw(st.sampled_from(range(3, 16, 2)))
+        g = random_invertible(draw(st.integers(0, 10**6)))
+        den = draw(st.sampled_from([1, 2, 3, 10, 10**3, 10**6]))
+        vecs = _rounded(g.apply_configuration(roots_of_unity(m)), den)
+    elif kind == "triple":
+        # three rationals that sum to zero, perhaps with one coordinate moved
+        a, b = draw(_VECTOR), draw(_VECTOR)
+        vecs = [a, b, (-a[0] - b[0], -a[1] - b[1])]
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+            den = draw(st.sampled_from([1, 7, 10**6, 10**15]))
+            step = Fraction(draw(st.sampled_from([-1, 1])), den)
+            vecs[i] = tuple(x + step if k == j else x for k, x in enumerate(vecs[i]))
+    else:
+        # {v, -v}: balanced, even m, never uniform
+        half = draw(st.lists(_VECTOR, min_size=2, max_size=6))
+        vecs = half + [(-x, -y) for x, y in half]
+    assume(all(v != (0, 0) for v in vecs))
+    return Configuration(vecs)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_exact_inputs())
+def test_exact_input_takes_the_exact_verdicts(c):
+    # canonicalize certifies exact input exactly when the exact verdicts find
+    # it balanced and uniform, and then m = 3 (Niven); otherwise it raises
+    # their certificate with their witness, in input units
+    report = is_balanced(c)
+    uniform, pair = is_uniform(c)
+    try:
+        form = canonicalize(c)
+    except CertificateError as exc:
+        assert not (report.balanced and uniform)
+        if not report.balanced:
+            assert isinstance(exc, NotBalanced) and exc.witness == report.witness
+        else:
+            assert isinstance(exc, NotUniform) and exc.witness == pair
+    else:
+        assert report.balanced and uniform and c.m == 3
+        assert form.k == 1 and form.residual <= 1e-8
+
+
+def test_rounded_exact_pentagon_is_not_equivalent():
+    rounded = Configuration(_rounded(roots_of_unity(5), 10**12))
+    verdict = gl2_equivalent(rounded, roots_of_unity(5))
+    assert not verdict
+    assert verdict.reason == "first: NotBalanced"

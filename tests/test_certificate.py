@@ -268,6 +268,16 @@ def test_certified_labeling_declines_a_bound_that_does_not_clear():
     assert certified_labeling(image, 1.0) is None
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-7, 1e-5, 1.0, 1e5, 1e12])
+def test_certified_labeling_holds_at_every_scale(tables_built, scale):
+    # the frame test is relative to |v0| |vn|, so a U_21 image far below
+    # unit scale is certified as at unit scale, with no table
+    image = random_invertible(6).apply_configuration(roots_of_unity(21))
+    c = Configuration([v.scale(scale) for v in image])
+    assert certified_labeling(c) == label_by_increasing_arguments(c)
+    assert tables_built == []
+
+
 @pytest.mark.parametrize("eps", [1e-11, 3e-11])
 def test_canonicalize_maps_onto_the_roots_once(monkeypatch, eps):
     # moved by eps, a U_201 image still canonicalizes, but the route's bound

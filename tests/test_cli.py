@@ -147,6 +147,18 @@ def _exact_file(tmp_path, vectors):
     return path, Configuration([(Fraction(x), Fraction(y)) for x, y in vectors])
 
 
+def test_canon_decides_exact_input_by_the_exact_verdicts(capsys, tmp_path):
+    # the float copy of this triple sums to zero; the input does not, and
+    # canon reports check's witness in the input's units
+    near = str(Fraction(-1) + Fraction(1, 10**15))
+    path, _ = _exact_file(tmp_path, [("1", "0"), ("0", "1"), ("-1", near)])
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1 and json.loads(out)["balance_witness"] == {"index": 0, "value": "1"}
+    code, out, _ = run(capsys, "canon", str(path))
+    report = json.loads(out)
+    assert code == 1 and report["error"] == "NotBalanced" and report["witness"] == [0, "1"]
+
+
 def test_check_reports_exact_step_constants_in_input_units(capsys, tmp_path):
     # the members' denominators differ, so the table's scale is 6^2
     path, _ = _exact_file(tmp_path, [("1/2", "0"), ("0", "1/3"), ("-1/2", "-1/3")])
@@ -231,12 +243,12 @@ def test_exact_symmetric_set_builds_one_table(capsys, tmp_path, tables_built, co
     assert tables_built == [100]
 
 
-# The float scale bug (ROADMAP item 4): at 1e308 the determinants overflow,
+# The float scale bug (ROADMAP item 2): at 1e308 the determinants overflow,
 # at 1e-200 they underflow to 0, and check reports "uniform": false while
 # canon certifies U_3. The certificate route declines coordinates outside the
 # range where its bounds hold, so the bug stands until the scale is
 # normalized.
-@pytest.mark.xfail(strict=True, reason="float scale normalization, ROADMAP item 4")
+@pytest.mark.xfail(strict=True, reason="float scale normalization, ROADMAP item 2")
 @pytest.mark.parametrize("s", ["1e308", "1e-200"])
 def test_item4_check_agrees_with_canon_at_float_scale_extremes(capsys, tmp_path, s):
     path = tmp_path / "u3_extreme.json"
