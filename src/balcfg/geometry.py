@@ -87,7 +87,15 @@ class PlaneVector:
         return math.hypot(float(self.x), float(self.y))
 
     def as_float(self) -> "PlaneVector":
-        return self if self.mode == FLOAT else PlaneVector(float(self.x), float(self.y))
+        """The float copy; ValueError names an exact coordinate that does
+        not fit a float."""
+        if self.mode == FLOAT:
+            return self
+        try:
+            return PlaneVector(float(self.x), float(self.y))
+        except OverflowError:
+            axis, value = ("x", self.x) if abs(self.x) >= abs(self.y) else ("y", self.y)
+            raise ValueError(f"exact {axis} coordinate {value} does not fit a float") from None
 
     def as_tuple(self) -> tuple:
         return (self.x, self.y)

@@ -1,12 +1,14 @@
+import argparse
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from balcfg import sequences
+from balcfg import cli, sequences
 from balcfg.balance import step_constants
 from balcfg.canonical import LinearMap2
 from balcfg.cli import main
@@ -309,6 +311,21 @@ def test_canon_precision_refusal_is_not_a_certificate(capsys, tmp_path):
     assert "share an argument" in err
 
 
+@pytest.mark.parametrize("command", ["canon", "render"])
+def test_exact_input_whose_float_copy_overflows_exits_two(capsys, tmp_path, command):
+    # check decides this triple exactly and exits 0; the float copy that
+    # canon and render need does not exist, which is an input error, not a
+    # certificate
+    big = str(10**400)
+    path, _ = _exact_file(tmp_path, [(big, "0"), ("0", big), ("-" + big, "-" + big)])
+    assert run(capsys, "check", str(path))[0] == 0
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: exact x coordinate 1000") and "does not fit a float" in err
+
+
 def test_roots_golden_bytes(capsys):
     code, out, _ = run(capsys, "roots", "--n", "3")
     assert code == 0
@@ -344,6 +361,18 @@ def test_roots_solver_fault_is_not_a_certificate(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: root isolation did not terminate")
     assert "certificate" not in err
+
+
+def test_internal_fault_exits_two(capsys, monkeypatch):
+    # an exception that no command expects is an internal fault, never exit 1
+    def fault(args):
+        raise ArithmeticError("no such number")
+
+    monkeypatch.setattr(cli, "_cmd_roots", fault)
+    code, out, err = run(capsys, "roots", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: internal ArithmeticError: no such number\n"
 
 
 def test_roots_flag_validation(capsys):
@@ -535,3 +564,56 @@ def test_tol_zero_stays_legal(capsys):
     code, out, _ = run(capsys, "check", str(DATA / "square.json"), "--tol", "0")
     assert code == 0
     assert json.loads(out)["tol"] == 0.0
+
+
+# argparse's own text: every --help and the usage errors that reach the
+# top-level parser. The goldens pin what main prints whichever parser it
+# builds; argparse words and wraps these lines differently from one Python
+# minor version to the next, so the bytes are compared on the version that
+# wrote them, and every version compares main with the full parser.
+HELP_GOLDEN = GOLDEN / "cli_help"
+HELP_GOLDEN_PYTHON = (3, 11)
+PARSER_CASES = [
+    ("help.out", ["--help"], 0),
+    *((f"{name}_help.out", [name, "--help"], 0) for name in cli.COMMANDS),
+    ("no_command.err", [], 2),
+    ("bogus.err", ["bogus"], 2),
+    ("check_unrecognized.err", ["check", str(DATA / "u5.json"), "-z"], 2),
+    ("roots_unknown_option.err", ["roots", "--n", "3", "--bogus"], 2),
+    ("gen_bad_format.err", ["gen", "--m", "5", "--format", "png"], 2),
+]
+
+
+def _parser_exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name, argv, code", PARSER_CASES, ids=[c[0] for c in PARSER_CASES])
+def test_parser_output_golden_bytes(capsys, monkeypatch, name, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _parser_exit(capsys, main, argv)
+    assert got == _parser_exit(capsys, cli.build_parser().parse_args, argv)
+    if sys.version_info[:2] == HELP_GOLDEN_PYTHON:
+        text = (HELP_GOLDEN / name).read_text()
+        assert got == ((code, text, "") if name.endswith(".out") else (code, "", text))
+
+
+@pytest.mark.parametrize("argv, subparsers", [(["roots", "--n", "3"], 1), (["--help"], 6)])
+def test_main_builds_only_the_named_subparser(capsys, monkeypatch, argv, subparsers):
+    add_parser = argparse._SubParsersAction.add_parser
+    calls = []
+
+    def counting(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert len(calls) == subparsers
