@@ -12,26 +12,27 @@ an absolute tolerance derived from the determinant scale.
 
 The verdicts read the configuration's determinant rows one at a time,
 Configuration.det_row (one comprehension per row over the unpacked
-coordinates, cached), and each row sorted once. is_balanced builds and sorts
-rows in order and stops at the first asymmetric one; the symmetry test of one
-sorted row lives in _row_fault. The rows hold scaled entries: in exact mode
-the ints D^2 * det (D the lcm of the coordinate denominators), which sort,
-add and compare at C level with tolerance 0, so no verdict differs from one
-on det itself; in float mode the float det values. Every value a caller reads
-(a balance witness, det_max) is divided back to input units by
-Configuration.unscale. step_constants reads its 2m entries through det2, the
-same expression.
+coordinates, cached), each sorted when read (no verdict sorts a row twice).
+is_balanced builds and sorts rows in order and stops at the first asymmetric
+one; the symmetry test of one sorted row lives in _row_fault. The rows hold
+scaled entries: in exact mode the ints D^2 * det (D the lcm of the coordinate
+denominators), which sort, add and compare at C level with tolerance 0, so no
+verdict differs from one on det itself; in float mode the float det values.
+Every value a caller reads (a balance witness, det_max) is divided back to
+input units by Configuration.unscale. step_constants reads its 2m entries
+through det2, the same expression.
 
 The default float tolerance is 1e-9 * det_max, and det_max needs the whole
-m x m table. Every verdict first decides against a bracket of it instead
-(_Bracket): 1e-9 * max |row 0| below, 1e-9 * a bound on max |v|^2 above. A
-comparison that holds at both ends holds at the tolerance itself; one that
-falls between them sends the call to det_max. is_uniform in float mode first
-bounds every |det| from below by the smallest gap between the members'
-arguments, and scans the table only when that bound does not clear the
-tolerance. A GL2 image of U_m (odd m) is certified by the canonical map's
-residual before any of this runs (canonical.certified_labeling), and builds
-no table at all.
+m x m table. Every float comparison, the uniformity scan and antisymmetry
+included, meets its tolerance in _Bracket, which decides it against a
+bracket of it first: 1e-9 * max |row 0| below, 1e-9 * a bound on max |v|^2
+above. A monotone test that gives the same answer at both ends gives it at
+the tolerance itself; anything else sends the call to det_max. is_uniform
+in float mode first bounds every |det| from below by the smallest gap
+between the members' arguments, and scans the table only when that bound
+does not clear the tolerance. A GL2 image of U_m (odd m) is certified by the
+canonical map's residual before any of this runs
+(canonical.certified_labeling), and builds no table at all.
 
 For uniform balanced configurations of odd size m = 2n+1 this module also
 builds the pairing structure: for each index i the remaining indices split
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import add, ge, lt, sub
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -110,20 +112,6 @@ def require_tolerance(tol: float) -> float:
     return tol
 
 
-def _tolerance(c: Configuration, tol: Optional[float]) -> Scalar:
-    """Absolute tolerance for comparing the scaled entries of c's
-    determinant table: 0 in exact mode (tol ignored), else tol, else
-    DEFAULT_REL_TOL * max |det| (float tables have scale 1). An explicit tol
-    must pass require_tolerance in either mode."""
-    if tol is not None:
-        require_tolerance(tol)
-    if c.mode == EXACT:
-        return 0
-    if tol is not None:
-        return tol
-    return DEFAULT_REL_TOL * c.det_max
-
-
 def in_safe_range(values) -> bool:
     """True when every nonzero |value| lies in SAFE_COORDINATE_RANGE; NaN
     and inf do not."""
@@ -147,29 +135,45 @@ def norm_sq_bounds(c: Configuration) -> Optional[Tuple[float, float]]:
 
 
 class _Bracket:
-    """Bounds lo <= eff <= hi on the tolerance eff = _tolerance(c, tol) that
-    the verdicts compare with, so that most comparisons are decided without
-    det_max, which needs the whole table.
-
-    In exact mode and under an explicit tol, lo = hi = eff. Under the
-    default float tolerance, with every coordinate in the safe range:
+    """Bounds lo <= eff <= hi on the tolerance eff that every verdict
+    compares c's scaled determinant entries with: lo = hi = eff = 0 in exact
+    mode (tol ignored), else tol. Every float comparison, the uniformity
+    scan and antisymmetry included, goes through fault or finds, so det_max,
+    which needs the whole table, is read only when a comparison falls
+    between lo and hi. Under the default float tolerance, eff =
+    DEFAULT_REL_TOL * det_max, and with every coordinate in the safe range:
     - lo = 1e-9 * max |row 0|: det_max is the largest |entry|, as the table
       holds fl(-d) = -fl(d) next to each d;
-    - hi = 1e-9 * high from norm_sq_bounds: |fl det2(v_i, v_j)| <=
+    - hi = 1e-9 * high from norms (norm_sq_bounds): |fl det2(v_i, v_j)| <=
       (1 + u)^2 (|x_i y_j| + |y_i x_j|) <= (1 + u)^2 |v_i| |v_j|.
     Float multiplication by 1e-9 is monotone, so the bounds hold after it.
-    Elsewhere lo = hi = eff, read from det_max.
+    Elsewhere lo = hi = eff. Norms, ends and eff are computed on first read.
     """
 
     def __init__(self, c: Configuration, tol: Optional[float]):
         self.c = c
-        self.tol = tol
-        norms = None if tol is not None else norm_sq_bounds(c)
-        if norms is None:
-            self.lo = self.hi = _tolerance(c, tol)
-        else:
-            self.lo = DEFAULT_REL_TOL * max(map(abs, c.det_row(0)))
-            self.hi = DEFAULT_REL_TOL * norms[1]
+        if tol is not None:
+            self.lo = self.hi = self.eff = require_tolerance(tol)
+        if c.mode == EXACT:
+            self.norms, self.lo, self.hi, self.eff = None, 0, 0, 0
+
+    @cached_property
+    def norms(self) -> Optional[Tuple[float, float]]:
+        return norm_sq_bounds(self.c)
+
+    @cached_property
+    def eff(self) -> Scalar:
+        return DEFAULT_REL_TOL * self.c.det_max
+
+    @cached_property
+    def lo(self) -> Scalar:
+        if self.norms is None:
+            return self.eff
+        return DEFAULT_REL_TOL * max(map(abs, self.c.det_row(0)))
+
+    @cached_property
+    def hi(self) -> Scalar:
+        return self.eff if self.norms is None else DEFAULT_REL_TOL * self.norms[1]
 
     def fault(self, test):
         """test(eff) for the true eff, where test(e) is None when the
@@ -181,11 +185,26 @@ class _Bracket:
         them. Then a None at lo, or the same name at lo and hi, is the
         answer at eff; anything else narrows the bracket to eff itself.
         """
-        found = test(self.lo)
-        if found is None or self.lo == self.hi or test(self.hi) == found:
+        return self._decide(test, self.lo, self.hi)
+
+    def finds(self, test):
+        """fault's mirror, for a test that finds more as e grows (the first
+        zero of a row): a None at hi, or the same name at hi and lo, is the
+        answer at eff."""
+        return self._decide(test, self.hi, self.lo)
+
+    def _decide(self, test, first, second):
+        found = test(first)
+        if found is None or first == second or test(second) == found:
             return found
-        self.lo = self.hi = _tolerance(self.c, self.tol)
-        return test(self.lo)
+        self.lo = self.hi = self.eff
+        return test(self.eff)
+
+
+def _first(op, eff: Scalar, values) -> Optional[int]:
+    """The first j with op(eff, values[j]), or None: one C-level pass."""
+    hits = list(map(op, repeat(eff), values))
+    return hits.index(True) if True in hits else None
 
 
 def _row_fault(srow: tuple, eff: Scalar) -> Optional[int]:
@@ -198,14 +217,10 @@ def _row_fault(srow: tuple, eff: Scalar) -> Optional[int]:
     one entry. A NaN sum or entry fails no comparison, so it passes.
     """
     half = len(srow) // 2
-    bad = list(
-        map(lt, repeat(eff, half), map(abs, map(add, srow[:half], reversed(srow))))
-    )
-    if True in bad:
-        return bad.index(True)
-    if len(srow) % 2 and abs(srow[half]) > eff:
+    j = _first(lt, eff, map(abs, map(add, srow[:half], reversed(srow))))
+    if j is None and len(srow) % 2 and abs(srow[half]) > eff:
         return half
-    return None
+    return j
 
 
 def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
@@ -230,11 +245,11 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
     return BalanceReport(True, None)
 
 
-def _gap_floor(c: Configuration) -> Optional[float]:
+def _gap_floor(c: Configuration, norms: Optional[Tuple[float, float]]) -> Optional[float]:
     """A lower bound on every |fl det2(v_i, v_j)|, i != j, of a float
-    configuration of m >= 2 members in the safe range, from the smallest
-    cyclic gap g between the members' arguments mod pi; None when there is
-    no such bound.
+    configuration of m >= 2 members with norms, its norm_sq_bounds, from the
+    smallest cyclic gap g between the members' arguments mod pi; None when
+    there is no such bound.
 
     Any two arguments lie at least g' = g - 3 * ARGUMENT_ERR apart on the
     circle of length pi (an error in each argument, and the rounding of the
@@ -242,7 +257,6 @@ def _gap_floor(c: Configuration) -> Optional[float]:
     |sin(theta_j - theta_i)| >= min |v|^2 * sin(g'). Each float entry is
     within 3u * max |v|^2 of its det2 (see _Bracket).
     """
-    norms = norm_sq_bounds(c)
     if norms is None or c.m < 2:
         return None
     args = sorted(math.fmod(argument(v), math.pi) for v in c.vectors)
@@ -265,22 +279,20 @@ def is_uniform(
     between the members' arguments (_gap_floor) that clears the tolerance's
     upper bracket decides "uniform" with no table. Otherwise the smallest
     |D[i][j]|, j > i, of each row decides in one C-level pass whether the
-    row holds such a pair; only that row is scanned for its j.
+    row holds such a pair, against the tolerance's bracket first; only that
+    row is scanned for its j.
     """
-    if c.mode != EXACT:
-        floor = _gap_floor(c)
-        if floor is not None and floor > _Bracket(c, tol).hi:
-            return True, None
-    eff = _tolerance(c, tol)
-    for i, row in enumerate(c.det_table):
-        rest = row[i + 1 :]
+    bracket = _Bracket(c, tol)
+    floor = _gap_floor(c, bracket.norms)
+    if floor is not None and floor > bracket.hi:
+        return True, None
+    for i, row in enumerate(c.det_table[:-1]):
+        rest = list(map(abs, row[i + 1 :]))
         # an overflowed entry (inf - inf) is NaN and counts as nonzero: min
-        # skips a NaN unless it comes first and is returned, and "not > eff"
-        # sends that row to the scan, which skips it too
-        if rest and not min(map(abs, rest)) > eff:
-            zero = list(map(ge, repeat(eff), map(abs, rest)))
-            if True in zero:
-                return False, (i, i + 1 + zero.index(True))
+        # skips a NaN unless it comes first, and then the scan skips it
+        j = bracket.finds(lambda eff: None if min(rest) > eff else _first(ge, eff, rest))
+        if j is not None:
+            return False, (i, i + 1 + j)
     return True, None
 
 
@@ -338,20 +350,14 @@ def build_pairing(c: Configuration, tol: Optional[float] = None) -> PairingMap:
     phi: Dict[FrozenSet[int], int] = {}
     for i, row in enumerate(c.det_table):
         order = sorted((j for j in range(c.m) if j != i), key=row.__getitem__)
-        pairs = set()
-        lo, hi = 0, len(order) - 1
-        while lo < hi:
-            a, b = order[lo], order[hi]
-            key = frozenset((a, b))
+        pairs = [frozenset(pair) for pair in zip(order[: c.n], reversed(order))]
+        for key in pairs:
             if key in phi:
                 raise AmbiguousPairing(
                     f"pair {set(key)} claimed by rows {phi[key]} and {i}",
                     witness=(phi[key], i, tuple(key)),
                 )
             phi[key] = i
-            pairs.add(key)
-            lo += 1
-            hi -= 1
         per_index.append(frozenset(pairs))
 
     # Counting identity: m rows of n pairs fill all m(m-1)/2 unordered pairs.
@@ -363,17 +369,17 @@ def verify_antisymmetry(
     c: Configuration, tol: Optional[float] = None
 ) -> Tuple[bool, Optional[Tuple[int, int]]]:
     """Check det(v_k, v_{k+a}) = -det(v_k, v_{k-a}) for all k and a = 1..n,
-    indices cyclic. Returns (True, None) or (False, first violating (k, a))."""
+    indices cyclic, each row against the tolerance's bracket first. Returns
+    (True, None) or (False, first violating (k, a))."""
     if c.m % 2 == 0:
         raise ValueError("antisymmetry is stated for odd m")
-    eff = _tolerance(c, tol)
+    bracket = _Bracket(c, tol)
     m, n = c.m, c.n
     for k, row in enumerate(c.det_table):
-        for a in range(1, n + 1):
-            fwd = row[cyclic_index(k + a, m)]
-            bwd = row[cyclic_index(k - a, m)]
-            if abs(fwd + bwd) > eff:
-                return False, (k, a)
+        sums = [abs(row[(k + a) % m] + row[(k - a) % m]) for a in range(1, n + 1)]
+        j = bracket.fault(lambda eff: _first(lt, eff, sums))
+        if j is not None:
+            return False, (k, j + 1)
     return True, None
 
 

@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .balance import (
     BOUND_SLACK,
     UNIT_ROUNDOFF,
     _Bracket,
     in_safe_range,
-    norm_sq_bounds,
     require_balanced_uniform,
     require_tolerance,
 )
@@ -139,11 +138,20 @@ class CanonicalForm:
     residual: float
 
 
+def _negligible(parts: Tuple[Scalar, ...], scale: Callable[[], float]) -> bool:
+    """Whether a determinant (d,) or a vector (x, y) is degenerate: exactly 0
+    in exact mode, of length at most FRAME_DET_TOL * scale() in float mode
+    (relative to the inputs' scale, so it holds at any scale)."""
+    if isinstance(parts[0], float):
+        return math.hypot(*parts) <= FRAME_DET_TOL * scale()
+    return not any(parts)
+
+
 def frame_map(v0: PlaneVector, vn: PlaneVector) -> LinearMap2:
     """The unique g with g.v0 = (1,0) and g.vn = (0,1): the inverse of the
     matrix with columns v0, vn."""
     d = det2(v0, vn)
-    if (d == 0) if v0.mode == EXACT else (abs(d) <= FRAME_DET_TOL * v0.norm() * vn.norm()):
+    if _negligible((d,), lambda: v0.norm() * vn.norm()):
         raise SingularFrame(f"frame vectors are dependent (det = {d})")
     return LinearMap2(vn.y / d, -vn.x / d, -v0.y / d, v0.x / d)
 
@@ -204,7 +212,7 @@ def reconstruct_from_triple(
         raise ValueError(f"reconstruction needs odd m >= 3, got {m}")
     n = (m - 1) // 2
     an = det2(v0, vn)
-    if (an == 0) if v0.mode == EXACT else (abs(an) <= FRAME_DET_TOL * v0.norm() * vn.norm()):
+    if _negligible((an,), lambda: v0.norm() * vn.norm()):
         raise SingularFrame(f"det(v0, vn) = {an}; seed frame is singular")
     r = -(det2(vn, vn1) / an)
     scale = max(v.norm() for v in (v0, vn, vn1))
@@ -212,18 +220,11 @@ def reconstruct_from_triple(
     ys = [v0, vn1]
     for j in range(2, 2 * n):
         produced = ys[j - 1].scale(r) - ys[j - 2]
-        _check_step(produced, j // 2 if j % 2 == 0 else n + 1 + j // 2, scale)
+        if _negligible(produced.as_tuple(), lambda: scale):
+            slot = j // 2 if j % 2 == 0 else n + 1 + j // 2
+            raise ValueError(f"reconstruction produced a zero vector at slot {slot}")
         ys.append(produced)
     return Configuration(ys[0::2] + [vn] + ys[1::2])
-
-
-def _check_step(v: PlaneVector, slot: int, scale: float) -> None:
-    if v.mode == EXACT:
-        bad = v.is_zero()
-    else:
-        bad = v.norm() <= FRAME_DET_TOL * scale
-    if bad:
-        raise ValueError(f"reconstruction produced a zero vector at slot {slot}")
 
 
 def _diagram_exponents(m: int, k: int) -> Tuple[int, ...]:
@@ -260,14 +261,15 @@ def _map_onto_roots(c: Configuration) -> Tuple[Configuration, CanonicalForm]:
     return labeled, CanonicalForm(g, t_c, k_c, exponents, residual)
 
 
-def _residual_bounds(labeled: Configuration, form: CanonicalForm) -> Optional[Tuple[float, float]]:
-    """(pair, floor) from _map_onto_roots's labeling and form: every pair
-    sum that _row_fault forms on a sorted row of the float determinant table
-    of the labeled members is at most pair in magnitude, and every
-    off-diagonal |entry| is at least floor. None when no bound holds: a
-    coordinate or an entry of the map outside balance.SAFE_COORDINATE_RANGE
-    (where products may round other than relatively), a map whose
-    determinant is not bounded away from 0, or a bound that is not finite.
+def _residual_bounds(form: CanonicalForm, norms) -> Optional[Tuple[float, float]]:
+    """(pair, floor) from _map_onto_roots's form, given norms, the
+    norm_sq_bounds of its labeled members: every pair sum that _row_fault
+    forms on a sorted row of their float determinant table is at most pair
+    in magnitude, and every off-diagonal |entry| is at least floor. None
+    when no bound holds: no norms, or an entry of the map, outside
+    balance.SAFE_COORDINATE_RANGE (where products may round other than
+    relatively), a map whose determinant is not bounded away from 0, or a
+    bound that is not finite.
 
     Let G be the float map read as an exact matrix, omega_i the exact root
     of unity assigned to member v_i, and u the unit roundoff. Forward-error
@@ -291,7 +293,6 @@ def _residual_bounds(labeled: Configuration, form: CanonicalForm) -> Optional[Tu
     BOUND_SLACK.
     """
     g = form.g
-    norms = norm_sq_bounds(labeled)
     if norms is None or not in_safe_range((g.a, g.b, g.c, g.d)):
         return None
     high = norms[1]
@@ -307,7 +308,7 @@ def _residual_bounds(labeled: Configuration, form: CanonicalForm) -> Optional[Tu
     r = (form.residual * (1.0 + 4.0 * u) + 3.0 * u * size * math.sqrt(high) + TARGET_ERR) * up
     spread = (2.0 * r + r * r) * up
     entry_err = 3.0 * u * high * up
-    m = labeled.m
+    m = len(form.index_map)
     pair = (2.0 * spread / det_lo + 2.0 * entry_err) * (1.0 + u) * up
     floor = ((math.sin(math.pi / m) * down - spread) / det_hi * down - entry_err) * down
     if not (math.isfinite(pair) and math.isfinite(floor)):
@@ -327,11 +328,11 @@ def _certified_route(c: Configuration, tol: Optional[float]):
         route = _map_onto_roots(c)
     except (BalcfgError, ArithmeticError, ValueError) as exc:
         return exc, False
-    bounds = _residual_bounds(*route)
+    bracket = _Bracket(route[0], tol)
+    bounds = _residual_bounds(route[1], bracket.norms)
     if bounds is None:
         return route, False
     pair, floor = bounds
-    bracket = _Bracket(route[0], tol)
     return route, pair <= bracket.lo and floor > bracket.hi
 
 

@@ -194,11 +194,6 @@ class Configuration:
         """Row i of the scaled table once det_row has built it, else None."""
         return [None] * self.m
 
-    @cached_property
-    def _sorted_rows(self) -> list:
-        """Row i of sorted_det_row once it has been sorted, else None."""
-        return [None] * self.m
-
     def det_row(self, i: int) -> tuple:
         """Row i of the scaled determinant table, built on first use by the
         one comprehension every row comes from and then cached: entry j is
@@ -213,13 +208,10 @@ class Configuration:
         return row
 
     def sorted_det_row(self, i: int) -> tuple:
-        """det_row(i) without its diagonal entry, sorted once (in table
-        units: see unscale)."""
-        srow = self._sorted_rows[i]
-        if srow is None:
-            row = self.det_row(i)
-            srow = self._sorted_rows[i] = tuple(sorted(row[:i] + row[i + 1 :]))
-        return srow
+        """det_row(i) without its diagonal entry, sorted (in table units: see
+        unscale)."""
+        row = self.det_row(i)
+        return tuple(sorted(row[:i] + row[i + 1 :]))
 
     def unscale(self, value) -> Scalar:
         """A scaled table entry, or a sum of them, in input units."""

@@ -18,6 +18,7 @@ integer points of that grid.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, gcd, lcm
 from operator import add as _add_ints
 from typing import List, Sequence, Tuple
@@ -42,18 +43,15 @@ def degree(p: Sequence[int]) -> int:
 
 
 def add(p: Sequence[int], q: Sequence[int]) -> IntPoly:
-    size = max(len(p), len(q))
-    return trim(
-        [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(size)]
-    )
+    return trim([a + b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 def neg(p: Sequence[int]) -> IntPoly:
-    return tuple(-a for a in p)
+    return tuple([-a for a in p])
 
 
 def sub(p: Sequence[int], q: Sequence[int]) -> IntPoly:
-    return add(p, neg(q))
+    return trim([a - b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 def shift_up(p: Sequence[int]) -> IntPoly:

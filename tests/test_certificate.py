@@ -10,12 +10,13 @@ witness and certificate must match it exactly.
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balcfg import canonical
+from balcfg import balance, canonical
 from balcfg.balance import (
     DEFAULT_REL_TOL,
     _Bracket,
@@ -23,16 +24,20 @@ from balcfg.balance import (
     is_balanced,
     is_uniform,
     step_constants,
+    verify_antisymmetry,
 )
 from balcfg.canonical import (
     RESIDUAL_TOL,
+    _certified_route,
     _diagram_exponents,
+    _residual_bounds,
     canonicalize,
     certified_labeling,
     extract_t,
     frame_map,
     match_k,
 )
+from balcfg.cli import main
 from balcfg.errors import (
     BalcfgError,
     InconsistentConstants,
@@ -48,6 +53,7 @@ from balcfg.geometry import (
     unit_vector,
 )
 from balcfg.search import perturb, random_invertible
+from balcfg.serialization import save_config
 
 
 def _table(c):
@@ -83,6 +89,17 @@ def _ref_is_uniform(c, tol):
         for j in range(i + 1, c.m):
             if abs(table[i][j]) <= eff:
                 return False, (i, j)
+    return True, None
+
+
+def _ref_antisymmetry(c, tol):
+    table = _table(c)
+    eff = _ref_tol(table, tol)
+    m, n = c.m, c.n
+    for k in range(m):
+        for a in range(1, n + 1):
+            if abs(table[k][(k + a) % m] + table[k][(k - a) % m]) > eff:
+                return False, (k, a)
     return True, None
 
 
@@ -177,6 +194,7 @@ def test_certificate_first_verdicts_match_the_full_table(m, seed, eps, shuffle, 
         return form.g.rows(), form.k, form.index_map, form.residual
 
     assert _outcome(canon) == _outcome(lambda: _ref_canonicalize(c, RESIDUAL_TOL))
+    assert verify_antisymmetry(c, tol) == _ref_antisymmetry(c, tol)
 
 
 def test_bracket_decides_at_its_ends_and_narrows_between():
@@ -202,6 +220,100 @@ def test_bracket_decides_at_its_ends_and_narrows_between():
     between = (lo + hi) / 2
     assert bracket.fault(fails_above(between)) == ("x" if between > eff else None)
     assert seen == [lo, hi, eff] and bracket.lo == bracket.hi == eff
+
+
+def test_bracket_finds_mirrors_fault():
+    # a test that finds more as the tolerance grows: a None at hi, or the
+    # same answer at both ends, decides
+    c = random_invertible(4).apply_configuration(roots_of_unity(9))
+    bracket = _Bracket(c, None)
+    eff = DEFAULT_REL_TOL * c.det_max
+    seen = []
+
+    def finds_below(x):
+        # a comparison |x| <= e, naming itself when it holds
+        def test(e):
+            seen.append(e)
+            return "x" if x <= e else None
+
+        return test
+
+    lo, hi = bracket.lo, bracket.hi
+    assert bracket.finds(finds_below(lo / 2)) == "x" and seen == [hi, lo]
+    seen.clear()
+    assert bracket.finds(finds_below(2 * hi)) is None and seen == [hi]
+    seen.clear()
+    between = (lo + hi) / 2
+    assert bracket.finds(finds_below(between)) == ("x" if between <= eff else None)
+    assert seen == [hi, lo, eff] and bracket.lo == bracket.hi == eff
+
+
+def test_is_uniform_decides_the_square_without_det_max():
+    # opposite members: |det| = 0 at both ends of the bracket
+    c = Configuration([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+    assert is_uniform(c) == (False, (0, 2)) == _ref_is_uniform(c, None)
+    assert "det_max" not in c.__dict__
+
+
+@pytest.mark.parametrize("delta, pair", [(1e-11, None), (1e-13, (0, 1))])
+def test_is_uniform_reads_det_max_when_an_entry_falls_inside_the_bracket(delta, pair):
+    # det(v0, v1) = delta lies between 1e-9 * max |row 0| = 1e-12 and
+    # 1e-9 * max |v|^2 only for the first delta
+    c = Configuration([(1.0, 0.0), (1.0, delta), (0.0, 1e-3)])
+    assert is_uniform(c) == (pair is None, pair) == _ref_is_uniform(c, None)
+    assert ("det_max" in c.__dict__) == (pair is None)
+
+
+def test_verify_antisymmetry_decides_without_det_max():
+    c = random_invertible(4).apply_configuration(roots_of_unity(9))
+    assert verify_antisymmetry(c) == (True, None) == _ref_antisymmetry(c, None)
+    assert "det_max" not in c.__dict__
+
+
+def _count_calls(monkeypatch, fn):
+    """The configuration sizes of every call of fn, a balcfg function,
+    through every balcfg module that binds it."""
+    sizes = []
+
+    def counting(c):
+        sizes.append(c.m)
+        return fn(c)
+
+    for name, module in list(sys.modules.items()):
+        if name == "balcfg" or name.startswith("balcfg."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return sizes
+
+
+@pytest.mark.parametrize("command, calls", [("check", 2), ("canon", 1)])
+def test_norm_bounds_are_computed_once_per_bracket(capsys, monkeypatch, tmp_path, command, calls):
+    # check: the route's bracket, whose norms the residual bounds reuse,
+    # and step_constants' bracket; canon: the route's bracket alone
+    path = tmp_path / "u51.json"
+    save_config(random_invertible(3).apply_configuration(roots_of_unity(51)), str(path))
+    sizes = _count_calls(monkeypatch, balance.norm_sq_bounds)
+    assert main([command, str(path)]) == 0
+    capsys.readouterr()
+    assert sizes == [51] * calls
+
+
+def test_route_without_norm_bounds_falls_back_to_the_table(tables_built):
+    # v0 has a coordinate outside [2^-480, 2^480]: the route maps the
+    # configuration, but no bound holds, so the verdicts read the table
+    u = roots_of_unity(3)
+    c = Configuration([PlaneVector(1.0, 1e-300), u[1], u[2]])
+    route, certified = _certified_route(c, None)
+    assert isinstance(route, tuple) and not certified
+    assert _residual_bounds(route[1], _Bracket(route[0], None).norms) is None
+    assert tables_built == []
+    assert certified_labeling(c) is None
+    report = is_balanced(c)
+    assert (report.balanced, report.witness) == (True, None) == _ref_is_balanced(c, None)
+    assert is_uniform(c) == (True, None) == _ref_is_uniform(c, None)
+    assert tables_built == [3]
+    assert canonicalize(c).k == 1
 
 
 def test_is_balanced_reads_det_max_when_a_sum_falls_inside_the_bracket(tables_built):

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import random
+import runpy
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -302,6 +303,18 @@ def test_canon_failure_is_a_report_not_a_crash(capsys):
     assert report["witness"] == [0, 2]
 
 
+def test_canon_residual_above_its_tolerance_is_a_certificate(capsys):
+    # the golden map misses the roots of unity by its residual, which a
+    # residual tolerance of 0 refuses
+    golden = json.loads((GOLDEN / "canon_u7_moved.json").read_text())
+    code, out, _ = run(capsys, "canon", str(DATA / "u7_moved.json"), "--tol", "0")
+    assert code == 1
+    report = json.loads(out)
+    assert (report["ok"], report["error"]) == (False, "ResidualTooLarge")
+    assert report["witness"] == golden["residual"]
+    assert '"witness": 5.7219584981527971e-16' in out
+
+
 def test_canon_precision_refusal_is_not_a_certificate(capsys, tmp_path):
     path = tmp_path / "u5_squeezed.json"
     save_config(LinearMap2(1.0, 0.0, 0.0, 1e-13).apply_configuration(roots_of_unity(5)), path)
@@ -462,8 +475,10 @@ def test_out_flag_writes_stdout_bytes(capsys, tmp_path, argv, expected):
         ["roots", "--n", "0"],
         ["gen", "--m", "4"],
         ["search", "--m", "3", "--coords", "1/0"],
+        ["roots", "--m", "4"],
+        ["roots", "--m", "1"],
     ],
-    ids=["roots-n-and-m", "roots-n0", "gen-even-m", "search-bad-coords"],
+    ids=["roots-n-and-m", "roots-n0", "gen-even-m", "search-bad-coords", "roots-m4", "roots-m1"],
 )
 def test_usage_errors_take_the_one_error_path(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -471,6 +486,14 @@ def test_usage_errors_take_the_one_error_path(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+
+
+def test_module_entry_point_runs_main(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["balcfg", "roots", "--n", "3"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("balcfg", run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == (GOLDEN / "roots_n3.json").read_text()
 
 
 def test_timing_flag_embeds_elapsed(capsys):
@@ -495,6 +518,15 @@ def test_search_summary_and_files(capsys, tmp_path):
         cfg = parse_config((out_dir / name).read_text())
         assert cfg.m == 3
     assert (out_dir / "summary.json").read_text() == out
+
+
+@pytest.mark.parametrize("flags, count", [(["--uniform"], 11), ([], 14)])
+def test_search_uniform_flag_keeps_the_uniform_hits(capsys, flags, count):
+    code, out, _ = run(capsys, "search", "--m", "3", "--coords", "-1,0,1,2", *flags)
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["require_uniform"] is bool(flags)
+    assert (summary["count"], summary["uniform_count"]) == (count, 11)
 
 
 def test_search_budget_exit(capsys):
