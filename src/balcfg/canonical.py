@@ -215,12 +215,11 @@ def reconstruct_from_triple(
     if _negligible((an,), lambda: v0.norm() * vn.norm()):
         raise SingularFrame(f"det(v0, vn) = {an}; seed frame is singular")
     r = -(det2(vn, vn1) / an)
-    scale = max(v.norm() for v in (v0, vn, vn1))
     # y_j = slot j/2 (j even) or slot n+1+j//2 (j odd): y_{j+1} = r y_j - y_{j-1}
     ys = [v0, vn1]
     for j in range(2, 2 * n):
         produced = ys[j - 1].scale(r) - ys[j - 2]
-        if _negligible(produced.as_tuple(), lambda: scale):
+        if _negligible(produced.as_tuple(), lambda: max(v.norm() for v in (v0, vn, vn1))):
             slot = j // 2 if j % 2 == 0 else n + 1 + j // 2
             raise ValueError(f"reconstruction produced a zero vector at slot {slot}")
         ys.append(produced)

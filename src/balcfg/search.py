@@ -6,10 +6,12 @@ vectors (the objects the definitions quantify over) and lists each set once,
 in lexicographic order of the sorted representative, so results are
 reproducible byte for byte. It never tests all C(n, m) candidates: a balanced
 set is collinear or sums to zero, so it lists the collinear sets of each line
-through the origin and walks the (m - 1)-prefixes of the grid, completing
-each by the one grid point that cancels its sum. Each zero-sum set that is
-not collinear is decided by is_balanced on its own Configuration; no grid
-table is built.
+through the origin and meets the zero-sum sets in the middle, joining the
+sums of the grid's ceil(m/2)-subsets with a table of its floor(m/2)-subset
+sums (for m > n/2, of the n - m points each set leaves out). A zero-sum set
+on 4 or more lines whose third moment is not zero is dropped, and every
+other one that is not collinear is decided by is_balanced on its own
+Configuration; no grid table is built.
 """
 
 from __future__ import annotations
@@ -99,28 +101,44 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     Row i of a configuration sums to det(v_i, S), S the sum of its members,
     and a symmetric row sums to 0. So a balanced set is collinear (every det
     is 0, and it is balanced) or has S = 0 (two independent members force
-    it). The collinear sets are listed line by line. Every other candidate
-    is an (m - 1)-prefix completed by the grid point at minus its sum, and
-    is decided by is_balanced on its own Configuration. BudgetExceeded
-    refuses a walk of more than DEFAULT_BUDGET prefixes, C(n, m - 1) for n
-    grid vectors.
+    it). The collinear sets are listed line by line. The zero-sum sets are
+    met in the middle (Horowitz & Sahni 1974, see _join) on packed ints,
+    x*K + y with K = 2*m*max|coordinate| + 1, so a sum of at most m points
+    is 0 exactly when both of its coordinate sums are. When m > n/2 the
+    join lists the n - m points left out, whose sum is the grid's total.
+
+    A balanced set on 4 or more lines through the origin also has a zero
+    third moment (sum x^3, sum x^2 y, sum x y^2, sum y^3): every odd power
+    sum of a symmetric row is 0, so the cubic form sum_j det(u, v_j)^3
+    vanishes on the line of every member, and a nonzero binary cubic
+    vanishes on at most 3 lines. The four sums are packed into one int the
+    same way. A zero-sum set that fails this test is dropped; every other
+    one that is not collinear is decided by is_balanced on its own
+    Configuration. No grid table is built, but the join's table of
+    C(n, floor(s/2)) entries, s = min(m, n - m), is held in memory, at about
+    100 to 250 B per entry. BudgetExceeded refuses a join of more than
+    DEFAULT_BUDGET left halves, C(n, ceil(s/2)) for n grid vectors.
     """
     coords = spec.coordinate_set
     # the grid's nonzero vectors, counted before any is built
     m, n = spec.m, len(coords) ** 2 - (0 in coords)
-    # C(n, m - 1) = C(n, k), and C(n, j) grows with j <= k <= n / 2
-    k = min(m - 1, n - m + 1)
-    prefixes = int(k >= 0)
+    if m > n:
+        return []
+    # a set sums to zero exactly when the rest of the grid sums to the
+    # grid's total, so the join lists the smaller of the two
+    size = min(m, n - m)
+    left = size - size // 2
+    # C(n, left) = C(n, k), and C(n, j) grows with j <= k <= n / 2
+    k = min(left, n - left)
+    subsets = 1
     for j in range(1, k + 1):
-        prefixes = prefixes * (n - j + 1) // j
-        if prefixes > DEFAULT_BUDGET:
+        subsets = subsets * (n - j + 1) // j
+        if subsets > DEFAULT_BUDGET:
             raise BudgetExceeded(
-                f"C({n}, {m - 1}) {'=' if j == k else '>='} {prefixes} prefixes "
+                f"C({n}, {left}) {'=' if j == k else '>='} {subsets} subsets "
                 f"exceed the budget of {DEFAULT_BUDGET}"
             )
     vectors = grid_vectors(coords)
-    if m > n:
-        return []
     xs, ys, _ = Configuration(vectors)._det_coords
     # each point's line through the origin: its gcd-reduced direction, with
     # the first nonzero coordinate positive
@@ -136,14 +154,56 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
         for members in lines.values()
         for idx in itertools.combinations(members, m)
     }
-    index = {p: i for i, p in enumerate(zip(xs, ys))}
-    for prefix in itertools.combinations(range(n), m - 1):
-        j = index.get((-sum([xs[a] for a in prefix]), -sum([ys[a] for a in prefix])), -1)
-        if j > max(prefix, default=-1) and any([line_of[a] != line_of[j] for a in prefix]):
-            cfg = Configuration([vectors[a] for a in prefix + (j,)])
-            if is_balanced(cfg).balanced:
-                found[prefix + (j,)] = cfg
+    keys = _pack(list(zip(xs, ys)), m)
+    cubes = _pack([(x * x * x, x * x * y, x * y * y, y * y * y) for x, y in zip(xs, ys)], m)
+    target = 0 if size == m else sum(keys)
+    for part in _join(keys, size, target):
+        idx = part if size == m else tuple(sorted(set(range(n)).difference(part)))
+        on = len({line_of[a] for a in idx})
+        if on == 1 or on >= 4 and sum([cubes[a] for a in idx]):
+            continue
+        cfg = Configuration([vectors[a] for a in idx])
+        if is_balanced(cfg).balanced:
+            found[idx] = cfg
     hits = [found[idx] for idx in sorted(found)]
     if spec.require_uniform:
         return [cfg for cfg in hits if is_uniform(cfg)[0]]
     return hits
+
+
+def _join(keys: List[int], size: int, target: int):
+    """Every increasing index tuple of `size` members whose keys sum to
+    `target`, met in the middle: a table maps target minus the sum of each
+    floor(size/2)-subset to its index tuples, each ceil(size/2)-subset looks
+    up its own sum, and a right part is kept when it starts past the left
+    part's last index, so each tuple is met once."""
+    n = len(keys)
+    left, right = size - size // 2, size // 2
+    table = {}
+    for total, idx in zip(
+        map(sum, itertools.combinations(keys, right)), itertools.combinations(range(n), right)
+    ):
+        table.setdefault(target - total, []).append(idx)
+    # only the left parts whose sum the table holds leave the C-level pipeline
+    met = itertools.compress(
+        itertools.combinations(range(n), left),
+        map(table.__contains__, map(sum, itertools.combinations(keys, left))),
+    )
+    for head in met:
+        for tail in table[sum([keys[a] for a in head])]:
+            if not tail or tail[0] > head[-1]:
+                yield head + tail
+
+
+def _pack(parts: List[Tuple[int, ...]], m: int) -> List[int]:
+    """One int per point from its int parts, as digits in base
+    K = 2*m*max|part| + 1: a sum of at most m packed points is 0
+    exactly when the sum of every part is."""
+    base = 2 * m * max([abs(c) for p in parts for c in p]) + 1
+    packed = []
+    for p in parts:
+        total = 0
+        for c in p:
+            total = total * base + c
+        packed.append(total)
+    return packed

@@ -146,6 +146,22 @@ def test_reconstruction_detects_degenerate_walk():
         reconstruct_from_triple(PlaneVector(1, 0), PlaneVector(0, 1), PlaneVector(-1, 0), 5)
 
 
+@pytest.mark.parametrize(
+    "triple, m",
+    [(((1, 0), (0, 1), (-1, -1)), 3), (((2, 0), (1, 3), (-3, -1)), 5)],
+)
+def test_reconstruction_keeps_exact_input_beyond_the_float_range(triple, m):
+    # no float copy of 10^400 exists, and exact mode never needs one: the
+    # rebuilt set is the unscaled one times 10^400
+    big = 10**400
+    small = reconstruct_from_triple(*(PlaneVector(x, y) for x, y in triple), m)
+    rebuilt = reconstruct_from_triple(*(PlaneVector(x * big, y * big) for x, y in triple), m)
+    assert rebuilt.mode == "exact"
+    assert rebuilt == Configuration([v.scale(Fraction(big)) for v in small])
+    if m == 3:
+        assert [v.as_tuple() for v in small] == list(triple)
+
+
 def test_canonicalize_pentagon_is_already_canonical():
     form = canonicalize(roots_of_unity(5))
     assert form.k == 2

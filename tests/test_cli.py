@@ -530,7 +530,8 @@ def test_search_uniform_flag_keeps_the_uniform_hits(capsys, flags, count):
 
 
 def test_search_budget_exit(capsys):
-    code, _, err = run(capsys, "search", "--m", "6", "--coords", "0,1,2,3,4,5,6,7,8,9")
+    # C(99, 6) left halves exceed the budget
+    code, _, err = run(capsys, "search", "--m", "12", "--coords", "0,1,2,3,4,5,6,7,8,9")
     assert code == 2
     assert "error" in err
 

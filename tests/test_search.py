@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balcfg import (
@@ -19,6 +19,7 @@ from balcfg import (
     random_invertible,
     roots_of_unity,
 )
+from balcfg import search
 from balcfg.search import grid_vectors
 
 GRID3 = (Fraction(-1), Fraction(0), Fraction(1))
@@ -126,43 +127,158 @@ def test_enumeration_equals_its_definition(coords, m, require_uniform):
 
 
 def test_budget_guard():
-    # the walk visits C(n, m - 1) prefixes of the n grid vectors: C(99, 5)
-    # is about 7.2e7
-    with pytest.raises(BudgetExceeded, match=r"C\(99, 5\)"):
-        enumerate_balanced(SearchSpec(m=6, coordinate_set=tuple(range(10))))
+    # the join walks the C(n, ceil(m / 2)) left halves of the n grid
+    # vectors: C(99, 6) is about 1.1e9
+    with pytest.raises(BudgetExceeded, match=r"C\(99, 6\)"):
+        enumerate_balanced(SearchSpec(m=12, coordinate_set=tuple(range(10))))
+
+
+def test_join_runs_where_the_prefix_walk_was_refused():
+    # C(99, 3) left halves, where C(99, 5) prefixes exceeded the budget: no
+    # set sums to zero on a grid of nonnegative coordinates, so the hits are
+    # the 6-subsets of the three lines that hold 9 grid points each
+    hits = enumerate_balanced(SearchSpec(m=6, coordinate_set=tuple(range(10))))
+    assert len(hits) == 3 * math.comb(9, 6)
+
+
+@pytest.mark.parametrize("m", [8, 10, 13, 15])
+def test_large_m_joins_the_points_left_out(m):
+    # m > n / 2 on the 15 vectors of GRID4: the join lists the n - m points
+    # that each set leaves out, whose sum is the grid's total, (8, 8); at
+    # m = 8 one hit is not collinear
+    assert enumerate_balanced(SearchSpec(m, GRID4)) == brute_force(GRID4, m, False)
+
+
+def test_large_m_runs_within_a_small_budget():
+    # m = n - 1 and m = n on the 24 vectors of {-2, ..., 2}^2 cost C(24, 1)
+    # and C(24, 0) left halves, not C(24, 12): no point is the grid's total
+    # (0), and the whole grid is centrally symmetric, so balanced
+    coords = tuple(range(-2, 3))
+    assert enumerate_balanced(SearchSpec(23, coords)) == []
+    assert enumerate_balanced(SearchSpec(24, coords)) == [Configuration(grid_vectors(coords))]
 
 
 def test_budget_refuses_a_huge_walk_without_counting_it_in_full():
-    # C(999999, 500000) has about 300 000 digits; the refusal stops at the
-    # first C(n, j) past the budget, so it takes milliseconds
+    # the join lists the 499998 points each set leaves out: C(999999,
+    # 249999) has about 244 000 digits; the refusal stops at the first
+    # C(n, j) past the budget, so it takes milliseconds
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match=r"C\(999999, 500000\) >= "):
+    with pytest.raises(BudgetExceeded, match=r"C\(999999, 249999\) >= "):
         enumerate_balanced(SearchSpec(m=500001, coordinate_set=tuple(range(1000))))
     assert time.perf_counter() - start < 1.0
 
 
 def test_budget_counts_prefixes_not_coordinate_tuples():
-    # 3^16 coordinate tuples, but only C(8, 7) = 8 prefixes: the one hit is
-    # every nonzero vector of the grid
+    # 3^16 coordinate tuples, but only C(8, 4) = 70 left halves: the one hit
+    # is every nonzero vector of the grid
     hits = enumerate_balanced(SearchSpec(m=8, coordinate_set=GRID3))
     assert hits == [Configuration(grid_vectors(GRID3))]
 
 
+RANDOM_COORDS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
+
+
 @settings(max_examples=15, deadline=None)
 @given(
-    st.lists(
-        st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5])),
-        min_size=2,
-        max_size=5,
-        unique=True,
+    # m = 5 and m = 6 split 3 + 2 and 3 + 3; brute force stays cheap on at
+    # most 4 coordinates
+    st.integers(1, 6).flatmap(
+        lambda m: st.tuples(
+            st.lists(RANDOM_COORDS, min_size=2, max_size=5 if m <= 4 else 4, unique=True),
+            st.just(m),
+        )
     ),
-    st.integers(1, 4),
     st.booleans(),
 )
-def test_enumeration_equals_brute_force_on_random_grids(coords, m, require_uniform):
-    # the collinear listing and the zero-sum walk together must list exactly
+@example(([Fraction(1, 2), Fraction(-1), Fraction(2)], 1), False)
+@example(([Fraction(-1), Fraction(0), Fraction(1), Fraction(2)], 2), True)
+@example(([Fraction(-1), Fraction(0), Fraction(1), Fraction(2)], 5), False)
+@example(([Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1)], 6), False)
+def test_enumeration_equals_brute_force_on_random_grids(grid, require_uniform):
+    # the collinear listing and the zero-sum join together must list exactly
     # the brute-force hits
+    coords, m = grid
     hits = enumerate_balanced(SearchSpec(m, tuple(coords), require_uniform))
     expected = brute_force(tuple(sorted(coords)), m, require_uniform)
     assert hits == expected
     assert [h.det_table for h in hits] == [e.det_table for e in expected]
+
+
+def lines_through_the_origin(cfg):
+    """The distinct lines through the origin that hold a member: slope y/x,
+    or None for the y-axis."""
+    return {None if v.x == 0 else v.y / v.x for v in cfg}
+
+
+def moments(cfg):
+    """(sum of v, third moment (sum x^3, sum x^2 y, sum x y^2, sum y^3))."""
+    first = (sum(v.x for v in cfg), sum(v.y for v in cfg))
+    third = tuple(sum(v.x ** (3 - k) * v.y**k for v in cfg) for k in range(4))
+    return first, third
+
+
+def assert_moment_lemma(cfg):
+    # a balanced set on 2 or more lines sums to zero, and one on 4 or more
+    # lines has a zero third moment
+    first, third = moments(cfg)
+    on = len(lines_through_the_origin(cfg))
+    if on >= 2:
+        assert first == (0, 0)
+    if on >= 4:
+        assert third == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "m, coords",
+    [(4, range(-2, 3)), (5, range(-2, 3)), (6, GRID5), (8, range(-2, 3)), (8, GRID3)],
+)
+def test_search_hits_obey_the_moment_lemma(m, coords):
+    hits = enumerate_balanced(SearchSpec(m, tuple(coords)))
+    assert hits
+    for cfg in hits:
+        assert_moment_lemma(cfg)
+    # the third moment is tested: both m = 8 grids have hits on 4 lines
+    if m == 8:
+        assert any(len(lines_through_the_origin(cfg)) >= 4 for cfg in hits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(RANDOM_COORDS, RANDOM_COORDS).filter(lambda v: v != (0, 0)),
+        min_size=1,
+        max_size=6,
+        unique_by=lambda v: (v[0], v[1]) if v > (0, 0) else (-v[0], -v[1]),
+    )
+)
+def test_centrally_symmetric_sets_obey_the_moment_lemma(halves):
+    # {v, -v} is balanced: row v holds det(v, w) and det(v, -w) for each w
+    cfg = Configuration([v for x, y in halves for v in ((x, y), (-x, -y))])
+    assert is_balanced(cfg).balanced
+    assert_moment_lemma(cfg)
+
+
+def test_moment_filter_runs_before_is_balanced(monkeypatch):
+    # every set that reaches is_balanced sums to zero, is not collinear, and
+    # lies on at most 3 lines or has a zero third moment; some zero-sum sets
+    # on 4 or more lines are dropped unseen
+    seen = []
+
+    def recording(cfg):
+        seen.append(cfg)
+        return is_balanced(cfg)
+
+    monkeypatch.setattr(search, "is_balanced", recording)
+    hits = enumerate_balanced(SearchSpec(4, GRID4))
+    assert hits == brute_force(GRID4, 4, False)
+    for cfg in seen:
+        first, third = moments(cfg)
+        on = len(lines_through_the_origin(cfg))
+        assert first == (0, 0) and on >= 2
+        assert on <= 3 or third == (0, 0, 0, 0)
+    zero_sum = [
+        cand
+        for cand in itertools.combinations(grid_vectors(GRID4), 4)
+        if moments(cand)[0] == (0, 0) and len(lines_through_the_origin(cand)) >= 2
+    ]
+    assert len(seen) < len(zero_sum)
