@@ -11,11 +11,10 @@ float copy overflows. Each command catches CertificateError itself, so a
 certificate that escapes one is an internal fault and exits 2, as does any
 other exception a command raises ("error: internal <class>: ...").
 
-main builds only the parser of the subcommand that argv[0] names: the
-other five subparsers cost about 1 ms, as much as a small command's work,
-and an in-process caller pays it on every call. --help, a missing or
-unknown command and arguments that no subparser recognizes go to the full
-parser, so every help text and usage message is the same either way.
+One parser per process: build_parser builds the full parser on the first
+main call, not at import, and every later call in the process parses with
+it, so every help text and usage message comes from that one parser.
+main looks up the chosen command's _cmd_ function when it runs.
 
 Each command returns its report (a dict) or text with its exit code, and
 main writes it through the one writer to --out or stdout: a report as
@@ -29,6 +28,7 @@ elapsed_ms.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -212,13 +212,12 @@ def _cmd_render(args) -> Tuple[str, int]:
 COMMANDS = ("check", "canon", "roots", "gen", "search", "render")
 
 
-def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
-    """The balcfg parser with the subparsers of the named commands, added
-    in the order of COMMANDS. main builds only the subparser its argv names,
-    because the other five take as long to build as a small command takes
-    to run; it builds the full parser for --help, for a missing or unknown
-    command and for arguments no subparser recognizes, whose usage line
-    lists every command."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The balcfg parser, with one subparser per command in the order of
+    COMMANDS. It is built on first use and then shared by every main call
+    in the process: building it takes some 30 times as long as parsing
+    with it."""
     parser = argparse.ArgumentParser(
         prog="balcfg",
         description="Balanced plane vector configurations: verdicts, canonical "
@@ -226,62 +225,50 @@ def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    if "check" in commands:
-        check = sub.add_parser("check", help="balance/uniformity verdicts for a configuration file")
-        check.add_argument("path")
-        check.add_argument(
-            "--tol", type=tolerance, default=None, help="absolute determinant tolerance"
-        )
-        check.add_argument("--out", default=None, help="write the report here instead of stdout")
-        check.add_argument("--timing", action="store_true", help="embed elapsed time in the report")
-        check.set_defaults(func=_cmd_check)
+    check = sub.add_parser("check", help="balance/uniformity verdicts for a configuration file")
+    check.add_argument("path")
+    check.add_argument(
+        "--tol", type=tolerance, default=None, help="absolute determinant tolerance"
+    )
+    check.add_argument("--out", default=None, help="write the report here instead of stdout")
+    check.add_argument("--timing", action="store_true", help="embed elapsed time in the report")
 
-    if "canon" in commands:
-        canon = sub.add_parser("canon", help="canonical map onto the roots of unity")
-        canon.add_argument("path")
-        canon.add_argument(
-            "--tol",
-            type=tolerance,
-            default=RESIDUAL_TOL,
-            help="residual tolerance (default %(default)g)",
-        )
-        canon.add_argument("--out", default=None)
-        canon.add_argument("--timing", action="store_true")
-        canon.set_defaults(func=_cmd_canon)
+    canon = sub.add_parser("canon", help="canonical map onto the roots of unity")
+    canon.add_argument("path")
+    canon.add_argument(
+        "--tol",
+        type=tolerance,
+        default=RESIDUAL_TOL,
+        help="residual tolerance (default %(default)g)",
+    )
+    canon.add_argument("--out", default=None)
+    canon.add_argument("--timing", action="store_true")
 
-    if "roots" in commands:
-        roots = sub.add_parser("roots", help="closure parameters: certified solver vs closed form")
-        roots.add_argument("--n", type=int, default=None)
-        roots.add_argument("--m", type=int, default=None)
-        roots.add_argument("--out", default=None)
-        roots.add_argument("--timing", action="store_true")
-        roots.set_defaults(func=_cmd_roots)
+    roots = sub.add_parser("roots", help="closure parameters: certified solver vs closed form")
+    roots.add_argument("--n", type=int, default=None)
+    roots.add_argument("--m", type=int, default=None)
+    roots.add_argument("--out", default=None)
+    roots.add_argument("--timing", action="store_true")
 
-    if "gen" in commands:
-        gen = sub.add_parser("gen", help="write a configuration file")
-        gen.add_argument("--m", type=int, required=True, help="configuration size (odd)")
-        gen.add_argument("--k", type=int, default=None, help="emit the model at grid index k")
-        gen.add_argument("--seed", type=int, default=None, help="apply a seeded invertible map")
-        gen.add_argument("--out", default=None)
-        gen.add_argument("--format", choices=("json", "svg"), default="json")
-        gen.set_defaults(func=_cmd_gen)
+    gen = sub.add_parser("gen", help="write a configuration file")
+    gen.add_argument("--m", type=int, required=True, help="configuration size (odd)")
+    gen.add_argument("--k", type=int, default=None, help="emit the model at grid index k")
+    gen.add_argument("--seed", type=int, default=None, help="apply a seeded invertible map")
+    gen.add_argument("--out", default=None)
+    gen.add_argument("--format", choices=("json", "svg"), default="json")
 
-    if "search" in commands:
-        search = sub.add_parser("search", help="exhaustive balanced-configuration search on a grid")
-        search.add_argument("--m", type=int, required=True)
-        search.add_argument("--coords", required=True, help="comma-separated exact coordinates")
-        search.add_argument("--uniform", action="store_true", help="keep only uniform hits")
-        search.add_argument(
-            "--out", dest="out_dir", metavar="OUT", help="directory for hit files and summary.json"
-        )
-        search.set_defaults(func=_cmd_search)
+    search = sub.add_parser("search", help="exhaustive balanced-configuration search on a grid")
+    search.add_argument("--m", type=int, required=True)
+    search.add_argument("--coords", required=True, help="comma-separated exact coordinates")
+    search.add_argument("--uniform", action="store_true", help="keep only uniform hits")
+    search.add_argument(
+        "--out", dest="out_dir", metavar="OUT", help="directory for hit files and summary.json"
+    )
 
-    if "render" in commands:
-        render = sub.add_parser("render", help="render a configuration file")
-        render.add_argument("path")
-        render.add_argument("--out", default=None)
-        render.add_argument("--format", choices=("svg", "json"), default="svg")
-        render.set_defaults(func=_cmd_render)
+    render = sub.add_parser("render", help="render a configuration file")
+    render.add_argument("path")
+    render.add_argument("--out", default=None)
+    render.add_argument("--format", choices=("svg", "json"), default="svg")
 
     return parser
 
@@ -297,15 +284,10 @@ def _fuse_coords(argv):
 
 def main(argv=None) -> int:
     argv = _fuse_coords(sys.argv[1:] if argv is None else list(argv))
-    named = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
-    args, unrecognized = build_parser(named).parse_known_args(argv)
-    if unrecognized:
-        # the top-level parser reports them, and its usage line lists every
-        # command: the full parser's parse_args exits 2 here
-        build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        payload, code = args.func(args)
+        payload, code = globals()[f"_cmd_{args.command}"](args)
         if isinstance(payload, dict):
             if getattr(args, "timing", False):
                 payload["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0

@@ -38,7 +38,10 @@ ARGUMENT_TIE_TOL = 1e-12
 
 
 def _coerce(value) -> Scalar:
-    """Map an input coordinate to one of the two supported scalar kinds."""
+    """Map an input coordinate to one of the two supported scalar kinds. A
+    Fraction is immutable, so an exact one is returned as it is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError("boolean is not a coordinate")
     if isinstance(value, float):

@@ -139,7 +139,12 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
                 f"exceed the budget of {DEFAULT_BUDGET}"
             )
     vectors = grid_vectors(coords)
-    xs, ys, _ = Configuration(vectors)._det_coords
+    # each coordinate as an int over the lcm of the denominators, the
+    # points' ints in grid_vectors' order
+    d = math.lcm(*[c.denominator for c in coords])
+    ints = [c.numerator * (d // c.denominator) for c in coords]
+    xs = [x for x in ints for y in ints if x or y]
+    ys = [y for x in ints for y in ints if x or y]
     # each point's line through the origin: its gcd-reduced direction, with
     # the first nonzero coordinate positive
     line_of = []

@@ -225,24 +225,26 @@ def test_acceptance_09_model_sequence_identity():
     report(ok, f"w_i(t_k) equals the mapped root of unity, worst gap {worst:.2e}")
 
 
+CLI_GOLDEN_CASES = [
+    (["check", str(DATA / "u5.json")], GOLDEN / "check_u5.json", 0),
+    (["canon", str(DATA / "u7_moved.json")], GOLDEN / "canon_u7_moved.json", 0),
+    (["roots", "--n", "3"], GOLDEN / "roots_n3.json", 0),
+    (["roots", "--n", "24"], GOLDEN / "roots_n24.json", 0),
+    (["roots", "--n", "61"], GOLDEN / "roots_n61.json", 0),
+    (["render", str(DATA / "u5.json"), "--format", "svg"], GOLDEN / "u5.svg", 0),
+    # exact input: canon takes check's verdicts, so U_5 rounded to
+    # 10^-12 is not balanced, with check's witness, and an exact
+    # triple that sums to zero is U_3's image
+    (["check", str(DATA / "u5_exact_rounded.json")], GOLDEN / "check_u5_exact_rounded.json", 1),
+    (["canon", str(DATA / "u5_exact_rounded.json")], GOLDEN / "canon_u5_exact_rounded.json", 1),
+    (["check", str(DATA / "u3_exact.json")], GOLDEN / "check_u3_exact.json", 0),
+    (["canon", str(DATA / "u3_exact.json")], GOLDEN / "canon_u3_exact.json", 0),
+]
+
+
 def test_acceptance_10_cli_golden_files(capsys):
-    cases = [
-        (["check", str(DATA / "u5.json")], GOLDEN / "check_u5.json", 0),
-        (["canon", str(DATA / "u7_moved.json")], GOLDEN / "canon_u7_moved.json", 0),
-        (["roots", "--n", "3"], GOLDEN / "roots_n3.json", 0),
-        (["roots", "--n", "24"], GOLDEN / "roots_n24.json", 0),
-        (["roots", "--n", "61"], GOLDEN / "roots_n61.json", 0),
-        (["render", str(DATA / "u5.json"), "--format", "svg"], GOLDEN / "u5.svg", 0),
-        # exact input: canon takes check's verdicts, so U_5 rounded to
-        # 10^-12 is not balanced, with check's witness, and an exact
-        # triple that sums to zero is U_3's image
-        (["check", str(DATA / "u5_exact_rounded.json")], GOLDEN / "check_u5_exact_rounded.json", 1),
-        (["canon", str(DATA / "u5_exact_rounded.json")], GOLDEN / "canon_u5_exact_rounded.json", 1),
-        (["check", str(DATA / "u3_exact.json")], GOLDEN / "check_u3_exact.json", 0),
-        (["canon", str(DATA / "u3_exact.json")], GOLDEN / "canon_u3_exact.json", 0),
-    ]
     ok = True
-    for argv, golden, want_code in cases:
+    for argv, golden, want_code in CLI_GOLDEN_CASES:
         code = main(list(argv))
         first = capsys.readouterr().out
         code2 = main(list(argv))
@@ -251,6 +253,24 @@ def test_acceptance_10_cli_golden_files(capsys):
         ok = ok and first == second == golden.read_text()
     with capsys.disabled():
         report(ok, "CLI reports and SVG are byte-identical to the golden files")
+
+
+def test_acceptance_10_cli_golden_files_across_a_usage_error(capsys):
+    # every main call in a process parses with the same parser, so a usage
+    # error between two rounds of the golden commands changes no byte
+    def golden_round():
+        return all(main(list(argv)) == want_code and capsys.readouterr().out == golden.read_text()
+                   for argv, golden, want_code in CLI_GOLDEN_CASES)
+
+    ok = golden_round()
+    try:
+        code = main(["roots", "--n", "3", "--bogus"])
+    except SystemExit as exc:
+        code = exc.code
+    ok = ok and code == 2 and "unrecognized arguments: --bogus" in capsys.readouterr().err
+    ok = ok and golden_round()
+    with capsys.disabled():
+        report(ok, "two rounds of golden CLI calls around a usage error are byte-identical")
 
 
 def test_acceptance_10_search_golden_directory(capsys, tmp_path):

@@ -600,10 +600,10 @@ def test_tol_zero_stays_legal(capsys):
 
 
 # argparse's own text: every --help and the usage errors that reach the
-# top-level parser. The goldens pin what main prints whichever parser it
-# builds; argparse words and wraps these lines differently from one Python
-# minor version to the next, so the bytes are compared on the version that
-# wrote them, and every version compares main with the full parser.
+# top-level parser. The goldens pin what main prints; argparse words and
+# wraps these lines differently from one Python minor version to the next,
+# so the bytes are compared on the version that wrote them, and every
+# version compares main with the parser's own parse_args.
 HELP_GOLDEN = GOLDEN / "cli_help"
 HELP_GOLDEN_PYTHON = (3, 11)
 PARSER_CASES = [
@@ -634,8 +634,7 @@ def test_parser_output_golden_bytes(capsys, monkeypatch, name, argv, code):
         assert got == ((code, text, "") if name.endswith(".out") else (code, "", text))
 
 
-@pytest.mark.parametrize("argv, subparsers", [(["roots", "--n", "3"], 1), (["--help"], 6)])
-def test_main_builds_only_the_named_subparser(capsys, monkeypatch, argv, subparsers):
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
     add_parser = argparse._SubParsersAction.add_parser
     calls = []
 
@@ -644,9 +643,22 @@ def test_main_builds_only_the_named_subparser(capsys, monkeypatch, argv, subpars
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    try:
-        main(argv)
-    except SystemExit:
-        pass
+    cli.build_parser.cache_clear()
+    for argv in (["roots", "--n", "3"], ["check", str(DATA / "u5.json")], ["--help"]):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
     capsys.readouterr()
-    assert len(calls) == subparsers
+    # the first call builds every subparser, once
+    assert calls == list(cli.COMMANDS)
+
+
+def test_main_calls_the_handler_bound_at_call_time(capsys, monkeypatch):
+    # the parser exists before the patch, and main still runs the patched
+    # handler: it looks the handler up by the command's name on each call
+    run(capsys, "roots", "--n", "3")
+    monkeypatch.setattr(cli, "_cmd_roots", lambda args: ({"patched": args.n}, 0))
+    code, out, _ = run(capsys, "roots", "--n", "3")
+    assert code == 0
+    assert json.loads(out) == {"patched": 3}

@@ -48,6 +48,20 @@ def test_int_coordinates_become_exact():
     assert isinstance(w.x, float)
 
 
+def test_exact_coordinates_are_plain_fractions():
+    class Tagged(Fraction):
+        pass
+
+    half = Fraction(1, 2)
+    v = PlaneVector(half, Tagged(-3, 4))
+    # a Fraction is kept as it is; a subclass becomes a plain Fraction
+    assert v.x is half
+    assert type(v.y) is Fraction and v.y == Fraction(-3, 4)
+    assert type(PlaneVector(2, 0).x) is Fraction
+    with pytest.raises(TypeError, match="boolean"):
+        PlaneVector(True, 0)
+
+
 @given(finite, finite, finite, finite)
 def test_det2_antisymmetry(ax, ay, bx, by):
     a, b = PlaneVector(ax, ay), PlaneVector(bx, by)
