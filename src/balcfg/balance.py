@@ -20,7 +20,7 @@ denominators), which sort, add and compare at C level with tolerance 0, so no
 verdict differs from one on det itself; in float mode the float det values.
 Every value a caller reads (a balance witness, det_max) is divided back to
 input units by Configuration.unscale. step_constants reads its 2m entries
-through det2, the same expression.
+off the coordinate columns by det2's expression, which the table holds.
 
 The default float tolerance is 1e-9 * det_max, and det_max needs the whole
 m x m table. Every float comparison, the uniformity scan and antisymmetry
@@ -52,7 +52,7 @@ from operator import add, ge, lt, sub
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import AmbiguousPairing, InconsistentConstants, NotBalanced, NotUniform
-from .geometry import EXACT, Configuration, Scalar, argument, cyclic_index, det2
+from .geometry import EXACT, Configuration, Scalar, _argument, cyclic_index
 
 # Relative factor for the default float tolerance: tol = 1e-9 * max |det|.
 DEFAULT_REL_TOL = 1e-9
@@ -128,9 +128,9 @@ def norm_sq_bounds(c: Configuration) -> Optional[Tuple[float, float]]:
     x*x and y*y are normal floats or exact zeros; the bounds widen it by
     BOUND_SLACK.
     """
-    if c.mode == EXACT or not in_safe_range(x for v in c.vectors for x in (v.x, v.y)):
+    if c.mode == EXACT or not in_safe_range(c.xs + c.ys):
         return None
-    norms = [v.x * v.x + v.y * v.y for v in c.vectors]
+    norms = [x * x + y * y for x, y in zip(c.xs, c.ys)]
     return min(norms) * (1.0 - BOUND_SLACK), max(norms) * (1.0 + BOUND_SLACK)
 
 
@@ -259,7 +259,7 @@ def _gap_floor(c: Configuration, norms: Optional[Tuple[float, float]]) -> Option
     """
     if norms is None or c.m < 2:
         return None
-    args = sorted(math.fmod(argument(v), math.pi) for v in c.vectors)
+    args = sorted(math.fmod(theta, math.pi) for theta in map(_argument, c.xs, c.ys))
     gap = min(args[0] + math.pi - args[-1], *map(sub, args[1:], args[:-1]))
     gap -= 3.0 * ARGUMENT_ERR
     low, high = norms
@@ -387,21 +387,20 @@ def step_constants(c: Configuration, tol: Optional[float] = None) -> StepConstan
     """Return (A1, An) for a uniform balanced labeled configuration and verify
     det(v_k, v_{k+1}) = A1 and det(v_k, v_{k+n}) = An for every k cyclically.
 
-    Only these 2m determinants are read, through det2, the expression the
-    table holds, so they are the table's entries bit for bit; each
-    comparison is decided against the tolerance's bracket first. Raises
-    InconsistentConstants naming the first violating k. A1 and An come back
-    in input units.
+    Only these 2m determinants are read, by det2's expression on the columns,
+    so they are the table's entries bit for bit; each comparison is decided
+    against the tolerance's bracket first. Raises InconsistentConstants
+    naming the first violating k. A1 and An come back in input units.
     """
     if c.m % 2 == 0 or c.m < 3:
         raise ValueError(f"step constants require odd m >= 3, got m = {c.m}")
     bracket = _Bracket(c, tol)
-    vecs = c.vectors
-    m, n = c.m, c.n
-    a1, an = det2(vecs[0], vecs[1]), det2(vecs[0], vecs[n])
-    for k, v in enumerate(vecs):
-        step1 = det2(v, vecs[cyclic_index(k + 1, m)])
-        stepn = det2(v, vecs[cyclic_index(k + n, m)])
+    xs, ys, m, n = c.xs, c.ys, c.m, c.n
+    a1, an = xs[0] * ys[1] - ys[0] * xs[1], xs[0] * ys[n] - ys[0] * xs[n]
+    for k in range(m):
+        k1, kn = cyclic_index(k + 1, m), cyclic_index(k + n, m)
+        step1 = xs[k] * ys[k1] - ys[k] * xs[k1]
+        stepn = xs[k] * ys[kn] - ys[k] * xs[kn]
         if bracket.fault(
             lambda eff: True if abs(step1 - a1) > eff or abs(stepn - an) > eff else None
         ):

@@ -101,7 +101,9 @@ class LinearMap2:
         return PlaneVector(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
 
     def apply_configuration(self, c: Configuration) -> Configuration:
-        return Configuration([self.apply(v) for v in c.vectors])
+        return Configuration(
+            [(self.a * x + self.b * y, self.c * x + self.d * y) for x, y in zip(c.xs, c.ys)]
+        )
 
     def compose(self, other: "LinearMap2") -> "LinearMap2":
         """self after other (matrix product self . other)."""
@@ -254,9 +256,10 @@ def _map_onto_roots(c: Configuration) -> Tuple[Configuration, CanonicalForm]:
             witness=exponents,
         )
     residual = 0.0
-    for i, v in enumerate(labeled.vectors):
-        target = unit_vector(2.0 * math.pi * exponents[i] / m)
-        residual = max(residual, (g.apply(v) - target).norm())
+    for e, x, y in zip(exponents, labeled.xs, labeled.ys):
+        theta = 2.0 * math.pi * e / m
+        miss = (g.a * x + g.b * y - math.cos(theta), g.c * x + g.d * y - math.sin(theta))
+        residual = max(residual, math.hypot(*miss))
     return labeled, CanonicalForm(g, t_c, k_c, exponents, residual)
 
 
@@ -372,8 +375,8 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     if c.mode == EXACT:
         require_balanced_uniform(c)
     work = c.as_float()
-    scale = max(v.norm() for v in work.vectors)
-    work = Configuration([v.scale(1.0 / scale) for v in work.vectors])
+    s = 1.0 / max(map(math.hypot, work.xs, work.ys))
+    work = Configuration([(s * x, s * y) for x, y in zip(work.xs, work.ys)])
 
     route, certified = _certified_route(work, None)
     if not certified:
@@ -393,7 +396,7 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
         raise ResidualTooLarge(
             f"residual {form.residual:.3e} exceeds {tol:.3e}", witness=form.residual
         )
-    return replace(form, g=form.g.scale(1.0 / scale))
+    return replace(form, g=form.g.scale(s))
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,27 @@
 """Planar primitives: vectors in two arithmetic modes, determinants, polar
 arguments, cyclic indexing, and roots-of-unity generation.
 
-Every vector carries either exact rational coordinates (fractions.Fraction,
-kept in lowest terms by construction) or binary floats; the two modes never
-mix inside one operation. Configurations are immutable ordered lists of
-nonzero vectors with a single mode.
+Coordinates are exact (fractions.Fraction, in lowest terms) or binary
+floats, never mixed in one operation. A Configuration stores its m nonzero
+members of one mode as two columns xs and ys. It keeps an (x, y) pair of
+two floats or two plain Fractions as it is, coerces any other member
+through PlaneVector, and builds PlaneVectors only on request.
 
 A configuration's determinant rows keep their entries at one scale. In
 exact mode, with D the lcm of the coordinate denominators, each row is built
 from the integer coordinates x*D, y*D, so every entry is the int D^2 * det2
 and the scale is D^2; the verdicts sort, add and compare these ints. In float
-mode the entries are the float det2 values and the scale is 1. Rows are built
-one at a time, on demand, by one comprehension (Configuration.det_row); the
-whole table (det_table) is the tuple of those rows, built only for a verdict
-that reads them all. A value that leaves the package (a witness, a maximum)
-is divided back to input units by Configuration.unscale.
+mode the entries are the float det2 values of the columns, at scale 1. Rows are
+built one at a time, on demand, by one comprehension (Configuration.det_row);
+the whole table (det_table) is the tuple of those rows, built only for a
+verdict that reads them all. A value that leaves the package (a witness, a
+maximum) is divided back to input units by Configuration.unscale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Union
@@ -73,14 +74,8 @@ class PlaneVector:
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    def __add__(self, other: "PlaneVector") -> "PlaneVector":
-        return PlaneVector(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: "PlaneVector") -> "PlaneVector":
         return PlaneVector(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "PlaneVector":
-        return PlaneVector(-self.x, -self.y)
 
     def scale(self, s: Scalar) -> "PlaneVector":
         return PlaneVector(s * self.x, s * self.y)
@@ -119,7 +114,12 @@ def argument(v: PlaneVector) -> float:
     """
     if v.is_zero():
         raise ValueError("argument of the zero vector is undefined")
-    theta = math.atan2(float(v.y), float(v.x))
+    return _argument(v.x, v.y)
+
+
+def _argument(x: Scalar, y: Scalar) -> float:
+    """argument of the nonzero vector (x, y)."""
+    theta = math.atan2(float(y), float(x))
     if theta < 0.0:
         theta += 2.0 * math.pi
     # atan2(-tiny, x) + 2*pi can round to 2*pi itself; fold back.
@@ -130,32 +130,40 @@ def argument(v: PlaneVector) -> float:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Ordered list of m >= 1 nonzero vectors sharing one arithmetic mode."""
+    """Ordered list of m >= 1 nonzero vectors sharing one arithmetic mode,
+    as two columns; equality and hashing compare the coordinates only."""
 
-    vectors: tuple = field(default=())
+    xs: tuple
+    ys: tuple
 
     def __init__(self, vectors: Iterable):
-        vecs = tuple(
-            v if isinstance(v, PlaneVector) else PlaneVector(v[0], v[1])
-            for v in vectors
-        )
-        if not vecs:
+        xs, ys = [], []
+        for v in vectors:
+            x, y = v.as_tuple() if isinstance(v, PlaneVector) else (v[0], v[1])
+            if type(x) is not type(y) or type(x) not in (float, Fraction):
+                x, y = PlaneVector(x, y).as_tuple()
+            xs.append(x)
+            ys.append(y)
+        if not xs:
             raise ValueError("a configuration needs at least one vector")
-        modes = {v.mode for v in vecs}
-        if len(modes) > 1:
+        if len(set(map(type, xs))) > 1:
             raise ValueError("configuration mixes exact and float vectors")
-        for i, v in enumerate(vecs):
-            if v.is_zero():
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            if x == 0 and y == 0:
                 raise ValueError(f"configuration member {i} is the zero vector")
-        object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "xs", tuple(xs))
+        object.__setattr__(self, "ys", tuple(ys))
 
     @property
     def mode(self) -> str:
-        return self.vectors[0].mode
+        return FLOAT if type(self.xs[0]) is float else EXACT
+
+    # the members as PlaneVectors, built by __iter__ on each read
+    vectors = property(tuple)
 
     @property
     def m(self) -> int:
-        return len(self.vectors)
+        return len(self.xs)
 
     @property
     def n(self) -> int:
@@ -165,31 +173,29 @@ class Configuration:
         return (self.m - 1) // 2
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.xs)
 
     def __getitem__(self, i: int) -> PlaneVector:
-        return self.vectors[i]
+        return PlaneVector(self.xs[i], self.ys[i])
 
     def __iter__(self):
-        return iter(self.vectors)
+        return map(PlaneVector, self.xs, self.ys)
 
     def as_float(self) -> "Configuration":
         if self.mode == FLOAT:
             return self
-        return Configuration([v.as_float() for v in self.vectors])
+        return Configuration([v.as_float() for v in self])
 
     @cached_property
     def _det_coords(self) -> tuple:
-        """(xs, ys, scale): the coordinates every determinant row is built
-        from, unpacked once. In exact mode they are the ints x*D, y*D (D the
-        lcm of the denominators) and the scale is D^2; in float mode they are
-        the floats themselves and the scale is 1."""
-        vecs = self.vectors
+        """(xs, ys, scale) that every determinant row is built from: the
+        columns themselves at scale 1 in float mode, the ints x*D, y*D (D the
+        lcm of the denominators) at scale D^2 in exact mode."""
         if self.mode == FLOAT:
-            return [v.x for v in vecs], [v.y for v in vecs], 1
-        d = math.lcm(*[v.x.denominator for v in vecs], *[v.y.denominator for v in vecs])
-        xs = [v.x.numerator * (d // v.x.denominator) for v in vecs]
-        ys = [v.y.numerator * (d // v.y.denominator) for v in vecs]
+            return self.xs, self.ys, 1
+        d = math.lcm(*[x.denominator for x in self.xs + self.ys])
+        xs = [x.numerator * (d // x.denominator) for x in self.xs]
+        ys = [y.numerator * (d // y.denominator) for y in self.ys]
         return xs, ys, d * d
 
     @cached_property
@@ -251,7 +257,7 @@ def label_by_increasing_arguments(c: Configuration) -> Configuration:
     ARGUMENT_TIE_TOL (cyclically), since the strict ordering the labeling
     promises does not exist; uniform configurations never tie.
     """
-    args = [argument(v) for v in c.vectors]
+    args = list(map(_argument, c.xs, c.ys))
     order = sorted(range(len(args)), key=args.__getitem__)
     if len(order) > 1:
         for pos in range(len(order)):
@@ -263,7 +269,7 @@ def label_by_increasing_arguments(c: Configuration) -> Configuration:
                 raise DuplicateArgument(
                     f"members {i} and {j} share an argument (gap {gap:.3e} rad)"
                 )
-    return Configuration([c.vectors[i] for i in order])
+    return Configuration([(c.xs[i], c.ys[i]) for i in order])
 
 
 def cyclic_index(k: int, m: int) -> int:
@@ -283,11 +289,8 @@ def roots_of_unity(m: int) -> Configuration:
         raise ValueError("m must be positive")
     if m % 2 == 0:
         raise ValueError("m must be odd")
-    vecs = [
-        PlaneVector(math.cos(2.0 * math.pi * k / m), math.sin(2.0 * math.pi * k / m))
-        for k in range(m)
-    ]
-    return Configuration(vecs)
+    thetas = [2.0 * math.pi * k / m for k in range(m)]
+    return Configuration(list(zip(map(math.cos, thetas), map(math.sin, thetas))))
 
 
 def unit_vector(theta: float) -> PlaneVector:

@@ -6,6 +6,8 @@ byte-identical files.
 
 from __future__ import annotations
 
+import math
+
 from .geometry import Configuration
 
 CANVAS = 800
@@ -21,7 +23,7 @@ def _fmt(value: float) -> str:
 
 def render_svg(c: Configuration) -> str:
     floats = c.as_float()
-    reach = max(1.0, max(v.norm() for v in floats.vectors))
+    reach = max(1.0, max(map(math.hypot, floats.xs, floats.ys)))
     unit = BASE_RADIUS / reach
 
     lines = [
@@ -37,20 +39,17 @@ def render_svg(c: Configuration) -> str:
         f'  <circle cx="{_fmt(CENTER)}" cy="{_fmt(CENTER)}" r="{_fmt(unit)}" '
         'fill="none" stroke="#bbbbbb" stroke-dasharray="6 4"/>',
     ]
-    tips = []
-    for v in floats.vectors:
-        tip_x = CENTER + unit * v.x
-        tip_y = CENTER - unit * v.y
-        tips.append((tip_x, tip_y, v))
+    tips = [(CENTER + unit * x, CENTER - unit * y, x, y) for x, y in zip(floats.xs, floats.ys)]
+    for tip_x, tip_y, _, _ in tips:
         lines.append(
             f'  <line x1="{_fmt(CENTER)}" y1="{_fmt(CENTER)}" '
             f'x2="{_fmt(tip_x)}" y2="{_fmt(tip_y)}" '
             'stroke="#1f5fa8" stroke-width="2" marker-end="url(#tip)"/>'
         )
-    for i, (tip_x, tip_y, v) in enumerate(tips):
-        length = max(v.norm(), 1e-9)
-        label_x = tip_x + 14.0 * v.x / length
-        label_y = tip_y - 14.0 * v.y / length
+    for i, (tip_x, tip_y, x, y) in enumerate(tips):
+        length = max(math.hypot(x, y), 1e-9)
+        label_x = tip_x + 14.0 * x / length
+        label_y = tip_y - 14.0 * y / length
         lines.append(
             f'  <text x="{_fmt(label_x)}" y="{_fmt(label_y)}" '
             'font-family="monospace" font-size="14" fill="#222222" '

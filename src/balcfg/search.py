@@ -60,12 +60,11 @@ def perturb(c: Configuration, eps: float, seed: int = 0) -> Configuration:
         raise ValueError("eps must be >= 0")
     rng = random.Random(seed)
     out = []
-    for v in c.as_float().vectors:
+    floats = c.as_float()
+    for x, y in zip(floats.xs, floats.ys):
         radius = eps * rng.random()
         theta = 2.0 * math.pi * rng.random()
-        out.append(
-            PlaneVector(v.x + radius * math.cos(theta), v.y + radius * math.sin(theta))
-        )
+        out.append((x + radius * math.cos(theta), y + radius * math.sin(theta)))
     return Configuration(out)
 
 
@@ -138,9 +137,9 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
                 f"C({n}, {left}) {'=' if j == k else '>='} {subsets} subsets "
                 f"exceed the budget of {DEFAULT_BUDGET}"
             )
-    vectors = grid_vectors(coords)
-    # each coordinate as an int over the lcm of the denominators, the
-    # points' ints in grid_vectors' order
+    # the grid's plain-Fraction pairs, and their coordinates as ints over the
+    # lcm of the denominators, in grid_vectors' order
+    pairs = [(x, y) for x in coords for y in coords if not (x == 0 and y == 0)]
     d = math.lcm(*[c.denominator for c in coords])
     ints = [c.numerator * (d // c.denominator) for c in coords]
     xs = [x for x in ints for y in ints if x or y]
@@ -155,7 +154,7 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
         line_of.append(line)
         lines.setdefault(line, []).append(i)
     found = {
-        idx: Configuration([vectors[a] for a in idx])
+        idx: Configuration([pairs[a] for a in idx])
         for members in lines.values()
         for idx in itertools.combinations(members, m)
     }
@@ -167,7 +166,7 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
         on = len({line_of[a] for a in idx})
         if on == 1 or on >= 4 and sum([cubes[a] for a in idx]):
             continue
-        cfg = Configuration([vectors[a] for a in idx])
+        cfg = Configuration([pairs[a] for a in idx])
         if is_balanced(cfg).balanced:
             found[idx] = cfg
     hits = [found[idx] for idx in sorted(found)]

@@ -187,5 +187,5 @@ def model_configuration(m: int, k: int) -> Configuration:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     sines = [math.sin(2.0 * math.pi * (j * k % m) / m) for j in range(2 * n + 1)]
-    z = [PlaneVector(sines[j + 1] / sines[1], -sines[j] / sines[1]) for j in range(2 * n)]
-    return Configuration(z[0::2] + [PlaneVector(0.0, 1.0)] + z[1::2])
+    z = [(sines[j + 1] / sines[1], -sines[j] / sines[1]) for j in range(2 * n)]
+    return Configuration(z[0::2] + [(0.0, 1.0)] + z[1::2])

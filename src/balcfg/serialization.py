@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ConfigFileError
-from .geometry import EXACT, FLOAT, Configuration, PlaneVector
+from .geometry import EXACT, FLOAT, Configuration
 
 
 def format_float(value: float) -> str:
@@ -68,11 +68,8 @@ def _emit(obj, out: list) -> None:
 
 
 def config_to_jsonable(c: Configuration) -> dict:
-    if c.mode == EXACT:
-        vectors = [[str(v.x), str(v.y)] for v in c.vectors]
-    else:
-        vectors = [[v.x, v.y] for v in c.vectors]
-    return {"mode": c.mode, "vectors": vectors}
+    # _emit quotes an exact coordinate as its "p/q" string
+    return {"mode": c.mode, "vectors": list(zip(c.xs, c.ys))}
 
 
 def serialize_config(c: Configuration) -> str:
@@ -124,7 +121,7 @@ def parse_config(text: str, source: str = "<string>") -> Configuration:
         x, y = parse(entry[0], where), parse(entry[1], where)
         if x == 0 and y == 0:
             raise ConfigFileError(f"{where}: zero vector not allowed")
-        members.append(PlaneVector(x, y))
+        members.append((x, y))
     return Configuration(members)
 
 

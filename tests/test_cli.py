@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from balcfg import cli, sequences
+from balcfg import cli, geometry, sequences
 from balcfg.balance import step_constants
 from balcfg.canonical import LinearMap2
 from balcfg.cli import main
@@ -652,6 +652,34 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
     capsys.readouterr()
     # the first call builds every subparser, once
     assert calls == list(cli.COMMANDS)
+
+
+# Each command works on the configuration's coordinate columns; a
+# PlaneVector is built only for the few members the canonical frame reads.
+PLANE_VECTOR_BUDGETS = [
+    (["check", str(DATA / "u201_image.json")], 8),
+    (["canon", str(DATA / "u201_image.json")], 8),
+    (["gen", "--m", "201", "--seed", "5"], 0),
+    (["render", str(DATA / "u201_image.json")], 0),
+    (["search", "--m", "3", "--coords", "-1,0,1,2"], 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, budget", PLANE_VECTOR_BUDGETS, ids=[argv[0] for argv, _ in PLANE_VECTOR_BUDGETS]
+)
+def test_commands_build_few_plane_vectors(capsys, monkeypatch, argv, budget):
+    post_init = geometry.PlaneVector.__post_init__
+    built = []
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(geometry.PlaneVector, "__post_init__", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(built) <= budget
 
 
 def test_main_calls_the_handler_bound_at_call_time(capsys, monkeypatch):

@@ -60,6 +60,12 @@ def test_exact_coordinates_are_plain_fractions():
     assert type(PlaneVector(2, 0).x) is Fraction
     with pytest.raises(TypeError, match="boolean"):
         PlaneVector(True, 0)
+    # the same rules hold for a raw pair in a configuration
+    c = Configuration([(half, Tagged(-3, 4)), (Fraction(1), Fraction(0))])
+    assert c.xs[0] is half
+    assert type(c.ys[0]) is Fraction and c.ys[0] == Fraction(-3, 4)
+    with pytest.raises(TypeError, match="boolean"):
+        Configuration([(True, 0)])
 
 
 @given(finite, finite, finite, finite)
@@ -115,11 +121,15 @@ def test_unit_vector_round_trip():
 def test_configuration_rejects_zero_vector():
     with pytest.raises(ValueError, match="member 1 is the zero vector"):
         Configuration([PlaneVector(1.0, 0.0), PlaneVector(0.0, 0.0)])
+    with pytest.raises(ValueError, match="member 1 is the zero vector"):
+        Configuration([(1.0, 0.0), (0.0, 0.0)])
 
 
 def test_configuration_rejects_mixed_modes():
     with pytest.raises(ValueError, match="mixes exact and float"):
         Configuration([PlaneVector(1.0, 0.0), PlaneVector(Fraction(1), Fraction(1))])
+    with pytest.raises(ValueError, match="mixes exact and float"):
+        Configuration([(1.0, 0.0), (Fraction(1), Fraction(1))])
 
 
 def test_configuration_accepts_raw_pairs():
@@ -127,6 +137,16 @@ def test_configuration_accepts_raw_pairs():
     assert c.m == 3
     assert c.mode == "exact"
     assert c.n == 1
+    # a pair with one float coordinate is a float pair
+    f = Configuration([(1.0, Fraction(1)), (0.5, -2.0)])
+    assert f.mode == "float"
+    assert all(type(x) is float for x in f.xs + f.ys)
+    assert f.xs == (1.0, 0.5) and f.ys == (1.0, -2.0)
+    # pairs and PlaneVectors make equal configurations with equal hashes,
+    # and the members come back as equal PlaneVectors every way they are read
+    vectors = [PlaneVector(1, 0), PlaneVector(0, 1), PlaneVector(-1, -1)]
+    assert c == Configuration(vectors) and hash(c) == hash(Configuration(vectors))
+    assert list(c.vectors) == list(c) == [c[i] for i in range(c.m)] == vectors
 
 
 def test_n_requires_odd_size():
