@@ -13,15 +13,22 @@ out of the polynomial and of both halves. Each isolating interval is then
 refined to the cell that bisection would reach, by an exact secant search
 (Illinois regula falsi, with bisection steps as a safeguard) over the
 integer points of that grid.
+
+When float guesses for all deg p roots are at hand, certify_cells proves the
+same cells a posteriori (Rump 2010): d disjoint cells of that final grid, each
+with an exact sign change or an exact zero at a grid point, hold all d roots
+of p, one each. The guesses only place the cells; the proof never trusts
+them, and a failed proof returns None for the caller to fall back on the
+bisection tree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, gcd, lcm
+from math import comb, gcd, isfinite, lcm
 from operator import add as _add_ints
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 IntPoly = Tuple[int, ...]
 
@@ -184,6 +191,12 @@ def _deflate(p: Sequence[int], r: Fraction) -> IntPoly:
     return trim([int(f * scale) for f in reversed(out)])
 
 
+def _halvings(span: Fraction, width: Fraction) -> int:
+    # the least s with span / 2^s <= width
+    ratio = span / width
+    return ((ratio.numerator - 1) // ratio.denominator).bit_length()
+
+
 def refine_root(
     p: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction
 ) -> Tuple[Fraction, Fraction]:
@@ -210,8 +223,7 @@ def refine_root(
         raise ValueError(f"width must be positive, got {width}")
     den = lcm(lo.denominator, hi.denominator)
     a, b = int(lo * den), int(hi * den)
-    ratio = (hi - lo) / width
-    steps = ((ratio.numerator - 1) // ratio.denominator).bit_length()
+    steps = _halvings(hi - lo, width)
     base, span, scale = a << steps, b - a, den << steps
     scaled = _scaled_coeffs(trim(p), scale)
     f_lo = _scaled_value(scaled, base)
@@ -297,6 +309,68 @@ def certified_roots(p: Sequence[int], width: Fraction) -> List[Tuple[Fraction, F
         stack.append((poly, right, mid, hi, depth + 1))
     results.sort(key=lambda iv: iv[0])
     return results
+
+
+def certify_cells(
+    p: Sequence[int], guesses: Sequence[float], width: Fraction
+) -> Optional[List[Tuple[Fraction, Fraction]]]:
+    """certified_roots(p, width) from about one exact sign pair per root, or
+    None when the guesses cannot prove it.
+
+    The grid is that of refine_root: the level-L dyadic grid of (-B, B), B
+    the root_bound and L the least level with 2B / 2^L <= width, whose point
+    j is -B + j * 2B / 2^L, every one an integer over one denominator. Each
+    guess, in ascending order, picks its cell; when the exact signs at the
+    cell's ends agree, the cell below and then the one above are tried. A
+    zero sign at a cell end is a root, returned zero-width. If every one of
+    the deg p guesses finds a sign change or a zero, in strictly ascending
+    cells that share no root, those d disjoint cells hold all d roots of p,
+    one each. So every root is real, simple and alone in its cell; with no
+    complex roots every Descartes count of certified_roots is exact, and its
+    tree returns these same cells. None for a guess count other than deg p,
+    a guess that is not finite or lies outside (-B, B), cells out of order
+    or shared, or a guess that finds no root."""
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width}")
+    p = trim(p)
+    if len(guesses) != len(p) - 1:
+        return None
+    bound = root_bound(p)
+    cell = Fraction(2 * bound, 1 << _halvings(Fraction(2 * bound), width))
+    step, den = cell.numerator, cell.denominator
+    scaled = _scaled_coeffs(p, den)
+
+    def point(j: int) -> int:
+        # grid point j times den
+        return j * step - bound * den
+
+    def sign(j: int) -> int:
+        value = _scaled_value(scaled, point(j))
+        return (value > 0) - (value < 0)
+
+    found: List[Tuple[int, int]] = []
+    for guess in guesses:
+        if not (isfinite(guess) and -bound < guess < bound):
+            return None
+        num, gden = guess.as_integer_ratio()
+        j = (num + bound * gden) * den // (gden * step)
+        for c in (j, j - 1, j + 1):
+            lo, hi = sign(c), sign(c + 1)
+            if lo == 0:
+                root = (c, c)
+            elif hi == 0:
+                root = (c + 1, c + 1)
+            elif lo != hi:
+                root = (c, c + 1)
+            else:
+                continue
+            break
+        else:
+            return None
+        if found and (found[-1][1] > root[0] or found[-1] == root):
+            return None
+        found.append(root)
+    return [(Fraction(point(a), den), Fraction(point(b), den)) for a, b in found]
 
 
 def primitive_gcd(p: Sequence[int], q: Sequence[int]) -> IntPoly:

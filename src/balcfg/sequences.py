@@ -24,7 +24,9 @@ so the frame sending (1, w^k) to ((1,0), (0,1)) sends w^{-k} exactly to
 (2cos(2k*pi/m), -1) = w_0(t_k). The solver below re-derives them as the real
 roots of gcd(y(w_n), x(w_n) - 1), the fourth-kind Chebyshev polynomial W_n,
 which divides y(w_n), x(w_n) - 1, x(u_n) and y(u_n) - 1 over Z[t]: the
-sequence closes exactly at every t_k.
+sequence closes exactly at every t_k. It proves the n root intervals from
+exact signs of W_n at the cells where the closed-form floats fall, and falls
+back on the Bernstein bisection tree when those signs prove nothing.
 """
 
 from __future__ import annotations
@@ -145,15 +147,25 @@ def check_parity_degrees(
 def closure_roots(wn: PolyPair) -> RootGrid:
     """Solve wn(t) = (1, 0), certified, for wn = w_n of symbolic_sequences(n):
     the real roots of the primitive gcd of y(w_n) and x(w_n) - 1 over Z[t],
-    each the midpoint of an isolating interval of width <= 1e-12. A solver
-    that gives up (ArithmeticError) raises ValueError: it is not a
+    each the midpoint of an isolating interval of width <= 1e-12.
+
+    The intervals are first proved from exact signs at the cells of the
+    closed-form grid's floats (ip.certify_cells), which place the cells but
+    prove nothing; when that proof fails, the Bernstein tree
+    (ip.certified_roots) isolates the roots on its own, to the same cells.
+    A tree that gives up (ArithmeticError) raises ValueError: it is not a
     certificate."""
     closure = ip.primitive_gcd(wn.y, ip.sub(wn.x, (1,)))
-    try:
-        intervals = ip.certified_roots(closure, ROOT_WIDTH)
-    except ArithmeticError as exc:
-        raise ValueError(str(exc)) from exc
-    return RootGrid(ip.degree(wn.y) + 1, tuple(float((lo + hi) / 2) for lo, hi in intervals))
+    m = ip.degree(wn.y) + 1
+    intervals = None
+    if m % 2 and m >= 3:
+        intervals = ip.certify_cells(closure, t_grid(m).values, ROOT_WIDTH)
+    if intervals is None:
+        try:
+            intervals = ip.certified_roots(closure, ROOT_WIDTH)
+        except ArithmeticError as exc:
+            raise ValueError(str(exc)) from exc
+    return RootGrid(m, tuple(float((lo + hi) / 2) for lo, hi in intervals))
 
 
 def wn_equation_roots(n: int) -> RootGrid:

@@ -231,6 +231,7 @@ CLI_GOLDEN_CASES = [
     (["roots", "--n", "3"], GOLDEN / "roots_n3.json", 0),
     (["roots", "--n", "24"], GOLDEN / "roots_n24.json", 0),
     (["roots", "--n", "61"], GOLDEN / "roots_n61.json", 0),
+    (["roots", "--n", "200"], GOLDEN / "roots_n200.json", 0),
     (["render", str(DATA / "u5.json"), "--format", "svg"], GOLDEN / "u5.svg", 0),
     # exact input: canon takes check's verdicts, so U_5 rounded to
     # 10^-12 is not balanced, with check's witness, and an exact

@@ -363,17 +363,29 @@ def test_roots_beyond_twenty_match_the_closed_form(capsys, n):
 
 
 def test_roots_solver_fault_is_not_a_certificate(capsys, monkeypatch):
-    # closure_roots turns the solver's ArithmeticError into the ValueError
-    # that main maps to exit 2; uncaught, it would be a traceback
+    # both routes give up: the sign certificate proves nothing and the
+    # tree it falls back on raises ArithmeticError, which closure_roots
+    # turns into the ValueError that main maps to exit 2; uncaught, it
+    # would be a traceback
     def give_up(p, width):
         raise ArithmeticError("root isolation did not terminate")
 
+    monkeypatch.setattr(sequences.ip, "certify_cells", lambda p, guesses, width: None)
     monkeypatch.setattr(sequences.ip, "certified_roots", give_up)
     code, out, err = run(capsys, "roots", "--n", "3")
     assert code == 2
     assert out == ""
     assert err.startswith("error: root isolation did not terminate")
+    assert err.count("error:") == 1 and err.count("\n") == 1
     assert "certificate" not in err
+
+
+def test_roots_falls_back_to_the_tree_when_the_certificate_fails(capsys, monkeypatch):
+    # the Bernstein tree alone prints the certificate's bytes
+    monkeypatch.setattr(sequences.ip, "certify_cells", lambda p, guesses, width: None)
+    code, out, _ = run(capsys, "roots", "--n", "3")
+    assert code == 0
+    assert out == (GOLDEN / "roots_n3.json").read_text()
 
 
 def test_internal_fault_exits_two(capsys, monkeypatch):

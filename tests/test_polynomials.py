@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm, nan, sqrt
 
 import pytest
 from hypothesis import assume, given
@@ -174,6 +174,13 @@ def test_certified_roots_rejects_a_width_that_is_not_positive(p, width):
     # on entry, so a root-free input cannot return [] for a width of 0
     with pytest.raises(ValueError, match="width must be positive"):
         ip.certified_roots(p, width)
+
+
+@pytest.mark.parametrize("p", [(), (7,), (-1, 0, 1)])
+@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 2)])
+def test_certify_cells_rejects_a_width_that_is_not_positive(p, width):
+    with pytest.raises(ValueError, match="width must be positive"):
+        ip.certify_cells(p, [-1.0, 1.0], width)
 
 
 def test_certified_roots_gives_up_on_a_double_root():
@@ -400,7 +407,9 @@ def _counted_refine(p, lo, hi, width):
 
 def _closure_intervals(n_max):
     """Every (polynomial, lo, hi, width) that certified_roots hands to
-    refine_root while solving w_n(t) = (1, 0) for n = 1..n_max."""
+    refine_root on the closure polynomials W_n, n = 1..n_max. The tree runs
+    on them directly: closure_roots reaches it only when certify_cells
+    fails."""
     seen = []
     refine = ip.refine_root
 
@@ -411,7 +420,8 @@ def _closure_intervals(n_max):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ip, "refine_root", record)
         for n in range(1, n_max + 1):
-            sequences.wn_equation_roots(n)
+            ip.certified_roots(_closure_polynomial(n), sequences.ROOT_WIDTH)
+    assert seen
     return tuple(seen)
 
 
@@ -493,3 +503,101 @@ def test_refine_root_matches_the_bisection_on_square_free_polynomials(
             result, evaluations = _counted_refine(p, lo, hi, width)
             assert result == _reference_refine(p, lo, hi, width)
             assert evaluations <= 2 * _halvings(lo, hi, width) + 2
+
+
+def _closure_case(n):
+    # W_n, the closed-form guesses for its roots and the level-L cell width
+    p = _closure_polynomial(n)
+    bound = ip.root_bound(p)
+    cell = Fraction(2 * bound)
+    while cell > sequences.ROOT_WIDTH:
+        cell /= 2
+    return p, list(sequences.t_grid(2 * n + 1).values), bound, cell
+
+
+@pytest.mark.parametrize("n", list(range(1, 101)) + [200])
+def test_certify_cells_equals_the_tree_on_the_closure_polynomials(n):
+    # m = 2n + 1; when 3 | m the root t = -1 is a grid point, zero-width
+    p, guesses, _, _ = _closure_case(n)
+    cells = ip.certify_cells(p, guesses, sequences.ROOT_WIDTH)
+    assert cells is not None
+    assert cells == ip.certified_roots(p, sequences.ROOT_WIDTH)
+    assert ((Fraction(-1), Fraction(-1)) in cells) == ((2 * n + 1) % 3 == 0)
+
+
+def _changed(guesses, i, value):
+    return guesses[:i] + [value] + guesses[i + 1:]
+
+
+def test_certify_cells_returns_none_when_the_guesses_prove_nothing():
+    p, guesses, bound, cell = _closure_case(24)
+    width = sequences.ROOT_WIDTH
+    assert ip.certify_cells(p, guesses, width) is not None
+    shifted = [[g + k * float(cell) for g in guesses] for k in (-5, -2, 2, 3, 1000)]
+    bad = [
+        guesses[:-1],                          # too few
+        guesses + [1.999],                     # too many
+        guesses[::-1],                         # out of order
+        _changed(guesses, 1, guesses[0]),      # two guesses in one cell
+        *shifted,                              # two or more cells off
+        _changed(guesses, 3, nan),
+        _changed(guesses, 3, inf),
+        _changed(guesses, 0, -inf),
+        _changed(guesses, 0, -float(bound)),   # outside (-B, B)
+        _changed(guesses, 23, float(bound)),
+        _changed(guesses, 23, 2.0 * bound),
+    ]
+    for wrong in bad:
+        assert ip.certify_cells(p, wrong, width) is None
+
+
+def test_certify_cells_returns_none_for_two_roots_in_one_cell():
+    # 3/10 and 3/10 + 10^-14 share a cell of width <= 10^-12, where the
+    # tree bisects further and returns two narrower intervals
+    roots = [Fraction(3, 10), Fraction(3, 10) + Fraction(1, 10**14)]
+    p = _from_roots(roots)
+    width = Fraction(1, 10**12)
+    assert len(ip.certified_roots(p, width)) == 2
+    assert ip.certify_cells(p, [float(r) for r in roots], width) is None
+
+
+def test_certify_cells_on_constants():
+    assert ip.certify_cells((7,), [], Fraction(1, 2)) == ip.certified_roots((7,), Fraction(1, 2)) == []
+    assert ip.certify_cells((), [], Fraction(1, 2)) is None
+
+
+DISTINCT_INTEGER_AND_DYADIC_ROOTS = st.lists(
+    st.one_of(
+        st.integers(-6, 6).map(Fraction),
+        st.builds(lambda k, e: Fraction(k, 2**e), st.integers(-300, 300), st.integers(1, 8)),
+    ),
+    min_size=0,
+    max_size=6,
+    unique=True,
+)
+
+
+@given(
+    DISTINCT_INTEGER_AND_DYADIC_ROOTS,
+    st.sampled_from([0, 2, 3, 5]),
+    st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
+    st.sampled_from([Fraction(1, 3), Fraction(1, 2**20), Fraction(1, 10**12)]),
+    st.sampled_from([0.0, 1e-13, 1e-9, 1e-3, 0.5]),
+)
+def test_certify_cells_is_the_tree_or_none(roots, square, noise, width, scale):
+    # the distinct rational roots, times t^2 - square for the irrational
+    # pair +-sqrt(square) that no grid point hits; the guesses are the
+    # roots moved by up to 3 * scale, sorted: the certificate either proves
+    # certified_roots' very intervals or gives up
+    p = _from_roots(roots)
+    exact = [float(r) for r in roots]
+    if square:
+        p = ip.sub(ip.shift_up(ip.shift_up(p)), tuple(square * a for a in p))
+        exact += [-sqrt(square), sqrt(square)]
+    guesses = sorted(g + scale * e for g, e in zip(exact, noise))
+    cells = ip.certify_cells(p, guesses, width)
+    assert cells is None or cells == ip.certified_roots(p, width)
+    if scale == 0.0 and width == Fraction(1, 10**12):
+        # guesses within a float rounding of roots at least 2^-8 apart
+        # always succeed
+        assert cells == ip.certified_roots(p, width)
