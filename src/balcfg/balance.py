@@ -52,7 +52,7 @@ from operator import add, ge, lt, sub
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import AmbiguousPairing, InconsistentConstants, NotBalanced, NotUniform
-from .geometry import EXACT, Configuration, Scalar, _argument, cyclic_index
+from .geometry import EXACT, Configuration, Scalar, cyclic_index
 
 # Relative factor for the default float tolerance: tol = 1e-9 * max |det|.
 DEFAULT_REL_TOL = 1e-9
@@ -159,7 +159,7 @@ class _Bracket:
 
     @cached_property
     def norms(self) -> Optional[Tuple[float, float]]:
-        return norm_sq_bounds(self.c)
+        return self.c.per_member_set(norm_sq_bounds)
 
     @cached_property
     def eff(self) -> Scalar:
@@ -259,7 +259,7 @@ def _gap_floor(c: Configuration, norms: Optional[Tuple[float, float]]) -> Option
     """
     if norms is None or c.m < 2:
         return None
-    args = sorted(math.fmod(theta, math.pi) for theta in map(_argument, c.xs, c.ys))
+    args = sorted(math.fmod(theta, math.pi) for theta in c.arguments)
     gap = min(args[0] + math.pi - args[-1], *map(sub, args[1:], args[:-1]))
     gap -= 3.0 * ARGUMENT_ERR
     low, high = norms

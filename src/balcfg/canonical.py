@@ -102,7 +102,8 @@ class LinearMap2:
 
     def apply_configuration(self, c: Configuration) -> Configuration:
         return Configuration(
-            [(self.a * x + self.b * y, self.c * x + self.d * y) for x, y in zip(c.xs, c.ys)]
+            [self.a * x + self.b * y for x, y in zip(c.xs, c.ys)],
+            [self.c * x + self.d * y for x, y in zip(c.xs, c.ys)],
         )
 
     def compose(self, other: "LinearMap2") -> "LinearMap2":
@@ -376,7 +377,7 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
         require_balanced_uniform(c)
     work = c.as_float()
     s = 1.0 / max(map(math.hypot, work.xs, work.ys))
-    work = Configuration([(s * x, s * y) for x, y in zip(work.xs, work.ys)])
+    work = Configuration([s * x for x in work.xs], [s * y for y in work.ys])
 
     route, certified = _certified_route(work, None)
     if not certified:

@@ -150,8 +150,8 @@ def _cmd_roots(args) -> Tuple[dict, int]:
             raise ValueError(f"roots: --m must be odd and >= 3, got {args.m}")
         m, n = args.m, (args.m - 1) // 2
     _, ws = symbolic_sequences(n)
-    solved = closure_roots(ws[n])
     grid = t_grid(m)
+    solved = closure_roots(ws[n], grid)
     deviation = max(abs(a - b) for a, b in zip(solved.values, grid.values))
     report = {
         "command": "roots",

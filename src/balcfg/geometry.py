@@ -3,9 +3,9 @@ arguments, cyclic indexing, and roots-of-unity generation.
 
 Coordinates are exact (fractions.Fraction, in lowest terms) or binary
 floats, never mixed in one operation. A Configuration stores its m nonzero
-members of one mode as two columns xs and ys. It keeps an (x, y) pair of
-two floats or two plain Fractions as it is, coerces any other member
-through PlaneVector, and builds PlaneVectors only on request.
+members of one mode as two columns xs and ys. Its one constructor takes the
+columns (or (x, y) pairs, or PlaneVectors), tests them in C-level passes and
+coerces only columns that need it; PlaneVectors are built only on request.
 
 A configuration's determinant rows keep their entries at one scale. In
 exact mode, with D the lcm of the coordinate denominators, each row is built
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import DuplicateArgument
 
@@ -136,23 +136,23 @@ class Configuration:
     xs: tuple
     ys: tuple
 
-    def __init__(self, vectors: Iterable):
-        xs, ys = [], []
-        for v in vectors:
-            x, y = v.as_tuple() if isinstance(v, PlaneVector) else (v[0], v[1])
-            if type(x) is not type(y) or type(x) not in (float, Fraction):
-                x, y = PlaneVector(x, y).as_tuple()
-            xs.append(x)
-            ys.append(y)
-        if not xs:
-            raise ValueError("a configuration needs at least one vector")
-        if len(set(map(type, xs))) > 1:
-            raise ValueError("configuration mixes exact and float vectors")
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            if x == 0 and y == 0:
-                raise ValueError(f"configuration member {i} is the zero vector")
-        object.__setattr__(self, "xs", tuple(xs))
-        object.__setattr__(self, "ys", tuple(ys))
+    def __init__(self, xs: Iterable, ys: Optional[Iterable] = None):
+        if ys is None:
+            pairs = [v.as_tuple() if isinstance(v, PlaneVector) else (v[0], v[1]) for v in xs]
+            xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        xs, ys = tuple(xs), tuple(ys)
+        if not xs or len(xs) != len(ys):
+            raise ValueError("a configuration needs at least one vector and equal columns")
+        if set(map(type, xs)).union(map(type, ys)) not in ({float}, {Fraction}):
+            # coerce every member; PlaneVector keeps two floats or Fractions
+            xs, ys = tuple(zip(*[PlaneVector(x, y).as_tuple() for x, y in zip(xs, ys)]))
+            if len(set(map(type, xs))) > 1:
+                raise ValueError("configuration mixes exact and float vectors")
+        if (0, 0) in zip(xs, ys):
+            i = list(zip(xs, ys)).index((0, 0))
+            raise ValueError(f"configuration member {i} is the zero vector")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
 
     @property
     def mode(self) -> str:
@@ -185,6 +185,18 @@ class Configuration:
         if self.mode == FLOAT:
             return self
         return Configuration([v.as_float() for v in self])
+
+    @cached_property
+    def arguments(self) -> tuple:
+        """Each member's polar argument (see argument), computed once."""
+        return tuple(map(_argument, self.xs, self.ys))
+
+    def per_member_set(self, fn: Callable):
+        """fn(self) once per member set, which the relabeled copy shares: fn must ignore order."""
+        memo = self.__dict__.setdefault("_memo", {})
+        if fn not in memo:
+            memo[fn] = fn(self)
+        return memo[fn]
 
     @cached_property
     def _det_coords(self) -> tuple:
@@ -257,19 +269,19 @@ def label_by_increasing_arguments(c: Configuration) -> Configuration:
     ARGUMENT_TIE_TOL (cyclically), since the strict ordering the labeling
     promises does not exist; uniform configurations never tie.
     """
-    args = list(map(_argument, c.xs, c.ys))
+    args = c.arguments
     order = sorted(range(len(args)), key=args.__getitem__)
-    if len(order) > 1:
-        for pos in range(len(order)):
-            i, j = order[pos - 1], order[pos]
-            gap = args[j] - args[i]
-            if pos == 0:
-                gap += 2.0 * math.pi
-            if abs(gap) < ARGUMENT_TIE_TOL:
-                raise DuplicateArgument(
-                    f"members {i} and {j} share an argument (gap {gap:.3e} rad)"
-                )
-    return Configuration([(c.xs[i], c.ys[i]) for i in order])
+    theta = [args[i] for i in order]
+    # gap pos lies between order[pos - 1] and order[pos], cyclically
+    gaps = [theta[0] - theta[-1] + 2.0 * math.pi] + [b - a for a, b in zip(theta, theta[1:])]
+    ties = [abs(gap) < ARGUMENT_TIE_TOL for gap in gaps]
+    if True in ties:
+        pos = ties.index(True)
+        i, j = order[pos - 1], order[pos]
+        raise DuplicateArgument(f"members {i} and {j} share an argument (gap {gaps[pos]:.3e} rad)")
+    labeled = Configuration([c.xs[i] for i in order], [c.ys[i] for i in order])
+    labeled.__dict__["_memo"] = c.__dict__.setdefault("_memo", {})
+    return labeled
 
 
 def cyclic_index(k: int, m: int) -> int:
@@ -290,7 +302,7 @@ def roots_of_unity(m: int) -> Configuration:
     if m % 2 == 0:
         raise ValueError("m must be odd")
     thetas = [2.0 * math.pi * k / m for k in range(m)]
-    return Configuration(list(zip(map(math.cos, thetas), map(math.sin, thetas))))
+    return Configuration(list(map(math.cos, thetas)), list(map(math.sin, thetas)))
 
 
 def unit_vector(theta: float) -> PlaneVector:

@@ -137,9 +137,9 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
                 f"C({n}, {left}) {'=' if j == k else '>='} {subsets} subsets "
                 f"exceed the budget of {DEFAULT_BUDGET}"
             )
-    # the grid's plain-Fraction pairs, and their coordinates as ints over the
-    # lcm of the denominators, in grid_vectors' order
-    pairs = [(x, y) for x in coords for y in coords if not (x == 0 and y == 0)]
+    # the grid's plain-Fraction columns, and their coordinates as ints over
+    # the lcm of the denominators, in grid_vectors' order
+    px, py = zip(*[(x, y) for x in coords for y in coords if x or y])
     d = math.lcm(*[c.denominator for c in coords])
     ints = [c.numerator * (d // c.denominator) for c in coords]
     xs = [x for x in ints for y in ints if x or y]
@@ -154,7 +154,7 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
         line_of.append(line)
         lines.setdefault(line, []).append(i)
     found = {
-        idx: Configuration([pairs[a] for a in idx])
+        idx: Configuration([px[a] for a in idx], [py[a] for a in idx])
         for members in lines.values()
         for idx in itertools.combinations(members, m)
     }
@@ -166,7 +166,7 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
         on = len({line_of[a] for a in idx})
         if on == 1 or on >= 4 and sum([cubes[a] for a in idx]):
             continue
-        cfg = Configuration([pairs[a] for a in idx])
+        cfg = Configuration([px[a] for a in idx], [py[a] for a in idx])
         if is_balanced(cfg).balanced:
             found[idx] = cfg
     hits = [found[idx] for idx in sorted(found)]

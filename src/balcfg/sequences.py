@@ -144,10 +144,11 @@ def check_parity_degrees(
     return ParityVerdict(True)
 
 
-def closure_roots(wn: PolyPair) -> RootGrid:
-    """Solve wn(t) = (1, 0), certified, for wn = w_n of symbolic_sequences(n):
-    the real roots of the primitive gcd of y(w_n) and x(w_n) - 1 over Z[t],
-    each the midpoint of an isolating interval of width <= 1e-12.
+def closure_roots(wn: PolyPair, grid: RootGrid) -> RootGrid:
+    """Solve wn(t) = (1, 0), certified, for wn = w_n of symbolic_sequences(n)
+    and grid = t_grid(2n + 1): the real roots of the primitive gcd of y(w_n)
+    and x(w_n) - 1 over Z[t], each the midpoint of an isolating interval of
+    width <= 1e-12.
 
     The intervals are first proved from exact signs at the cells of the
     closed-form grid's floats (ip.certify_cells), which place the cells but
@@ -156,21 +157,18 @@ def closure_roots(wn: PolyPair) -> RootGrid:
     A tree that gives up (ArithmeticError) raises ValueError: it is not a
     certificate."""
     closure = ip.primitive_gcd(wn.y, ip.sub(wn.x, (1,)))
-    m = ip.degree(wn.y) + 1
-    intervals = None
-    if m % 2 and m >= 3:
-        intervals = ip.certify_cells(closure, t_grid(m).values, ROOT_WIDTH)
+    intervals = ip.certify_cells(closure, grid.values, ROOT_WIDTH)
     if intervals is None:
         try:
             intervals = ip.certified_roots(closure, ROOT_WIDTH)
         except ArithmeticError as exc:
             raise ValueError(str(exc)) from exc
-    return RootGrid(m, tuple(float((lo + hi) / 2) for lo, hi in intervals))
+    return RootGrid(grid.m, tuple(float((lo + hi) / 2) for lo, hi in intervals))
 
 
 def wn_equation_roots(n: int) -> RootGrid:
     """Solve w_n(t) = (1, 0) over the reals, certified (see closure_roots)."""
-    return closure_roots(symbolic_sequences(n)[1][n])
+    return closure_roots(symbolic_sequences(n)[1][n], t_grid(2 * n + 1))
 
 
 def closed_form_t(m: int, k: int) -> float:
@@ -199,5 +197,5 @@ def model_configuration(m: int, k: int) -> Configuration:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     sines = [math.sin(2.0 * math.pi * (j * k % m) / m) for j in range(2 * n + 1)]
-    z = [(sines[j + 1] / sines[1], -sines[j] / sines[1]) for j in range(2 * n)]
-    return Configuration(z[0::2] + [(0.0, 1.0)] + z[1::2])
+    x, y = [s / sines[1] for s in sines[1:]], [-s / sines[1] for s in sines[:-1]]
+    return Configuration(x[0::2] + [0.0] + x[1::2], y[0::2] + [1.0] + y[1::2])

@@ -2,9 +2,9 @@
 
 The on-disk format is {"mode": "exact"|"float", "vectors": [[x, y], ...]}
 with exact coordinates as strings "p/q" (or "p") and float coordinates as
-JSON numbers; the mode must match the lexical form. Emission is canonical:
-keys sorted, floats at 17 significant digits (round-trip exact), newline
-terminated, so equal values always produce equal bytes.
+JSON numbers; the mode must match the lexical form, checked column by column
+in C-level passes. Emission is canonical (keys sorted, floats at 17 digits,
+newline terminated, a vector list in one join): equal values, equal bytes.
 """
 
 from __future__ import annotations
@@ -29,51 +29,41 @@ def format_float(value: float) -> str:
 
 def dumps_canonical(obj) -> str:
     """Deterministic JSON text for dicts/lists/str/int/float/Fraction/bool/None."""
-    pieces: list = []
-    _emit(obj, pieces)
-    return "".join(pieces)
+    return _dumps(obj)
 
 
-def _emit(obj, out: list) -> None:
-    if obj is None or isinstance(obj, bool):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, Fraction):
-        out.append(json.dumps(str(obj)))
-    elif isinstance(obj, int):
-        out.append(repr(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for pos, key in enumerate(sorted(obj)):
+def _dumps(obj) -> str:
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
+    if isinstance(obj, Fraction):
+        return json.dumps(str(obj))
+    if isinstance(obj, int):
+        return repr(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, dict):
+        items = []
+        for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
-            if pos:
-                out.append(", ")
-            out.append(json.dumps(key))
-            out.append(": ")
-            _emit(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for pos, item in enumerate(obj):
-            if pos:
-                out.append(", ")
-            _emit(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def config_to_jsonable(c: Configuration) -> dict:
-    # _emit quotes an exact coordinate as its "p/q" string
-    return {"mode": c.mode, "vectors": list(zip(c.xs, c.ys))}
+            items.append(f"{json.dumps(key)}: {_dumps(obj[key])}")
+        return "{%s}" % ", ".join(items)
+    if isinstance(obj, (list, tuple)):
+        return "[%s]" % ", ".join(map(_dumps, obj))
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def serialize_config(c: Configuration) -> str:
-    return dumps_canonical(config_to_jsonable(c)) + "\n"
+    """dumps_canonical's text of {"mode": ..., "vectors": [[x, y], ...]}, and a newline."""
+    if c.mode == EXACT:
+        vectors = map('["%s", "%s"]'.__mod__, zip(c.xs, c.ys))
+    elif all(map(math.isfinite, c.xs + c.ys)):
+        # format_float's "%.17g", where + 0.0 turns -0.0 into 0.0
+        vectors = ["[%.17g, %.17g]" % (x + 0.0, y + 0.0) for x, y in zip(c.xs, c.ys)]
+    else:
+        # format_float raises its ValueError at the first non-finite value
+        vectors = (f"[{format_float(x)}, {format_float(y)}]" for x, y in zip(c.xs, c.ys))
+    return '{"mode": "%s", "vectors": [%s]}\n' % (c.mode, ", ".join(vectors))
 
 
 def _parse_exact(raw, where: str) -> Fraction:
@@ -97,6 +87,21 @@ def _parse_float(raw, where: str) -> float:
     return value
 
 
+def _columns(vectors: list, mode: str):
+    """vectors' columns, in C-level passes; None if an entry is malformed."""
+    if set(map(type, vectors)) != {list} or set(map(len, vectors)) != {2}:
+        return None
+    xs, ys = zip(*vectors)
+    if not set(map(type, xs)).union(map(type, ys)) <= ({str} if mode == EXACT else {float, int}):
+        return None
+    try:
+        xs, ys = [list(map(Fraction if mode == EXACT else float, col)) for col in (xs, ys)]
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+    finite = mode == EXACT or all(map(math.isfinite, xs + ys))
+    return (xs, ys) if finite and (0, 0) not in zip(xs, ys) else None
+
+
 def parse_config(text: str, source: str = "<string>") -> Configuration:
     try:
         data = json.loads(text)
@@ -112,6 +117,10 @@ def parse_config(text: str, source: str = "<string>") -> Configuration:
     vectors = data.get("vectors")
     if not isinstance(vectors, list) or not vectors:
         raise ConfigFileError(f"{source}: vectors must be a nonempty list")
+    columns = _columns(vectors, mode)
+    if columns is not None:
+        return Configuration(*columns)
+    # some entry is malformed: parse entry by entry to name the first one
     parse = _parse_exact if mode == EXACT else _parse_float
     members = []
     for i, entry in enumerate(vectors):

@@ -1,3 +1,4 @@
+import sys
 from functools import cached_property
 
 import pytest
@@ -21,3 +22,26 @@ def tables_built(monkeypatch):
     counted.__set_name__(Configuration, "det_table")
     monkeypatch.setattr(Configuration, "det_table", counted)
     return sizes
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(fn) returns the list of the argument tuples of every later
+    call of fn, a balcfg function, through every balcfg module that binds
+    it."""
+
+    def install(fn):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return fn(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name == "balcfg" or name.startswith("balcfg."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counting)
+        return calls
+
+    return install

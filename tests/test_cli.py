@@ -702,3 +702,20 @@ def test_main_calls_the_handler_bound_at_call_time(capsys, monkeypatch):
     code, out, _ = run(capsys, "roots", "--n", "3")
     assert code == 0
     assert json.loads(out) == {"patched": 3}
+
+
+def test_check_reads_each_argument_once(capsys, count_calls):
+    # the labeling and the uniformity gap floor share one argument column
+    calls = count_calls(geometry._argument)
+    code, _, _ = run(capsys, "check", str(DATA / "u201_image_perturbed.json"))
+    assert code == 1
+    assert len(calls) == 201
+
+
+def test_roots_builds_one_grid(capsys, count_calls):
+    # the closure certificate's guesses are the grid the report prints
+    calls = count_calls(sequences.t_grid)
+    code, out, _ = run(capsys, "roots", "--n", "5")
+    assert code == 0
+    assert calls == [(11,)]
+    assert json.loads(out)["grid"] == list(sequences.t_grid(11).values)

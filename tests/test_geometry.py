@@ -149,6 +149,43 @@ def test_configuration_accepts_raw_pairs():
     assert list(c.vectors) == list(c) == [c[i] for i in range(c.m)] == vectors
 
 
+def test_configuration_takes_columns():
+    c = Configuration([1.0, 0.0, -1.0], [0.0, 1.0, -1.0])
+    assert c == Configuration([(1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)])
+    assert c.xs == (1.0, 0.0, -1.0) and c.ys == (0.0, 1.0, -1.0)
+    # columns that are not all floats or all Fractions are coerced per member
+    e = Configuration([1, Fraction(1, 2)], [0, 3])
+    assert e.mode == "exact" and e.xs == (Fraction(1), Fraction(1, 2))
+    assert all(type(v) is Fraction for v in e.xs + e.ys)
+    f = Configuration([1, 0.5], [0.25, 2])
+    assert f.mode == "float" and f.xs == (1.0, 0.5) and f.ys == (0.25, 2.0)
+    with pytest.raises(ValueError, match="member 2 is the zero vector"):
+        Configuration([1.0, 0.0, -0.0], [0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="mixes exact and float"):
+        Configuration([1.0, Fraction(1)], [0.0, Fraction(1)])
+    with pytest.raises(ValueError, match="equal columns"):
+        Configuration([1.0, 0.0], [0.0])
+    with pytest.raises(ValueError, match="at least one vector"):
+        Configuration([], [])
+    with pytest.raises(TypeError, match="boolean"):
+        Configuration([True, 1.0], [0.0, 1.0])
+
+
+def test_relabeled_copy_shares_the_member_set_memo():
+    c = Configuration([(0.0, 1.0), (1.0, 0.0), (-1.0, -1.0)])
+    calls = []
+
+    def norms(cfg):
+        calls.append(cfg)
+        return max(map(abs, cfg.xs + cfg.ys))
+
+    labeled = label_by_increasing_arguments(c)
+    assert labeled.xs == (1.0, 0.0, -1.0)
+    assert labeled.per_member_set(norms) == c.per_member_set(norms) == 1.0
+    assert calls == [labeled]
+    assert labeled.arguments == tuple(sorted(c.arguments))
+
+
 def test_n_requires_odd_size():
     c = Configuration([(1, 0), (0, 1), (-1, 0), (0, -1)])
     assert c.m == 4

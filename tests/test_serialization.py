@@ -1,8 +1,9 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from balcfg import Configuration, ConfigFileError, load_config, save_config
@@ -107,3 +108,171 @@ def test_file_round_trip(tmp_path):
     again = load_config(path)
     assert [v.as_tuple() for v in again] == [v.as_tuple() for v in c]
     assert path.read_bytes().endswith(b"\n")
+
+
+# The emitter that serialize_config and dumps_canonical replaced, kept as the
+# reference both are compared with: one recursive call per value.
+def _ref_emit(obj, out: list) -> None:
+    if obj is None or isinstance(obj, bool):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, Fraction):
+        out.append(json.dumps(str(obj)))
+    elif isinstance(obj, int):
+        out.append(repr(obj))
+    elif isinstance(obj, float):
+        out.append(format_float(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for pos, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
+            if pos:
+                out.append(", ")
+            out.append(json.dumps(key))
+            out.append(": ")
+            _ref_emit(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for pos, item in enumerate(obj):
+            if pos:
+                out.append(", ")
+            _ref_emit(item, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _ref_dumps_canonical(obj) -> str:
+    pieces: list = []
+    _ref_emit(obj, pieces)
+    return "".join(pieces)
+
+
+def _ref_serialize_config(c: Configuration) -> str:
+    # dumps_canonical(config_to_jsonable(c)) + "\n"
+    return _ref_dumps_canonical({"mode": c.mode, "vectors": list(zip(c.xs, c.ys))}) + "\n"
+
+
+EXTREME_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, -1.618033988749895,
+]
+any_float = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREME_FLOATS)
+big_fraction = st.builds(
+    Fraction, st.integers(-(10**400), 10**400), st.integers(1, 10**60)
+) | st.fractions()
+
+
+def _nonzero_members(pairs):
+    return [(x, y) for x, y in pairs if x or y]
+
+
+@given(st.lists(st.tuples(any_float, any_float), min_size=1, max_size=40))
+@example([(-0.0, -0.0), (-0.0, 5e-324), (1.7976931348623157e308, -1.7976931348623157e308)])
+def test_serialize_float_config_matches_reference(pairs):
+    members = _nonzero_members(pairs)
+    if not members:
+        return
+    c = Configuration(members)
+    text = serialize_config(c)
+    assert text == _ref_serialize_config(c)
+    assert parse_config(text) == Configuration([(x + 0.0, y + 0.0) for x, y in members])
+
+
+@given(st.lists(st.tuples(big_fraction, big_fraction), min_size=1, max_size=20))
+@example([(Fraction(10**400 + 1, 3), Fraction(-(10**300), 10**60 - 1)), (Fraction(0), -1)])
+def test_serialize_exact_config_matches_reference(pairs):
+    members = _nonzero_members(pairs)
+    if not members:
+        return
+    c = Configuration(members)
+    text = serialize_config(c)
+    assert text == _ref_serialize_config(c)
+    assert parse_config(text) == c
+
+
+json_leaves = (
+    st.none() | st.booleans() | st.integers() | any_float | big_fraction | st.text(max_size=5)
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_trees)
+def test_dumps_canonical_matches_reference(obj):
+    assert dumps_canonical(obj) == _ref_dumps_canonical(obj)
+
+
+@pytest.mark.parametrize(
+    "pairs, value",
+    [
+        ([(1.0, 0.0), (math.inf, 1.0)], "inf"),
+        ([(1.0, math.nan), (-math.inf, 1.0)], "nan"),
+        ([(1.0, 2.0), (3.0, -math.inf)], "-inf"),
+    ],
+)
+def test_serialize_non_finite_float_raises_the_same_value_error(pairs, value):
+    c = Configuration(pairs)
+    with pytest.raises(ValueError) as reference:
+        _ref_serialize_config(c)
+    with pytest.raises(ValueError) as info:
+        serialize_config(c)
+    assert str(info.value) == str(reference.value) == f"cannot serialize non-finite float {value}"
+
+
+FLOAT_FILE = '{"mode": "float", "vectors": [[1.5, 0.5], %s, [0.25, -1.0]]}'
+EXACT_FILE = '{"mode": "exact", "vectors": [["1/2", "1"], %s, ["-1", "3"]]}'
+HUGE_INT = "9" * 400
+
+# parse_config's messages for entry 1 of a file, as the per-entry parser
+# words them
+MALFORMED = [
+    (FLOAT_FILE % "[true, 1.0]", "float mode needs numbers, got True"),
+    (FLOAT_FILE % '["1/2", 1.0]', "float mode needs numbers, got '1/2'"),
+    (FLOAT_FILE % "[null, 1.0]", "float mode needs numbers, got None"),
+    (EXACT_FILE % '[0.5, "1"]', "exact mode needs string rationals, got 0.5"),
+    (EXACT_FILE % '["1", 2]', "exact mode needs string rationals, got 2"),
+    (EXACT_FILE % '["1", true]', "exact mode needs string rationals, got True"),
+    (FLOAT_FILE % "[NaN, 1.0]", "coordinate nan is not a finite number"),
+    (FLOAT_FILE % "[1.0, Infinity]", "coordinate inf is not a finite number"),
+    (FLOAT_FILE % "[-Infinity, 1.0]", "coordinate -inf is not a finite number"),
+    (FLOAT_FILE % "[1e400, 1.0]", "coordinate inf is not a finite number"),
+    (FLOAT_FILE % f"[1.0, {HUGE_INT}]", f"coordinate {HUGE_INT} is not a finite number"),
+    (EXACT_FILE % '["1/0", "1"]', "not a rational: '1/0' (Fraction(1, 0))"),
+    (EXACT_FILE % '["abc", "1"]', "not a rational: 'abc' (Invalid literal for Fraction: 'abc')"),
+    (FLOAT_FILE % "[1.0]", "expected [x, y]"),
+    (FLOAT_FILE % "[1.0, 2.0, 3.0]", "expected [x, y]"),
+    (FLOAT_FILE % '{"x": 1.0}', "expected [x, y]"),
+    (FLOAT_FILE % "7", "expected [x, y]"),
+    (FLOAT_FILE % "[0, -0.0]", "zero vector not allowed"),
+    (EXACT_FILE % '["0", "-0/5"]', "zero vector not allowed"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED)
+def test_parse_names_the_first_malformed_entry(text, message):
+    with pytest.raises(ConfigFileError) as info:
+        parse_config(text, "f.json")
+    assert str(info.value) == f"f.json: vectors[1]: {message}"
+
+
+def test_parse_names_the_first_entry_in_file_order():
+    # entry 0 is a zero vector and entry 1 does not fit a float: entry 0 is named
+    text = '{"mode": "float", "vectors": [[0.0, 0.0], [1e400, 1.0]]}'
+    with pytest.raises(ConfigFileError, match=r"^f.json: vectors\[0\]: zero vector not allowed$"):
+        parse_config(text, "f.json")
+
+
+def test_parse_reads_ints_in_float_mode_as_floats():
+    c = parse_config('{"mode": "float", "vectors": [[1, 0], [0, -2], [3, 4]]}')
+    assert c.mode == "float"
+    assert c.xs == (1.0, 0.0, 3.0) and c.ys == (0.0, -2.0, 4.0)
+    assert all(type(v) is float for v in c.xs + c.ys)
