@@ -10,28 +10,39 @@ Balance of a sorted multiset is equivalent to d[j] = -d[N-1-j] for all j,
 which is what the verdicts check; in float mode the comparison happens within
 an absolute tolerance derived from the determinant scale.
 
-The verdicts read the configuration's determinant rows one at a time,
-Configuration.det_row (one comprehension per row over the unpacked
-coordinates, cached), each sorted when read (no verdict sorts a row twice).
-is_balanced builds and sorts rows in order and stops at the first asymmetric
-one; the symmetry test of one sorted row lives in _row_fault. The rows hold
-scaled entries: in exact mode the ints D^2 * det (D the lcm of the coordinate
-denominators), which sort, add and compare at C level with tolerance 0, so no
-verdict differs from one on det itself; in float mode the float det values.
-Every value a caller reads (a balance witness, det_max) is divided back to
-input units by Configuration.unscale. step_constants reads its 2m entries
-off the coordinate columns by det2's expression, which the table holds.
+The verdicts read the configuration's determinant rows one at a time, on
+demand: Configuration.det_row (one comprehension per row over the unpacked
+coordinates, cached), each sorted when read (no verdict sorts a row twice),
+or, for a pass that reads each row once (the uniformity scan, det_max),
+Configuration.transient_det_row, which keeps none. is_balanced builds and
+sorts rows in order and stops at the first asymmetric one; the symmetry test
+of one sorted row lives in _row_fault. The rows hold scaled entries: in
+exact mode the ints D^2 * det (D the lcm of the coordinate denominators),
+which sort, add and compare at C level with tolerance 0, so no verdict
+differs from one on det itself; in float mode the float det values. Every
+value a caller reads (a balance witness, det_max) is divided back to input
+units by Configuration.unscale. step_constants reads its 2m entries off the
+coordinate columns by det2's expression, which the table holds.
 
-The default float tolerance is 1e-9 * det_max, and det_max needs the whole
-m x m table. Every float comparison, the uniformity scan and antisymmetry
-included, meets its tolerance in _Bracket, which decides it against a
-bracket of it first: 1e-9 * max |row 0| below, 1e-9 * a bound on max |v|^2
-above. A monotone test that gives the same answer at both ends gives it at
-the tolerance itself; anything else sends the call to det_max. is_uniform
-in float mode first bounds every |det| from below by the smallest gap
-between the members' arguments, and scans the table only when that bound
-does not clear the tolerance. A GL2 image of U_m (odd m) is certified by the
-canonical map's residual before any of this runs
+A member set that is closed under v -> -v, as a multiset, is balanced: row
+i holds -det(v_i, v_j) next to each det(v_i, v_j), from the member equal to
+-v_j, and a 0 from the member equal to -v_i. In exact mode the entries are
+ints, so this holds exactly. In float mode it holds exactly, at every
+tolerance >= 0, when every coordinate is in SAFE_COORDINATE_RANGE: there
+negation is exact and rounding is symmetric about 0, so fl(-d) = -fl(d).
+is_balanced tests closure once, after row 0 has passed, and then reads no
+other row.
+
+The default float tolerance is 1e-9 * det_max, and det_max reads every row
+(streamed, in O(m) memory). Every float comparison, the uniformity scan and
+antisymmetry included, meets its tolerance in _Bracket, which decides it
+against a bracket of it first: 1e-9 * max |row 0| below, 1e-9 * a bound on
+max |v|^2 above. A monotone test that gives the same answer at both ends
+gives it at the tolerance itself; anything else sends the call to det_max.
+is_uniform in float mode first bounds every |det| from below by the
+smallest gap between the members' arguments, and scans the rows only when
+that bound does not clear the tolerance. A GL2 image of U_m (odd m) is
+certified by the canonical map's residual before any of this runs
 (canonical.certified_labeling), and builds no table at all.
 
 For uniform balanced configurations of odd size m = 2n+1 this module also
@@ -48,11 +59,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import add, ge, lt, sub
+from operator import add, ge, lt, mul, neg, sub
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import AmbiguousPairing, InconsistentConstants, NotBalanced, NotUniform
-from .geometry import EXACT, Configuration, Scalar, cyclic_index
+from .geometry import EXACT, Configuration, Scalar
 
 # Relative factor for the default float tolerance: tol = 1e-9 * max |det|.
 DEFAULT_REL_TOL = 1e-9
@@ -114,9 +125,14 @@ def require_tolerance(tol: float) -> float:
 
 def in_safe_range(values) -> bool:
     """True when every nonzero |value| lies in SAFE_COORDINATE_RANGE; NaN
-    and inf do not."""
+    and inf do not. C-level passes: finiteness, then the extremes of the
+    nonzero magnitudes."""
     tiny, huge = SAFE_COORDINATE_RANGE
-    return all(x == 0 or tiny <= abs(x) <= huge for x in values)
+    sizes = list(map(abs, values))
+    if not all(map(math.isfinite, sizes)):
+        return False
+    nonzero = list(filter(None, sizes))
+    return not nonzero or (tiny <= min(nonzero) and max(nonzero) <= huge)
 
 
 def norm_sq_bounds(c: Configuration) -> Optional[Tuple[float, float]]:
@@ -223,13 +239,37 @@ def _row_fault(srow: tuple, eff: Scalar) -> Optional[int]:
     return j
 
 
+def _negation_closed(c: Configuration, bracket: _Bracket) -> bool:
+    """Whether c's members, as a multiset, are closed under v -> -v where
+    that certifies every row symmetric at every tolerance >= 0: in exact
+    mode, or in float mode with every coordinate in the safe range (the
+    bracket's norms exist).
+
+    Member j then pairs with a member equal to -v_j, so row i holds
+    det(v_i, -v_j) = -det(v_i, v_j) next to each entry, and a 0 from the
+    member equal to -v_i. The ints of exact mode negate exactly; a float
+    entry fl(x_i y_j - y_i x_j) of normal products negates exactly too, as
+    round-to-nearest is symmetric about 0. Odd m is refused by parity (no
+    nonzero vector is its own negation); otherwise one C-level sort of the
+    scaled coordinate pairs is compared with its negated reversal.
+    """
+    if c.m % 2 or (c.mode != EXACT and bracket.norms is None):
+        return False
+    xs, ys, _ = c._det_coords
+    sx, sy = zip(*sorted(zip(xs, ys)))
+    return sx == tuple(map(neg, reversed(sx))) and sy == tuple(map(neg, reversed(sy)))
+
+
 def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
     """Decide multiset symmetry of every determinant row.
 
     Exact mode compares exactly (tol ignored); float mode compares within an
     absolute tolerance (default 1e-9 * max |det|). The rows are built and
     sorted in order, on demand, and each goes through _row_fault, first
-    against the tolerance's bracket.
+    against the tolerance's bracket. Once row 0 has passed, a member set
+    closed under negation is balanced with no further row, in exact mode or
+    with every float coordinate in SAFE_COORDINATE_RANGE, where every row
+    is exactly symmetric (_negation_closed).
     The witness is (i, value) for the first row i that fails: the
     larger-magnitude side of its first bad pair, else its middle entry, in
     input units.
@@ -242,6 +282,8 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
             lo, hi = srow[j], srow[-1 - j]
             value = hi if abs(hi) >= abs(lo) else lo
             return BalanceReport(False, (i, c.unscale(value)))
+        if i == 0 and _negation_closed(c, bracket):
+            break
     return BalanceReport(True, None)
 
 
@@ -280,14 +322,16 @@ def is_uniform(
     upper bracket decides "uniform" with no table. Otherwise the smallest
     |D[i][j]|, j > i, of each row decides in one C-level pass whether the
     row holds such a pair, against the tolerance's bracket first; only that
-    row is scanned for its j.
+    row is scanned for its j. Rows are read in order, on demand, and not
+    kept (transient_det_row), so the scan stops at the first row that holds
+    a pair and holds one row at a time.
     """
     bracket = _Bracket(c, tol)
     floor = _gap_floor(c, bracket.norms)
     if floor is not None and floor > bracket.hi:
         return True, None
-    for i, row in enumerate(c.det_table[:-1]):
-        rest = list(map(abs, row[i + 1 :]))
+    for i in range(c.m - 1):
+        rest = list(map(abs, c.transient_det_row(i)[i + 1 :]))
         # an overflowed entry (inf - inf) is NaN and counts as nonzero: min
         # skips a NaN unless it comes first, and then the scan skips it
         j = bracket.finds(lambda eff: None if min(rest) > eff else _first(ge, eff, rest))
@@ -387,24 +431,30 @@ def step_constants(c: Configuration, tol: Optional[float] = None) -> StepConstan
     """Return (A1, An) for a uniform balanced labeled configuration and verify
     det(v_k, v_{k+1}) = A1 and det(v_k, v_{k+n}) = An for every k cyclically.
 
-    Only these 2m determinants are read, by det2's expression on the columns,
-    so they are the table's entries bit for bit; each comparison is decided
+    Only these 2m determinants are read, by det2's expression on the columns
+    and the columns rotated by 1 and by n, so they are the table's entries
+    bit for bit; their distances from (A1, An) are tested in C-level passes,
     against the tolerance's bracket first. Raises InconsistentConstants
     naming the first violating k. A1 and An come back in input units.
     """
     if c.m % 2 == 0 or c.m < 3:
         raise ValueError(f"step constants require odd m >= 3, got m = {c.m}")
     bracket = _Bracket(c, tol)
-    xs, ys, m, n = c.xs, c.ys, c.m, c.n
-    a1, an = xs[0] * ys[1] - ys[0] * xs[1], xs[0] * ys[n] - ys[0] * xs[n]
-    for k in range(m):
-        k1, kn = cyclic_index(k + 1, m), cyclic_index(k + n, m)
-        step1 = xs[k] * ys[k1] - ys[k] * xs[k1]
-        stepn = xs[k] * ys[kn] - ys[k] * xs[kn]
-        if bracket.fault(
-            lambda eff: True if abs(step1 - a1) > eff or abs(stepn - an) > eff else None
-        ):
-            raise InconsistentConstants(
-                f"step determinants at k = {k} differ from (A1, An)", witness=k
-            )
+    xs, ys = c.xs, c.ys
+    steps = [
+        list(map(sub, map(mul, xs, ys[a:] + ys[:a]), map(mul, ys, xs[a:] + xs[:a])))
+        for a in (1, c.n)
+    ]
+    a1, an = steps[0][0], steps[1][0]
+    misses = [list(map(abs, map(sub, row, repeat(row[0])))) for row in steps]
+
+    def first_miss(eff):
+        found = [k for k in (_first(lt, eff, miss) for miss in misses) if k is not None]
+        return min(found, default=None)
+
+    k = bracket.fault(first_miss)
+    if k is not None:
+        raise InconsistentConstants(
+            f"step determinants at k = {k} differ from (A1, An)", witness=k
+        )
     return StepConstants(A1=a1, An=an)

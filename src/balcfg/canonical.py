@@ -256,11 +256,11 @@ def _map_onto_roots(c: Configuration) -> Tuple[Configuration, CanonicalForm]:
             f"exponent assignment is not a bijection (k = {k_c}, m = {m})",
             witness=exponents,
         )
-    residual = 0.0
-    for e, x, y in zip(exponents, labeled.xs, labeled.ys):
-        theta = 2.0 * math.pi * e / m
-        miss = (g.a * x + g.b * y - math.cos(theta), g.c * x + g.d * y - math.sin(theta))
-        residual = max(residual, math.hypot(*miss))
+    tau, xs, ys = 2.0 * math.pi, labeled.xs, labeled.ys
+    thetas = [tau * e / m for e in exponents]
+    gx = [g.a * x + g.b * y - cos for x, y, cos in zip(xs, ys, map(math.cos, thetas))]
+    gy = [g.c * x + g.d * y - sin for x, y, sin in zip(xs, ys, map(math.sin, thetas))]
+    residual = max(0.0, *map(math.hypot, gx, gy))
     return labeled, CanonicalForm(g, t_c, k_c, exponents, residual)
 
 

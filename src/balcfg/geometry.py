@@ -12,10 +12,12 @@ exact mode, with D the lcm of the coordinate denominators, each row is built
 from the integer coordinates x*D, y*D, so every entry is the int D^2 * det2
 and the scale is D^2; the verdicts sort, add and compare these ints. In float
 mode the entries are the float det2 values of the columns, at scale 1. Rows are
-built one at a time, on demand, by one comprehension (Configuration.det_row);
-the whole table (det_table) is the tuple of those rows, built only for a
-verdict that reads them all. A value that leaves the package (a witness, a
-maximum) is divided back to input units by Configuration.unscale.
+built one at a time, on demand, by one comprehension (Configuration.det_row,
+which caches each); a pass that reads each row once, such as det_max, reads
+it by transient_det_row and keeps none. The whole table (det_table) is the
+tuple of the cached rows, built only by the pairing and antisymmetry
+routines. A value that leaves the package (a witness, a maximum) is divided
+back to input units by Configuration.unscale.
 """
 
 from __future__ import annotations
@@ -223,10 +225,21 @@ class Configuration:
         __init__ rejects mixed modes."""
         row = self._det_rows[i]
         if row is None:
-            xs, ys, _ = self._det_coords
-            xi, yi = xs[i], ys[i]
-            row = self._det_rows[i] = tuple([xi * yj - yi * xj for xj, yj in zip(xs, ys)])
+            row = self._det_rows[i] = tuple(self._row_entries(i))
         return row
+
+    def transient_det_row(self, i: int):
+        """Row i for a caller that reads it once: det_row's cached row, or
+        else its entries computed afresh and not cached, so a pass over every
+        row holds one row at a time."""
+        return self._det_rows[i] or self._row_entries(i)
+
+    def _row_entries(self, i: int) -> list:
+        """Row i's entries, computed afresh by the one comprehension and not
+        cached."""
+        xs, ys, _ = self._det_coords
+        xi, yi = xs[i], ys[i]
+        return [xi * yj - yi * xj for xj, yj in zip(xs, ys)]
 
     def sorted_det_row(self, i: int) -> tuple:
         """det_row(i) without its diagonal entry, sorted (in table units: see
@@ -249,7 +262,9 @@ class Configuration:
     def det_max(self) -> Scalar:
         """max |det| in input units: the table's largest entry off the
         diagonal, as it holds -d next to each d; this mode's zero when there
-        is none.
+        is none. A streaming maximum: a row that det_row has not cached is
+        computed, reduced to its maximum and dropped, so no table is built
+        and the memory is O(m).
 
         A float diagonal entry x*y - y*x is NaN when x*y overflows, and max
         keeps a NaN that comes first. So row 0 is read past its diagonal,
@@ -257,9 +272,9 @@ class Configuration:
         skipped: a NaN here would make the default tolerance NaN and pass
         every comparison.
         """
-        rows = self.det_table
         zero = 0.0 if self.mode == FLOAT else 0
-        return self.unscale(max((zero, *rows[0][1:], *map(max, rows[1:]))))
+        maxima = map(max, map(self.transient_det_row, range(1, self.m)))
+        return self.unscale(max((zero, *self.transient_det_row(0)[1:], *maxima)))
 
 
 def label_by_increasing_arguments(c: Configuration) -> Configuration:

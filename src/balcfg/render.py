@@ -14,19 +14,28 @@ CANVAS = 800
 CENTER = CANVAS / 2
 # pixels per unit length when every member fits in the unit disc
 BASE_RADIUS = 330.0
-
-
-def _fmt(value: float) -> str:
-    text = f"{value:.6f}"
-    return "0.000000" if text == "-0.000000" else text
+# every position lies in [56, 744] (a tip is at most BASE_RADIUS from the
+# center, its label 14 pixels beyond), so "%.6f" never writes a sign
+LINE = (
+    f'  <line x1="{CENTER:.6f}" y1="{CENTER:.6f}" x2="%.6f" y2="%.6f" '
+    'stroke="#1f5fa8" stroke-width="2" marker-end="url(#tip)"/>'
+)
+TEXT = (
+    '  <text x="%.6f" y="%.6f" font-family="monospace" font-size="14" fill="#222222" '
+    'text-anchor="middle">%d</text>'
+)
 
 
 def render_svg(c: Configuration) -> str:
+    """The SVG text; each member's <line> and <text> element is formatted
+    from its columns in one C-level pass per element kind."""
     floats = c.as_float()
-    reach = max(1.0, max(map(math.hypot, floats.xs, floats.ys)))
+    xs, ys = floats.xs, floats.ys
+    norms = list(map(math.hypot, xs, ys))
+    reach = max(1.0, max(norms))
     unit = BASE_RADIUS / reach
 
-    lines = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
         f'viewBox="0 0 {CANVAS} {CANVAS}">',
         '  <defs>',
@@ -36,24 +45,14 @@ def render_svg(c: Configuration) -> str:
         "    </marker>",
         "  </defs>",
         f'  <rect width="{CANVAS}" height="{CANVAS}" fill="#ffffff"/>',
-        f'  <circle cx="{_fmt(CENTER)}" cy="{_fmt(CENTER)}" r="{_fmt(unit)}" '
+        f'  <circle cx="{CENTER:.6f}" cy="{CENTER:.6f}" r="{unit:.6f}" '
         'fill="none" stroke="#bbbbbb" stroke-dasharray="6 4"/>',
     ]
-    tips = [(CENTER + unit * x, CENTER - unit * y, x, y) for x, y in zip(floats.xs, floats.ys)]
-    for tip_x, tip_y, _, _ in tips:
-        lines.append(
-            f'  <line x1="{_fmt(CENTER)}" y1="{_fmt(CENTER)}" '
-            f'x2="{_fmt(tip_x)}" y2="{_fmt(tip_y)}" '
-            'stroke="#1f5fa8" stroke-width="2" marker-end="url(#tip)"/>'
-        )
-    for i, (tip_x, tip_y, x, y) in enumerate(tips):
-        length = max(math.hypot(x, y), 1e-9)
-        label_x = tip_x + 14.0 * x / length
-        label_y = tip_y - 14.0 * y / length
-        lines.append(
-            f'  <text x="{_fmt(label_x)}" y="{_fmt(label_y)}" '
-            'font-family="monospace" font-size="14" fill="#222222" '
-            f'text-anchor="middle">{i}</text>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    tip_xs = [CENTER + unit * x for x in xs]
+    tip_ys = [CENTER - unit * y for y in ys]
+    lengths = [max(norm, 1e-9) for norm in norms]
+    label_xs = [tip_x + 14.0 * x / length for tip_x, x, length in zip(tip_xs, xs, lengths)]
+    label_ys = [tip_y - 14.0 * y / length for tip_y, y, length in zip(tip_ys, ys, lengths)]
+    lines = map(LINE.__mod__, zip(tip_xs, tip_ys))
+    texts = map(TEXT.__mod__, zip(label_xs, label_ys, range(len(xs))))
+    return "\n".join([*head, *lines, *texts, "</svg>"]) + "\n"

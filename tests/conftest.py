@@ -45,3 +45,20 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def rows_built(monkeypatch):
+    """(m, i) for every determinant row that Configuration.det_row builds and
+    caches during the test, in build order. A row it finds in its cache, and
+    a row read once by transient_det_row without caching, are not listed."""
+    det_row = Configuration.det_row
+    built = []
+
+    def counting(self, i):
+        if self._det_rows[i] is None:
+            built.append((self.m, i))
+        return det_row(self, i)
+
+    monkeypatch.setattr(Configuration, "det_row", counting)
+    return built

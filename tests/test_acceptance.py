@@ -240,6 +240,10 @@ CLI_GOLDEN_CASES = [
     (["canon", str(DATA / "u5_exact_rounded.json")], GOLDEN / "canon_u5_exact_rounded.json", 1),
     (["check", str(DATA / "u3_exact.json")], GOLDEN / "check_u3_exact.json", 0),
     (["canon", str(DATA / "u3_exact.json")], GOLDEN / "canon_u3_exact.json", 0),
+    # an exact {v, -v} set of m = 100: balanced, never uniform, with the
+    # even-m witness and the pair that row 0 holds
+    (["check", str(DATA / "sym100_exact.json")], GOLDEN / "check_sym100_exact.json", 0),
+    (["canon", str(DATA / "sym100_exact.json")], GOLDEN / "canon_sym100_exact.json", 1),
     # the generators' columns, mapped and rendered, byte for byte
     (["gen", "--m", "201", "--seed", "5"], GOLDEN / "gen_m201_seed5.json", 0),
     (["gen", "--m", "201", "--k", "37"], GOLDEN / "gen_m201_k37.json", 0),

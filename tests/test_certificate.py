@@ -10,6 +10,9 @@ witness and certificate must match it exactly.
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
+from operator import neg
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +21,11 @@ from hypothesis import strategies as st
 from balcfg import balance, canonical
 from balcfg.balance import (
     DEFAULT_REL_TOL,
+    SAFE_COORDINATE_RANGE,
     _Bracket,
+    _negation_closed,
     _row_fault,
+    in_safe_range,
     is_balanced,
     is_uniform,
     step_constants,
@@ -282,9 +288,10 @@ def test_norm_bounds_are_computed_once_per_bracket(capsys, count_calls, tmp_path
     assert [c.m for (c,) in seen] == [51] * calls
 
 
-def test_route_without_norm_bounds_falls_back_to_the_table(tables_built):
+def test_route_without_norm_bounds_falls_back_to_the_table(tables_built, rows_built):
     # v0 has a coordinate outside [2^-480, 2^480]: the route maps the
-    # configuration, but no bound holds, so the verdicts read the table
+    # configuration, but no bound holds, so the verdicts read every row:
+    # det_max streams them and keeps none, and is_balanced keeps its own
     u = roots_of_unity(3)
     c = Configuration([PlaneVector(1.0, 1e-300), u[1], u[2]])
     route, certified = _certified_route(c, None)
@@ -295,18 +302,22 @@ def test_route_without_norm_bounds_falls_back_to_the_table(tables_built):
     report = is_balanced(c)
     assert (report.balanced, report.witness) == (True, None) == _ref_is_balanced(c, None)
     assert is_uniform(c) == (True, None) == _ref_is_uniform(c, None)
-    assert tables_built == [3]
+    assert tables_built == []
+    assert rows_built == [(3, 0), (3, 1), (3, 2)]
     assert canonicalize(c).k == 1
 
 
-def test_is_balanced_reads_det_max_when_a_sum_falls_inside_the_bracket(tables_built):
+def test_is_balanced_reads_det_max_when_a_sum_falls_inside_the_bracket(tables_built, rows_built):
     # a squeezed U_3 (|det| ~ 8.7e-4, max |v|^2 ~ 1): row 0's pair sum of
-    # 1e-11 passes 1e-9 * max |v|^2 but not 1e-9 * det_max
+    # 1e-11 passes 1e-9 * max |v|^2 but not 1e-9 * det_max, which streams
+    # rows 1 and 2 and keeps neither
     c = Configuration([(1.0, 0.0), (-0.5, 0.866e-3 + 1e-11), (-0.5, -0.866e-3)])
     report = is_balanced(c)
     assert (report.balanced, report.witness) == _ref_is_balanced(c, None)
     assert not report.balanced
-    assert tables_built == [3]
+    assert "det_max" in c.__dict__
+    assert tables_built == []
+    assert rows_built == [(3, 0)]
 
 
 def test_is_balanced_decides_a_far_row_without_a_table(tables_built):
@@ -316,15 +327,37 @@ def test_is_balanced_decides_a_far_row_without_a_table(tables_built):
     assert tables_built == []
 
 
-def test_uniformity_by_argument_gap_builds_no_table(tables_built):
+def test_uniformity_by_argument_gap_builds_no_table(tables_built, rows_built):
     c = random_invertible(8).apply_configuration(roots_of_unity(51))
     assert is_uniform(c) == (True, None)
     assert is_uniform(c, 1e-3) == (True, None)
-    assert tables_built == []
-    # opposite members share an argument mod pi: the table decides
+    assert tables_built == [] and rows_built == []
+    # opposite members share an argument mod pi: the rows decide, and the
+    # scan stops at row 0, which the bracket's lower end has built
     square = Configuration([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
     assert is_uniform(square) == (False, (0, 2)) == _ref_is_uniform(square, None)
-    assert tables_built == [4]
+    assert tables_built == [] and rows_built == [(4, 0)]
+
+
+def test_step_constants_name_the_first_k_of_either_step():
+    # moving v_4 of U_7 (n = 3) breaks the 1-steps at k = 3, 4 and the
+    # n-steps at k = 1, 4: the n-steps name the first k
+    u = roots_of_unity(7)
+    c = Configuration([v.scale(1.01) if i == 4 else v for i, v in enumerate(u)])
+    found = _outcome(lambda: step_constants(c))
+    assert found == _outcome(lambda: _ref_step_constants(c, None)) == ("InconsistentConstants", "1")
+
+
+def test_is_balanced_tests_closure_once_after_row_0(count_calls, rows_built):
+    # collinear members: every row is zeros, so the set is balanced but not
+    # closed under negation, and closure is tested once, after row 0
+    calls = count_calls(balance._negation_closed)
+    c = Configuration([(1, 0), (2, 0), (3, 0), (5, 0)])
+    assert is_balanced(c) == balance.BalanceReport(True, None)
+    assert len(calls) == 1 and rows_built == [(4, i) for i in range(4)]
+    # a row 0 that fails decides before any closure test
+    assert not is_balanced(Configuration([(1, 0), (0, 1), (1, 1), (-1, 0)])).balanced
+    assert len(calls) == 1
 
 
 def test_step_constants_read_their_2m_entries_without_a_table(tables_built):
@@ -392,3 +425,62 @@ def test_canonicalize_maps_onto_the_roots_once(monkeypatch, eps):
     assert calls == [201]
     found = form.g.rows(), form.k, form.index_map, form.residual
     assert repr(found) == repr(_ref_canonicalize(c, RESIDUAL_TOL))
+
+
+SAFE_TINY, SAFE_HUGE = SAFE_COORDINATE_RANGE
+exact_coords = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+# the safe range's edges, signed zeros and small values that repeat, so
+# that members repeat and rows hold exact ties
+safe_coords = st.one_of(
+    st.sampled_from([0.0, -0.0, SAFE_TINY, -SAFE_TINY, SAFE_HUGE, -SAFE_HUGE, 1.0, -0.5, 3.0]),
+    st.floats(-8.0, 8.0),
+)
+# just outside the safe range, where no product overflows
+unsafe_coords = st.sampled_from([2.0**-500, -1e-150, 5e-324, 2.0**490, -1e146])
+
+
+@st.composite
+def negation_closed(draw, coords):
+    """Members v and -v of a drawn multiset of nonzero vectors, shuffled; the
+    negated copy of a zero coordinate may keep its sign (0.0 for -0.0), and
+    one member may be moved to a drawn vector."""
+    vectors = st.tuples(coords, coords).filter(lambda v: v != (0, 0))
+    half = draw(st.lists(vectors, min_size=1, max_size=6))
+    keep_zero_sign = draw(st.booleans())
+
+    def twin(t):
+        return t if keep_zero_sign and not t else -t
+
+    members = draw(st.permutations(half + [(twin(x), twin(y)) for x, y in half]))
+    if draw(st.booleans()):
+        members[draw(st.integers(0, len(members) - 1))] = draw(vectors)
+    return members
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(
+        negation_closed(exact_coords),
+        negation_closed(safe_coords),
+        negation_closed(st.one_of(safe_coords, unsafe_coords)),
+    ),
+    st.sampled_from([None, None, 0.0, 1e-12, 1e-6]),
+)
+def test_negation_closed_sets_match_the_full_table(members, tol):
+    c = Configuration(members)
+    report = is_balanced(c, tol)
+    # exact mode compares exactly whatever tol is
+    verdict, witness = _ref_is_balanced(c, 0 if c.mode == "exact" else tol)
+    assert (report.balanced, repr(report.witness)) == (verdict, repr(witness))
+    # the certificate fires exactly on a closed multiset whose rows negate
+    # exactly: exact input, or every float coordinate in the safe range
+    closed = Counter(zip(c.xs, c.ys)) == Counter(zip(map(neg, c.xs), map(neg, c.ys)))
+    exact_rows = c.mode == "exact" or in_safe_range(c.xs + c.ys)
+    fires = _negation_closed(c, _Bracket(c, tol))
+    assert fires == (closed and exact_rows)
+    if fires:
+        assert verdict
+    kept = [i for i, row in enumerate(c._det_rows) if row is not None]
+    if verdict:
+        # a certified set stops after row 0; any other reads every row
+        assert kept == ([0] if fires else list(range(c.m)))

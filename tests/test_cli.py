@@ -8,12 +8,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balcfg import cli, geometry, sequences
 from balcfg.balance import step_constants
 from balcfg.canonical import LinearMap2
 from balcfg.cli import main
 from balcfg.geometry import Configuration, det2, roots_of_unity
+from balcfg.render import render_svg
 from balcfg.search import perturb
 from balcfg.serialization import load_config, parse_config, save_config
 
@@ -191,13 +194,18 @@ def test_check_reports_an_exact_even_m_witness(capsys, tmp_path):
     assert j >= 1 and det2(cfg[0], cfg[j]) == 0
 
 
-# u5.json is a float U_5, certified by the canonical route with no table;
-# square.json is exact and not uniform, so its one table is scanned
-@pytest.mark.parametrize("name, pairs", [("u5.json", 0), ("square.json", 6)])
-def test_check_evaluates_each_determinant_once(capsys, tables_built, name, pairs):
+# u5.json is a float U_5, certified by the canonical route with no table:
+# the route's bracket reads row 0 of the labeled copy, and step_constants'
+# bracket row 0 of the file order; square.json is exact and closed under
+# negation, so its row 0 decides balance and holds uniformity's zero
+@pytest.mark.parametrize(
+    "name, rows", [("u5.json", [(5, 0), (5, 0)]), ("square.json", [(4, 0)])], ids=["u5", "square"]
+)
+def test_check_evaluates_each_determinant_once(capsys, tables_built, rows_built, name, rows):
     code, _, _ = run(capsys, "check", str(DATA / name))
     assert code == 0
-    assert sum(math.comb(size, 2) for size in tables_built) == pairs
+    assert tables_built == []
+    assert rows_built == rows
 
 
 def _u801_image(tmp_path, variant):
@@ -231,9 +239,13 @@ def test_u801_images_build_no_table(capsys, tmp_path, tables_built, command, var
 
 
 @pytest.mark.parametrize("command, code", [("check", 0), ("canon", 1)])
-def test_exact_symmetric_set_builds_one_table(capsys, tmp_path, tables_built, command, code):
-    # {v, -v} for 50 exact v: balanced, even m = 100, never uniform; the
-    # uniformity scan needs the one table, and nothing else builds one
+def test_exact_symmetric_set_builds_only_row_0(
+    capsys, tmp_path, tables_built, rows_built, command, code
+):
+    # {v, -v} for 50 exact v: balanced, even m = 100, never uniform; row 0
+    # passes, the member set is closed under negation, so every row is
+    # symmetric, and row 0 holds the zero of v_0 and -v_0 that the
+    # uniformity scan and the even-m witness read
     rng = random.Random(5)
     half = set()
     while len(half) < 50:
@@ -243,7 +255,8 @@ def test_exact_symmetric_set_builds_one_table(capsys, tmp_path, tables_built, co
     vecs = sorted(half) + [(-x, -y) for x, y in sorted(half)]
     path, _ = _exact_file(tmp_path, vecs)
     assert run(capsys, command, str(path))[0] == code
-    assert tables_built == [100]
+    assert tables_built == []
+    assert rows_built == [(100, 0)]
 
 
 # The float scale bug (ROADMAP item 2): at 1e308 the determinants overflow,
@@ -262,30 +275,35 @@ def test_item4_check_agrees_with_canon_at_float_scale_extremes(capsys, tmp_path,
     assert json.loads(out)["uniform"] is True
 
 
-def test_search_builds_no_grid_table(capsys, tables_built):
+def test_search_builds_no_grid_table(capsys, tables_built, rows_built):
     # m = 4 over {-1, 0, 1}^2: no table of the 8 grid vectors; the zero-sum
-    # candidates are decided on rows built on demand, and only the 6 hits
-    # build their own tables, when the summary tests them for uniformity
+    # candidates are decided on rows built on demand; each of the 6 hits is
+    # closed under negation, so its row 0 decides balance, and that row's
+    # zero decides uniformity
     code, out, _ = run(capsys, "search", "--m", "4", "--coords", "-1,0,1")
     assert code == 0
     assert json.loads(out)["count"] == 6
-    assert tables_built == [4] * 6
+    assert tables_built == []
+    assert rows_built == [(4, 0)] * 6
 
 
 @pytest.mark.parametrize(
-    "m, values, count, calls", [(1, 100, 9999, 0), (2, 10, 136, 136)]
+    "m, values, count, rows", [(1, 100, 9999, 0), (2, 10, 136, 0)]
 )
-def test_small_m_search_builds_no_grid_table(capsys, tables_built, m, values, count, calls):
+def test_small_m_search_builds_no_grid_table(
+    capsys, tables_built, rows_built, m, values, count, rows
+):
     # a table of the whole grid (9999 vectors for 100 values) would only
     # cost memory
     coords = ",".join(str(k) for k in range(values))
     code, out, _ = run(capsys, "search", "--m", str(m), "--coords", coords)
     assert code == 0
     assert json.loads(out)["count"] == count
-    # only a hit builds its own table, of m members, when the summary tests
-    # it for uniformity: for m = 2 the 136 hits hold one pair each
-    assert set(tables_built) == {m}
-    assert sum(math.comb(size, 2) for size in tables_built) == calls
+    # the hits are listed by line, with no balance verdict, and no hit
+    # keeps a row: m = 1 has no pair to scan for uniformity, and each of the
+    # 136 pairs for m = 2 is scanned on its row 0, read once and not cached
+    assert tables_built == []
+    assert len(rows_built) == rows
 
 
 def test_canon_golden_bytes(capsys):
@@ -453,6 +471,65 @@ def test_render_golden_bytes(capsys):
     assert code == 0
     assert out == (GOLDEN / "u5.svg").read_text()
     assert "-0.000000" not in out
+
+
+def _ref_render_svg(c):
+    """The former renderer: two f-strings per member through a formatter
+    that wrote a negative zero unsigned."""
+
+    def fmt(value):
+        text = f"{value:.6f}"
+        return "0.000000" if text == "-0.000000" else text
+
+    floats = c.as_float()
+    reach = max(1.0, max(map(math.hypot, floats.xs, floats.ys)))
+    unit = 330.0 / reach
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" viewBox="0 0 800 800">',
+        "  <defs>",
+        '    <marker id="tip" markerWidth="10" markerHeight="8" refX="9" refY="4" '
+        'orient="auto" markerUnits="userSpaceOnUse">',
+        '      <path d="M0,0 L10,4 L0,8 z" fill="#1f5fa8"/>',
+        "    </marker>",
+        "  </defs>",
+        '  <rect width="800" height="800" fill="#ffffff"/>',
+        f'  <circle cx="{fmt(400.0)}" cy="{fmt(400.0)}" r="{fmt(unit)}" '
+        'fill="none" stroke="#bbbbbb" stroke-dasharray="6 4"/>',
+    ]
+    tips = [(400.0 + unit * x, 400.0 - unit * y, x, y) for x, y in zip(floats.xs, floats.ys)]
+    for tip_x, tip_y, _, _ in tips:
+        lines.append(
+            f'  <line x1="{fmt(400.0)}" y1="{fmt(400.0)}" x2="{fmt(tip_x)}" y2="{fmt(tip_y)}" '
+            'stroke="#1f5fa8" stroke-width="2" marker-end="url(#tip)"/>'
+        )
+    for i, (tip_x, tip_y, x, y) in enumerate(tips):
+        length = max(math.hypot(x, y), 1e-9)
+        lines.append(
+            f'  <text x="{fmt(tip_x + 14.0 * x / length)}" y="{fmt(tip_y - 14.0 * y / length)}" '
+            'font-family="monospace" font-size="14" fill="#222222" '
+            f'text-anchor="middle">{i}</text>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+# the extremes of the float range, whose norms overflow or fall below the
+# label's 1e-9 floor, and signed zeros
+render_coords = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1.7976931348623157e308, -1e308, 5e-324, -1e-12, 1e-200]),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(render_coords, render_coords), min_size=1, max_size=12).filter(
+        lambda vecs: (0, 0) not in vecs
+    )
+)
+def test_render_svg_matches_the_former_renderer(vecs):
+    c = Configuration(vecs)
+    assert render_svg(c) == _ref_render_svg(c)
 
 
 def test_render_json_round_trips_the_file(capsys):

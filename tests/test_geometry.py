@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from balcfg import (
@@ -90,6 +90,44 @@ def test_det_max_reads_no_diagonal_entry():
         assert c.det_max == 1e200
     assert repr(Configuration([(1.0, 0.0)]).det_max) == "0.0"
     assert Configuration([(1, 0), (2, 0)]).det_max == Fraction(0)
+
+
+def _table_det_max(c):
+    """det_max as the whole table gave it: the maximum over a zero, row 0
+    past its diagonal, then each later row's maximum, in that order."""
+    rows = [[xi * yj - yi * xj for xj, yj in zip(c.xs, c.ys)] for xi, yi in zip(c.xs, c.ys)]
+    zero = 0.0 if c.mode == "float" else 0
+    return c.unscale(max((zero, *rows[0][1:], *map(max, rows[1:]))))
+
+
+# products of 1e200 overflow, so diagonal entries and some others are
+# inf - inf = NaN, and a row whose first entry is NaN has a NaN maximum
+streamed_coords = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e200, -1e200, 1e160, 1e-200]),
+)
+
+
+@given(
+    st.lists(st.tuples(streamed_coords, streamed_coords), min_size=1, max_size=9).filter(
+        lambda vecs: (0, 0) not in vecs
+    ),
+    st.lists(st.integers(0, 8), max_size=4),
+)
+# row 1 opens with inf - inf, so its maximum is NaN and skipped, and with
+# it the table's largest entry, det(v_1, v_2) = 2e200
+@example([(1e200, 1e160), (1e160, 1e200), (-2.0, 1.0)], [])
+def test_det_max_streams_the_table_maximum(vecs, cached):
+    c = Configuration(vecs)
+    for i in cached:
+        if i < c.m:
+            c.det_row(i)
+    kept = list(c._det_rows)
+    # bit for bit the table's maximum, NaN rule included; only the rows
+    # det_row had cached before are cached after
+    assert repr(c.det_max) == repr(_table_det_max(c))
+    assert c._det_rows == kept
+    assert "det_table" not in c.__dict__
 
 
 def test_argument_frozen_values():
