@@ -10,19 +10,18 @@ Balance of a sorted multiset is equivalent to d[j] = -d[N-1-j] for all j,
 which is what the verdicts check; in float mode the comparison happens within
 an absolute tolerance derived from the determinant scale.
 
-The verdicts read the configuration's determinant rows one at a time, on
-demand: Configuration.det_row (one comprehension per row over the unpacked
-coordinates, cached), each sorted when read (no verdict sorts a row twice),
-or, for a pass that reads each row once (the uniformity scan, det_max),
-Configuration.transient_det_row, which keeps none. is_balanced builds and
-sorts rows in order and stops at the first asymmetric one; the symmetry test
-of one sorted row lives in _row_fault. The rows hold scaled entries: in
+The verdicts read the configuration's determinant rows one at a time, where
+they need them: Configuration.det_row computes each (one comprehension over
+the unpacked coordinates) as a fresh list that nothing caches, so no verdict
+holds more than one row and none builds an m x m table. is_balanced computes
+and sorts rows in order and stops at the first asymmetric one; the symmetry
+test of one sorted row lives in _row_fault. The rows hold scaled entries: in
 exact mode the ints D^2 * det (D the lcm of the coordinate denominators),
 which sort, add and compare at C level with tolerance 0, so no verdict
 differs from one on det itself; in float mode the float det values. Every
 value a caller reads (a balance witness, det_max) is divided back to input
 units by Configuration.unscale. step_constants reads its 2m entries off the
-coordinate columns by det2's expression, which the table holds.
+coordinate columns by det2's expression, which det_row holds.
 
 A member set that is closed under v -> -v, as a multiset, is balanced: row
 i holds -det(v_i, v_j) next to each det(v_i, v_j), from the member equal to
@@ -43,7 +42,7 @@ is_uniform in float mode first bounds every |det| from below by the
 smallest gap between the members' arguments, and scans the rows only when
 that bound does not clear the tolerance. A GL2 image of U_m (odd m) is
 certified by the canonical map's residual before any of this runs
-(canonical.certified_labeling), and builds no table at all.
+(canonical.certified_labeling), and reads no row at all.
 
 For uniform balanced configurations of odd size m = 2n+1 this module also
 builds the pairing structure: for each index i the remaining indices split
@@ -155,7 +154,7 @@ class _Bracket:
     compares c's scaled determinant entries with: lo = hi = eff = 0 in exact
     mode (tol ignored), else tol. Every float comparison, the uniformity
     scan and antisymmetry included, goes through fault or finds, so det_max,
-    which needs the whole table, is read only when a comparison falls
+    which reads every row, is read only when a comparison falls
     between lo and hi. Under the default float tolerance, eff =
     DEFAULT_REL_TOL * det_max, and with every coordinate in the safe range:
     - lo = 1e-9 * max |row 0|: det_max is the largest |entry|, as the table
@@ -264,19 +263,22 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
     """Decide multiset symmetry of every determinant row.
 
     Exact mode compares exactly (tol ignored); float mode compares within an
-    absolute tolerance (default 1e-9 * max |det|). The rows are built and
-    sorted in order, on demand, and each goes through _row_fault, first
-    against the tolerance's bracket. Once row 0 has passed, a member set
-    closed under negation is balanced with no further row, in exact mode or
-    with every float coordinate in SAFE_COORDINATE_RANGE, where every row
-    is exactly symmetric (_negation_closed).
+    absolute tolerance (default 1e-9 * max |det|). The rows are computed in
+    order, each without its diagonal entry and sorted in place, and each
+    goes through _row_fault, first against the tolerance's bracket. Once
+    row 0 has passed, a member set closed under negation is balanced with
+    no further row, in exact mode or with every float coordinate in
+    SAFE_COORDINATE_RANGE, where every row is exactly symmetric
+    (_negation_closed).
     The witness is (i, value) for the first row i that fails: the
     larger-magnitude side of its first bad pair, else its middle entry, in
     input units.
     """
     bracket = _Bracket(c, tol)
     for i in range(c.m):
-        srow = c.sorted_det_row(i)
+        srow = c.det_row(i)
+        del srow[i]
+        srow.sort()
         j = bracket.fault(lambda eff: _row_fault(srow, eff))
         if j is not None:
             lo, hi = srow[j], srow[-1 - j]
@@ -319,19 +321,18 @@ def is_uniform(
 
     In float mode, a lower bound on every |det| from the smallest gap
     between the members' arguments (_gap_floor) that clears the tolerance's
-    upper bracket decides "uniform" with no table. Otherwise the smallest
+    upper bracket decides "uniform" with no row. Otherwise the smallest
     |D[i][j]|, j > i, of each row decides in one C-level pass whether the
     row holds such a pair, against the tolerance's bracket first; only that
-    row is scanned for its j. Rows are read in order, on demand, and not
-    kept (transient_det_row), so the scan stops at the first row that holds
-    a pair and holds one row at a time.
+    row is scanned for its j. Rows are computed in order, one at a time, so
+    the scan stops at the first row that holds a pair.
     """
     bracket = _Bracket(c, tol)
     floor = _gap_floor(c, bracket.norms)
     if floor is not None and floor > bracket.hi:
         return True, None
     for i in range(c.m - 1):
-        rest = list(map(abs, c.transient_det_row(i)[i + 1 :]))
+        rest = list(map(abs, c.det_row(i)[i + 1 :]))
         # an overflowed entry (inf - inf) is NaN and counts as nonzero: min
         # skips a NaN unless it comes first, and then the scan skips it
         j = bracket.finds(lambda eff: None if min(rest) > eff else _first(ge, eff, rest))
@@ -379,12 +380,12 @@ def build_pairing(c: Configuration, tol: Optional[float] = None) -> PairingMap:
     size: per index i the n determinant-opposite pairs, plus the global phi.
 
     Each row is matched greedily (sorted extremes pair with each other). The
-    indices sort by their entries in the permutation that sorted_det_row
-    applies, so each pair's sum is one that is_balanced has already bounded
-    by the same tolerance, and every pair cancels. The per-row structures
-    are then checked for global disjointness: a pair {k, l} claimed by two
-    different rows means the float clustering was inconsistent at this
-    tolerance.
+    other indices sort by their entries as is_balanced sorts the row, so
+    each pair's sum is one that is_balanced has already bounded by the same
+    tolerance, and every pair cancels. Rows are computed one at a time.
+    The per-row structures are then checked for global disjointness: a pair
+    {k, l} claimed by two different rows means the float clustering was
+    inconsistent at this tolerance.
     """
     if c.m % 2 == 0 or c.m < 3:
         raise ValueError(f"pairing requires odd m >= 3, got m = {c.m}")
@@ -392,7 +393,7 @@ def build_pairing(c: Configuration, tol: Optional[float] = None) -> PairingMap:
 
     per_index: List[FrozenSet[FrozenSet[int]]] = []
     phi: Dict[FrozenSet[int], int] = {}
-    for i, row in enumerate(c.det_table):
+    for i, row in enumerate(map(c.det_row, range(c.m))):
         order = sorted((j for j in range(c.m) if j != i), key=row.__getitem__)
         pairs = [frozenset(pair) for pair in zip(order[: c.n], reversed(order))]
         for key in pairs:
@@ -419,7 +420,7 @@ def verify_antisymmetry(
         raise ValueError("antisymmetry is stated for odd m")
     bracket = _Bracket(c, tol)
     m, n = c.m, c.n
-    for k, row in enumerate(c.det_table):
+    for k, row in enumerate(map(c.det_row, range(c.m))):
         sums = [abs(row[(k + a) % m] + row[(k - a) % m]) for a in range(1, n + 1)]
         j = bracket.fault(lambda eff: _first(lt, eff, sums))
         if j is not None:
@@ -432,7 +433,7 @@ def step_constants(c: Configuration, tol: Optional[float] = None) -> StepConstan
     det(v_k, v_{k+1}) = A1 and det(v_k, v_{k+n}) = An for every k cyclically.
 
     Only these 2m determinants are read, by det2's expression on the columns
-    and the columns rotated by 1 and by n, so they are the table's entries
+    and the columns rotated by 1 and by n, so they are det_row's entries
     bit for bit; their distances from (A1, An) are tested in C-level passes,
     against the tolerance's bracket first. Raises InconsistentConstants
     naming the first violating k. A1 and An come back in input units.

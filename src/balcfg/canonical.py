@@ -15,12 +15,12 @@ exponents
 a bijection onto {0..m-1}. The residual (max distance from the assigned
 roots of unity) certifies the equivalence.
 
-Certificate first, table last: the steps above run before any determinant
-table. Their residual bounds every determinant of the input and its
+Certificate first, rows last: the steps above run before any determinant
+row. Their residual bounds every determinant of the input and its
 distance from a symmetric row (_residual_bounds); when those bounds clear the
-balance tolerance, balance and uniformity are certified and no table is
-built. Any refusal on the route, a non-finite value, or a bound that does
-not clear sends the call to the table's verdicts first, in today's order, so
+balance tolerance, balance and uniformity are certified and no row is
+computed. Any refusal on the route, a non-finite value, or a bound that does
+not clear sends the call to the row verdicts first, in today's order, so
 the verdicts, witnesses and certificate classes do not depend on the route.
 check runs the same route on odd float input (certified_labeling). Exact
 input takes check's exact verdicts on itself instead, and only an input that
@@ -360,7 +360,9 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     equivalent: NotBalanced, NotUniform, NotNormalized, NoGridMatch, or
     ResidualTooLarge when the map misses the roots of unity by more than tol.
     DuplicateArgument and SingularFrame are float precision refusals, not
-    certificates. A tol that is not a finite number >= 0 raises ValueError.
+    certificates. A tol that is not a finite number >= 0 raises ValueError,
+    as does a float copy of c whose largest norm has no finite nonzero
+    reciprocal to rescale by.
 
     Exact c takes the exact verdicts on c itself, as check does, so their
     witnesses are in c's units; by Niven's theorem only m = 3 passes them.
@@ -376,7 +378,10 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     if c.mode == EXACT:
         require_balanced_uniform(c)
     work = c.as_float()
-    s = 1.0 / max(map(math.hypot, work.xs, work.ys))
+    top = max(map(math.hypot, work.xs, work.ys))
+    s = 1.0 / top
+    if not (0.0 < s < math.inf):
+        raise ValueError(f"largest norm {top!r} has no finite nonzero reciprocal to rescale by")
     work = Configuration([s * x for x in work.xs], [s * y for y in work.ys])
 
     route, certified = _certified_route(work, None)

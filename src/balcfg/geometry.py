@@ -11,13 +11,11 @@ A configuration's determinant rows keep their entries at one scale. In
 exact mode, with D the lcm of the coordinate denominators, each row is built
 from the integer coordinates x*D, y*D, so every entry is the int D^2 * det2
 and the scale is D^2; the verdicts sort, add and compare these ints. In float
-mode the entries are the float det2 values of the columns, at scale 1. Rows are
-built one at a time, on demand, by one comprehension (Configuration.det_row,
-which caches each); a pass that reads each row once, such as det_max, reads
-it by transient_det_row and keeps none. The whole table (det_table) is the
-tuple of the cached rows, built only by the pairing and antisymmetry
-routines. A value that leaves the package (a witness, a maximum) is divided
-back to input units by Configuration.unscale.
+mode the entries are the float det2 values of the columns, at scale 1. Each
+row is computed where it is read, by one comprehension (Configuration.det_row),
+as a fresh list that nothing caches: a verdict holds one row at a time, and
+no m x m table is built. A value that leaves the package (a witness, a
+maximum) is divided back to input units by Configuration.unscale.
 """
 
 from __future__ import annotations
@@ -88,14 +86,18 @@ class PlaneVector:
 
     def as_float(self) -> "PlaneVector":
         """The float copy; ValueError names an exact coordinate that does
-        not fit a float."""
+        not fit a float, or the coordinates of a nonzero vector whose float
+        copy underflows to (0, 0)."""
         if self.mode == FLOAT:
             return self
         try:
-            return PlaneVector(float(self.x), float(self.y))
+            copy = PlaneVector(float(self.x), float(self.y))
         except OverflowError:
             axis, value = ("x", self.x) if abs(self.x) >= abs(self.y) else ("y", self.y)
             raise ValueError(f"exact {axis} coordinate {value} does not fit a float") from None
+        if copy.is_zero() and not self.is_zero():
+            raise ValueError(f"exact coordinates ({self.x}, {self.y}) have no nonzero float copy")
+        return copy
 
     def as_tuple(self) -> tuple:
         return (self.x, self.y)
@@ -212,59 +214,26 @@ class Configuration:
         ys = [y.numerator * (d // y.denominator) for y in self.ys]
         return xs, ys, d * d
 
-    @cached_property
-    def _det_rows(self) -> list:
-        """Row i of the scaled table once det_row has built it, else None."""
-        return [None] * self.m
-
-    def det_row(self, i: int) -> tuple:
-        """Row i of the scaled determinant table, built on first use by the
-        one comprehension every row comes from and then cached: entry j is
-        exactly D^2 * det2(v_i, v_j) in exact mode, det2(v_i, v_j) itself in
-        float mode, the sign of a zero included. No mode check is needed:
-        __init__ rejects mixed modes."""
-        row = self._det_rows[i]
-        if row is None:
-            row = self._det_rows[i] = tuple(self._row_entries(i))
-        return row
-
-    def transient_det_row(self, i: int):
-        """Row i for a caller that reads it once: det_row's cached row, or
-        else its entries computed afresh and not cached, so a pass over every
-        row holds one row at a time."""
-        return self._det_rows[i] or self._row_entries(i)
-
-    def _row_entries(self, i: int) -> list:
-        """Row i's entries, computed afresh by the one comprehension and not
-        cached."""
+    def det_row(self, i: int) -> list:
+        """Row i of the scaled determinant table, computed afresh on every
+        call by the one comprehension every row comes from, and cached
+        nowhere: entry j is exactly D^2 * det2(v_i, v_j) in exact mode,
+        det2(v_i, v_j) itself in float mode, the sign of a zero included. No
+        mode check is needed: __init__ rejects mixed modes."""
         xs, ys, _ = self._det_coords
         xi, yi = xs[i], ys[i]
         return [xi * yj - yi * xj for xj, yj in zip(xs, ys)]
-
-    def sorted_det_row(self, i: int) -> tuple:
-        """det_row(i) without its diagonal entry, sorted (in table units: see
-        unscale)."""
-        row = self.det_row(i)
-        return tuple(sorted(row[:i] + row[i + 1 :]))
 
     def unscale(self, value) -> Scalar:
         """A scaled table entry, or a sum of them, in input units."""
         return value if self.mode == FLOAT else Fraction(value, self._det_coords[2])
 
     @cached_property
-    def det_table(self) -> tuple:
-        """The antisymmetric m x m table, scaled: every det_row, built on
-        first use and then shared by every verdict that reads the whole
-        table."""
-        return tuple(map(self.det_row, range(self.m)))
-
-    @cached_property
     def det_max(self) -> Scalar:
         """max |det| in input units: the table's largest entry off the
         diagonal, as it holds -d next to each d; this mode's zero when there
-        is none. A streaming maximum: a row that det_row has not cached is
-        computed, reduced to its maximum and dropped, so no table is built
-        and the memory is O(m).
+        is none. A streaming maximum: each row is computed, reduced to its
+        maximum and dropped, so the memory is O(m).
 
         A float diagonal entry x*y - y*x is NaN when x*y overflows, and max
         keeps a NaN that comes first. So row 0 is read past its diagonal,
@@ -273,8 +242,8 @@ class Configuration:
         every comparison.
         """
         zero = 0.0 if self.mode == FLOAT else 0
-        maxima = map(max, map(self.transient_det_row, range(1, self.m)))
-        return self.unscale(max((zero, *self.transient_det_row(0)[1:], *maxima)))
+        maxima = map(max, map(self.det_row, range(1, self.m)))
+        return self.unscale(max((zero, *self.det_row(0)[1:], *maxima)))
 
 
 def label_by_increasing_arguments(c: Configuration) -> Configuration:

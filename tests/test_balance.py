@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from balcfg import (
     AmbiguousPairing,
+    BalanceReport,
     Configuration,
     InconsistentConstants,
     NotBalanced,
@@ -17,6 +19,7 @@ from balcfg import (
     is_balanced,
     is_uniform,
     perturb,
+    random_invertible,
     roots_of_unity,
     step_constants,
     verify_antisymmetry,
@@ -24,6 +27,13 @@ from balcfg import (
 from balcfg.canonical import LinearMap2, canonicalize
 
 SQUARE = Configuration([(1, 0), (0, 1), (-1, 0), (0, -1)])
+
+
+def _sorted_row(c, i):
+    """Row i of c without its diagonal entry, sorted, in input units."""
+    row = c.det_row(i)
+    del row[i]
+    return tuple(sorted(map(c.unscale, row)))
 
 
 def test_roots_of_unity_are_balanced_and_uniform():
@@ -40,7 +50,7 @@ def test_balance_rows_are_sign_symmetric():
     c = roots_of_unity(7)
     assert is_balanced(c).balanced
     for i in range(c.m):
-        row = tuple(map(c.unscale, c.sorted_det_row(i)))
+        row = _sorted_row(c, i)
         assert len(row) == 6
         for a, b in zip(row, reversed(row)):
             assert math.isclose(a, -b, abs_tol=1e-12)
@@ -51,7 +61,7 @@ def test_unbalanced_witness_points_at_an_unmatched_value():
     report = is_balanced(c)
     assert not report.balanced
     i, value = report.witness
-    row = tuple(map(c.unscale, c.sorted_det_row(i)))
+    row = _sorted_row(c, i)
     assert value in row
     assert min(abs(value + d) for d in row) > 1e-9
 
@@ -224,13 +234,13 @@ def _reference_tol(c, tol):
     st.sampled_from([None, 1e-6, 0.5]),
 )
 def test_verdicts_read_the_pairwise_determinants(c, tol):
-    # the shared table, divided back, must hold exactly det2(v_i, v_j); repr
+    # every row, divided back, must hold exactly det2(v_i, v_j); repr
     # tells 0.0 from -0.0, which == does not
-    table = tuple(tuple(map(c.unscale, row)) for row in c.det_table)
+    table = tuple(tuple(map(c.unscale, c.det_row(i))) for i in range(c.m))
     assert repr(table) == repr(tuple(tuple(det2(v, w) for w in c) for v in c))
     for i in range(c.m):
         expected = tuple(sorted(det2(c[i], c[j]) for j in range(c.m) if j != i))
-        assert tuple(map(c.unscale, c.sorted_det_row(i))) == expected
+        assert _sorted_row(c, i) == expected
     assert is_uniform(c, tol) == _reference_is_uniform(c, tol)
 
 
@@ -295,12 +305,27 @@ def test_row_kernels_match_the_former_loops(c, tol):
     assert is_uniform(c, tol) == _reference_is_uniform(c, tol)
 
 
+@pytest.mark.parametrize("verdict", [is_balanced, verify_antisymmetry])
+def test_verdicts_over_every_row_hold_one_row_at_a_time(verdict):
+    # both verdicts read all 801 rows of a U_801 image; the whole table of
+    # 801^2 floats would take about 20 MiB, one row about 25 KiB
+    c = random_invertible(4).apply_configuration(roots_of_unity(801))
+    tracemalloc.start()
+    try:
+        outcome = verdict(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome in (BalanceReport(True, None), (True, None))
+    assert peak < 2**20
+
+
 def test_odd_row_middle_is_compared_with_tol_not_twice_itself():
     # m = 4: rows of odd length 3. Only rows 0 and 2 are asymmetric, each in
     # its middle entry: row 0 sorts to (-1, s, 1) and row 2 to (-1, -s, 1)
     s = 0.25
     c = Configuration([(1.0, 0.0), (0.0, 1.0), (-1.0, s), (0.0, -1.0)])
-    assert c.sorted_det_row(0) == (-1.0, s, 1.0)
+    assert _sorted_row(c, 0) == (-1.0, s, 1.0)
     # |s| <= tol < |2 s|: the middle pairs with nothing, so it is within tol
     assert is_balanced(c, tol=0.3).balanced
     assert is_balanced(c, tol=s).balanced

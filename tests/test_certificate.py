@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import neg
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from balcfg import balance, canonical
@@ -288,55 +288,57 @@ def test_norm_bounds_are_computed_once_per_bracket(capsys, count_calls, tmp_path
     assert [c.m for (c,) in seen] == [51] * calls
 
 
-def test_route_without_norm_bounds_falls_back_to_the_table(tables_built, rows_built):
+def test_route_without_norm_bounds_falls_back_to_the_rows(rows_computed):
     # v0 has a coordinate outside [2^-480, 2^480]: the route maps the
     # configuration, but no bound holds, so the verdicts read every row:
-    # det_max streams them and keeps none, and is_balanced keeps its own
+    # is_balanced's row 0 sends its bracket to det_max, which streams rows
+    # 0, 1 and 2, before is_balanced reads rows 1 and 2; is_uniform, with
+    # det_max cached, scans rows 0 and 1
     u = roots_of_unity(3)
     c = Configuration([PlaneVector(1.0, 1e-300), u[1], u[2]])
     route, certified = _certified_route(c, None)
     assert isinstance(route, tuple) and not certified
     assert _residual_bounds(route[1], _Bracket(route[0], None).norms) is None
-    assert tables_built == []
+    assert rows_computed == []
     assert certified_labeling(c) is None
     report = is_balanced(c)
     assert (report.balanced, report.witness) == (True, None) == _ref_is_balanced(c, None)
     assert is_uniform(c) == (True, None) == _ref_is_uniform(c, None)
-    assert tables_built == []
-    assert rows_built == [(3, 0), (3, 1), (3, 2)]
+    assert rows_computed == [(3, 0), (3, 0), (3, 1), (3, 2), (3, 1), (3, 2), (3, 0), (3, 1)]
     assert canonicalize(c).k == 1
 
 
-def test_is_balanced_reads_det_max_when_a_sum_falls_inside_the_bracket(tables_built, rows_built):
+def test_is_balanced_reads_det_max_when_a_sum_falls_inside_the_bracket(rows_computed):
     # a squeezed U_3 (|det| ~ 8.7e-4, max |v|^2 ~ 1): row 0's pair sum of
-    # 1e-11 passes 1e-9 * max |v|^2 but not 1e-9 * det_max, which streams
-    # rows 1 and 2 and keeps neither
+    # 1e-11 fails 1e-9 * max |row 0|, which reads row 0 again, and passes
+    # 1e-9 * max |v|^2, so det_max streams rows 0, 1 and 2
     c = Configuration([(1.0, 0.0), (-0.5, 0.866e-3 + 1e-11), (-0.5, -0.866e-3)])
     report = is_balanced(c)
     assert (report.balanced, report.witness) == _ref_is_balanced(c, None)
     assert not report.balanced
     assert "det_max" in c.__dict__
-    assert tables_built == []
-    assert rows_built == [(3, 0)]
+    assert rows_computed == [(3, 0), (3, 0), (3, 0), (3, 1), (3, 2)]
 
 
-def test_is_balanced_decides_a_far_row_without_a_table(tables_built):
+def test_is_balanced_decides_a_far_row_on_row_0(rows_computed):
+    # row 0 fails at both ends of the bracket, the lower of which reads it
+    # again, so det_max reads no row
     c = Configuration([(1.0, 0.0), (0.0, 1.0), (-1.0, -0.25)])
     report = is_balanced(c)
     assert (report.balanced, report.witness) == _ref_is_balanced(c, None) == (False, (0, 1.0))
-    assert tables_built == []
+    assert rows_computed == [(3, 0), (3, 0)]
 
 
-def test_uniformity_by_argument_gap_builds_no_table(tables_built, rows_built):
+def test_uniformity_by_argument_gap_reads_no_row(rows_computed):
     c = random_invertible(8).apply_configuration(roots_of_unity(51))
     assert is_uniform(c) == (True, None)
     assert is_uniform(c, 1e-3) == (True, None)
-    assert tables_built == [] and rows_built == []
+    assert rows_computed == []
     # opposite members share an argument mod pi: the rows decide, and the
-    # scan stops at row 0, which the bracket's lower end has built
+    # scan stops at row 0, which the bracket's lower end reads again
     square = Configuration([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
     assert is_uniform(square) == (False, (0, 2)) == _ref_is_uniform(square, None)
-    assert tables_built == [] and rows_built == [(4, 0)]
+    assert rows_computed == [(4, 0), (4, 0)]
 
 
 def test_step_constants_name_the_first_k_of_either_step():
@@ -348,24 +350,25 @@ def test_step_constants_name_the_first_k_of_either_step():
     assert found == _outcome(lambda: _ref_step_constants(c, None)) == ("InconsistentConstants", "1")
 
 
-def test_is_balanced_tests_closure_once_after_row_0(count_calls, rows_built):
+def test_is_balanced_tests_closure_once_after_row_0(count_calls, rows_computed):
     # collinear members: every row is zeros, so the set is balanced but not
     # closed under negation, and closure is tested once, after row 0
     calls = count_calls(balance._negation_closed)
     c = Configuration([(1, 0), (2, 0), (3, 0), (5, 0)])
     assert is_balanced(c) == balance.BalanceReport(True, None)
-    assert len(calls) == 1 and rows_built == [(4, i) for i in range(4)]
+    assert len(calls) == 1 and rows_computed == [(4, i) for i in range(4)]
     # a row 0 that fails decides before any closure test
     assert not is_balanced(Configuration([(1, 0), (0, 1), (1, 1), (-1, 0)])).balanced
     assert len(calls) == 1
 
 
-def test_step_constants_read_their_2m_entries_without_a_table(tables_built):
+def test_step_constants_read_their_2m_entries_off_the_columns(rows_computed):
+    # the only row read is row 0, for the bracket's lower end
     c = random_invertible(2).apply_configuration(roots_of_unity(31))
     found = step_constants(c)
     table = _table(c)
     assert (repr(found.A1), repr(found.An)) == (repr(table[0][1]), repr(table[0][15]))
-    assert tables_built == []
+    assert rows_computed == [(31, 0)]
 
 
 @pytest.mark.parametrize(
@@ -380,9 +383,9 @@ def test_step_constants_read_their_2m_entries_without_a_table(tables_built):
         [(1e-200, 0.0), (-5e-201, 8.660254037844386e-201), (-5e-201, -8.660254037844386e-201)],
     ],
 )
-def test_certified_labeling_declines_where_no_bound_holds(tables_built, vectors):
+def test_certified_labeling_declines_where_no_bound_holds(rows_computed, vectors):
     assert certified_labeling(Configuration(vectors)) is None
-    assert tables_built == []
+    assert rows_computed == []
 
 
 def test_certified_labeling_declines_a_bound_that_does_not_clear():
@@ -397,13 +400,14 @@ def test_certified_labeling_declines_a_bound_that_does_not_clear():
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-7, 1e-5, 1.0, 1e5, 1e12])
-def test_certified_labeling_holds_at_every_scale(tables_built, scale):
+def test_certified_labeling_holds_at_every_scale(rows_computed, scale):
     # the frame test is relative to |v0| |vn|, so a U_21 image far below
-    # unit scale is certified as at unit scale, with no table
+    # unit scale is certified as at unit scale, on row 0 alone, which the
+    # bracket's lower end reads
     image = random_invertible(6).apply_configuration(roots_of_unity(21))
     c = Configuration([v.scale(scale) for v in image])
     assert certified_labeling(c) == label_by_increasing_arguments(c)
-    assert tables_built == []
+    assert rows_computed == [(21, 0)]
 
 
 @pytest.mark.parametrize("eps", [1e-11, 3e-11])
@@ -457,7 +461,10 @@ def negation_closed(draw, coords):
     return members
 
 
-@settings(deadline=None, max_examples=300)
+# rows_computed records across examples, so each example clears it first
+@settings(
+    deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(
     st.one_of(
         negation_closed(exact_coords),
@@ -466,9 +473,11 @@ def negation_closed(draw, coords):
     ),
     st.sampled_from([None, None, 0.0, 1e-12, 1e-6]),
 )
-def test_negation_closed_sets_match_the_full_table(members, tol):
+def test_negation_closed_sets_match_the_full_table(rows_computed, members, tol):
     c = Configuration(members)
+    rows_computed.clear()
     report = is_balanced(c, tol)
+    read = sorted({i for _, i in rows_computed})
     # exact mode compares exactly whatever tol is
     verdict, witness = _ref_is_balanced(c, 0 if c.mode == "exact" else tol)
     assert (report.balanced, repr(report.witness)) == (verdict, repr(witness))
@@ -480,7 +489,6 @@ def test_negation_closed_sets_match_the_full_table(members, tol):
     assert fires == (closed and exact_rows)
     if fires:
         assert verdict
-    kept = [i for i, row in enumerate(c._det_rows) if row is not None]
     if verdict:
         # a certified set stops after row 0; any other reads every row
-        assert kept == ([0] if fires else list(range(c.m)))
+        assert read == ([0] if fires else list(range(c.m)))

@@ -194,18 +194,26 @@ def test_check_reports_an_exact_even_m_witness(capsys, tmp_path):
     assert j >= 1 and det2(cfg[0], cfg[j]) == 0
 
 
-# u5.json is a float U_5, certified by the canonical route with no table:
-# the route's bracket reads row 0 of the labeled copy, and step_constants'
-# bracket row 0 of the file order; square.json is exact and closed under
-# negation, so its row 0 decides balance and holds uniformity's zero
+# Each row is computed afresh wherever a verdict reads it. u5.json is a
+# float U_5, certified by the canonical route: the route's bracket reads row
+# 0 of the labeled copy, and step_constants' bracket row 0 of the file
+# order. square.json is exact and closed under negation, so its row 0
+# decides balance and holds the zero that uniformity and the even-m witness
+# read. u3_exact.json is exact U_3: balance reads its 3 rows, and
+# uniformity rows 0 and 1.
 @pytest.mark.parametrize(
-    "name, rows", [("u5.json", [(5, 0), (5, 0)]), ("square.json", [(4, 0)])], ids=["u5", "square"]
+    "name, rows",
+    [
+        ("u5.json", [(5, 0), (5, 0)]),
+        ("square.json", [(4, 0)] * 3),
+        ("u3_exact.json", [(3, 0), (3, 1), (3, 2), (3, 0), (3, 1)]),
+    ],
+    ids=["u5", "square", "u3_exact"],
 )
-def test_check_evaluates_each_determinant_once(capsys, tables_built, rows_built, name, rows):
+def test_check_computes_each_row_where_it_is_read(capsys, rows_computed, name, rows):
     code, _, _ = run(capsys, "check", str(DATA / name))
     assert code == 0
-    assert tables_built == []
-    assert rows_built == rows
+    assert rows_computed == rows
 
 
 def _u801_image(tmp_path, variant):
@@ -225,27 +233,39 @@ def _u801_image(tmp_path, variant):
 
 
 @pytest.mark.parametrize(
-    "variant, code", [("clean", 0), ("shuffled", 0), ("perturbed", 1)]
+    "command, variant, code, rows",
+    [
+        ("check", "clean", 0, 2),
+        ("check", "shuffled", 0, 3),
+        ("check", "perturbed", 1, 2),
+        ("canon", "clean", 0, 1),
+        ("canon", "shuffled", 0, 1),
+        ("canon", "perturbed", 1, 2),
+    ],
 )
-@pytest.mark.parametrize("command", ["check", "canon"])
-def test_u801_images_build_no_table(capsys, tmp_path, tables_built, command, variant, code):
+def test_u801_images_compute_only_row_0(
+    capsys, tmp_path, rows_computed, command, variant, code, rows
+):
     # the clean and shuffled images are certified by the canonical map's
-    # residual (the shuffled check relabels with the route's own labeling);
-    # the perturbed copy fails balance at row 0 within the tolerance's
-    # bracket, and its arguments' smallest gap certifies uniformity
+    # residual, whose bracket reads row 0 of the labeled copy; check's
+    # step_constants reads row 0 again for its own bracket, of the file
+    # order, or of the labeled copy when check relabels a shuffled file.
+    # The perturbed copy fails balance at row 0 within the tolerance's
+    # bracket, whose lower end reads row 0 once more, and its arguments'
+    # smallest gap certifies uniformity
     path = _u801_image(tmp_path, variant)
     assert run(capsys, command, str(path))[0] == code
-    assert tables_built == []
+    assert rows_computed == [(801, 0)] * rows
 
 
-@pytest.mark.parametrize("command, code", [("check", 0), ("canon", 1)])
-def test_exact_symmetric_set_builds_only_row_0(
-    capsys, tmp_path, tables_built, rows_built, command, code
+@pytest.mark.parametrize("command, code, rows", [("check", 0, 3), ("canon", 1, 2)])
+def test_exact_symmetric_set_computes_only_row_0(
+    capsys, tmp_path, rows_computed, command, code, rows
 ):
     # {v, -v} for 50 exact v: balanced, even m = 100, never uniform; row 0
     # passes, the member set is closed under negation, so every row is
     # symmetric, and row 0 holds the zero of v_0 and -v_0 that the
-    # uniformity scan and the even-m witness read
+    # uniformity scan and check's even-m witness read, each afresh
     rng = random.Random(5)
     half = set()
     while len(half) < 50:
@@ -255,8 +275,7 @@ def test_exact_symmetric_set_builds_only_row_0(
     vecs = sorted(half) + [(-x, -y) for x, y in sorted(half)]
     path, _ = _exact_file(tmp_path, vecs)
     assert run(capsys, command, str(path))[0] == code
-    assert tables_built == []
-    assert rows_built == [(100, 0)]
+    assert rows_computed == [(100, 0)] * rows
 
 
 # The float scale bug (ROADMAP item 2): at 1e308 the determinants overflow,
@@ -275,23 +294,22 @@ def test_item4_check_agrees_with_canon_at_float_scale_extremes(capsys, tmp_path,
     assert json.loads(out)["uniform"] is True
 
 
-def test_search_builds_no_grid_table(capsys, tables_built, rows_built):
+def test_search_builds_no_grid_table(capsys, rows_computed):
     # m = 4 over {-1, 0, 1}^2: no table of the 8 grid vectors; the zero-sum
-    # candidates are decided on rows built on demand; each of the 6 hits is
-    # closed under negation, so its row 0 decides balance, and that row's
-    # zero decides uniformity
+    # candidates are decided on rows computed where they are read; each of
+    # the 6 hits is closed under negation, so its row 0 decides balance, and
+    # row 0 again holds the zero that decides uniformity
     code, out, _ = run(capsys, "search", "--m", "4", "--coords", "-1,0,1")
     assert code == 0
     assert json.loads(out)["count"] == 6
-    assert tables_built == []
-    assert rows_built == [(4, 0)] * 6
+    assert rows_computed == [(4, 0)] * 12
 
 
 @pytest.mark.parametrize(
-    "m, values, count, rows", [(1, 100, 9999, 0), (2, 10, 136, 0)]
+    "m, values, count, rows", [(1, 100, 9999, 0), (2, 10, 136, 136)]
 )
 def test_small_m_search_builds_no_grid_table(
-    capsys, tables_built, rows_built, m, values, count, rows
+    capsys, rows_computed, m, values, count, rows
 ):
     # a table of the whole grid (9999 vectors for 100 values) would only
     # cost memory
@@ -299,11 +317,10 @@ def test_small_m_search_builds_no_grid_table(
     code, out, _ = run(capsys, "search", "--m", str(m), "--coords", coords)
     assert code == 0
     assert json.loads(out)["count"] == count
-    # the hits are listed by line, with no balance verdict, and no hit
-    # keeps a row: m = 1 has no pair to scan for uniformity, and each of the
-    # 136 pairs for m = 2 is scanned on its row 0, read once and not cached
-    assert tables_built == []
-    assert len(rows_built) == rows
+    # the hits are listed by line, with no balance verdict: m = 1 has no
+    # pair to scan for uniformity, and each of the 136 pairs for m = 2 is
+    # scanned on its row 0
+    assert rows_computed == [(m, 0)] * rows
 
 
 def test_canon_golden_bytes(capsys):
@@ -355,6 +372,44 @@ def test_exact_input_whose_float_copy_overflows_exits_two(capsys, tmp_path, comm
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: exact x coordinate 1000") and "does not fit a float" in err
+
+
+@pytest.mark.parametrize("command", ["canon", "render"])
+def test_exact_input_whose_float_copy_underflows_exits_two(capsys, tmp_path, command):
+    # no member is zero, but each coordinate's float copy is 0.0, so member
+    # 0 has no nonzero float copy: an input error, named by its coordinates
+    tiny = "1e-400"
+    path, _ = _exact_file(tmp_path, [(tiny, "0"), ("0", tiny), ("-" + tiny, "-" + tiny)])
+    assert run(capsys, "check", str(path))[0] == 0
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: exact coordinates ({Fraction(tiny)}, 0) have no nonzero float")
+    assert "zero vector" not in err
+
+
+@pytest.mark.parametrize(
+    "mode, s, norm",
+    [
+        # hypot overflows, so 1 / max |v| is 0
+        ("float", "1.5e308", "inf"),
+        # max |v| is subnormal, so 1 / max |v| overflows
+        ("float", "1e-310", "1.4142135623731e-310"),
+        ("exact", '"1e-320"', "1.414e-320"),
+    ],
+)
+def test_canon_refuses_a_rescale_that_is_zero_or_not_finite(capsys, tmp_path, mode, s, norm):
+    neg = f'"-{s[1:]}' if s.startswith('"') else f"-{s}"
+    zero = '"0"' if mode == "exact" else "0.0"
+    path = tmp_path / "u3_extreme.json"
+    path.write_text(
+        f'{{"mode": "{mode}", "vectors": [[{s}, {zero}], [{zero}, {s}], [{neg}, {neg}]]}}\n'
+    )
+    code, out, err = run(capsys, "canon", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: largest norm {norm} has no finite nonzero reciprocal to rescale by\n"
 
 
 def test_roots_golden_bytes(capsys):

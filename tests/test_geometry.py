@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from balcfg import (
@@ -81,11 +81,20 @@ def test_det2_scaling_exact(ax, ay, bx, by, s):
     assert det2(a, b.scale(s)) == s * det2(a, b)
 
 
+def test_det_row_is_computed_afresh_on_every_call():
+    c = Configuration([(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 5), Fraction(0))])
+    row = c.det_row(0)
+    # entries at scale D^2 = 30^2: det2(v_0, v_1) = -1/15
+    assert row == [0, -60]
+    row.sort()
+    assert c.det_row(0) == [0, -60] and c.det_row(0) is not c.det_row(0)
+
+
 def test_det_max_reads_no_diagonal_entry():
     # x*y of v_0 overflows, so its diagonal entry x*y - y*x is inf - inf
     for vecs in ([(1e200, 1e200), (0.0, 1.0)], [(1e200, 1e200), (1.0, 0.0)]):
         c = Configuration(vecs)
-        assert math.isnan(c.det_table[0][0])
+        assert math.isnan(c.det_row(0)[0])
         # in the first, the largest entry is in row 0, after its diagonal
         assert c.det_max == 1e200
     assert repr(Configuration([(1.0, 0.0)]).det_max) == "0.0"
@@ -108,26 +117,23 @@ streamed_coords = st.one_of(
 )
 
 
+# rows_computed records across examples, so each example clears it first
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     st.lists(st.tuples(streamed_coords, streamed_coords), min_size=1, max_size=9).filter(
         lambda vecs: (0, 0) not in vecs
     ),
-    st.lists(st.integers(0, 8), max_size=4),
 )
 # row 1 opens with inf - inf, so its maximum is NaN and skipped, and with
 # it the table's largest entry, det(v_1, v_2) = 2e200
-@example([(1e200, 1e160), (1e160, 1e200), (-2.0, 1.0)], [])
-def test_det_max_streams_the_table_maximum(vecs, cached):
+@example([(1e200, 1e160), (1e160, 1e200), (-2.0, 1.0)])
+def test_det_max_streams_the_table_maximum(rows_computed, vecs):
     c = Configuration(vecs)
-    for i in cached:
-        if i < c.m:
-            c.det_row(i)
-    kept = list(c._det_rows)
-    # bit for bit the table's maximum, NaN rule included; only the rows
-    # det_row had cached before are cached after
+    rows_computed.clear()
+    # bit for bit the table's maximum, NaN rule included, from each row
+    # computed once, in order
     assert repr(c.det_max) == repr(_table_det_max(c))
-    assert c._det_rows == kept
-    assert "det_table" not in c.__dict__
+    assert rows_computed == [(c.m, i) for i in range(c.m)]
 
 
 def test_argument_frozen_values():
