@@ -1,48 +1,35 @@
 """Balanced/uniform verdicts and the combinatorial structure they induce.
 
 A configuration is *balanced* when, for every member v_i, the multiset of
-determinants {det(v_i, v_j) : j != i} is symmetric around 0: each value x
-appears exactly as often as -x. It is *uniform* when every pair of members is
-linearly independent (no zero determinant). The m-th roots of unity are the
-model uniform balanced configuration.
+determinants {det(v_i, v_j) : j != i} is symmetric around 0: sorted, it has
+d[j] = -d[N-1-j] for all j, within an absolute tolerance in float mode. It
+is *uniform* when no two members are linearly dependent. The m-th roots of
+unity are the model uniform balanced configuration.
 
-Balance of a sorted multiset is equivalent to d[j] = -d[N-1-j] for all j,
-which is what the verdicts check; in float mode the comparison happens within
-an absolute tolerance derived from the determinant scale.
+Certificates first, rows last. is_balanced and is_uniform first ask the
+canonical map onto the roots of unity, once per member set (_certified): a
+float GL2 image of U_m (odd m >= 3) whose residual bounds clear the
+tolerance is balanced and uniform with no row. A member set closed under
+v -> -v is balanced once row 0 has passed: row i holds -det(v_i, v_j) next
+to each det(v_i, v_j), exactly for the ints of exact mode and for floats
+with every coordinate in SAFE_COORDINATE_RANGE, where fl(-d) = -fl(d).
+Float is_uniform also bounds every |det| from below by the smallest gap
+between the members' arguments.
 
-The verdicts read the configuration's determinant rows one at a time, where
-they need them: Configuration.det_row computes each (one comprehension over
-the unpacked coordinates) as a fresh list that nothing caches, so no verdict
-holds more than one row and none builds an m x m table. is_balanced computes
-and sorts rows in order and stops at the first asymmetric one; the symmetry
-test of one sorted row lives in _row_fault. The rows hold scaled entries: in
-exact mode the ints D^2 * det (D the lcm of the coordinate denominators),
-which sort, add and compare at C level with tolerance 0, so no verdict
-differs from one on det itself; in float mode the float det values. Every
-value a caller reads (a balance witness, det_max) is divided back to input
-units by Configuration.unscale. step_constants reads its 2m entries off the
-coordinate columns by det2's expression, which det_row holds.
-
-A member set that is closed under v -> -v, as a multiset, is balanced: row
-i holds -det(v_i, v_j) next to each det(v_i, v_j), from the member equal to
--v_j, and a 0 from the member equal to -v_i. In exact mode the entries are
-ints, so this holds exactly. In float mode it holds exactly, at every
-tolerance >= 0, when every coordinate is in SAFE_COORDINATE_RANGE: there
-negation is exact and rounding is symmetric about 0, so fl(-d) = -fl(d).
-is_balanced tests closure once, after row 0 has passed, and then reads no
-other row.
+Otherwise the verdicts read the determinant rows in order and stop at the
+first that decides. Configuration.det_row computes each row afresh and
+nothing caches it, so no m x m table is built; _row_fault tests one sorted
+row. Exact rows hold the ints D^2 * det (D the lcm of the denominators),
+compared with tolerance 0; a value a caller reads (a witness, det_max) is
+divided back to input units by Configuration.unscale. step_constants reads
+its 2m entries off the coordinate columns.
 
 The default float tolerance is 1e-9 * det_max, and det_max reads every row
-(streamed, in O(m) memory). Every float comparison, the uniformity scan and
-antisymmetry included, meets its tolerance in _Bracket, which decides it
-against a bracket of it first: 1e-9 * max |row 0| below, 1e-9 * a bound on
-max |v|^2 above. A monotone test that gives the same answer at both ends
-gives it at the tolerance itself; anything else sends the call to det_max.
-is_uniform in float mode first bounds every |det| from below by the
-smallest gap between the members' arguments, and scans the rows only when
-that bound does not clear the tolerance. A GL2 image of U_m (odd m) is
-certified by the canonical map's residual before any of this runs
-(canonical.certified_labeling), and reads no row at all.
+(streamed). Every float comparison meets its tolerance in _Bracket, which
+decides it at the ends of a bracket first: 1e-9 * max |row 0| (the row 0 a
+verdict holds) below, 1e-9 * a bound on max |v|^2 above. A monotone test
+that agrees at both ends agrees at the tolerance; anything else reads
+det_max.
 
 For uniform balanced configurations of odd size m = 2n+1 this module also
 builds the pairing structure: for each index i the remaining indices split
@@ -163,10 +150,12 @@ class _Bracket:
       (1 + u)^2 (|x_i y_j| + |y_i x_j|) <= (1 + u)^2 |v_i| |v_j|.
     Float multiplication by 1e-9 is monotone, so the bounds hold after it.
     Elsewhere lo = hi = eff. Norms, ends and eff are computed on first read.
+    A verdict that holds row 0 sets row_0 to it, sorted or past the diagonal
+    (the largest |entry| is the same), so that lo computes no row.
     """
 
     def __init__(self, c: Configuration, tol: Optional[float]):
-        self.c = c
+        self.c, self.tol = c, tol
         if tol is not None:
             self.lo = self.hi = self.eff = require_tolerance(tol)
         if c.mode == EXACT:
@@ -181,10 +170,14 @@ class _Bracket:
         return DEFAULT_REL_TOL * self.c.det_max
 
     @cached_property
+    def row_0(self) -> list:
+        return self.c.det_row(0)
+
+    @cached_property
     def lo(self) -> Scalar:
         if self.norms is None:
             return self.eff
-        return DEFAULT_REL_TOL * max(map(abs, self.c.det_row(0)))
+        return DEFAULT_REL_TOL * max(map(abs, self.row_0), default=0.0)
 
     @cached_property
     def hi(self) -> Scalar:
@@ -259,26 +252,41 @@ def _negation_closed(c: Configuration, bracket: _Bracket) -> bool:
     return sx == tuple(map(neg, reversed(sx))) and sy == tuple(map(neg, reversed(sy)))
 
 
+def _certified(c: Configuration, bracket: _Bracket) -> bool:
+    """Whether c is a certified GL2 image of U_m at bracket's tolerance
+    (canonical._route_clears); exact input, even m and m < 3 are not."""
+    if c.mode == EXACT or c.m % 2 == 0 or c.m < 3:
+        return False
+    # deferred: canonical imports this module, and canonicalize calls the verdicts
+    from .canonical import _route_clears
+    return _route_clears(c, bracket)
+
+
 def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
     """Decide multiset symmetry of every determinant row.
 
     Exact mode compares exactly (tol ignored); float mode compares within an
-    absolute tolerance (default 1e-9 * max |det|). The rows are computed in
-    order, each without its diagonal entry and sorted in place, and each
-    goes through _row_fault, first against the tolerance's bracket. Once
-    row 0 has passed, a member set closed under negation is balanced with
-    no further row, in exact mode or with every float coordinate in
-    SAFE_COORDINATE_RANGE, where every row is exactly symmetric
-    (_negation_closed).
+    absolute tolerance (default 1e-9 * max |det|). A certified GL2 image of
+    U_m (_certified) is balanced with no row. Otherwise the rows are
+    computed in order, each without its diagonal entry and sorted in place,
+    and each goes through _row_fault, first against the tolerance's
+    bracket, which takes row 0 from here. Once row 0 has passed, a member
+    set closed under negation is balanced with no further row, in exact
+    mode or with every float coordinate in SAFE_COORDINATE_RANGE, where
+    every row is exactly symmetric (_negation_closed).
     The witness is (i, value) for the first row i that fails: the
     larger-magnitude side of its first bad pair, else its middle entry, in
     input units.
     """
     bracket = _Bracket(c, tol)
+    if _certified(c, bracket):
+        return BalanceReport(True, None)
     for i in range(c.m):
         srow = c.det_row(i)
         del srow[i]
         srow.sort()
+        if i == 0:
+            bracket.row_0 = srow
         j = bracket.fault(lambda eff: _row_fault(srow, eff))
         if j is not None:
             lo, hi = srow[j], srow[-1 - j]
@@ -303,7 +311,7 @@ def _gap_floor(c: Configuration, norms: Optional[Tuple[float, float]]) -> Option
     """
     if norms is None or c.m < 2:
         return None
-    args = sorted(math.fmod(theta, math.pi) for theta in c.arguments)
+    args = sorted(map(math.fmod, c.arguments, repeat(math.pi)))
     gap = min(args[0] + math.pi - args[-1], *map(sub, args[1:], args[:-1]))
     gap -= 3.0 * ARGUMENT_ERR
     low, high = norms
@@ -319,20 +327,25 @@ def is_uniform(
     """True when no pair of members is linearly dependent; otherwise False
     plus the first violating index pair (i, j), i < j.
 
-    In float mode, a lower bound on every |det| from the smallest gap
-    between the members' arguments (_gap_floor) that clears the tolerance's
-    upper bracket decides "uniform" with no row. Otherwise the smallest
-    |D[i][j]|, j > i, of each row decides in one C-level pass whether the
-    row holds such a pair, against the tolerance's bracket first; only that
-    row is scanned for its j. Rows are computed in order, one at a time, so
-    the scan stops at the first row that holds a pair.
+    In float mode, a certified GL2 image of U_m (_certified) is uniform with
+    no row, and so is a configuration whose lower bound on every |det| from
+    the smallest gap between the members' arguments (_gap_floor) clears the
+    tolerance's upper bracket. Otherwise the smallest |D[i][j]|, j > i, of
+    each row decides in one C-level pass whether the row holds such a pair,
+    against the tolerance's bracket (which takes row 0 from here) first;
+    only that row is scanned for its j. Rows are computed in order, so the
+    scan stops at the first row that holds a pair.
     """
     bracket = _Bracket(c, tol)
+    if _certified(c, bracket):
+        return True, None
     floor = _gap_floor(c, bracket.norms)
     if floor is not None and floor > bracket.hi:
         return True, None
     for i in range(c.m - 1):
         rest = list(map(abs, c.det_row(i)[i + 1 :]))
+        if i == 0:
+            bracket.row_0 = rest
         # an overflowed entry (inf - inf) is NaN and counts as nonzero: min
         # skips a NaN unless it comes first, and then the scan skips it
         j = bracket.finds(lambda eff: None if min(rest) > eff else _first(ge, eff, rest))
@@ -365,9 +378,10 @@ def even_m_witness(c: Configuration, tol: Optional[float] = None) -> int:
     """
     if c.m % 2 == 1:
         raise ValueError(f"m = {c.m} is odd; the even-m obstruction does not apply")
-    row = c.det_row(0)
+    bracket = _Bracket(c, tol)
+    row = bracket.row_0
     j = min(range(1, c.m), key=lambda i: abs(row[i]))
-    if _Bracket(c, tol).fault(lambda eff: True if abs(row[j]) > eff else None):
+    if bracket.fault(lambda eff: True if abs(row[j]) > eff else None):
         raise NotBalanced(
             "row 0 has odd cardinality and no zero determinant",
             witness=(0, c.unscale(row[j])),

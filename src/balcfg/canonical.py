@@ -15,16 +15,14 @@ exponents
 a bijection onto {0..m-1}. The residual (max distance from the assigned
 roots of unity) certifies the equivalence.
 
-Certificate first, rows last: the steps above run before any determinant
-row. Their residual bounds every determinant of the input and its
-distance from a symmetric row (_residual_bounds); when those bounds clear the
-balance tolerance, balance and uniformity are certified and no row is
-computed. Any refusal on the route, a non-finite value, or a bound that does
-not clear sends the call to the row verdicts first, in today's order, so
-the verdicts, witnesses and certificate classes do not depend on the route.
-check runs the same route on odd float input (certified_labeling). Exact
-input takes check's exact verdicts on itself instead, and only an input that
-passes them (m = 3, by Niven's theorem) goes on to the float map.
+Certificate first, rows last: _route runs the steps above once per member
+set. The residual bounds every determinant and its distance from a
+symmetric row (_residual_bounds); where they clear the tolerance
+(_route_clears), balance.is_balanced and is_uniform certify the input with
+no row, for every caller. Otherwise the rows decide, so no verdict, witness
+or certificate class depends on the route, and canonicalize raises the
+route's refusal after them. Exact input takes the exact verdicts, which
+only m = 3 passes (Niven's theorem).
 
 Seed-triple reconstruction: with A1 = det(v_n, v_{n+1}), An = det(v_0, v_n)
 and r = -A1/An, the members interleave out of the triple via
@@ -45,6 +43,7 @@ from typing import Callable, Optional, Tuple
 
 from .balance import (
     BOUND_SLACK,
+    DEFAULT_REL_TOL,
     UNIT_ROUNDOFF,
     _Bracket,
     in_safe_range,
@@ -236,11 +235,10 @@ def _diagram_exponents(m: int, k: int) -> Tuple[int, ...]:
     return tuple(exps)
 
 
-def _map_onto_roots(c: Configuration) -> Tuple[Configuration, CanonicalForm]:
-    """c labeled by argument, and the form that frames it, matches t_C on
-    the grid, and measures the residual of the composite map against the
-    assigned roots of unity; c is a float configuration of odd m >= 3.
-    Raises what those steps raise."""
+def _map_onto_roots(c: Configuration) -> CanonicalForm:
+    """The form that labels c (float, odd m >= 3) by argument, frames it,
+    matches t_C on the grid, and measures the residual of the composite map
+    against the assigned roots of unity; raises what those steps raise."""
     labeled = label_by_increasing_arguments(c)
     m, n = labeled.m, labeled.n
     g_frame = frame_map(labeled[0], labeled[n])
@@ -261,12 +259,12 @@ def _map_onto_roots(c: Configuration) -> Tuple[Configuration, CanonicalForm]:
     gx = [g.a * x + g.b * y - cos for x, y, cos in zip(xs, ys, map(math.cos, thetas))]
     gy = [g.c * x + g.d * y - sin for x, y, sin in zip(xs, ys, map(math.sin, thetas))]
     residual = max(0.0, *map(math.hypot, gx, gy))
-    return labeled, CanonicalForm(g, t_c, k_c, exponents, residual)
+    return CanonicalForm(g, t_c, k_c, exponents, residual)
 
 
 def _residual_bounds(form: CanonicalForm, norms) -> Optional[Tuple[float, float]]:
     """(pair, floor) from _map_onto_roots's form, given norms, the
-    norm_sq_bounds of its labeled members: every pair sum that _row_fault
+    norm_sq_bounds of its members: every pair sum that _row_fault
     forms on a sorted row of their float determinant table is at most pair
     in magnitude, and every off-diagonal |entry| is at least floor. None
     when no bound holds: no norms, or an entry of the map, outside
@@ -319,37 +317,28 @@ def _residual_bounds(form: CanonicalForm, norms) -> Optional[Tuple[float, float]
     return pair, floor
 
 
-def _certified_route(c: Configuration, tol: Optional[float]):
-    """(route, certified): route is _map_onto_roots(c), the pair (labeled,
-    form), or the BalcfgError, ArithmeticError or ValueError it raised, or
-    None in exact mode, at even m or at m < 3; certified is True when the
-    route's bounds clear the bracket of tol (the verdicts' default when None),
-    so that c is balanced and uniform at tol with no determinant table."""
-    if c.mode == EXACT or c.m % 2 == 0 or c.m < 3:
-        return None, False
+def _route(c: Configuration):
+    """_map_onto_roots(c)'s form, or the BalcfgError, ArithmeticError or
+    ValueError it raised, without the frames that its memo would keep alive."""
     try:
-        route = _map_onto_roots(c)
+        return _map_onto_roots(c)
     except (BalcfgError, ArithmeticError, ValueError) as exc:
-        return exc, False
-    bracket = _Bracket(route[0], tol)
-    bounds = _residual_bounds(route[1], bracket.norms)
-    if bounds is None:
-        return route, False
+        return exc.with_traceback(None)
+
+
+def _route_clears(c: Configuration, bracket: _Bracket) -> bool:
+    """Whether the route's _residual_bounds (pair, floor) clear bracket, of a
+    float c of odd m >= 3: floor > hi >= eff, and pair <= eff, an explicit
+    tol itself or the default 1e-9 * det_max >= 1e-9 * floor (floor bounds
+    every off-diagonal |entry|, and float multiplication is monotone)."""
+    form = c.per_member_set(_route)
+    bounds = isinstance(form, CanonicalForm) and _residual_bounds(form, bracket.norms)
+    if not bounds:
+        return False
     pair, floor = bounds
-    return route, pair <= bracket.lo and floor > bracket.hi
-
-
-def certified_labeling(c: Configuration, tol: Optional[float] = None) -> Optional[Configuration]:
-    """c in label order (label_by_increasing_arguments) when the canonical
-    route certifies that c is balanced and uniform at tol, as is_balanced
-    and is_uniform would find it; None when the certificate does not apply
-    (exact mode, even m, m < 3, a refusal on the route, or a bound that does
-    not clear), and the verdicts must decide. A tol that is not a finite
-    number >= 0 raises ValueError."""
-    if tol is not None:
-        require_tolerance(tol)
-    route, certified = _certified_route(c, tol)
-    return route[0] if certified else None
+    return floor > bracket.hi and pair <= (
+        DEFAULT_REL_TOL * floor if bracket.tol is None else bracket.tol
+    )
 
 
 def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
@@ -364,13 +353,11 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     as does a float copy of c whose largest norm has no finite nonzero
     reciprocal to rescale by.
 
-    Exact c takes the exact verdicts on c itself, as check does, so their
-    witnesses are in c's units; by Niven's theorem only m = 3 passes them.
-    The map is computed on a float copy of c scaled to max norm 1. For float
-    c the route (label, frame, match, residual) runs on that copy once,
-    first, and builds no table when its bounds certify. Otherwise the
-    copy's verdicts run before the route's refusals, and NotBalanced's
-    witness is in the copy's units: c's determinant over c's largest norm^2.
+    Exact c takes the exact verdicts on c itself, as check does; by Niven's
+    theorem only m = 3 passes them. Float c takes the verdicts of its copy
+    scaled to max norm 1, on which the map is computed, so NotBalanced's
+    witness is c's determinant over c's largest norm^2. The route's refusals
+    come after the verdicts.
     """
     require_tolerance(tol)
     if c.m < 3:
@@ -384,20 +371,15 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
         raise ValueError(f"largest norm {top!r} has no finite nonzero reciprocal to rescale by")
     work = Configuration([s * x for x in work.xs], [s * y for y in work.ys])
 
-    route, certified = _certified_route(work, None)
-    if not certified:
-        if c.mode != EXACT:
-            require_balanced_uniform(work)
-        if c.m % 2 == 0:
-            # balanced + even size excludes uniformity; reachable only when
-            # the tolerance blessed a borderline input, so refuse with the
-            # true reason
-            raise NotUniform(f"even m = {c.m} cannot be uniform balanced", witness=None)
-        if not isinstance(route, tuple):
-            # the route's refusal, raised after the verdicts as always
-            raise route
-
-    form = route[1]
+    if c.mode != EXACT:
+        require_balanced_uniform(work)
+    if c.m % 2 == 0:
+        # balanced + even size excludes uniformity; only a tolerance that
+        # blessed a borderline input gets here, so refuse with the true reason
+        raise NotUniform(f"even m = {c.m} cannot be uniform balanced", witness=None)
+    form = work.per_member_set(_route)
+    if not isinstance(form, CanonicalForm):
+        raise form
     if form.residual > tol:
         raise ResidualTooLarge(
             f"residual {form.residual:.3e} exceeds {tol:.3e}", witness=form.residual

@@ -6,10 +6,11 @@ configuration), search (exhaustive grid enumeration), render (SVG figure).
 
 Exit codes: 0 the property holds; 1 the property provably fails, and the
 report names the certificate; 2 input, usage or internal error, including
-float precision limits such as DuplicateArgument and exact input whose
-float copy overflows. Each command catches CertificateError itself, so a
-certificate that escapes one is an internal fault and exits 2, as does any
-other exception a command raises ("error: internal <class>: ...").
+float precision limits such as DuplicateArgument, exact input whose float
+copy overflows, and a largest norm that overflows for render. Each command
+catches CertificateError itself, so a certificate that escapes one is an
+internal fault and exits 2, as does any other exception a command raises
+("error: internal <class>: ...").
 
 One parser per process: build_parser builds the full parser on the first
 main call, not at import, and every later call in the process parses with
@@ -36,7 +37,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .balance import even_m_witness, is_balanced, is_uniform, require_tolerance, step_constants
-from .canonical import RESIDUAL_TOL, canonicalize, certified_labeling
+from .canonical import RESIDUAL_TOL, canonicalize
 from .errors import BalcfgError, CertificateError, DuplicateArgument, InconsistentConstants
 from .geometry import Configuration, label_by_increasing_arguments, roots_of_unity
 from .render import render_svg
@@ -79,38 +80,28 @@ def _cmd_check(args) -> Tuple[dict, int]:
         "even_m_witness": None,
         "step_constants": None,
     }
-    # a GL2 image of U_m is certified balanced and uniform by the canonical
-    # map's residual, with no determinant table; anything else is decided
-    # by the verdicts
-    labeled = certified_labeling(cfg, args.tol)
-    if labeled is not None:
-        balanced = uniform = True
-    else:
-        bal = is_balanced(cfg, args.tol)
-        balanced = bal.balanced
-        if bal.witness is not None:
-            index, value = bal.witness
-            report["balance_witness"] = {"index": index, "value": value}
-        uniform, pair = is_uniform(cfg, args.tol)
-        if pair is not None:
-            report["uniform_witness"] = list(pair)
-    report.update(balanced=balanced, uniform=uniform)
-    if balanced and cfg.m % 2 == 0:
+    bal = is_balanced(cfg, args.tol)
+    uniform, pair = is_uniform(cfg, args.tol)
+    report.update(balanced=bal.balanced, uniform=uniform)
+    if bal.witness is not None:
+        report["balance_witness"] = dict(zip(("index", "value"), bal.witness))
+    if pair is not None:
+        report["uniform_witness"] = list(pair)
+    if bal.balanced and cfg.m % 2 == 0:
         report["even_m_witness"] = even_m_witness(cfg, args.tol)
-    if balanced and uniform and cfg.m % 2 == 1 and cfg.m >= 3:
+    if bal.balanced and uniform and cfg.m % 2 == 1 and cfg.m >= 3:
         # constants exist in label order: the file's own determinants have
-        # them when the file is in that order; null when no order has them
+        # them when the file is in that order; null when no order has them.
+        # A certificate's labeling is reused: it is memoized per member set
         try:
             try:
                 constants = step_constants(cfg, args.tol)
             except InconsistentConstants:
-                if labeled is None:
-                    labeled = label_by_increasing_arguments(cfg)
-                constants = step_constants(labeled, args.tol)
+                constants = step_constants(label_by_increasing_arguments(cfg), args.tol)
             report["step_constants"] = {"A1": constants.A1, "An": constants.An}
         except (InconsistentConstants, DuplicateArgument):
             pass
-    return report, 0 if balanced else 1
+    return report, 0 if bal.balanced else 1
 
 
 def _cmd_canon(args) -> Tuple[dict, int]:

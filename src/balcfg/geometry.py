@@ -192,8 +192,12 @@ class Configuration:
 
     @cached_property
     def arguments(self) -> tuple:
-        """Each member's polar argument (see argument), computed once."""
-        return tuple(map(_argument, self.xs, self.ys))
+        """Each member's polar argument (see argument), computed once: a
+        C-level atan2 pass, then _argument's fold, by % for a sum that
+        rounds to 2*pi itself."""
+        tau = 2.0 * math.pi
+        thetas = map(math.atan2, self.ys, self.xs)
+        return tuple([t if t >= 0.0 else (t + tau) % tau for t in thetas])
 
     def per_member_set(self, fn: Callable):
         """fn(self) once per member set, which the relabeled copy shares: fn must ignore order."""
@@ -247,12 +251,17 @@ class Configuration:
 
 
 def label_by_increasing_arguments(c: Configuration) -> Configuration:
-    """Sort the members by polar argument ascending in [0, 2*pi).
+    """Sort the members by polar argument ascending in [0, 2*pi), once per
+    member set (per_member_set), which the labeled copy shares.
 
     Raises DuplicateArgument when two members are angularly closer than
     ARGUMENT_TIE_TOL (cyclically), since the strict ordering the labeling
     promises does not exist; uniform configurations never tie.
     """
+    return c.per_member_set(_label)
+
+
+def _label(c: Configuration) -> Configuration:
     args = c.arguments
     order = sorted(range(len(args)), key=args.__getitem__)
     theta = [args[i] for i in order]

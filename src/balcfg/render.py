@@ -28,11 +28,14 @@ TEXT = (
 
 def render_svg(c: Configuration) -> str:
     """The SVG text; each member's <line> and <text> element is formatted
-    from its columns in one C-level pass per element kind."""
+    from its columns in one C-level pass per element kind. ValueError when
+    the largest norm overflows, which would put every arrow at the center."""
     floats = c.as_float()
     xs, ys = floats.xs, floats.ys
     norms = list(map(math.hypot, xs, ys))
     reach = max(1.0, max(norms))
+    if reach == math.inf:
+        raise ValueError(f"largest norm {reach!r} is not finite, so no scale draws the members")
     unit = BASE_RADIUS / reach
 
     head = [

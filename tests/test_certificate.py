@@ -13,6 +13,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from operator import neg
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,11 +34,10 @@ from balcfg.balance import (
 )
 from balcfg.canonical import (
     RESIDUAL_TOL,
-    _certified_route,
     _diagram_exponents,
     _residual_bounds,
+    _route,
     canonicalize,
-    certified_labeling,
     extract_t,
     frame_map,
     match_k,
@@ -59,6 +59,8 @@ from balcfg.geometry import (
 )
 from balcfg.search import perturb, random_invertible
 from balcfg.serialization import save_config
+
+DATA = Path(__file__).parent / "data"
 
 
 def _table(c):
@@ -188,11 +190,6 @@ def test_certificate_first_verdicts_match_the_full_table(m, seed, eps, shuffle, 
         return found.A1, found.An
 
     assert _outcome(constants) == _outcome(lambda: _ref_step_constants(c, tol))
-    # a certified labeling is a promise about the table's verdicts
-    labeled = certified_labeling(c, tol)
-    if labeled is not None:
-        assert verdict and _ref_is_uniform(c, tol)[0]
-        assert labeled == label_by_increasing_arguments(c)
 
     def canon():
         form = canonicalize(c)
@@ -200,6 +197,42 @@ def test_certificate_first_verdicts_match_the_full_table(m, seed, eps, shuffle, 
 
     assert _outcome(canon) == _outcome(lambda: _ref_canonicalize(c, RESIDUAL_TOL))
     assert verify_antisymmetry(c, tol) == _ref_antisymmetry(c, tol)
+
+
+def _ref_bounds(c, tol):
+    """The tolerance of the full table, its largest sorted pair sum in
+    magnitude (what _row_fault compares with the tolerance), and its
+    smallest off-diagonal |entry|."""
+    table = _table(c)
+    pairs = [0.0]
+    for i, row in enumerate(table):
+        srow = sorted(row[:i] + row[i + 1 :])
+        pairs += [abs(a + b) for a, b in zip(srow, reversed(srow))]
+    least = min(abs(e) for i, row in enumerate(table) for j, e in enumerate(row) if i != j)
+    return _ref_tol(table, tol), max(pairs), least
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 60).map(lambda k: 2 * k + 1),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([0.0, 1e-15, 1e-13, 1e-11]),
+    st.booleans(),
+    st.sampled_from([-30, -6, 0, 6, 30]).map(lambda e: 2.0**e),
+    st.sampled_from([None, None, 1e-13, 1e-10]),
+)
+def test_a_certificate_that_fires_bounds_the_full_table(m, seed, eps, shuffle, scale, tol):
+    # where the route's bounds clear the bracket, the reference table's
+    # largest pair sum is within the tolerance (1e-9 * det_max by default)
+    # and its smallest |entry| above it, so both verdicts are certain
+    c = _image(m, seed, eps, shuffle)
+    c = Configuration([x * scale for x in c.xs], [y * scale for y in c.ys])
+    if balance._certified(c, _Bracket(c, tol)):
+        eff, pair, least = _ref_bounds(c, tol)
+        assert pair <= eff < least
+        form = c.per_member_set(_route)
+        bound_pair, floor = _residual_bounds(form, _Bracket(c, tol).norms)
+        assert pair <= bound_pair and floor <= least
 
 
 def test_bracket_decides_at_its_ends_and_narrows_between():
@@ -277,9 +310,9 @@ def test_verify_antisymmetry_decides_without_det_max():
 
 @pytest.mark.parametrize("command, calls", [("check", 1), ("canon", 1)])
 def test_norm_bounds_are_computed_once_per_bracket(capsys, count_calls, tmp_path, command, calls):
-    # check: the route's bracket on the labeled copy, whose norms the
-    # residual bounds reuse and step_constants' bracket on the file order
-    # shares (one member set); canon: the route's bracket alone
+    # check: is_balanced's bracket, whose norms the residual bounds reuse and
+    # every later bracket of the member set shares; canon: the same for the
+    # verdicts on its scaled copy
     path = tmp_path / "u51.json"
     save_config(random_invertible(3).apply_configuration(roots_of_unity(51)), str(path))
     seen = count_calls(balance.norm_sq_bounds)
@@ -296,11 +329,11 @@ def test_route_without_norm_bounds_falls_back_to_the_rows(rows_computed):
     # det_max cached, scans rows 0 and 1
     u = roots_of_unity(3)
     c = Configuration([PlaneVector(1.0, 1e-300), u[1], u[2]])
-    route, certified = _certified_route(c, None)
-    assert isinstance(route, tuple) and not certified
-    assert _residual_bounds(route[1], _Bracket(route[0], None).norms) is None
+    form = c.per_member_set(_route)
+    assert isinstance(form, canonical.CanonicalForm)
+    assert _residual_bounds(form, _Bracket(c, None).norms) is None
+    assert not balance._certified(c, _Bracket(c, None))
     assert rows_computed == []
-    assert certified_labeling(c) is None
     report = is_balanced(c)
     assert (report.balanced, report.witness) == (True, None) == _ref_is_balanced(c, None)
     assert is_uniform(c) == (True, None) == _ref_is_uniform(c, None)
@@ -309,24 +342,24 @@ def test_route_without_norm_bounds_falls_back_to_the_rows(rows_computed):
 
 
 def test_is_balanced_reads_det_max_when_a_sum_falls_inside_the_bracket(rows_computed):
-    # a squeezed U_3 (|det| ~ 8.7e-4, max |v|^2 ~ 1): row 0's pair sum of
-    # 1e-11 fails 1e-9 * max |row 0|, which reads row 0 again, and passes
-    # 1e-9 * max |v|^2, so det_max streams rows 0, 1 and 2
+    # a squeezed U_3 (|det| ~ 8.7e-4, max |v|^2 ~ 1), whose route's residual
+    # (1e-8) certifies nothing: row 0's pair sum of 1e-11 fails 1e-9 * max
+    # |row 0|, and passes 1e-9 * max |v|^2, so det_max streams rows 0, 1, 2
     c = Configuration([(1.0, 0.0), (-0.5, 0.866e-3 + 1e-11), (-0.5, -0.866e-3)])
     report = is_balanced(c)
     assert (report.balanced, report.witness) == _ref_is_balanced(c, None)
     assert not report.balanced
     assert "det_max" in c.__dict__
-    assert rows_computed == [(3, 0), (3, 0), (3, 0), (3, 1), (3, 2)]
+    assert rows_computed == [(3, 0), (3, 0), (3, 1), (3, 2)]
 
 
 def test_is_balanced_decides_a_far_row_on_row_0(rows_computed):
-    # row 0 fails at both ends of the bracket, the lower of which reads it
-    # again, so det_max reads no row
+    # row 0 fails at both ends of the bracket, the lower of which is row 0's
+    # own largest |entry|, so neither it nor det_max reads a row
     c = Configuration([(1.0, 0.0), (0.0, 1.0), (-1.0, -0.25)])
     report = is_balanced(c)
     assert (report.balanced, report.witness) == _ref_is_balanced(c, None) == (False, (0, 1.0))
-    assert rows_computed == [(3, 0), (3, 0)]
+    assert rows_computed == [(3, 0)]
 
 
 def test_uniformity_by_argument_gap_reads_no_row(rows_computed):
@@ -335,10 +368,10 @@ def test_uniformity_by_argument_gap_reads_no_row(rows_computed):
     assert is_uniform(c, 1e-3) == (True, None)
     assert rows_computed == []
     # opposite members share an argument mod pi: the rows decide, and the
-    # scan stops at row 0, which the bracket's lower end reads again
+    # scan stops at row 0, which the bracket's lower end reuses
     square = Configuration([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
     assert is_uniform(square) == (False, (0, 2)) == _ref_is_uniform(square, None)
-    assert rows_computed == [(4, 0), (4, 0)]
+    assert rows_computed == [(4, 0)]
 
 
 def test_step_constants_name_the_first_k_of_either_step():
@@ -372,51 +405,105 @@ def test_step_constants_read_their_2m_entries_off_the_columns(rows_computed):
 
 
 @pytest.mark.parametrize(
-    "vectors",
+    "vectors, routes",
     [
-        # exact mode: tolerance 0, no certificate applies
-        [(1, 0), (0, 1), (-1, -1)],
-        # even m
-        [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)],
-        # coordinates outside the range where the bounds hold
-        [(1e200, 0.0), (-5e199, 8.660254037844386e199), (-5e199, -8.660254037844386e199)],
-        [(1e-200, 0.0), (-5e-201, 8.660254037844386e-201), (-5e-201, -8.660254037844386e-201)],
+        # exact mode: tolerance 0, no certificate applies, no route is run
+        ([(1, 0), (0, 1), (-1, -1)], []),
+        # even m: no route either
+        ([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)], []),
+        # coordinates outside the range where the bounds hold: the route
+        # maps the configuration once, but certifies nothing
+        ([(1e200, 0.0), (-5e199, 8.660254037844386e199), (-5e199, -8.660254037844386e199)], [3]),
+        (
+            [(1e-200, 0.0), (-5e-201, 8.660254037844386e-201), (-5e-201, -8.660254037844386e-201)],
+            [3],
+        ),
     ],
 )
-def test_certified_labeling_declines_where_no_bound_holds(rows_computed, vectors):
-    assert certified_labeling(Configuration(vectors)) is None
-    assert rows_computed == []
+def test_verdicts_read_the_rows_where_no_bound_holds(
+    count_calls, rows_computed, vectors, routes
+):
+    calls = count_calls(canonical._map_onto_roots)
+    c = Configuration(vectors)
+    tol = 0 if c.mode == "exact" else None
+    report = is_balanced(c)
+    assert (report.balanced, repr(report.witness)) == _outcome_pair(_ref_is_balanced(c, tol))
+    assert is_uniform(c) == _ref_is_uniform(c, tol)
+    assert rows_computed[0] == (c.m, 0)
+    assert [work.m for (work,) in calls] == routes
 
 
-def test_certified_labeling_declines_a_bound_that_does_not_clear():
+def _outcome_pair(verdict):
+    return verdict[0], repr(verdict[1])
+
+
+@pytest.mark.parametrize(
+    "eps, route", [(1e-6, "NotNormalized"), (1e-8, "CanonicalForm"), (1e-10, "CanonicalForm")]
+)
+def test_verdicts_read_the_rows_where_a_bound_does_not_clear(rows_computed, eps, route):
+    # a U_21 image moved by eps: at 1e-6 the route refuses it; at 1e-8 and
+    # 1e-10 the route maps it, but its residual cannot certify a tolerance of
+    # 1e-9 * det_max (balanced or not), so is_balanced reads row 0 first
+    moved = perturb(random_invertible(6).apply_configuration(roots_of_unity(21)), eps, seed=1)
+    assert type(moved.per_member_set(_route)).__name__ == route
+    report = is_balanced(moved)
+    assert (report.balanced, repr(report.witness)) == _outcome_pair(_ref_is_balanced(moved, None))
+    assert report.balanced == (eps == 1e-10)
+    assert is_uniform(moved) == _ref_is_uniform(moved, None)
+    assert rows_computed[0] == (21, 0)
+
+
+def test_verdicts_read_the_rows_where_the_tolerance_is_too_large(rows_computed):
+    # the image is certified at the default tolerance; an explicit one of 1
+    # makes some |det| fall under it, so the certificate's floor does not
+    # clear it, and the rows decide
     image = random_invertible(6).apply_configuration(roots_of_unity(21))
-    assert certified_labeling(image) == label_by_increasing_arguments(image)
-    # moved by 1e-6: the route still maps it, but its residual cannot
-    # certify a tolerance of 1e-9 * det_max
-    moved = perturb(image, 1e-6, seed=1)
-    assert certified_labeling(moved) is None
-    # an explicit tolerance of 1 makes some |det| fall under it
-    assert certified_labeling(image, 1.0) is None
+    assert is_balanced(image) == balance.BalanceReport(True, None)
+    assert is_uniform(image) == (True, None)
+    assert rows_computed == []
+    report = is_balanced(image, 1.0)
+    assert (report.balanced, repr(report.witness)) == _outcome_pair(_ref_is_balanced(image, 1.0))
+    assert is_uniform(image, 1.0) == _ref_is_uniform(image, 1.0) != (True, None)
+    assert rows_computed[0] == (21, 0)
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-7, 1e-5, 1.0, 1e5, 1e12])
-def test_certified_labeling_holds_at_every_scale(rows_computed, scale):
-    # the frame test is relative to |v0| |vn|, so a U_21 image far below
-    # unit scale is certified as at unit scale, on row 0 alone, which the
-    # bracket's lower end reads
+def test_verdicts_certify_at_every_scale(rows_computed, scale):
+    # the frame test is relative to |v0| |vn|, and the certificate compares
+    # its pair bound with 1e-9 times its own floor, so a U_21 image far
+    # below or above unit scale is certified as at unit scale, with no row
     image = random_invertible(6).apply_configuration(roots_of_unity(21))
     c = Configuration([v.scale(scale) for v in image])
-    assert certified_labeling(c) == label_by_increasing_arguments(c)
-    assert rows_computed == [(21, 0)]
+    assert is_balanced(c) == balance.BalanceReport(True, None)
+    assert is_uniform(c) == (True, None)
+    assert rows_computed == []
+
+
+def test_u801_image_verdicts_compute_no_row(count_calls, rows_computed):
+    calls = count_calls(canonical._map_onto_roots)
+    c = random_invertible(3).apply_configuration(roots_of_unity(801))
+    assert is_balanced(c) == balance.BalanceReport(True, None)
+    assert is_uniform(c) == (True, None)
+    assert rows_computed == [] and len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "canon"])
+@pytest.mark.parametrize("name", ["u201_image", "u201_image_shuffled", "u201_image_perturbed"])
+def test_cli_runs_the_route_once_per_member_set(capsys, count_calls, command, name):
+    # both verdicts, check's step-constant fallback and canonicalize read one
+    # memoized route, whether it certifies, declines or refuses
+    calls = count_calls(canonical._map_onto_roots)
+    main([command, str(DATA / f"{name}.json")])
+    capsys.readouterr()
+    assert [work.m for (work,) in calls] == [201]
 
 
 @pytest.mark.parametrize("eps", [1e-11, 3e-11])
-def test_canonicalize_maps_onto_the_roots_once(monkeypatch, eps):
+def test_canonicalize_maps_onto_the_roots_once(monkeypatch, rows_computed, eps):
     # moved by eps, a U_201 image still canonicalizes, but the route's bound
-    # does not clear: the verdicts run on the table, and the route's first
+    # does not clear: the verdicts read the rows, and the route's first
     # result is the one returned
     c = perturb(random_invertible(11).apply_configuration(roots_of_unity(201)), eps, seed=5)
-    assert certified_labeling(c) is None
     route = canonical._map_onto_roots
     calls = []
 
@@ -426,7 +513,7 @@ def test_canonicalize_maps_onto_the_roots_once(monkeypatch, eps):
 
     monkeypatch.setattr(canonical, "_map_onto_roots", counting)
     form = canonicalize(c)
-    assert calls == [201]
+    assert calls == [201] and rows_computed
     found = form.g.rows(), form.k, form.index_map, form.residual
     assert repr(found) == repr(_ref_canonicalize(c, RESIDUAL_TOL))
 

@@ -16,6 +16,7 @@ from balcfg import (
     roots_of_unity,
     unit_vector,
 )
+from balcfg.geometry import _argument
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 rationals = st.fractions(
@@ -155,6 +156,40 @@ def test_argument_range(x, y):
         return
     a = argument(PlaneVector(x, y))
     assert 0.0 <= a < 2 * math.pi
+
+
+# signed zeros, the smallest subnormal (atan2(-5e-324, x) + 2*pi rounds to
+# 2*pi itself and folds to 0), and the ends of the float range
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1.0, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    st.one_of(
+        st.lists(st.tuples(edge_floats, edge_floats), min_size=1, max_size=8),
+        st.lists(st.tuples(rationals, rationals), min_size=1, max_size=8),
+    ).filter(lambda vecs: (0, 0) not in vecs)
+)
+@example([(1.0, -0.0), (-1.0, -0.0), (1.0, -5e-324), (-0.0, -1.0)])
+def test_argument_column_is_bit_identical_to_argument(vecs):
+    c = Configuration(vecs)
+    assert list(map(repr, c.arguments)) == [repr(_argument(x, y)) for x, y in zip(c.xs, c.ys)]
+
+
+def test_argument_fold_cases():
+    # atan2(-0.0, 1.0) is -0.0, which _argument keeps; atan2(-5e-324, 1.0)
+    # + 2*pi rounds to 2*pi, which folds to 0.0
+    c = Configuration([(1.0, -0.0), (1.0, -5e-324), (-1.0, -0.0)])
+    assert list(map(repr, c.arguments)) == ["-0.0", "0.0", repr(math.pi)]
+
+
+def test_labeling_is_computed_once_per_member_set():
+    c = Configuration([(0.0, 1.0), (1.0, 0.0), (-1.0, -1.0)])
+    labeled = label_by_increasing_arguments(c)
+    assert label_by_increasing_arguments(c) is labeled
+    assert label_by_increasing_arguments(labeled) is labeled
 
 
 def test_unit_vector_round_trip():
