@@ -150,8 +150,8 @@ class _Bracket:
       (1 + u)^2 (|x_i y_j| + |y_i x_j|) <= (1 + u)^2 |v_i| |v_j|.
     Float multiplication by 1e-9 is monotone, so the bounds hold after it.
     Elsewhere lo = hi = eff. Norms, ends and eff are computed on first read.
-    A verdict that holds row 0 sets row_0 to it, sorted or past the diagonal
-    (the largest |entry| is the same), so that lo computes no row.
+    A verdict that holds row 0 sets row_0 to it, whole, sorted or past the
+    diagonal (the largest |entry| is the same), so that lo computes no row.
     """
 
     def __init__(self, c: Configuration, tol: Optional[float]):
@@ -435,6 +435,8 @@ def verify_antisymmetry(
     bracket = _Bracket(c, tol)
     m, n = c.m, c.n
     for k, row in enumerate(map(c.det_row, range(c.m))):
+        if k == 0:
+            bracket.row_0 = row
         sums = [abs(row[(k + a) % m] + row[(k - a) % m]) for a in range(1, n + 1)]
         j = bracket.fault(lambda eff: _first(lt, eff, sums))
         if j is not None:

@@ -308,6 +308,15 @@ def test_verify_antisymmetry_decides_without_det_max():
     assert "det_max" not in c.__dict__
 
 
+@pytest.mark.parametrize("seed, m", [(3, 21), (1, 3), (4, 9), (7, 51)])
+def test_verify_antisymmetry_computes_each_row_once(rows_computed, seed, m):
+    # the bracket's lo takes row 0 from the scan, so row 0 is not computed
+    # a second time for it
+    c = random_invertible(seed).apply_configuration(roots_of_unity(m))
+    assert verify_antisymmetry(c) == (True, None)
+    assert rows_computed == [(m, i) for i in range(m)]
+
+
 @pytest.mark.parametrize("command, calls", [("check", 1), ("canon", 1)])
 def test_norm_bounds_are_computed_once_per_bracket(capsys, count_calls, tmp_path, command, calls):
     # check: is_balanced's bracket, whose norms the residual bounds reuse and

@@ -423,7 +423,7 @@ def test_roots_accepts_m_spelling(capsys):
     assert by_n == by_m
 
 
-@pytest.mark.parametrize("n", [21, 24])
+@pytest.mark.parametrize("n", [21, 24, 100, 400])
 def test_roots_beyond_twenty_match_the_closed_form(capsys, n):
     code, out, _ = run(capsys, "roots", "--n", str(n))
     assert code == 0
@@ -434,30 +434,19 @@ def test_roots_beyond_twenty_match_the_closed_form(capsys, n):
     assert all(abs(a - b) <= 1e-10 for a, b in zip(solved, grid))
 
 
-def test_roots_solver_fault_is_not_a_certificate(capsys, monkeypatch):
-    # both routes give up: the sign certificate proves nothing and the
-    # tree it falls back on raises ArithmeticError, which closure_roots
-    # turns into the ValueError that main maps to exit 2; uncaught, it
-    # would be a traceback
-    def give_up(p, width):
-        raise ArithmeticError("root isolation did not terminate")
-
+@pytest.mark.parametrize(
+    "flag, value, m", [("--n", 1, 3), ("--n", 3, 7), ("--m", 49, 49), ("--n", 61, 123)]
+)
+def test_roots_refuses_when_the_signs_prove_nothing(capsys, monkeypatch, flag, value, m):
+    # certify_cells forced to None: closure_roots raises the ValueError that
+    # main maps to one error line and exit 2, a refusal that names m
     monkeypatch.setattr(sequences.ip, "certify_cells", lambda p, guesses, width: None)
-    monkeypatch.setattr(sequences.ip, "certified_roots", give_up)
-    code, out, err = run(capsys, "roots", "--n", "3")
+    code, out, err = run(capsys, "roots", flag, str(value))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: root isolation did not terminate")
-    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
+    assert f"m = {m} " in err
     assert "certificate" not in err
-
-
-def test_roots_falls_back_to_the_tree_when_the_certificate_fails(capsys, monkeypatch):
-    # the Bernstein tree alone prints the certificate's bytes
-    monkeypatch.setattr(sequences.ip, "certify_cells", lambda p, guesses, width: None)
-    code, out, _ = run(capsys, "roots", "--n", "3")
-    assert code == 0
-    assert out == (GOLDEN / "roots_n3.json").read_text()
 
 
 def test_internal_fault_exits_two(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from balcfg.sequences import (
     RootGrid,
     check_parity_degrees,
     closed_form_t,
+    closure_roots,
     model_configuration,
     numeric_sequences,
     symbolic_sequences,
@@ -110,6 +111,14 @@ def test_roots_agree_with_closed_form_grid():
         assert len(solved.values) == len(grid.values) == n
         for a, b in zip(solved.values, grid.values):
             assert abs(a - b) < 1e-10
+
+
+@pytest.mark.parametrize("n, m", [(3, 9), (3, 5), (24, 51)])
+def test_closure_roots_refuses_a_grid_of_another_m(n, m):
+    # the closed-form guesses of another m prove nothing about W_n's roots:
+    # a refusal that names the grid's m, never a wrong answer
+    with pytest.raises(ValueError, match=f"closure roots for m = {m} not isolated"):
+        closure_roots(symbolic_sequences(n)[1][n], t_grid(m))
 
 
 def test_closure_gcd_is_the_fourth_kind_chebyshev_polynomial():
