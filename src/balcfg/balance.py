@@ -18,17 +18,17 @@ between the members' arguments.
 
 Otherwise the verdicts read the determinant rows in order and stop at the
 first that decides. Configuration.det_row computes each row afresh and
-nothing caches it, so no m x m table is built; _row_fault tests one sorted
-row. Exact rows hold the ints D^2 * det (D the lcm of the denominators),
-compared with tolerance 0; a value a caller reads (a witness, det_max) is
-divided back to input units by Configuration.unscale. step_constants reads
-its 2m entries off the coordinate columns.
+nothing caches it, so no m x m table is built. Exact rows hold the ints
+D^2 * det (D the lcm of the denominators), compared with tolerance 0; a
+value a caller reads (a witness, det_max) is divided back to input units by
+Configuration.unscale. step_constants reads its 2m entries off the
+coordinate columns.
 
 The default float tolerance is 1e-9 * det_max, and det_max reads every row
-(streamed). Every float comparison meets its tolerance in _Bracket, which
-decides it at the ends of a bracket first: 1e-9 * max |row 0| (the row 0 a
-verdict holds) below, 1e-9 * a bound on max |v|^2 above. A monotone test
-that agrees at both ends agrees at the tolerance; anything else reads
+(streamed). Every verdict hands the values it compares, and the table
+entries it holds, to one _Bracket, which decides each comparison at the
+ends of a bracket first: 1e-9 * max |held entry| below, 1e-9 * a bound on
+max |v|^2 above. A value beyond both ends is decided; anything else reads
 det_max.
 
 For uniform balanced configurations of odd size m = 2n+1 this module also
@@ -140,18 +140,18 @@ class _Bracket:
     """Bounds lo <= eff <= hi on the tolerance eff that every verdict
     compares c's scaled determinant entries with: lo = hi = eff = 0 in exact
     mode (tol ignored), else tol. Every float comparison, the uniformity
-    scan and antisymmetry included, goes through fault or finds, so det_max,
-    which reads every row, is read only when a comparison falls
-    between lo and hi. Under the default float tolerance, eff =
-    DEFAULT_REL_TOL * det_max, and with every coordinate in the safe range:
-    - lo = 1e-9 * max |row 0|: det_max is the largest |entry|, as the table
-      holds fl(-d) = -fl(d) next to each d;
+    scan and antisymmetry included, hands its values to above or within, so
+    det_max, which reads every row, is read only when a value falls between
+    lo and hi. Under the default float tolerance, eff = DEFAULT_REL_TOL *
+    det_max, and with every coordinate in the safe range:
+    - lo = 1e-9 * max |held| over the entries of c's scaled table that the
+      verdicts have handed over with their values (held): det_max is the
+      largest |entry|, as the table holds fl(-d) = -fl(d) next to each d;
     - hi = 1e-9 * high from norms (norm_sq_bounds): |fl det2(v_i, v_j)| <=
       (1 + u)^2 (|x_i y_j| + |y_i x_j|) <= (1 + u)^2 |v_i| |v_j|.
     Float multiplication by 1e-9 is monotone, so the bounds hold after it.
-    Elsewhere lo = hi = eff. Norms, ends and eff are computed on first read.
-    A verdict that holds row 0 sets row_0 to it, whole, sorted or past the
-    diagonal (the largest |entry| is the same), so that lo computes no row.
+    Elsewhere lo = hi = eff. Norms, hi and eff are computed on first read;
+    lo starts at 0 and is raised by held only where a comparison needs it.
     """
 
     def __init__(self, c: Configuration, tol: Optional[float]):
@@ -170,65 +170,56 @@ class _Bracket:
         return DEFAULT_REL_TOL * self.c.det_max
 
     @cached_property
-    def row_0(self) -> list:
-        return self.c.det_row(0)
-
-    @cached_property
     def lo(self) -> Scalar:
-        if self.norms is None:
-            return self.eff
-        return DEFAULT_REL_TOL * max(map(abs, self.row_0), default=0.0)
+        return self.eff if self.norms is None else 0.0
 
     @cached_property
     def hi(self) -> Scalar:
         return self.eff if self.norms is None else DEFAULT_REL_TOL * self.norms[1]
 
-    def fault(self, test):
-        """test(eff) for the true eff, where test(e) is None when the
-        comparison passes at tolerance e, and otherwise names what fails
-        (the first failing position of a row, or a flag).
+    def _lift(self, held) -> Scalar:
+        """lo, raised to 1e-9 * max |held| where that is higher."""
+        if self.lo < self.hi:
+            self.lo = max(self.lo, DEFAULT_REL_TOL * max(map(abs, held), default=0.0))
+        return self.lo
 
-        test must be monotone: what passes at e passes at every larger e,
-        and what is named at lo and again at hi is named at every e between
-        them. Then a None at lo, or the same name at lo and hi, is the
-        answer at eff; anything else narrows the bracket to eff itself.
-        """
-        return self._decide(test, self.lo, self.hi)
+    def above(self, values: list, held) -> Optional[int]:
+        """The first j with values[j] > eff, or None: None when no value
+        exceeds lo (one C-level max; held is read only when one exceeds the
+        lo of earlier comparisons), j when values[j] is the first above lo
+        and is above hi too; anything else narrows the bracket to eff. A NaN
+        value is above no tolerance: max skips it unless it comes first, and
+        then the scan skips it."""
+        top = max(values, default=self.lo)
+        if top <= self.lo or top <= self._lift(held):
+            return None
+        j = _first(lt, self.lo, values)
+        if j is None or values[j] > self.hi:
+            return j
+        return self._at_eff(lt, values)
 
-    def finds(self, test):
-        """fault's mirror, for a test that finds more as e grows (the first
-        zero of a row): a None at hi, or the same name at hi and lo, is the
-        answer at eff."""
-        return self._decide(test, self.hi, self.lo)
+    def within(self, values: list, held) -> Optional[int]:
+        """above's mirror: the first j with values[j] <= eff, or None. None
+        when every value exceeds hi (one C-level min), j when values[j] is the
+        first within hi and is within lo too, which reads held only then. A
+        NaN value is within no tolerance, as in above."""
+        if min(values, default=math.inf) > self.hi:
+            return None
+        j = _first(ge, self.hi, values)
+        if j is None or values[j] <= self.lo or values[j] <= self._lift(held):
+            return j
+        return self._at_eff(ge, values)
 
-    def _decide(self, test, first, second):
-        found = test(first)
-        if found is None or first == second or test(second) == found:
-            return found
+    def _at_eff(self, op, values: list) -> Optional[int]:
+        """Narrow the bracket to eff itself, and decide there."""
         self.lo = self.hi = self.eff
-        return test(self.eff)
+        return _first(op, self.eff, values)
 
 
 def _first(op, eff: Scalar, values) -> Optional[int]:
     """The first j with op(eff, values[j]), or None: one C-level pass."""
     hits = list(map(op, repeat(eff), values))
     return hits.index(True) if True in hits else None
-
-
-def _row_fault(srow: tuple, eff: Scalar) -> Optional[int]:
-    """The first j at which the sorted row srow (length N) fails symmetry
-    within eff, or None when it is symmetric.
-
-    One C-level pass tests |srow[j] + srow[N-1-j]| <= eff for the N // 2
-    extreme pairs; then an odd N tests |srow[N // 2]| <= eff for its middle
-    entry, and reports j = N // 2, where srow[j] and srow[N-1-j] are that
-    one entry. A NaN sum or entry fails no comparison, so it passes.
-    """
-    half = len(srow) // 2
-    j = _first(lt, eff, map(abs, map(add, srow[:half], reversed(srow))))
-    if j is None and len(srow) % 2 and abs(srow[half]) > eff:
-        return half
-    return j
 
 
 def _negation_closed(c: Configuration, bracket: _Bracket) -> bool:
@@ -253,13 +244,25 @@ def _negation_closed(c: Configuration, bracket: _Bracket) -> bool:
 
 
 def _certified(c: Configuration, bracket: _Bracket) -> bool:
-    """Whether c is a certified GL2 image of U_m at bracket's tolerance
-    (canonical._route_clears); exact input, even m and m < 3 are not."""
+    """Whether c is a certified GL2 image of U_m at bracket's tolerance; exact
+    input, even m and m < 3 are not. The canonical route's _residual_bounds
+    (pair, floor), read once per member set, must clear the bracket: floor >
+    hi >= eff, and pair <= eff, an explicit tol itself or the default 1e-9 *
+    det_max >= 1e-9 * floor (floor bounds every off-diagonal |entry|, and
+    float multiplication is monotone)."""
     if c.mode == EXACT or c.m % 2 == 0 or c.m < 3:
         return False
     # deferred: canonical imports this module, and canonicalize calls the verdicts
-    from .canonical import _route_clears
-    return _route_clears(c, bracket)
+    from .canonical import _residual_bounds, _route
+
+    form = c.per_member_set(_route)
+    bounds = not isinstance(form, Exception) and _residual_bounds(form, bracket.norms)
+    if not bounds:
+        return False
+    pair, floor = bounds
+    return floor > bracket.hi and pair <= (
+        DEFAULT_REL_TOL * floor if bracket.tol is None else bracket.tol
+    )
 
 
 def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
@@ -268,9 +271,11 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
     Exact mode compares exactly (tol ignored); float mode compares within an
     absolute tolerance (default 1e-9 * max |det|). A certified GL2 image of
     U_m (_certified) is balanced with no row. Otherwise the rows are
-    computed in order, each without its diagonal entry and sorted in place,
-    and each goes through _row_fault, first against the tolerance's
-    bracket, which takes row 0 from here. Once row 0 has passed, a member
+    computed in order, each without its diagonal entry and sorted in place.
+    Each row hands the bracket (above) the |sums| of its extreme pairs,
+    srow[j] + srow[N-1-j] for j < N // 2, then an odd row's |middle entry|
+    as j = N // 2, where srow[j] and srow[N-1-j] are that one entry, with
+    the row as the bracket's held entries. Once row 0 has passed, a member
     set closed under negation is balanced with no further row, in exact
     mode or with every float coordinate in SAFE_COORDINATE_RANGE, where
     every row is exactly symmetric (_negation_closed).
@@ -285,9 +290,10 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
         srow = c.det_row(i)
         del srow[i]
         srow.sort()
-        if i == 0:
-            bracket.row_0 = srow
-        j = bracket.fault(lambda eff: _row_fault(srow, eff))
+        half = len(srow) // 2
+        sums = list(map(abs, map(add, srow[:half], reversed(srow))))
+        sums += map(abs, srow[half : len(srow) - half])
+        j = bracket.above(sums, srow)
         if j is not None:
             lo, hi = srow[j], srow[-1 - j]
             value = hi if abs(hi) >= abs(lo) else lo
@@ -330,11 +336,11 @@ def is_uniform(
     In float mode, a certified GL2 image of U_m (_certified) is uniform with
     no row, and so is a configuration whose lower bound on every |det| from
     the smallest gap between the members' arguments (_gap_floor) clears the
-    tolerance's upper bracket. Otherwise the smallest |D[i][j]|, j > i, of
-    each row decides in one C-level pass whether the row holds such a pair,
-    against the tolerance's bracket (which takes row 0 from here) first;
-    only that row is scanned for its j. Rows are computed in order, so the
-    scan stops at the first row that holds a pair.
+    tolerance's upper bracket. Otherwise each row hands its |D[i][j]|, j >
+    i, to the bracket (within), whose C-level minimum decides whether the
+    row holds such a pair; only such a row is scanned for its j. Rows are
+    computed in order, so the scan stops at the first row that holds a
+    pair. An overflowed entry (inf - inf) is NaN and counts as nonzero.
     """
     bracket = _Bracket(c, tol)
     if _certified(c, bracket):
@@ -344,11 +350,7 @@ def is_uniform(
         return True, None
     for i in range(c.m - 1):
         rest = list(map(abs, c.det_row(i)[i + 1 :]))
-        if i == 0:
-            bracket.row_0 = rest
-        # an overflowed entry (inf - inf) is NaN and counts as nonzero: min
-        # skips a NaN unless it comes first, and then the scan skips it
-        j = bracket.finds(lambda eff: None if min(rest) > eff else _first(ge, eff, rest))
+        j = bracket.within(rest, rest)
         if j is not None:
             return False, (i, i + 1 + j)
     return True, None
@@ -378,10 +380,9 @@ def even_m_witness(c: Configuration, tol: Optional[float] = None) -> int:
     """
     if c.m % 2 == 1:
         raise ValueError(f"m = {c.m} is odd; the even-m obstruction does not apply")
-    bracket = _Bracket(c, tol)
-    row = bracket.row_0
+    row = c.det_row(0)
     j = min(range(1, c.m), key=lambda i: abs(row[i]))
-    if bracket.fault(lambda eff: True if abs(row[j]) > eff else None):
+    if _Bracket(c, tol).above([abs(row[j])], row) is not None:
         raise NotBalanced(
             "row 0 has odd cardinality and no zero determinant",
             witness=(0, c.unscale(row[j])),
@@ -435,10 +436,8 @@ def verify_antisymmetry(
     bracket = _Bracket(c, tol)
     m, n = c.m, c.n
     for k, row in enumerate(map(c.det_row, range(c.m))):
-        if k == 0:
-            bracket.row_0 = row
         sums = [abs(row[(k + a) % m] + row[(k - a) % m]) for a in range(1, n + 1)]
-        j = bracket.fault(lambda eff: _first(lt, eff, sums))
+        j = bracket.above(sums, row)
         if j is not None:
             return False, (k, j + 1)
     return True, None
@@ -450,8 +449,8 @@ def step_constants(c: Configuration, tol: Optional[float] = None) -> StepConstan
 
     Only these 2m determinants are read, by det2's expression on the columns
     and the columns rotated by 1 and by n, so they are det_row's entries
-    bit for bit; their distances from (A1, An) are tested in C-level passes,
-    against the tolerance's bracket first. Raises InconsistentConstants
+    bit for bit; their distances from (A1, An) go to the bracket (above),
+    with the 2m entries as its lower end's. Raises InconsistentConstants
     naming the first violating k. A1 and An come back in input units.
     """
     if c.m % 2 == 0 or c.m < 3:
@@ -463,13 +462,10 @@ def step_constants(c: Configuration, tol: Optional[float] = None) -> StepConstan
         for a in (1, c.n)
     ]
     a1, an = steps[0][0], steps[1][0]
+    held = steps[0] + steps[1]
     misses = [list(map(abs, map(sub, row, repeat(row[0])))) for row in steps]
-
-    def first_miss(eff):
-        found = [k for k in (_first(lt, eff, miss) for miss in misses) if k is not None]
-        return min(found, default=None)
-
-    k = bracket.fault(first_miss)
+    found = [k for k in (bracket.above(miss, held) for miss in misses) if k is not None]
+    k = min(found, default=None)
     if k is not None:
         raise InconsistentConstants(
             f"step determinants at k = {k} differ from (A1, An)", witness=k

@@ -18,10 +18,10 @@ roots of unity) certifies the equivalence.
 Certificate first, rows last: _route runs the steps above once per member
 set. The residual bounds every determinant and its distance from a
 symmetric row (_residual_bounds); where they clear the tolerance
-(_route_clears), balance.is_balanced and is_uniform certify the input with
-no row, for every caller. Otherwise the rows decide, so no verdict, witness
-or certificate class depends on the route, and canonicalize raises the
-route's refusal after them. Exact input takes the exact verdicts, which
+(balance._certified), balance.is_balanced and is_uniform certify the input
+with no row, for every caller. Otherwise the rows decide, so no verdict,
+witness or certificate class depends on the route, and canonicalize raises
+the route's refusal after them. Exact input takes the exact verdicts, which
 only m = 3 passes (Niven's theorem).
 
 Seed-triple reconstruction: with A1 = det(v_n, v_{n+1}), An = det(v_0, v_n)
@@ -43,9 +43,7 @@ from typing import Callable, Optional, Tuple
 
 from .balance import (
     BOUND_SLACK,
-    DEFAULT_REL_TOL,
     UNIT_ROUNDOFF,
-    _Bracket,
     in_safe_range,
     require_balanced_uniform,
     require_tolerance,
@@ -264,7 +262,7 @@ def _map_onto_roots(c: Configuration) -> CanonicalForm:
 
 def _residual_bounds(form: CanonicalForm, norms) -> Optional[Tuple[float, float]]:
     """(pair, floor) from _map_onto_roots's form, given norms, the
-    norm_sq_bounds of its members: every pair sum that _row_fault
+    norm_sq_bounds of its members: every pair sum that is_balanced
     forms on a sorted row of their float determinant table is at most pair
     in magnitude, and every off-diagonal |entry| is at least floor. None
     when no bound holds: no norms, or an entry of the map, outside
@@ -324,21 +322,6 @@ def _route(c: Configuration):
         return _map_onto_roots(c)
     except (BalcfgError, ArithmeticError, ValueError) as exc:
         return exc.with_traceback(None)
-
-
-def _route_clears(c: Configuration, bracket: _Bracket) -> bool:
-    """Whether the route's _residual_bounds (pair, floor) clear bracket, of a
-    float c of odd m >= 3: floor > hi >= eff, and pair <= eff, an explicit
-    tol itself or the default 1e-9 * det_max >= 1e-9 * floor (floor bounds
-    every off-diagonal |entry|, and float multiplication is monotone)."""
-    form = c.per_member_set(_route)
-    bounds = isinstance(form, CanonicalForm) and _residual_bounds(form, bracket.norms)
-    if not bounds:
-        return False
-    pair, floor = bounds
-    return floor > bracket.hi and pair <= (
-        DEFAULT_REL_TOL * floor if bracket.tol is None else bracket.tol
-    )
 
 
 def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:

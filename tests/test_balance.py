@@ -24,6 +24,7 @@ from balcfg import (
     step_constants,
     verify_antisymmetry,
 )
+from balcfg.balance import in_safe_range
 from balcfg.canonical import LinearMap2, canonicalize
 
 SQUARE = Configuration([(1, 0), (0, 1), (-1, 0), (0, -1)])
@@ -182,6 +183,18 @@ def test_antisymmetry_fails_with_witness_after_perturbation():
     assert 0 <= k < 7 and 1 <= a <= 3
 
 
+def test_antisymmetry_rejects_even_size():
+    with pytest.raises(ValueError, match="odd m"):
+        verify_antisymmetry(SQUARE)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_in_safe_range_refuses_values_that_are_not_finite(bad):
+    assert in_safe_range([1.0, 0.0, -2.0])
+    assert not in_safe_range([1.0, bad, 0.5])
+    assert not in_safe_range([bad])
+
+
 def test_step_constants_frozen_m5():
     consts = step_constants(roots_of_unity(5))
     assert math.isclose(consts.A1, math.sin(2 * math.pi / 5), abs_tol=1e-15)
@@ -303,6 +316,61 @@ def test_row_kernels_match_the_former_loops(c, tol):
     # repr, so that a witness of -0.0 is not passed by 0.0
     assert repr(report.witness) == repr(witness)
     assert is_uniform(c, tol) == _reference_is_uniform(c, tol)
+
+
+def _reference_even_m_witness(c, tol):
+    """Row 0 of the full table at the reference tolerance: the first j >= 1
+    with the smallest |det(v_0, v_j)|, or NotBalanced's class and witness
+    (0, that entry) when it is not within the tolerance."""
+    eff = _reference_tol(c, tol)
+    row = [det2(c[0], v) for v in c]
+    j = min(range(1, c.m), key=lambda i: abs(row[i]))
+    if abs(row[j]) > eff:
+        return "NotBalanced", repr((0, row[j]))
+    return "ok", repr(j)
+
+
+@st.composite
+def moved_negation_closed(draw):
+    """v and -v for a drawn list of float vectors, shuffled, then one member
+    (the twin of v_0, or another) moved across v_0's line by a drawn factor
+    of 1e-9 * det_max / |v_0|, so that row 0's smallest entry lands near
+    the default tolerance."""
+    vectors = st.tuples(float_coords, float_coords).filter(lambda v: v != (0, 0))
+    half = draw(st.lists(vectors, min_size=1, max_size=4))
+    members = draw(st.permutations(half + [(-x, -y) for x, y in half]))
+    (x0, y0), c = members[0], Configuration(members)
+    twins = [j for j in range(1, c.m) if members[j] == (-x0, -y0)]
+    k = draw(st.sampled_from(twins + [draw(st.integers(1, c.m - 1))]))
+    factor = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.25, 4.0)))
+    norm = math.hypot(x0, y0)
+    step = factor * 1e-9 * c.det_max / norm
+    x, y = members[k]
+    members[k] = (x - step * y0 / norm, y + step * x0 / norm)
+    return Configuration(members)
+
+
+def _even(coords):
+    return configurations(coords).filter(lambda c: c.m % 2 == 0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.one_of(
+        moved_negation_closed(),
+        _even(tie_coords),
+        _even(huge_coords),
+        _even(float_coords),
+        _even(rational_coords),
+    ),
+    st.sampled_from([None, None, 0.0, 2**-25, 1e-6]),
+)
+def test_even_m_witness_matches_row_0_of_the_full_table(c, tol):
+    try:
+        found = "ok", repr(even_m_witness(c, tol))
+    except NotBalanced as exc:
+        found = "NotBalanced", repr(exc.witness)
+    assert found == _reference_even_m_witness(c, tol)
 
 
 @pytest.mark.parametrize("verdict", [is_balanced, verify_antisymmetry])

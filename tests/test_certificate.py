@@ -25,10 +25,10 @@ from balcfg.balance import (
     SAFE_COORDINATE_RANGE,
     _Bracket,
     _negation_closed,
-    _row_fault,
     in_safe_range,
     is_balanced,
     is_uniform,
+    norm_sq_bounds,
     step_constants,
     verify_antisymmetry,
 )
@@ -77,12 +77,24 @@ def _ref_tol(table, tol):
     )
 
 
+def _ref_row_fault(srow, eff):
+    """The first j < N // 2 with |srow[j] + srow[N-1-j]| > eff, else N // 2
+    when N is odd and |srow[N // 2]| > eff, else None."""
+    half = len(srow) // 2
+    for j in range(half):
+        if abs(srow[j] + srow[-1 - j]) > eff:
+            return j
+    if len(srow) % 2 and abs(srow[half]) > eff:
+        return half
+    return None
+
+
 def _ref_is_balanced(c, tol):
     table = _table(c)
     eff = _ref_tol(table, tol)
     for i, row in enumerate(table):
         srow = sorted(row[:i] + row[i + 1 :])
-        j = _row_fault(srow, eff)
+        j = _ref_row_fault(srow, eff)
         if j is not None:
             lo, hi = srow[j], srow[-1 - j]
             return False, (i, hi if abs(hi) >= abs(lo) else lo)
@@ -201,7 +213,7 @@ def test_certificate_first_verdicts_match_the_full_table(m, seed, eps, shuffle, 
 
 def _ref_bounds(c, tol):
     """The tolerance of the full table, its largest sorted pair sum in
-    magnitude (what _row_fault compares with the tolerance), and its
+    magnitude (what is_balanced compares with the tolerance), and its
     smallest off-diagonal |entry|."""
     table = _table(c)
     pairs = [0.0]
@@ -235,55 +247,59 @@ def test_a_certificate_that_fires_bounds_the_full_table(m, seed, eps, shuffle, s
         assert pair <= bound_pair and floor <= least
 
 
-def test_bracket_decides_at_its_ends_and_narrows_between():
+def _fresh_bracket():
+    """A bracket of the default tolerance on a fresh U_9 image (nothing
+    cached), with its ends for the entries of row 0 and its true eff."""
     c = random_invertible(4).apply_configuration(roots_of_unity(9))
-    bracket = _Bracket(c, None)
-    eff = DEFAULT_REL_TOL * c.det_max
-    assert bracket.lo <= eff <= bracket.hi and bracket.lo < bracket.hi
-    seen = []
+    row = c.det_row(0)
+    lo = DEFAULT_REL_TOL * max(map(abs, row))
+    hi = DEFAULT_REL_TOL * norm_sq_bounds(c)[1]
+    eff = DEFAULT_REL_TOL * Configuration(c.xs, c.ys).det_max
+    assert lo <= eff <= hi and lo < hi
+    return c, _Bracket(c, None), row, lo, hi, eff
 
-    def fails_above(x):
-        # a comparison |x| > e, naming itself when it fails
-        def test(e):
-            seen.append(e)
-            return "x" if x > e else None
 
-        return test
+class _Unread:
+    """held entries that fail the test when the bracket reads them."""
 
-    lo, hi = bracket.lo, bracket.hi
-    assert bracket.fault(fails_above(2 * hi)) == "x" and seen == [lo, hi]
-    seen.clear()
-    assert bracket.fault(fails_above(lo / 2)) is None and seen == [lo]
-    seen.clear()
+    def __iter__(self):
+        raise AssertionError("held read")
+
+
+def test_bracket_above_decides_at_its_ends_and_narrows_between():
+    # values[j] > eff: a value above hi is above eff, and none above lo is
+    # none above eff; both decide without det_max
+    c, bracket, row, lo, hi, eff = _fresh_bracket()
+    assert bracket.above([lo / 2, 2 * hi, 3 * hi], row) == 1
+    assert "det_max" not in c.__dict__
+    # no value above lo: decided at the first end; lo, once raised by held,
+    # decides later values without reading held again
+    c, bracket, row, lo, hi, eff = _fresh_bracket()
+    assert bracket.above([lo / 2, lo], row) is None
+    assert bracket.above([lo, lo / 4], _Unread()) is None
+    assert "det_max" not in c.__dict__
+    # the first value above lo is within hi: narrowed to eff
+    c, bracket, row, lo, hi, eff = _fresh_bracket()
     between = (lo + hi) / 2
-    assert bracket.fault(fails_above(between)) == ("x" if between > eff else None)
-    assert seen == [lo, hi, eff] and bracket.lo == bracket.hi == eff
+    assert bracket.above([lo / 2, between, 2 * hi], row) == (1 if between > eff else 2)
+    assert bracket.lo == bracket.hi == eff and "det_max" in c.__dict__
 
 
-def test_bracket_finds_mirrors_fault():
-    # a test that finds more as the tolerance grows: a None at hi, or the
-    # same answer at both ends, decides
-    c = random_invertible(4).apply_configuration(roots_of_unity(9))
-    bracket = _Bracket(c, None)
-    eff = DEFAULT_REL_TOL * c.det_max
-    seen = []
-
-    def finds_below(x):
-        # a comparison |x| <= e, naming itself when it holds
-        def test(e):
-            seen.append(e)
-            return "x" if x <= e else None
-
-        return test
-
-    lo, hi = bracket.lo, bracket.hi
-    assert bracket.finds(finds_below(lo / 2)) == "x" and seen == [hi, lo]
-    seen.clear()
-    assert bracket.finds(finds_below(2 * hi)) is None and seen == [hi]
-    seen.clear()
+def test_bracket_within_mirrors_above():
+    # values[j] <= eff: a value within lo is within eff, and none within hi
+    # is none within eff; both decide without det_max
+    c, bracket, row, lo, hi, eff = _fresh_bracket()
+    assert bracket.within([2 * hi, lo / 2, lo / 4], row) == 1
+    assert "det_max" not in c.__dict__
+    # no value within hi: decided at the first end, without reading held
+    c, bracket, row, lo, hi, eff = _fresh_bracket()
+    assert bracket.within([2 * hi, 3 * hi], _Unread()) is None
+    assert "det_max" not in c.__dict__
+    # the first value within hi is above lo: narrowed to eff
+    c, bracket, row, lo, hi, eff = _fresh_bracket()
     between = (lo + hi) / 2
-    assert bracket.finds(finds_below(between)) == ("x" if between <= eff else None)
-    assert seen == [hi, lo, eff] and bracket.lo == bracket.hi == eff
+    assert bracket.within([2 * hi, between, lo / 2], row) == (1 if between <= eff else 2)
+    assert bracket.lo == bracket.hi == eff and "det_max" in c.__dict__
 
 
 def test_is_uniform_decides_the_square_without_det_max():
@@ -310,8 +326,8 @@ def test_verify_antisymmetry_decides_without_det_max():
 
 @pytest.mark.parametrize("seed, m", [(3, 21), (1, 3), (4, 9), (7, 51)])
 def test_verify_antisymmetry_computes_each_row_once(rows_computed, seed, m):
-    # the bracket's lo takes row 0 from the scan, so row 0 is not computed
-    # a second time for it
+    # the bracket's lo takes each row's entries from the scan, so no row is
+    # computed a second time for it
     c = random_invertible(seed).apply_configuration(roots_of_unity(m))
     assert verify_antisymmetry(c) == (True, None)
     assert rows_computed == [(m, i) for i in range(m)]
@@ -405,12 +421,12 @@ def test_is_balanced_tests_closure_once_after_row_0(count_calls, rows_computed):
 
 
 def test_step_constants_read_their_2m_entries_off_the_columns(rows_computed):
-    # the only row read is row 0, for the bracket's lower end
+    # no row is read: the bracket's lower end comes from the 2m entries
     c = random_invertible(2).apply_configuration(roots_of_unity(31))
     found = step_constants(c)
     table = _table(c)
     assert (repr(found.A1), repr(found.An)) == (repr(table[0][1]), repr(table[0][15]))
-    assert rows_computed == [(31, 0)]
+    assert rows_computed == []
 
 
 @pytest.mark.parametrize(
@@ -444,6 +460,28 @@ def test_verdicts_read_the_rows_where_no_bound_holds(
 
 def _outcome_pair(verdict):
     return verdict[0], repr(verdict[1])
+
+
+def test_route_refuses_an_exponent_assignment_that_is_not_a_bijection():
+    # m = 9 in the canonical frame: v_0 = (1, 0) and v_4 = (0, 1) frame it,
+    # v_5 = (-1, -1) gives t = -1 = t_3, and k = 3 shares the factor 3 with
+    # 9, so the exponents take three values; three members lie at arguments
+    # in (0, pi/2) and three in (5 pi/4, 2 pi), so the labeling keeps v_0,
+    # v_4 and v_5 in slots 0, 4 and 5. The residual bounds hold only for a
+    # bijection, so the route certifies nothing, and the rows decide
+    thetas = [0.5, 1.0, 1.2, 5.0, 5.5, 6.0]
+    c = Configuration(
+        [(1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)] + [(math.cos(t), math.sin(t)) for t in thetas]
+    )
+    refusal = c.per_member_set(_route)
+    assert isinstance(refusal, ResidualTooLarge)
+    assert "not a bijection" in str(refusal)
+    assert refusal.witness == (0, 3, 6, 0, 3, 6, 0, 3, 6)
+    assert not balance._certified(c, _Bracket(c, None))
+    report = is_balanced(c)
+    assert (report.balanced, repr(report.witness)) == _outcome_pair(_ref_is_balanced(c, None))
+    assert report.witness == (0, math.sin(5.0))
+    assert is_uniform(c) == _ref_is_uniform(c, None) == (True, None)
 
 
 @pytest.mark.parametrize(

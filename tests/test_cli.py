@@ -195,16 +195,16 @@ def test_check_reports_an_exact_even_m_witness(capsys, tmp_path):
 
 
 # Each row is computed afresh wherever a verdict reads it. u5.json is a
-# float U_5, certified by the canonical route, which reads no row, so the
-# only row is row 0 of the file order for step_constants' bracket.
-# square.json is exact and closed under negation, so its row 0
+# float U_5, certified by the canonical route, which reads no row, and
+# step_constants' bracket takes its lower end from the step determinants,
+# so no row is computed. square.json is exact and closed under negation, so its row 0
 # decides balance and holds the zero that uniformity and the even-m witness
 # read. u3_exact.json is exact U_3: balance reads its 3 rows, and
 # uniformity rows 0 and 1.
 @pytest.mark.parametrize(
     "name, rows",
     [
-        ("u5.json", [(5, 0)]),
+        ("u5.json", []),
         ("square.json", [(4, 0)] * 3),
         ("u3_exact.json", [(3, 0), (3, 1), (3, 2), (3, 0), (3, 1)]),
     ],
@@ -235,8 +235,8 @@ def _u801_image(tmp_path, variant):
 @pytest.mark.parametrize(
     "command, variant, code, rows",
     [
-        ("check", "clean", 0, 1),
-        ("check", "shuffled", 0, 2),
+        ("check", "clean", 0, 0),
+        ("check", "shuffled", 0, 0),
         ("check", "perturbed", 1, 1),
         ("canon", "clean", 0, 0),
         ("canon", "shuffled", 0, 0),
@@ -247,11 +247,11 @@ def test_u801_images_compute_only_row_0(
     capsys, tmp_path, rows_computed, command, variant, code, rows
 ):
     # the verdicts certify the clean and shuffled images by the canonical
-    # map's residual, which reads no row; check's step_constants reads row 0
-    # for its bracket, of the file order, and of the route's labeled copy
-    # too when a shuffled file's own order has no constants. The perturbed
-    # copy fails balance at row 0, which is also its bracket's lower end,
-    # and its arguments' smallest gap certifies uniformity
+    # map's residual, which reads no row, and check's step_constants reads
+    # its 2m entries off the columns, of the file order and of the route's
+    # labeled copy, and no row. The perturbed copy fails balance at row 0,
+    # whose extremes are also its bracket's lower end, and its arguments'
+    # smallest gap certifies uniformity
     path = _u801_image(tmp_path, variant)
     assert run(capsys, command, str(path))[0] == code
     assert rows_computed == [(801, 0)] * rows
@@ -627,8 +627,17 @@ def test_out_flag_writes_stdout_bytes(capsys, tmp_path, argv, expected):
         ["search", "--m", "3", "--coords", "1/0"],
         ["roots", "--m", "4"],
         ["roots", "--m", "1"],
+        ["search", "--m", "0", "--coords", "0,1"],
     ],
-    ids=["roots-n-and-m", "roots-n0", "gen-even-m", "search-bad-coords", "roots-m4", "roots-m1"],
+    ids=[
+        "roots-n-and-m",
+        "roots-n0",
+        "gen-even-m",
+        "search-bad-coords",
+        "roots-m4",
+        "roots-m1",
+        "search-m0",
+    ],
 )
 def test_usage_errors_take_the_one_error_path(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -690,6 +699,16 @@ def test_search_within_the_prefix_budget_runs(capsys):
     code, out, _ = run(capsys, "search", "--m", "8", "--coords", "-1,0,1")
     assert code == 0
     assert json.loads(out)["count"] == 1
+
+
+def test_check_refuses_a_file_whose_top_level_is_a_list(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text('[[1.0, 0.0], [0.0, 1.0]]\n')
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and err.rstrip().endswith("top level must be an object")
 
 
 def test_missing_file_exits_two(capsys):

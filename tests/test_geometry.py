@@ -67,6 +67,9 @@ def test_exact_coordinates_are_plain_fractions():
     assert type(c.ys[0]) is Fraction and c.ys[0] == Fraction(-3, 4)
     with pytest.raises(TypeError, match="boolean"):
         Configuration([(True, 0)])
+    # a coordinate of neither kind, such as a string, is refused by name
+    with pytest.raises(TypeError, match="unsupported coordinate type str"):
+        Configuration([("1", 0.0)])
 
 
 @given(finite, finite, finite, finite)
