@@ -13,8 +13,8 @@ tolerance is balanced and uniform with no row. A member set closed under
 v -> -v is balanced once row 0 has passed: row i holds -det(v_i, v_j) next
 to each det(v_i, v_j), exactly for the ints of exact mode and for floats
 with every coordinate in SAFE_COORDINATE_RANGE, where fl(-d) = -fl(d).
-Float is_uniform also bounds every |det| from below by the smallest gap
-between the members' arguments.
+Exact is_uniform compares the members' lines, with no row; float is_uniform
+bounds every |det| from below by each member's nearest argument gap.
 
 Otherwise the verdicts read the determinant rows in order and stop at the
 first that decides. Configuration.det_row computes each row afresh and
@@ -305,26 +305,26 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
 
 def _gap_floor(c: Configuration, norms: Optional[Tuple[float, float]]) -> Optional[float]:
     """A lower bound on every |fl det2(v_i, v_j)|, i != j, of a float
-    configuration of m >= 2 members with norms, its norm_sq_bounds, from the
-    smallest cyclic gap g between the members' arguments mod pi; None when
-    there is no such bound.
+    configuration of m >= 2 members with norms, its norm_sq_bounds, from
+    each member's nearest gap between the arguments mod pi; None without norms.
 
-    Any two arguments lie at least g' = g - 3 * ARGUMENT_ERR apart on the
-    circle of length pi (an error in each argument, and the rounding of the
-    gap), and g' <= pi / 2, so |det2(v_i, v_j)| = |v_i| |v_j|
-    |sin(theta_j - theta_i)| >= min |v|^2 * sin(g'). Each float entry is
-    within 3u * max |v|^2 of its det2 (see _Bracket).
+    Every other member lies at least g_i = min(gap to the previous, gap to
+    the next sorted argument) - 3 * ARGUMENT_ERR from v_i on the circle of
+    length pi (an error in each argument, and the rounding of the gap), and
+    g_i <= pi / 2, so |det2(v_i, v_j)| >= |v_i| sin(g_i) sqrt(min |v|^2),
+    which is negative, and clears no tolerance, for g_i < 0. Each float
+    entry is within 3u * max |v|^2 of its det2 (see _Bracket).
     """
     if norms is None or c.m < 2:
         return None
-    args = sorted(map(math.fmod, c.arguments, repeat(math.pi)))
-    gap = min(args[0] + math.pi - args[-1], *map(sub, args[1:], args[:-1]))
-    gap -= 3.0 * ARGUMENT_ERR
+    args = map(math.fmod, c.arguments, repeat(math.pi))
+    args, sizes = zip(*sorted(zip(args, map(math.hypot, c.xs, c.ys))))
+    # sizes[k] lies between gaps[k] and gaps[k + 1], cyclically
+    gaps = [args[0] + math.pi - args[-1], *map(sub, args[1:], args[:-1])]
+    near = map(sub, map(min, gaps, gaps[1:] + gaps[:1]), repeat(3.0 * ARGUMENT_ERR))
     low, high = norms
-    if gap <= 0:
-        return None
-    floor = low * math.sin(gap) * (1.0 - BOUND_SLACK) - 3.0 * UNIT_ROUNDOFF * high
-    return floor * (1.0 - BOUND_SLACK)
+    least = min(map(mul, sizes, map(math.sin, near))) * math.sqrt(low)
+    return (least * (1.0 - BOUND_SLACK) - 3.0 * UNIT_ROUNDOFF * high) * (1.0 - BOUND_SLACK)
 
 
 def is_uniform(
@@ -333,15 +333,22 @@ def is_uniform(
     """True when no pair of members is linearly dependent; otherwise False
     plus the first violating index pair (i, j), i < j.
 
-    In float mode, a certified GL2 image of U_m (_certified) is uniform with
-    no row, and so is a configuration whose lower bound on every |det| from
-    the smallest gap between the members' arguments (_gap_floor) clears the
-    tolerance's upper bracket. Otherwise each row hands its |D[i][j]|, j >
-    i, to the bracket (within), whose C-level minimum decides whether the
+    Exact mode (tol checked, then ignored) takes the least i whose line
+    (Configuration.lines) holds a later member, and the least such j. In
+    float mode, a certified GL2 image of U_m (_certified) is uniform with no
+    row, and so is one whose lower bound on every |det| (_gap_floor) clears
+    the tolerance's upper bracket. Otherwise each row hands its |D[i][j]|, j
+    > i, to the bracket (within), whose C-level minimum decides whether the
     row holds such a pair; only such a row is scanned for its j. Rows are
     computed in order, so the scan stops at the first row that holds a
     pair. An overflowed entry (inf - inf) is NaN and counts as nonzero.
     """
+    if c.mode == EXACT:
+        if tol is not None:
+            require_tolerance(tol)
+        first: Dict[tuple, int] = {}
+        later = [(first[key], j) for j, key in enumerate(c.lines) if first.setdefault(key, j) < j]
+        return not later, min(later, default=None)
     bracket = _Bracket(c, tol)
     if _certified(c, bracket):
         return True, None

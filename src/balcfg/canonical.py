@@ -53,7 +53,6 @@ from .errors import (
     CertificateError,
     NoGridMatch,
     NotNormalized,
-    NotUniform,
     ResidualTooLarge,
     SingularFrame,
 )
@@ -356,10 +355,6 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
 
     if c.mode != EXACT:
         require_balanced_uniform(work)
-    if c.m % 2 == 0:
-        # balanced + even size excludes uniformity; only a tolerance that
-        # blessed a borderline input gets here, so refuse with the true reason
-        raise NotUniform(f"even m = {c.m} cannot be uniform balanced", witness=None)
     form = work.per_member_set(_route)
     if not isinstance(form, CanonicalForm):
         raise form

@@ -173,18 +173,13 @@ def _cmd_search(args) -> Tuple[dict, int]:
         raise ValueError(f"search: bad --coords: {exc}") from exc
     spec = SearchSpec(m=args.m, coordinate_set=coords, require_uniform=args.uniform)
     hits = enumerate_balanced(spec)
-    if args.uniform:
-        # every hit has passed is_uniform in enumerate_balanced
-        uniform_count = len(hits)
-    else:
-        uniform_count = sum(1 for cfg in hits if is_uniform(cfg)[0])
     summary = {
         "command": "search",
         "m": args.m,
         "coords": [str(x) for x in spec.coordinate_set],
         "require_uniform": args.uniform,
         "count": len(hits),
-        "uniform_count": uniform_count,
+        "uniform_count": sum(is_uniform(cfg)[0] for cfg in hits),
         "files": None,
     }
     if args.out_dir is not None:

@@ -218,6 +218,16 @@ class Configuration:
         ys = [y.numerator * (d // y.denominator) for y in self.ys]
         return xs, ys, d * d
 
+    @cached_property
+    def lines(self) -> tuple:
+        """Each member's line through the origin, in exact mode only: its
+        _det_coords ints over their gcd, the first nonzero one positive."""
+        xs, ys, _ = self._det_coords
+        return tuple(
+            (x // g, y // g) if (x, y) > (0, 0) else (-x // g, -y // g)
+            for x, y, g in zip(xs, ys, map(math.gcd, xs, ys))
+        )
+
     def det_row(self, i: int) -> list:
         """Row i of the scaled determinant table, computed afresh on every
         call by the one comprehension every row comes from, and cached

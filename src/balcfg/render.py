@@ -29,13 +29,14 @@ TEXT = (
 def render_svg(c: Configuration) -> str:
     """The SVG text; each member's <line> and <text> element is formatted
     from its columns in one C-level pass per element kind. ValueError when
-    the largest norm overflows, which would put every arrow at the center."""
+    the largest norm, or its 14-pixel label offset, overflows a float."""
     floats = c.as_float()
     xs, ys = floats.xs, floats.ys
     norms = list(map(math.hypot, xs, ys))
     reach = max(1.0, max(norms))
-    if reach == math.inf:
-        raise ValueError(f"largest norm {reach!r} is not finite, so no scale draws the members")
+    if 14.0 * reach == math.inf:
+        what = "is not finite" if reach == math.inf else "overflows its 14-pixel label offset"
+        raise ValueError(f"largest norm {reach!r} {what}, so no scale draws the members")
     unit = BASE_RADIUS / reach
 
     head = [

@@ -6,12 +6,12 @@ vectors (the objects the definitions quantify over) and lists each set once,
 in lexicographic order of the sorted representative, so results are
 reproducible byte for byte. It never tests all C(n, m) candidates: a balanced
 set is collinear or sums to zero, so it lists the collinear sets of each line
-through the origin and meets the zero-sum sets in the middle, joining the
-sums of the grid's ceil(m/2)-subsets with a table of its floor(m/2)-subset
-sums (for m > n/2, of the n - m points each set leaves out). A zero-sum set
-on 4 or more lines whose third moment is not zero is dropped, and every
-other one that is not collinear is decided by is_balanced on its own
-Configuration; no grid table is built.
+of the grid (Configuration.lines) and meets the zero-sum sets in the middle,
+joining the sums of the grid's ceil(m/2)-subsets with a table of its
+floor(m/2)-subset sums (for m > n/2, of the n - m points each set leaves
+out). A zero-sum set on 4 or more lines whose third moment is not zero is
+dropped, and every other one that is not collinear is decided by is_balanced
+on its own Configuration; is_uniform compares each hit's lines.
 """
 
 from __future__ import annotations
@@ -95,16 +95,17 @@ def grid_vectors(coords: Tuple[Fraction, ...]) -> List[PlaneVector]:
 def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     """All balanced configurations of m pairwise distinct vectors over the
     grid, exact arithmetic, in deterministic lexicographic order; optionally
-    only the uniform ones.
+    only the uniform ones, which is_uniform keeps by their lines.
 
     Row i of a configuration sums to det(v_i, S), S the sum of its members,
     and a symmetric row sums to 0. So a balanced set is collinear (every det
     is 0, and it is balanced) or has S = 0 (two independent members force
-    it). The collinear sets are listed line by line. The zero-sum sets are
-    met in the middle (Horowitz & Sahni 1974, see _join) on packed ints,
-    x*K + y with K = 2*m*max|coordinate| + 1, so a sum of at most m points
-    is 0 exactly when both of its coordinate sums are. When m > n/2 the
-    join lists the n - m points left out, whose sum is the grid's total.
+    it). The collinear sets are listed on each line of the grid's own
+    Configuration. The zero-sum sets are met in the middle (Horowitz & Sahni
+    1974, see _join) on its packed _det_coords ints, x*K + y with K =
+    2*m*max|coordinate| + 1, so a sum of at most m points is 0 exactly when
+    both of its coordinate sums are. When m > n/2 the join lists the n - m
+    points left out, whose sum is the grid's total.
 
     A balanced set on 4 or more lines through the origin also has a zero
     third moment (sum x^3, sum x^2 y, sum x y^2, sum y^3): every odd power
@@ -137,21 +138,12 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
                 f"C({n}, {left}) {'=' if j == k else '>='} {subsets} subsets "
                 f"exceed the budget of {DEFAULT_BUDGET}"
             )
-    # the grid's plain-Fraction columns, and their coordinates as ints over
-    # the lcm of the denominators, in grid_vectors' order
-    px, py = zip(*[(x, y) for x in coords for y in coords if x or y])
-    d = math.lcm(*[c.denominator for c in coords])
-    ints = [c.numerator * (d // c.denominator) for c in coords]
-    xs = [x for x in ints for y in ints if x or y]
-    ys = [y for x in ints for y in ints if x or y]
-    # each point's line through the origin: its gcd-reduced direction, with
-    # the first nonzero coordinate positive
-    line_of = []
+    # the grid in grid_vectors' order: its columns, their ints, their lines
+    grid = Configuration(*zip(*[(x, y) for x in coords for y in coords if x or y]))
+    px, py, line_of = grid.xs, grid.ys, grid.lines
+    xs, ys, _ = grid._det_coords
     lines = {}
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        g = math.gcd(x, y)
-        line = (x // g, y // g) if (x, y) > (0, 0) else (-x // g, -y // g)
-        line_of.append(line)
+    for i, line in enumerate(line_of):
         lines.setdefault(line, []).append(i)
     found = {
         idx: Configuration([px[a] for a in idx], [py[a] for a in idx])

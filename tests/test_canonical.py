@@ -296,6 +296,44 @@ def test_exact_input_takes_the_exact_verdicts(c):
         assert form.k == 1 and form.residual <= 1e-8
 
 
+@st.composite
+def _balanced_even(draw):
+    """A balanced set of even m >= 4 in a drawn order: {v, -v} for exact v,
+    their float copies or float v, where float products round symmetrically;
+    or integer multiples of one vector, exact, or float on an axis, where
+    every float determinant is exactly 0."""
+    kind = draw(st.sampled_from(["exact", "float", "collinear", "axis"]))
+    if kind in ("exact", "float"):
+        coords = _SMALL if kind == "exact" or draw(st.booleans()) else st.floats(-8.0, 8.0)
+        half = draw(st.lists(st.tuples(coords, coords).filter(any), min_size=2, max_size=6))
+        vecs = half + [(-x, -y) for x, y in half]
+    else:
+        x, y = draw(_VECTOR) if kind == "collinear" else draw(st.sampled_from([(1, 0), (0, 1)]))
+        ks = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=2, max_size=3))
+        vecs = [(k * x, k * y) for k in ks * 2]
+    if kind in ("float", "axis"):
+        vecs = [(float(x), float(y)) for x, y in vecs]
+    return Configuration(draw(st.permutations(vecs)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_balanced_even())
+def test_balanced_even_m_is_refused_with_is_uniforms_pair(c):
+    # a balanced even-m set has the zero of its odd-sized row 0, so the
+    # verdicts canonicalize takes (on c when exact, else on its copy scaled
+    # to max norm 1) find a dependent pair, and NotUniform carries it
+    work = c
+    if c.mode != "exact":
+        s = 1.0 / max(map(math.hypot, c.xs, c.ys))
+        work = Configuration([s * x for x in c.xs], [s * y for y in c.ys])
+    assert is_balanced(work).balanced
+    uniform, pair = is_uniform(work)
+    assert not uniform and pair is not None
+    with pytest.raises(NotUniform) as refused:
+        canonicalize(c)
+    assert refused.value.witness == pair
+
+
 def test_rounded_exact_pentagon_is_not_equivalent():
     rounded = Configuration(_rounded(roots_of_unity(5), 10**12))
     verdict = gl2_equivalent(rounded, roots_of_unity(5))

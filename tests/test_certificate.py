@@ -626,3 +626,77 @@ def test_negation_closed_sets_match_the_full_table(rows_computed, members, tol):
     if verdict:
         # a certified set stops after row 0; any other reads every row
         assert read == ([0] if fires else list(range(c.m)))
+
+
+# exact coordinates with no float copy, beyond the float range either way
+beyond_float = st.sampled_from([Fraction(10**400), Fraction(1, 10**400), Fraction(-3, 10**400)])
+# the factors k of the planted members k * v, parallel and antiparallel
+planted_factors = st.sampled_from(
+    [s * k for s in (1, -1) for k in (Fraction(1, 3), Fraction(2), Fraction(5, 7))]
+)
+
+
+@st.composite
+def planted_lines(draw):
+    """Exact members, among them 0 to 3 planted copies k * v of drawn ones,
+    each inserted at a drawn index."""
+    coords = st.one_of(exact_coords, beyond_float)
+    members = draw(st.lists(st.tuples(coords, coords).filter(any), min_size=1, max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        (x, y), k = draw(st.sampled_from(members)), draw(planted_factors)
+        members.insert(draw(st.integers(0, len(members))), (k * x, k * y))
+    return members
+
+
+# rows_computed records across examples, so each example clears it first
+@settings(
+    deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(planted_lines(), st.sampled_from([None, 0.0, 1e-6]))
+def test_exact_is_uniform_compares_lines_and_computes_no_row(rows_computed, members, tol):
+    c = Configuration(members)
+    rows_computed.clear()
+    found = is_uniform(c, tol)
+    assert rows_computed == []
+    # exact mode compares exactly whatever tol is
+    assert found == _ref_is_uniform(c, 0)
+
+
+@st.composite
+def planted_near_pairs(draw):
+    """Float members at drawn arguments and norms 10^-6..10^6, and 1 or 2
+    copies of drawn ones turned by a tiny angle, or by pi and a tiny angle,
+    at a drawn norm: near-parallel and near-antiparallel pairs."""
+    # multiples of the golden angle, so that only the planted pairs are near
+    thetas = st.integers(0, 10**6).map(lambda k: math.fmod(k * 2.399963229728653, 2.0 * math.pi))
+    sizes = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+    members = draw(
+        st.lists(st.tuples(thetas, sizes), min_size=1, max_size=8, unique_by=lambda t: t[0])
+    )
+    turns = st.sampled_from([1e-4, 1e-7, -1e-8, -1e-5, 1e-9, 1e-12, -1e-13, 1e-15, 0.0])
+    for _ in range(draw(st.integers(1, 2))):
+        theta = draw(st.sampled_from(members))[0] + draw(st.sampled_from([0.0, math.pi]))
+        members.append((theta + draw(turns), draw(sizes)))
+    return [(r * math.cos(theta), r * math.sin(theta)) for theta, r in members]
+
+
+@settings(deadline=None, max_examples=300)
+@given(planted_near_pairs())
+def test_gap_floor_never_exceeds_an_entry_of_the_full_table(members):
+    c = Configuration(members)
+    floor = balance._gap_floor(c, norm_sq_bounds(c))
+    table = _table(c)
+    least = min(abs(e) for i, row in enumerate(table) for j, e in enumerate(row) if i != j)
+    # None: a coordinate outside the safe range, where no bound holds
+    assert floor is None or floor <= least
+
+
+@pytest.mark.parametrize("m, seed", [(51, 9), (201, 1)])
+def test_gap_floor_of_each_member_clears_a_perturbed_image(rows_computed, m, seed):
+    # two members lie close in argument; their gap bounds only their own
+    # determinants, and a floor that took it for every member would fall
+    # below the bracket's upper end and send the scan to m - 1 rows
+    c = perturb(random_invertible(2).apply_configuration(roots_of_unity(m)), 1e-3, seed=seed)
+    assert is_uniform(c) == (True, None)
+    assert rows_computed == []
+    assert _ref_is_uniform(c, None) == (True, None)

@@ -198,15 +198,15 @@ def test_check_reports_an_exact_even_m_witness(capsys, tmp_path):
 # float U_5, certified by the canonical route, which reads no row, and
 # step_constants' bracket takes its lower end from the step determinants,
 # so no row is computed. square.json is exact and closed under negation, so its row 0
-# decides balance and holds the zero that uniformity and the even-m witness
-# read. u3_exact.json is exact U_3: balance reads its 3 rows, and
-# uniformity rows 0 and 1.
+# decides balance and holds the zero that the even-m witness reads; exact
+# uniformity compares the members' lines and reads no row. u3_exact.json is
+# exact U_3: balance reads its 3 rows.
 @pytest.mark.parametrize(
     "name, rows",
     [
         ("u5.json", []),
-        ("square.json", [(4, 0)] * 3),
-        ("u3_exact.json", [(3, 0), (3, 1), (3, 2), (3, 0), (3, 1)]),
+        ("square.json", [(4, 0)] * 2),
+        ("u3_exact.json", [(3, 0), (3, 1), (3, 2)]),
     ],
     ids=["u5", "square", "u3_exact"],
 )
@@ -257,14 +257,14 @@ def test_u801_images_compute_only_row_0(
     assert rows_computed == [(801, 0)] * rows
 
 
-@pytest.mark.parametrize("command, code, rows", [("check", 0, 3), ("canon", 1, 2)])
+@pytest.mark.parametrize("command, code, rows", [("check", 0, 2), ("canon", 1, 1)])
 def test_exact_symmetric_set_computes_only_row_0(
     capsys, tmp_path, rows_computed, command, code, rows
 ):
     # {v, -v} for 50 exact v: balanced, even m = 100, never uniform; row 0
     # passes, the member set is closed under negation, so every row is
-    # symmetric, and row 0 holds the zero of v_0 and -v_0 that the
-    # uniformity scan and check's even-m witness read, each afresh
+    # symmetric; uniformity finds v_0 and -v_0 on one line with no row, and
+    # check's even-m witness reads the zero of row 0 afresh
     rng = random.Random(5)
     half = set()
     while len(half) < 50:
@@ -293,19 +293,45 @@ def test_item4_check_agrees_with_canon_at_float_scale_extremes(capsys, tmp_path,
     assert json.loads(out)["uniform"] is True
 
 
+# ROADMAP item 13: a float triple that sums to exactly (0, 0) is balanced,
+# and its exact file checks balanced, yet check of the float file exits 1
+# with the witness (0, -2.1646847425671467e-07), which rounding makes
+ITEM13_TRIPLE = [
+    [1.4316555559635162, 0.8170396685600281],
+    [1.43165692129665, 0.8170405989512801],
+    [-2.863312477260166, -1.6340802675113082],
+]
+
+
+def test_item13_triple_sums_to_zero_and_its_exact_file_checks_balanced(capsys, tmp_path):
+    exact = [[Fraction(x), Fraction(y)] for x, y in ITEM13_TRIPLE]
+    assert [sum(column) for column in zip(*exact)] == [0, 0]
+    path, _ = _exact_file(tmp_path, exact)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0 and json.loads(out)["balanced"] is True
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+def test_item13_check_of_an_exactly_balanced_float_triple_exits_zero(capsys, tmp_path):
+    path = tmp_path / "item13.json"
+    path.write_text(json.dumps({"mode": "float", "vectors": ITEM13_TRIPLE}) + "\n")
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0 and json.loads(out)["balanced"] is True
+
+
 def test_search_builds_no_grid_table(capsys, rows_computed):
     # m = 4 over {-1, 0, 1}^2: no table of the 8 grid vectors; the zero-sum
     # candidates are decided on rows computed where they are read; each of
     # the 6 hits is closed under negation, so its row 0 decides balance, and
-    # row 0 again holds the zero that decides uniformity
+    # its lines decide uniformity with no row
     code, out, _ = run(capsys, "search", "--m", "4", "--coords", "-1,0,1")
     assert code == 0
     assert json.loads(out)["count"] == 6
-    assert rows_computed == [(4, 0)] * 12
+    assert rows_computed == [(4, 0)] * 6
 
 
 @pytest.mark.parametrize(
-    "m, values, count, rows", [(1, 100, 9999, 0), (2, 10, 136, 136)]
+    "m, values, count, rows", [(1, 100, 9999, 0), (2, 10, 136, 0)]
 )
 def test_small_m_search_builds_no_grid_table(
     capsys, rows_computed, m, values, count, rows
@@ -316,9 +342,8 @@ def test_small_m_search_builds_no_grid_table(
     code, out, _ = run(capsys, "search", "--m", str(m), "--coords", coords)
     assert code == 0
     assert json.loads(out)["count"] == count
-    # the hits are listed by line, with no balance verdict: m = 1 has no
-    # pair to scan for uniformity, and each of the 136 pairs for m = 2 is
-    # scanned on its row 0
+    # the hits are listed by line, with no balance verdict, and uniformity
+    # compares their lines, so no row is computed
     assert rows_computed == [(m, 0)] * rows
 
 
@@ -572,10 +597,15 @@ render_coords = st.one_of(
 )
 def test_render_svg_matches_the_former_renderer(vecs):
     # where the largest norm overflows, the former renderer drew every arrow
-    # at the center; the renderer refuses that input instead
+    # at the center, and where 14 times it overflows, it wrote inf into the
+    # labels; the renderer refuses both inputs instead
     c = Configuration(vecs)
-    if max(map(math.hypot, c.xs, c.ys)) == math.inf:
+    reach = max(map(math.hypot, c.xs, c.ys))
+    if reach == math.inf:
         with pytest.raises(ValueError, match="^largest norm inf is not finite"):
+            render_svg(c)
+    elif 14.0 * reach == math.inf:
+        with pytest.raises(ValueError, match="overflows its 14-pixel label offset"):
             render_svg(c)
     else:
         assert render_svg(c) == _ref_render_svg(c)
@@ -591,6 +621,15 @@ def test_render_refuses_a_largest_norm_that_overflows(capsys, tmp_path):
     code, out, err = run(capsys, "render", str(path))
     assert (code, out) == (2, "")
     assert err == "error: largest norm inf is not finite, so no scale draws the members\n"
+    # at 1e308 the largest norm is finite, but 14 times it is not, so the
+    # label offsets 14 * x / |v| would be inf
+    path.write_text('{"mode": "float", "vectors": [[1e308, 0], [0, 1e308], [-1e308, -1e308]]}\n')
+    code, out, err = run(capsys, "render", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: largest norm 1.4142135623730951e+308 overflows its 14-pixel label offset, "
+        "so no scale draws the members\n"
+    )
 
 
 def test_render_json_round_trips_the_file(capsys):

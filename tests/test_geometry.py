@@ -94,6 +94,14 @@ def test_det_row_is_computed_afresh_on_every_call():
     assert c.det_row(0) == [0, -60] and c.det_row(0) is not c.det_row(0)
 
 
+def test_lines_are_the_reduced_directions_of_the_scaled_ints():
+    c = Configuration([(2, 4), (Fraction(-1, 3), Fraction(-2, 3)), (0, -5), (-3, 0)])
+    assert c.lines == ((1, 2), (1, 2), (0, 1), (1, 0))
+    # an exact coordinate with no float copy has its line all the same
+    big = Fraction(10**400)
+    assert Configuration([(big, -2 * big), (-big / 3, big * 2 / 3)]).lines == ((1, -2),) * 2
+
+
 def test_det_max_reads_no_diagonal_entry():
     # x*y of v_0 overflows, so its diagonal entry x*y - y*x is inf - inf
     for vecs in ([(1e200, 1e200), (0.0, 1.0)], [(1e200, 1e200), (1.0, 0.0)]):
