@@ -13,8 +13,9 @@ tolerance is balanced and uniform with no row. A member set closed under
 v -> -v is balanced once row 0 has passed: row i holds -det(v_i, v_j) next
 to each det(v_i, v_j), exactly for the ints of exact mode and for floats
 with every coordinate in SAFE_COORDINATE_RANGE, where fl(-d) = -fl(d).
-Exact is_uniform compares the members' lines, with no row; float is_uniform
-bounds every |det| from below by each member's nearest argument gap.
+Exact is_uniform and even_m_witness compare the members' lines, with no row;
+float is_uniform bounds every |det| from below by each member's nearest
+argument gap.
 
 Otherwise the verdicts read the determinant rows in order and stop at the
 first that decides. Configuration.det_row computes each row afresh and
@@ -380,16 +381,21 @@ def even_m_witness(c: Configuration, tol: Optional[float] = None) -> int:
 
     The row multiset at index 0 has odd cardinality m-1; a symmetric multiset
     of odd cardinality contains 0, so such a j exists. The returned j
-    certifies non-uniformity by itself: v_0 and v_j are dependent. Only row 0
-    is read: when it has no zero, that row alone shows the configuration is
+    certifies non-uniformity by itself: v_0 and v_j are dependent. In exact
+    mode (tol checked, then ignored) that j is the first later member on
+    v_0's line (Configuration.lines), with no row. Otherwise only row 0 is
+    read: when it has no zero, that row alone shows the configuration is
     not balanced, and NotBalanced carries (0, its entry nearest 0) in input
     units.
     """
     if c.m % 2 == 1:
         raise ValueError(f"m = {c.m} is odd; the even-m obstruction does not apply")
+    bracket = _Bracket(c, tol)
+    if c.mode == EXACT and c.lines.count(c.lines[0]) > 1:
+        return c.lines.index(c.lines[0], 1)
     row = c.det_row(0)
     j = min(range(1, c.m), key=lambda i: abs(row[i]))
-    if _Bracket(c, tol).above([abs(row[j])], row) is not None:
+    if bracket.above([abs(row[j])], row) is not None:
         raise NotBalanced(
             "row 0 has odd cardinality and no zero determinant",
             witness=(0, c.unscale(row[j])),

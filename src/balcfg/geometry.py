@@ -2,10 +2,11 @@
 arguments, cyclic indexing, and roots-of-unity generation.
 
 Coordinates are exact (fractions.Fraction, in lowest terms) or binary
-floats, never mixed in one operation. A Configuration stores its m nonzero
-members of one mode as two columns xs and ys. Its one constructor takes the
-columns (or (x, y) pairs, or PlaneVectors), tests them in C-level passes and
-coerces only columns that need it; PlaneVectors are built only on request.
+floats, never mixed in one operation. A Configuration stores its m nonzero,
+finite members of one mode as two columns xs and ys. Its one constructor,
+the one test of member values, takes the columns (or (x, y) pairs, or
+PlaneVectors), tests them in C-level passes and coerces only columns that
+need it; PlaneVectors are built only on request.
 
 A configuration's determinant rows keep their entries at one scale. In
 exact mode, with D the lcm of the coordinate denominators, each row is built
@@ -118,24 +119,13 @@ def argument(v: PlaneVector) -> float:
     """
     if v.is_zero():
         raise ValueError("argument of the zero vector is undefined")
-    return _argument(v.x, v.y)
-
-
-def _argument(x: Scalar, y: Scalar) -> float:
-    """argument of the nonzero vector (x, y)."""
-    theta = math.atan2(float(y), float(x))
-    if theta < 0.0:
-        theta += 2.0 * math.pi
-    # atan2(-tiny, x) + 2*pi can round to 2*pi itself; fold back.
-    if theta >= 2.0 * math.pi:
-        theta = 0.0
-    return theta
+    return Configuration([v]).arguments[0]
 
 
 @dataclass(frozen=True)
 class Configuration:
-    """Ordered list of m >= 1 nonzero vectors sharing one arithmetic mode,
-    as two columns; equality and hashing compare the coordinates only."""
+    """Ordered list of m >= 1 nonzero, finite vectors sharing one arithmetic
+    mode, as two columns; equality and hashing compare the coordinates only."""
 
     xs: tuple
     ys: tuple
@@ -155,6 +145,9 @@ class Configuration:
         if (0, 0) in zip(xs, ys):
             i = list(zip(xs, ys)).index((0, 0))
             raise ValueError(f"configuration member {i} is the zero vector")
+        if type(xs[0]) is float and not all(map(math.isfinite, xs + ys)):
+            i = [math.isfinite(x) and math.isfinite(y) for x, y in zip(xs, ys)].index(False)
+            raise ValueError(f"configuration member {i} ({xs[i]!r}, {ys[i]!r}) is not finite")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
@@ -193,8 +186,8 @@ class Configuration:
     @cached_property
     def arguments(self) -> tuple:
         """Each member's polar argument (see argument), computed once: a
-        C-level atan2 pass, then _argument's fold, by % for a sum that
-        rounds to 2*pi itself."""
+        C-level atan2 pass, then a negative angle folds into [0, 2*pi) by
+        + 2*pi, and by % where atan2(-tiny, x) + 2*pi rounds to 2*pi itself."""
         tau = 2.0 * math.pi
         thetas = map(math.atan2, self.ys, self.xs)
         return tuple([t if t >= 0.0 else (t + tau) % tau for t in thetas])

@@ -54,9 +54,9 @@ def render_svg(c: Configuration) -> str:
     ]
     tip_xs = [CENTER + unit * x for x in xs]
     tip_ys = [CENTER - unit * y for y in ys]
-    lengths = [max(norm, 1e-9) for norm in norms]
-    label_xs = [tip_x + 14.0 * x / length for tip_x, x, length in zip(tip_xs, xs, lengths)]
-    label_ys = [tip_y - 14.0 * y / length for tip_y, y, length in zip(tip_ys, ys, lengths)]
+    # a member is nonzero and finite, so its norm, the label's divisor, is > 0
+    label_xs = [tip_x + 14.0 * x / norm for tip_x, x, norm in zip(tip_xs, xs, norms)]
+    label_ys = [tip_y - 14.0 * y / norm for tip_y, y, norm in zip(tip_ys, ys, norms)]
     lines = map(LINE.__mod__, zip(tip_xs, tip_ys))
     texts = map(TEXT.__mod__, zip(label_xs, label_ys, range(len(xs))))
     return "\n".join([*head, *lines, *texts, "</svg>"]) + "\n"

@@ -56,8 +56,8 @@ def random_invertible(seed: int) -> LinearMap2:
 def perturb(c: Configuration, eps: float, seed: int = 0) -> Configuration:
     """Add a seeded pseudo-random offset of Euclidean magnitude <= eps to
     every member; eps = 0 returns the float image unchanged."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
     rng = random.Random(seed)
     out = []
     floats = c.as_float()

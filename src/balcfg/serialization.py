@@ -57,12 +57,9 @@ def serialize_config(c: Configuration) -> str:
     """dumps_canonical's text of {"mode": ..., "vectors": [[x, y], ...]}, and a newline."""
     if c.mode == EXACT:
         vectors = map('["%s", "%s"]'.__mod__, zip(c.xs, c.ys))
-    elif all(map(math.isfinite, c.xs + c.ys)):
-        # format_float's "%.17g", where + 0.0 turns -0.0 into 0.0
-        vectors = ["[%.17g, %.17g]" % (x + 0.0, y + 0.0) for x, y in zip(c.xs, c.ys)]
     else:
-        # format_float raises its ValueError at the first non-finite value
-        vectors = (f"[{format_float(x)}, {format_float(y)}]" for x, y in zip(c.xs, c.ys))
+        # format_float's "%.17g" of the finite columns, where + 0.0 turns -0.0 into 0.0
+        vectors = ["[%.17g, %.17g]" % (x + 0.0, y + 0.0) for x, y in zip(c.xs, c.ys)]
     return '{"mode": "%s", "vectors": [%s]}\n' % (c.mode, ", ".join(vectors))
 
 
@@ -88,18 +85,17 @@ def _parse_float(raw, where: str) -> float:
 
 
 def _columns(vectors: list, mode: str):
-    """vectors' columns, in C-level passes; None if an entry is malformed."""
+    """vectors' columns, in C-level passes; None if an entry's shape or
+    lexical type is malformed. Member values are Configuration's to test."""
     if set(map(type, vectors)) != {list} or set(map(len, vectors)) != {2}:
         return None
     xs, ys = zip(*vectors)
     if not set(map(type, xs)).union(map(type, ys)) <= ({str} if mode == EXACT else {float, int}):
         return None
     try:
-        xs, ys = [list(map(Fraction if mode == EXACT else float, col)) for col in (xs, ys)]
+        return [list(map(Fraction if mode == EXACT else float, col)) for col in (xs, ys)]
     except (ValueError, ZeroDivisionError, OverflowError):
         return None
-    finite = mode == EXACT or all(map(math.isfinite, xs + ys))
-    return (xs, ys) if finite and (0, 0) not in zip(xs, ys) else None
 
 
 def parse_config(text: str, source: str = "<string>") -> Configuration:
@@ -119,7 +115,10 @@ def parse_config(text: str, source: str = "<string>") -> Configuration:
         raise ConfigFileError(f"{source}: vectors must be a nonempty list")
     columns = _columns(vectors, mode)
     if columns is not None:
-        return Configuration(*columns)
+        try:
+            return Configuration(*columns)
+        except ValueError:
+            pass
     # some entry is malformed: parse entry by entry to name the first one
     parse = _parse_exact if mode == EXACT else _parse_float
     members = []

@@ -410,8 +410,9 @@ def test_tolerance_that_is_not_finite_and_nonnegative_raises(bad):
         with pytest.raises(ValueError, match="tolerance"):
             verdict(u5, bad)
     # exact mode ignores tol, but not one that is malformed
-    with pytest.raises(ValueError, match="tolerance"):
-        is_balanced(SQUARE, bad)
+    for verdict in (is_balanced, is_uniform, even_m_witness):
+        with pytest.raises(ValueError, match="tolerance"):
+            verdict(SQUARE, bad)
     with pytest.raises(ValueError, match="tolerance"):
         canonicalize(u5, bad)
     # zero stays legal; float U_5 misses it by rounding

@@ -115,6 +115,21 @@ def test_match_k_window_shrinks_with_the_grid_gap():
     assert match_k(closed_form_t(m, n - 1), m) == n - 1
 
 
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda m: match_k(0.0, m),
+        lambda m: reconstruct_from_triple(
+            PlaneVector(1.0, 0.0), PlaneVector(0.0, 1.0), PlaneVector(-1.0, -1.0), m
+        ),
+    ],
+    ids=["match_k", "reconstruct_from_triple"],
+)
+def test_grid_matching_and_reconstruction_refuse_even_m(refuse):
+    with pytest.raises(ValueError, match="needs odd m >= 3, got 6$"):
+        refuse(6)
+
+
 def test_reconstruction_recovers_pentagon():
     u5 = roots_of_unity(5)
     rebuilt = reconstruct_from_triple(u5[0], u5[2], u5[3], 5)

@@ -346,6 +346,24 @@ def test_norm_bounds_are_computed_once_per_bracket(capsys, count_calls, tmp_path
     assert [c.m for (c,) in seen] == [51] * calls
 
 
+@pytest.mark.parametrize(
+    "g, residual, bounded",
+    [
+        ((1.0, 0.0, 0.0, 1.0), 0.0, True),
+        # det G = 0: no lower bound on |det G| is positive
+        ((1.0, 1.0, 1.0, 1.0), 0.0, False),
+        # r^2 overflows, so pair and floor are not finite
+        ((1.0, 0.0, 0.0, 1.0), 1e200, False),
+    ],
+    ids=["identity", "singular", "overflow"],
+)
+def test_residual_bounds_refuse_a_singular_map_and_a_bound_that_is_not_finite(
+    g, residual, bounded
+):
+    form = canonical.CanonicalForm(canonical.LinearMap2(*g), -1.0, 1, (0, 1, 2), residual)
+    assert (_residual_bounds(form, (1.0, 1.0)) is not None) == bounded
+
+
 def test_route_without_norm_bounds_falls_back_to_the_rows(rows_computed):
     # v0 has a coordinate outside [2^-480, 2^480]: the route maps the
     # configuration, but no bound holds, so the verdicts read every row:

@@ -16,7 +16,6 @@ from balcfg import (
     roots_of_unity,
     unit_vector,
 )
-from balcfg.geometry import _argument
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 rationals = st.fractions(
@@ -169,6 +168,18 @@ def test_argument_range(x, y):
     assert 0.0 <= a < 2 * math.pi
 
 
+def _ref_argument(x, y):
+    """The scalar fold that argument used before it read the column fold:
+    the reference that Configuration.arguments is tested against."""
+    theta = math.atan2(float(y), float(x))
+    if theta < 0.0:
+        theta += 2.0 * math.pi
+    # atan2(-tiny, x) + 2*pi can round to 2*pi itself; fold back.
+    if theta >= 2.0 * math.pi:
+        theta = 0.0
+    return theta
+
+
 # signed zeros, the smallest subnormal (atan2(-5e-324, x) + 2*pi rounds to
 # 2*pi itself and folds to 0), and the ends of the float range
 edge_floats = st.one_of(
@@ -186,11 +197,11 @@ edge_floats = st.one_of(
 @example([(1.0, -0.0), (-1.0, -0.0), (1.0, -5e-324), (-0.0, -1.0)])
 def test_argument_column_is_bit_identical_to_argument(vecs):
     c = Configuration(vecs)
-    assert list(map(repr, c.arguments)) == [repr(_argument(x, y)) for x, y in zip(c.xs, c.ys)]
+    assert list(map(repr, c.arguments)) == [repr(_ref_argument(x, y)) for x, y in zip(c.xs, c.ys)]
 
 
 def test_argument_fold_cases():
-    # atan2(-0.0, 1.0) is -0.0, which _argument keeps; atan2(-5e-324, 1.0)
+    # atan2(-0.0, 1.0) is -0.0, which the fold keeps; atan2(-5e-324, 1.0)
     # + 2*pi rounds to 2*pi, which folds to 0.0
     c = Configuration([(1.0, -0.0), (1.0, -5e-324), (-1.0, -0.0)])
     assert list(map(repr, c.arguments)) == ["-0.0", "0.0", repr(math.pi)]
@@ -261,6 +272,28 @@ def test_configuration_takes_columns():
         Configuration([True, 1.0], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda vecs: Configuration([x for x, _ in vecs], [y for _, y in vecs]),
+        Configuration,
+        lambda vecs: Configuration([PlaneVector(x, y) for x, y in vecs]),
+    ],
+    ids=["columns", "pairs", "plane_vectors"],
+)
+def test_configuration_refuses_a_coordinate_that_is_not_finite(build, bad):
+    # the constructor is the one test of member values: no verdict, render
+    # or serialization can be reached with a NaN or an infinite member
+    for vecs, named in (
+        ([(1.0, 0.0), (bad, 0.0), (0.0, 1.0)], f"member 1 \\({bad!r}, 0.0\\)"),
+        ([(1.0, 0.0), (0.0, 1.0), (-1.0, bad)], f"member 2 \\(-1.0, {bad!r}\\)"),
+        ([(bad, 2), (0.5, 1)], f"member 0 \\({bad!r}, 2.0\\)"),
+    ):
+        with pytest.raises(ValueError, match=f"^configuration {named} is not finite$"):
+            build(vecs)
+
+
 def test_relabeled_copy_shares_the_member_set_memo():
     c = Configuration([(0.0, 1.0), (1.0, 0.0), (-1.0, -1.0)])
     calls = []
@@ -312,6 +345,11 @@ def test_cyclic_index_wraps(k, m):
     assert 0 <= idx < m
     assert (idx - k) % m == 0
     assert cyclic_index(k + m, m) == idx
+
+
+def test_cyclic_index_refuses_a_modulus_below_1():
+    with pytest.raises(ValueError, match="m must be positive"):
+        cyclic_index(3, 0)
 
 
 def test_roots_of_unity_frozen_m5():

@@ -42,6 +42,10 @@ def test_parity_predicates():
     assert ip.is_odd_poly(())
 
 
+def test_sign_at_of_the_zero_polynomial_is_0():
+    assert ip.sign_at((), Fraction(-7, 3)) == 0
+
+
 def test_sign_at_is_exact_at_roots():
     p = (-1, 0, 1)
     assert ip.sign_at(p, Fraction(1)) == 0

@@ -79,6 +79,18 @@ def test_spec_normalizes_coordinates():
     assert spec.coordinate_set == (Fraction(0), Fraction(1))
 
 
+def test_spec_refuses_an_empty_coordinate_set():
+    with pytest.raises(ValueError, match="coordinate set must be nonempty"):
+        SearchSpec(m=3, coordinate_set=())
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
+def test_perturb_refuses_an_eps_that_is_not_a_finite_number_at_least_0(eps):
+    # a NaN eps used to pass the eps < 0 test and build NaN members
+    with pytest.raises(ValueError, match=f"^eps must be a finite number >= 0, got {eps!r}$"):
+        perturb(roots_of_unity(5), eps)
+
+
 def test_single_vector_grid_has_no_triples():
     spec = SearchSpec(m=3, coordinate_set=(Fraction(1),))
     assert enumerate_balanced(spec) == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from balcfg import polynomials as ip
 from balcfg.canonical import frame_map
 from balcfg.geometry import roots_of_unity
 from balcfg.sequences import (
+    ParityVerdict,
     PolyPair,
     RootGrid,
     check_parity_degrees,
@@ -95,6 +97,17 @@ def test_parity_degrees_hold_through_order_ten():
     assert check_parity_degrees(us, ws)
 
 
+@pytest.mark.parametrize("which", ["u.x", "u.y", "w.x", "w.y"])
+def test_parity_check_names_a_corrupted_polynomial(which):
+    # one more leading coefficient breaks both the parity and the degree
+    us, ws = symbolic_sequences(3)
+    seq = list(us if which[0] == "u" else ws)
+    axis = which[2]
+    seq[2] = dataclasses.replace(seq[2], **{axis: (*getattr(seq[2], axis), 1)})
+    bent = (seq, ws) if which[0] == "u" else (us, seq)
+    assert check_parity_degrees(*bent) == ParityVerdict(False, 2, which)
+
+
 def test_roots_frozen_n1_n2():
     assert wn_equation_roots(1).values == (-1.0,)
     g2 = wn_equation_roots(2).values
@@ -181,6 +194,23 @@ def test_root_grid_validates_order_and_range():
         RootGrid(m=5, values=(0.6, -1.6))
     with pytest.raises(ValueError):
         RootGrid(m=5, values=(-2.5, 0.6))
+
+
+@pytest.mark.parametrize(
+    "m, values, message",
+    [
+        (6, (-1.0, 0.5), "grid needs odd m >= 3, got 6"),
+        (5, (0.5, 0.5), "grid values must be distinct"),
+    ],
+)
+def test_root_grid_refuses_even_m_and_a_repeated_value(m, values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RootGrid(m=m, values=values)
+
+
+def test_symbolic_sequences_refuse_n_below_1():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        symbolic_sequences(0)
 
 
 def test_model_configuration_layout_m5():
