@@ -42,7 +42,7 @@ from .errors import BalcfgError, CertificateError, DuplicateArgument, Inconsiste
 from .geometry import Configuration, label_by_increasing_arguments, roots_of_unity
 from .render import render_svg
 from .search import SearchSpec, enumerate_balanced, random_invertible
-from .sequences import closure_roots, model_configuration, symbolic_sequences, t_grid
+from .sequences import chebyshev_s, closure_roots, model_configuration, t_grid
 from .serialization import dumps_canonical, load_config, serialize_config
 
 
@@ -140,9 +140,8 @@ def _cmd_roots(args) -> Tuple[dict, int]:
         if args.m < 3 or args.m % 2 == 0:
             raise ValueError(f"roots: --m must be odd and >= 3, got {args.m}")
         m, n = args.m, (args.m - 1) // 2
-    _, ws = symbolic_sequences(n)
     grid = t_grid(m)
-    solved = closure_roots(ws[n], grid)
+    solved = closure_roots(grid)
     deviation = max(abs(a - b) for a, b in zip(solved.values, grid.values))
     report = {
         "command": "roots",
@@ -151,8 +150,8 @@ def _cmd_roots(args) -> Tuple[dict, int]:
         "solver_roots": list(solved.values),
         "grid": list(grid.values),
         "max_deviation": deviation,
-        "wn_x_coefficients": list(ws[n].x),
-        "wn_y_coefficients": list(ws[n].y),
+        "wn_x_coefficients": list(chebyshev_s(2 * n + 1)),
+        "wn_y_coefficients": [-c for c in chebyshev_s(2 * n)],
     }
     return report, 0
 

@@ -1,5 +1,5 @@
-"""Integer-coefficient univariate polynomials: arithmetic, primitive gcd and
-certified real root isolation from float guesses.
+"""Integer-coefficient univariate polynomials: arithmetic and certified real
+root isolation from float guesses.
 
 Polynomials are tuples of arbitrary-precision ints, ascending degree, trailing
 zeros trimmed; the zero polynomial is the empty tuple. When float guesses for
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, isfinite
+from math import isfinite
 from typing import List, Optional, Sequence, Tuple
 
 IntPoly = Tuple[int, ...]
@@ -174,21 +174,3 @@ def certify_cells(
         found.append(root)
     return [(Fraction(point(a), den), Fraction(point(b), den)) for a, b in found]
 
-
-def primitive_gcd(p: Sequence[int], q: Sequence[int]) -> IntPoly:
-    """Greatest common divisor of p and q in Z[t] up to content: primitive,
-    with a positive leading coefficient, or () when both are zero. Euclid on
-    pseudo-remainders, each made primitive (Brown 1971)."""
-    a, b = _primitive(p), _primitive(q)
-    while b:
-        while len(a) >= len(b):
-            cancel = (0,) * (len(a) - len(b)) + tuple(a[-1] * c for c in b)
-            a = sub(tuple(b[-1] * c for c in a), cancel)
-        a, b = b, _primitive(a)
-    return neg(a) if a and a[-1] < 0 else a
-
-
-def _primitive(p: Sequence[int]) -> IntPoly:
-    p = trim(p)
-    content = gcd(*p)
-    return tuple(c // content for c in p) if content > 1 else p

@@ -21,12 +21,14 @@ degree 2i+1 and y(w_i) even of degree 2i.
 The closure parameters are t_k = 2cos(2k*pi/m) for k = 1..n: writing the
 primitive m-th root w = e^{2*pi*i/m}, one has w^{-k} = 2cos(2k*pi/m) - w^k,
 so the frame sending (1, w^k) to ((1,0), (0,1)) sends w^{-k} exactly to
-(2cos(2k*pi/m), -1) = w_0(t_k). The solver below re-derives them as the real
-roots of gcd(y(w_n), x(w_n) - 1), the fourth-kind Chebyshev polynomial W_n,
-which divides y(w_n), x(w_n) - 1, x(u_n) and y(u_n) - 1 over Z[t]: the
-sequence closes exactly at every t_k. It proves the n root intervals from
-exact signs of W_n at the cells where the closed-form floats fall, and
-refuses when those signs prove nothing.
+(2cos(2k*pi/m), -1) = w_0(t_k). The solver below proves them as the real
+roots of the fourth-kind Chebyshev polynomial W_n = s_n + s_{n-1}, from the
+closed form of s_j (chebyshev_s). With V_j = s_j - s_{j-1}, x(w_n) - 1 =
+W_n V_{n+1} and y(w_n) = -W_n V_n, and V_n, V_{n+1} are coprime (V_{n+1} =
+t V_n - V_{n-1}, V_0 = 1), so W_n is exactly the primitive gcd of the closure
+equations over Z[t] (Mason and Handscomb 2003). It divides x(u_n) and
+y(u_n) - 1 too, so the sequence closes exactly at every t_k. The tests check
+this theorem; closure_roots proves W_n's roots from exact signs.
 """
 
 from __future__ import annotations
@@ -144,15 +146,26 @@ def check_parity_degrees(
     return ParityVerdict(True)
 
 
-def closure_roots(wn: PolyPair, grid: RootGrid) -> RootGrid:
-    """Solve wn(t) = (1, 0), certified, for wn = w_n of symbolic_sequences(n)
-    and grid = t_grid(2n + 1): the real roots of the primitive gcd of y(w_n)
-    and x(w_n) - 1 over Z[t], each the midpoint of an isolating interval of
-    width <= 1e-12.
+def chebyshev_s(j: int) -> ip.IntPoly:
+    """s_j = U_j(t/2), j >= 0, ascending: the coefficient of t^(j-2k) is
+    (-1)^k C(j-k, k), the one before times -(j-2k+2)(j-2k+1) / (k(j-k+1))."""
+    coeffs = [0] * j + [1]
+    c = 1
+    for k in range(1, j // 2 + 1):
+        c = -c * (j - 2 * k + 2) * (j - 2 * k + 1) // (k * (j - k + 1))
+        coeffs[j - 2 * k] = c
+    return tuple(coeffs)
 
-    The intervals are proved from exact signs at the cells of the
-    closed-form grid's floats (ip.certify_cells), which place the cells but
-    prove nothing. When that proof fails, ValueError names m. It cannot fail
+
+def closure_roots(grid: RootGrid) -> RootGrid:
+    """Solve w_n(t) = (1, 0), certified, for n = grid.n: the real roots of
+    W_n = s_n + s_{n-1}, the primitive gcd of y(w_n) and x(w_n) - 1 over
+    Z[t] (module docstring), each the correctly rounded midpoint of an
+    isolating interval of width <= 1e-12, one int ratio.
+
+    The intervals are proved from exact signs at the cells of the grid's
+    closed-form floats (ip.certify_cells), which place the cells but prove
+    nothing. When that proof fails, ValueError names m. It cannot fail
     below m of about 6e6. Each closed-form guess is within 1e-14 of its
     root, and a cell is between 1e-12 / 2 and 1e-12 wide, so the root lies
     in the guess's cell or a neighbour; certify_cells tries the guess's
@@ -161,17 +174,21 @@ def closure_roots(wn: PolyPair, grid: RootGrid) -> RootGrid:
     apart, which exceeds 2.1e-12 for m < 6e6. A cell tried before the
     root's lies within two cells and 1e-14 of the root, so it holds no
     other root, and no cell holds two."""
-    closure = ip.primitive_gcd(wn.y, ip.sub(wn.x, (1,)))
+    closure = ip.add(chebyshev_s(grid.n), chebyshev_s(grid.n - 1))
     intervals = ip.certify_cells(closure, grid.values, ROOT_WIDTH)
     if intervals is None:
         width = float(ROOT_WIDTH)
         raise ValueError(f"closure roots for m = {grid.m} not isolated at width {width:g}")
-    return RootGrid(grid.m, tuple(float((lo + hi) / 2) for lo, hi in intervals))
+    halves = ((lo.numerator * hi.denominator + hi.numerator * lo.denominator,
+               2 * lo.denominator * hi.denominator) for lo, hi in intervals)
+    return RootGrid(grid.m, tuple(num / den for num, den in halves))
 
 
 def wn_equation_roots(n: int) -> RootGrid:
     """Solve w_n(t) = (1, 0) over the reals, certified (see closure_roots)."""
-    return closure_roots(symbolic_sequences(n)[1][n], t_grid(2 * n + 1))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return closure_roots(t_grid(2 * n + 1))
 
 
 def closed_form_t(m: int, k: int) -> float:

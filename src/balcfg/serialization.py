@@ -49,7 +49,9 @@ def _dumps(obj) -> str:
             items.append(f"{json.dumps(key)}: {_dumps(obj[key])}")
         return "{%s}" % ", ".join(items)
     if isinstance(obj, (list, tuple)):
-        return "[%s]" % ", ".join(map(_dumps, obj))
+        kinds = set(map(type, obj))  # only floats or only ints: one pass
+        item = format_float if kinds == {float} else repr if kinds == {int} else _dumps
+        return "[%s]" % ", ".join(map(item, obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from balcfg import polynomials as ip
 from balcfg import sequences
+from polynomial_gcd import primitive_gcd
 
 # ascending coefficient tuples: (2, -2, -1, 1) is t^3 - t^2 - 2t + 2
 CUBIC_MIXED = (2, -2, -1, 1)
@@ -85,10 +86,10 @@ def _from_roots(roots):
 
 def test_primitive_gcd_removes_content_and_sign():
     # 6(t - 1)(t + 2) and -4(t - 1)(t - 3) share t - 1
-    assert ip.primitive_gcd((-12, 6, 6), (-12, 16, -4)) == (-1, 1)
-    assert ip.primitive_gcd((0, -6), ()) == (0, 1)
-    assert ip.primitive_gcd((), ()) == ()
-    assert ip.primitive_gcd((-1, 0, 1), (1, 0, 1)) == (1,)
+    assert primitive_gcd((-12, 6, 6), (-12, 16, -4)) == (-1, 1)
+    assert primitive_gcd((0, -6), ()) == (0, 1)
+    assert primitive_gcd((), ()) == ()
+    assert primitive_gcd((-1, 0, 1), (1, 0, 1)) == (1,)
 
 
 @pytest.mark.parametrize("p", [(), (7,), (1, 0, 1), (-1, 0, 1), CUBIC_MIXED])
@@ -160,8 +161,10 @@ def test_certify_cells_returns_none_on_a_double_root():
 
 
 def _closure_polynomial(n):
+    # the test-side gcd of the recurrence's closure equations, which the
+    # closed-form W_n equals (test_sequences)
     wn = sequences.symbolic_sequences(n)[1][n]
-    return ip.primitive_gcd(wn.y, ip.sub(wn.x, (1,)))
+    return primitive_gcd(wn.y, ip.sub(wn.x, (1,)))
 
 
 def _closure_case(n):

@@ -8,9 +8,11 @@ from balcfg import polynomials as ip
 from balcfg.canonical import frame_map
 from balcfg.geometry import roots_of_unity
 from balcfg.sequences import (
+    ROOT_WIDTH,
     ParityVerdict,
     PolyPair,
     RootGrid,
+    chebyshev_s,
     check_parity_degrees,
     closed_form_t,
     closure_roots,
@@ -20,6 +22,7 @@ from balcfg.sequences import (
     t_grid,
     wn_equation_roots,
 )
+from polynomial_gcd import primitive_gcd
 
 # hand-expanded low-order terms, ascending coefficients
 U1 = PolyPair(x=(-1, 0, 1), y=(0, -1))            # (t^2 - 1, -t)
@@ -126,20 +129,71 @@ def test_roots_agree_with_closed_form_grid():
             assert abs(a - b) < 1e-10
 
 
+def _closure_polynomial(n):
+    # W_n = s_n + s_{n-1}, as closure_roots builds it
+    return ip.add(chebyshev_s(n), chebyshev_s(n - 1))
+
+
+def _mul(p, q):
+    product = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            product[i + j] += a * b
+    return ip.trim(product)
+
+
 @pytest.mark.parametrize("n, m", [(3, 9), (3, 5), (24, 51)])
-def test_closure_roots_refuses_a_grid_of_another_m(n, m):
+def test_the_closed_form_guesses_of_another_m_prove_nothing(n, m):
     # the closed-form guesses of another m prove nothing about W_n's roots:
-    # a refusal that names the grid's m, never a wrong answer
-    with pytest.raises(ValueError, match=f"closure roots for m = {m} not isolated"):
-        closure_roots(symbolic_sequences(n)[1][n], t_grid(m))
+    # certify_cells returns None, which closure_roots turns into a refusal
+    # that names m, never a wrong answer
+    assert ip.certify_cells(_closure_polynomial(n), t_grid(m).values, ROOT_WIDTH) is None
+
+
+def test_chebyshev_s_closed_form_low_orders():
+    assert [chebyshev_s(j) for j in range(5)] == [
+        (1,), (0, 1), (-1, 0, 1), (0, -2, 0, 1), (1, 0, -3, 0, 1)
+    ]
+
+
+def test_chebyshev_s_gives_the_closure_equations_of_the_sequences():
+    # w_n = (s_{2n+1}, -s_{2n}), from the closed form and the recurrence
+    _, ws = symbolic_sequences(400)
+    for n in list(range(1, 61)) + [200, 400]:
+        assert chebyshev_s(2 * n + 1) == ws[n].x
+        assert ip.neg(chebyshev_s(2 * n)) == ws[n].y
+
+
+def test_closure_equations_factor_through_the_closed_form_w_n():
+    # x(w_n) - 1 = W_n V_{n+1} and y(w_n) = -W_n V_n, V_j = s_j - s_{j-1}
+    _, ws = symbolic_sequences(60)
+    for n in range(1, 61):
+        w, v, v_next = (
+            _closure_polynomial(n),
+            ip.sub(chebyshev_s(n), chebyshev_s(n - 1)),
+            ip.sub(chebyshev_s(n + 1), chebyshev_s(n)),
+        )
+        assert ip.sub(ws[n].x, (1,)) == _mul(w, v_next)
+        assert ws[n].y == ip.neg(_mul(w, v))
+
+
+@pytest.mark.parametrize("n", range(1, 101))
+def test_closure_roots_are_the_rounded_cell_midpoints(n):
+    # one int ratio per midpoint rounds as the Fraction midpoint does
+    grid = t_grid(2 * n + 1)
+    cells = ip.certify_cells(_closure_polynomial(n), grid.values, ROOT_WIDTH)
+    solved = closure_roots(grid)
+    assert solved.m == grid.m
+    assert list(solved.values) == [float((lo + hi) / 2) for lo, hi in cells]
 
 
 def test_closure_gcd_is_the_fourth_kind_chebyshev_polynomial():
-    # W_0 = 1, W_1 = t + 1, W_{j+1} = t W_j - W_{j-1}
+    # W_0 = 1, W_1 = t + 1, W_{j+1} = t W_j - W_{j-1}, and W_n = s_n + s_{n-1}:
+    # V_n and V_{n+1} are coprime, so the gcd is W_n itself
     _, ws = symbolic_sequences(60)
     prev, cur = (1,), (1, 1)
     for n in range(1, 61):
-        assert ip.primitive_gcd(ws[n].y, ip.sub(ws[n].x, (1,))) == cur
+        assert primitive_gcd(ws[n].y, ip.sub(ws[n].x, (1,))) == cur == _closure_polynomial(n)
         prev, cur = cur, ip.sub(ip.shift_up(cur), prev)
 
 
@@ -161,7 +215,7 @@ def test_closure_gcd_divides_both_closure_equations_exactly():
     # every root of W_n, with no tolerance
     us, ws = symbolic_sequences(40)
     for n in range(1, 41):
-        closure = ip.primitive_gcd(ws[n].y, ip.sub(ws[n].x, (1,)))
+        closure = primitive_gcd(ws[n].y, ip.sub(ws[n].x, (1,)))
         for p in (ws[n].y, ip.sub(ws[n].x, (1,)), us[n].x, ip.sub(us[n].y, (1,))):
             assert _remainder_by_monic(p, closure) == ()
 
@@ -245,3 +299,9 @@ def test_model_configuration_rejects_bad_k():
         model_configuration(5, 0)
     with pytest.raises(ValueError):
         model_configuration(4, 1)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_wn_equation_roots_refuses_n_below_1(n):
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        wn_equation_roots(n)

@@ -211,6 +211,37 @@ def test_dumps_canonical_matches_reference(obj):
     assert dumps_canonical(obj) == _ref_dumps_canonical(obj)
 
 
+def _element_path(obj) -> str:
+    # the element path: every element through dumps_canonical's whole dispatch
+    return "[%s]" % ", ".join(map(dumps_canonical, obj))
+
+
+number_lists = (
+    st.lists(any_float)
+    | st.lists(st.integers() | st.integers(-(2**200), 2**200))
+    | st.lists(st.booleans())
+    | st.lists(st.integers() | any_float | st.booleans() | big_fraction)
+)
+
+
+@given(number_lists, st.booleans())
+@example([-0.0, 0.0, 5e-324, -1.7976931348623157e308], False)
+@example([2**64, -(2**64) - 1, 0, -1], True)
+@example([True, False], False)
+@example([1, 1.0, True, Fraction(1, 3)], True)
+@example([], False)
+def test_dumps_canonical_formats_a_number_list_as_element_by_element(items, as_tuple):
+    obj = tuple(items) if as_tuple else items
+    assert dumps_canonical(obj) == _element_path(obj) == _ref_dumps_canonical(obj)
+
+
+@pytest.mark.parametrize("obj", [[1.0, math.nan], [math.inf], (-math.inf, 2.0)])
+def test_dumps_canonical_refuses_a_non_finite_float_in_a_list(obj):
+    bad = next(x for x in obj if not math.isfinite(x))
+    with pytest.raises(ValueError, match=f"^cannot serialize non-finite float {bad}$"):
+        dumps_canonical(obj)
+
+
 @pytest.mark.parametrize(
     "obj, message",
     [
