@@ -178,10 +178,13 @@ def match_k(t: Scalar, m: int) -> int:
     smallest gap, between t_{n-1} and t_n, is about 8*pi^2/m^2, so the
     window is GRID_TOL for every m <= 4441 and shrinks as 1/m^2 beyond, so
     the windows of two neighbours never meet (GRID_TOL alone makes them
-    overlap from m = 6285 on).
+    overlap from m = 6285 on). A t that is not finite raises ValueError:
+    it proves nothing about equivalence.
     """
     if m % 2 == 0 or m < 3:
         raise ValueError(f"matching needs odd m >= 3, got {m}")
+    if not math.isfinite(t):
+        raise ValueError(f"t = {t!r} is not finite")
     n = (m - 1) // 2
     half = min(1.0, max(-1.0, float(t) / 2.0))
     k = min(n, max(1, round(m * math.acos(half) / (2.0 * math.pi))))

@@ -53,18 +53,27 @@ def _coerce(value) -> Scalar:
     raise TypeError(f"unsupported coordinate type {type(value).__name__}")
 
 
+def _coerce_pair(x, y) -> tuple:
+    """Both coordinates coerced; a float one makes both floats."""
+    x, y = _coerce(x), _coerce(y)
+    if isinstance(x, float) or isinstance(y, float):
+        return float(x), float(y)
+    return x, y
+
+
 @dataclass(frozen=True)
 class PlaneVector:
     """A vector of R^2. Ints coerce to Fraction; a float coordinate forces
-    float mode for the whole vector."""
+    float mode for the whole vector, and a NaN or infinite one raises
+    ValueError."""
 
     x: Scalar
     y: Scalar
 
     def __post_init__(self):
-        x, y = _coerce(self.x), _coerce(self.y)
-        if isinstance(x, float) or isinstance(y, float):
-            x, y = float(x), float(y)
+        x, y = _coerce_pair(self.x, self.y)
+        if isinstance(x, float) and not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"vector ({x!r}, {y!r}) is not finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -138,8 +147,8 @@ class Configuration:
         if not xs or len(xs) != len(ys):
             raise ValueError("a configuration needs at least one vector and equal columns")
         if set(map(type, xs)).union(map(type, ys)) not in ({float}, {Fraction}):
-            # coerce every member; PlaneVector keeps two floats or Fractions
-            xs, ys = tuple(zip(*[PlaneVector(x, y).as_tuple() for x, y in zip(xs, ys)]))
+            # coerce every member to two floats or two Fractions
+            xs, ys = tuple(zip(*[_coerce_pair(x, y) for x, y in zip(xs, ys)]))
             if len(set(map(type, xs))) > 1:
                 raise ValueError("configuration mixes exact and float vectors")
         if (0, 0) in zip(xs, ys):

@@ -4,9 +4,10 @@ root isolation from float guesses.
 Polynomials are tuples of arbitrary-precision ints, ascending degree, trailing
 zeros trimmed; the zero polynomial is the empty tuple. When float guesses for
 all deg p roots are at hand, certify_cells proves the roots a posteriori
-(Rump 2010): d disjoint cells of a fine dyadic grid, each with an exact sign
-change or an exact zero at a grid point, hold all d roots of p, one each.
-Every sign is an integer Horner over one denominator, so every decision is
+(Rump 2010): d disjoint cells of the lattice h * Z, h the largest power of
+two within the width asked for, each with an exact sign change or an exact
+zero at a lattice point, hold all d roots of p, one each. Every sign is an
+integer Horner over one power-of-two denominator, so every decision is
 exact. The guesses only place the cells; the proof never trusts them, and a
 failed proof returns None for the caller to refuse.
 """
@@ -94,76 +95,57 @@ def _scaled_value(scaled: Sequence[int], num: int) -> int:
     return acc
 
 
-def root_bound(p: Sequence[int]) -> int:
-    """Power of two B with all real roots of p strictly inside (-B, B)."""
-    p = trim(p)
-    if len(p) <= 1:
-        return 1
-    lead = abs(p[-1])
-    b = 1
-    while sum(abs(a) * b**i for i, a in enumerate(p[:-1])) >= lead * b ** (len(p) - 1):
-        b *= 2
-    return b
-
-
-def _halvings(span: Fraction, width: Fraction) -> int:
-    # the least s with span / 2^s <= width
-    ratio = span / width
-    return ((ratio.numerator - 1) // ratio.denominator).bit_length()
-
-
 def certify_cells(
     p: Sequence[int], guesses: Sequence[float], width: Fraction
-) -> Optional[List[Tuple[Fraction, Fraction]]]:
-    """All real roots of p as certified dyadic cells of width <= width,
-    sorted ascending, from about one exact sign pair per root, or None when
-    the guesses cannot prove them. A width that is not positive raises
-    ValueError.
+) -> Optional[Tuple[int, List[Tuple[int, int]]]]:
+    """All real roots of p as certified cells of the lattice h * Z, sorted
+    ascending, from about one exact sign pair per root, or None when the
+    guesses cannot prove them: (den, [(a, b), ...]), each cell [a/den, b/den]
+    with int ends over one power-of-two den. h is the largest power of two
+    <= width; a width that is not positive raises ValueError.
 
-    The grid is the level-L dyadic grid of (-B, B), B the root_bound and L
-    the least level with 2B / 2^L <= width, whose point j is
-    -B + j * 2B / 2^L, every one an integer over one denominator. Each
-    guess, in ascending order, picks its cell; when the exact signs at the
-    cell's ends agree, the cell below and then the one above are tried. A
-    zero sign at a cell end is a root, returned zero-width. If every one of
-    the deg p guesses finds a sign change or a zero, in strictly ascending
-    cells that share no root, those d disjoint cells hold all d roots of p,
-    one each. So every root is real, simple and alone in its cell. None for
-    a guess count other than deg p, a guess that is not finite or lies
-    outside (-B, B), cells out of order or shared, or a guess that finds no
-    root."""
+    Each guess, in ascending order, picks the lattice cell that holds it;
+    when the exact signs at the cell's ends agree, the cell below and then
+    the one above are tried. A zero sign at a cell end is a root, returned
+    zero-width. If every one of the deg p guesses finds a sign change or a
+    zero, in strictly ascending cells that share no root, those d disjoint
+    cells hold all d roots of p, one each. So every root is real, simple and
+    alone in its cell, and no bound on the roots is needed. None for a guess
+    count other than deg p, a guess that is not finite, cells out of order
+    or shared, or a guess that finds no root."""
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
     p = trim(p)
     if len(guesses) != len(p) - 1:
         return None
-    bound = root_bound(p)
-    cell = Fraction(2 * bound, 1 << _halvings(Fraction(2 * bound), width))
-    step, den = cell.numerator, cell.denominator
+    # h = 2^k = step / den: 2^(k-1) < width < 2^(k+1) before the check
+    wnum, wden = width.as_integer_ratio()
+    k = wnum.bit_length() - wden.bit_length()
+    if wden << max(k, 0) > wnum << max(-k, 0):
+        k -= 1
+    step, den = 1 << max(k, 0), 1 << max(-k, 0)
     scaled = _scaled_coeffs(p, den)
 
-    def point(j: int) -> int:
-        # grid point j times den
-        return j * step - bound * den
-
-    def sign(j: int) -> int:
-        value = _scaled_value(scaled, point(j))
+    def sign(a: int) -> int:
+        # the sign of p at a / den
+        value = _scaled_value(scaled, a)
         return (value > 0) - (value < 0)
 
     found: List[Tuple[int, int]] = []
     for guess in guesses:
-        if not (isfinite(guess) and -bound < guess < bound):
+        if not isfinite(guess):
             return None
         num, gden = guess.as_integer_ratio()
-        j = (num + bound * gden) * den // (gden * step)
-        for c in (j, j - 1, j + 1):
-            lo, hi = sign(c), sign(c + 1)
-            if lo == 0:
-                root = (c, c)
-            elif hi == 0:
-                root = (c + 1, c + 1)
-            elif lo != hi:
-                root = (c, c + 1)
+        cell = num * den // (gden * step) * step
+        for lo in (cell, cell - step, cell + step):
+            hi = lo + step
+            at_lo, at_hi = sign(lo), sign(hi)
+            if at_lo == 0:
+                root = (lo, lo)
+            elif at_hi == 0:
+                root = (hi, hi)
+            elif at_lo != at_hi:
+                root = (lo, hi)
             else:
                 continue
             break
@@ -172,5 +154,4 @@ def certify_cells(
         if found and (found[-1][1] > root[0] or found[-1] == root):
             return None
         found.append(root)
-    return [(Fraction(point(a), den), Fraction(point(b), den)) for a, b in found]
-
+    return den, found

@@ -161,13 +161,14 @@ def closure_roots(grid: RootGrid) -> RootGrid:
     """Solve w_n(t) = (1, 0), certified, for n = grid.n: the real roots of
     W_n = s_n + s_{n-1}, the primitive gcd of y(w_n) and x(w_n) - 1 over
     Z[t] (module docstring), each the correctly rounded midpoint of an
-    isolating interval of width <= 1e-12, one int ratio.
+    isolating cell of the lattice 2^-40 Z, 2^-40 being the largest power of
+    two <= 1e-12, one int ratio.
 
     The intervals are proved from exact signs at the cells of the grid's
     closed-form floats (ip.certify_cells), which place the cells but prove
     nothing. When that proof fails, ValueError names m. It cannot fail
     below m of about 6e6. Each closed-form guess is within 1e-14 of its
-    root, and a cell is between 1e-12 / 2 and 1e-12 wide, so the root lies
+    root, and a cell is 2^-40, about 9.1e-13, wide, so the root lies
     in the guess's cell or a neighbour; certify_cells tries the guess's
     cell, then the one below, then the one above. The closest two roots,
     t_n and t_{n-1}, lie 2(cos(pi/m) - cos(3pi/m)), about 8 pi^2 / m^2,
@@ -175,13 +176,12 @@ def closure_roots(grid: RootGrid) -> RootGrid:
     root's lies within two cells and 1e-14 of the root, so it holds no
     other root, and no cell holds two."""
     closure = ip.add(chebyshev_s(grid.n), chebyshev_s(grid.n - 1))
-    intervals = ip.certify_cells(closure, grid.values, ROOT_WIDTH)
-    if intervals is None:
+    certified = ip.certify_cells(closure, grid.values, ROOT_WIDTH)
+    if certified is None:
         width = float(ROOT_WIDTH)
         raise ValueError(f"closure roots for m = {grid.m} not isolated at width {width:g}")
-    halves = ((lo.numerator * hi.denominator + hi.numerator * lo.denominator,
-               2 * lo.denominator * hi.denominator) for lo, hi in intervals)
-    return RootGrid(grid.m, tuple(num / den for num, den in halves))
+    den, cells = certified
+    return RootGrid(grid.m, tuple((a + b) / (2 * den) for a, b in cells))
 
 
 def wn_equation_roots(n: int) -> RootGrid:

@@ -3,7 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from balcfg import (
@@ -417,3 +417,43 @@ def test_tolerance_that_is_not_finite_and_nonnegative_raises(bad):
         canonicalize(u5, bad)
     # zero stays legal; float U_5 misses it by rounding
     assert not is_balanced(u5, 0.0).balanced
+
+
+@st.composite
+def images_and_pairs(draw):
+    """A float U_m image (m odd, 3..41) or a {v, -v} set, perturbed by a
+    drawn eps in [0, 1e-3], with every coordinate in SAFE_COORDINATE_RANGE."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 20)) * 2 + 1
+        c = random_invertible(draw(st.integers(0, 2**16))).apply_configuration(roots_of_unity(m))
+    else:
+        vectors = st.tuples(float_coords, float_coords).filter(lambda v: v != (0, 0))
+        half = draw(st.lists(vectors, min_size=1, max_size=5))
+        c = Configuration(half + [(-x, -y) for x, y in half])
+    eps = draw(st.one_of(st.just(0.0), st.floats(1e-15, 1e-3)))
+    c = perturb(c, eps, seed=draw(st.integers(0, 2**16)))
+    assume((0.0, 0.0) not in zip(c.xs, c.ys) and in_safe_range(c.xs + c.ys))
+    return c
+
+
+@settings(deadline=None, max_examples=120)
+@given(images_and_pairs(), st.data())
+def test_verdicts_survive_the_exact_float_maps(c, data):
+    # the swap (x, y) -> (y, x) negates every float det2 exactly and the flip
+    # v -> -v keeps it, so both keep the verdicts and the uniform pair; the
+    # swap negates the balance witness value and the flip keeps it. A
+    # permutation of the members keeps the verdicts.
+    balanced, uniform = is_balanced(c), is_uniform(c)
+    value = None if balanced.witness is None else balanced.witness[1]
+    swap = Configuration(c.ys, c.xs)
+    flip = Configuration([-x for x in c.xs], [-y for y in c.ys])
+    for image, sign in ((swap, -1), (flip, 1)):
+        report = is_balanced(image)
+        assert report.balanced == balanced.balanced
+        if value is not None:
+            assert report.witness == (balanced.witness[0], sign * value)
+        assert is_uniform(image) == uniform
+    order = data.draw(st.permutations(range(c.m)))
+    relabeled = Configuration([c.xs[i] for i in order], [c.ys[i] for i in order])
+    assert is_balanced(relabeled).balanced == balanced.balanced
+    assert is_uniform(relabeled)[0] == uniform[0]

@@ -92,6 +92,40 @@ def test_match_k_rejects_off_grid():
             match_k(t, 5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_match_k_refuses_a_t_that_is_not_finite(bad):
+    # a NoGridMatch would certify "not equivalent" with no proof behind it
+    with pytest.raises(ValueError, match=f"^t = {bad!r} is not finite$") as caught:
+        match_k(bad, 7)
+    assert not isinstance(caught.value, CertificateError)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: frame_map(PlaneVector(bad, 1.0), PlaneVector(0.0, 1.0)),
+        lambda bad: frame_map(PlaneVector(1.0, 0.0), PlaneVector(0.0, bad)),
+        lambda bad: extract_t(LinearMap2(1.0, 0.0, 0.0, 1.0), PlaneVector(bad, -1.0)),
+        # LinearMap2.apply builds the image as a PlaneVector, which refuses it
+        lambda bad: extract_t(LinearMap2(bad, 0.0, 0.0, 1.0), PlaneVector(1.0, -1.0)),
+        lambda bad: reconstruct_from_triple(
+            PlaneVector(1.0, 0.0), PlaneVector(0.0, 1.0), PlaneVector(bad, -1.0), 5
+        ),
+        lambda bad: reconstruct_from_triple(
+            PlaneVector(bad, 0.0), PlaneVector(0.0, 1.0), PlaneVector(0.5, -1.0), 5
+        ),
+    ],
+    ids=["frame_map-v0", "frame_map-vn", "extract_t-vector", "extract_t-map",
+         "reconstruct-vn1", "reconstruct-v0"],
+)
+def test_frame_steps_refuse_a_vector_that_is_not_finite(call, bad):
+    # no frame step can take or make a NaN or infinite vector, so none
+    # returns a NaN map or a NaN t
+    with pytest.raises(ValueError, match=r"^vector \(.*\) is not finite$"):
+        call(bad)
+
+
 def test_match_k_finds_every_index_on_a_fine_grid():
     m = 20001
     assert all(match_k(closed_form_t(m, k), m) == k for k in range(1, (m - 1) // 2 + 1))

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import random
@@ -440,6 +441,17 @@ def test_roots_golden_bytes(capsys):
     code, out, _ = run(capsys, "roots", "--n", "3")
     assert code == 0
     assert out == (GOLDEN / "roots_n3.json").read_text()
+
+
+def test_roots_keeps_the_bytes_of_n_1_to_100(capsys):
+    # roots_n1-100.sha256 holds the SHA-256 of `roots --n N` stdout for
+    # N = 1..100, one "<digest>  roots_nN.json" line each, as sha256sum writes
+    lines = (GOLDEN / "roots_n1-100.sha256").read_text().splitlines()
+    assert [line.split()[1] for line in lines] == [f"roots_n{n}.json" for n in range(1, 101)]
+    for n, line in enumerate(lines, 1):
+        code, out, _ = run(capsys, "roots", "--n", str(n))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == line.split()[0], f"--n {n}"
 
 
 def test_roots_accepts_m_spelling(capsys):

@@ -272,26 +272,62 @@ def test_configuration_takes_columns():
         Configuration([True, 1.0], [0.0, 1.0])
 
 
+def _from_plane_vectors(vecs):
+    return Configuration([PlaneVector(x, y) for x, y in vecs])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "build",
     [
         lambda vecs: Configuration([x for x, _ in vecs], [y for _, y in vecs]),
         Configuration,
-        lambda vecs: Configuration([PlaneVector(x, y) for x, y in vecs]),
+        _from_plane_vectors,
     ],
     ids=["columns", "pairs", "plane_vectors"],
 )
 def test_configuration_refuses_a_coordinate_that_is_not_finite(build, bad):
     # the constructor is the one test of member values: no verdict, render
-    # or serialization can be reached with a NaN or an infinite member
-    for vecs, named in (
-        ([(1.0, 0.0), (bad, 0.0), (0.0, 1.0)], f"member 1 \\({bad!r}, 0.0\\)"),
-        ([(1.0, 0.0), (0.0, 1.0), (-1.0, bad)], f"member 2 \\(-1.0, {bad!r}\\)"),
-        ([(bad, 2), (0.5, 1)], f"member 0 \\({bad!r}, 2.0\\)"),
+    # or serialization can be reached with a NaN or an infinite member; a
+    # PlaneVector member refuses itself first and names the vector
+    for vecs, i, pair in (
+        ([(1.0, 0.0), (bad, 0.0), (0.0, 1.0)], 1, f"\\({bad!r}, 0.0\\)"),
+        ([(1.0, 0.0), (0.0, 1.0), (-1.0, bad)], 2, f"\\(-1.0, {bad!r}\\)"),
+        ([(bad, 2), (0.5, 1)], 0, f"\\({bad!r}, 2.0\\)"),
     ):
-        with pytest.raises(ValueError, match=f"^configuration {named} is not finite$"):
+        named = f"configuration member {i} {pair}"
+        if build is _from_plane_vectors:
+            named = f"vector {pair}"
+        with pytest.raises(ValueError, match=f"^{named} is not finite$"):
             build(vecs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_plane_vector_refuses_a_coordinate_that_is_not_finite(bad):
+    # after coercion: an int beside a non-finite float is a float too
+    for x, y, pair in (
+        (bad, 1.0, f"{bad!r}, 1.0"), (1, bad, f"1.0, {bad!r}"), (bad, bad, f"{bad!r}, {bad!r}")
+    ):
+        with pytest.raises(ValueError, match=f"^vector \\({pair}\\) is not finite$"):
+            PlaneVector(x, y)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: det2(PlaneVector(bad, 1.0), PlaneVector(0.0, 1.0)),
+        lambda bad: det2(PlaneVector(1.0, 0.0), PlaneVector(1.0, bad)),
+        lambda bad: argument(PlaneVector(bad, 1.0)),
+        lambda bad: argument(PlaneVector(1.0, bad)),
+    ],
+    ids=["det2-first", "det2-second", "argument-x", "argument-y"],
+)
+def test_det2_and_argument_refuse_a_vector_that_is_not_finite(call, bad):
+    # no NaN or infinite vector can be built, so det2 and argument never
+    # read one
+    with pytest.raises(ValueError, match=r"^vector \(.*\) is not finite$"):
+        call(bad)
 
 
 def test_relabeled_copy_shares_the_member_set_memo():

@@ -181,10 +181,10 @@ def test_closure_equations_factor_through_the_closed_form_w_n():
 def test_closure_roots_are_the_rounded_cell_midpoints(n):
     # one int ratio per midpoint rounds as the Fraction midpoint does
     grid = t_grid(2 * n + 1)
-    cells = ip.certify_cells(_closure_polynomial(n), grid.values, ROOT_WIDTH)
+    den, cells = ip.certify_cells(_closure_polynomial(n), grid.values, ROOT_WIDTH)
     solved = closure_roots(grid)
     assert solved.m == grid.m
-    assert list(solved.values) == [float((lo + hi) / 2) for lo, hi in cells]
+    assert list(solved.values) == [float(Fraction(a + b, 2 * den)) for a, b in cells]
 
 
 def test_closure_gcd_is_the_fourth_kind_chebyshev_polynomial():
