@@ -31,8 +31,8 @@ and r = -A1/An, the members interleave out of the triple via
     v_{n+i+1} = r v_i - v_{n+i}        for i = 1..n-1,
 
 the first sign being forced by det(v_{i-1}, v_{n+i}) = -An. Read in the order
-y = v_0, v_{n+1}, v_1, v_{n+2}, ..., that is the one three-term recurrence
-y_{j+1} = r y_j - y_{j-1}, the same as the model sequences' (r = t there).
+z = v_0, v_{n+1}, v_1, v_{n+2}, ..., that is the one three-term recurrence
+z_{j+1} = r z_j - z_{j-1}, the same as the model sequences' (r = t there).
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def frame_map(v0: PlaneVector, vn: PlaneVector) -> LinearMap2:
     """The unique g with g.v0 = (1,0) and g.vn = (0,1): the inverse of the
     matrix with columns v0, vn."""
     d = det2(v0, vn)
-    if _negligible((d,), lambda: v0.norm() * vn.norm()):
+    if _negligible((d,), lambda: math.hypot(v0.x, v0.y) * math.hypot(vn.x, vn.y)):
         raise SingularFrame(f"frame vectors are dependent (det = {d})")
     return LinearMap2(vn.y / d, -vn.x / d, -v0.y / d, v0.x / d)
 
@@ -207,25 +207,26 @@ def reconstruct_from_triple(
 ) -> Configuration:
     """Rebuild the whole configuration in label order from (v_0, v_n, v_{n+1}).
 
-    Works in the vectors' own arithmetic mode (exact stays exact). For m = 3
-    the triple already is the configuration.
+    Works in the vectors' own arithmetic mode (exact stays exact), on two
+    columns. For m = 3 the triple already is the configuration.
     """
     if m % 2 == 0 or m < 3:
         raise ValueError(f"reconstruction needs odd m >= 3, got {m}")
     n = (m - 1) // 2
     an = det2(v0, vn)
-    if _negligible((an,), lambda: v0.norm() * vn.norm()):
+    if _negligible((an,), lambda: math.hypot(v0.x, v0.y) * math.hypot(vn.x, vn.y)):
         raise SingularFrame(f"det(v0, vn) = {an}; seed frame is singular")
     r = -(det2(vn, vn1) / an)
-    # y_j = slot j/2 (j even) or slot n+1+j//2 (j odd): y_{j+1} = r y_j - y_{j-1}
-    ys = [v0, vn1]
+    # z_j = slot j/2 (j even) or slot n+1+j//2 (j odd): z_{j+1} = r z_j - z_{j-1}
+    xs, ys = [v0.x, vn1.x], [v0.y, vn1.y]
     for j in range(2, 2 * n):
-        produced = ys[j - 1].scale(r) - ys[j - 2]
-        if _negligible(produced.as_tuple(), lambda: max(v.norm() for v in (v0, vn, vn1))):
+        x, y = r * xs[j - 1] - xs[j - 2], r * ys[j - 1] - ys[j - 2]
+        if _negligible((x, y), lambda: max(math.hypot(v.x, v.y) for v in (v0, vn, vn1))):
             slot = j // 2 if j % 2 == 0 else n + 1 + j // 2
             raise ValueError(f"reconstruction produced a zero vector at slot {slot}")
-        ys.append(produced)
-    return Configuration(ys[0::2] + [vn] + ys[1::2])
+        xs.append(x)
+        ys.append(y)
+    return Configuration(xs[0::2] + [vn.x] + xs[1::2], ys[0::2] + [vn.y] + ys[1::2])
 
 
 def _diagram_exponents(m: int, k: int) -> Tuple[int, ...]:

@@ -6,7 +6,9 @@ floats, never mixed in one operation. A Configuration stores its m nonzero,
 finite members of one mode as two columns xs and ys. Its one constructor,
 the one test of member values, takes the columns (or (x, y) pairs, or
 PlaneVectors), tests them in C-level passes and coerces only columns that
-need it; PlaneVectors are built only on request.
+need it; PlaneVectors are built only on request. A PlaneVector is a checked
+value (x, y, mode, as_tuple) with no arithmetic: every member computation,
+the float copy included, runs on the columns.
 
 A configuration's determinant rows keep their entries at one scale. In
 exact mode, with D the lcm of the coordinate denominators, each row is built
@@ -39,23 +41,15 @@ FLOAT = "float"
 ARGUMENT_TIE_TOL = 1e-12
 
 
-def _coerce(value) -> Scalar:
-    """Map an input coordinate to one of the two supported scalar kinds. A
-    Fraction is immutable, so an exact one is returned as it is."""
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, bool):
-        raise TypeError("boolean is not a coordinate")
-    if isinstance(value, float):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise TypeError(f"unsupported coordinate type {type(value).__name__}")
-
-
 def _coerce_pair(x, y) -> tuple:
-    """Both coordinates coerced; a float one makes both floats."""
-    x, y = _coerce(x), _coerce(y)
+    """Both coordinates as two floats when either is a float, else as two
+    Fractions; a Fraction is immutable, so an exact one is kept as it is."""
+    for value in (x, y):
+        if isinstance(value, bool):
+            raise TypeError("boolean is not a coordinate")
+        if not isinstance(value, (int, float, Fraction)):
+            raise TypeError(f"unsupported coordinate type {type(value).__name__}")
+    x, y = (v if type(v) is Fraction or isinstance(v, float) else Fraction(v) for v in (x, y))
     if isinstance(x, float) or isinstance(y, float):
         return float(x), float(y)
     return x, y
@@ -81,34 +75,6 @@ class PlaneVector:
     def mode(self) -> str:
         return FLOAT if isinstance(self.x, float) else EXACT
 
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
-    def __sub__(self, other: "PlaneVector") -> "PlaneVector":
-        return PlaneVector(self.x - other.x, self.y - other.y)
-
-    def scale(self, s: Scalar) -> "PlaneVector":
-        return PlaneVector(s * self.x, s * self.y)
-
-    def norm(self) -> float:
-        """Euclidean length, always as a float."""
-        return math.hypot(float(self.x), float(self.y))
-
-    def as_float(self) -> "PlaneVector":
-        """The float copy; ValueError names an exact coordinate that does
-        not fit a float, or the coordinates of a nonzero vector whose float
-        copy underflows to (0, 0)."""
-        if self.mode == FLOAT:
-            return self
-        try:
-            copy = PlaneVector(float(self.x), float(self.y))
-        except OverflowError:
-            axis, value = ("x", self.x) if abs(self.x) >= abs(self.y) else ("y", self.y)
-            raise ValueError(f"exact {axis} coordinate {value} does not fit a float") from None
-        if copy.is_zero() and not self.is_zero():
-            raise ValueError(f"exact coordinates ({self.x}, {self.y}) have no nonzero float copy")
-        return copy
-
     def as_tuple(self) -> tuple:
         return (self.x, self.y)
 
@@ -126,7 +92,7 @@ def argument(v: PlaneVector) -> float:
     Exact-mode vectors fall back to float internally; the result is always a
     float and is used for ordering only.
     """
-    if v.is_zero():
+    if v.x == 0 and v.y == 0:
         raise ValueError("argument of the zero vector is undefined")
     return Configuration([v]).arguments[0]
 
@@ -173,7 +139,7 @@ class Configuration:
 
     @property
     def n(self) -> int:
-        """(m-1)/2 when m is odd; meaningless otherwise."""
+        """(m-1)/2; ValueError when m is even."""
         if self.m % 2 == 0:
             raise ValueError("n is defined only for odd m")
         return (self.m - 1) // 2
@@ -188,9 +154,22 @@ class Configuration:
         return map(PlaneVector, self.xs, self.ys)
 
     def as_float(self) -> "Configuration":
+        """The float copy; ValueError names the first member with an exact
+        coordinate that does not fit a float, or whose copy is (0, 0)."""
         if self.mode == FLOAT:
             return self
-        return Configuration([v.as_float() for v in self])
+        xs, ys = [], []
+        for x, y in zip(self.xs, self.ys):
+            try:
+                fx, fy = float(x), float(y)
+            except OverflowError:
+                axis, value = ("x", x) if abs(x) >= abs(y) else ("y", y)
+                raise ValueError(f"exact {axis} coordinate {value} does not fit a float") from None
+            if fx == 0 and fy == 0:
+                raise ValueError(f"exact coordinates ({x}, {y}) have no nonzero float copy")
+            xs.append(fx)
+            ys.append(fy)
+        return Configuration(xs, ys)
 
     @cached_property
     def arguments(self) -> tuple:

@@ -51,29 +51,12 @@ def shift_up(p: Sequence[int]) -> IntPoly:
     return trim((0,) + tuple(p))
 
 
-def eval_at(p: Sequence[int], t):
-    """Horner evaluation; exactness follows the type of t."""
-    acc = 0 * t
-    for a in reversed(p):
-        acc = acc * t + a
-    return acc
-
-
 def is_even_poly(p: Sequence[int]) -> bool:
     return all(a == 0 for a in p[1::2])
 
 
 def is_odd_poly(p: Sequence[int]) -> bool:
     return all(a == 0 for a in p[0::2])
-
-
-def sign_at(p: Sequence[int], x: Fraction) -> int:
-    """Exact sign of p at a rational point, via integer Horner on
-    p(num/den) * den^deg."""
-    if not p:
-        return 0
-    value = _scaled_value(_scaled_coeffs(p, x.denominator), x.numerator)
-    return (value > 0) - (value < 0)
 
 
 def _scaled_coeffs(p: Sequence[int], den: int) -> List[int]:

@@ -26,7 +26,7 @@ from typing import List, Tuple
 from .balance import is_balanced, is_uniform
 from .canonical import LinearMap2
 from .errors import BudgetExceeded
-from .geometry import Configuration, PlaneVector
+from .geometry import Configuration
 
 DEFAULT_BUDGET = 10**7
 # Largest condition number of a random_invertible map.
@@ -85,13 +85,6 @@ class SearchSpec:
         object.__setattr__(self, "coordinate_set", coords)
 
 
-def grid_vectors(coords: Tuple[Fraction, ...]) -> List[PlaneVector]:
-    """All nonzero vectors over the grid, lexicographic by (x, y)."""
-    return [
-        PlaneVector(x, y) for x in coords for y in coords if not (x == 0 and y == 0)
-    ]
-
-
 def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     """All balanced configurations of m pairwise distinct vectors over the
     grid, exact arithmetic, in deterministic lexicographic order; optionally
@@ -138,7 +131,8 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
                 f"C({n}, {left}) {'=' if j == k else '>='} {subsets} subsets "
                 f"exceed the budget of {DEFAULT_BUDGET}"
             )
-    # the grid in grid_vectors' order: its columns, their ints, their lines
+    # the grid's nonzero vectors, lexicographic by (x, y): their columns,
+    # ints and lines
     grid = Configuration(*zip(*[(x, y) for x in coords for y in coords if x or y]))
     px, py, line_of = grid.xs, grid.ys, grid.lines
     xs, ys, _ = grid._det_coords

@@ -439,21 +439,64 @@ def images_and_pairs(draw):
 @settings(deadline=None, max_examples=120)
 @given(images_and_pairs(), st.data())
 def test_verdicts_survive_the_exact_float_maps(c, data):
-    # the swap (x, y) -> (y, x) negates every float det2 exactly and the flip
-    # v -> -v keeps it, so both keep the verdicts and the uniform pair; the
-    # swap negates the balance witness value and the flip keeps it. A
-    # permutation of the members keeps the verdicts.
+    # the swap (x, y) -> (y, x) negates every float det2 exactly, the flip
+    # v -> -v keeps it, and a scaling by 2^k that keeps every coordinate in
+    # SAFE_COORDINATE_RANGE multiplies it by 4^k, so all three keep the
+    # verdicts and the uniform pair, and multiply the balance witness value
+    # by -1, 1 and 4^k. A permutation of the members keeps the verdicts.
     balanced, uniform = is_balanced(c), is_uniform(c)
     value = None if balanced.witness is None else balanced.witness[1]
     swap = Configuration(c.ys, c.xs)
     flip = Configuration([-x for x in c.xs], [-y for y in c.ys])
-    for image, sign in ((swap, -1), (flip, 1)):
+    k = data.draw(st.integers(-400, 400))
+    scaled = Configuration([math.ldexp(x, k) for x in c.xs], [math.ldexp(y, k) for y in c.ys])
+    assume(in_safe_range(scaled.xs + scaled.ys))
+    for image, factor in ((swap, -1), (flip, 1), (scaled, 4.0**k)):
         report = is_balanced(image)
         assert report.balanced == balanced.balanced
         if value is not None:
-            assert report.witness == (balanced.witness[0], sign * value)
+            assert report.witness == (balanced.witness[0], factor * value)
         assert is_uniform(image) == uniform
     order = data.draw(st.permutations(range(c.m)))
     relabeled = Configuration([c.xs[i] for i in order], [c.ys[i] for i in order])
     assert is_balanced(relabeled).balanced == balanced.balanced
     assert is_uniform(relabeled)[0] == uniform[0]
+
+
+@st.composite
+def exact_sets(draw):
+    """An exact zero-sum triple, {v, -v} set, collinear set or random set."""
+    vectors = st.tuples(rational_coords, rational_coords).filter(lambda v: v != (0, 0))
+    kind = draw(st.sampled_from(["triple", "pairs", "collinear", "random"]))
+    if kind == "triple":
+        (ax, ay), (bx, by) = draw(vectors), draw(vectors)
+        members = [(ax, ay), (bx, by), (-ax - bx, -ay - by)]
+    elif kind == "pairs":
+        half = draw(st.lists(vectors, min_size=1, max_size=4))
+        members = half + [(-x, -y) for x, y in half]
+    elif kind == "collinear":
+        x, y = draw(vectors)
+        scalars = draw(st.lists(rational_coords.filter(bool), min_size=1, max_size=7))
+        members = [(s * x, s * y) for s in scalars]
+    else:
+        members = draw(st.lists(vectors, min_size=1, max_size=7))
+    assume((0, 0) not in members)
+    return Configuration(members)
+
+
+@settings(deadline=None, max_examples=150)
+@given(exact_sets(), st.tuples(*[rational_coords] * 4))
+def test_exact_verdicts_survive_invertible_rational_maps(c, entries):
+    # det(G v, G w) = det G det(v, w), so an invertible rational G keeps both
+    # verdicts, the witness row and the uniform pair, and multiplies the
+    # balance witness value by det G
+    g = LinearMap2(*entries)
+    assume(g.det() != 0)
+    image = g.apply_configuration(c)
+    balanced, report = is_balanced(c), is_balanced(image)
+    assert report.balanced == balanced.balanced
+    if balanced.witness is None:
+        assert report.witness is None
+    else:
+        assert report.witness == (balanced.witness[0], g.det() * balanced.witness[1])
+    assert is_uniform(image) == is_uniform(c)

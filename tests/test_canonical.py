@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from balcfg import (
     PlaneVector,
     SingularFrame,
     canonicalize,
+    det2,
     extract_t,
     frame_map,
     gl2_equivalent,
@@ -169,7 +171,7 @@ def test_reconstruction_recovers_pentagon():
     rebuilt = reconstruct_from_triple(u5[0], u5[2], u5[3], 5)
     assert rebuilt.m == 5
     for got, want in zip(rebuilt, u5):
-        assert (got - want).norm() < 1e-12
+        assert math.hypot(got.x - want.x, got.y - want.y) < 1e-12
 
 
 def test_reconstruction_commutes_with_a_map():
@@ -179,7 +181,7 @@ def test_reconstruction_commutes_with_a_map():
         n = (m - 1) // 2
         rebuilt = reconstruct_from_triple(u[0], u[n], u[n + 1], m)
         for got, want in zip(rebuilt, u):
-            assert (got - want).norm() < 1e-9
+            assert math.hypot(got.x - want.x, got.y - want.y) < 1e-9
 
 
 def test_reconstruction_rejects_collinear_anchor():
@@ -206,9 +208,47 @@ def test_reconstruction_keeps_exact_input_beyond_the_float_range(triple, m):
     small = reconstruct_from_triple(*(PlaneVector(x, y) for x, y in triple), m)
     rebuilt = reconstruct_from_triple(*(PlaneVector(x * big, y * big) for x, y in triple), m)
     assert rebuilt.mode == "exact"
-    assert rebuilt == Configuration([v.scale(Fraction(big)) for v in small])
+    assert rebuilt == Configuration([(Fraction(big) * v.x, Fraction(big) * v.y) for v in small])
     if m == 3:
         assert [v.as_tuple() for v in small] == list(triple)
+
+
+def _vector_recurrence(v0, vn, vn1, m):
+    """The members rebuilt one PlaneVector at a time by z_{j+1} = r z_j -
+    z_{j-1}, in label order: the reference of the column recurrence."""
+    n = (m - 1) // 2
+    r = -(det2(vn, vn1) / det2(v0, vn))
+    zs = [v0, vn1]
+    for _ in range(2, 2 * n):
+        zs.append(PlaneVector(r * zs[-1].x - zs[-2].x, r * zs[-1].y - zs[-2].y))
+    return Configuration(zs[0::2] + [vn] + zs[1::2])
+
+
+def test_reconstruction_equals_the_vector_recurrence():
+    # the columns take the same operations in the same order as the vector
+    # recurrence, so float and exact triples rebuild to == columns
+    for seed in range(60):
+        rng = random.Random(seed)
+        m = 2 * rng.randint(1, 20) + 1
+        n = (m - 1) // 2
+        image = random_invertible(seed).apply_configuration(roots_of_unity(m))
+        image = perturb(image, rng.choice([0.0, 1e-9, 1e-3]), seed=seed)
+        ratios = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)]
+        exact = [PlaneVector(x, y) for x, y in zip(ratios[0::2], ratios[1::2])]
+        for triple in ((image[0], image[n], image[n + 1]), exact):
+            if det2(triple[0], triple[1]) == 0:
+                continue
+            got, want = reconstruct_from_triple(*triple, m), _vector_recurrence(*triple, m)
+            assert (got.xs, got.ys) == (want.xs, want.ys)
+
+
+def test_reconstruction_refuses_a_recurrence_that_overflows():
+    # r = 1e200, so slot 1 = r v_{n+1} - v_0 has x = 1e400, which no float holds
+    named = r"^configuration member 1 \(inf, -1e\+200\) is not finite$"
+    with pytest.raises(ValueError, match=named):
+        reconstruct_from_triple(
+            PlaneVector(1.0, 0.0), PlaneVector(0.0, 1.0), PlaneVector(1e200, -1.0), 5
+        )
 
 
 def test_canonicalize_pentagon_is_already_canonical():
@@ -233,12 +273,12 @@ def test_canonicalize_inverts_a_hidden_map():
     for v, e in zip(labeled, form.index_map):
         image = form.g.apply(v)
         target = unit_vector(2 * math.pi * e / 7)
-        assert (image - target).norm() <= 1e-8
+        assert math.hypot(image.x - target.x, image.y - target.y) <= 1e-8
 
 
 def test_canonicalize_ignores_input_order_and_scale():
     u7 = roots_of_unity(7)
-    scrambled = Configuration([u7[i].scale(3.5) for i in (4, 1, 6, 2, 0, 5, 3)])
+    scrambled = Configuration([(3.5 * u7[i].x, 3.5 * u7[i].y) for i in (4, 1, 6, 2, 0, 5, 3)])
     form = canonicalize(scrambled)
     base = canonicalize(u7)
     assert form.k == base.k

@@ -80,8 +80,8 @@ def test_det2_antisymmetry(ax, ay, bx, by):
 @given(rationals, rationals, rationals, rationals, rationals)
 def test_det2_scaling_exact(ax, ay, bx, by, s):
     a, b = PlaneVector(ax, ay), PlaneVector(bx, by)
-    assert det2(a.scale(s), b) == s * det2(a, b)
-    assert det2(a, b.scale(s)) == s * det2(a, b)
+    assert det2(PlaneVector(s * a.x, s * a.y), b) == s * det2(a, b)
+    assert det2(a, PlaneVector(s * b.x, s * b.y)) == s * det2(a, b)
 
 
 def test_det_row_is_computed_afresh_on_every_call():
@@ -330,6 +330,34 @@ def test_det2_and_argument_refuse_a_vector_that_is_not_finite(call, bad):
         call(bad)
 
 
+BIG, TINY = Fraction(10**400), Fraction(1, 10**400)
+
+
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        # member 0 underflows and member 1 overflows: member 0 is named
+        (
+            [(TINY, 0), (BIG, 1), (1, 1)],
+            f"exact coordinates ({TINY}, 0) have no nonzero float copy",
+        ),
+        ([(1, 0), (-BIG, 1), (TINY, TINY)], f"exact x coordinate {-BIG} does not fit a float"),
+        ([(1, 0), (1, BIG), (TINY, 0)], f"exact y coordinate {BIG} does not fit a float"),
+        (
+            [(1, 0), (0, -TINY), (1, -BIG)],
+            f"exact coordinates (0, {-TINY}) have no nonzero float copy",
+        ),
+        # in one member, the overflow test comes first, on the larger axis
+        ([(TINY, -BIG), (1, 1)], f"exact y coordinate {-BIG} does not fit a float"),
+        ([(BIG, BIG), (1, 1)], f"exact x coordinate {BIG} does not fit a float"),
+    ],
+)
+def test_float_copy_names_the_first_member_that_has_none(members, message):
+    with pytest.raises(ValueError) as refused:
+        Configuration(members).as_float()
+    assert str(refused.value) == message
+
+
 def test_relabeled_copy_shares_the_member_set_memo():
     c = Configuration([(0.0, 1.0), (1.0, 0.0), (-1.0, -1.0)])
     calls = []
@@ -394,7 +422,7 @@ def test_roots_of_unity_frozen_m5():
     for k, v in enumerate(u5):
         assert math.isclose(v.x, math.cos(2 * math.pi * k / 5), abs_tol=1e-15)
         assert math.isclose(v.y, math.sin(2 * math.pi * k / 5), abs_tol=1e-15)
-        assert math.isclose(v.norm(), 1.0, abs_tol=1e-15)
+        assert math.isclose(math.hypot(v.x, v.y), 1.0, abs_tol=1e-15)
 
 
 def test_roots_of_unity_rejects_even_and_nonpositive():

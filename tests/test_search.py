@@ -20,13 +20,21 @@ from balcfg import (
     roots_of_unity,
 )
 from balcfg import search
-from balcfg.search import grid_vectors
+from balcfg.geometry import PlaneVector
 
 GRID3 = (Fraction(-1), Fraction(0), Fraction(1))
 GRID5 = tuple(Fraction(k, 2) for k in range(-2, 3))
 # lines through the origin with three grid points and a nonzero sum, such as
 # (-1, -1), (1, 1), (2, 2): balanced only as collinear sets
 GRID4 = tuple(map(Fraction, (-1, 0, 1, 2)))
+
+
+def grid_vectors(coords):
+    """All nonzero vectors over the grid, lexicographic by (x, y): the
+    candidates of the brute-force oracle."""
+    return [
+        PlaneVector(x, y) for x in coords for y in coords if not (x == 0 and y == 0)
+    ]
 
 
 def test_random_invertible_is_seed_deterministic():
@@ -62,14 +70,14 @@ def test_perturb_is_seeded_and_bounded():
     b = perturb(u, eps=0.05, seed=6)
     assert [v.as_tuple() for v in a] == [v.as_tuple() for v in b]
     for moved, orig in zip(a, u):
-        assert (moved - orig).norm() <= 0.05 + 1e-15
-    assert any((moved - orig).norm() > 0 for moved, orig in zip(a, u))
+        assert math.hypot(moved.x - orig.x, moved.y - orig.y) <= 0.05 + 1e-15
+    assert any(math.hypot(v.x - w.x, v.y - w.y) > 0 for v, w in zip(a, u))
 
 
 def test_grid_vectors_exclude_zero():
     vecs = grid_vectors(GRID3)
     assert len(vecs) == 8
-    assert all(not v.is_zero() for v in vecs)
+    assert all(not (v.x == 0 and v.y == 0) for v in vecs)
     tuples = [v.as_tuple() for v in vecs]
     assert tuples == sorted(tuples)
 

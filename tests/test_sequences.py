@@ -22,7 +22,7 @@ from balcfg.sequences import (
     t_grid,
     wn_equation_roots,
 )
-from polynomial_gcd import primitive_gcd
+from polynomial_oracles import eval_at, primitive_gcd
 
 # hand-expanded low-order terms, ascending coefficients
 U1 = PolyPair(x=(-1, 0, 1), y=(0, -1))            # (t^2 - 1, -t)
@@ -83,10 +83,10 @@ def test_numeric_matches_symbolic_evaluation():
     for t in (0.7, -1.2):
         us_n, ws_n = numeric_sequences(t, 3)
         for i in range(4):
-            assert math.isclose(us_n[i].x, ip.eval_at(us_s[i].x, t), abs_tol=1e-12)
-            assert math.isclose(us_n[i].y, ip.eval_at(us_s[i].y, t), abs_tol=1e-12)
-            assert math.isclose(ws_n[i].x, ip.eval_at(ws_s[i].x, t), abs_tol=1e-12)
-            assert math.isclose(ws_n[i].y, ip.eval_at(ws_s[i].y, t), abs_tol=1e-12)
+            assert math.isclose(us_n[i].x, eval_at(us_s[i].x, t), abs_tol=1e-12)
+            assert math.isclose(us_n[i].y, eval_at(us_s[i].y, t), abs_tol=1e-12)
+            assert math.isclose(ws_n[i].x, eval_at(ws_s[i].x, t), abs_tol=1e-12)
+            assert math.isclose(ws_n[i].y, eval_at(ws_s[i].y, t), abs_tol=1e-12)
 
 
 def test_numeric_sequences_exact_mode():
