@@ -209,6 +209,15 @@ class Configuration:
             for x, y, g in zip(xs, ys, map(math.gcd, xs, ys))
         )
 
+    def take(self, idx) -> "Configuration":
+        """The members at the indices idx, in that order. The copy shares
+        their lines where this configuration holds them: a line is a
+        primitive direction, whatever the common denominator D."""
+        sub = Configuration([self.xs[a] for a in idx], [self.ys[a] for a in idx])
+        if "lines" in self.__dict__:
+            sub.__dict__["lines"] = tuple([self.lines[a] for a in idx])
+        return sub
+
     def det_row(self, i: int) -> list:
         """Row i of the scaled determinant table, computed afresh on every
         call by the one comprehension every row comes from, and cached
@@ -263,7 +272,7 @@ def _label(c: Configuration) -> Configuration:
         pos = ties.index(True)
         i, j = order[pos - 1], order[pos]
         raise DuplicateArgument(f"members {i} and {j} share an argument (gap {gaps[pos]:.3e} rad)")
-    labeled = Configuration([c.xs[i] for i in order], [c.ys[i] for i in order])
+    labeled = c.take(order)
     labeled.__dict__["_memo"] = c.__dict__.setdefault("_memo", {})
     return labeled
 

@@ -9,9 +9,10 @@ set is collinear or sums to zero, so it lists the collinear sets of each line
 of the grid (Configuration.lines) and meets the zero-sum sets in the middle,
 joining the sums of the grid's ceil(m/2)-subsets with a table of its
 floor(m/2)-subset sums (for m > n/2, of the n - m points each set leaves
-out). A zero-sum set on 4 or more lines whose third moment is not zero is
-dropped, and every other one that is not collinear is decided by is_balanced
-on its own Configuration; is_uniform compares each hit's lines.
+out). Each zero-sum set that is not collinear is decided on the grid's ints
+and lines (see enumerate_balanced), and is_balanced decides only a set of
+m >= 5 on 3 lines, or on 4 or more with a zero third moment. Each hit
+carries its lines (Configuration.take), which is_uniform compares.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .errors import BudgetExceeded
 from .geometry import Configuration
 
 DEFAULT_BUDGET = 10**7
+# Most entries of the join's table: 1 GiB at 260 B, the most that one entry
+# (its key, list and index tuple) was measured to take (tracemalloc, 3.11).
+TABLE_CAP = 2**30 // 260
 # Largest condition number of a random_invertible map.
 COND_MAX = 100.0
 
@@ -100,17 +104,22 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     both of its coordinate sums are. When m > n/2 the join lists the n - m
     points left out, whose sum is the grid's total.
 
-    A balanced set on 4 or more lines through the origin also has a zero
-    third moment (sum x^3, sum x^2 y, sum x y^2, sum y^3): every odd power
-    sum of a symmetric row is 0, so the cubic form sum_j det(u, v_j)^3
-    vanishes on the line of every member, and a nonzero binary cubic
-    vanishes on at most 3 lines. The four sums are packed into one int the
-    same way. A zero-sum set that fails this test is dropped; every other
-    one that is not collinear is decided by is_balanced on its own
-    Configuration. No grid table is built, but the join's table of
-    C(n, floor(s/2)) entries, s = min(m, n - m), is held in memory, at about
-    100 to 250 B per entry. BudgetExceeded refuses a join of more than
-    DEFAULT_BUDGET left halves, C(n, ceil(s/2)) for n grid vectors.
+    A zero-sum set that is not collinear is decided by the first exact rule
+    that applies. 1: on 4 or more lines through the origin with a nonzero
+    third moment (sum x^3, sum x^2 y, sum x y^2, sum y^3, packed into one int
+    the same way), it is not balanced: every odd power sum of a symmetric
+    row is 0, so the cubic form sum_j det(u, v_j)^3 vanishes on the line of
+    every member, and a nonzero binary cubic vanishes on at most 3 lines.
+    2: at even m with a member alone on its line, it is not balanced, as
+    that member's row has odd length and no zero (see even_m_witness).
+    3: on 2 lines it is balanced exactly when closed under v -> -v, as the
+    row of a member of one line is a nonzero multiple of the other line's
+    signed lengths. 4: at m = 3 it is balanced, as each row's 2 entries sum
+    to det(v_i, S) = 0. 5: otherwise is_balanced decides. Only a hit is
+    built, by Configuration.take, with its lines; no grid table and no row.
+    The join's table of C(n, floor(s/2)) entries, s = min(m, n - m), is
+    held in memory. BudgetExceeded refuses more than DEFAULT_BUDGET left
+    halves, C(n, ceil(s/2)) for n grid vectors, or TABLE_CAP table entries.
     """
     coords = spec.coordinate_set
     # the grid's nonzero vectors, counted before any is built
@@ -131,16 +140,19 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
                 f"C({n}, {left}) {'=' if j == k else '>='} {subsets} subsets "
                 f"exceed the budget of {DEFAULT_BUDGET}"
             )
-    # the grid's nonzero vectors, lexicographic by (x, y): their columns,
-    # ints and lines
+    # C(n, right) <= C(n, left), which passed the budget
+    entries = math.comb(n, size // 2)
+    if entries > TABLE_CAP:
+        raise BudgetExceeded(f"C({n}, {size // 2}) = {entries} table entries exceed {TABLE_CAP}")
+    # the grid's nonzero vectors, lexicographic by (x, y): their ints and lines
     grid = Configuration(*zip(*[(x, y) for x in coords for y in coords if x or y]))
-    px, py, line_of = grid.xs, grid.ys, grid.lines
+    line_of = grid.lines
     xs, ys, _ = grid._det_coords
     lines = {}
     for i, line in enumerate(line_of):
         lines.setdefault(line, []).append(i)
     found = {
-        idx: Configuration([px[a] for a in idx], [py[a] for a in idx])
+        idx: grid.take(idx)
         for members in lines.values()
         for idx in itertools.combinations(members, m)
     }
@@ -149,12 +161,18 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     target = 0 if size == m else sum(keys)
     for part in _join(keys, size, target):
         idx = part if size == m else tuple(sorted(set(range(n)).difference(part)))
-        on = len({line_of[a] for a in idx})
-        if on == 1 or on >= 4 and sum([cubes[a] for a in idx]):
+        on = {line_of[a] for a in idx}
+        if len(on) == 1 or len(on) >= 4 and sum([cubes[a] for a in idx]):
             continue
-        cfg = Configuration([px[a] for a in idx], [py[a] for a in idx])
-        if is_balanced(cfg).balanced:
-            found[idx] = cfg
+        if m % 2 == 0 and 1 in map([line_of[a] for a in idx].count, on):
+            continue
+        if len(on) == 2:
+            pairs = sorted([(xs[a], ys[a]) for a in idx])
+            balanced = pairs == [(-x, -y) for x, y in reversed(pairs)]
+        else:
+            balanced = m == 3 or is_balanced(grid.take(idx)).balanced
+        if balanced:
+            found[idx] = grid.take(idx)
     hits = [found[idx] for idx in sorted(found)]
     if spec.require_uniform:
         return [cfg for cfg in hits if is_uniform(cfg)[0]]

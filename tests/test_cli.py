@@ -321,14 +321,15 @@ def test_item13_check_of_an_exactly_balanced_float_triple_exits_zero(capsys, tmp
 
 
 def test_search_builds_no_grid_table(capsys, rows_computed):
-    # m = 4 over {-1, 0, 1}^2: no table of the 8 grid vectors; the zero-sum
-    # candidates are decided on rows computed where they are read; each of
-    # the 6 hits is closed under negation, so its row 0 decides balance, and
-    # its lines decide uniformity with no row
+    # m = 4 over {-1, 0, 1}^2: no table of the 8 grid vectors, and no row;
+    # each zero-sum candidate is decided on the grid's ints and lines (on 2
+    # lines by closure under negation, and one with a member alone on its
+    # line is not balanced at even m), and each of the 6 hits carries its
+    # lines, which decide uniformity
     code, out, _ = run(capsys, "search", "--m", "4", "--coords", "-1,0,1")
     assert code == 0
     assert json.loads(out)["count"] == 6
-    assert rows_computed == [(4, 0)] * 6
+    assert rows_computed == []
 
 
 @pytest.mark.parametrize(

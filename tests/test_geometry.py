@@ -101,6 +101,22 @@ def test_lines_are_the_reduced_directions_of_the_scaled_ints():
     assert Configuration([(big, -2 * big), (-big / 3, big * 2 / 3)]).lines == ((1, -2),) * 2
 
 
+def test_take_keeps_the_members_and_shares_their_lines():
+    # a line does not depend on the common denominator, so the copy of
+    # members 3, 0 and 2 (D = 1, where the whole has D = 3) reads its lines
+    # off the whole and builds no scaled ints
+    c = Configuration([(2, 4), (Fraction(-1, 3), Fraction(-2, 3)), (0, -5), (-3, 0)])
+    alone = c.take((3, 0, 2))
+    assert alone == Configuration([c[3], c[0], c[2]])
+    assert "lines" not in alone.__dict__
+    assert alone.lines == (c.lines[3], c.lines[0], c.lines[2]) == ((1, 0), (1, 2), (0, 1))
+    sub = c.take((3, 0, 2))
+    assert sub == alone and sub.lines == alone.lines
+    assert "_det_coords" not in sub.__dict__
+    # a float configuration has no lines to share
+    assert roots_of_unity(5).take((4, 2)) == Configuration(list(roots_of_unity(5))[4:1:-2])
+
+
 def test_det_max_reads_no_diagonal_entry():
     # x*y of v_0 overflows, so its diagonal entry x*y - y*x is inf - inf
     for vecs in ([(1e200, 1e200), (0.0, 1.0)], [(1e200, 1e200), (1.0, 0.0)]):

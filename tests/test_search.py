@@ -183,6 +183,17 @@ def test_large_m_runs_within_a_small_budget():
     assert enumerate_balanced(SearchSpec(24, coords)) == [Configuration(grid_vectors(coords))]
 
 
+def test_table_cap_refuses_a_join_before_building_its_table():
+    # m = 6 on the 323 vectors of {0, ..., 17}^2: C(323, 3) left halves pass
+    # the budget, but the right-hand table of C(323, 3) entries would take
+    # about 1.4 GB, so it is refused before any entry is built
+    assert search.TABLE_CAP < math.comb(323, 3) <= search.DEFAULT_BUDGET
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"C\(323, 3\) = 5564321 table entries"):
+        enumerate_balanced(SearchSpec(m=6, coordinate_set=tuple(range(18))))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_budget_refuses_a_huge_walk_without_counting_it_in_full():
     # the join lists the 499998 points each set leaves out: C(999999,
     # 249999) has about 244 000 digits; the refusal stops at the first
@@ -219,6 +230,9 @@ RANDOM_COORDS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3
 @example(([Fraction(-1), Fraction(0), Fraction(1), Fraction(2)], 2), True)
 @example(([Fraction(-1), Fraction(0), Fraction(1), Fraction(2)], 5), False)
 @example(([Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1)], 6), False)
+# {(1, 0), (2, 0), (-3, 0), (0, 1), (0, 2), (0, -3)} sums to zero on 2 lines,
+# is not closed under negation, and is not balanced
+@example(([Fraction(-3), Fraction(0), Fraction(1), Fraction(2)], 6), False)
 def test_enumeration_equals_brute_force_on_random_grids(grid, require_uniform):
     # the collinear listing and the zero-sum join together must list exactly
     # the brute-force hits
@@ -240,6 +254,11 @@ def moments(cfg):
     first = (sum(v.x for v in cfg), sum(v.y for v in cfg))
     third = tuple(sum(v.x ** (3 - k) * v.y**k for v in cfg) for k in range(4))
     return first, third
+
+
+def sums_to_zero(vectors):
+    """Whether the vectors sum to (0, 0); the cheap half of moments."""
+    return sum(v.x for v in vectors) == 0 and sum(v.y for v in vectors) == 0
 
 
 def assert_moment_lemma(cfg):
@@ -283,10 +302,15 @@ def test_centrally_symmetric_sets_obey_the_moment_lemma(halves):
     assert_moment_lemma(cfg)
 
 
-def test_moment_filter_runs_before_is_balanced(monkeypatch):
-    # every set that reaches is_balanced sums to zero, is not collinear, and
-    # lies on at most 3 lines or has a zero third moment; some zero-sum sets
-    # on 4 or more lines are dropped unseen
+# over {-3, -1, 1, 3}, 8 zero-sum 6-sets on 3 or more lines that the moment
+# test keeps have a member alone on its line, and the other 44 reach
+# is_balanced
+@pytest.mark.parametrize("m, coords", [(5, tuple(range(-2, 3))), (6, (-3, -1, 1, 3))])
+def test_moment_filter_runs_before_is_balanced(monkeypatch, m, coords):
+    # every set that reaches is_balanced sums to zero and lies on 3 lines, or
+    # on 4 or more with a zero third moment, and at even m has no member
+    # alone on its line; some zero-sum sets on 4 or more lines are dropped
+    # unseen
     seen = []
 
     def recording(cfg):
@@ -294,16 +318,63 @@ def test_moment_filter_runs_before_is_balanced(monkeypatch):
         return is_balanced(cfg)
 
     monkeypatch.setattr(search, "is_balanced", recording)
-    hits = enumerate_balanced(SearchSpec(4, GRID4))
-    assert hits == brute_force(GRID4, 4, False)
+    hits = enumerate_balanced(SearchSpec(m, coords))
+    assert hits == brute_force(coords, m, False)
+    assert seen
     for cfg in seen:
         first, third = moments(cfg)
-        on = len(lines_through_the_origin(cfg))
-        assert first == (0, 0) and on >= 2
-        assert on <= 3 or third == (0, 0, 0, 0)
+        on = [None if v.x == 0 else v.y / v.x for v in cfg]
+        assert first == (0, 0) and len(set(on)) >= 3
+        assert len(set(on)) == 3 or third == (0, 0, 0, 0)
+        assert m % 2 or min(map(on.count, on)) >= 2
     zero_sum = [
         cand
-        for cand in itertools.combinations(grid_vectors(GRID4), 4)
-        if moments(cand)[0] == (0, 0) and len(lines_through_the_origin(cand)) >= 2
+        for cand in itertools.combinations(grid_vectors(coords), m)
+        if sums_to_zero(cand) and len(lines_through_the_origin(cand)) >= 2
     ]
     assert len(seen) < len(zero_sum)
+
+
+@pytest.mark.parametrize(
+    "m, rules",
+    [
+        # at m = 4 a 2-line zero-sum set is {a, -a, b, -b}
+        (4, {(1, False), (2, False), (3, True)}),
+        # at odd m none is closed under negation, and rule 2 does not apply
+        (5, {(1, False), (3, False)}),
+        # no line of this grid holds two pairs v, -v
+        (6, {(1, False), (2, False), (3, False)}),
+    ],
+)
+def test_zero_sum_rules_agree_with_is_balanced(m, rules):
+    # every zero-sum set over {-3, -1, 0, 1, 2}^2 that is not collinear is
+    # not balanced on 4 or more lines with a nonzero third moment (rule 1),
+    # nor at even m with a member alone on its line (rule 2); on 2 lines it
+    # is balanced exactly when closed under v -> -v (rule 3); the search
+    # lists exactly the ones that is_balanced accepts
+    coords = (-3, -1, 0, 1, 2)
+    vectors = [(x, y) for x in coords for y in coords if x or y]
+    decided, balanced = set(), []
+    for cand in itertools.combinations(vectors, m):
+        if sum([x for x, _ in cand]) or sum([y for _, y in cand]):
+            continue
+        on = [None if x == 0 else Fraction(y, x) for x, y in cand]
+        if len(set(on)) == 1:
+            continue
+        cfg = Configuration(cand)
+        verdict = is_balanced(cfg).balanced
+        if verdict:
+            balanced.append(cfg)
+        if len(set(on)) >= 4 and any(sum(x ** (3 - k) * y**k for x, y in cand) for k in range(4)):
+            rule, expected = 1, False
+        elif m % 2 == 0 and 1 in map(on.count, on):
+            rule, expected = 2, False
+        elif len(set(on)) == 2:
+            rule, expected = 3, set(cand) == {(-x, -y) for x, y in cand}
+        else:
+            continue
+        assert verdict == expected, (rule, cand)
+        decided.add((rule, verdict))
+    assert decided == rules
+    hits = enumerate_balanced(SearchSpec(m, tuple(map(Fraction, coords))))
+    assert [cfg for cfg in hits if len(lines_through_the_origin(cfg)) > 1] == balanced
