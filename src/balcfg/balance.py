@@ -43,11 +43,10 @@ det(v_k, v_{k+a}) = -det(v_k, v_{k-a}) in disguise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import add, ge, lt, mul, neg, sub
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .errors import AmbiguousPairing, InconsistentConstants, NotBalanced, NotUniform
 from .geometry import EXACT, Configuration, Scalar
@@ -68,8 +67,7 @@ BOUND_SLACK = 2.0**-40
 ARGUMENT_ERR = 1e-14
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(NamedTuple):
     """Outcome of is_balanced: the verdict, and the (index, value) witness
     where multiset symmetry fails, in input units."""
 
@@ -77,8 +75,7 @@ class BalanceReport:
     witness: Optional[Tuple[int, Scalar]]
 
 
-@dataclass(frozen=True)
-class PairingMap:
+class PairingMap(NamedTuple):
     """Per index i, the set of n determinant-opposite pairs partitioning the
     other indices; phi maps every unordered index pair to its unique i."""
 
@@ -89,8 +86,7 @@ class PairingMap:
         return self.phi[frozenset((k, l))]
 
 
-@dataclass(frozen=True)
-class StepConstants:
+class StepConstants(NamedTuple):
     """The common step determinants of a uniform balanced labeled
     configuration: A1 = det(v_k, v_{k+1}) and An = det(v_k, v_{k+n})."""
 

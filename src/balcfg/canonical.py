@@ -38,8 +38,7 @@ z_{j+1} = r z_j - z_{j-1}, the same as the model sequences' (r = t there).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .balance import (
     BOUND_SLACK,
@@ -81,8 +80,7 @@ RESIDUAL_TOL = 1e-8
 TARGET_ERR = 1e-14
 
 
-@dataclass(frozen=True)
-class LinearMap2:
+class LinearMap2(NamedTuple):
     """Row-major 2x2 map (a b / c d); must be invertible where it matters."""
 
     a: Scalar
@@ -97,9 +95,10 @@ class LinearMap2:
         return PlaneVector(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
 
     def apply_configuration(self, c: Configuration) -> Configuration:
+        xs, ys = c.xs, c.ys
+        a, b, c, d = self  # each field read is a descriptor call: one per field, not per member
         return Configuration(
-            [self.a * x + self.b * y for x, y in zip(c.xs, c.ys)],
-            [self.c * x + self.d * y for x, y in zip(c.xs, c.ys)],
+            [a * x + b * y for x, y in zip(xs, ys)], [c * x + d * y for x, y in zip(xs, ys)]
         )
 
     def compose(self, other: "LinearMap2") -> "LinearMap2":
@@ -124,8 +123,7 @@ class LinearMap2:
         return ((self.a, self.b), (self.c, self.d))
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Witness of equivalence to the roots of unity: the map g, the frame
     parameter t, the matched grid index k, the exponent assignment per slot,
     and the achieved residual."""
@@ -257,8 +255,9 @@ def _map_onto_roots(c: Configuration) -> CanonicalForm:
         )
     tau, xs, ys = 2.0 * math.pi, labeled.xs, labeled.ys
     thetas = [tau * e / m for e in exponents]
-    gx = [g.a * x + g.b * y - cos for x, y, cos in zip(xs, ys, map(math.cos, thetas))]
-    gy = [g.c * x + g.d * y - sin for x, y, sin in zip(xs, ys, map(math.sin, thetas))]
+    ga, gb, gc, gd = g
+    gx = [ga * x + gb * y - cos for x, y, cos in zip(xs, ys, map(math.cos, thetas))]
+    gy = [gc * x + gd * y - sin for x, y, sin in zip(xs, ys, map(math.sin, thetas))]
     residual = max(0.0, *map(math.hypot, gx, gy))
     return CanonicalForm(g, t_c, k_c, exponents, residual)
 
@@ -366,11 +365,10 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
         raise ResidualTooLarge(
             f"residual {form.residual:.3e} exceeds {tol:.3e}", witness=form.residual
         )
-    return replace(form, g=form.g.scale(s))
+    return form._replace(g=form.g.scale(s))
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(NamedTuple):
     equivalent: bool
     reason: Optional[str] = None
 

@@ -7,8 +7,8 @@ finite members of one mode as two columns xs and ys. Its one constructor,
 the one test of member values, takes the columns (or (x, y) pairs, or
 PlaneVectors), tests them in C-level passes and coerces only columns that
 need it; PlaneVectors are built only on request. A PlaneVector is a checked
-value (x, y, mode, as_tuple) with no arithmetic: every member computation,
-the float copy included, runs on the columns.
+named tuple (x, y), with mode and as_tuple and no arithmetic: every member
+computation, the float copy included, runs on the columns.
 
 A configuration's determinant rows keep their entries at one scale. In
 exact mode, with D the lcm of the coordinate denominators, each row is built
@@ -24,10 +24,9 @@ maximum) is divided back to input units by Configuration.unscale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .errors import DuplicateArgument
 
@@ -55,21 +54,19 @@ def _coerce_pair(x, y) -> tuple:
     return x, y
 
 
-@dataclass(frozen=True)
-class PlaneVector:
+class PlaneVector(NamedTuple("PlaneVector", [("x", Scalar), ("y", Scalar)])):
     """A vector of R^2. Ints coerce to Fraction; a float coordinate forces
     float mode for the whole vector, and a NaN or infinite one raises
     ValueError."""
 
-    x: Scalar
-    y: Scalar
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        x, y = _coerce_pair(self.x, self.y)
+    def __new__(cls, x: Scalar, y: Scalar):
+        x, y = _coerce_pair(x, y)
         if isinstance(x, float) and not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"vector ({x!r}, {y!r}) is not finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        return super().__new__(cls, x, y)
 
     @property
     def mode(self) -> str:
@@ -97,17 +94,14 @@ def argument(v: PlaneVector) -> float:
     return Configuration([v]).arguments[0]
 
 
-@dataclass(frozen=True)
 class Configuration:
     """Ordered list of m >= 1 nonzero, finite vectors sharing one arithmetic
-    mode, as two columns; equality and hashing compare the coordinates only."""
-
-    xs: tuple
-    ys: tuple
+    mode, as two columns; equality and hashing compare the coordinates only.
+    Its fields are read-only; cached values go straight into __dict__."""
 
     def __init__(self, xs: Iterable, ys: Optional[Iterable] = None):
         if ys is None:
-            pairs = [v.as_tuple() if isinstance(v, PlaneVector) else (v[0], v[1]) for v in xs]
+            pairs = [(v[0], v[1]) for v in xs]
             xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
         xs, ys = tuple(xs), tuple(ys)
         if not xs or len(xs) != len(ys):
@@ -123,8 +117,24 @@ class Configuration:
         if type(xs[0]) is float and not all(map(math.isfinite, xs + ys)):
             i = [math.isfinite(x) and math.isfinite(y) for x, y in zip(xs, ys)].index(False)
             raise ValueError(f"configuration member {i} ({xs[i]!r}, {ys[i]!r}) is not finite")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        self.__dict__.update(xs=xs, ys=ys)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.xs, self.ys) == (other.xs, other.ys)
+
+    def __hash__(self) -> int:
+        return hash((self.xs, self.ys))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(xs={self.xs!r}, ys={self.ys!r})"
 
     @property
     def mode(self) -> str:

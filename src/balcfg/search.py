@@ -20,9 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .balance import is_balanced, is_uniform
 from .canonical import LinearMap2
@@ -72,21 +71,24 @@ def perturb(c: Configuration, eps: float, seed: int = 0) -> Configuration:
     return Configuration(out)
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(
+    NamedTuple(
+        "SearchSpec",
+        [("m", int), ("coordinate_set", Tuple[Fraction, ...]), ("require_uniform", bool)],
+    )
+):
     """Exhaustive-search request: size m over an exact coordinate grid."""
 
-    m: int
-    coordinate_set: Tuple[Fraction, ...]
-    require_uniform: bool = False
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m: int, coordinate_set: Tuple[Fraction, ...], require_uniform: bool = False):
+        if m < 1:
             raise ValueError("m must be >= 1")
-        coords = tuple(sorted({Fraction(x) for x in self.coordinate_set}))
+        coords = tuple(sorted({Fraction(x) for x in coordinate_set}))
         if not coords:
             raise ValueError("coordinate set must be nonempty")
-        object.__setattr__(self, "coordinate_set", coords)
+        return super().__new__(cls, m, coords, require_uniform)
 
 
 def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
@@ -157,7 +159,9 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
         for idx in itertools.combinations(members, m)
     }
     keys = _pack(list(zip(xs, ys)), m)
-    cubes = _pack([(x * x * x, x * x * y, x * y * y, y * y * y) for x, y in zip(xs, ys)], m)
+    cubes = None  # rule 1 reads cubes only on 4 or more lines, so at m >= 4
+    if m >= 4:
+        cubes = _pack([(x * x * x, x * x * y, x * y * y, y * y * y) for x, y in zip(xs, ys)], m)
     target = 0 if size == m else sum(keys)
     for part in _join(keys, size, target):
         idx = part if size == m else tuple(sorted(set(range(n)).difference(part)))

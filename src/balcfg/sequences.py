@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import polynomials as ip
 from .geometry import Configuration, PlaneVector, Scalar
@@ -46,8 +45,7 @@ from .geometry import Configuration, PlaneVector, Scalar
 ROOT_WIDTH = Fraction(1, 10**12)
 
 
-@dataclass(frozen=True)
-class PolyPair:
+class PolyPair(NamedTuple):
     """A vector-valued polynomial function of t: (x(t), y(t)), both integer
     polynomials ascending by degree."""
 
@@ -55,28 +53,28 @@ class PolyPair:
     y: ip.IntPoly
 
 
-@dataclass(frozen=True)
-class RootGrid:
+class RootGrid(NamedTuple("RootGrid", [("m", int), ("values", Tuple[float, ...])])):
     """Sorted closure parameters for odd m: exactly n = (m-1)/2 distinct
     values, all inside (-2, 2)."""
 
-    m: int
-    values: Tuple[float, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        n = (self.m - 1) // 2
-        if self.m % 2 == 0 or self.m < 3:
-            raise ValueError(f"grid needs odd m >= 3, got {self.m}")
-        if len(self.values) != n:
-            raise ValueError(f"grid for m = {self.m} needs {n} values, got {len(self.values)}")
-        if list(self.values) != sorted(self.values):
+    def __new__(cls, m: int, values: Tuple[float, ...]):
+        n = (m - 1) // 2
+        if m % 2 == 0 or m < 3:
+            raise ValueError(f"grid needs odd m >= 3, got {m}")
+        if len(values) != n:
+            raise ValueError(f"grid for m = {m} needs {n} values, got {len(values)}")
+        if list(values) != sorted(values):
             raise ValueError("grid values must be sorted ascending")
-        for v in self.values:
+        for v in values:
             if not -2.0 < v < 2.0:
                 raise ValueError(f"grid value {v} outside (-2, 2)")
-        for a, b in zip(self.values, self.values[1:]):
+        for a, b in zip(values, values[1:]):
             if not b > a:
                 raise ValueError("grid values must be distinct")
+        return super().__new__(cls, m, values)
 
     @property
     def n(self) -> int:
@@ -116,8 +114,7 @@ def symbolic_sequences(n: int) -> Tuple[List[PolyPair], List[PolyPair]]:
     return _interleaved(n, (), (1,), ip.shift_up, ip.sub, ip.neg, PolyPair)
 
 
-@dataclass(frozen=True)
-class ParityVerdict:
+class ParityVerdict(NamedTuple):
     ok: bool
     index: Optional[int] = None
     which: Optional[str] = None

@@ -13,6 +13,7 @@ import json
 import math
 import os
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Union
 
 from .errors import ConfigFileError
@@ -33,10 +34,13 @@ def dumps_canonical(obj) -> str:
 
 
 def _dumps(obj) -> str:
-    if obj is None or isinstance(obj, (bool, str)):
-        return json.dumps(obj)
+    # json.dumps's own str encoder (ensure_ascii) and its three literals
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, Fraction):
-        return json.dumps(str(obj))
+        return '"%s"' % obj
     if isinstance(obj, int):
         return repr(obj)
     if isinstance(obj, float):
@@ -46,7 +50,7 @@ def _dumps(obj) -> str:
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
-            items.append(f"{json.dumps(key)}: {_dumps(obj[key])}")
+            items.append(f"{encode_basestring_ascii(key)}: {_dumps(obj[key])}")
         return "{%s}" % ", ".join(items)
     if isinstance(obj, (list, tuple)):
         kinds = set(map(type, obj))  # only floats or only ints: one pass

@@ -902,14 +902,14 @@ PLANE_VECTOR_BUDGETS = [
     "argv, budget", PLANE_VECTOR_BUDGETS, ids=[argv[0] for argv, _ in PLANE_VECTOR_BUDGETS]
 )
 def test_commands_build_few_plane_vectors(capsys, monkeypatch, argv, budget):
-    post_init = geometry.PlaneVector.__post_init__
+    new = geometry.PlaneVector.__new__
     built = []
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
+    def counting(cls, x, y):
+        built.append((x, y))
+        return new(cls, x, y)
 
-    monkeypatch.setattr(geometry.PlaneVector, "__post_init__", counting)
+    monkeypatch.setattr(geometry.PlaneVector, "__new__", counting)
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(built) <= budget

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -106,7 +105,7 @@ def test_parity_check_names_a_corrupted_polynomial(which):
     us, ws = symbolic_sequences(3)
     seq = list(us if which[0] == "u" else ws)
     axis = which[2]
-    seq[2] = dataclasses.replace(seq[2], **{axis: (*getattr(seq[2], axis), 1)})
+    seq[2] = seq[2]._replace(**{axis: (*getattr(seq[2], axis), 1)})
     bent = (seq, ws) if which[0] == "u" else (us, seq)
     assert check_parity_degrees(*bent) == ParityVerdict(False, 2, which)
 

@@ -211,6 +211,19 @@ def test_dumps_canonical_matches_reference(obj):
     assert dumps_canonical(obj) == _ref_dumps_canonical(obj)
 
 
+# every code point, lone surrogates and control characters included
+any_text = st.text(st.characters(exclude_categories=()))
+
+
+@given(any_text, any_text)
+@example('"\\', "\x00\x1f\x7f")
+@example("\u00e9\u4e2d", "\U0001f600")
+@example("\ud800", "\udfff")
+def test_dumps_canonical_writes_a_str_as_json_dumps_does(key, value):
+    assert dumps_canonical(value) == json.dumps(value)
+    assert dumps_canonical({key: value}) == json.dumps({key: value})
+
+
 def _element_path(obj) -> str:
     # the element path: every element through dumps_canonical's whole dispatch
     return "[%s]" % ", ".join(map(dumps_canonical, obj))
