@@ -12,10 +12,10 @@ catches CertificateError itself, so a certificate that escapes one is an
 internal fault and exits 2, as does any other exception a command raises
 ("error: internal <class>: ...").
 
-One parser per process: build_parser builds the full parser on the first
-main call, not at import, and every later call in the process parses with
-it, so every help text and usage message comes from that one parser.
-main looks up the chosen command's _cmd_ function when it runs.
+One parser per process, built on the first main call and not at import:
+every help text and usage message comes from it. main hands an argv that
+starts with a command name to that command's subparser, and looks up the
+command's _cmd_ function when it runs.
 
 Each command returns its report (a dict) or text with its exit code, and
 main writes it through the one writer to --out or stdout: a report as
@@ -209,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         "forms, closure-parameter grids, generators, and SVG figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own subparser, for main
 
     check = sub.add_parser("check", help="balance/uniformity verdicts for a configuration file")
     check.add_argument("path")
@@ -269,7 +270,15 @@ def _fuse_coords(argv):
 
 def main(argv=None) -> int:
     argv = _fuse_coords(sys.argv[1:] if argv is None else list(argv))
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    # as the full parse would, with no top-level pass when argv names a command
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     t0 = time.perf_counter()
     try:
         payload, code = globals()[f"_cmd_{args.command}"](args)

@@ -1,14 +1,14 @@
 """Planar primitives: vectors in two arithmetic modes, determinants, polar
 arguments, cyclic indexing, and roots-of-unity generation.
 
-Coordinates are exact (fractions.Fraction, in lowest terms) or binary
-floats, never mixed in one operation. A Configuration stores its m nonzero,
-finite members of one mode as two columns xs and ys. Its one constructor,
-the one test of member values, takes the columns (or (x, y) pairs, or
-PlaneVectors), tests them in C-level passes and coerces only columns that
-need it; PlaneVectors are built only on request. A PlaneVector is a checked
-named tuple (x, y), with mode and as_tuple and no arithmetic: every member
-computation, the float copy included, runs on the columns.
+Coordinates are exact (fractions.Fraction, in lowest terms) or binary floats,
+never mixed in one operation. A Configuration stores its m nonzero, finite
+members of one mode as two columns xs and ys. Its one constructor, the one
+test of member values, takes the columns (or (x, y) pairs, or PlaneVectors),
+tests them in C-level passes and coerces only columns that need it; take
+copies members that passed it, untested. A PlaneVector, built only on
+request, is a checked named tuple (x, y) with mode and as_tuple and no
+arithmetic: every member computation runs on the columns.
 
 A configuration's determinant rows keep their entries at one scale. In
 exact mode, with D the lcm of the coordinate denominators, each row is built
@@ -219,11 +219,20 @@ class Configuration:
             for x, y, g in zip(xs, ys, map(math.gcd, xs, ys))
         )
 
+    @classmethod
+    def _of_checked(cls, xs: tuple, ys: tuple) -> "Configuration":
+        """The nonempty columns of members that already passed __init__'s tests."""
+        c = object.__new__(cls)
+        vars(c).update(xs=xs, ys=ys)
+        return c
+
     def take(self, idx) -> "Configuration":
-        """The members at the indices idx, in that order. The copy shares
-        their lines where this configuration holds them: a line is a
-        primitive direction, whatever the common denominator D."""
-        sub = Configuration([self.xs[a] for a in idx], [self.ys[a] for a in idx])
+        """The members at the indices idx, in that order, not tested again; no
+        index at all meets the constructor's refusal. The copy shares their
+        lines where this configuration holds them: a line is a primitive
+        direction, whatever the common denominator D."""
+        xs, ys = tuple([self.xs[a] for a in idx]), tuple([self.ys[a] for a in idx])
+        sub = Configuration._of_checked(xs, ys) if xs else Configuration(xs, ys)
         if "lines" in self.__dict__:
             sub.__dict__["lines"] = tuple([self.lines[a] for a in idx])
         return sub

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
@@ -29,9 +31,11 @@ from .errors import BudgetExceeded
 from .geometry import Configuration
 
 DEFAULT_BUDGET = 10**7
-# Most entries of the join's table: 1 GiB at 260 B, the most that one entry
-# (its key, list and index tuple) was measured to take (tracemalloc, 3.11).
+# Most entries of the join's table, grid vectors and collinear sets: 1 GiB at 260,
+# 780 and 600 B, the most one of each took (tracemalloc, 3.11; small rationals, m <= 5).
 TABLE_CAP = 2**30 // 260
+GRID_CAP = 2**30 // 780
+HIT_CAP = 2**30 // 600
 # Largest condition number of a random_invertible map.
 COND_MAX = 100.0
 
@@ -85,7 +89,7 @@ class SearchSpec(
     def __new__(cls, m: int, coordinate_set: Tuple[Fraction, ...], require_uniform: bool = False):
         if m < 1:
             raise ValueError("m must be >= 1")
-        coords = tuple(sorted({Fraction(x) for x in coordinate_set}))
+        coords = tuple(sorted({x if type(x) is Fraction else Fraction(x) for x in coordinate_set}))
         if not coords:
             raise ValueError("coordinate set must be nonempty")
         return super().__new__(cls, m, coords, require_uniform)
@@ -121,7 +125,8 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     built, by Configuration.take, with its lines; no grid table and no row.
     The join's table of C(n, floor(s/2)) entries, s = min(m, n - m), is
     held in memory. BudgetExceeded refuses more than DEFAULT_BUDGET left
-    halves, C(n, ceil(s/2)) for n grid vectors, or TABLE_CAP table entries.
+    halves, C(n, ceil(s/2)) for n grid vectors, or TABLE_CAP table entries,
+    then GRID_CAP grid vectors or HIT_CAP collinear sets, before any is built.
     """
     coords = spec.coordinate_set
     # the grid's nonzero vectors, counted before any is built
@@ -146,10 +151,27 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     entries = math.comb(n, size // 2)
     if entries > TABLE_CAP:
         raise BudgetExceeded(f"C({n}, {size // 2}) = {entries} table entries exceed {TABLE_CAP}")
-    # the grid's nonzero vectors, lexicographic by (x, y): their ints and lines
-    grid = Configuration(*zip(*[(x, y) for x in coords for y in coords if x or y]))
+    if n > GRID_CAP:
+        raise BudgetExceeded(f"{n} grid vectors exceed {GRID_CAP}")
+    # the grid's nonzero vectors, lexicographic by (x, y), as the ints x*D, y*D
+    d = math.lcm(*[c.denominator for c in coords])
+    ints = [c.numerator * (d // c.denominator) for c in coords]
+    xs = [x for x in ints for y in ints if x or y]
+    ys = [y for x in ints for y in ints if x or y]
+    # a line holds at most k = len(coords) grid vectors and C(j, m) is convex in
+    # j, so at most n/k * C(k, m) sets are collinear; past HIT_CAP, count them
+    # line by line, on |x*K + y| // gcd(x, y), K > 2*max|y|: one int per line
+    if n * math.comb(len(coords), m) > HIT_CAP * len(coords):
+        base = itertools.repeat(2 * max(map(abs, ints)) + 1)
+        packed = map(abs, map(operator.add, map(operator.mul, xs, base), ys))
+        on_line = Counter(map(operator.floordiv, packed, map(math.gcd, xs, ys)))
+        collinear = sum(map(math.comb, on_line.values(), itertools.repeat(m)))
+        if collinear > HIT_CAP:
+            raise BudgetExceeded(f"{collinear} collinear sets exceed {HIT_CAP}")
+    cells = [(a, b) for a, x in zip(coords, ints) for b, y in zip(coords, ints) if x or y]
+    grid = Configuration._of_checked(*zip(*cells))
+    grid.__dict__["_det_coords"] = xs, ys, d * d
     line_of = grid.lines
-    xs, ys, _ = grid._det_coords
     lines = {}
     for i, line in enumerate(line_of):
         lines.setdefault(line, []).append(i)

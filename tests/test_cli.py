@@ -847,6 +847,20 @@ PARSER_CASES = [
     ("check_unrecognized.err", ["check", str(DATA / "u5.json"), "-z"], 2),
     ("roots_unknown_option.err", ["roots", "--n", "3", "--bogus"], 2),
     ("gen_bad_format.err", ["gen", "--m", "5", "--format", "png"], 2),
+    ("check_missing_path.err", ["check"], 2),
+    ("check_ambiguous_option.err", ["check", str(DATA / "u5.json"), "--t", "1"], 2),
+    # Python 3.11 reads "--" as the command name; later versions may drop it
+    # and then miss the path: both exit 2
+    ("dashdash_before_command.err", ["--", "check"], 2),
+    ("roots_extra_argument.err", ["roots", "--n", "3", "extra"], 2),
+]
+# argvs whose bytes a golden above already holds: (id, golden, argv, code).
+# An abbreviation and an argument after "--" reach the command's subparser,
+# so only -z is left over
+PARSER_REPEATS = [
+    ("check_abbreviation", "check_unrecognized.err", ["check", str(DATA / "u5.json"), "--to", "1e-3", "-z"], 2),
+    ("check_dashdash_after_command", "check_unrecognized.err", ["check", "--", str(DATA / "u5.json"), "-z"], 2),
+    ("check_help_after_path", "check_help.out", ["check", str(DATA / "u5.json"), "-h"], 0),
 ]
 
 
@@ -857,14 +871,44 @@ def _parser_exit(capsys, parse, argv):
     return info.value.code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("name, argv, code", PARSER_CASES, ids=[c[0] for c in PARSER_CASES])
+@pytest.mark.parametrize(
+    "name, argv, code",
+    [pytest.param(*case, id=case[0]) for case in PARSER_CASES]
+    + [pytest.param(*case[1:], id=case[0]) for case in PARSER_REPEATS],
+)
 def test_parser_output_golden_bytes(capsys, monkeypatch, name, argv, code):
+    # main parses an argv that starts with a command name with that
+    # command's subparser alone, and must write the full parse's bytes
     monkeypatch.setenv("COLUMNS", "80")
     got = _parser_exit(capsys, main, argv)
     assert got == _parser_exit(capsys, cli.build_parser().parse_args, argv)
     if sys.version_info[:2] == HELP_GOLDEN_PYTHON:
         text = (HELP_GOLDEN / name).read_text()
         assert got == ((code, text, "") if name.endswith(".out") else (code, "", text))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", str(DATA / "u5.json"), "--to", "1e-3"],
+        ["check", "--", str(DATA / "u5.json")],
+        ["check", "--timing", str(DATA / "u5.json"), "--tol=0"],
+        ["canon", str(DATA / "u7_moved.json")],
+        ["roots", "--m", "7", "--timing"],
+        ["gen", "--m", "5", "--k", "1", "--seed", "2", "--format", "svg"],
+        ["search", "--m", "3", "--coords", "-1,0,1", "--uniform"],
+        ["search", "--coords=-1/2,1", "--m", "2"],
+        ["render", str(DATA / "u5.json"), "--format", "json"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + [a for a in argv[1:] if a.startswith("-")]),
+)
+def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    # the command's subparser alone gives the namespace of the full parse
+    seen = []
+    monkeypatch.setattr(cli, f"_cmd_{argv[0]}", lambda args: (seen.append(args), ("", 0))[1])
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert seen == [cli.build_parser().parse_args(cli._fuse_coords(argv))]
 
 
 def test_main_builds_one_parser_per_process(capsys, monkeypatch):

@@ -117,6 +117,34 @@ def test_take_keeps_the_members_and_shares_their_lines():
     assert roots_of_unity(5).take((4, 2)) == Configuration(list(roots_of_unity(5))[4:1:-2])
 
 
+nonzero_members = st.one_of(
+    st.lists(st.tuples(finite, finite), min_size=1, max_size=8),
+    st.lists(st.tuples(rationals, rationals), min_size=1, max_size=8),
+).map(lambda pairs: [p for p in pairs if p != (0, 0)] or [(1, 2)])
+
+
+@given(nonzero_members, st.data(), st.booleans())
+def test_take_equals_the_constructor_on_the_same_members(pairs, data, with_lines):
+    # take builds its copy without the constructor's tests; it must still
+    # be the configuration the constructor builds, lines shared where held
+    c = Configuration(pairs)
+    if with_lines and c.mode == "exact":
+        c.lines
+    idx = data.draw(st.lists(st.integers(0, c.m - 1), min_size=1, max_size=10))
+    sub = c.take(idx)
+    expected = Configuration([c.xs[a] for a in idx], [c.ys[a] for a in idx])
+    assert sub == expected and (sub.xs, sub.ys) == (expected.xs, expected.ys)
+    assert sub.mode == expected.mode == c.mode
+    assert ("lines" in sub.__dict__) == ("lines" in c.__dict__)
+    if c.mode == "exact":
+        assert sub.lines == expected.lines == tuple(c.lines[a] for a in idx)
+    with pytest.raises(ValueError) as caught:
+        c.take(())
+    with pytest.raises(ValueError) as constructor:
+        Configuration((), ())
+    assert str(caught.value) == str(constructor.value)
+
+
 def test_det_max_reads_no_diagonal_entry():
     # x*y of v_0 overflows, so its diagonal entry x*y - y*x is inf - inf
     for vecs in ([(1e200, 1e200), (0.0, 1.0)], [(1e200, 1e200), (1.0, 0.0)]):

@@ -243,6 +243,74 @@ def test_enumeration_equals_brute_force_on_random_grids(grid, require_uniform):
     assert list(map(_rows, hits)) == list(map(_rows, expected))
 
 
+def test_caps_refuse_a_huge_grid_and_its_collinear_sets_before_building_either():
+    # m = 2 on the 999999 vectors of {0, ..., 999}^2 passes the budget and
+    # TABLE_CAP with 999999 left halves and table entries, but its lines
+    # hold 4432881 collinear pairs, counted on ints before any grid exists
+    assert search.DEFAULT_BUDGET > search.TABLE_CAP > 999999
+    assert search.GRID_CAP > 999999
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=f"^4432881 collinear sets exceed {search.HIT_CAP}$"):
+        enumerate_balanced(SearchSpec(m=2, coordinate_set=tuple(range(1000))))
+    assert time.perf_counter() - start < 1.0
+    # 1200^2 - 1 vectors at m = 1 are refused by their count alone
+    with pytest.raises(BudgetExceeded, match=f"^1439999 grid vectors exceed {search.GRID_CAP}$"):
+        enumerate_balanced(SearchSpec(m=1, coordinate_set=tuple(range(1200))))
+
+
+def collinear_sets(coords, m):
+    """Sum over the grid's lines of C(k, m), from Configuration.lines."""
+    vectors = grid_vectors(coords)
+    lines = Configuration(vectors).lines if vectors else ()
+    return sum(math.comb(lines.count(line), m) for line in set(lines))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(RANDOM_COORDS, min_size=1, max_size=7, unique=True), st.integers(1, 4))
+@example([Fraction(-3), Fraction(-1), Fraction(0), Fraction(1), Fraction(2), Fraction(3)], 3)
+def test_hit_cap_counts_the_collinear_sets_line_by_line(coords, m):
+    # a cap below the count refuses it and names the count, which the int
+    # keys must find as the lines do; a cap at the count lets every hit through
+    expected = collinear_sets(tuple(sorted(coords)), m)
+    spec = SearchSpec(m, tuple(coords))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "HIT_CAP", expected - 1)
+        if expected:
+            with pytest.raises(BudgetExceeded, match=f"^{expected} collinear sets exceed"):
+                enumerate_balanced(spec)
+        patch.setattr(search, "HIT_CAP", expected)
+        hits = enumerate_balanced(spec)
+    assert hits == enumerate_balanced(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.builds(Fraction, st.integers(-12, 12).filter(bool), st.sampled_from([1, 2, 3, 4, 9, 10])),
+        min_size=1,
+        max_size=6,
+        unique=True,
+    ),
+    st.booleans(),
+)
+def test_grid_ints_come_from_the_coordinates(coords, with_zero):
+    # the search grid's ints x*D, y*D come from the coordinate values, and
+    # must be what a fresh grid Configuration's _det_coords computes
+    coords = tuple(sorted(set(coords) | ({Fraction(0)} if with_zero else set())))
+    built, of_checked = [], Configuration._of_checked.__func__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            Configuration,
+            "_of_checked",
+            classmethod(lambda cls, xs, ys: built.append(of_checked(cls, xs, ys)) or built[-1]),
+        )
+        enumerate_balanced(SearchSpec(1, coords))
+    grid, fresh = built[0], Configuration(grid_vectors(coords))
+    assert grid == fresh
+    assert grid.__dict__["_det_coords"] == fresh._det_coords
+    assert grid.lines == fresh.lines
+
+
 def lines_through_the_origin(cfg):
     """The distinct lines through the origin that hold a member: slope y/x,
     or None for the y-axis."""
