@@ -4,22 +4,24 @@ root isolation from float guesses.
 Polynomials are tuples of arbitrary-precision ints, ascending degree, trailing
 zeros trimmed; the zero polynomial is the empty tuple. When float guesses for
 all deg p roots are at hand, certify_cells proves the roots a posteriori
-(Rump 2010): d disjoint cells of the lattice h * Z, h the largest power of
-two within the width asked for, each with an exact sign change or an exact
-zero at a lattice point, hold all d roots of p, one each. Every sign is an
-integer Horner over one power-of-two denominator, so every decision is
-exact. The guesses only place the cells; the proof never trusts them, and a
-failed proof returns None for the caller to refuse.
+(Rump 2010): d disjoint cells of the one lattice 2^-CELL_BITS * Z, each with
+an exact sign change or an exact zero at a lattice point, hold all d roots of
+p, one each. Every sign is an integer Horner over the denominator
+2^CELL_BITS, so every decision is exact. The guesses only place the cells;
+the proof never trusts them, and a failed proof returns None for the caller
+to refuse.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import zip_longest
 from math import isfinite
 from typing import List, Optional, Sequence, Tuple
 
 IntPoly = Tuple[int, ...]
+
+# certify_cells' lattice is 2^-40 Z: 2^-40 is the largest power of two <= 1e-12
+CELL_BITS = 40
 
 
 def trim(coeffs: Sequence[int]) -> IntPoly:
@@ -79,13 +81,11 @@ def _scaled_value(scaled: Sequence[int], num: int) -> int:
 
 
 def certify_cells(
-    p: Sequence[int], guesses: Sequence[float], width: Fraction
-) -> Optional[Tuple[int, List[Tuple[int, int]]]]:
-    """All real roots of p as certified cells of the lattice h * Z, sorted
-    ascending, from about one exact sign pair per root, or None when the
-    guesses cannot prove them: (den, [(a, b), ...]), each cell [a/den, b/den]
-    with int ends over one power-of-two den. h is the largest power of two
-    <= width; a width that is not positive raises ValueError.
+    p: Sequence[int], guesses: Sequence[float]
+) -> Optional[List[Tuple[int, int]]]:
+    """All real roots of p, ascending, as int pairs (a, b), each the certified
+    cell [a, b] / 2^CELL_BITS, from about one exact sign pair per root, or
+    None when the guesses cannot prove them.
 
     Each guess, in ascending order, picks the lattice cell that holds it;
     when the exact signs at the cell's ends agree, the cell below and then
@@ -96,21 +96,13 @@ def certify_cells(
     alone in its cell, and no bound on the roots is needed. None for a guess
     count other than deg p, a guess that is not finite, cells out of order
     or shared, or a guess that finds no root."""
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
     p = trim(p)
     if len(guesses) != len(p) - 1:
         return None
-    # h = 2^k = step / den: 2^(k-1) < width < 2^(k+1) before the check
-    wnum, wden = width.as_integer_ratio()
-    k = wnum.bit_length() - wden.bit_length()
-    if wden << max(k, 0) > wnum << max(-k, 0):
-        k -= 1
-    step, den = 1 << max(k, 0), 1 << max(-k, 0)
-    scaled = _scaled_coeffs(p, den)
+    scaled = _scaled_coeffs(p, 1 << CELL_BITS)
 
     def sign(a: int) -> int:
-        # the sign of p at a / den
+        # the sign of p at a / 2^CELL_BITS
         value = _scaled_value(scaled, a)
         return (value > 0) - (value < 0)
 
@@ -119,9 +111,9 @@ def certify_cells(
         if not isfinite(guess):
             return None
         num, gden = guess.as_integer_ratio()
-        cell = num * den // (gden * step) * step
-        for lo in (cell, cell - step, cell + step):
-            hi = lo + step
+        cell = (num << CELL_BITS) // gden
+        for lo in (cell, cell - 1, cell + 1):
+            hi = lo + 1
             at_lo, at_hi = sign(lo), sign(hi)
             if at_lo == 0:
                 root = (lo, lo)
@@ -137,4 +129,4 @@ def certify_cells(
         if found and (found[-1][1] > root[0] or found[-1] == root):
             return None
         found.append(root)
-    return den, found
+    return found

@@ -117,7 +117,8 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     row is 0, so the cubic form sum_j det(u, v_j)^3 vanishes on the line of
     every member, and a nonzero binary cubic vanishes on at most 3 lines.
     2: at even m with a member alone on its line, it is not balanced, as
-    that member's row has odd length and no zero (see even_m_witness).
+    that member's row has odd length and no zero (see even_m_witness). At
+    m = 4 and 6 every set on 4 or more lines has one: rule 1 needs no moment.
     3: on 2 lines it is balanced exactly when closed under v -> -v, as the
     row of a member of one line is a nonzero multiple of the other line's
     signed lengths. 4: at m = 3 it is balanced, as each row's 2 entries sum
@@ -181,14 +182,14 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
         for idx in itertools.combinations(members, m)
     }
     keys = _pack(list(zip(xs, ys)), m)
-    cubes = None  # rule 1 reads cubes only on 4 or more lines, so at m >= 4
-    if m >= 4:
+    cubes = None  # at m = 4 and 6, L >= 4 lines need a lone member (m >= 2L >= 8)
+    if m == 5 or m >= 7:
         cubes = _pack([(x * x * x, x * x * y, x * y * y, y * y * y) for x, y in zip(xs, ys)], m)
     target = 0 if size == m else sum(keys)
     for part in _join(keys, size, target):
         idx = part if size == m else tuple(sorted(set(range(n)).difference(part)))
         on = {line_of[a] for a in idx}
-        if len(on) == 1 or len(on) >= 4 and sum([cubes[a] for a in idx]):
+        if len(on) == 1 or len(on) >= 4 and (cubes is None or sum([cubes[a] for a in idx])):
             continue
         if m % 2 == 0 and 1 in map([line_of[a] for a in idx].count, on):
             continue

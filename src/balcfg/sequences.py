@@ -41,9 +41,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from . import polynomials as ip
 from .geometry import Configuration, PlaneVector, Scalar
 
-# Certified isolating width for polynomial roots.
-ROOT_WIDTH = Fraction(1, 10**12)
-
 
 class PolyPair(NamedTuple):
     """A vector-valued polynomial function of t: (x(t), y(t)), both integer
@@ -158,8 +155,8 @@ def closure_roots(grid: RootGrid) -> RootGrid:
     """Solve w_n(t) = (1, 0), certified, for n = grid.n: the real roots of
     W_n = s_n + s_{n-1}, the primitive gcd of y(w_n) and x(w_n) - 1 over
     Z[t] (module docstring), each the correctly rounded midpoint of an
-    isolating cell of the lattice 2^-40 Z, 2^-40 being the largest power of
-    two <= 1e-12, one int ratio.
+    isolating cell of ip.certify_cells' lattice 2^-40 Z, one int ratio
+    (a + b) / 2^41.
 
     The intervals are proved from exact signs at the cells of the grid's
     closed-form floats (ip.certify_cells), which place the cells but prove
@@ -173,12 +170,10 @@ def closure_roots(grid: RootGrid) -> RootGrid:
     root's lies within two cells and 1e-14 of the root, so it holds no
     other root, and no cell holds two."""
     closure = ip.add(chebyshev_s(grid.n), chebyshev_s(grid.n - 1))
-    certified = ip.certify_cells(closure, grid.values, ROOT_WIDTH)
-    if certified is None:
-        width = float(ROOT_WIDTH)
-        raise ValueError(f"closure roots for m = {grid.m} not isolated at width {width:g}")
-    den, cells = certified
-    return RootGrid(grid.m, tuple((a + b) / (2 * den) for a, b in cells))
+    cells = ip.certify_cells(closure, grid.values)
+    if cells is None:
+        raise ValueError(f"closure roots for m = {grid.m} not isolated at width 1e-12")
+    return RootGrid(grid.m, tuple((a + b) / (2 << ip.CELL_BITS) for a, b in cells))
 
 
 def wn_equation_roots(n: int) -> RootGrid:

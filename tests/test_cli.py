@@ -455,6 +455,16 @@ def test_roots_keeps_the_bytes_of_n_1_to_100(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == line.split()[0], f"--n {n}"
 
 
+def test_roots_keeps_the_bytes_of_n_400(capsys):
+    # roots_n400.sha256 holds the SHA-256 of `roots --n 400` stdout (m = 801)
+    # in the same sha256sum format
+    digest, name = (GOLDEN / "roots_n400.sha256").read_text().split()
+    assert name == "roots_n400.json"
+    code, out, _ = run(capsys, "roots", "--n", "400")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_roots_accepts_m_spelling(capsys):
     _, by_n, _ = run(capsys, "roots", "--n", "3")
     _, by_m, _ = run(capsys, "roots", "--m", "7")
@@ -478,7 +488,7 @@ def test_roots_beyond_twenty_match_the_closed_form(capsys, n):
 def test_roots_refuses_when_the_signs_prove_nothing(capsys, monkeypatch, flag, value, m):
     # certify_cells forced to None: closure_roots raises the ValueError that
     # main maps to one error line and exit 2, a refusal that names m
-    monkeypatch.setattr(sequences.ip, "certify_cells", lambda p, guesses, width: None)
+    monkeypatch.setattr(sequences.ip, "certify_cells", lambda p, guesses: None)
     code, out, err = run(capsys, "roots", flag, str(value))
     assert code == 2
     assert out == ""

@@ -83,69 +83,77 @@ def test_primitive_gcd_removes_content_and_sign():
     assert primitive_gcd((-1, 0, 1), (1, 0, 1)) == (1,)
 
 
-def _lattice_step(width):
-    # the largest power of two <= width, by halving or doubling from 1
-    h = Fraction(1)
-    while h > width:
-        h /= 2
-    while 2 * h <= width:
-        h *= 2
-    return h
+# certify_cells' one cell width, 2^-40, the largest power of two <= 1e-12
+CELL = Fraction(1, 2**ip.CELL_BITS)
 
 
-def _cells(p, guesses, width):
-    # certify_cells' cells as Fraction ends, or None; every end is a point
-    # of the lattice h Z, over den = 1 / h or 1
-    certified = ip.certify_cells(p, guesses, width)
-    if certified is None:
+def _cells(p, guesses):
+    # certify_cells' cells as Fraction ends, or None; every end is an int
+    # over 2^40, a point of the lattice 2^-40 Z
+    cells = ip.certify_cells(p, guesses)
+    if cells is None:
         return None
-    den, cells = certified
-    h = _lattice_step(width)
-    assert den == max(1 / h, 1)
-    assert all((Fraction(end, den) / h).denominator == 1 for cell in cells for end in cell)
-    return [(Fraction(a, den), Fraction(b, den)) for a, b in cells]
+    assert all(type(end) is int for cell in cells for end in cell)
+    return [(a * CELL, b * CELL) for a, b in cells]
 
 
-@pytest.mark.parametrize(
-    "width, den",
-    [(Fraction(1, 10**12), 2**40), (Fraction(1, 3), 4), (Fraction(1, 2), 2),
-     (Fraction(1, 2**20), 2**20), (Fraction(1), 1), (Fraction(3), 1), (Fraction(9, 2), 1)],
-)
-def test_certify_cells_shares_one_power_of_two_denominator(width, den):
-    # t^2 - 2 on the lattice of the largest power of two <= width: at width
-    # 3 the cells are [-2, 0] and [0, 2], at 9/2 [-4, 0] and [0, 4]
-    certified = ip.certify_cells((-2, 0, 1), [-sqrt(2), sqrt(2)], width)
-    assert certified[0] == den
-    cells = _cells((-2, 0, 1), [-sqrt(2), sqrt(2)], width)
-    h = _lattice_step(width)
-    for (lo, hi), root in zip(cells, (-sqrt(2), sqrt(2))):
-        assert hi - lo == h and lo < root < hi
+@pytest.mark.parametrize("square", [2, 3, 5, 7, 10, 99, 10**6 + 1])
+def test_certify_cells_shares_one_power_of_two_denominator(square):
+    # t^2 - square on the lattice 2^-40 Z: each irrational root strictly
+    # inside a cell one lattice step wide, the cell floor(sqrt(square) 2^40)
+    # = isqrt(square 4^40) and its mirror, which no lattice point hits
+    assert CELL == Fraction(1, 2**40) and CELL <= Fraction(1, 10**12) < 2 * CELL
+    p = (-square, 0, 1)
+    roots = (-sqrt(square), sqrt(square))
+    cells = _cells(p, list(roots))
+    below = isqrt(square << 2 * ip.CELL_BITS)
+    assert ip.certify_cells(p, list(roots)) == [(-below - 1, -below), (below, below + 1)]
+    for (lo, hi), root in zip(cells, roots):
+        assert hi - lo == CELL and lo < root < hi
+        assert sign_at(p, lo) * sign_at(p, hi) == -1
 
 
-@pytest.mark.parametrize("p", [(), (7,), (1, 0, 1), (-1, 0, 1), CUBIC_MIXED])
-@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 2)])
-def test_certify_cells_rejects_a_width_that_is_not_positive(p, width):
-    # on entry, so a wrong guess count cannot return None for a width of 0
-    with pytest.raises(ValueError, match="width must be positive"):
-        ip.certify_cells(p, [-1.0, 1.0], width)
+# polynomials with only real simple roots, each with its exact guesses
+EXACT_GUESSES = {
+    "linear": ((-3, 8), [0.375]),
+    "plus-minus-one": ((-1, 0, 1), [-1.0, 1.0]),
+    "plus-minus-sqrt-two": ((-2, 0, 1), [-sqrt(2), sqrt(2)]),
+    "cubic-mixed": (CUBIC_MIXED, [-sqrt(2), 1.0, sqrt(2)]),
+    "quartic": (
+        ip.sub(
+            ip.shift_up(ip.shift_up(_from_roots([Fraction(3, 8), Fraction(5, 4)]))),
+            tuple(2 * a for a in _from_roots([Fraction(3, 8), Fraction(5, 4)])),
+        ),
+        [-sqrt(2), 0.375, 1.25, sqrt(2)],
+    ),
+}
+
+
+@pytest.mark.parametrize("count", ["one-fewer", "one-more"])
+@pytest.mark.parametrize("kind", list(EXACT_GUESSES))
+def test_certify_cells_refuses_a_guess_count_other_than_the_degree(kind, count):
+    # the exact guesses prove every root; dropping the last or adding one
+    # past the largest root gives None, whatever the remaining guesses prove
+    p, guesses = EXACT_GUESSES[kind]
+    assert len(ip.certify_cells(p, guesses)) == len(p) - 1
+    wrong = guesses[:-1] if count == "one-fewer" else guesses + [guesses[-1] + 1.0]
+    assert ip.certify_cells(p, wrong) is None
 
 
 def test_certify_cells_quadratic():
-    width = Fraction(1, 10**12)
-    cells = _cells((-1, 0, 1), [-1.0, 1.0], width)
+    cells = _cells((-1, 0, 1), [-1.0, 1.0])
     assert cells == [(Fraction(-1), Fraction(-1)), (Fraction(1), Fraction(1))]
-    cells = _cells((-2, 0, 1), [-sqrt(2), sqrt(2)], width)
+    cells = _cells((-2, 0, 1), [-sqrt(2), sqrt(2)])
     assert len(cells) == 2
     for (lo, hi), expect in zip(cells, (-sqrt(2), sqrt(2))):
-        assert 0 < hi - lo <= width
+        assert 0 < hi - lo <= Fraction(1, 10**12)
         assert sign_at((-2, 0, 1), lo) * sign_at((-2, 0, 1), hi) == -1
         assert abs(float((lo + hi) / 2) - expect) < 1e-12
 
 
 def test_certify_cells_with_exact_dyadic_root():
     # (t - 1)(t^2 - 2): the rational root is a lattice point, zero-width
-    width = Fraction(1, 10**12)
-    cells = _cells(CUBIC_MIXED, [-sqrt(2), 1.0, sqrt(2)], width)
+    cells = _cells(CUBIC_MIXED, [-sqrt(2), 1.0, sqrt(2)])
     assert len(cells) == 3
     mids = [float((lo + hi) / 2) for lo, hi in cells]
     assert abs(mids[0] + 2 ** 0.5) < 1e-12
@@ -154,11 +162,11 @@ def test_certify_cells_with_exact_dyadic_root():
 
 
 def test_certify_cells_lands_on_a_grid_root_exactly():
-    # (8t - 3)(4t - 5)(t^2 - 2): 3/8 and 5/4 are points of every dyadic
-    # lattice finer than 1/8, so their cells are zero-width; +-sqrt(2) are not
+    # (8t - 3)(4t - 5)(t^2 - 2): 3/8 and 5/4 are points of the lattice
+    # 2^-40 Z, so their cells are zero-width; +-sqrt(2) are not
     q = _from_roots([Fraction(3, 8), Fraction(5, 4)])
     p = ip.sub(ip.shift_up(ip.shift_up(q)), tuple(2 * a for a in q))
-    cells = _cells(p, [-sqrt(2), 0.375, 1.25, sqrt(2)], Fraction(1, 10**12))
+    cells = _cells(p, [-sqrt(2), 0.375, 1.25, sqrt(2)])
     assert cells[1] == (Fraction(3, 8), Fraction(3, 8))
     assert cells[2] == (Fraction(5, 4), Fraction(5, 4))
     assert cells[0][0] < cells[0][1] and cells[3][0] < cells[3][1]
@@ -170,24 +178,23 @@ def test_certify_cells_recover_integer_roots(int_roots):
     for r in int_roots:
         # multiply by (t - r)
         p = ip.add(ip.shift_up(p), ip.neg(tuple(r * a for a in p)))
-    found = _cells(p, sorted(float(r) for r in int_roots), Fraction(1, 10**9))
-    # every integer is a point of the lattice 2^-30 Z
+    found = _cells(p, sorted(float(r) for r in int_roots))
+    # every integer is a point of the lattice 2^-40 Z
     assert found == [(Fraction(r), Fraction(r)) for r in sorted(int_roots)]
 
 
 def test_certify_cells_none_for_positive_definite():
     # t^2 + 1 has no real root, so no guesses prove its two roots real
-    width = Fraction(1, 1000)
-    assert ip.certify_cells((1, 0, 1), [], width) is None
-    assert ip.certify_cells((1, 0, 1), [-1.0, 1.0], width) is None
-    assert ip.certify_cells((1, 0, 1), [0.0, 0.001], width) is None
+    assert ip.certify_cells((1, 0, 1), []) is None
+    assert ip.certify_cells((1, 0, 1), [-1.0, 1.0]) is None
+    assert ip.certify_cells((1, 0, 1), [0.0, 0.001]) is None
 
 
 def test_certify_cells_returns_none_on_a_double_root():
     # (3t - 1)^2: no lattice point hits 1/3 and the sign does not change across
     # it, so no cell near it shows a root
-    assert ip.certify_cells((1, -6, 9), [1 / 3, 1 / 3], Fraction(1, 10**12)) is None
-    assert ip.certify_cells((1, -6, 9), [1 / 3 - 1e-12, 1 / 3 + 1e-12], Fraction(1, 10**12)) is None
+    assert ip.certify_cells((1, -6, 9), [1 / 3, 1 / 3]) is None
+    assert ip.certify_cells((1, -6, 9), [1 / 3 - 1e-12, 1 / 3 + 1e-12]) is None
 
 
 def _closure_polynomial(n):
@@ -200,7 +207,7 @@ def _closure_polynomial(n):
 def _closure_case(n):
     # W_n, the closed-form guesses for its roots and the lattice's cell width
     p = _closure_polynomial(n)
-    return p, list(sequences.t_grid(2 * n + 1).values), _lattice_step(sequences.ROOT_WIDTH)
+    return p, list(sequences.t_grid(2 * n + 1).values), CELL
 
 
 def _changed(guesses, i, value):
@@ -230,9 +237,8 @@ WRONG_GUESSES = {
 @pytest.mark.parametrize("kind", list(WRONG_GUESSES))
 def test_certify_cells_returns_none_when_the_guesses_prove_nothing(kind):
     p, guesses, cell = _closure_case(24)
-    width = sequences.ROOT_WIDTH
-    assert ip.certify_cells(p, guesses, width) is not None
-    assert ip.certify_cells(p, WRONG_GUESSES[kind](guesses, cell), width) is None
+    assert ip.certify_cells(p, guesses) is not None
+    assert ip.certify_cells(p, WRONG_GUESSES[kind](guesses, cell)) is None
 
 
 @pytest.mark.parametrize("n", list(range(1, 101)) + [200, 300, 400])
@@ -242,7 +248,7 @@ def test_certify_cells_proves_the_closure_roots(n):
     # rational root is t = -1, a lattice point, zero-width when 3 | m
     m = 2 * n + 1
     p, guesses, cell = _closure_case(n)
-    cells = _cells(p, guesses, sequences.ROOT_WIDTH)
+    cells = _cells(p, guesses)
     assert cells is not None and len(cells) == n
     for (_, hi), (lo, _) in zip(cells, cells[1:]):
         assert hi < lo
@@ -266,21 +272,21 @@ def test_certify_cells_takes_two_signs_per_closure_root(monkeypatch, n):
     value = ip._scaled_value
     monkeypatch.setattr(ip, "_scaled_value", lambda *args: calls.append(1) or value(*args))
     p, guesses, _ = _closure_case(n)
-    assert len(ip.certify_cells(p, guesses, sequences.ROOT_WIDTH)[1]) == n
+    assert len(ip.certify_cells(p, guesses)) == n
     assert len(calls) == 2 * n
 
 
 def test_certify_cells_returns_none_for_two_roots_in_one_cell():
-    # 3/10 and 3/10 + 10^-14 share a cell of width <= 10^-12, whose ends
-    # have one sign, as have both neighbours'
+    # 3/10 and 3/10 + 10^-14 share a cell of width 2^-40 <= 10^-12, whose
+    # ends have one sign, as have both neighbours'
     roots = [Fraction(3, 10), Fraction(3, 10) + Fraction(1, 10**14)]
     p = _from_roots(roots)
-    assert ip.certify_cells(p, [float(r) for r in roots], Fraction(1, 10**12)) is None
+    assert ip.certify_cells(p, [float(r) for r in roots]) is None
 
 
 def test_certify_cells_on_constants():
-    assert ip.certify_cells((7,), [], Fraction(1, 2)) == (2, [])
-    assert ip.certify_cells((), [], Fraction(1, 2)) is None
+    assert ip.certify_cells((7,), []) == []
+    assert ip.certify_cells((), []) is None
 
 
 DISTINCT_INTEGER_AND_DYADIC_ROOTS = st.lists(
@@ -294,26 +300,23 @@ DISTINCT_INTEGER_AND_DYADIC_ROOTS = st.lists(
 )
 
 
-def _lattice_cells(roots, square, width):
-    """The cell of the lattice h Z that holds each root of _from_roots(roots)
-    times t^2 - square, ascending, found from the roots themselves:
-    j h <= r < (j + 1) h, zero-width when r is a lattice point. h = 2^-k, so
-    the cells of +-sqrt(square) come from floor(sqrt(square) 2^k) =
-    isqrt(square 4^k), which no lattice point hits."""
+def _lattice_cells(roots, square):
+    """The cell of the lattice 2^-40 Z that holds each root of
+    _from_roots(roots) times t^2 - square, ascending, found from the roots
+    themselves: j 2^-40 <= r < (j + 1) 2^-40, zero-width when r is a lattice
+    point. The cells of +-sqrt(square) come from floor(sqrt(square) 2^40) =
+    isqrt(square 4^40), which no lattice point hits."""
     p = _from_roots(roots)
     if square:
         p = ip.sub(ip.shift_up(ip.shift_up(p)), tuple(square * a for a in p))
-    h = _lattice_step(width)
-    assert h.numerator == 1
-    k = h.denominator.bit_length() - 1
     cells = []
     for r in roots:
-        j, rest = divmod(r / h, 1)
-        cells.append((j * h, j * h) if rest == 0 else (j * h, (j + 1) * h))
+        j, rest = divmod(r / CELL, 1)
+        cells.append((j * CELL, j * CELL) if rest == 0 else (j * CELL, (j + 1) * CELL))
     if square:
-        below = isqrt(square << 2 * k)
+        below = isqrt(square << 2 * ip.CELL_BITS)
         for j in (-below - 1, below):
-            cells.append((j * h, (j + 1) * h))
+            cells.append((j * CELL, (j + 1) * CELL))
     return p, sorted(cells)
 
 
@@ -321,21 +324,20 @@ def _lattice_cells(roots, square, width):
     DISTINCT_INTEGER_AND_DYADIC_ROOTS,
     st.sampled_from([0, 2, 3, 5]),
     st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
-    st.sampled_from([Fraction(1, 3), Fraction(1, 2**20), Fraction(1, 10**12)]),
     st.sampled_from([0.0, 1e-13, 1e-9, 1e-3, 0.5]),
 )
-def test_certify_cells_is_the_roots_cells_or_none(roots, square, noise, width, scale):
+def test_certify_cells_is_the_roots_cells_or_none(roots, square, noise, scale):
     # the distinct rational roots, times t^2 - square for the irrational
     # pair +-sqrt(square); the guesses are the roots moved by up to
     # 3 * scale, sorted: the certificate either proves each root's own cell
     # or gives up
-    p, expect = _lattice_cells(roots, square, width)
+    p, expect = _lattice_cells(roots, square)
     exact = sorted([float(r) for r in roots] + ([-sqrt(square), sqrt(square)] if square else []))
     guesses = sorted(g + scale * e for g, e in zip(exact, noise))
-    cells = _cells(p, guesses, width)
+    cells = _cells(p, guesses)
     assert cells is None or cells == expect
     separation = min((b - a for a, b in zip(exact, exact[1:])), default=inf)
-    if scale == 0.0 and 3 * width < separation:
+    if scale == 0.0 and 3 * CELL < separation:
         # guesses within a float rounding of roots more than three cells
         # apart always succeed
         assert cells == expect

@@ -7,7 +7,6 @@ from balcfg import polynomials as ip
 from balcfg.canonical import frame_map
 from balcfg.geometry import roots_of_unity
 from balcfg.sequences import (
-    ROOT_WIDTH,
     ParityVerdict,
     PolyPair,
     RootGrid,
@@ -146,7 +145,7 @@ def test_the_closed_form_guesses_of_another_m_prove_nothing(n, m):
     # the closed-form guesses of another m prove nothing about W_n's roots:
     # certify_cells returns None, which closure_roots turns into a refusal
     # that names m, never a wrong answer
-    assert ip.certify_cells(_closure_polynomial(n), t_grid(m).values, ROOT_WIDTH) is None
+    assert ip.certify_cells(_closure_polynomial(n), t_grid(m).values) is None
 
 
 def test_chebyshev_s_closed_form_low_orders():
@@ -180,10 +179,10 @@ def test_closure_equations_factor_through_the_closed_form_w_n():
 def test_closure_roots_are_the_rounded_cell_midpoints(n):
     # one int ratio per midpoint rounds as the Fraction midpoint does
     grid = t_grid(2 * n + 1)
-    den, cells = ip.certify_cells(_closure_polynomial(n), grid.values, ROOT_WIDTH)
+    cells = ip.certify_cells(_closure_polynomial(n), grid.values)
     solved = closure_roots(grid)
     assert solved.m == grid.m
-    assert list(solved.values) == [float(Fraction(a + b, 2 * den)) for a, b in cells]
+    assert list(solved.values) == [float(Fraction(a + b, 2**41)) for a, b in cells]
 
 
 def test_closure_gcd_is_the_fourth_kind_chebyshev_polynomial():
