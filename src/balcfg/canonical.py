@@ -379,15 +379,20 @@ class EquivalenceVerdict(NamedTuple):
 def gl2_equivalent(
     a: Configuration, b: Configuration, tol: float = RESIDUAL_TOL
 ) -> EquivalenceVerdict:
-    """Two configurations are equivalent iff they have the same odd size and
-    both canonicalize (transitivity onto the roots of unity). A certificate
-    comes back as a false verdict carrying its name; a precision refusal
+    """Two configurations of one size are equivalent when both canonicalize
+    (transitivity onto the roots of unity), and not when exactly one does: the
+    false verdict carries that one's certificate, and balance and uniformity
+    are GL2 invariants. When neither canonicalizes, no certificate decides,
+    and ValueError names both refusals. A precision refusal
     (DuplicateArgument, SingularFrame) is raised, as canonicalize raises it."""
     if a.m != b.m:
         return EquivalenceVerdict(False, f"size mismatch: {a.m} != {b.m}")
+    refused = []
     for which, cfg in (("first", a), ("second", b)):
         try:
             canonicalize(cfg, tol)
         except CertificateError as exc:
-            return EquivalenceVerdict(False, f"{which}: {type(exc).__name__}")
-    return EquivalenceVerdict(True)
+            refused.append(f"{which}: {type(exc).__name__}")
+    if len(refused) == 2:
+        raise ValueError(f"equivalence undecided, neither canonicalizes ({', '.join(refused)})")
+    return EquivalenceVerdict(not refused, *refused)

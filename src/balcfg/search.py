@@ -6,13 +6,16 @@ vectors (the objects the definitions quantify over) and lists each set once,
 in lexicographic order of the sorted representative, so results are
 reproducible byte for byte. It never tests all C(n, m) candidates: a balanced
 set is collinear or sums to zero, so it lists the collinear sets of each line
-of the grid (Configuration.lines) and meets the zero-sum sets in the middle,
-joining the sums of the grid's ceil(m/2)-subsets with a table of its
-floor(m/2)-subset sums (for m > n/2, of the n - m points each set leaves
-out). Each zero-sum set that is not collinear is decided on the grid's ints
-and lines (see enumerate_balanced), and is_balanced decides only a set of
-m >= 5 on 3 lines, or on 4 or more with a zero third moment. Each hit
-carries its lines (Configuration.take), which is_uniform compares.
+of the grid (Configuration.lines). A zero-sum set on 2 lines is balanced
+exactly when closed under v -> -v, so at even m it lists those hits from the
+grid's antipodal pairs. At m = 3 and m >= 5 it meets the zero-sum sets on 3 or
+more lines in the middle, joining the sums of the grid's ceil(m/2)-subsets
+with a table of its floor(m/2)-subset sums (for m > n/2, of the n - m points
+each set leaves out); at m = 4 every such set has a member alone on its line
+and is not balanced, so no join runs. Each joined set is decided on the
+grid's ints and lines (see enumerate_balanced), and is_balanced decides only
+a set of m >= 5 on 3 lines, or on 4 or more with a zero third moment. Each
+hit carries its lines (Configuration.take), which is_uniform compares.
 """
 
 from __future__ import annotations
@@ -31,10 +34,16 @@ from .errors import BudgetExceeded
 from .geometry import Configuration
 
 DEFAULT_BUDGET = 10**7
-# Most entries of the join's table, grid vectors and collinear sets: 1 GiB at 260,
-# 780 and 600 B, the most one of each took (tracemalloc, 3.11; small rationals, m <= 5).
-TABLE_CAP = 2**30 // 260
-GRID_CAP = 2**30 // 780
+# Bytes of a join table entry and of a grid vector with small ints, the most one
+# took (tracemalloc, 3.11; small rationals, m <= 5), and what each 30-bit digit
+# past the first of the grid's largest int x*D adds: to an entry its packed key
+# (at most 7 B measured), to a vector its line and packed and cubic keys (98 B).
+TABLE_B, TABLE_DIGIT_B = 260, 8
+GRID_B, GRID_DIGIT_B = 780, 100
+# Most entries of the join's table, grid vectors and collinear sets with small
+# ints: 1 GiB at TABLE_B, GRID_B and 600 B (the most one collinear set took).
+TABLE_CAP = 2**30 // TABLE_B
+GRID_CAP = 2**30 // GRID_B
 HIT_CAP = 2**30 // 600
 # Largest condition number of a random_invertible map.
 COND_MAX = 100.0
@@ -104,30 +113,39 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     and a symmetric row sums to 0. So a balanced set is collinear (every det
     is 0, and it is balanced) or has S = 0 (two independent members force
     it). The collinear sets are listed on each line of the grid's own
-    Configuration. The zero-sum sets are met in the middle (Horowitz & Sahni
-    1974, see _join) on its packed _det_coords ints, x*K + y with K =
-    2*m*max|coordinate| + 1, so a sum of at most m points is 0 exactly when
-    both of its coordinate sums are. When m > n/2 the join lists the n - m
-    points left out, whose sum is the grid's total.
+    Configuration. Rule 3: a zero-sum set on exactly 2 lines is balanced
+    exactly when closed under v -> -v, as the row of a member of one line is
+    a nonzero multiple of the other line's signed lengths. So at even m
+    these hits are listed from one dict of the grid's int points: j pairs
+    {v, -v} of one line and m/2 - j of another, 1 <= j < m/2. At odd m there
+    are none.
 
-    A zero-sum set that is not collinear is decided by the first exact rule
-    that applies. 1: on 4 or more lines through the origin with a nonzero
-    third moment (sum x^3, sum x^2 y, sum x y^2, sum y^3, packed into one int
-    the same way), it is not balanced: every odd power sum of a symmetric
-    row is 0, so the cubic form sum_j det(u, v_j)^3 vanishes on the line of
-    every member, and a nonzero binary cubic vanishes on at most 3 lines.
-    2: at even m with a member alone on its line, it is not balanced, as
-    that member's row has odd length and no zero (see even_m_witness). At
-    m = 4 and 6 every set on 4 or more lines has one: rule 1 needs no moment.
-    3: on 2 lines it is balanced exactly when closed under v -> -v, as the
-    row of a member of one line is a nonzero multiple of the other line's
-    signed lengths. 4: at m = 3 it is balanced, as each row's 2 entries sum
-    to det(v_i, S) = 0. 5: otherwise is_balanced decides. Only a hit is
+    The zero-sum sets on 3 or more lines are met in the middle (Horowitz &
+    Sahni 1974, see _join) on the packed _det_coords ints, x*K + y with
+    K = 2*m*max|coordinate| + 1, so a sum of at most m points is 0 exactly
+    when both of its coordinate sums are. When m > n/2 the join lists the
+    n - m points left out, whose sum is the grid's total. It skips a set on
+    2 lines and decides the rest by the first exact rule that applies.
+    1: on 4 or more lines through the origin with a nonzero third moment
+    (sum x^3, sum x^2 y, sum x y^2, sum y^3, packed into one int the same
+    way), it is not balanced: every odd power sum of a symmetric row is 0,
+    so the cubic form sum_j det(u, v_j)^3 vanishes on the line of every
+    member, and a nonzero binary cubic vanishes on at most 3 lines. 2: at
+    even m with a member alone on its line, it is not balanced, as that
+    member's row has odd length and no zero (see even_m_witness). At m = 6
+    every set on 4 or more lines has one: rule 1 needs no moment. 4: at
+    m = 3 it is balanced, as each row's 2 entries sum to det(v_i, S) = 0.
+    5: otherwise is_balanced decides. The join runs at m = 3 and m >= 5: no
+    set of m <= 2 lies on 3 lines, and at m = 4 every set on 3 or more lines
+    has a member alone on its line, so there the hits that are not collinear
+    are exactly {a, -a, b, -b}, a and b on different lines. Only a hit is
     built, by Configuration.take, with its lines; no grid table and no row.
     The join's table of C(n, floor(s/2)) entries, s = min(m, n - m), is
-    held in memory. BudgetExceeded refuses more than DEFAULT_BUDGET left
-    halves, C(n, ceil(s/2)) for n grid vectors, or TABLE_CAP table entries,
-    then GRID_CAP grid vectors or HIT_CAP collinear sets, before any is built.
+    held in memory. At every m, BudgetExceeded refuses more than
+    DEFAULT_BUDGET left halves, C(n, ceil(s/2)) for n grid vectors, or
+    TABLE_CAP table entries, then GRID_CAP grid vectors (both caps lowered
+    by each 30-bit digit of the grid's ints past the first) or HIT_CAP
+    collinear sets, before any is built.
     """
     coords = spec.coordinate_set
     # the grid's nonzero vectors, counted before any is built
@@ -148,15 +166,20 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
                 f"C({n}, {left}) {'=' if j == k else '>='} {subsets} subsets "
                 f"exceed the budget of {DEFAULT_BUDGET}"
             )
-    # C(n, right) <= C(n, left), which passed the budget
-    entries = math.comb(n, size // 2)
-    if entries > TABLE_CAP:
-        raise BudgetExceeded(f"C({n}, {size // 2}) = {entries} table entries exceed {TABLE_CAP}")
-    if n > GRID_CAP:
-        raise BudgetExceeded(f"{n} grid vectors exceed {GRID_CAP}")
-    # the grid's nonzero vectors, lexicographic by (x, y), as the ints x*D, y*D
+    # the grid's coordinates as the ints x*D, y*D; past one 30-bit digit,
+    # each digit adds to the bytes of a table entry and of a grid vector
     d = math.lcm(*[c.denominator for c in coords])
     ints = [c.numerator * (d // c.denominator) for c in coords]
+    digits = (max(map(abs, ints)).bit_length() - 1) // 30
+    # C(n, right) <= C(n, left), which passed the budget
+    entries = math.comb(n, size // 2)
+    cap = TABLE_CAP * TABLE_B // (TABLE_B + TABLE_DIGIT_B * digits)
+    if entries > cap:
+        raise BudgetExceeded(f"C({n}, {size // 2}) = {entries} table entries exceed {cap}")
+    cap = GRID_CAP * GRID_B // (GRID_B + GRID_DIGIT_B * digits)
+    if n > cap:
+        raise BudgetExceeded(f"{n} grid vectors exceed {cap}")
+    # the grid's nonzero vectors, lexicographic by (x, y)
     xs = [x for x in ints for y in ints if x or y]
     ys = [y for x in ints for y in ints if x or y]
     # a line holds at most k = len(coords) grid vectors and C(j, m) is convex in
@@ -181,25 +204,37 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
         for members in lines.values()
         for idx in itertools.combinations(members, m)
     }
-    keys = _pack(list(zip(xs, ys)), m)
-    cubes = None  # at m = 4 and 6, L >= 4 lines need a lone member (m >= 2L >= 8)
-    if m == 5 or m >= 7:
-        cubes = _pack([(x * x * x, x * x * y, x * y * y, y * y * y) for x, y in zip(xs, ys)], m)
-    target = 0 if size == m else sum(keys)
-    for part in _join(keys, size, target):
-        idx = part if size == m else tuple(sorted(set(range(n)).difference(part)))
-        on = {line_of[a] for a in idx}
-        if len(on) == 1 or len(on) >= 4 and (cubes is None or sum([cubes[a] for a in idx])):
-            continue
-        if m % 2 == 0 and 1 in map([line_of[a] for a in idx].count, on):
-            continue
-        if len(on) == 2:
-            pairs = sorted([(xs[a], ys[a]) for a in idx])
-            balanced = pairs == [(-x, -y) for x, y in reversed(pairs)]
-        else:
-            balanced = m == 3 or is_balanced(grid.take(idx)).balanced
-        if balanced:
-            found[idx] = grid.take(idx)
+    if m % 2 == 0:
+        # rule 3: j pairs {v, -v} of one line and m/2 - j of another
+        at = dict(zip(zip(xs, ys), range(n)))
+        pairs = {}
+        for (x, y), i in at.items():
+            if (j := at.get((-x, -y), -1)) > i:
+                pairs.setdefault(line_of[i], []).append((i, j))
+        for one, two in itertools.combinations(pairs.values(), 2):
+            for j in range(1, m // 2):
+                for a, b in itertools.product(
+                    itertools.combinations(one, j), itertools.combinations(two, m // 2 - j)
+                ):
+                    idx = tuple(sorted(itertools.chain(*a, *b)))
+                    found[idx] = grid.take(idx)
+    # no set of m <= 2 lies on 3 lines, and one of m = 4 has a lone member (rule 2)
+    if m == 3 or m >= 5:
+        keys = _pack(list(zip(xs, ys)), m)
+        cubes = None  # at m = 6, L >= 4 lines need a lone member (m >= 2L >= 8)
+        if m == 5 or m >= 7:
+            cubes = _pack([(x * x * x, x * x * y, x * y * y, y * y * y) for x, y in zip(xs, ys)], m)
+        target = 0 if size == m else sum(keys)
+        for part in _join(keys, size, target):
+            idx = part if size == m else tuple(sorted(set(range(n)).difference(part)))
+            on = {line_of[a] for a in idx}
+            if len(on) <= 2 or len(on) >= 4 and (cubes is None or sum([cubes[a] for a in idx])):
+                continue
+            if m % 2 == 0 and 1 in map([line_of[a] for a in idx].count, on):
+                continue
+            hit = grid.take(idx)
+            if m == 3 or is_balanced(hit).balanced:
+                found[idx] = hit
     hits = [found[idx] for idx in sorted(found)]
     if spec.require_uniform:
         return [cfg for cfg in hits if is_uniform(cfg)[0]]

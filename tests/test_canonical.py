@@ -322,6 +322,25 @@ def test_gl2_equivalence_verdicts():
     assert not gl2_equivalent(u5, roots_of_unity(7)).equivalent
 
 
+@pytest.mark.parametrize(
+    "c, reason",
+    [
+        (Configuration([(1, 0), (0, 1), (-1, 0), (0, -1)]), "NotUniform"),
+        (
+            perturb(random_invertible(seed=9).apply_configuration(roots_of_unity(5)), 0.05, 4),
+            "NotBalanced",
+        ),
+    ],
+    ids=["square", "perturbed-u5-image"],
+)
+def test_gl2_equivalent_raises_when_neither_input_canonicalizes(c, reason):
+    # the identity maps c onto itself, so "not equivalent" would be a lie; two
+    # refusals prove nothing about each other, so no verdict comes back
+    both = f"first: {reason}, second: {reason}"
+    with pytest.raises(ValueError, match=rf"^equivalence undecided, neither canonicalizes \({both}\)$"):
+        gl2_equivalent(c, c)
+
+
 def test_gl2_equivalent_refuses_arguments_below_float_precision():
     # a GL2 image of U_5 whose arguments collapse under ARGUMENT_TIE_TOL
     squeezed = LinearMap2(1.0, 0.0, 0.0, 1e-13).apply_configuration(roots_of_unity(5))

@@ -233,6 +233,11 @@ RANDOM_COORDS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3
 # {(1, 0), (2, 0), (-3, 0), (0, 1), (0, 2), (0, -3)} sums to zero on 2 lines,
 # is not closed under negation, and is not balanced
 @example(([Fraction(-3), Fraction(0), Fraction(1), Fraction(2)], 6), False)
+# m = 4 runs no join: its hits off one line are pairs {a, -a, b, -b}, here
+# on lines with two such pairs, and on grids with and without 0
+@example(([Fraction(-1), Fraction(-1, 3), Fraction(0), Fraction(1, 3), Fraction(1)], 4), False)
+@example(([Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2), Fraction(2)], 4), True)
+@example(([Fraction(-2, 3), Fraction(1, 5), Fraction(2, 3), Fraction(3)], 4), False)
 def test_enumeration_equals_brute_force_on_random_grids(grid, require_uniform):
     # the collinear listing and the zero-sum join together must list exactly
     # the brute-force hits
@@ -241,6 +246,62 @@ def test_enumeration_equals_brute_force_on_random_grids(grid, require_uniform):
     expected = brute_force(tuple(sorted(coords)), m, require_uniform)
     assert hits == expected
     assert list(map(_rows, hits)) == list(map(_rows, expected))
+
+
+def two_line_hits(coords, m):
+    """Brute force over every pair of the grid's lines: the balanced m-subsets
+    of their union that hold a member of each line, as sorted vector tuples."""
+    on_line = {}
+    for x, y in [(x, y) for x in coords for y in coords if x or y]:
+        on_line.setdefault(None if x == 0 else y / x, []).append((x, y))
+    hits = []
+    for one, two in itertools.combinations(on_line.values(), 2):
+        for cand in itertools.combinations(sorted(one + two), m):
+            if set(cand) - set(one) and set(cand) - set(two):
+                if is_balanced(Configuration(cand)).balanced:
+                    hits.append(cand)
+    return sorted(hits)
+
+
+TWO_LINE_GRIDS = {
+    "-2..2": tuple(range(-2, 3)),
+    "-3..3": tuple(range(-3, 4)),
+    # two pairs {v, -v} on each axis and diagonal, and 1 without -1
+    "halves": tuple(Fraction(k, 2) for k in (-3, -1, 0, 1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+@pytest.mark.parametrize("grid", TWO_LINE_GRIDS)
+def test_two_line_hits_equal_a_brute_force_over_each_pair_of_lines(monkeypatch, grid, m):
+    # at even m the hits on exactly two lines are listed from antipodal pairs,
+    # never joined; m = 8 on -3..3 would join for about 20 s, so its join is
+    # replaced by one that lists nothing, which keeps every two-line hit
+    coords = TWO_LINE_GRIDS[grid]
+    if (grid, m) == ("-3..3", 8):
+        monkeypatch.setattr(search, "_join", lambda keys, size, target: iter(()))
+    hits = enumerate_balanced(SearchSpec(m, tuple(map(Fraction, coords))))
+    listed = [
+        tuple(v.as_tuple() for v in cfg) for cfg in hits if len(lines_through_the_origin(cfg)) == 2
+    ]
+    expected = two_line_hits(coords, m)
+    assert expected and listed == expected
+
+
+def _refusing_join(keys, size, target):
+    raise AssertionError("the join ran")
+
+
+@pytest.mark.parametrize("coords", [tuple(range(-2, 3)), GRID4, GRID5])
+def test_no_join_runs_at_m_1_2_and_4(monkeypatch, coords):
+    # no set of m <= 2 lies on 3 lines, and at m = 4 every set on 3 or more
+    # lines has a member alone on its line, so the join cannot add a hit
+    monkeypatch.setattr(search, "_join", _refusing_join)
+    for m in (1, 2, 4):
+        assert enumerate_balanced(SearchSpec(m, coords)) == brute_force(coords, m, False)
+    for m in (3, 5, 6):
+        with pytest.raises(AssertionError, match="^the join ran$"):
+            enumerate_balanced(SearchSpec(m, coords))
 
 
 def test_caps_refuse_a_huge_grid_and_its_collinear_sets_before_building_either():
@@ -256,6 +317,52 @@ def test_caps_refuse_a_huge_grid_and_its_collinear_sets_before_building_either()
     # 1200^2 - 1 vectors at m = 1 are refused by their count alone
     with pytest.raises(BudgetExceeded, match=f"^1439999 grid vectors exceed {search.GRID_CAP}$"):
         enumerate_balanced(SearchSpec(m=1, coordinate_set=tuple(range(1200))))
+
+
+def _digits_past_the_first(coords):
+    """30-bit digits past the first of the grid's largest int x*D."""
+    d = math.lcm(*[c.denominator for c in coords])
+    return (max(abs(c.numerator * (d // c.denominator)) for c in coords).bit_length() - 1) // 30
+
+
+# 0 and 1/p^200 for five primes p: D is their product, and the largest x*D,
+# D/3^200, has 2460 bits
+BIG_INTS = (Fraction(0),) + tuple(Fraction(1, p**200) for p in (3, 5, 7, 11, 13))
+
+
+@pytest.mark.parametrize(
+    "cap, item_b, digit_b, m, refusal",
+    [
+        ("GRID_CAP", "GRID_B", "GRID_DIGIT_B", 1, "35 grid vectors"),
+        ("TABLE_CAP", "TABLE_B", "TABLE_DIGIT_B", 3, r"C\(35, 1\) = 35 table entries"),
+    ],
+)
+def test_caps_count_the_bytes_of_the_grid_ints(monkeypatch, cap, item_b, digit_b, m, refusal):
+    # a cap patched to the 35 vectors (or 35 table entries) of a 6-coordinate
+    # grid lets small ints through, and refuses the same count of ints that
+    # are 82 digits long, before the grid is built
+    small = tuple(map(Fraction, range(6)))
+    monkeypatch.setattr(search, cap, 35)
+    assert enumerate_balanced(SearchSpec(m, small)) == brute_force(small, m, False)
+    digits = _digits_past_the_first(BIG_INTS)
+    assert digits == 81
+    base = getattr(search, item_b)
+    lowered = 35 * base // (base + getattr(search, digit_b) * digits)
+    assert lowered < 35
+    monkeypatch.setattr(Configuration, "_of_checked", None)
+    with pytest.raises(BudgetExceeded, match=f"^{refusal} exceed {lowered}$"):
+        enumerate_balanced(SearchSpec(m, BIG_INTS))
+
+
+def test_grid_cap_refuses_big_denominators_that_small_ints_would_pass():
+    # 300 coordinates k / (10^6 + k): m = n - 1 joins one point and builds the
+    # cubic keys, thousands of bits per vector; 89999 vectors of small ints pass
+    coords = (Fraction(0),) + tuple(Fraction(k, 10**6 + k) for k in range(1, 300))
+    assert 89999 <= search.GRID_CAP
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"^89999 grid vectors exceed \d+$"):
+        enumerate_balanced(SearchSpec(89998, coords))
+    assert time.perf_counter() - start < 1.0
 
 
 def collinear_sets(coords, m):
