@@ -8,11 +8,12 @@ reproducible byte for byte. It never tests all C(n, m) candidates: a balanced
 set is collinear or sums to zero, so it lists the collinear sets of each line
 of the grid (Configuration.lines). A zero-sum set on 2 lines is balanced
 exactly when closed under v -> -v, so at even m it lists those hits from the
-grid's antipodal pairs. At m = 3 and m >= 5 it meets the zero-sum sets on 3 or
-more lines in the middle, joining the sums of the grid's ceil(m/2)-subsets
-with a table of its floor(m/2)-subset sums (for m > n/2, of the n - m points
-each set leaves out); at m = 4 every such set has a member alone on its line
-and is not balanced, so no join runs. Each joined set is decided on the
+grid's antipodal pairs. At even m every line of a balanced set that is not
+collinear holds two or more of its members, so such a set spans at most
+most = m // 2 lines (most = m at odd m). When most >= 3 it meets the zero-sum
+sets on 3 to most lines in the middle, joining the sums of the grid's
+ceil(m/2)-subsets with a table of its floor(m/2)-subset sums (for m > n/2, of
+the n - m points each set leaves out). Each joined set is decided on the
 grid's ints and lines (see enumerate_balanced), and is_balanced decides only
 a set of m >= 5 on 3 lines, or on 4 or more with a zero third moment. Each
 hit carries its lines (Configuration.take), which is_uniform compares.
@@ -120,26 +121,26 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     {v, -v} of one line and m/2 - j of another, 1 <= j < m/2. At odd m there
     are none.
 
-    The zero-sum sets on 3 or more lines are met in the middle (Horowitz &
-    Sahni 1974, see _join) on the packed _det_coords ints, x*K + y with
-    K = 2*m*max|coordinate| + 1, so a sum of at most m points is 0 exactly
-    when both of its coordinate sums are. When m > n/2 the join lists the
-    n - m points left out, whose sum is the grid's total. It skips a set on
-    2 lines and decides the rest by the first exact rule that applies.
-    1: on 4 or more lines through the origin with a nonzero third moment
-    (sum x^3, sum x^2 y, sum x y^2, sum y^3, packed into one int the same
-    way), it is not balanced: every odd power sum of a symmetric row is 0,
-    so the cubic form sum_j det(u, v_j)^3 vanishes on the line of every
-    member, and a nonzero binary cubic vanishes on at most 3 lines. 2: at
-    even m with a member alone on its line, it is not balanced, as that
-    member's row has odd length and no zero (see even_m_witness). At m = 6
-    every set on 4 or more lines has one: rule 1 needs no moment. 4: at
-    m = 3 it is balanced, as each row's 2 entries sum to det(v_i, S) = 0.
-    5: otherwise is_balanced decides. The join runs at m = 3 and m >= 5: no
-    set of m <= 2 lies on 3 lines, and at m = 4 every set on 3 or more lines
-    has a member alone on its line, so there the hits that are not collinear
-    are exactly {a, -a, b, -b}, a and b on different lines. Only a hit is
-    built, by Configuration.take, with its lines; no grid table and no row.
+    Rule 2: at even m a set with a member alone on its line is not balanced,
+    as that member's row has odd length and no zero (see even_m_witness). So
+    a balanced set that is not collinear spans at most most = m // 2 lines at
+    even m (most = m at odd m), and the zero-sum sets on 3 to most lines are
+    met in the middle (Horowitz & Sahni 1974, see _join) when most >= 3, on
+    the _det_coords ints packed by _pack into x*K + y, K = 2*m*max|coordinate|
+    + 1, so a sum of at most m points is 0 exactly when both of its
+    coordinate sums are. When m > n/2 the join lists the n - m points left
+    out, whose sum is the grid's total. It skips a set on fewer than 3 or
+    more than most lines and decides the rest by the first exact rule that
+    applies. 1: on 4 or more lines through the origin with a nonzero third
+    moment (sum x^3, sum x^2 y, sum x y^2, sum y^3, packed the same way, and
+    only when most >= 4), it is not balanced: every odd power sum of a
+    symmetric row is 0, so the cubic form sum_j det(u, v_j)^3 vanishes on
+    the line of every member, and a nonzero binary cubic vanishes on at most
+    3 lines. 2: at even m with a member alone on its line, it is not
+    balanced. 4: at m = 3 it is balanced, as each row's 2 entries sum to
+    det(v_i, S) = 0. 5: otherwise is_balanced decides. Configuration.take
+    builds only the sets that reach is_balanced and, after the sort, each
+    hit with its lines; no grid table and no row.
     The join's table of C(n, floor(s/2)) entries, s = min(m, n - m), is
     held in memory. At every m, BudgetExceeded refuses more than
     DEFAULT_BUDGET left halves, C(n, ceil(s/2)) for n grid vectors, or
@@ -186,8 +187,7 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     # j, so at most n/k * C(k, m) sets are collinear; past HIT_CAP, count them
     # line by line, on |x*K + y| // gcd(x, y), K > 2*max|y|: one int per line
     if n * math.comb(len(coords), m) > HIT_CAP * len(coords):
-        base = itertools.repeat(2 * max(map(abs, ints)) + 1)
-        packed = map(abs, map(operator.add, map(operator.mul, xs, base), ys))
+        packed = map(abs, _pack([xs, ys], 1))
         on_line = Counter(map(operator.floordiv, packed, map(math.gcd, xs, ys)))
         collinear = sum(map(math.comb, on_line.values(), itertools.repeat(m)))
         if collinear > HIT_CAP:
@@ -199,11 +199,7 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     lines = {}
     for i, line in enumerate(line_of):
         lines.setdefault(line, []).append(i)
-    found = {
-        idx: grid.take(idx)
-        for members in lines.values()
-        for idx in itertools.combinations(members, m)
-    }
+    found = {idx for members in lines.values() for idx in itertools.combinations(members, m)}
     if m % 2 == 0:
         # rule 3: j pairs {v, -v} of one line and m/2 - j of another
         at = dict(zip(zip(xs, ys), range(n)))
@@ -216,26 +212,26 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
                 for a, b in itertools.product(
                     itertools.combinations(one, j), itertools.combinations(two, m // 2 - j)
                 ):
-                    idx = tuple(sorted(itertools.chain(*a, *b)))
-                    found[idx] = grid.take(idx)
-    # no set of m <= 2 lies on 3 lines, and one of m = 4 has a lone member (rule 2)
-    if m == 3 or m >= 5:
-        keys = _pack(list(zip(xs, ys)), m)
-        cubes = None  # at m = 6, L >= 4 lines need a lone member (m >= 2L >= 8)
-        if m == 5 or m >= 7:
-            cubes = _pack([(x * x * x, x * x * y, x * y * y, y * y * y) for x, y in zip(xs, ys)], m)
+                    found.add(tuple(sorted(itertools.chain(*a, *b))))
+    # rule 2: at even m a set with no member alone on its line spans at most
+    # m/2 lines, so the join needs only the zero-sum sets on 3..most lines
+    most = m if m % 2 else m // 2
+    if most >= 3:
+        keys = _pack([xs, ys], m)
+        if most >= 4:
+            # the columns x^3, x^2 y, x y^2, y^3
+            cubes = _pack([[x ** (3 - e) * y**e for x, y in zip(xs, ys)] for e in range(4)], m)
         target = 0 if size == m else sum(keys)
         for part in _join(keys, size, target):
             idx = part if size == m else tuple(sorted(set(range(n)).difference(part)))
             on = {line_of[a] for a in idx}
-            if len(on) <= 2 or len(on) >= 4 and (cubes is None or sum([cubes[a] for a in idx])):
+            if not 3 <= len(on) <= most or len(on) >= 4 and sum([cubes[a] for a in idx]):
                 continue
             if m % 2 == 0 and 1 in map([line_of[a] for a in idx].count, on):
                 continue
-            hit = grid.take(idx)
-            if m == 3 or is_balanced(hit).balanced:
-                found[idx] = hit
-    hits = [found[idx] for idx in sorted(found)]
+            if m == 3 or is_balanced(grid.take(idx)).balanced:
+                found.add(idx)
+    hits = list(map(grid.take, sorted(found)))
     if spec.require_uniform:
         return [cfg for cfg in hits if is_uniform(cfg)[0]]
     return hits
@@ -265,15 +261,12 @@ def _join(keys: List[int], size: int, target: int):
                 yield head + tail
 
 
-def _pack(parts: List[Tuple[int, ...]], m: int) -> List[int]:
-    """One int per point from its int parts, as digits in base
-    K = 2*m*max|part| + 1: a sum of at most m packed points is 0
-    exactly when the sum of every part is."""
-    base = 2 * m * max([abs(c) for p in parts for c in p]) + 1
-    packed = []
-    for p in parts:
-        total = 0
-        for c in p:
-            total = total * base + c
-        packed.append(total)
+def _pack(columns: List[List[int]], m: int) -> List[int]:
+    """One int per point from its int columns, as digits in base
+    K = 2*m*max|entry| + 1: a sum of at most m packed points is 0
+    exactly when the sum of every column is."""
+    base = itertools.repeat(2 * m * max([max(map(abs, c)) for c in columns]) + 1)
+    packed = columns[0]
+    for column in columns[1:]:
+        packed = list(map(operator.add, map(operator.mul, packed, base), column))
     return packed

@@ -304,6 +304,62 @@ def test_no_join_runs_at_m_1_2_and_4(monkeypatch, coords):
             enumerate_balanced(SearchSpec(m, coords))
 
 
+def test_keys_are_packed_exactly_where_the_line_bound_lets_a_rule_need_them(monkeypatch):
+    # a zero-sum set that is not collinear spans 3..most lines, most = m at
+    # odd m and m/2 at even m (rule 2), so the join's 2-column keys are built
+    # exactly when most >= 3 and the 4-column cubic keys when most >= 4:
+    # never at m = 6; the collinear count packs no key on this grid
+    coords = tuple(range(-2, 3))
+    pack, columns = search._pack, []
+    monkeypatch.setattr(search, "_pack", lambda c, m: columns.append(len(c)) or pack(c, m))
+    cubic = []
+    for m in range(1, 11):
+        most = m if m % 2 else m // 2
+        columns.clear()
+        enumerate_balanced(SearchSpec(m, coords))
+        assert columns == [2] * (most >= 3) + [4] * (most >= 4), m
+        cubic += [m] * (4 in columns)
+    assert cubic == [5, 7, 8, 9, 10]
+
+
+# ints on both sides of 2^64, so a key past one machine word is packed too
+BIG_INTS = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 4]),
+    st.integers(1, 6),
+    st.lists(st.tuples(*[BIG_INTS] * 4), min_size=1, max_size=6),
+    st.booleans(),
+)
+@example(2, 2, [(1, 3, 0, 0), (-1, 4, 0, 0)], True)
+def test_pack_sums_to_zero_exactly_when_every_column_does(width, m, points, close):
+    # every m or fewer packed points sum to 0 exactly when each column does;
+    # a point that closes the first m - 1 to a zero sum makes that case occur
+    points = [p[:width] for p in points]
+    if close:
+        points.append(tuple(-sum(column) for column in zip(*points[: m - 1])) or (0,) * width)
+    columns = [list(column) for column in zip(*points)]
+    packed = search._pack(columns, m)
+    for size in range(m + 1):
+        for chosen in itertools.combinations(range(len(points)), size):
+            zero = all(sum([column[i] for i in chosen]) == 0 for column in columns)
+            assert (sum([packed[i] for i in chosen]) == 0) == zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(BIG_INTS, BIG_INTS).filter(any), min_size=1, max_size=12, unique=True))
+def test_packed_line_key_groups_the_points_as_their_lines_do(points):
+    # |x*K + y| // gcd(x, y), K = 2*max|entry| + 1, the HIT_CAP count's key
+    # of a line, groups the points exactly as Configuration.lines does
+    xs, ys = [list(column) for column in zip(*points)]
+    keys = [abs(k) // math.gcd(x, y) for k, x, y in zip(search._pack([xs, ys], 1), xs, ys)]
+    lines = Configuration(points).lines
+    for i, j in itertools.combinations(range(len(points)), 2):
+        assert (keys[i] == keys[j]) == (lines[i] == lines[j])
+
+
 def test_caps_refuse_a_huge_grid_and_its_collinear_sets_before_building_either():
     # m = 2 on the 999999 vectors of {0, ..., 999}^2 passes the budget and
     # TABLE_CAP with 999999 left halves and table entries, but its lines
