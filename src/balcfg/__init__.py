@@ -1,22 +1,19 @@
 """Balanced plane vector configurations.
 
-Decide balanced/uniform, build the determinant pairing structure, generate
-the closure sequences u_i(t), w_i(t) exactly, solve for the closure-parameter
-grid with certified root isolation, reconstruct configurations from seed
-triples, and canonicalize uniform balanced configurations of odd size onto
-the roots of unity by an explicit invertible map.
+Decide balanced/uniform with witnesses, read the step constants, solve the
+closure equation w_n(t) = (1, 0) for its parameter grid by certified root
+isolation, canonicalize uniform balanced configurations of odd size onto
+the roots of unity by an explicit invertible map, and search rational grids
+for balanced sets.
 """
 
 from .balance import (
     BalanceReport,
-    PairingMap,
     StepConstants,
-    build_pairing,
     even_m_witness,
     is_balanced,
     is_uniform,
     step_constants,
-    verify_antisymmetry,
 )
 from .canonical import (
     CanonicalForm,
@@ -27,10 +24,8 @@ from .canonical import (
     frame_map,
     gl2_equivalent,
     match_k,
-    reconstruct_from_triple,
 )
 from .errors import (
-    AmbiguousPairing,
     BalcfgError,
     BudgetExceeded,
     CertificateError,
@@ -48,30 +43,18 @@ from .geometry import (
     Configuration,
     PlaneVector,
     argument,
-    cyclic_index,
     det2,
     label_by_increasing_arguments,
     roots_of_unity,
     unit_vector,
 )
 from .search import SearchSpec, enumerate_balanced, perturb, random_invertible
-from .sequences import (
-    ParityVerdict,
-    PolyPair,
-    RootGrid,
-    check_parity_degrees,
-    model_configuration,
-    numeric_sequences,
-    symbolic_sequences,
-    t_grid,
-    wn_equation_roots,
-)
+from .sequences import RootGrid, model_configuration, t_grid
 from .serialization import load_config, parse_config, save_config, serialize_config
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousPairing",
     "BalanceReport",
     "BalcfgError",
     "BudgetExceeded",
@@ -87,20 +70,14 @@ __all__ = [
     "NotBalanced",
     "NotNormalized",
     "NotUniform",
-    "PairingMap",
-    "ParityVerdict",
     "PlaneVector",
-    "PolyPair",
     "ResidualTooLarge",
     "RootGrid",
     "SearchSpec",
     "SingularFrame",
     "StepConstants",
     "argument",
-    "build_pairing",
     "canonicalize",
-    "check_parity_degrees",
-    "cyclic_index",
     "det2",
     "enumerate_balanced",
     "even_m_witness",
@@ -113,18 +90,13 @@ __all__ = [
     "load_config",
     "match_k",
     "model_configuration",
-    "numeric_sequences",
     "parse_config",
     "perturb",
     "random_invertible",
-    "reconstruct_from_triple",
     "roots_of_unity",
-    "unit_vector",
     "save_config",
     "serialize_config",
     "step_constants",
-    "symbolic_sequences",
     "t_grid",
-    "verify_antisymmetry",
-    "wn_equation_roots",
+    "unit_vector",
 ]

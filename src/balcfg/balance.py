@@ -1,10 +1,12 @@
-"""Balanced/uniform verdicts and the combinatorial structure they induce.
+"""Balanced/uniform verdicts, their witnesses, and the step constants.
 
 A configuration is *balanced* when, for every member v_i, the multiset of
-determinants {det(v_i, v_j) : j != i} is symmetric around 0: sorted, it has
-d[j] = -d[N-1-j] for all j, within an absolute tolerance in float mode. It
-is *uniform* when no two members are linearly dependent. The m-th roots of
-unity are the model uniform balanced configuration.
+determinants {det(v_i, v_j) : j != i} is symmetric around 0: sorted into d
+of length N, |d[j] + d[N-1-j]| <= tol for every j < N // 2, and an odd
+row's middle entry, which pairs with nothing, has |d[N // 2]| <= tol (not
+|2 d[N // 2]|). tol is 0 in exact mode and an absolute tolerance in float
+mode. It is *uniform* when no two members are linearly dependent. The m-th
+roots of unity are the model uniform balanced configuration.
 
 Certificates first, rows last. is_balanced and is_uniform first ask the
 canonical map onto the roots of unity, once per member set (_certified): a
@@ -31,13 +33,6 @@ entries it holds, to one _Bracket, which decides each comparison at the
 ends of a bracket first: 1e-9 * max |held entry| below, 1e-9 * a bound on
 max |v|^2 above. A value beyond both ends is decided; anything else reads
 det_max.
-
-For uniform balanced configurations of odd size m = 2n+1 this module also
-builds the pairing structure: for each index i the remaining indices split
-into n pairs {k, l} with det(v_i, v_k) = -det(v_i, v_l) != 0, and the pair
-{k, l} determines i uniquely, giving a map phi from unordered index pairs to
-indices. Cyclically, phi({k-a, k+a}) = k, which is the antisymmetry identity
-det(v_k, v_{k+a}) = -det(v_k, v_{k-a}) in disguise.
 """
 
 from __future__ import annotations
@@ -46,9 +41,9 @@ import math
 from functools import cached_property
 from itertools import repeat
 from operator import add, ge, lt, mul, neg, sub
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from .errors import AmbiguousPairing, InconsistentConstants, NotBalanced, NotUniform
+from .errors import InconsistentConstants, NotBalanced, NotUniform
 from .geometry import EXACT, Configuration, Scalar
 
 # Relative factor for the default float tolerance: tol = 1e-9 * max |det|.
@@ -73,17 +68,6 @@ class BalanceReport(NamedTuple):
 
     balanced: bool
     witness: Optional[Tuple[int, Scalar]]
-
-
-class PairingMap(NamedTuple):
-    """Per index i, the set of n determinant-opposite pairs partitioning the
-    other indices; phi maps every unordered index pair to its unique i."""
-
-    per_index: Tuple[FrozenSet[FrozenSet[int]], ...]
-    phi: Dict[FrozenSet[int], int]
-
-    def phi_of(self, k: int, l: int) -> int:
-        return self.phi[frozenset((k, l))]
 
 
 class StepConstants(NamedTuple):
@@ -137,10 +121,10 @@ class _Bracket:
     """Bounds lo <= eff <= hi on the tolerance eff that every verdict
     compares c's scaled determinant entries with: lo = hi = eff = 0 in exact
     mode (tol ignored), else tol. Every float comparison, the uniformity
-    scan and antisymmetry included, hands its values to above or within, so
-    det_max, which reads every row, is read only when a value falls between
-    lo and hi. Under the default float tolerance, eff = DEFAULT_REL_TOL *
-    det_max, and with every coordinate in the safe range:
+    scan included, hands its values to above or within, so det_max, which
+    reads every row, is read only when a value falls between lo and hi.
+    Under the default float tolerance, eff = DEFAULT_REL_TOL * det_max, and
+    with every coordinate in the safe range:
     - lo = 1e-9 * max |held| over the entries of c's scaled table that the
       verdicts have handed over with their values (held): det_max is the
       largest |entry|, as the table holds fl(-d) = -fl(d) next to each d;
@@ -397,59 +381,6 @@ def even_m_witness(c: Configuration, tol: Optional[float] = None) -> int:
             witness=(0, c.unscale(row[j])),
         )
     return j
-
-
-def build_pairing(c: Configuration, tol: Optional[float] = None) -> PairingMap:
-    """Construct the pairing map of a uniform balanced configuration of odd
-    size: per index i the n determinant-opposite pairs, plus the global phi.
-
-    Each row is matched greedily (sorted extremes pair with each other). The
-    other indices sort by their entries as is_balanced sorts the row, so
-    each pair's sum is one that is_balanced has already bounded by the same
-    tolerance, and every pair cancels. Rows are computed one at a time.
-    The per-row structures are then checked for global disjointness: a pair
-    {k, l} claimed by two different rows means the float clustering was
-    inconsistent at this tolerance.
-    """
-    if c.m % 2 == 0 or c.m < 3:
-        raise ValueError(f"pairing requires odd m >= 3, got m = {c.m}")
-    require_balanced_uniform(c, tol)
-
-    per_index: List[FrozenSet[FrozenSet[int]]] = []
-    phi: Dict[FrozenSet[int], int] = {}
-    for i, row in enumerate(map(c.det_row, range(c.m))):
-        order = sorted((j for j in range(c.m) if j != i), key=row.__getitem__)
-        pairs = [frozenset(pair) for pair in zip(order[: c.n], reversed(order))]
-        for key in pairs:
-            if key in phi:
-                raise AmbiguousPairing(
-                    f"pair {set(key)} claimed by rows {phi[key]} and {i}",
-                    witness=(phi[key], i, tuple(key)),
-                )
-            phi[key] = i
-        per_index.append(frozenset(pairs))
-
-    # Counting identity: m rows of n pairs fill all m(m-1)/2 unordered pairs.
-    assert len(phi) == c.m * (c.m - 1) // 2
-    return PairingMap(per_index=tuple(per_index), phi=phi)
-
-
-def verify_antisymmetry(
-    c: Configuration, tol: Optional[float] = None
-) -> Tuple[bool, Optional[Tuple[int, int]]]:
-    """Check det(v_k, v_{k+a}) = -det(v_k, v_{k-a}) for all k and a = 1..n,
-    indices cyclic, each row against the tolerance's bracket first. Returns
-    (True, None) or (False, first violating (k, a))."""
-    if c.m % 2 == 0:
-        raise ValueError("antisymmetry is stated for odd m")
-    bracket = _Bracket(c, tol)
-    m, n = c.m, c.n
-    for k, row in enumerate(map(c.det_row, range(c.m))):
-        sums = [abs(row[(k + a) % m] + row[(k - a) % m]) for a in range(1, n + 1)]
-        j = bracket.above(sums, row)
-        if j is not None:
-            return False, (k, j + 1)
-    return True, None
 
 
 def step_constants(c: Configuration, tol: Optional[float] = None) -> StepConstants:

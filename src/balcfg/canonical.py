@@ -23,16 +23,6 @@ with no row, for every caller. Otherwise the rows decide, so no verdict,
 witness or certificate class depends on the route, and canonicalize raises
 the route's refusal after them. Exact input takes the exact verdicts, which
 only m = 3 passes (Niven's theorem).
-
-Seed-triple reconstruction: with A1 = det(v_n, v_{n+1}), An = det(v_0, v_n)
-and r = -A1/An, the members interleave out of the triple via
-
-    v_i      = r v_{n+i} - v_{i-1}
-    v_{n+i+1} = r v_i - v_{n+i}        for i = 1..n-1,
-
-the first sign being forced by det(v_{i-1}, v_{n+i}) = -An. Read in the order
-z = v_0, v_{n+1}, v_1, v_{n+2}, ..., that is the one three-term recurrence
-z_{j+1} = r z_j - z_{j-1}, the same as the model sequences' (r = t there).
 """
 
 from __future__ import annotations
@@ -195,36 +185,6 @@ def match_k(t: Scalar, m: int) -> int:
         "the configuration is not equivalent to the roots of unity",
         witness=float(t),
     )
-
-
-def reconstruct_from_triple(
-    v0: PlaneVector,
-    vn: PlaneVector,
-    vn1: PlaneVector,
-    m: int,
-) -> Configuration:
-    """Rebuild the whole configuration in label order from (v_0, v_n, v_{n+1}).
-
-    Works in the vectors' own arithmetic mode (exact stays exact), on two
-    columns. For m = 3 the triple already is the configuration.
-    """
-    if m % 2 == 0 or m < 3:
-        raise ValueError(f"reconstruction needs odd m >= 3, got {m}")
-    n = (m - 1) // 2
-    an = det2(v0, vn)
-    if _negligible((an,), lambda: math.hypot(v0.x, v0.y) * math.hypot(vn.x, vn.y)):
-        raise SingularFrame(f"det(v0, vn) = {an}; seed frame is singular")
-    r = -(det2(vn, vn1) / an)
-    # z_j = slot j/2 (j even) or slot n+1+j//2 (j odd): z_{j+1} = r z_j - z_{j-1}
-    xs, ys = [v0.x, vn1.x], [v0.y, vn1.y]
-    for j in range(2, 2 * n):
-        x, y = r * xs[j - 1] - xs[j - 2], r * ys[j - 1] - ys[j - 2]
-        if _negligible((x, y), lambda: max(math.hypot(v.x, v.y) for v in (v0, vn, vn1))):
-            slot = j // 2 if j % 2 == 0 else n + 1 + j // 2
-            raise ValueError(f"reconstruction produced a zero vector at slot {slot}")
-        xs.append(x)
-        ys.append(y)
-    return Configuration(xs[0::2] + [vn.x] + xs[1::2], ys[0::2] + [vn.y] + ys[1::2])
 
 
 def _diagram_exponents(m: int, k: int) -> Tuple[int, ...]:

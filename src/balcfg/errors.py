@@ -7,12 +7,13 @@ Each CLI command catches the certificates it can meet and reports them, so
 exit code 1 always comes with a report on stdout that names the certificate.
 Every other error, and a certificate that escapes a command, exits 2.
 
-Only errors that some caller tells apart get a class here: the certificates,
-whose names the canon report prints; DuplicateArgument, which check catches;
-SingularFrame; BudgetExceeded; ConfigFileError. A bad argument (mixed modes,
-a zero vector, a size of the wrong parity, a degenerate reconstruction, a
-root solver that gives up) is a plain ValueError, which the CLI maps to exit
-2 like every BalcfgError.
+Only errors that some caller tells apart get a class here: the certificates
+NotBalanced, NotUniform, InconsistentConstants, NotNormalized, NoGridMatch
+and ResidualTooLarge, whose names the canon report prints; DuplicateArgument,
+which check catches; SingularFrame; BudgetExceeded; ConfigFileError. A bad
+argument (mixed modes, a zero vector, a size of the wrong parity, a root
+solver that gives up) is a plain ValueError, which the CLI maps to exit 2
+like every BalcfgError.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class NotBalanced(CertificateError):
 
 class NotUniform(CertificateError):
     """Some pair of members is linearly dependent."""
-
-
-class AmbiguousPairing(CertificateError):
-    """Float clustering produced an inconsistent pairing at this tolerance."""
 
 
 class InconsistentConstants(CertificateError):

@@ -296,13 +296,6 @@ def _label(c: Configuration) -> Configuration:
     return labeled
 
 
-def cyclic_index(k: int, m: int) -> int:
-    """Index k reduced modulo m to its nonnegative representative."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    return k % m
-
-
 def roots_of_unity(m: int) -> Configuration:
     """The m-th roots of unity as a float configuration, in label order.
 

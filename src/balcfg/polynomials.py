@@ -48,19 +48,6 @@ def sub(p: Sequence[int], q: Sequence[int]) -> IntPoly:
     return trim([a - b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
-def shift_up(p: Sequence[int]) -> IntPoly:
-    """Multiply by t."""
-    return trim((0,) + tuple(p))
-
-
-def is_even_poly(p: Sequence[int]) -> bool:
-    return all(a == 0 for a in p[1::2])
-
-
-def is_odd_poly(p: Sequence[int]) -> bool:
-    return all(a == 0 for a in p[0::2])
-
-
 def _scaled_coeffs(p: Sequence[int], den: int) -> List[int]:
     # p's coefficients from the top down, the i-th times den^i, so that
     # _scaled_value(_scaled_coeffs(p, den), num) = p(num / den) * den^deg

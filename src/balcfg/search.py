@@ -246,19 +246,24 @@ def _join(keys: List[int], size: int, target: int):
     n = len(keys)
     left, right = size - size // 2, size // 2
     table = {}
-    for total, idx in zip(
-        map(sum, itertools.combinations(keys, right)), itertools.combinations(range(n), right)
-    ):
+    for total, idx in zip(_sums(keys, right), itertools.combinations(range(n), right)):
         table.setdefault(target - total, []).append(idx)
     # only the left parts whose sum the table holds leave the C-level pipeline
     met = itertools.compress(
-        itertools.combinations(range(n), left),
-        map(table.__contains__, map(sum, itertools.combinations(keys, left))),
+        itertools.combinations(range(n), left), map(table.__contains__, _sums(keys, left))
     )
     for head in met:
         for tail in table[sum([keys[a] for a in head])]:
             if not tail or tail[0] > head[-1]:
                 yield head + tail
+
+
+def _sums(keys: List[int], r: int):
+    """The key sum of each r-subset, in combinations order; a pair's by one
+    C-level add, with no call of sum."""
+    if r == 2:
+        return itertools.starmap(operator.add, itertools.combinations(keys, 2))
+    return map(sum, itertools.combinations(keys, r))
 
 
 def _pack(columns: List[List[int]], m: int) -> List[int]:

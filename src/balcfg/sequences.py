@@ -1,53 +1,34 @@
-"""The parameterized vector sequences u_i(t), w_i(t), their exact polynomial
-forms, the closure equation w_n(t) = (1, 0), and the grid of parameters at
-which a configuration of size m = 2n+1 can close.
+"""The closure equation w_n(t) = (1, 0), its certified roots, and the grid
+of parameters at which a configuration of size m = 2n+1 can close.
 
-The recurrence is
-
-    u_0 = (1, 0),  w_0 = (t, -1),
-    u_{i+1} = t * w_i - u_i,
-    w_{i+1} = t * u_{i+1} - w_i,
-
-the sign and index placement being forced by the seed-triple linear solve
-(expand v_i over the basis {v_{n+i}, v_{i-1}}; the divisor is -A_n and the
-step ratio A_1/A_n equals -t in the frame where v_0 = (1,0), v_n = (0,1),
-v_{n+1} = (t,-1)). Interleaved as z_0 = u_0, z_1 = w_0, z_2 = u_1, ..., every
-z_j = (s_j, -s_{j-1}) for the one scalar recurrence s_{-1} = 0, s_0 = 1,
-s_{j+1} = t * s_j - s_{j-1}, so s_j = U_j(t/2) is the second-kind Chebyshev
-polynomial (Mason and Handscomb 2003). As U_j has degree j and the parity of
-j, x(u_i) is even of degree 2i, y(u_i) odd of degree 2i-1, x(w_i) odd of
-degree 2i+1 and y(w_i) even of degree 2i.
+The model sequences u_0 = (1, 0), w_0 = (t, -1), u_{i+1} = t * w_i - u_i,
+w_{i+1} = t * u_{i+1} - w_i interleave as z_0 = u_0, z_1 = w_0, z_2 = u_1,
+..., and every z_j = (s_j, -s_{j-1}) for the one scalar recurrence s_{-1} =
+0, s_0 = 1, s_{j+1} = t * s_j - s_{j-1}, so s_j = U_j(t/2) is the
+second-kind Chebyshev polynomial (Mason and Handscomb 2003), built here in
+closed form (chebyshev_s). The tests hold the recurrences themselves, with
+their parity and degrees (tests/paper_lemmas.py).
 
 The closure parameters are t_k = 2cos(2k*pi/m) for k = 1..n: writing the
 primitive m-th root w = e^{2*pi*i/m}, one has w^{-k} = 2cos(2k*pi/m) - w^k,
 so the frame sending (1, w^k) to ((1,0), (0,1)) sends w^{-k} exactly to
 (2cos(2k*pi/m), -1) = w_0(t_k). The solver below proves them as the real
-roots of the fourth-kind Chebyshev polynomial W_n = s_n + s_{n-1}, from the
-closed form of s_j (chebyshev_s). With V_j = s_j - s_{j-1}, x(w_n) - 1 =
-W_n V_{n+1} and y(w_n) = -W_n V_n, and V_n, V_{n+1} are coprime (V_{n+1} =
-t V_n - V_{n-1}, V_0 = 1), so W_n is exactly the primitive gcd of the closure
-equations over Z[t] (Mason and Handscomb 2003). It divides x(u_n) and
-y(u_n) - 1 too, so the sequence closes exactly at every t_k. The tests check
-this theorem; closure_roots proves W_n's roots from exact signs.
+roots of the fourth-kind Chebyshev polynomial W_n = s_n + s_{n-1}. With V_j
+= s_j - s_{j-1}, x(w_n) - 1 = W_n V_{n+1} and y(w_n) = -W_n V_n, and V_n,
+V_{n+1} are coprime (V_{n+1} = t V_n - V_{n-1}, V_0 = 1), so W_n is exactly
+the primitive gcd of the closure equations over Z[t] (Mason and Handscomb
+2003). It divides x(u_n) and y(u_n) - 1 too, so the sequence closes exactly
+at every t_k. The tests check this theorem; closure_roots proves W_n's roots
+from exact signs.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Tuple
 
 from . import polynomials as ip
-from .geometry import Configuration, PlaneVector, Scalar
-
-
-class PolyPair(NamedTuple):
-    """A vector-valued polynomial function of t: (x(t), y(t)), both integer
-    polynomials ascending by degree."""
-
-    x: ip.IntPoly
-    y: ip.IntPoly
+from .geometry import Configuration
 
 
 class RootGrid(NamedTuple("RootGrid", [("m", int), ("values", Tuple[float, ...])])):
@@ -76,68 +57,6 @@ class RootGrid(NamedTuple("RootGrid", [("m", int), ("values", Tuple[float, ...])
     @property
     def n(self) -> int:
         return (self.m - 1) // 2
-
-
-def _interleaved(n: int, zero, one, times_t, sub, neg, pair) -> Tuple[list, list]:
-    """u_0..u_n and w_0..w_n from the scalar recurrence s_{j+1} = t s_j -
-    s_{j-1}, in the ring that zero, one, times_t, sub and neg define; pair
-    builds one vector z_j = (s_j, -s_{j-1})."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    s = [zero, one]  # s[j + 1] holds s_j, from s_{-1} = 0
-    for _ in range(2 * n + 1):
-        s.append(sub(times_t(s[-1]), s[-2]))
-    z = [pair(s[j + 1], neg(s[j])) for j in range(2 * n + 2)]
-    return z[0::2], z[1::2]
-
-
-def numeric_sequences(
-    t: Scalar, n: int
-) -> Tuple[List[PlaneVector], List[PlaneVector]]:
-    """u_0..u_n and w_0..w_n evaluated at t, in t's arithmetic mode."""
-    if isinstance(t, float):
-        one, zero = 1.0, 0.0
-    else:
-        t = Fraction(t)
-        one, zero = Fraction(1), Fraction(0)
-    # zero - s rather than -s keeps u_0 = (1, +0)
-    return _interleaved(
-        n, zero, one, lambda s: t * s, operator.sub, lambda s: zero - s, PlaneVector
-    )
-
-
-def symbolic_sequences(n: int) -> Tuple[List[PolyPair], List[PolyPair]]:
-    """u_0..u_n and w_0..w_n as exact integer-polynomial pairs."""
-    return _interleaved(n, (), (1,), ip.shift_up, ip.sub, ip.neg, PolyPair)
-
-
-class ParityVerdict(NamedTuple):
-    ok: bool
-    index: Optional[int] = None
-    which: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_parity_degrees(
-    us: Sequence[PolyPair], ws: Sequence[PolyPair]
-) -> ParityVerdict:
-    """Verify, for every i >= 1 present in both sequences: x(u_i) even of
-    degree 2i, y(u_i) odd of degree 2i-1, x(w_i) odd of degree 2i+1, y(w_i)
-    even of degree 2i. Returns the first violation as (index, which)."""
-    upper = min(len(us), len(ws))
-    for i in range(1, upper):
-        u, w = us[i], ws[i]
-        if not (ip.is_even_poly(u.x) and ip.degree(u.x) == 2 * i):
-            return ParityVerdict(False, i, "u.x")
-        if not (ip.is_odd_poly(u.y) and ip.degree(u.y) == 2 * i - 1):
-            return ParityVerdict(False, i, "u.y")
-        if not (ip.is_odd_poly(w.x) and ip.degree(w.x) == 2 * i + 1):
-            return ParityVerdict(False, i, "w.x")
-        if not (ip.is_even_poly(w.y) and ip.degree(w.y) == 2 * i):
-            return ParityVerdict(False, i, "w.y")
-    return ParityVerdict(True)
 
 
 def chebyshev_s(j: int) -> ip.IntPoly:
@@ -174,13 +93,6 @@ def closure_roots(grid: RootGrid) -> RootGrid:
     if cells is None:
         raise ValueError(f"closure roots for m = {grid.m} not isolated at width 1e-12")
     return RootGrid(grid.m, tuple((a + b) / (2 << ip.CELL_BITS) for a, b in cells))
-
-
-def wn_equation_roots(n: int) -> RootGrid:
-    """Solve w_n(t) = (1, 0) over the reals, certified (see closure_roots)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return closure_roots(t_grid(2 * n + 1))
 
 
 def closed_form_t(m: int, k: int) -> float:

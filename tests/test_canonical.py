@@ -27,12 +27,12 @@ from balcfg import (
     match_k,
     perturb,
     random_invertible,
-    reconstruct_from_triple,
     roots_of_unity,
     unit_vector,
 )
 from balcfg.canonical import GRID_TOL, LinearMap2
 from balcfg.sequences import closed_form_t
+from paper_lemmas import reconstruct_from_triple
 
 
 def test_linear_map_algebra():

@@ -30,7 +30,6 @@ from balcfg.balance import (
     is_uniform,
     norm_sq_bounds,
     step_constants,
-    verify_antisymmetry,
 )
 from balcfg.canonical import (
     RESIDUAL_TOL,
@@ -58,6 +57,7 @@ from balcfg.geometry import (
     unit_vector,
 )
 from balcfg.search import perturb, random_invertible
+from paper_lemmas import verify_antisymmetry
 from balcfg.serialization import save_config
 
 DATA = Path(__file__).parent / "data"

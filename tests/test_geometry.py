@@ -10,7 +10,6 @@ from balcfg import (
     DuplicateArgument,
     PlaneVector,
     argument,
-    cyclic_index,
     det2,
     label_by_increasing_arguments,
     roots_of_unity,
@@ -445,19 +444,6 @@ def test_label_duplicate_check_wraps_cyclically():
     c = Configuration([(1.0, 1e-15), (1.0, -1e-15), (-1.0, 0.5)])
     with pytest.raises(DuplicateArgument):
         label_by_increasing_arguments(c)
-
-
-@given(st.integers(-1000, 1000), st.integers(1, 50))
-def test_cyclic_index_wraps(k, m):
-    idx = cyclic_index(k, m)
-    assert 0 <= idx < m
-    assert (idx - k) % m == 0
-    assert cyclic_index(k + m, m) == idx
-
-
-def test_cyclic_index_refuses_a_modulus_below_1():
-    with pytest.raises(ValueError, match="m must be positive"):
-        cyclic_index(3, 0)
 
 
 def test_roots_of_unity_frozen_m5():

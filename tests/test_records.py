@@ -3,8 +3,10 @@ validating types check their fields in __new__, and Configuration is a plain
 class that compares its coordinates. Their reprs are the ones the package
 printed when they were frozen dataclasses, recorded before the change."""
 
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,11 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from balcfg.balance import BalanceReport, PairingMap, StepConstants
+import balcfg
+from balcfg.balance import BalanceReport, StepConstants
 from balcfg.canonical import CanonicalForm, EquivalenceVerdict, LinearMap2
 from balcfg.geometry import Configuration, PlaneVector
 from balcfg.search import SearchSpec
-from balcfg.sequences import ParityVerdict, PolyPair, RootGrid
+from balcfg.sequences import RootGrid
+from paper_lemmas import PairingMap, ParityVerdict, PolyPair
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -201,3 +205,28 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+# the proof's steps, which no command runs: tests/paper_lemmas.py holds them
+LEMMA_NAMES = (
+    "AmbiguousPairing", "PairingMap", "ParityVerdict", "PolyPair", "_interleaved",
+    "build_pairing", "check_parity_degrees", "cyclic_index", "is_even_poly", "is_odd_poly",
+    "numeric_sequences", "reconstruct_from_triple", "shift_up", "symbolic_sequences",
+    "verify_antisymmetry", "wn_equation_roots",
+)
+
+
+def test_all_is_sorted_unique_and_resolves():
+    assert balcfg.__all__ == sorted(set(balcfg.__all__))
+    assert [name for name in balcfg.__all__ if not hasattr(balcfg, name)] == []
+
+
+def test_no_balcfg_module_binds_a_lemma():
+    modules = [balcfg] + [
+        importlib.import_module(f"balcfg.{info.name}")
+        for info in pkgutil.iter_modules(balcfg.__path__)
+    ]
+    held = {"balance", "canonical", "errors", "geometry", "polynomials", "sequences"}
+    assert held <= {mod.__name__.rpartition(".")[2] for mod in modules}
+    bound = [(mod.__name__, name) for mod in modules for name in LEMMA_NAMES if hasattr(mod, name)]
+    assert bound == []

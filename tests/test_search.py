@@ -166,6 +166,12 @@ def test_join_runs_where_the_prefix_walk_was_refused():
     assert len(hits) == 3 * math.comb(9, 6)
 
 
+@given(st.lists(st.integers(-10**30, 10**30), max_size=8), st.integers(0, 4))
+def test_subset_sums_follow_combinations_order(keys, r):
+    # pairs by operator.add, other sizes by sum, in the order _join zips them in
+    assert list(search._sums(keys, r)) == [sum(c) for c in itertools.combinations(keys, r)]
+
+
 @pytest.mark.parametrize("m", [8, 10, 13, 15])
 def test_large_m_joins_the_points_left_out(m):
     # m > n / 2 on the 15 vectors of GRID4: the join lists the n - m points

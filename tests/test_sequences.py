@@ -7,18 +7,20 @@ from balcfg import polynomials as ip
 from balcfg.canonical import frame_map
 from balcfg.geometry import roots_of_unity
 from balcfg.sequences import (
-    ParityVerdict,
-    PolyPair,
     RootGrid,
     chebyshev_s,
-    check_parity_degrees,
     closed_form_t,
     closure_roots,
     model_configuration,
-    numeric_sequences,
-    symbolic_sequences,
     t_grid,
-    wn_equation_roots,
+)
+from paper_lemmas import (
+    ParityVerdict,
+    PolyPair,
+    check_parity_degrees,
+    numeric_sequences,
+    shift_up,
+    symbolic_sequences,
 )
 from polynomial_oracles import eval_at, primitive_gcd
 
@@ -34,10 +36,10 @@ def _reference_symbolic_sequences(n):
     ws = [PolyPair(x=(0, 1), y=(-1,))]
     for _ in range(n):
         u, w = us[-1], ws[-1]
-        ux = ip.sub(ip.shift_up(w.x), u.x)
-        uy = ip.sub(ip.shift_up(w.y), u.y)
-        wx = ip.sub(ip.shift_up(ux), w.x)
-        wy = ip.sub(ip.shift_up(uy), w.y)
+        ux = ip.sub(shift_up(w.x), u.x)
+        uy = ip.sub(shift_up(w.y), u.y)
+        wx = ip.sub(shift_up(ux), w.x)
+        wy = ip.sub(shift_up(uy), w.y)
         us.append(PolyPair(x=ux, y=uy))
         ws.append(PolyPair(x=wx, y=wy))
     return us, ws
@@ -66,8 +68,8 @@ def test_recurrence_sign_is_forced():
     u0 = PolyPair(x=(1,), y=())
     w0 = PolyPair(x=(0, 1), y=(-1,))
     w1_variant = PolyPair(
-        x=ip.sub(ip.shift_up(u0.x), w0.x),
-        y=ip.sub(ip.shift_up(u0.y), w0.y),
+        x=ip.sub(shift_up(u0.x), w0.x),
+        y=ip.sub(shift_up(u0.y), w0.y),
     )
     assert w1_variant == PolyPair(x=(), y=(1,))
     assert ip.degree(w1_variant.x) < 3
@@ -110,8 +112,8 @@ def test_parity_check_names_a_corrupted_polynomial(which):
 
 
 def test_roots_frozen_n1_n2():
-    assert wn_equation_roots(1).values == (-1.0,)
-    g2 = wn_equation_roots(2).values
+    assert closure_roots(t_grid(3)).values == (-1.0,)
+    g2 = closure_roots(t_grid(5)).values
     assert len(g2) == 2
     assert abs(g2[0] + 1.6180340) < 1e-6
     assert abs(g2[1] - 0.6180340) < 1e-6
@@ -119,8 +121,8 @@ def test_roots_frozen_n1_n2():
 
 def test_roots_agree_with_closed_form_grid():
     for n in range(1, 9):
-        solved = wn_equation_roots(n)
         grid = t_grid(2 * n + 1)
+        solved = closure_roots(grid)
         assert solved.m == grid.m == 2 * n + 1
         assert len(solved.values) == len(grid.values) == n
         for a, b in zip(solved.values, grid.values):
@@ -192,7 +194,7 @@ def test_closure_gcd_is_the_fourth_kind_chebyshev_polynomial():
     prev, cur = (1,), (1, 1)
     for n in range(1, 61):
         assert primitive_gcd(ws[n].y, ip.sub(ws[n].x, (1,))) == cur == _closure_polynomial(n)
-        prev, cur = cur, ip.sub(ip.shift_up(cur), prev)
+        prev, cur = cur, ip.sub(shift_up(cur), prev)
 
 
 def _remainder_by_monic(p, divisor):
@@ -221,7 +223,7 @@ def test_closure_gcd_divides_both_closure_equations_exactly():
 def test_exact_root_at_minus_one_when_three_divides_m():
     # m = 9 includes t = 2cos(2pi/3) = -1, a rational root the isolator
     # must peel off exactly
-    assert any(v == -1.0 for v in wn_equation_roots(4).values)
+    assert any(v == -1.0 for v in closure_roots(t_grid(9)).values)
 
 
 def test_t_grid_frozen_m5():
@@ -300,6 +302,7 @@ def test_model_configuration_rejects_bad_k():
 
 
 @pytest.mark.parametrize("n", [0, -3])
-def test_wn_equation_roots_refuses_n_below_1(n):
-    with pytest.raises(ValueError, match="^n must be >= 1$"):
-        wn_equation_roots(n)
+def test_closure_route_refuses_n_below_1(n):
+    # m = 2n + 1 < 3 has no closure parameter, so t_grid refuses it
+    with pytest.raises(ValueError, match=f"^grid needs odd m >= 3, got {2 * n + 1}$"):
+        closure_roots(t_grid(2 * n + 1))
