@@ -38,9 +38,9 @@ det_max.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 from itertools import repeat
-from operator import add, ge, lt, mul, neg, sub
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import InconsistentConstants, NotBalanced, NotUniform
@@ -174,10 +174,10 @@ class _Bracket:
         top = max(values, default=self.lo)
         if top <= self.lo or top <= self._lift(held):
             return None
-        j = _first(lt, self.lo, values)
+        j = _first(operator.lt, self.lo, values)
         if j is None or values[j] > self.hi:
             return j
-        return self._at_eff(lt, values)
+        return self._at_eff(operator.lt, values)
 
     def within(self, values: list, held) -> Optional[int]:
         """above's mirror: the first j with values[j] <= eff, or None. None
@@ -186,10 +186,10 @@ class _Bracket:
         NaN value is within no tolerance, as in above."""
         if min(values, default=math.inf) > self.hi:
             return None
-        j = _first(ge, self.hi, values)
+        j = _first(operator.ge, self.hi, values)
         if j is None or values[j] <= self.lo or values[j] <= self._lift(held):
             return j
-        return self._at_eff(ge, values)
+        return self._at_eff(operator.ge, values)
 
     def _at_eff(self, op, values: list) -> Optional[int]:
         """Narrow the bracket to eff itself, and decide there."""
@@ -221,7 +221,7 @@ def _negation_closed(c: Configuration, bracket: _Bracket) -> bool:
         return False
     xs, ys, _ = c._det_coords
     sx, sy = zip(*sorted(zip(xs, ys)))
-    return sx == tuple(map(neg, reversed(sx))) and sy == tuple(map(neg, reversed(sy)))
+    return all(s == tuple(map(operator.neg, reversed(s))) for s in (sx, sy))
 
 
 def _certified(c: Configuration, bracket: _Bracket) -> bool:
@@ -272,7 +272,7 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
         del srow[i]
         srow.sort()
         half = len(srow) // 2
-        sums = list(map(abs, map(add, srow[:half], reversed(srow))))
+        sums = list(map(abs, map(operator.add, srow[:half], reversed(srow))))
         sums += map(abs, srow[half : len(srow) - half])
         j = bracket.above(sums, srow)
         if j is not None:
@@ -301,10 +301,10 @@ def _gap_floor(c: Configuration, norms: Optional[Tuple[float, float]]) -> Option
     args = map(math.fmod, c.arguments, repeat(math.pi))
     args, sizes = zip(*sorted(zip(args, map(math.hypot, c.xs, c.ys))))
     # sizes[k] lies between gaps[k] and gaps[k + 1], cyclically
-    gaps = [args[0] + math.pi - args[-1], *map(sub, args[1:], args[:-1])]
-    near = map(sub, map(min, gaps, gaps[1:] + gaps[:1]), repeat(3.0 * ARGUMENT_ERR))
+    gaps = [args[0] + math.pi - args[-1], *map(operator.sub, args[1:], args[:-1])]
+    near = map(operator.sub, map(min, gaps, gaps[1:] + gaps[:1]), repeat(3.0 * ARGUMENT_ERR))
     low, high = norms
-    least = min(map(mul, sizes, map(math.sin, near))) * math.sqrt(low)
+    least = min(map(operator.mul, sizes, map(math.sin, near))) * math.sqrt(low)
     return (least * (1.0 - BOUND_SLACK) - 3.0 * UNIT_ROUNDOFF * high) * (1.0 - BOUND_SLACK)
 
 
@@ -396,7 +396,7 @@ def step_constants(c: Configuration, tol: Optional[float] = None) -> StepConstan
     if c.m % 2 == 0 or c.m < 3:
         raise ValueError(f"step constants require odd m >= 3, got m = {c.m}")
     bracket = _Bracket(c, tol)
-    xs, ys = c.xs, c.ys
+    xs, ys, mul, sub = c.xs, c.ys, operator.mul, operator.sub
     steps = [
         list(map(sub, map(mul, xs, ys[a:] + ys[:a]), map(mul, ys, xs[a:] + xs[:a])))
         for a in (1, c.n)

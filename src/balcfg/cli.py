@@ -33,7 +33,6 @@ import functools
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .balance import even_m_witness, is_balanced, is_uniform, require_tolerance, step_constants
@@ -43,7 +42,7 @@ from .geometry import Configuration, label_by_increasing_arguments, roots_of_uni
 from .render import render_svg
 from .search import SearchSpec, enumerate_balanced, random_invertible
 from .sequences import chebyshev_s, closure_roots, model_configuration, t_grid
-from .serialization import dumps_canonical, load_config, serialize_config
+from .serialization import _rational, dumps_canonical, load_config, serialize_config
 
 
 def tolerance(text: str) -> float:
@@ -167,7 +166,7 @@ def _cmd_gen(args) -> Tuple[str, int]:
 
 def _cmd_search(args) -> Tuple[dict, int]:
     try:
-        coords = tuple(Fraction(part.strip()) for part in args.coords.split(",") if part.strip())
+        coords = tuple(_rational(part.strip()) for part in args.coords.split(",") if part.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"search: bad --coords: {exc}") from exc
     spec = SearchSpec(m=args.m, coordinate_set=coords, require_uniform=args.uniform)

@@ -31,21 +31,8 @@ def trim(coeffs: Sequence[int]) -> IntPoly:
     return tuple(c)
 
 
-def degree(p: Sequence[int]) -> int:
-    """Degree, with the zero polynomial at -1."""
-    return len(trim(p)) - 1
-
-
 def add(p: Sequence[int], q: Sequence[int]) -> IntPoly:
     return trim([a + b for a, b in zip_longest(p, q, fillvalue=0)])
-
-
-def neg(p: Sequence[int]) -> IntPoly:
-    return tuple([-a for a in p])
-
-
-def sub(p: Sequence[int], q: Sequence[int]) -> IntPoly:
-    return trim([a - b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 def _scaled_coeffs(p: Sequence[int], den: int) -> List[int]:

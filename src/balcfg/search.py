@@ -139,8 +139,8 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     3 lines. 2: at even m with a member alone on its line, it is not
     balanced. 4: at m = 3 it is balanced, as each row's 2 entries sum to
     det(v_i, S) = 0. 5: otherwise is_balanced decides. Configuration.take
-    builds only the sets that reach is_balanced and, after the sort, each
-    hit with its lines; no grid table and no row.
+    builds each set that reaches rule 4 or 5, which a hit keeps, and after
+    the sort every other hit, each with its lines; no grid table and no row.
     The join's table of C(n, floor(s/2)) entries, s = min(m, n - m), is
     held in memory. At every m, BudgetExceeded refuses more than
     DEFAULT_BUDGET left halves, C(n, ceil(s/2)) for n grid vectors, or
@@ -199,7 +199,7 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     lines = {}
     for i, line in enumerate(line_of):
         lines.setdefault(line, []).append(i)
-    found = {idx for members in lines.values() for idx in itertools.combinations(members, m)}
+    found = {idx: None for members in lines.values() for idx in itertools.combinations(members, m)}
     if m % 2 == 0:
         # rule 3: j pairs {v, -v} of one line and m/2 - j of another
         at = dict(zip(zip(xs, ys), range(n)))
@@ -212,7 +212,7 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
                 for a, b in itertools.product(
                     itertools.combinations(one, j), itertools.combinations(two, m // 2 - j)
                 ):
-                    found.add(tuple(sorted(itertools.chain(*a, *b))))
+                    found[tuple(sorted(itertools.chain(*a, *b)))] = None
     # rule 2: at even m a set with no member alone on its line spans at most
     # m/2 lines, so the join needs only the zero-sum sets on 3..most lines
     most = m if m % 2 else m // 2
@@ -229,9 +229,10 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
                 continue
             if m % 2 == 0 and 1 in map([line_of[a] for a in idx].count, on):
                 continue
-            if m == 3 or is_balanced(grid.take(idx)).balanced:
-                found.add(idx)
-    hits = list(map(grid.take, sorted(found)))
+            cfg = grid.take(idx)
+            if m == 3 or is_balanced(cfg).balanced:
+                found[idx] = cfg  # a hit the join built is not built again
+    hits = [found[idx] or grid.take(idx) for idx in sorted(found)]
     if spec.require_uniform:
         return [cfg for cfg in hits if is_uniform(cfg)[0]]
     return hits

@@ -1,9 +1,10 @@
 """Configuration files and deterministic JSON.
 
 The on-disk format is {"mode": "exact"|"float", "vectors": [[x, y], ...]}
-with exact coordinates as strings "p/q" (or "p") and float coordinates as
-JSON numbers; the mode must match the lexical form, checked column by column
-in C-level passes. Emission is canonical (keys sorted, floats at 17 digits,
+with exact coordinates as strings that fractions.Fraction reads ("p/q" and
+"p" through two ints, see _rational) and float coordinates as JSON numbers;
+the mode must match the lexical form, checked column by column in C-level
+passes. Emission is canonical (keys sorted, floats at 17 digits,
 newline terminated, a vector list in one join): equal values, equal bytes.
 """
 
@@ -39,12 +40,13 @@ def _dumps(obj) -> str:
         return encode_basestring_ascii(obj)
     if obj is None or isinstance(obj, bool):
         return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, Fraction):
-        return '"%s"' % obj
-    if isinstance(obj, int):
-        return repr(obj)
+    # float and int before Fraction, whose isinstance runs the numbers ABC hook
     if isinstance(obj, float):
         return format_float(obj)
+    if isinstance(obj, int):
+        return repr(obj)
+    if isinstance(obj, Fraction):
+        return '"%s"' % obj
     if isinstance(obj, dict):
         items = []
         for key in sorted(obj):
@@ -67,6 +69,15 @@ def serialize_config(c: Configuration) -> str:
         # format_float's "%.17g" of the finite columns, where + 0.0 turns -0.0 into 0.0
         vectors = ["[%.17g, %.17g]" % (x + 0.0, y + 0.0) for x, y in zip(c.xs, c.ys)]
     return '{"mode": "%s", "vectors": [%s]}\n' % (c.mode, ", ".join(vectors))
+
+
+def _rational(text: str) -> Fraction:
+    """Fraction(text): ASCII -?[0-9]+(/[0-9]+)? by two ints, other text by Fraction."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if text.isascii() and digits.isdecimal() and (den.isdecimal() or not slash):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(text)
 
 
 def _parse_exact(raw, where: str) -> Fraction:
@@ -99,7 +110,7 @@ def _columns(vectors: list, mode: str):
     if not set(map(type, xs)).union(map(type, ys)) <= ({str} if mode == EXACT else {float, int}):
         return None
     try:
-        return [list(map(Fraction if mode == EXACT else float, col)) for col in (xs, ys)]
+        return [list(map(_rational if mode == EXACT else float, col)) for col in (xs, ys)]
     except (ValueError, ZeroDivisionError, OverflowError):
         return None
 

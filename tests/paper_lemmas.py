@@ -42,6 +42,7 @@ from balcfg.balance import _Bracket, require_balanced_uniform
 from balcfg.canonical import _negligible
 from balcfg.errors import CertificateError, SingularFrame
 from balcfg.geometry import Configuration, PlaneVector, Scalar, det2
+from polynomial_oracles import degree, neg, sub
 
 
 class AmbiguousPairing(CertificateError):
@@ -161,7 +162,7 @@ def numeric_sequences(t: Scalar, n: int) -> Tuple[List[PlaneVector], List[PlaneV
 
 def symbolic_sequences(n: int) -> Tuple[List[PolyPair], List[PolyPair]]:
     """u_0..u_n and w_0..w_n as exact integer-polynomial pairs."""
-    return _interleaved(n, (), (1,), shift_up, ip.sub, ip.neg, PolyPair)
+    return _interleaved(n, (), (1,), shift_up, sub, neg, PolyPair)
 
 
 class ParityVerdict(NamedTuple):
@@ -180,13 +181,13 @@ def check_parity_degrees(us: Sequence[PolyPair], ws: Sequence[PolyPair]) -> Pari
     upper = min(len(us), len(ws))
     for i in range(1, upper):
         u, w = us[i], ws[i]
-        if not (is_even_poly(u.x) and ip.degree(u.x) == 2 * i):
+        if not (is_even_poly(u.x) and degree(u.x) == 2 * i):
             return ParityVerdict(False, i, "u.x")
-        if not (is_odd_poly(u.y) and ip.degree(u.y) == 2 * i - 1):
+        if not (is_odd_poly(u.y) and degree(u.y) == 2 * i - 1):
             return ParityVerdict(False, i, "u.y")
-        if not (is_odd_poly(w.x) and ip.degree(w.x) == 2 * i + 1):
+        if not (is_odd_poly(w.x) and degree(w.x) == 2 * i + 1):
             return ParityVerdict(False, i, "w.x")
-        if not (is_even_poly(w.y) and ip.degree(w.y) == 2 * i):
+        if not (is_even_poly(w.y) and degree(w.y) == 2 * i):
             return ParityVerdict(False, i, "w.y")
     return ParityVerdict(True)
 

@@ -1,13 +1,28 @@
-"""Polynomial oracles of the tests: the primitive gcd over Z[t], which the
-closed-form closure polynomial W_n is checked against (roots builds W_n from
-its closed form and computes no gcd); Horner evaluation in the type of the
-point; and the exact sign at a rational point by certify_cells' integer
-Horner."""
+"""Polynomial oracles of the tests: degree, negation and difference of
+integer polynomials (ascending tuples, as balcfg.polynomials); the primitive
+gcd over Z[t], which the closed-form closure polynomial W_n is checked
+against (roots builds W_n from its closed form and computes no gcd); Horner
+evaluation in the type of the point; and the exact sign at a rational point
+by certify_cells' integer Horner."""
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 from balcfg import polynomials as ip
+
+
+def degree(p):
+    """Degree, with the zero polynomial at -1."""
+    return len(ip.trim(p)) - 1
+
+
+def neg(p):
+    return tuple([-a for a in p])
+
+
+def sub(p, q):
+    return ip.trim([a - b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 def primitive_gcd(p, q):
@@ -18,9 +33,9 @@ def primitive_gcd(p, q):
     while b:
         while len(a) >= len(b):
             cancel = (0,) * (len(a) - len(b)) + tuple(a[-1] * c for c in b)
-            a = ip.sub(tuple(b[-1] * c for c in a), cancel)
+            a = sub(tuple(b[-1] * c for c in a), cancel)
         a, b = b, _primitive(a)
-    return ip.neg(a) if a and a[-1] < 0 else a
+    return neg(a) if a and a[-1] < 0 else a
 
 
 def _primitive(p):

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from balcfg import polynomials as ip
 from balcfg import (
     InconsistentConstants,
     SearchSpec,
@@ -36,7 +35,7 @@ from paper_lemmas import (
     symbolic_sequences,
     verify_antisymmetry,
 )
-from polynomial_oracles import eval_at
+from polynomial_oracles import degree, eval_at, sub
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -91,10 +90,10 @@ def test_acceptance_03a_recurrence_sign_regression():
     w0 = PolyPair(x=(0, 1), y=(-1,))
     # the sign variant that reuses the previous u term
     w1_variant = PolyPair(
-        x=ip.sub(shift_up(u0.x), w0.x),
-        y=ip.sub(shift_up(u0.y), w0.y),
+        x=sub(shift_up(u0.x), w0.x),
+        y=sub(shift_up(u0.y), w0.y),
     )
-    degree_violated = ip.degree(w1_variant.x) != 3
+    degree_violated = degree(w1_variant.x) != 3
     us, ws = symbolic_sequences(1)
     variant_verdict = check_parity_degrees(us, [w0, w1_variant])
     ok = degree_violated and not variant_verdict and variant_verdict.which == "w.x"

@@ -762,6 +762,29 @@ def test_search_uniform_flag_keeps_the_uniform_hits(capsys, flags, count):
     assert (summary["count"], summary["uniform_count"]) == (count, 11)
 
 
+BAD_COORDS = {
+    "1,1/0": "Fraction(1, 0)",
+    "0, -0/0": "Fraction(0, 0)",
+    "1,--1": "Invalid literal for Fraction: '--1'",
+    "1,1/2/3": "Invalid literal for Fraction: '1/2/3'",
+    "0,abc": "Invalid literal for Fraction: 'abc'",
+}
+
+
+@pytest.mark.parametrize("coords, message", BAD_COORDS.items(), ids=list(BAD_COORDS))
+def test_search_names_a_bad_coordinate_as_fraction_does(capsys, coords, message):
+    code, out, err = run(capsys, "search", "--m", "3", "--coords", coords)
+    assert (code, out) == (2, "")
+    assert err == f"error: search: bad --coords: {message}\n"
+
+
+def test_search_reads_other_fraction_forms_as_p_q(capsys):
+    _, twin, _ = run(capsys, "search", "--m", "3", "--coords", "-1,-1/2,0,1/2,1")
+    code, out, _ = run(capsys, "search", "--m", "3", "--coords", "-1e0, -0.5,+0,+1/2,1.0")
+    assert code == 0
+    assert out == twin
+
+
 def test_search_budget_exit(capsys):
     # C(99, 6) left halves exceed the budget
     code, _, err = run(capsys, "search", "--m", "12", "--coords", "0,1,2,3,4,5,6,7,8,9")

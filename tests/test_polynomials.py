@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from balcfg import polynomials as ip
 from balcfg import sequences
 from paper_lemmas import is_even_poly, is_odd_poly, shift_up, symbolic_sequences
-from polynomial_oracles import eval_at, primitive_gcd, sign_at
+from polynomial_oracles import degree, eval_at, neg, primitive_gcd, sign_at, sub
 
 # ascending coefficient tuples: (2, -2, -1, 1) is t^3 - t^2 - 2t + 2
 CUBIC_MIXED = (2, -2, -1, 1)
@@ -17,15 +17,15 @@ CUBIC_MIXED = (2, -2, -1, 1)
 def test_trim_and_degree():
     assert ip.trim([1, 2, 0, 0]) == (1, 2)
     assert ip.trim([0, 0]) == ()
-    assert ip.degree(()) == -1
-    assert ip.degree((5,)) == 0
-    assert ip.degree((0, 0, 3)) == 2
+    assert degree(()) == -1
+    assert degree((5,)) == 0
+    assert degree((0, 0, 3)) == 2
 
 
 def test_arithmetic_frozen():
     assert ip.add((1, 2), (3, -2)) == (4,)
-    assert ip.sub((1, 2), (1, 2)) == ()
-    assert ip.neg((1, -2)) == (-1, 2)
+    assert sub((1, 2), (1, 2)) == ()
+    assert neg((1, -2)) == (-1, 2)
     assert shift_up((1, 2)) == (0, 1, 2)
 
 
@@ -72,7 +72,7 @@ def _from_roots(roots):
     p = (1,)
     for r in roots:
         scaled = shift_up(tuple(r.denominator * a for a in p))
-        p = ip.sub(scaled, tuple(r.numerator * a for a in p))
+        p = sub(scaled, tuple(r.numerator * a for a in p))
     return p
 
 
@@ -121,7 +121,7 @@ EXACT_GUESSES = {
     "plus-minus-sqrt-two": ((-2, 0, 1), [-sqrt(2), sqrt(2)]),
     "cubic-mixed": (CUBIC_MIXED, [-sqrt(2), 1.0, sqrt(2)]),
     "quartic": (
-        ip.sub(
+        sub(
             shift_up(shift_up(_from_roots([Fraction(3, 8), Fraction(5, 4)]))),
             tuple(2 * a for a in _from_roots([Fraction(3, 8), Fraction(5, 4)])),
         ),
@@ -166,7 +166,7 @@ def test_certify_cells_lands_on_a_grid_root_exactly():
     # (8t - 3)(4t - 5)(t^2 - 2): 3/8 and 5/4 are points of the lattice
     # 2^-40 Z, so their cells are zero-width; +-sqrt(2) are not
     q = _from_roots([Fraction(3, 8), Fraction(5, 4)])
-    p = ip.sub(shift_up(shift_up(q)), tuple(2 * a for a in q))
+    p = sub(shift_up(shift_up(q)), tuple(2 * a for a in q))
     cells = _cells(p, [-sqrt(2), 0.375, 1.25, sqrt(2)])
     assert cells[1] == (Fraction(3, 8), Fraction(3, 8))
     assert cells[2] == (Fraction(5, 4), Fraction(5, 4))
@@ -178,7 +178,7 @@ def test_certify_cells_recover_integer_roots(int_roots):
     p = (1,)
     for r in int_roots:
         # multiply by (t - r)
-        p = ip.add(shift_up(p), ip.neg(tuple(r * a for a in p)))
+        p = ip.add(shift_up(p), neg(tuple(r * a for a in p)))
     found = _cells(p, sorted(float(r) for r in int_roots))
     # every integer is a point of the lattice 2^-40 Z
     assert found == [(Fraction(r), Fraction(r)) for r in sorted(int_roots)]
@@ -202,7 +202,7 @@ def _closure_polynomial(n):
     # the test-side gcd of the recurrence's closure equations, which the
     # closed-form W_n equals (test_sequences)
     wn = symbolic_sequences(n)[1][n]
-    return primitive_gcd(wn.y, ip.sub(wn.x, (1,)))
+    return primitive_gcd(wn.y, sub(wn.x, (1,)))
 
 
 def _closure_case(n):
@@ -309,7 +309,7 @@ def _lattice_cells(roots, square):
     isqrt(square 4^40), which no lattice point hits."""
     p = _from_roots(roots)
     if square:
-        p = ip.sub(shift_up(shift_up(p)), tuple(square * a for a in p))
+        p = sub(shift_up(shift_up(p)), tuple(square * a for a in p))
     cells = []
     for r in roots:
         j, rest = divmod(r / CELL, 1)

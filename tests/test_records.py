@@ -207,12 +207,13 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert done.returncode == 0, done.stderr
 
 
-# the proof's steps, which no command runs: tests/paper_lemmas.py holds them
+# the proof's steps and the polynomial arithmetic only tests use, which no
+# command runs: tests/paper_lemmas.py and tests/polynomial_oracles.py hold them
 LEMMA_NAMES = (
     "AmbiguousPairing", "PairingMap", "ParityVerdict", "PolyPair", "_interleaved",
-    "build_pairing", "check_parity_degrees", "cyclic_index", "is_even_poly", "is_odd_poly",
-    "numeric_sequences", "reconstruct_from_triple", "shift_up", "symbolic_sequences",
-    "verify_antisymmetry", "wn_equation_roots",
+    "build_pairing", "check_parity_degrees", "cyclic_index", "degree", "is_even_poly",
+    "is_odd_poly", "neg", "numeric_sequences", "reconstruct_from_triple", "shift_up", "sub",
+    "symbolic_sequences", "verify_antisymmetry", "wn_equation_roots",
 )
 
 

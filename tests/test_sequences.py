@@ -22,7 +22,7 @@ from paper_lemmas import (
     shift_up,
     symbolic_sequences,
 )
-from polynomial_oracles import eval_at, primitive_gcd
+from polynomial_oracles import degree, eval_at, neg, primitive_gcd, sub
 
 # hand-expanded low-order terms, ascending coefficients
 U1 = PolyPair(x=(-1, 0, 1), y=(0, -1))            # (t^2 - 1, -t)
@@ -36,10 +36,10 @@ def _reference_symbolic_sequences(n):
     ws = [PolyPair(x=(0, 1), y=(-1,))]
     for _ in range(n):
         u, w = us[-1], ws[-1]
-        ux = ip.sub(shift_up(w.x), u.x)
-        uy = ip.sub(shift_up(w.y), u.y)
-        wx = ip.sub(shift_up(ux), w.x)
-        wy = ip.sub(shift_up(uy), w.y)
+        ux = sub(shift_up(w.x), u.x)
+        uy = sub(shift_up(w.y), u.y)
+        wx = sub(shift_up(ux), w.x)
+        wy = sub(shift_up(uy), w.y)
         us.append(PolyPair(x=ux, y=uy))
         ws.append(PolyPair(x=wx, y=wy))
     return us, ws
@@ -68,11 +68,11 @@ def test_recurrence_sign_is_forced():
     u0 = PolyPair(x=(1,), y=())
     w0 = PolyPair(x=(0, 1), y=(-1,))
     w1_variant = PolyPair(
-        x=ip.sub(shift_up(u0.x), w0.x),
-        y=ip.sub(shift_up(u0.y), w0.y),
+        x=sub(shift_up(u0.x), w0.x),
+        y=sub(shift_up(u0.y), w0.y),
     )
     assert w1_variant == PolyPair(x=(), y=(1,))
-    assert ip.degree(w1_variant.x) < 3
+    assert degree(w1_variant.x) < 3
     verdict = check_parity_degrees([u0, U1], [w0, w1_variant])
     assert not verdict
     assert (verdict.index, verdict.which) == (1, "w.x")
@@ -161,7 +161,7 @@ def test_chebyshev_s_gives_the_closure_equations_of_the_sequences():
     _, ws = symbolic_sequences(400)
     for n in list(range(1, 61)) + [200, 400]:
         assert chebyshev_s(2 * n + 1) == ws[n].x
-        assert ip.neg(chebyshev_s(2 * n)) == ws[n].y
+        assert neg(chebyshev_s(2 * n)) == ws[n].y
 
 
 def test_closure_equations_factor_through_the_closed_form_w_n():
@@ -170,11 +170,11 @@ def test_closure_equations_factor_through_the_closed_form_w_n():
     for n in range(1, 61):
         w, v, v_next = (
             _closure_polynomial(n),
-            ip.sub(chebyshev_s(n), chebyshev_s(n - 1)),
-            ip.sub(chebyshev_s(n + 1), chebyshev_s(n)),
+            sub(chebyshev_s(n), chebyshev_s(n - 1)),
+            sub(chebyshev_s(n + 1), chebyshev_s(n)),
         )
-        assert ip.sub(ws[n].x, (1,)) == _mul(w, v_next)
-        assert ws[n].y == ip.neg(_mul(w, v))
+        assert sub(ws[n].x, (1,)) == _mul(w, v_next)
+        assert ws[n].y == neg(_mul(w, v))
 
 
 @pytest.mark.parametrize("n", range(1, 101))
@@ -193,8 +193,8 @@ def test_closure_gcd_is_the_fourth_kind_chebyshev_polynomial():
     _, ws = symbolic_sequences(60)
     prev, cur = (1,), (1, 1)
     for n in range(1, 61):
-        assert primitive_gcd(ws[n].y, ip.sub(ws[n].x, (1,))) == cur == _closure_polynomial(n)
-        prev, cur = cur, ip.sub(shift_up(cur), prev)
+        assert primitive_gcd(ws[n].y, sub(ws[n].x, (1,))) == cur == _closure_polynomial(n)
+        prev, cur = cur, sub(shift_up(cur), prev)
 
 
 def _remainder_by_monic(p, divisor):
@@ -215,8 +215,8 @@ def test_closure_gcd_divides_both_closure_equations_exactly():
     # every root of W_n, with no tolerance
     us, ws = symbolic_sequences(40)
     for n in range(1, 41):
-        closure = primitive_gcd(ws[n].y, ip.sub(ws[n].x, (1,)))
-        for p in (ws[n].y, ip.sub(ws[n].x, (1,)), us[n].x, ip.sub(us[n].y, (1,))):
+        closure = primitive_gcd(ws[n].y, sub(ws[n].x, (1,)))
+        for p in (ws[n].y, sub(ws[n].x, (1,)), us[n].x, sub(us[n].y, (1,))):
             assert _remainder_by_monic(p, closure) == ()
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from balcfg import Configuration, ConfigFileError, load_config, save_config
 from balcfg.serialization import (
+    _rational,
     dumps_canonical,
     format_float,
     parse_config,
@@ -316,3 +318,80 @@ def test_parse_reads_ints_in_float_mode_as_floats():
     assert c.mode == "float"
     assert c.xs == (1.0, 0.0, 3.0) and c.ys == (0.0, -2.0, 4.0)
     assert all(type(v) is float for v in c.xs + c.ys)
+
+
+def _outcome(parse, text):
+    """The value and its type, or the exception's type and text."""
+    try:
+        value = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+LONG_DIGITS = "7" * 5000  # past the default int-string limit of 4300 digits
+digit_runs = st.text("0123456789", min_size=1, max_size=30)
+signs = st.sampled_from(["", "-", "+", "--", " ", "-_"])
+# the documented forms "p" and "p/q", and what Fraction also reads or refuses
+# near them: signs, whitespace, "_", ".", "e", non-ASCII digits, empty parts
+rational_texts = st.one_of(
+    st.builds("{}{}".format, signs, digit_runs),
+    st.builds("{}{}/{}{}".format, signs, digit_runs, signs, digit_runs),
+    st.lists(
+        st.sampled_from(["0", "1", "12", "-", "+", "/", " ", "\t", "_", ".", "e", "E", "\u0663"]),
+        max_size=8,
+    ).map("".join),
+)
+
+
+@given(rational_texts)
+@example("-")
+@example("")
+@example("/")
+@example("1/")
+@example("/1")
+@example("1/0")
+@example("-1/0")
+@example("-0/0")
+@example("--1")
+@example("+1")
+@example(" 1 ")
+@example("1_0")
+@example("1_0/1_0")
+@example("0.5")
+@example("-1e0")
+@example("1e-3")
+@example("\u0663")
+@example("1/\u0663")
+@example("1/2/3")
+@example(LONG_DIGITS)
+@example("-" + LONG_DIGITS)
+@example("1/" + LONG_DIGITS)
+@example(LONG_DIGITS + "/0")
+def test_rational_reads_a_string_as_fraction_does(text):
+    assert _outcome(_rational, text) == _outcome(Fraction, text)
+
+
+TWIN = [["1/2", "-3/4"], ["-1", "0"], ["10", "1/8"]]
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        [["0.5", "-0.75"], ["-1e0", "0.0"], ["1E1", "125e-3"]],
+        [["+1/2", "-3/4"], ["-1", "+0"], ["+10", "+1/8"]],
+        [["2/4", " -6/8 "], ["-0001", "-0"], ["10/1", "0.125"]],
+        pytest.param(
+            [["1/2", "-3_0/4_0"], ["-1", "0"], ["1_0", "1/8"]],
+            marks=pytest.mark.skipif(
+                sys.version_info < (3, 11), reason="Fraction reads '_' from Python 3.11"
+            ),
+        ),
+    ],
+)
+def test_load_config_reads_other_fraction_forms_as_their_p_q_twin(tmp_path, vectors):
+    twin, other = tmp_path / "twin.json", tmp_path / "other.json"
+    twin.write_text(json.dumps({"mode": "exact", "vectors": TWIN}))
+    other.write_text(json.dumps({"mode": "exact", "vectors": vectors}))
+    assert load_config(other) == load_config(twin)
+    assert serialize_config(load_config(other)) == serialize_config(load_config(twin))
