@@ -28,7 +28,7 @@ only m = 3 passes (Niven's theorem).
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .balance import (
     BOUND_SLACK,
@@ -125,20 +125,15 @@ class CanonicalForm(NamedTuple):
     residual: float
 
 
-def _negligible(parts: Tuple[Scalar, ...], scale: Callable[[], float]) -> bool:
-    """Whether a determinant (d,) or a vector (x, y) is degenerate: exactly 0
-    in exact mode, of length at most FRAME_DET_TOL * scale() in float mode
-    (relative to the inputs' scale, so it holds at any scale)."""
-    if isinstance(parts[0], float):
-        return math.hypot(*parts) <= FRAME_DET_TOL * scale()
-    return not any(parts)
-
-
 def frame_map(v0: PlaneVector, vn: PlaneVector) -> LinearMap2:
     """The unique g with g.v0 = (1,0) and g.vn = (0,1): the inverse of the
-    matrix with columns v0, vn."""
+    matrix with columns v0, vn. An exact frame is singular at det(v0, vn) = 0,
+    a float one within FRAME_DET_TOL."""
     d = det2(v0, vn)
-    if _negligible((d,), lambda: math.hypot(v0.x, v0.y) * math.hypot(vn.x, vn.y)):
+    limit = 0
+    if isinstance(d, float):
+        limit = FRAME_DET_TOL * (math.hypot(v0.x, v0.y) * math.hypot(vn.x, vn.y))
+    if abs(d) <= limit:
         raise SingularFrame(f"frame vectors are dependent (det = {d})")
     return LinearMap2(vn.y / d, -vn.x / d, -v0.y / d, v0.x / d)
 

@@ -120,10 +120,10 @@ def _cmd_canon(args) -> Tuple[dict, int]:
         "t": form.t if ok else None,
         "k": form.k if ok else None,
         "residual": form.residual if ok else None,
-        "map": [[float(x) for x in row] for row in form.g.rows()] if ok else None,
+        "map": form.g.rows() if ok else None,
         "index_map": form.index_map if ok else None,
         "error": None if ok else type(exc).__name__,
-        "witness": None if ok else getattr(exc, "witness", None),
+        "witness": None if ok else exc.witness,
     }
     return report, 0 if ok else 1
 

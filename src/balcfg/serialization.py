@@ -44,7 +44,7 @@ def _dumps(obj) -> str:
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, int):
-        return repr(obj)
+        return int.__repr__(obj)  # an IntEnum's repr is not JSON
     if isinstance(obj, Fraction):
         return '"%s"' % obj
     if isinstance(obj, dict):
@@ -84,7 +84,7 @@ def _parse_exact(raw, where: str) -> Fraction:
     if not isinstance(raw, str):
         raise ConfigFileError(f"{where}: exact mode needs string rationals, got {raw!r}")
     try:
-        return Fraction(raw)
+        return _rational(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigFileError(f"{where}: not a rational: {raw!r} ({exc})") from exc
 

@@ -35,11 +35,11 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from balcfg import polynomials as ip
 from balcfg.balance import _Bracket, require_balanced_uniform
-from balcfg.canonical import _negligible
+from balcfg.canonical import FRAME_DET_TOL
 from balcfg.errors import CertificateError, SingularFrame
 from balcfg.geometry import Configuration, PlaneVector, Scalar, det2
 from polynomial_oracles import degree, neg, sub
@@ -190,6 +190,15 @@ def check_parity_degrees(us: Sequence[PolyPair], ws: Sequence[PolyPair]) -> Pari
         if not (is_even_poly(w.y) and degree(w.y) == 2 * i):
             return ParityVerdict(False, i, "w.y")
     return ParityVerdict(True)
+
+
+def _negligible(parts: Tuple[Scalar, ...], scale: Callable[[], float]) -> bool:
+    """Whether a determinant (d,) or a vector (x, y) is degenerate: exactly 0
+    in exact mode, of length at most FRAME_DET_TOL * scale() in float mode
+    (relative to the inputs' scale, so it holds at any scale)."""
+    if isinstance(parts[0], float):
+        return math.hypot(*parts) <= FRAME_DET_TOL * scale()
+    return not any(parts)
 
 
 def reconstruct_from_triple(

@@ -400,19 +400,28 @@ def test_exact_input_whose_float_copy_overflows_exits_two(capsys, tmp_path, comm
     assert err.startswith("error: exact x coordinate 1000") and "does not fit a float" in err
 
 
+TINY, HUGE = Fraction(1, 10**400), 10**400
+
+
 @pytest.mark.parametrize("command", ["canon", "render"])
-def test_exact_input_whose_float_copy_underflows_exits_two(capsys, tmp_path, command):
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        [("1e-400", "0"), ("0", "1e-400"), ("-1e-400", "-1e-400")],
+        # member 1 overflows a float as well; member 0 comes first
+        [(TINY, 0), (HUGE, 1), (-TINY - HUGE, -1)],
+    ],
+    ids=["tiny", "under_over"],
+)
+def test_exact_input_whose_float_copy_underflows_exits_two(capsys, tmp_path, command, vectors):
     # no member is zero, but each coordinate's float copy is 0.0, so member
     # 0 has no nonzero float copy: an input error, named by its coordinates
-    tiny = "1e-400"
-    path, _ = _exact_file(tmp_path, [(tiny, "0"), ("0", tiny), ("-" + tiny, "-" + tiny)])
+    path, _ = _exact_file(tmp_path, vectors)
     assert run(capsys, "check", str(path))[0] == 0
     code, out, err = run(capsys, command, str(path))
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith(f"error: exact coordinates ({Fraction(tiny)}, 0) have no nonzero float")
-    assert "zero vector" not in err
+    assert err == f"error: exact coordinates ({TINY}, 0) have no nonzero float copy\n"
 
 
 @pytest.mark.parametrize(
@@ -477,9 +486,14 @@ def test_roots_beyond_twenty_match_the_closed_form(capsys, n):
     assert code == 0
     m = 2 * n + 1
     grid = sorted(2 * math.cos(2 * math.pi * k / m) for k in range(1, n + 1))
-    solved = json.loads(out)["solver_roots"]
+    report = json.loads(out)
+    solved = report["solver_roots"]
     assert len(solved) == n
     assert all(abs(a - b) <= 1e-10 for a, b in zip(solved, grid))
+    assert report["max_deviation"] <= 1e-10
+    # each root is the midpoint or the zero-width end of a cell of the
+    # lattice 2^-40 Z
+    assert all((r * 2.0**41).is_integer() for r in solved)
 
 
 @pytest.mark.parametrize(
@@ -667,10 +681,31 @@ def test_render_refuses_a_largest_norm_that_overflows(capsys, tmp_path):
     )
 
 
-def test_render_json_round_trips_the_file(capsys):
-    code, out, _ = run(capsys, "render", str(DATA / "u5.json"), "--format", "json")
+@pytest.mark.parametrize("name", ["u5", "u3_exact", "u5_exact_rounded"])
+def test_render_json_round_trips_the_file(capsys, name):
+    code, out, _ = run(capsys, "render", str(DATA / f"{name}.json"), "--format", "json")
     assert code == 0
-    assert out == (DATA / "u5.json").read_text()
+    assert out == (DATA / f"{name}.json").read_text()
+
+
+def test_gen_m801_image_round_trips_and_certifies(capsys, tmp_path):
+    # the file that gen writes keeps its bytes when read and written again,
+    # and the verdicts certify the image by its canonical map: check finds
+    # it balanced and uniform with step constants, and canon maps all 801
+    # members onto the roots of unity
+    path = str(tmp_path / "a.json")
+    assert main(["gen", "--m", "801", "--seed", "7", "--out", path]) == 0
+    code, out, _ = run(capsys, "render", path, "--format", "json")
+    assert code == 0
+    assert out == Path(path).read_text()
+    code, out, _ = run(capsys, "check", path)
+    report = json.loads(out)
+    assert code == 0 and report["balanced"] is True and report["uniform"] is True
+    assert report["step_constants"] is not None
+    code, out, _ = run(capsys, "canon", path)
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True
+    assert len(report["index_map"]) == 801
 
 
 @pytest.mark.parametrize(
@@ -753,13 +788,58 @@ def test_search_summary_and_files(capsys, tmp_path):
     assert (out_dir / "summary.json").read_text() == out
 
 
-@pytest.mark.parametrize("flags, count", [(["--uniform"], 11), ([], 14)])
-def test_search_uniform_flag_keeps_the_uniform_hits(capsys, flags, count):
-    code, out, _ = run(capsys, "search", "--m", "3", "--coords", "-1,0,1,2", *flags)
+# uniform_count counts the hits whose members lie on distinct lines, with
+# or without --uniform
+@pytest.mark.parametrize(
+    "coords, flags, count, uniform_count",
+    [
+        ("-1,0,1,2", ["--uniform"], 11, 11),
+        ("-1,0,1,2", [], 14, 11),
+        ("-2,-1,0,1,2", ["--uniform"], 44, 44),
+        ("-2,-1,0,1,2", [], 60, 44),
+    ],
+)
+def test_search_uniform_flag_keeps_the_uniform_hits(capsys, coords, flags, count, uniform_count):
+    code, out, _ = run(capsys, "search", "--m", "3", "--coords", coords, *flags)
     assert code == 0
     summary = json.loads(out)
     assert summary["require_uniform"] is bool(flags)
-    assert (summary["count"], summary["uniform_count"]) == (count, 11)
+    assert (summary["count"], summary["uniform_count"]) == (count, uniform_count)
+
+
+# (m, coords, count, uniform_count) of search, at least one spec per route
+SEARCH_COUNTS = [
+    (5, "-2,-1,0,1,2", 92, 0),
+    # on 2 lines, a zero-sum set not closed under v -> -v is not balanced
+    (6, "-3,0,1,2", 0, 0),
+    # odd m: the 2-line sets and the sets on 4 or more lines with a nonzero
+    # third moment are refused; is_balanced finds the 14 hits, each on 3
+    # lines
+    (5, "-3,-1,0,1,2", 14, 0),
+    # even m: a member alone on its line, as every set of 4 on 3 or more
+    # lines has
+    (4, "-2,-1,0,1,2", 66, 0),
+    # even m lists its hits on two lines from the pairs {v, -v}, and m = 4
+    # runs no join; these are the counts the search gave when it joined
+    # every zero-sum set
+    (4, "-3,-2,-1,0,1,2,3", 324, 0),
+    (6, "-2,-1,0,1,2", 228, 0),
+    (8, "-2,-1,0,1,2", 495, 0),
+    # at even m a set with no member alone on its line spans at most m/2
+    # lines: 360 of these hits lie on 5 = m/2 lines
+    (10, "-2,-1,0,1,2", 792, 0),
+    # C(99, 3) left halves are within the budget: the hits are the 6-subsets
+    # of three lines of 9 points
+    (6, "0,1,2,3,4,5,6,7,8,9", 252, 0),
+]
+
+
+@pytest.mark.parametrize("m, coords, count, uniform_count", SEARCH_COUNTS)
+def test_search_counts(capsys, m, coords, count, uniform_count):
+    code, out, _ = run(capsys, "search", "--m", str(m), "--coords", coords)
+    assert code == 0
+    summary = json.loads(out)
+    assert (summary["count"], summary["uniform_count"]) == (count, uniform_count)
 
 
 BAD_COORDS = {
@@ -796,6 +876,38 @@ def test_search_within_the_prefix_budget_runs(capsys):
     code, out, _ = run(capsys, "search", "--m", "8", "--coords", "-1,0,1")
     assert code == 0
     assert json.loads(out)["count"] == 1
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="Fraction reads '_' from Python 3.11")
+@pytest.mark.parametrize("command", ["check", "canon"])
+def test_u3_exact_in_other_fraction_forms_gives_its_golden_report(capsys, tmp_path, command):
+    # the reports of u3_exact.json's "p/q" file, whose name they carry
+    path = tmp_path / "u3_exact.json"
+    path.write_text(
+        '{"mode": "exact", "vectors": [["+1", "0.0"], ["0", "1_0/10"], ["-1e0", "-1"]]}\n'
+    )
+    code, out, _ = run(capsys, command, str(path))
+    assert code == 0
+    assert out == (GOLDEN / f"{command}_u3_exact.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("[NaN, 0.0]", "coordinate nan is not a finite number"),
+        # the Configuration constructor refuses a coordinate that overflows a
+        # float and a zero member, and the per-entry parser names the entry
+        ("[1e400, 1.0]", "coordinate inf is not a finite number"),
+        ("[0.0, 0.0]", "zero vector not allowed"),
+    ],
+    ids=["nan", "overflow", "zero"],
+)
+def test_check_names_a_bad_entry_on_one_error_line(capsys, tmp_path, entry, message):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"mode": "float", "vectors": [[1.0, 0.0], {entry}, [-1.0, -1.0]]}}\n')
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: bad.json: vectors[1]: {message}\n"
 
 
 def test_check_refuses_a_file_whose_top_level_is_a_list(capsys, tmp_path):

@@ -22,8 +22,6 @@ from balcfg.search import SearchSpec
 from balcfg.sequences import RootGrid
 from paper_lemmas import PairingMap, ParityVerdict, PolyPair
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
 # (factory, repr recorded from the dataclass version); each factory builds a
 # fresh object from fresh, equal fields on every call
 RECORDS = [
@@ -196,11 +194,12 @@ def test_validating_constructors_take_keywords():
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # each takes milliseconds to import, which every balcfg command would pay
+    # each takes milliseconds to import, which every balcfg command would pay;
+    # the child imports the balcfg that this run imports, from src or installed
     code = "import balcfg.cli, sys; assert not {'dataclasses', 'inspect'} & set(sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+        env={**os.environ, "PYTHONPATH": str(Path(balcfg.__file__).parent.parent)},
         capture_output=True,
         text=True,
     )
@@ -211,9 +210,9 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 # command runs: tests/paper_lemmas.py and tests/polynomial_oracles.py hold them
 LEMMA_NAMES = (
     "AmbiguousPairing", "PairingMap", "ParityVerdict", "PolyPair", "_interleaved",
-    "build_pairing", "check_parity_degrees", "cyclic_index", "degree", "is_even_poly",
-    "is_odd_poly", "neg", "numeric_sequences", "reconstruct_from_triple", "shift_up", "sub",
-    "symbolic_sequences", "verify_antisymmetry", "wn_equation_roots",
+    "_negligible", "build_pairing", "check_parity_degrees", "cyclic_index", "degree",
+    "is_even_poly", "is_odd_poly", "neg", "numeric_sequences", "reconstruct_from_triple",
+    "shift_up", "sub", "symbolic_sequences", "verify_antisymmetry", "wn_equation_roots",
 )
 
 

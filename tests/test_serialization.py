@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,17 @@ def test_dumps_canonical_sorts_keys():
 
 def test_dumps_canonical_quotes_fractions():
     assert dumps_canonical({"v": Fraction(-1, 3)}) == '{"v": "-1/3"}'
+
+
+class Level(IntEnum):
+    LOW = 1
+
+
+def test_dumps_canonical_writes_an_int_subclass_as_its_int():
+    # repr(Level.LOW) is "<Level.LOW: 1>"; a list of exact ints alone takes
+    # the list's fast path
+    obj = {"a": Level.LOW, "b": [Level.LOW, 2], "c": [Level.LOW]}
+    assert json.loads(dumps_canonical(obj)) == json.loads(json.dumps(obj))
 
 
 def test_exact_round_trip_is_bit_exact():
