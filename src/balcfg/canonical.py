@@ -133,7 +133,8 @@ def frame_map(v0: PlaneVector, vn: PlaneVector) -> LinearMap2:
     limit = 0
     if isinstance(d, float):
         limit = FRAME_DET_TOL * (math.hypot(v0.x, v0.y) * math.hypot(vn.x, vn.y))
-    if abs(d) <= limit:
+    # "not >" so that a NaN limit (0 * inf) or a NaN d refuses as well
+    if not abs(d) > limit:
         raise SingularFrame(f"frame vectors are dependent (det = {d})")
     return LinearMap2(vn.y / d, -vn.x / d, -v0.y / d, v0.x / d)
 
@@ -183,10 +184,9 @@ def match_k(t: Scalar, m: int) -> int:
 
 
 def _diagram_exponents(m: int, k: int) -> Tuple[int, ...]:
-    n = (m - 1) // 2
-    exps = [(-2 * k * i) % m for i in range(n + 1)]
-    exps += [(-k * (1 + 2 * i)) % m for i in range(n)]
-    return tuple(exps)
+    # -k*j mod m over the slot order j = 0, 2, .., 2n, 1, 3, .., 2n-1: that
+    # order is all of Z/m, so this is a bijection exactly when gcd(k, m) = 1
+    return tuple(-k * j % m for j in (*range(0, m, 2), *range(1, m, 2)))
 
 
 def _map_onto_roots(c: Configuration) -> CanonicalForm:
@@ -203,7 +203,7 @@ def _map_onto_roots(c: Configuration) -> CanonicalForm:
     g = g_k.inverse().compose(g_frame)
 
     exponents = _diagram_exponents(m, k_c)
-    if len(set(exponents)) != m:
+    if math.gcd(k_c, m) != 1:
         raise ResidualTooLarge(
             f"exponent assignment is not a bijection (k = {k_c}, m = {m})",
             witness=exponents,

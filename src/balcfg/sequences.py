@@ -18,17 +18,107 @@ roots of the fourth-kind Chebyshev polynomial W_n = s_n + s_{n-1}. With V_j
 V_{n+1} are coprime (V_{n+1} = t V_n - V_{n-1}, V_0 = 1), so W_n is exactly
 the primitive gcd of the closure equations over Z[t] (Mason and Handscomb
 2003). It divides x(u_n) and y(u_n) - 1 too, so the sequence closes exactly
-at every t_k. The tests check this theorem; closure_roots proves W_n's roots
-from exact signs.
+at every t_k, which the tests check.
+
+closure_roots proves W_n's roots a posteriori (Rump 2010) by certify_cells:
+d disjoint cells of the one lattice 2^-CELL_BITS * Z, each with an exact sign
+change or an exact zero at a lattice point, hold all d roots of a degree-d p,
+one each. Every sign is an integer Horner over the denominator 2^CELL_BITS,
+so every decision is exact. Float guesses only place the cells, and a failed
+proof returns None for the caller to refuse. Polynomials are int tuples,
+ascending degree, trailing zeros trimmed; the zero polynomial is ().
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Tuple
+import operator
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from . import polynomials as ip
 from .geometry import Configuration
+
+IntPoly = Tuple[int, ...]
+
+# certify_cells' lattice is 2^-40 Z: 2^-40 is the largest power of two <= 1e-12
+CELL_BITS = 40
+
+
+def trim(coeffs: Sequence[int]) -> IntPoly:
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _scaled_coeffs(p: Sequence[int], den: int) -> List[int]:
+    # p's coefficients from the top down, the i-th times den^i, so that
+    # _scaled_value(_scaled_coeffs(p, den), num) = p(num / den) * den^deg
+    scaled = []
+    power = 1
+    for c in reversed(p):
+        scaled.append(c * power)
+        power *= den
+    return scaled
+
+
+def _scaled_value(scaled: Sequence[int], num: int) -> int:
+    # integer Horner on the coefficients from _scaled_coeffs
+    acc = 0
+    for c in scaled:
+        acc = acc * num + c
+    return acc
+
+
+def certify_cells(
+    p: Sequence[int], guesses: Sequence[float]
+) -> Optional[List[Tuple[int, int]]]:
+    """All real roots of p, ascending, as int pairs (a, b), each the certified
+    cell [a, b] / 2^CELL_BITS, from about one exact sign pair per root, or
+    None when the guesses cannot prove them.
+
+    Each guess, in ascending order, picks the lattice cell that holds it;
+    when the exact signs at the cell's ends agree, the cell below and then
+    the one above are tried. A zero sign at a cell end is a root, returned
+    zero-width. If every one of the deg p guesses finds a sign change or a
+    zero, in strictly ascending cells that share no root, those d disjoint
+    cells hold all d roots of p, one each. So every root is real, simple and
+    alone in its cell, and no bound on the roots is needed. None for a guess
+    count other than deg p, a guess that is not finite, cells out of order
+    or shared, or a guess that finds no root."""
+    p = trim(p)
+    if len(guesses) != len(p) - 1:
+        return None
+    scaled = _scaled_coeffs(p, 1 << CELL_BITS)
+
+    def sign(a: int) -> int:
+        # the sign of p at a / 2^CELL_BITS
+        value = _scaled_value(scaled, a)
+        return (value > 0) - (value < 0)
+
+    found: List[Tuple[int, int]] = []
+    for guess in guesses:
+        if not math.isfinite(guess):
+            return None
+        num, gden = guess.as_integer_ratio()
+        cell = (num << CELL_BITS) // gden
+        for lo in (cell, cell - 1, cell + 1):
+            hi = lo + 1
+            at_lo, at_hi = sign(lo), sign(hi)
+            if at_lo == 0:
+                root = (lo, lo)
+            elif at_hi == 0:
+                root = (hi, hi)
+            elif at_lo != at_hi:
+                root = (lo, hi)
+            else:
+                continue
+            break
+        else:
+            return None
+        if found and (found[-1][1] > root[0] or found[-1] == root):
+            return None
+        found.append(root)
+    return found
 
 
 class RootGrid(NamedTuple("RootGrid", [("m", int), ("values", Tuple[float, ...])])):
@@ -59,7 +149,7 @@ class RootGrid(NamedTuple("RootGrid", [("m", int), ("values", Tuple[float, ...])
         return (self.m - 1) // 2
 
 
-def chebyshev_s(j: int) -> ip.IntPoly:
+def chebyshev_s(j: int) -> IntPoly:
     """s_j = U_j(t/2), j >= 0, ascending: the coefficient of t^(j-2k) is
     (-1)^k C(j-k, k), the one before times -(j-2k+2)(j-2k+1) / (k(j-k+1))."""
     coeffs = [0] * j + [1]
@@ -74,11 +164,11 @@ def closure_roots(grid: RootGrid) -> RootGrid:
     """Solve w_n(t) = (1, 0), certified, for n = grid.n: the real roots of
     W_n = s_n + s_{n-1}, the primitive gcd of y(w_n) and x(w_n) - 1 over
     Z[t] (module docstring), each the correctly rounded midpoint of an
-    isolating cell of ip.certify_cells' lattice 2^-40 Z, one int ratio
+    isolating cell of certify_cells' lattice 2^-40 Z, one int ratio
     (a + b) / 2^41.
 
     The intervals are proved from exact signs at the cells of the grid's
-    closed-form floats (ip.certify_cells), which place the cells but prove
+    closed-form floats (certify_cells), which place the cells but prove
     nothing. When that proof fails, ValueError names m. It cannot fail
     below m of about 6e6. Each closed-form guess is within 1e-14 of its
     root, and a cell is 2^-40, about 9.1e-13, wide, so the root lies
@@ -88,11 +178,12 @@ def closure_roots(grid: RootGrid) -> RootGrid:
     apart, which exceeds 2.1e-12 for m < 6e6. A cell tried before the
     root's lies within two cells and 1e-14 of the root, so it holds no
     other root, and no cell holds two."""
-    closure = ip.add(chebyshev_s(grid.n), chebyshev_s(grid.n - 1))
-    cells = ip.certify_cells(closure, grid.values)
+    # s_n and s_{n-1} have opposite parities and share no degree: no trim
+    closure = tuple(map(operator.add, chebyshev_s(grid.n), chebyshev_s(grid.n - 1) + (0,)))
+    cells = certify_cells(closure, grid.values)
     if cells is None:
         raise ValueError(f"closure roots for m = {grid.m} not isolated at width 1e-12")
-    return RootGrid(grid.m, tuple((a + b) / (2 << ip.CELL_BITS) for a, b in cells))
+    return RootGrid(grid.m, tuple((a + b) / (2 << CELL_BITS) for a, b in cells))
 
 
 def closed_form_t(m: int, k: int) -> float:

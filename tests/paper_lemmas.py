@@ -37,11 +37,11 @@ import operator
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from balcfg import polynomials as ip
 from balcfg.balance import _Bracket, require_balanced_uniform
 from balcfg.canonical import FRAME_DET_TOL
 from balcfg.errors import CertificateError, SingularFrame
 from balcfg.geometry import Configuration, PlaneVector, Scalar, det2
+from balcfg.sequences import IntPoly, trim
 from polynomial_oracles import degree, neg, sub
 
 
@@ -113,9 +113,9 @@ def verify_antisymmetry(
     return True, None
 
 
-def shift_up(p: Sequence[int]) -> ip.IntPoly:
+def shift_up(p: Sequence[int]) -> IntPoly:
     """Multiply by t."""
-    return ip.trim((0,) + tuple(p))
+    return trim((0,) + tuple(p))
 
 
 def is_even_poly(p: Sequence[int]) -> bool:
@@ -130,8 +130,8 @@ class PolyPair(NamedTuple):
     """A vector-valued polynomial function of t: (x(t), y(t)), both integer
     polynomials ascending by degree."""
 
-    x: ip.IntPoly
-    y: ip.IntPoly
+    x: IntPoly
+    y: IntPoly
 
 
 def _interleaved(n: int, zero, one, times_t, sub, neg, pair) -> Tuple[list, list]:

@@ -1,5 +1,5 @@
-"""Polynomial oracles of the tests: degree, negation and difference of
-integer polynomials (ascending tuples, as balcfg.polynomials); the primitive
+"""Polynomial oracles of the tests: degree, negation, sum and difference of
+integer polynomials (ascending tuples, as balcfg.sequences); the primitive
 gcd over Z[t], which the closed-form closure polynomial W_n is checked
 against (roots builds W_n from its closed form and computes no gcd); Horner
 evaluation in the type of the point; and the exact sign at a rational point
@@ -9,20 +9,24 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
 
-from balcfg import polynomials as ip
+from balcfg.sequences import _scaled_coeffs, _scaled_value, trim
 
 
 def degree(p):
     """Degree, with the zero polynomial at -1."""
-    return len(ip.trim(p)) - 1
+    return len(trim(p)) - 1
 
 
 def neg(p):
     return tuple([-a for a in p])
 
 
+def add(p, q):
+    return trim([a + b for a, b in zip_longest(p, q, fillvalue=0)])
+
+
 def sub(p, q):
-    return ip.trim([a - b for a, b in zip_longest(p, q, fillvalue=0)])
+    return trim([a - b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 def primitive_gcd(p, q):
@@ -39,7 +43,7 @@ def primitive_gcd(p, q):
 
 
 def _primitive(p):
-    p = ip.trim(p)
+    p = trim(p)
     content = gcd(*p)
     return tuple(c // content for c in p) if content > 1 else p
 
@@ -57,5 +61,5 @@ def sign_at(p, x: Fraction) -> int:
     p(num/den) * den^deg."""
     if not p:
         return 0
-    value = ip._scaled_value(ip._scaled_coeffs(p, x.denominator), x.numerator)
+    value = _scaled_value(_scaled_coeffs(p, x.denominator), x.numerator)
     return (value > 0) - (value < 0)

@@ -30,7 +30,7 @@ from balcfg import (
     roots_of_unity,
     unit_vector,
 )
-from balcfg.canonical import GRID_TOL, LinearMap2
+from balcfg.canonical import GRID_TOL, LinearMap2, _diagram_exponents
 from balcfg.sequences import closed_form_t
 from paper_lemmas import reconstruct_from_triple
 
@@ -62,9 +62,22 @@ def test_frame_map_frozen_example():
     assert g.apply(PlaneVector(-0.5, 0.8660254)).as_tuple() == pytest.approx((0.0, 1.0))
 
 
-def test_frame_map_rejects_collinear():
+HUGE = PlaneVector(1e308, 1.7976931348623157e308)  # its norm overflows
+
+
+@pytest.mark.parametrize(
+    "v0, vn",
+    [
+        (PlaneVector(1.0, 2.0), PlaneVector(2.0, 4.0)),
+        # det = 0 against a limit of FRAME_DET_TOL * 0 * inf = NaN
+        (PlaneVector(0.0, 0.0), HUGE),
+        (HUGE, PlaneVector(0.0, 0.0)),
+    ],
+    ids=["parallel", "zero-v0-huge-vn", "huge-v0-zero-vn"],
+)
+def test_frame_map_rejects_collinear(v0, vn):
     with pytest.raises(SingularFrame):
-        frame_map(PlaneVector(1.0, 2.0), PlaneVector(2.0, 4.0))
+        frame_map(v0, vn)
 
 
 def test_extract_t_frozen_value_on_pentagon():
@@ -126,6 +139,20 @@ def test_frame_steps_refuse_a_vector_that_is_not_finite(call, bad):
     # returns a NaN map or a NaN t
     with pytest.raises(ValueError, match=r"^vector \(.*\) is not finite$"):
         call(bad)
+
+
+def _diagram_exponents_by_slot_halves(m, k):
+    # slots 0..n take -2ki, slots n+1..2n take -k(1 + 2i), each mod m
+    n = (m - 1) // 2
+    return tuple([-2 * k * i % m for i in range(n + 1)] + [-k * (1 + 2 * i) % m for i in range(n)])
+
+
+@given(st.integers(1, 1000).flatmap(lambda n: st.tuples(st.just(2 * n + 1), st.integers(1, n))))
+def test_diagram_exponents_are_a_bijection_exactly_when_k_is_prime_to_m(mk):
+    m, k = mk
+    exponents = _diagram_exponents(m, k)
+    assert exponents == _diagram_exponents_by_slot_halves(m, k)
+    assert (len(set(exponents)) == m) == (math.gcd(k, m) == 1)
 
 
 def test_match_k_finds_every_index_on_a_fine_grid():

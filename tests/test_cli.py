@@ -502,7 +502,7 @@ def test_roots_beyond_twenty_match_the_closed_form(capsys, n):
 def test_roots_refuses_when_the_signs_prove_nothing(capsys, monkeypatch, flag, value, m):
     # certify_cells forced to None: closure_roots raises the ValueError that
     # main maps to one error line and exit 2, a refusal that names m
-    monkeypatch.setattr(sequences.ip, "certify_cells", lambda p, guesses: None)
+    monkeypatch.setattr(sequences, "certify_cells", lambda p, guesses: None)
     code, out, err = run(capsys, "roots", flag, str(value))
     assert code == 2
     assert out == ""

@@ -5,25 +5,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from balcfg import polynomials as ip
 from balcfg import sequences
 from paper_lemmas import is_even_poly, is_odd_poly, shift_up, symbolic_sequences
-from polynomial_oracles import degree, eval_at, neg, primitive_gcd, sign_at, sub
+from polynomial_oracles import add, degree, eval_at, neg, primitive_gcd, sign_at, sub
 
 # ascending coefficient tuples: (2, -2, -1, 1) is t^3 - t^2 - 2t + 2
 CUBIC_MIXED = (2, -2, -1, 1)
 
 
 def test_trim_and_degree():
-    assert ip.trim([1, 2, 0, 0]) == (1, 2)
-    assert ip.trim([0, 0]) == ()
+    assert sequences.trim([1, 2, 0, 0]) == (1, 2)
+    assert sequences.trim([0, 0]) == ()
     assert degree(()) == -1
     assert degree((5,)) == 0
     assert degree((0, 0, 3)) == 2
 
 
 def test_arithmetic_frozen():
-    assert ip.add((1, 2), (3, -2)) == (4,)
+    assert add((1, 2), (3, -2)) == (4,)
     assert sub((1, 2), (1, 2)) == ()
     assert neg((1, -2)) == (-1, 2)
     assert shift_up((1, 2)) == (0, 1, 2)
@@ -60,7 +59,7 @@ def test_sign_at_is_exact_at_roots():
     st.fractions(min_value=Fraction(-10), max_value=Fraction(10), max_denominator=32),
 )
 def test_sign_at_matches_exact_evaluation(coeffs, x):
-    p = ip.trim(coeffs)
+    p = sequences.trim(coeffs)
     if not p:
         return
     value = eval_at(p, x)
@@ -85,13 +84,13 @@ def test_primitive_gcd_removes_content_and_sign():
 
 
 # certify_cells' one cell width, 2^-40, the largest power of two <= 1e-12
-CELL = Fraction(1, 2**ip.CELL_BITS)
+CELL = Fraction(1, 2**sequences.CELL_BITS)
 
 
 def _cells(p, guesses):
     # certify_cells' cells as Fraction ends, or None; every end is an int
     # over 2^40, a point of the lattice 2^-40 Z
-    cells = ip.certify_cells(p, guesses)
+    cells = sequences.certify_cells(p, guesses)
     if cells is None:
         return None
     assert all(type(end) is int for cell in cells for end in cell)
@@ -107,8 +106,8 @@ def test_certify_cells_shares_one_power_of_two_denominator(square):
     p = (-square, 0, 1)
     roots = (-sqrt(square), sqrt(square))
     cells = _cells(p, list(roots))
-    below = isqrt(square << 2 * ip.CELL_BITS)
-    assert ip.certify_cells(p, list(roots)) == [(-below - 1, -below), (below, below + 1)]
+    below = isqrt(square << 2 * sequences.CELL_BITS)
+    assert sequences.certify_cells(p, list(roots)) == [(-below - 1, -below), (below, below + 1)]
     for (lo, hi), root in zip(cells, roots):
         assert hi - lo == CELL and lo < root < hi
         assert sign_at(p, lo) * sign_at(p, hi) == -1
@@ -136,9 +135,9 @@ def test_certify_cells_refuses_a_guess_count_other_than_the_degree(kind, count):
     # the exact guesses prove every root; dropping the last or adding one
     # past the largest root gives None, whatever the remaining guesses prove
     p, guesses = EXACT_GUESSES[kind]
-    assert len(ip.certify_cells(p, guesses)) == len(p) - 1
+    assert len(sequences.certify_cells(p, guesses)) == len(p) - 1
     wrong = guesses[:-1] if count == "one-fewer" else guesses + [guesses[-1] + 1.0]
-    assert ip.certify_cells(p, wrong) is None
+    assert sequences.certify_cells(p, wrong) is None
 
 
 def test_certify_cells_quadratic():
@@ -178,7 +177,7 @@ def test_certify_cells_recover_integer_roots(int_roots):
     p = (1,)
     for r in int_roots:
         # multiply by (t - r)
-        p = ip.add(shift_up(p), neg(tuple(r * a for a in p)))
+        p = add(shift_up(p), neg(tuple(r * a for a in p)))
     found = _cells(p, sorted(float(r) for r in int_roots))
     # every integer is a point of the lattice 2^-40 Z
     assert found == [(Fraction(r), Fraction(r)) for r in sorted(int_roots)]
@@ -186,16 +185,16 @@ def test_certify_cells_recover_integer_roots(int_roots):
 
 def test_certify_cells_none_for_positive_definite():
     # t^2 + 1 has no real root, so no guesses prove its two roots real
-    assert ip.certify_cells((1, 0, 1), []) is None
-    assert ip.certify_cells((1, 0, 1), [-1.0, 1.0]) is None
-    assert ip.certify_cells((1, 0, 1), [0.0, 0.001]) is None
+    assert sequences.certify_cells((1, 0, 1), []) is None
+    assert sequences.certify_cells((1, 0, 1), [-1.0, 1.0]) is None
+    assert sequences.certify_cells((1, 0, 1), [0.0, 0.001]) is None
 
 
 def test_certify_cells_returns_none_on_a_double_root():
     # (3t - 1)^2: no lattice point hits 1/3 and the sign does not change across
     # it, so no cell near it shows a root
-    assert ip.certify_cells((1, -6, 9), [1 / 3, 1 / 3]) is None
-    assert ip.certify_cells((1, -6, 9), [1 / 3 - 1e-12, 1 / 3 + 1e-12]) is None
+    assert sequences.certify_cells((1, -6, 9), [1 / 3, 1 / 3]) is None
+    assert sequences.certify_cells((1, -6, 9), [1 / 3 - 1e-12, 1 / 3 + 1e-12]) is None
 
 
 def _closure_polynomial(n):
@@ -238,8 +237,8 @@ WRONG_GUESSES = {
 @pytest.mark.parametrize("kind", list(WRONG_GUESSES))
 def test_certify_cells_returns_none_when_the_guesses_prove_nothing(kind):
     p, guesses, cell = _closure_case(24)
-    assert ip.certify_cells(p, guesses) is not None
-    assert ip.certify_cells(p, WRONG_GUESSES[kind](guesses, cell)) is None
+    assert sequences.certify_cells(p, guesses) is not None
+    assert sequences.certify_cells(p, WRONG_GUESSES[kind](guesses, cell)) is None
 
 
 @pytest.mark.parametrize("n", list(range(1, 101)) + [200, 300, 400])
@@ -270,10 +269,10 @@ def test_certify_cells_takes_two_signs_per_closure_root(monkeypatch, n):
     # root costs the exact signs at that cell's two ends and no neighbour
     # is tried; n = 61 (m = 123 = 3 * 41) includes the lattice root t = -1
     calls = []
-    value = ip._scaled_value
-    monkeypatch.setattr(ip, "_scaled_value", lambda *args: calls.append(1) or value(*args))
+    value = sequences._scaled_value
+    monkeypatch.setattr(sequences, "_scaled_value", lambda *args: calls.append(1) or value(*args))
     p, guesses, _ = _closure_case(n)
-    assert len(ip.certify_cells(p, guesses)) == n
+    assert len(sequences.certify_cells(p, guesses)) == n
     assert len(calls) == 2 * n
 
 
@@ -282,12 +281,12 @@ def test_certify_cells_returns_none_for_two_roots_in_one_cell():
     # ends have one sign, as have both neighbours'
     roots = [Fraction(3, 10), Fraction(3, 10) + Fraction(1, 10**14)]
     p = _from_roots(roots)
-    assert ip.certify_cells(p, [float(r) for r in roots]) is None
+    assert sequences.certify_cells(p, [float(r) for r in roots]) is None
 
 
 def test_certify_cells_on_constants():
-    assert ip.certify_cells((7,), []) == []
-    assert ip.certify_cells((), []) is None
+    assert sequences.certify_cells((7,), []) == []
+    assert sequences.certify_cells((), []) is None
 
 
 DISTINCT_INTEGER_AND_DYADIC_ROOTS = st.lists(
@@ -315,7 +314,7 @@ def _lattice_cells(roots, square):
         j, rest = divmod(r / CELL, 1)
         cells.append((j * CELL, j * CELL) if rest == 0 else (j * CELL, (j + 1) * CELL))
     if square:
-        below = isqrt(square << 2 * ip.CELL_BITS)
+        below = isqrt(square << 2 * sequences.CELL_BITS)
         for j in (-below - 1, below):
             cells.append((j * CELL, (j + 1) * CELL))
     return p, sorted(cells)

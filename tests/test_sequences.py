@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from balcfg import polynomials as ip
 from balcfg.canonical import frame_map
 from balcfg.geometry import roots_of_unity
 from balcfg.sequences import (
     RootGrid,
+    certify_cells,
     chebyshev_s,
     closed_form_t,
     closure_roots,
     model_configuration,
     t_grid,
+    trim,
 )
 from paper_lemmas import (
     ParityVerdict,
@@ -22,7 +23,7 @@ from paper_lemmas import (
     shift_up,
     symbolic_sequences,
 )
-from polynomial_oracles import degree, eval_at, neg, primitive_gcd, sub
+from polynomial_oracles import add, degree, eval_at, neg, primitive_gcd, sub
 
 # hand-expanded low-order terms, ascending coefficients
 U1 = PolyPair(x=(-1, 0, 1), y=(0, -1))            # (t^2 - 1, -t)
@@ -131,7 +132,7 @@ def test_roots_agree_with_closed_form_grid():
 
 def _closure_polynomial(n):
     # W_n = s_n + s_{n-1}, as closure_roots builds it
-    return ip.add(chebyshev_s(n), chebyshev_s(n - 1))
+    return add(chebyshev_s(n), chebyshev_s(n - 1))
 
 
 def _mul(p, q):
@@ -139,7 +140,7 @@ def _mul(p, q):
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             product[i + j] += a * b
-    return ip.trim(product)
+    return trim(product)
 
 
 @pytest.mark.parametrize("n, m", [(3, 9), (3, 5), (24, 51)])
@@ -147,7 +148,7 @@ def test_the_closed_form_guesses_of_another_m_prove_nothing(n, m):
     # the closed-form guesses of another m prove nothing about W_n's roots:
     # certify_cells returns None, which closure_roots turns into a refusal
     # that names m, never a wrong answer
-    assert ip.certify_cells(_closure_polynomial(n), t_grid(m).values) is None
+    assert certify_cells(_closure_polynomial(n), t_grid(m).values) is None
 
 
 def test_chebyshev_s_closed_form_low_orders():
@@ -181,7 +182,7 @@ def test_closure_equations_factor_through_the_closed_form_w_n():
 def test_closure_roots_are_the_rounded_cell_midpoints(n):
     # one int ratio per midpoint rounds as the Fraction midpoint does
     grid = t_grid(2 * n + 1)
-    cells = ip.certify_cells(_closure_polynomial(n), grid.values)
+    cells = certify_cells(_closure_polynomial(n), grid.values)
     solved = closure_roots(grid)
     assert solved.m == grid.m
     assert list(solved.values) == [float(Fraction(a + b, 2**41)) for a, b in cells]
@@ -200,12 +201,12 @@ def test_closure_gcd_is_the_fourth_kind_chebyshev_polynomial():
 def _remainder_by_monic(p, divisor):
     # remainder of p on division by a monic divisor in Z[t]
     assert divisor[-1] == 1
-    rem = list(ip.trim(p))
+    rem = list(trim(p))
     while len(rem) >= len(divisor):
         lead, shift = rem[-1], len(rem) - len(divisor)
         for i, c in enumerate(divisor):
             rem[shift + i] -= lead * c
-        rem = list(ip.trim(rem))
+        rem = list(trim(rem))
     return tuple(rem)
 
 
