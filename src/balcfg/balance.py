@@ -10,14 +10,14 @@ roots of unity are the model uniform balanced configuration.
 
 Certificates first, rows last. is_balanced and is_uniform first ask the
 canonical map onto the roots of unity, once per member set (_certified): a
-float GL2 image of U_m (odd m >= 3) whose residual bounds clear the
-tolerance is balanced and uniform with no row. A member set closed under
-v -> -v is balanced once row 0 has passed: row i holds -det(v_i, v_j) next
-to each det(v_i, v_j), exactly for the ints of exact mode and for floats
-with every coordinate in SAFE_COORDINATE_RANGE, where fl(-d) = -fl(d).
-Exact is_uniform and even_m_witness compare the members' lines, with no row;
-float is_uniform bounds every |det| from below by each member's nearest
-argument gap.
+float GL2 image of U_m (odd m >= 3) whose residual bounds (_residual_bounds)
+clear the tolerance is balanced and uniform with no row. A member set
+closed under v -> -v is balanced once row 0 has passed: row i holds
+-det(v_i, v_j) next to each det(v_i, v_j), exactly for the ints of exact
+mode and for floats with every coordinate in SAFE_COORDINATE_RANGE, where
+fl(-d) = -fl(d). Exact is_uniform and even_m_witness compare the members'
+lines, with no row; float is_uniform bounds every |det| from below by each
+member's nearest argument gap.
 
 Otherwise the verdicts read the determinant rows in order and stop at the
 first that decides. Configuration.det_row computes each row afresh and
@@ -32,7 +32,9 @@ The default float tolerance is 1e-9 * det_max, and det_max reads every row
 entries it holds, to one _Bracket, which decides each comparison at the
 ends of a bracket first: 1e-9 * max |held entry| below, 1e-9 * a bound on
 max |v|^2 above. A value beyond both ends is decided; anything else reads
-det_max.
+det_max. This module holds the float error model (Higham 2002, ch. 3):
+every forward-error bound of the package, and each constant one rests on,
+the libm assumptions ARGUMENT_ERR and TARGET_ERR included (README).
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ BOUND_SLACK = 2.0**-40
 # Absolute error bound of a float argument (atan2, the fold into [0, 2*pi)
 # and the reduction mod pi), in radians.
 ARGUMENT_ERR = 1e-14
+# Distance bound between a float target unit_vector(2*pi*e/m) and the exact
+# root of unity: the float angle is within about 4 ulp of 2*pi of the exact
+# one, and cos and sin round to within 1 ulp.
+TARGET_ERR = 1e-14
 
 
 class BalanceReport(NamedTuple):
@@ -224,17 +230,71 @@ def _negation_closed(c: Configuration, bracket: _Bracket) -> bool:
     return all(s == tuple(map(operator.neg, reversed(s))) for s in (sx, sy))
 
 
+def _residual_bounds(form: "CanonicalForm", norms) -> Optional[Tuple[float, float]]:
+    """(pair, floor) from canonical._map_onto_roots's form, given norms, the
+    norm_sq_bounds of its members: every pair sum that is_balanced forms on a
+    sorted row of their float determinant table is at most pair in magnitude,
+    and every off-diagonal |entry| is at least floor. None when no bound holds:
+    no norms, or an entry of the map, outside SAFE_COORDINATE_RANGE (where
+    products may round other than relatively), a map whose determinant is not
+    bounded away from 0, or a bound that is not finite.
+
+    Let G be the float map read as an exact matrix, omega_i the exact root
+    of unity assigned to member v_i, and u the unit roundoff. Forward-error
+    terms:
+    - r >= max |G v_i - omega_i|: the residual as evaluated, times 1 + 4u
+      for the subtraction and hypot; plus 3u (|a| + |b| + |c| + |d|) max |v|
+      for the evaluation of G v_i (two products and a sum per coordinate);
+      plus TARGET_ERR for the float target.
+    - det(G v_i, G v_j) = det(G) det(v_i, v_j) = sin(2 pi (e_j - e_i) / m) +
+      delta_ij, |delta_ij| <= 2r + r^2, as |det(a, b)| <= |a| |b|.
+    - |det G| is bracketed by fl(ad - bc) -+ 3u (|ad| + |bc|).
+    - Each table entry fl(x_i y_j - y_i x_j) is within 3u max |v|^2 of
+      det(v_i, v_j) (products and sum normal or exact; Higham 2002, ch. 3).
+    The exponents e are a bijection onto Z/m, so each exact row
+    {sin(2 pi (e_j - e_i) / m) : j != i} is symmetric. Sorting is 1-Lipschitz
+    in the max norm, so each sorted pair sum of the float row is within
+    2 (2r + r^2) / |det G| + 2 * 3u max |v|^2 of 0, times 1 + u for the sum
+    itself: that is pair. For odd m, the smallest |sin(2 pi k / m)|, k != 0,
+    is sin(pi / m), so every |entry| is at least (sin(pi / m) - 2r - r^2) /
+    |det G| - 3u max |v|^2: that is floor. Each term is rounded outward by
+    BOUND_SLACK.
+    """
+    g = form.g
+    if norms is None or not in_safe_range((g.a, g.b, g.c, g.d)):
+        return None
+    high = norms[1]
+    u = UNIT_ROUNDOFF
+    up, down = 1.0 + BOUND_SLACK, 1.0 - BOUND_SLACK
+    cross = abs(g.a * g.d) + abs(g.b * g.c)
+    det_g = abs(g.a * g.d - g.b * g.c)
+    det_lo = (det_g * down - 3.0 * u * cross * up) * down
+    if not det_lo > 0:
+        return None
+    det_hi = (det_g + 3.0 * u * cross) * up
+    size = abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d)
+    r = (form.residual * (1.0 + 4.0 * u) + 3.0 * u * size * math.sqrt(high) + TARGET_ERR) * up
+    spread = (2.0 * r + r * r) * up
+    entry_err = 3.0 * u * high * up
+    m = len(form.index_map)
+    pair = (2.0 * spread / det_lo + 2.0 * entry_err) * (1.0 + u) * up
+    floor = ((math.sin(math.pi / m) * down - spread) / det_hi * down - entry_err) * down
+    if not (math.isfinite(pair) and math.isfinite(floor)):
+        return None
+    return pair, floor
+
+
 def _certified(c: Configuration, bracket: _Bracket) -> bool:
     """Whether c is a certified GL2 image of U_m at bracket's tolerance; exact
-    input, even m and m < 3 are not. The canonical route's _residual_bounds
-    (pair, floor), read once per member set, must clear the bracket: floor >
-    hi >= eff, and pair <= eff, an explicit tol itself or the default 1e-9 *
-    det_max >= 1e-9 * floor (floor bounds every off-diagonal |entry|, and
-    float multiplication is monotone)."""
+    input, even m and m < 3 are not. _residual_bounds (pair, floor) of the
+    canonical route's form, read once per member set, must clear the
+    bracket: floor > hi >= eff, and pair <= eff, an explicit tol itself or
+    the default 1e-9 * det_max >= 1e-9 * floor (floor bounds every
+    off-diagonal |entry|, and float multiplication is monotone)."""
     if c.mode == EXACT or c.m % 2 == 0 or c.m < 3:
         return False
     # deferred: canonical imports this module, and canonicalize calls the verdicts
-    from .canonical import _residual_bounds, _route
+    from .canonical import _route
 
     form = c.per_member_set(_route)
     bounds = not isinstance(form, Exception) and _residual_bounds(form, bracket.norms)

@@ -16,13 +16,12 @@ a bijection onto {0..m-1}. The residual (max distance from the assigned
 roots of unity) certifies the equivalence.
 
 Certificate first, rows last: _route runs the steps above once per member
-set. The residual bounds every determinant and its distance from a
-symmetric row (_residual_bounds); where they clear the tolerance
-(balance._certified), balance.is_balanced and is_uniform certify the input
-with no row, for every caller. Otherwise the rows decide, so no verdict,
-witness or certificate class depends on the route, and canonicalize raises
-the route's refusal after them. Exact input takes the exact verdicts, which
-only m = 3 passes (Niven's theorem).
+set, and balance._residual_bounds bounds its form's determinants by the
+residual; where they clear the tolerance (balance._certified), is_balanced
+and is_uniform certify the input with no row, for every caller. Otherwise
+the rows decide, so no verdict, witness or certificate class depends on the
+route, and canonicalize raises the route's refusal after them. Exact input
+takes the exact verdicts, which only m = 3 passes (Niven's theorem).
 """
 
 from __future__ import annotations
@@ -30,13 +29,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Tuple
 
-from .balance import (
-    BOUND_SLACK,
-    UNIT_ROUNDOFF,
-    in_safe_range,
-    require_balanced_uniform,
-    require_tolerance,
-)
+from .balance import require_balanced_uniform, require_tolerance
 from .errors import (
     BalcfgError,
     CertificateError,
@@ -64,10 +57,6 @@ FRAME_DET_TOL = 1e-12
 GRID_TOL = 1e-6
 # Default acceptable residual for canonicalize.
 RESIDUAL_TOL = 1e-8
-# Distance bound between a float target unit_vector(2*pi*e/m) and the exact
-# root of unity: the float angle is within about 4 ulp of 2*pi of the exact
-# one, and cos and sin round to within 1 ulp.
-TARGET_ERR = 1e-14
 
 
 class LinearMap2(NamedTuple):
@@ -215,61 +204,6 @@ def _map_onto_roots(c: Configuration) -> CanonicalForm:
     gy = [gc * x + gd * y - sin for x, y, sin in zip(xs, ys, map(math.sin, thetas))]
     residual = max(0.0, *map(math.hypot, gx, gy))
     return CanonicalForm(g, t_c, k_c, exponents, residual)
-
-
-def _residual_bounds(form: CanonicalForm, norms) -> Optional[Tuple[float, float]]:
-    """(pair, floor) from _map_onto_roots's form, given norms, the
-    norm_sq_bounds of its members: every pair sum that is_balanced
-    forms on a sorted row of their float determinant table is at most pair
-    in magnitude, and every off-diagonal |entry| is at least floor. None
-    when no bound holds: no norms, or an entry of the map, outside
-    balance.SAFE_COORDINATE_RANGE (where products may round other than
-    relatively), a map whose determinant is not bounded away from 0, or a
-    bound that is not finite.
-
-    Let G be the float map read as an exact matrix, omega_i the exact root
-    of unity assigned to member v_i, and u the unit roundoff. Forward-error
-    terms:
-    - r >= max |G v_i - omega_i|: the residual as evaluated, times 1 + 4u
-      for the subtraction and hypot; plus 3u (|a| + |b| + |c| + |d|) max |v|
-      for the evaluation of G v_i (two products and a sum per coordinate);
-      plus TARGET_ERR for the float target.
-    - det(G v_i, G v_j) = det(G) det(v_i, v_j) = sin(2 pi (e_j - e_i) / m) +
-      delta_ij, |delta_ij| <= 2r + r^2, as |det(a, b)| <= |a| |b|.
-    - |det G| is bracketed by fl(ad - bc) -+ 3u (|ad| + |bc|).
-    - Each table entry fl(x_i y_j - y_i x_j) is within 3u max |v|^2 of
-      det(v_i, v_j) (products and sum normal or exact; Higham 2002, ch. 3).
-    The exponents e are a bijection onto Z/m, so each exact row
-    {sin(2 pi (e_j - e_i) / m) : j != i} is symmetric. Sorting is 1-Lipschitz
-    in the max norm, so each sorted pair sum of the float row is within
-    2 (2r + r^2) / |det G| + 2 * 3u max |v|^2 of 0, times 1 + u for the sum
-    itself: that is pair. For odd m, the smallest |sin(2 pi k / m)|, k != 0,
-    is sin(pi / m), so every |entry| is at least (sin(pi / m) - 2r - r^2) /
-    |det G| - 3u max |v|^2: that is floor. Each term is rounded outward by
-    BOUND_SLACK.
-    """
-    g = form.g
-    if norms is None or not in_safe_range((g.a, g.b, g.c, g.d)):
-        return None
-    high = norms[1]
-    u = UNIT_ROUNDOFF
-    up, down = 1.0 + BOUND_SLACK, 1.0 - BOUND_SLACK
-    cross = abs(g.a * g.d) + abs(g.b * g.c)
-    det_g = abs(g.a * g.d - g.b * g.c)
-    det_lo = (det_g * down - 3.0 * u * cross * up) * down
-    if not det_lo > 0:
-        return None
-    det_hi = (det_g + 3.0 * u * cross) * up
-    size = abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d)
-    r = (form.residual * (1.0 + 4.0 * u) + 3.0 * u * size * math.sqrt(high) + TARGET_ERR) * up
-    spread = (2.0 * r + r * r) * up
-    entry_err = 3.0 * u * high * up
-    m = len(form.index_map)
-    pair = (2.0 * spread / det_lo + 2.0 * entry_err) * (1.0 + u) * up
-    floor = ((math.sin(math.pi / m) * down - spread) / det_hi * down - entry_err) * down
-    if not (math.isfinite(pair) and math.isfinite(floor)):
-        return None
-    return pair, floor
 
 
 def _route(c: Configuration):

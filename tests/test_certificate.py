@@ -25,6 +25,7 @@ from balcfg.balance import (
     SAFE_COORDINATE_RANGE,
     _Bracket,
     _negation_closed,
+    _residual_bounds,
     in_safe_range,
     is_balanced,
     is_uniform,
@@ -34,7 +35,6 @@ from balcfg.balance import (
 from balcfg.canonical import (
     RESIDUAL_TOL,
     _diagram_exponents,
-    _residual_bounds,
     _route,
     canonicalize,
     extract_t,

@@ -1,12 +1,15 @@
-"""An exact audit of check's float verdicts (ROADMAP item 22, first slice).
+"""An exact audit of check's and canon's float verdicts (ROADMAP item 22).
 
 Every float coordinate is a dyadic rational, so the exact verdict on the same
-numbers at the same tolerance is a complete oracle: every determinant row in
-Fractions, eff = Fraction(1e-9) * the exact maximum |det|, balanced when every
+numbers at the same tolerance is a complete oracle: every determinant row
+exactly, eff = Fraction(1e-9) * the exact maximum |det|, balanced when every
 sorted pair sum |d_j + d_{N-1-j}| <= eff and an odd row's middle entry has
 |d| <= eff (balance's module docstring), uniform when every |det| > eff.
 check, run through cli.main, must report both verdicts as the oracle does,
-and exit 1 only when the oracle says "not balanced".
+and exit 1 only when the oracle says "not balanced"; canon's verdict must
+not contradict the oracle on the copy that canon decides. The families:
+seeded GL2 images of U_m and perturbed copies, nearly antipodal sets, the
+nearly collinear triples of item 13, and images scaled by 2^k.
 """
 
 import json
@@ -16,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from balcfg.balance import in_safe_range
 from balcfg.cli import main
 from balcfg.geometry import roots_of_unity
 from balcfg.search import perturb, random_invertible
@@ -24,33 +28,49 @@ REL_TOL = Fraction(1e-9)
 
 
 def exact_verdicts(vectors):
-    """(balanced, uniform) of the float vectors read as exact rationals."""
+    """(balanced, uniform) of the float vectors read as exact rationals. The
+    rows hold the ints D^2 * det for D the lcm of the denominators, and
+    |value| <= REL_TOL * max |det| is compared as den * |value| <= num * max
+    |det| for REL_TOL = num / den; both sides scale by D^2 alike."""
     points = [(Fraction(x), Fraction(y)) for x, y in vectors]
+    scale = math.lcm(*(f.denominator for point in points for f in point))
+    ints = [(int(x * scale), int(y * scale)) for x, y in points]
     rows = [
-        sorted(xi * yj - yi * xj for j, (xj, yj) in enumerate(points) if j != i)
-        for i, (xi, yi) in enumerate(points)
+        sorted(xi * yj - yi * xj for j, (xj, yj) in enumerate(ints) if j != i)
+        for i, (xi, yi) in enumerate(ints)
     ]
-    eff = REL_TOL * max(abs(d) for row in rows for d in row)
+    num, den = REL_TOL.numerator, REL_TOL.denominator
+    eff = num * max(abs(d) for row in rows for d in row)
     half = (len(points) - 1) // 2
     balanced = all(
-        all(abs(row[j] + row[-1 - j]) <= eff for j in range(half))
-        and (len(row) % 2 == 0 or abs(row[half]) <= eff)
+        all(den * abs(row[j] + row[-1 - j]) <= eff for j in range(half))
+        and (len(row) % 2 == 0 or den * abs(row[half]) <= eff)
         for row in rows
     )
-    uniform = all(abs(d) > eff for row in rows for d in row)
+    uniform = all(den * abs(d) > eff for row in rows for d in row)
     return balanced, uniform
+
+
+def run(capsys, tmp_path, command, vectors):
+    """(exit code, report) of command on the float vectors through cli.main;
+    the report is None on exit 2, which writes only an error line."""
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps({"mode": "float", "vectors": vectors}) + "\n")
+    code = main([command, str(path)])
+    out = capsys.readouterr().out
+    return code, None if code == 2 else json.loads(out)
 
 
 def disagreements(capsys, tmp_path, family):
     """The members of family (lists of [x, y] floats) on which check's
     verdicts or exit code differ from the exact oracle's, with what check
-    reported: (balanced, uniform, exit code)."""
-    path = tmp_path / "audit.json"
+    reported: (balanced, uniform, exit code), or the exit code 2 alone."""
     wrong = []
     for vectors in family:
-        path.write_text(json.dumps({"mode": "float", "vectors": vectors}) + "\n")
-        code = main(["check", str(path)])
-        report = json.loads(capsys.readouterr().out)
+        code, report = run(capsys, tmp_path, "check", vectors)
+        if report is None:
+            wrong.append((vectors, code))
+            continue
         balanced, uniform = exact_verdicts(vectors)
         got = (report["balanced"], report["uniform"], code)
         if got != (balanced, uniform, 0 if balanced else 1):
@@ -105,3 +125,96 @@ def test_check_of_exactly_balanced_nearly_collinear_triples_is_the_exact_verdict
     capsys, tmp_path
 ):
     assert disagreements(capsys, tmp_path, item13_triples()) == []
+
+
+def canon_disagreements(capsys, tmp_path, family):
+    """The members of family on which canon's verdict contradicts the exact
+    verdicts of the copy that canon decides, each coordinate times s =
+    1 / max |v| (canonicalize's docstring), with canon's error class (None
+    for a map). A map needs that copy balanced and uniform, NotBalanced
+    needs it not balanced, and NotUniform balanced and not uniform; canon's
+    later refusals and its exit 2 claim no verdict."""
+    claims = {None: (True, True), "NotBalanced": (False,), "NotUniform": (True, False)}
+    wrong = []
+    for vectors in family:
+        _, report = run(capsys, tmp_path, "canon", vectors)
+        if report is None or report["error"] not in claims:
+            continue
+        error = report["error"]
+        s = 1.0 / max(math.hypot(x, y) for x, y in vectors)
+        verdicts = exact_verdicts([[s * x, s * y] for x, y in vectors])
+        if verdicts[: len(claims[error])] != claims[error]:
+            wrong.append((vectors, error, verdicts))
+    return wrong
+
+
+@pytest.mark.parametrize("m", range(3, 42, 2))
+def test_canon_of_u_m_images_and_perturbed_copies_agrees_with_the_exact_verdict(
+    capsys, tmp_path, m
+):
+    assert canon_disagreements(capsys, tmp_path, image_family(m)) == []
+
+
+def antipodal_family(count=300, seed=22):
+    """Nearly antipodal sets: m drawn from {3, 4, 5, 6, 7, 8, 10, 12},
+    ceil(m/2) members of norm 0.5 to 2, and floor(m/2) of them with a
+    partner of the same norm at their angle + pi +- 10^U(-13, -7), shuffled.
+    The partners straddle the default tolerance: an even set is balanced
+    within 1e-9 * det_max roughly where every offset is below 1e-9."""
+    rng = random.Random(seed)
+    family = []
+    for _ in range(count):
+        m = rng.choice((3, 4, 5, 6, 7, 8, 10, 12))
+        members = []
+        for i in range((m + 1) // 2):
+            r, theta = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi)
+            angles = [theta]
+            if i < m // 2:
+                angles.append(theta + math.pi + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-13, -7))
+            members += [[r * math.cos(a), r * math.sin(a)] for a in angles]
+        rng.shuffle(members)
+        family.append(members)
+    return family
+
+
+def test_check_of_nearly_antipodal_sets_is_the_exact_verdict(capsys, tmp_path):
+    family = antipodal_family()
+    # both verdicts occur, so the family tests each side of the tolerance
+    assert {exact_verdicts(vectors)[0] for vectors in family} == {True, False}
+    assert disagreements(capsys, tmp_path, family) == []
+
+
+def test_canon_of_nearly_antipodal_sets_agrees_with_the_exact_verdict(capsys, tmp_path):
+    assert canon_disagreements(capsys, tmp_path, antipodal_family()) == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 13")
+def test_canon_of_exactly_balanced_nearly_collinear_triples_agrees_with_the_exact_verdict(
+    capsys, tmp_path
+):
+    assert canon_disagreements(capsys, tmp_path, item13_triples()) == []
+
+
+def scaled_family(k):
+    """The first 8 sets of image_family(m), m = 3, 5, 7, 9 and 11, every
+    coordinate times 2^k (exact, while it stays a normal float)."""
+    return [
+        [[math.ldexp(x, k), math.ldexp(y, k)] for x, y in vectors]
+        for m in (3, 5, 7, 9, 11)
+        for vectors in image_family(m)[:8]
+    ]
+
+
+@pytest.mark.parametrize("k", [-470, -400, -200, 200, 400, 470])
+def test_check_of_sets_scaled_by_2_to_the_k_is_the_exact_verdict(capsys, tmp_path, k):
+    family = scaled_family(k)
+    assert all(in_safe_range(sum(vectors, [])) for vectors in family)
+    assert disagreements(capsys, tmp_path, family) == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+def test_check_of_sets_scaled_past_the_safe_coordinate_range_is_the_exact_verdict(
+    capsys, tmp_path
+):
+    family = [vectors for k in (-700, -600, -520, 520, 600, 700) for vectors in scaled_family(k)]
+    assert disagreements(capsys, tmp_path, family) == []
