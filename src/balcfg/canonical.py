@@ -27,17 +27,10 @@ takes the exact verdicts, which only m = 3 passes (Niven's theorem).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 from .balance import require_balanced_uniform, require_tolerance
-from .errors import (
-    BalcfgError,
-    CertificateError,
-    NoGridMatch,
-    NotNormalized,
-    ResidualTooLarge,
-    SingularFrame,
-)
+from .errors import BalcfgError, NoGridMatch, NotNormalized, ResidualTooLarge, SingularFrame
 from .geometry import (
     EXACT,
     Configuration,
@@ -256,32 +249,3 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
         )
     return form._replace(g=form.g.scale(s))
 
-
-class EquivalenceVerdict(NamedTuple):
-    equivalent: bool
-    reason: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.equivalent
-
-
-def gl2_equivalent(
-    a: Configuration, b: Configuration, tol: float = RESIDUAL_TOL
-) -> EquivalenceVerdict:
-    """Two configurations of one size are equivalent when both canonicalize
-    (transitivity onto the roots of unity), and not when exactly one does: the
-    false verdict carries that one's certificate, and balance and uniformity
-    are GL2 invariants. When neither canonicalizes, no certificate decides,
-    and ValueError names both refusals. A precision refusal
-    (DuplicateArgument, SingularFrame) is raised, as canonicalize raises it."""
-    if a.m != b.m:
-        return EquivalenceVerdict(False, f"size mismatch: {a.m} != {b.m}")
-    refused = []
-    for which, cfg in (("first", a), ("second", b)):
-        try:
-            canonicalize(cfg, tol)
-        except CertificateError as exc:
-            refused.append(f"{which}: {type(exc).__name__}")
-    if len(refused) == 2:
-        raise ValueError(f"equivalence undecided, neither canonicalizes ({', '.join(refused)})")
-    return EquivalenceVerdict(not refused, *refused)

@@ -1,5 +1,5 @@
 """Planar primitives: vectors in two arithmetic modes, determinants, polar
-arguments, cyclic indexing, and roots-of-unity generation.
+arguments, labeling, and roots-of-unity generation.
 
 Coordinates are exact (fractions.Fraction, in lowest terms) or binary floats,
 never mixed in one operation. A Configuration stores its m nonzero, finite
@@ -7,8 +7,8 @@ members of one mode as two columns xs and ys. Its one constructor, the one
 test of member values, takes the columns (or (x, y) pairs, or PlaneVectors),
 tests them in C-level passes and coerces only columns that need it; take
 copies members that passed it, untested. A PlaneVector, built only on
-request, is a checked named tuple (x, y) with mode and as_tuple and no
-arithmetic: every member computation runs on the columns.
+request, is a checked named tuple (x, y) with mode and no arithmetic: every
+member computation runs on the columns.
 
 A configuration's determinant rows keep their entries at one scale. In
 exact mode, with D the lcm of the coordinate denominators, each row is built
@@ -72,26 +72,12 @@ class PlaneVector(NamedTuple("PlaneVector", [("x", Scalar), ("y", Scalar)])):
     def mode(self) -> str:
         return FLOAT if isinstance(self.x, float) else EXACT
 
-    def as_tuple(self) -> tuple:
-        return (self.x, self.y)
-
 
 def det2(a: PlaneVector, b: PlaneVector) -> Scalar:
     """Determinant of the 2x2 matrix with columns a, b: a.x*b.y - a.y*b.x."""
     if a.mode != b.mode:
         raise ValueError(f"det2 operands in different modes: {a.mode} vs {b.mode}")
     return a.x * b.y - a.y * b.x
-
-
-def argument(v: PlaneVector) -> float:
-    """Polar angle of v in [0, 2*pi), measured from the positive x-axis.
-
-    Exact-mode vectors fall back to float internally; the result is always a
-    float and is used for ordering only.
-    """
-    if v.x == 0 and v.y == 0:
-        raise ValueError("argument of the zero vector is undefined")
-    return Configuration([v]).arguments[0]
 
 
 class Configuration:
@@ -183,8 +169,8 @@ class Configuration:
 
     @cached_property
     def arguments(self) -> tuple:
-        """Each member's polar argument (see argument), computed once: a
-        C-level atan2 pass, then a negative angle folds into [0, 2*pi) by
+        """Each member's polar angle in [0, 2*pi), for ordering, computed once:
+        a C-level atan2 pass, then a negative angle folds into [0, 2*pi) by
         + 2*pi, and by % where atan2(-tiny, x) + 2*pi rounds to 2*pi itself."""
         tau = 2.0 * math.pi
         thetas = map(math.atan2, self.ys, self.xs)

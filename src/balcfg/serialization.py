@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Union
@@ -34,6 +35,7 @@ def dumps_canonical(obj) -> str:
     return _dumps(obj)
 
 
+# recursive under its own name, so bench/tracing.py's wrapper counts documents
 def _dumps(obj) -> str:
     # json.dumps's own str encoder (ensure_ascii) and its three literals
     if isinstance(obj, str):
@@ -72,11 +74,23 @@ def serialize_config(c: Configuration) -> str:
 
 
 def _rational(text: str) -> Fraction:
-    """Fraction(text): ASCII -?[0-9]+(/[0-9]+)? by two ints, other text by Fraction."""
+    """Fraction(text): ASCII -?[0-9]+(/[0-9]+)? by two ints, other text by
+    Fraction, with its exponent within the interpreter's int-string limit."""
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] == "-" else num
     if text.isascii() and digits.isdecimal() and (den.isdecimal() or not slash):
         return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    # Fraction builds 10**|e| first, so |e| of a text it reads (checked with
+    # e's digits set to 0) must be within the limit; 0 means no limit
+    mantissa, _, e = text.upper().rpartition("E")
+    try:
+        Fraction(mantissa + "E" + "".join("0" if ch.isdecimal() else ch for ch in e))
+        exponent = abs(int(e))
+    except ValueError:  # no exponent, or a text that Fraction refuses
+        exponent = 0
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # none before Python 3.10.7
+    if 0 < limit < exponent:
+        raise ValueError(f"exponent {exponent} exceeds the limit of {limit} digits")
     return Fraction(text)
 
 
@@ -122,6 +136,8 @@ def parse_config(text: str, source: str = "<string>") -> Configuration:
         raise ConfigFileError(
             f"{source}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an int literal past the interpreter's digit limit
+        raise ConfigFileError(f"{source}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigFileError(f"{source}: top level must be an object")
     mode = data.get("mode")
@@ -157,8 +173,3 @@ def load_config(path: Union[str, os.PathLike]) -> Configuration:
     except OSError as exc:
         raise ConfigFileError(f"cannot read {path}: {exc}") from exc
     return parse_config(text, source=os.path.basename(str(path)))
-
-
-def save_config(c: Configuration, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(serialize_config(c))

@@ -28,6 +28,10 @@ and r = -A1/An, the members interleave out of the triple via
 the first sign being forced by det(v_{i-1}, v_{n+i}) = -An. Read in the order
 z = v_0, v_{n+1}, v_1, v_{n+2}, ..., that is the one three-term recurrence
 z_{j+1} = r z_j - z_{j-1}, the same as the model sequences' (r = t there).
+
+Equivalence: by the theorem, two configurations of one size are
+GL2-equivalent when both canonicalize, so gl2_equivalent decides a pair by
+two canonicalize calls; a command certifies one input at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from balcfg.balance import _Bracket, require_balanced_uniform
-from balcfg.canonical import FRAME_DET_TOL
+from balcfg.canonical import FRAME_DET_TOL, RESIDUAL_TOL, canonicalize
 from balcfg.errors import CertificateError, SingularFrame
 from balcfg.geometry import Configuration, PlaneVector, Scalar, det2
 from balcfg.sequences import IntPoly, trim
@@ -226,3 +230,33 @@ def reconstruct_from_triple(
         xs.append(x)
         ys.append(y)
     return Configuration(xs[0::2] + [vn.x] + xs[1::2], ys[0::2] + [vn.y] + ys[1::2])
+
+
+class EquivalenceVerdict(NamedTuple):
+    equivalent: bool
+    reason: Optional[str] = None
+
+    def __bool__(self) -> bool:
+        return self.equivalent
+
+
+def gl2_equivalent(
+    a: Configuration, b: Configuration, tol: float = RESIDUAL_TOL
+) -> EquivalenceVerdict:
+    """Two configurations of one size are equivalent when both canonicalize
+    (transitivity onto the roots of unity), and not when exactly one does: the
+    false verdict carries that one's certificate, and balance and uniformity
+    are GL2 invariants. When neither canonicalizes, no certificate decides,
+    and ValueError names both refusals. A precision refusal
+    (DuplicateArgument, SingularFrame) is raised, as canonicalize raises it."""
+    if a.m != b.m:
+        return EquivalenceVerdict(False, f"size mismatch: {a.m} != {b.m}")
+    refused = []
+    for which, cfg in (("first", a), ("second", b)):
+        try:
+            canonicalize(cfg, tol)
+        except CertificateError as exc:
+            refused.append(f"{which}: {type(exc).__name__}")
+    if len(refused) == 2:
+        raise ValueError(f"equivalence undecided, neither canonicalizes ({', '.join(refused)})")
+    return EquivalenceVerdict(not refused, *refused)

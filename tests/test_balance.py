@@ -6,23 +6,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from balcfg import (
+from balcfg.balance import (
     BalanceReport,
-    Configuration,
-    InconsistentConstants,
-    NotBalanced,
-    NotUniform,
-    det2,
     even_m_witness,
+    in_safe_range,
     is_balanced,
     is_uniform,
-    perturb,
-    random_invertible,
-    roots_of_unity,
     step_constants,
 )
-from balcfg.balance import in_safe_range
 from balcfg.canonical import LinearMap2, canonicalize
+from balcfg.errors import InconsistentConstants, NotBalanced, NotUniform
+from balcfg.geometry import Configuration, det2, roots_of_unity
+from balcfg.search import perturb, random_invertible
 from paper_lemmas import AmbiguousPairing, build_pairing, verify_antisymmetry
 
 SQUARE = Configuration([(1, 0), (0, 1), (-1, 0), (0, -1)])

@@ -57,8 +57,8 @@ from balcfg.geometry import (
     unit_vector,
 )
 from balcfg.search import perturb, random_invertible
+from balcfg.serialization import serialize_config
 from paper_lemmas import verify_antisymmetry
-from balcfg.serialization import save_config
 
 DATA = Path(__file__).parent / "data"
 
@@ -340,7 +340,7 @@ def test_norm_bounds_are_computed_once_per_bracket(capsys, count_calls, tmp_path
     # every later bracket of the member set shares; canon: the same for the
     # verdicts on its scaled copy
     path = tmp_path / "u51.json"
-    save_config(random_invertible(3).apply_configuration(roots_of_unity(51)), str(path))
+    path.write_text(serialize_config(random_invertible(3).apply_configuration(roots_of_unity(51))))
     seen = count_calls(balance.norm_sq_bounds)
     assert main([command, str(path)]) == 0
     capsys.readouterr()

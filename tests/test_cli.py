@@ -5,6 +5,7 @@ import math
 import random
 import runpy
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from balcfg.cli import main
 from balcfg.geometry import Configuration, det2, roots_of_unity
 from balcfg.render import render_svg
 from balcfg.search import perturb
-from balcfg.serialization import load_config, parse_config, save_config
+from balcfg.serialization import load_config, parse_config, serialize_config
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -108,7 +109,7 @@ def test_check_overflowing_diagonal_keeps_the_default_tolerance(capsys, tmp_path
 def test_check_reports_an_unlabeled_file_with_label_order_step_constants(capsys, tmp_path):
     u5 = roots_of_unity(5)
     path = tmp_path / "u5_swapped.json"
-    save_config(Configuration([u5[0], u5[2], u5[1], u5[3], u5[4]]), path)
+    path.write_text(serialize_config(Configuration([u5[0], u5[2], u5[1], u5[3], u5[4]])))
     code, out, err = run(capsys, "check", str(path))
     assert code == 0
     report = json.loads(out)
@@ -127,7 +128,7 @@ def test_check_reports_null_step_constants_when_the_labeling_ties(capsys, tmp_pa
         Configuration([u5[0], u5[2], u5[1], u5[3], u5[4]])
     )
     path = tmp_path / "squeezed_u5.json"
-    save_config(squeezed, path)
+    path.write_text(serialize_config(squeezed))
     code, out, _ = run(capsys, "check", str(path))
     assert code == 0
     report = json.loads(out)
@@ -227,9 +228,9 @@ def _u801_image(tmp_path, variant):
     if variant == "shuffled":
         vecs = list(cfg.vectors)
         random.Random(7).shuffle(vecs)
-        save_config(Configuration(vecs), path)
+        path.write_text(serialize_config(Configuration(vecs)))
     elif variant == "perturbed":
-        save_config(perturb(cfg, 1e-3, seed=9), path)
+        path.write_text(serialize_config(perturb(cfg, 1e-3, seed=9)))
     return path
 
 
@@ -378,7 +379,8 @@ def test_canon_residual_above_its_tolerance_is_a_certificate(capsys):
 
 def test_canon_precision_refusal_is_not_a_certificate(capsys, tmp_path):
     path = tmp_path / "u5_squeezed.json"
-    save_config(LinearMap2(1.0, 0.0, 0.0, 1e-13).apply_configuration(roots_of_unity(5)), path)
+    squeezed = LinearMap2(1.0, 0.0, 0.0, 1e-13).apply_configuration(roots_of_unity(5))
+    path.write_text(serialize_config(squeezed))
     code, out, err = run(capsys, "canon", str(path))
     assert code == 2
     assert out == ""
@@ -545,7 +547,7 @@ def test_gen_model_configuration(capsys):
     assert code == 0
     c = parse_config(out)
     assert c.m == 5
-    assert c[2].as_tuple() == (0.0, 1.0)
+    assert tuple(c[2]) == (0.0, 1.0)
 
 
 def test_gen_model_configuration_closes_at_m801(capsys):
@@ -555,7 +557,7 @@ def test_gen_model_configuration_closes_at_m801(capsys):
         assert code == 0
         c = parse_config(out)
         assert c.m == 801
-        assert c[400].as_tuple() == (0.0, 1.0)
+        assert tuple(c[400]) == (0.0, 1.0)
 
 
 def test_gen_rejects_even_m(capsys):
@@ -848,6 +850,7 @@ BAD_COORDS = {
     "1,--1": "Invalid literal for Fraction: '--1'",
     "1,1/2/3": "Invalid literal for Fraction: '1/2/3'",
     "0,abc": "Invalid literal for Fraction: 'abc'",
+    "0,1,1e1000000": "exponent 1000000 exceeds the limit of 4300 digits",
 }
 
 
@@ -932,6 +935,32 @@ def test_malformed_json_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "line" in err
+
+
+# a coordinate past the int-string limit: an exact exponent, which Fraction
+# would first raise 10 to, and a JSON int, which json.loads refuses
+OVER_THE_LIMIT = {
+    "exponent": (
+        '{"mode": "exact", "vectors": [["1", "0"], ["0", "1e1000000"]]}',
+        "vectors[1]: not a rational: '1e1000000'"
+        " (exponent 1000000 exceeds the limit of 4300 digits)",
+    ),
+    "int": ('{"mode": "float", "vectors": [[%s, 0]]}' % ("1" * 5000), "Exceeds the limit"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "canon", "render"])
+@pytest.mark.parametrize("text, message", OVER_THE_LIMIT.values(), ids=list(OVER_THE_LIMIT))
+def test_a_coordinate_past_the_limit_exits_two_at_once_naming_the_file(
+    capsys, tmp_path, command, text, message
+):
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: big.json: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])

@@ -22,7 +22,7 @@ from balcfg.balance import SAFE_COORDINATE_RANGE
 from balcfg.cli import main
 from balcfg.geometry import Configuration, roots_of_unity
 from balcfg.search import perturb, random_invertible
-from balcfg.serialization import save_config
+from balcfg.serialization import serialize_config
 
 rational_coords = st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4)
 rational_vectors = st.tuples(rational_coords, rational_coords).filter(lambda v: v != (0, 0))
@@ -59,7 +59,7 @@ def _in_safe_range(c):
 def _reports(c, path):
     """(exit code, report) of check and of canon on c, saved to path; an
     exit-2 error writes no report, read as {}."""
-    save_config(c, path)
+    path.write_text(serialize_config(c))
     out = []
     for command in ("check", "canon"):
         stdout = io.StringIO()

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from balcfg import (
+from balcfg.errors import DuplicateArgument
+from balcfg.geometry import (
     Configuration,
-    DuplicateArgument,
     PlaneVector,
-    argument,
     det2,
     label_by_increasing_arguments,
     roots_of_unity,
@@ -190,6 +189,11 @@ def test_det_max_streams_the_table_maximum(rows_computed, vecs):
     assert rows_computed == [(c.m, i) for i in range(c.m)]
 
 
+def argument(v):
+    """v's polar argument, read off the configuration of v alone."""
+    return Configuration([v]).arguments[0]
+
+
 def test_argument_frozen_values():
     assert argument(PlaneVector(1.0, 0.0)) == 0.0
     assert math.isclose(
@@ -212,8 +216,8 @@ def test_argument_range(x, y):
 
 
 def _ref_argument(x, y):
-    """The scalar fold that argument used before it read the column fold:
-    the reference that Configuration.arguments is tested against."""
+    """The scalar fold, one member at a time: the reference that
+    Configuration.arguments is tested against."""
     theta = math.atan2(float(y), float(x))
     if theta < 0.0:
         theta += 2.0 * math.pi

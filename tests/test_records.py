@@ -16,11 +16,11 @@ import pytest
 
 import balcfg
 from balcfg.balance import BalanceReport, StepConstants
-from balcfg.canonical import CanonicalForm, EquivalenceVerdict, LinearMap2
+from balcfg.canonical import CanonicalForm, LinearMap2
 from balcfg.geometry import Configuration, PlaneVector
 from balcfg.search import SearchSpec
 from balcfg.sequences import RootGrid
-from paper_lemmas import PairingMap, ParityVerdict, PolyPair
+from paper_lemmas import EquivalenceVerdict, PairingMap, ParityVerdict, PolyPair
 
 # (factory, repr recorded from the dataclass version); each factory builds a
 # fresh object from fresh, equal fields on every call
@@ -206,27 +206,46 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert done.returncode == 0, done.stderr
 
 
-# the proof's steps and the polynomial arithmetic only tests use, which no
-# command runs: tests/paper_lemmas.py and tests/polynomial_oracles.py hold them
-LEMMA_NAMES = (
-    "AmbiguousPairing", "PairingMap", "ParityVerdict", "PolyPair", "_interleaved",
-    "_negligible", "add", "build_pairing", "check_parity_degrees", "cyclic_index", "degree",
-    "is_even_poly", "is_odd_poly", "neg", "numeric_sequences", "reconstruct_from_triple",
-    "shift_up", "sub", "symbolic_sequences", "verify_antisymmetry", "wn_equation_roots",
-)
-
-
-def test_all_is_sorted_unique_and_resolves():
-    assert balcfg.__all__ == sorted(set(balcfg.__all__))
-    assert [name for name in balcfg.__all__ if not hasattr(balcfg, name)] == []
-
-
-def test_no_balcfg_module_binds_a_lemma():
-    modules = [balcfg] + [
+def _modules():
+    """The package and each of its modules, every one imported."""
+    return [balcfg] + [
         importlib.import_module(f"balcfg.{info.name}")
         for info in pkgutil.iter_modules(balcfg.__path__)
     ]
+
+
+def test_the_package_binds_its_version_and_submodules_only():
+    # one import path per name: the module that defines it
+    modules = {mod.__name__.partition(".")[2] for mod in _modules()[1:]}
+    public = {name for name in vars(balcfg) if not name.startswith("_")}
+    assert public == modules - {"__main__"}
+    assert isinstance(balcfg.__version__, str) and not hasattr(balcfg, "__all__")
+
+
+# the proof's steps and the polynomial arithmetic only tests use, which no
+# command runs: tests/paper_lemmas.py and tests/polynomial_oracles.py hold them
+LEMMA_NAMES = (
+    "AmbiguousPairing", "EquivalenceVerdict", "PairingMap", "ParityVerdict", "PolyPair",
+    "_interleaved", "_negligible", "add", "build_pairing", "check_parity_degrees",
+    "cyclic_index", "degree", "gl2_equivalent", "is_even_poly", "is_odd_poly", "neg",
+    "numeric_sequences", "reconstruct_from_triple", "shift_up", "sub", "symbolic_sequences",
+    "verify_antisymmetry", "wn_equation_roots",
+)
+# names that no command called, each with the spelling the tests use instead:
+# Configuration.arguments, tuple(v) and serialize_config. Configuration.vectors
+# stays, because the benchmark's workloads read it.
+UNCALLED_NAMES = ("argument", "as_tuple", "save_config")
+
+
+def test_no_balcfg_module_binds_a_lemma():
+    modules = _modules()
     held = {"balance", "canonical", "errors", "geometry", "sequences"}
     assert held <= {mod.__name__.rpartition(".")[2] for mod in modules}
     bound = [(mod.__name__, name) for mod in modules for name in LEMMA_NAMES if hasattr(mod, name)]
+    assert bound == []
+
+
+def test_no_balcfg_module_or_value_type_binds_an_uncalled_name():
+    holders = [*_modules(), PlaneVector, Configuration]
+    bound = [(h.__name__, name) for h in holders for name in UNCALLED_NAMES if hasattr(h, name)]
     assert bound == []

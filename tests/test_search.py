@@ -7,20 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from balcfg import (
-    BudgetExceeded,
-    Configuration,
-    SearchSpec,
-    enumerate_balanced,
-    even_m_witness,
-    is_balanced,
-    is_uniform,
-    perturb,
-    random_invertible,
-    roots_of_unity,
-)
 from balcfg import search
-from balcfg.geometry import PlaneVector
+from balcfg.balance import even_m_witness, is_balanced, is_uniform
+from balcfg.errors import BudgetExceeded
+from balcfg.geometry import Configuration, PlaneVector, roots_of_unity
+from balcfg.search import SearchSpec, enumerate_balanced, perturb, random_invertible
 
 GRID3 = (Fraction(-1), Fraction(0), Fraction(1))
 GRID5 = tuple(Fraction(k, 2) for k in range(-2, 3))
@@ -61,14 +52,14 @@ def test_random_invertible_is_well_conditioned(seed):
 def test_perturb_zero_eps_is_identity():
     u = roots_of_unity(7)
     same = perturb(u, eps=0.0, seed=5)
-    assert [v.as_tuple() for v in same] == [v.as_tuple() for v in u]
+    assert [tuple(v) for v in same] == [tuple(v) for v in u]
 
 
 def test_perturb_is_seeded_and_bounded():
     u = roots_of_unity(7)
     a = perturb(u, eps=0.05, seed=6)
     b = perturb(u, eps=0.05, seed=6)
-    assert [v.as_tuple() for v in a] == [v.as_tuple() for v in b]
+    assert [tuple(v) for v in a] == [tuple(v) for v in b]
     for moved, orig in zip(a, u):
         assert math.hypot(moved.x - orig.x, moved.y - orig.y) <= 0.05 + 1e-15
     assert any(math.hypot(v.x - w.x, v.y - w.y) > 0 for v, w in zip(a, u))
@@ -78,7 +69,7 @@ def test_grid_vectors_exclude_zero():
     vecs = grid_vectors(GRID3)
     assert len(vecs) == 8
     assert all(not (v.x == 0 and v.y == 0) for v in vecs)
-    tuples = [v.as_tuple() for v in vecs]
+    tuples = [tuple(v) for v in vecs]
     assert tuples == sorted(tuples)
 
 
@@ -288,7 +279,7 @@ def test_two_line_hits_equal_a_brute_force_over_each_pair_of_lines(monkeypatch, 
         monkeypatch.setattr(search, "_join", lambda keys, size, target: iter(()))
     hits = enumerate_balanced(SearchSpec(m, tuple(map(Fraction, coords))))
     listed = [
-        tuple(v.as_tuple() for v in cfg) for cfg in hits if len(lines_through_the_origin(cfg)) == 2
+        tuple(tuple(v) for v in cfg) for cfg in hits if len(lines_through_the_origin(cfg)) == 2
     ]
     expected = two_line_hits(coords, m)
     assert expected and listed == expected

@@ -92,7 +92,7 @@ def test_numeric_matches_symbolic_evaluation():
 
 def test_numeric_sequences_exact_mode():
     us, ws = numeric_sequences(Fraction(1, 2), 2)
-    assert us[1].as_tuple() == (Fraction(-3, 4), Fraction(-1, 2))
+    assert tuple(us[1]) == (Fraction(-3, 4), Fraction(-1, 2))
     assert ws[1].mode == "exact"
 
 
@@ -274,9 +274,9 @@ def test_model_configuration_layout_m5():
         assert c.m == 5
         t = closed_form_t(5, k)
         us, ws = numeric_sequences(t, 2)
-        assert c[2].as_tuple() == (0.0, 1.0)
+        assert tuple(c[2]) == (0.0, 1.0)
         for slot, v in ((0, us[0]), (1, us[1]), (3, ws[0]), (4, ws[1])):
-            for got, want in zip(c[slot].as_tuple(), v.as_tuple()):
+            for got, want in zip(c[slot], v):
                 assert math.isclose(got, want, rel_tol=0.0, abs_tol=1e-15)
 
 
@@ -289,7 +289,7 @@ def test_model_configuration_is_the_frame_image_of_the_roots_of_unity_m801():
         g = frame_map(u[0], u[k])
         exponents = [-2 * k * i for i in range(n)] + [k] + [-k * (2 * i + 1) for i in range(n)]
         for v, e in zip(model_configuration(m, k).vectors, exponents):
-            x, y = u[e % m].as_tuple()
+            x, y = u[e % m]
             assert math.hypot(v.x - (g.a * x + g.b * y), v.y - (g.c * x + g.d * y)) <= 1e-12
 
 

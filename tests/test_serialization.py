@@ -1,3 +1,4 @@
+import fractions
 import json
 import math
 import sys
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from balcfg import Configuration, ConfigFileError, load_config, save_config
+from balcfg.errors import ConfigFileError
+from balcfg.geometry import Configuration
 from balcfg.serialization import (
     _rational,
     dumps_canonical,
     format_float,
+    load_config,
     parse_config,
     serialize_config,
 )
@@ -62,7 +65,7 @@ def test_exact_round_trip_is_bit_exact():
     text = serialize_config(c)
     again = parse_config(text)
     assert again.mode == "exact"
-    assert [v.as_tuple() for v in again] == [v.as_tuple() for v in c]
+    assert [tuple(v) for v in again] == [tuple(v) for v in c]
     assert serialize_config(again) == text
 
 
@@ -71,7 +74,7 @@ def test_float_round_trip_is_bit_exact():
     text = serialize_config(c)
     again = parse_config(text)
     assert again.mode == "float"
-    assert [v.as_tuple() for v in again] == [v.as_tuple() for v in c]
+    assert [tuple(v) for v in again] == [tuple(v) for v in c]
     assert serialize_config(again) == text
 
 
@@ -107,7 +110,7 @@ def test_parse_enforces_lexical_mode():
     with pytest.raises(ConfigFileError):
         parse_config('{"mode": "float", "vectors": [["1/2", 0.5]]}')
     parsed = parse_config('{"mode": "exact", "vectors": [["1/2", "-3/7"], ["1", "0"]]}')
-    assert parsed[0].as_tuple() == (Fraction(1, 2), Fraction(-3, 7))
+    assert tuple(parsed[0]) == (Fraction(1, 2), Fraction(-3, 7))
 
 
 def test_parse_rejects_zero_vector():
@@ -118,9 +121,9 @@ def test_parse_rejects_zero_vector():
 def test_file_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     c = Configuration([(Fraction(2, 3), Fraction(-1)), (Fraction(1), Fraction(4, 9))])
-    save_config(c, path)
+    path.write_text(serialize_config(c))
     again = load_config(path)
-    assert [v.as_tuple() for v in again] == [v.as_tuple() for v in c]
+    assert [tuple(v) for v in again] == [tuple(v) for v in c]
     assert path.read_bytes().endswith(b"\n")
 
 
@@ -380,8 +383,33 @@ rational_texts = st.one_of(
 @example("-" + LONG_DIGITS)
 @example("1/" + LONG_DIGITS)
 @example(LONG_DIGITS + "/0")
+@example("2.5e3")
+@example("1e-5")
+@example("1.5")
+@example("1e4300")
+@example("-1E-4301")
+@example("1e4_301")
+@example("1e 4301")
+@example("1/1e4301")
+@example("..1e4301")
+@example("E4301")
 def test_rational_reads_a_string_as_fraction_does(text):
-    assert _outcome(_rational, text) == _outcome(Fraction, text)
+    # where Fraction would first build 10**|e| with |e| past the int-string
+    # limit, _rational refuses the text at once; Fraction's own grammar says where
+    match = fractions._RATIONAL_FORMAT.match(text)
+    exponent = abs(int(match["exp"])) if match and match["exp"] else 0
+    if exponent > sys.get_int_max_str_digits():
+        message = f"exponent {exponent} exceeds the limit of {sys.get_int_max_str_digits()} digits"
+        assert _outcome(_rational, text) == (ValueError, message)
+    else:
+        assert _outcome(_rational, text) == _outcome(Fraction, text)
+
+
+def test_an_int_past_the_limit_is_a_config_file_error():
+    # json.loads refuses it with a bare ValueError, not a JSONDecodeError
+    config = '{"mode": "float", "vectors": [[%s, 0]]}' % ("1" * 5000)
+    with pytest.raises(ConfigFileError, match=r"^cfg\.json: Exceeds the limit"):
+        parse_config(config, "cfg.json")
 
 
 TWIN = [["1/2", "-3/4"], ["-1", "0"], ["10", "1/8"]]
