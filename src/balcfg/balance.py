@@ -239,26 +239,25 @@ def _residual_bounds(form: "CanonicalForm", norms) -> Optional[Tuple[float, floa
     products may round other than relatively), a map whose determinant is not
     bounded away from 0, or a bound that is not finite.
 
-    Let G be the float map read as an exact matrix, omega_i the exact root
-    of unity assigned to member v_i, and u the unit roundoff. Forward-error
-    terms:
-    - r >= max |G v_i - omega_i|: the residual as evaluated, times 1 + 4u
+    Let G be the float map read as an exact matrix, w^i the exact root of
+    unity that slot i goes to (canonical: v_i -> w^i), and u the unit
+    roundoff. Forward-error terms:
+    - r >= max |G v_i - w^i|: the residual as evaluated, times 1 + 4u
       for the subtraction and hypot; plus 3u (|a| + |b| + |c| + |d|) max |v|
       for the evaluation of G v_i (two products and a sum per coordinate);
       plus TARGET_ERR for the float target.
-    - det(G v_i, G v_j) = det(G) det(v_i, v_j) = sin(2 pi (e_j - e_i) / m) +
+    - det(G v_i, G v_j) = det(G) det(v_i, v_j) = sin(2 pi (j - i) / m) +
       delta_ij, |delta_ij| <= 2r + r^2, as |det(a, b)| <= |a| |b|.
     - |det G| is bracketed by fl(ad - bc) -+ 3u (|ad| + |bc|).
     - Each table entry fl(x_i y_j - y_i x_j) is within 3u max |v|^2 of
       det(v_i, v_j) (products and sum normal or exact; Higham 2002, ch. 3).
-    The exponents e are a bijection onto Z/m, so each exact row
-    {sin(2 pi (e_j - e_i) / m) : j != i} is symmetric. Sorting is 1-Lipschitz
-    in the max norm, so each sorted pair sum of the float row is within
-    2 (2r + r^2) / |det G| + 2 * 3u max |v|^2 of 0, times 1 + u for the sum
-    itself: that is pair. For odd m, the smallest |sin(2 pi k / m)|, k != 0,
-    is sin(pi / m), so every |entry| is at least (sin(pi / m) - 2r - r^2) /
-    |det G| - 3u max |v|^2: that is floor. Each term is rounded outward by
-    BOUND_SLACK.
+    Each exact row {sin(2 pi (j - i) / m) : j != i} is symmetric, as j - i
+    runs over the nonzero residues mod m. Sorting is 1-Lipschitz in the max
+    norm, so each sorted pair sum of the float row is within 2 (2r + r^2) /
+    |det G| + 2 * 3u max |v|^2 of 0, times 1 + u for the sum itself: that is
+    pair. For odd m, the smallest |sin(2 pi k / m)|, k != 0, is sin(pi / m),
+    so every |entry| is at least (sin(pi / m) - 2r - r^2) / |det G| - 3u max
+    |v|^2: that is floor. Each term is rounded outward by BOUND_SLACK.
     """
     g = form.g
     if norms is None or not in_safe_range((g.a, g.b, g.c, g.d)):

@@ -2,18 +2,13 @@
 size m = 2n+1 is an invertible linear image of the m-th roots of unity, and
 the map is computed explicitly.
 
-Pipeline: sort by argument; build the frame g_C sending (v_0, v_n) to the
-unit frame; read t_C off g_C.v_{n+1} = (t_C, -1); match t_C against the
-closure grid to find k_C; compose with the inverse of the frame g_k built
-the same way from (1, w^{k_C}) on the actual roots of unity. The composite g
-sends v_0 to 1 and v_n to w^{k_C}, and the remaining members land on the
-exponents
-
-    slot i      ->  -2 k_C i     (mod m)   for i = 0..n
-    slot n+1+i  ->  -k_C (1+2i)  (mod m)   for i = 0..n-1,
-
-a bijection onto {0..m-1}. The residual (max distance from the assigned
-roots of unity) certifies the equivalence.
+Pipeline: sort by argument; frame (v_0, v_n) onto the unit frame by g_C;
+read t_C off g_C.v_{n+1} = (t_C, -1); check t_C against t_n = 2cos(2n*pi/m);
+compose with the inverse of the frame g_n of (1, w^n). The composite g sends
+v_j to w^j, and its residual (max distance) certifies the equivalence. No
+other t is a candidate: labeled by argument, an image of U_m is v_j = L.w^j
+for one linear L (linear maps keep or reverse cyclic order), so t_C = t_n as
+w^{n+1} = w^{-n} = t_n - w^n.
 
 Certificate first, rows last: _route runs the steps above once per member
 set, and balance._residual_bounds bounds its form's determinants by the
@@ -45,8 +40,8 @@ from .sequences import closed_form_t
 # Relative threshold for frame construction: a frame (v0, vn) with
 # |det(v0, vn)| <= FRAME_DET_TOL * |v0| * |vn| is singular, at any scale.
 FRAME_DET_TOL = 1e-12
-# |t - grid| and |y + 1| matching tolerance; match_k narrows its |t - grid|
-# window where grid values lie closer than 4 * GRID_TOL.
+# |t - t_n| and |y + 1| matching tolerance; match_k narrows its |t - t_n|
+# window where t_{n-1} lies closer than 4 * GRID_TOL.
 GRID_TOL = 1e-6
 # Default acceptable residual for canonicalize.
 RESIDUAL_TOL = 1e-8
@@ -97,8 +92,7 @@ class LinearMap2(NamedTuple):
 
 class CanonicalForm(NamedTuple):
     """Witness of equivalence to the roots of unity: the map g, the frame
-    parameter t, the matched grid index k, the exponent assignment per slot,
-    and the achieved residual."""
+    parameter t, its grid index k = n, slot j's root exponent j, the residual."""
 
     g: LinearMap2
     t: float
@@ -135,29 +129,20 @@ def extract_t(g: LinearMap2, v_next: PlaneVector) -> Scalar:
 
 
 def match_k(t: Scalar, m: int) -> int:
-    """The k in 1..n nearest to t on the grid t_k = 2cos(2k*pi/m), provided
-    t lies within the window of t_k: GRID_TOL, or a quarter of the gap from
-    t_k to its nearest grid neighbour when that is smaller.
-
-    Since acos(t_k/2) = 2k*pi/m, k is read off directly as the rounded
-    m*acos(t/2)/(2*pi), with t/2 clamped to [-1, 1] and k to 1..n. The
-    smallest gap, between t_{n-1} and t_n, is about 8*pi^2/m^2, so the
-    window is GRID_TOL for every m <= 4441 and shrinks as 1/m^2 beyond, so
-    the windows of two neighbours never meet (GRID_TOL alone makes them
-    overlap from m = 6285 on). A t that is not finite raises ValueError:
-    it proves nothing about equivalence.
-    """
+    """n = (m-1)/2, provided t lies within the window of t_n = 2cos(2n*pi/m),
+    the one grid value that t_C can take (module docstring): GRID_TOL, or a
+    quarter of the gap to t_{n-1} (about 8*pi^2/m^2) when that is smaller,
+    as it is from m = 4443 on. A t that is not finite raises ValueError: it
+    proves nothing about equivalence."""
     if m % 2 == 0 or m < 3:
         raise ValueError(f"matching needs odd m >= 3, got {m}")
     if not math.isfinite(t):
         raise ValueError(f"t = {t!r} is not finite")
     n = (m - 1) // 2
-    half = min(1.0, max(-1.0, float(t) / 2.0))
-    k = min(n, max(1, round(m * math.acos(half) / (2.0 * math.pi))))
-    t_k = closed_form_t(m, k)
-    gaps = [abs(closed_form_t(m, j) - t_k) for j in (k - 1, k + 1) if 1 <= j <= n]
-    if abs(float(t) - t_k) <= min([GRID_TOL, *(g / 4 for g in gaps)]):
-        return k
+    t_n = closed_form_t(m, n)
+    window = min(GRID_TOL, abs(closed_form_t(m, n - 1) - t_n) / 4) if n > 1 else GRID_TOL
+    if abs(float(t) - t_n) <= window:
+        return n
     raise NoGridMatch(
         f"t = {float(t):.9g} is not a grid parameter for m = {m}: "
         "the configuration is not equivalent to the roots of unity",
@@ -165,38 +150,22 @@ def match_k(t: Scalar, m: int) -> int:
     )
 
 
-def _diagram_exponents(m: int, k: int) -> Tuple[int, ...]:
-    # -k*j mod m over the slot order j = 0, 2, .., 2n, 1, 3, .., 2n-1: that
-    # order is all of Z/m, so this is a bijection exactly when gcd(k, m) = 1
-    return tuple(-k * j % m for j in (*range(0, m, 2), *range(1, m, 2)))
-
-
 def _map_onto_roots(c: Configuration) -> CanonicalForm:
-    """The form that labels c (float, odd m >= 3) by argument, frames it,
-    matches t_C on the grid, and measures the residual of the composite map
-    against the assigned roots of unity; raises what those steps raise."""
+    """The form that labels c (float, odd m >= 3) by argument, frames it, checks
+    t_C against t_n and measures g's residual; raises what those steps raise."""
     labeled = label_by_increasing_arguments(c)
     m, n = labeled.m, labeled.n
     g_frame = frame_map(labeled[0], labeled[n])
     t_c = extract_t(g_frame, labeled[n + 1])
-    k_c = match_k(t_c, m)
-
-    g_k = frame_map(PlaneVector(1.0, 0.0), unit_vector(2.0 * math.pi * k_c / m))
-    g = g_k.inverse().compose(g_frame)
-
-    exponents = _diagram_exponents(m, k_c)
-    if math.gcd(k_c, m) != 1:
-        raise ResidualTooLarge(
-            f"exponent assignment is not a bijection (k = {k_c}, m = {m})",
-            witness=exponents,
-        )
+    k = match_k(t_c, m)
     tau, xs, ys = 2.0 * math.pi, labeled.xs, labeled.ys
-    thetas = [tau * e / m for e in exponents]
+    g = frame_map(PlaneVector(1.0, 0.0), unit_vector(tau * k / m)).inverse().compose(g_frame)
+    thetas = [tau * j / m for j in range(m)]
     ga, gb, gc, gd = g
     gx = [ga * x + gb * y - cos for x, y, cos in zip(xs, ys, map(math.cos, thetas))]
     gy = [gc * x + gd * y - sin for x, y, sin in zip(xs, ys, map(math.sin, thetas))]
     residual = max(0.0, *map(math.hypot, gx, gy))
-    return CanonicalForm(g, t_c, k_c, exponents, residual)
+    return CanonicalForm(g, t_c, k, tuple(range(m)), residual)
 
 
 def _route(c: Configuration):
@@ -237,15 +206,12 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     if not (0.0 < s < math.inf):
         raise ValueError(f"largest norm {top!r} has no finite nonzero reciprocal to rescale by")
     work = Configuration([s * x for x in work.xs], [s * y for y in work.ys])
-
     if c.mode != EXACT:
         require_balanced_uniform(work)
     form = work.per_member_set(_route)
     if not isinstance(form, CanonicalForm):
         raise form
     if form.residual > tol:
-        raise ResidualTooLarge(
-            f"residual {form.residual:.3e} exceeds {tol:.3e}", witness=form.residual
-        )
+        raise ResidualTooLarge(f"residual {form.residual:.3e} exceeds {tol:.3e}", form.residual)
     return form._replace(g=form.g.scale(s))
 

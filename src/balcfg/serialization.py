@@ -48,7 +48,10 @@ def _dumps(obj) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)  # an IntEnum's repr is not JSON
     if isinstance(obj, Fraction):
-        return '"%s"' % obj
+        try:  # a witness or step constant, a product of coordinates, may pass the limit
+            return '"%s"' % obj
+        except ValueError:
+            raise ValueError(f"report value past the {sys.get_int_max_str_digits()}-digit limit")
     if isinstance(obj, dict):
         items = []
         for key in sorted(obj):
@@ -75,7 +78,7 @@ def serialize_config(c: Configuration) -> str:
 
 def _rational(text: str) -> Fraction:
     """Fraction(text): ASCII -?[0-9]+(/[0-9]+)? by two ints, other text by
-    Fraction, with its exponent within the interpreter's int-string limit."""
+    Fraction, its exponent and value within the int-string limit that str obeys."""
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] == "-" else num
     if text.isascii() and digits.isdecimal() and (den.isdecimal() or not slash):
@@ -91,7 +94,10 @@ def _rational(text: str) -> Fraction:
     limit = getattr(sys, "get_int_max_str_digits", int)()  # none before Python 3.10.7
     if 0 < limit < exponent:
         raise ValueError(f"exponent {exponent} exceeds the limit of {limit} digits")
-    return Fraction(text)
+    value = Fraction(text)
+    if 0 < limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise ValueError(f"the value exceeds the limit of {limit} digits")
+    return value
 
 
 def _parse_exact(raw, where: str) -> Fraction:
@@ -136,7 +142,7 @@ def parse_config(text: str, source: str = "<string>") -> Configuration:
         raise ConfigFileError(
             f"{source}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an int literal past the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:  # past the interpreter's digit or depth limit
         raise ConfigFileError(f"{source}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigFileError(f"{source}: top level must be an object")

@@ -29,6 +29,14 @@ the first sign being forced by det(v_{i-1}, v_{n+i}) = -An. Read in the order
 z = v_0, v_{n+1}, v_1, v_{n+2}, ..., that is the one three-term recurrence
 z_{j+1} = r z_j - z_{j-1}, the same as the model sequences' (r = t there).
 
+The general grid route: t_C is matched against the whole closure grid
+t_k = 2cos(2k*pi/m), k = 1..n (match_grid_index), and slot j takes the
+exponent of the k-th diagram (slot_exponents): slot i -> -2k i and slot
+n+1+i -> -k (1+2i) (mod m), a bijection onto Z/m exactly when gcd(k, m) = 1.
+At k = n that is slot j -> j, since -2n = 1 (mod m). balcfg.canonical tests
+that one candidate alone; the tests keep the general route as a
+differential oracle, and on every input it meets it finds k = n.
+
 Equivalence: by the theorem, two configurations of one size are
 GL2-equivalent when both canonicalize, so gl2_equivalent decides a pair by
 two canonicalize calls; a command certifies one input at a time.
@@ -42,10 +50,10 @@ from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from balcfg.balance import _Bracket, require_balanced_uniform
-from balcfg.canonical import FRAME_DET_TOL, RESIDUAL_TOL, canonicalize
-from balcfg.errors import CertificateError, SingularFrame
+from balcfg.canonical import FRAME_DET_TOL, GRID_TOL, RESIDUAL_TOL, canonicalize
+from balcfg.errors import CertificateError, NoGridMatch, SingularFrame
 from balcfg.geometry import Configuration, PlaneVector, Scalar, det2
-from balcfg.sequences import IntPoly, trim
+from balcfg.sequences import IntPoly, closed_form_t, trim
 from polynomial_oracles import degree, neg, sub
 
 
@@ -230,6 +238,43 @@ def reconstruct_from_triple(
         xs.append(x)
         ys.append(y)
     return Configuration(xs[0::2] + [vn.x] + xs[1::2], ys[0::2] + [vn.y] + ys[1::2])
+
+
+def match_grid_index(t: Scalar, m: int) -> int:
+    """The k in 1..n nearest to t on the grid t_k = 2cos(2k*pi/m), provided
+    t lies within the window of t_k: GRID_TOL, or a quarter of the gap from
+    t_k to its nearest grid neighbour when that is smaller.
+
+    Since acos(t_k/2) = 2k*pi/m, k is read off directly as the rounded
+    m*acos(t/2)/(2*pi), with t/2 clamped to [-1, 1] and k to 1..n. The
+    smallest gap, between t_{n-1} and t_n, is about 8*pi^2/m^2, so the
+    window is GRID_TOL for every m <= 4441 and shrinks as 1/m^2 beyond, so
+    the windows of two neighbours never meet (GRID_TOL alone makes them
+    overlap from m = 6285 on). A t that is not finite raises ValueError:
+    it proves nothing about equivalence.
+    """
+    if m % 2 == 0 or m < 3:
+        raise ValueError(f"matching needs odd m >= 3, got {m}")
+    if not math.isfinite(t):
+        raise ValueError(f"t = {t!r} is not finite")
+    n = (m - 1) // 2
+    half = min(1.0, max(-1.0, float(t) / 2.0))
+    k = min(n, max(1, round(m * math.acos(half) / (2.0 * math.pi))))
+    t_k = closed_form_t(m, k)
+    gaps = [abs(closed_form_t(m, j) - t_k) for j in (k - 1, k + 1) if 1 <= j <= n]
+    if abs(float(t) - t_k) <= min([GRID_TOL, *(g / 4 for g in gaps)]):
+        return k
+    raise NoGridMatch(
+        f"t = {float(t):.9g} is not a grid parameter for m = {m}: "
+        "the configuration is not equivalent to the roots of unity",
+        witness=float(t),
+    )
+
+
+def slot_exponents(m: int, k: int) -> Tuple[int, ...]:
+    # -k*j mod m over the slot order j = 0, 2, .., 2n, 1, 3, .., 2n-1: that
+    # order is all of Z/m, so this is a bijection exactly when gcd(k, m) = 1
+    return tuple(-k * j % m for j in (*range(0, m, 2), *range(1, m, 2)))
 
 
 class EquivalenceVerdict(NamedTuple):

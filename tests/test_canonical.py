@@ -10,7 +10,6 @@ from balcfg.balance import is_balanced, is_uniform
 from balcfg.canonical import (
     GRID_TOL,
     LinearMap2,
-    _diagram_exponents,
     canonicalize,
     extract_t,
     frame_map,
@@ -35,7 +34,12 @@ from balcfg.geometry import (
 )
 from balcfg.search import perturb, random_invertible
 from balcfg.sequences import closed_form_t
-from paper_lemmas import gl2_equivalent, reconstruct_from_triple
+from paper_lemmas import (
+    gl2_equivalent,
+    match_grid_index,
+    reconstruct_from_triple,
+    slot_exponents,
+)
 
 
 def test_linear_map_algebra():
@@ -98,9 +102,13 @@ def test_extract_t_demands_normalized_second_coordinate():
 
 
 def test_match_k_frozen_values():
-    assert match_k(0.6180339887498949, 5) == 1
     assert match_k(-1.618033988749895, 5) == 2
     assert match_k(-1.0, 3) == 1
+    # t_1 of m = 5 is a grid value, but not t_n: the general route's k
+    assert match_grid_index(0.6180339887498949, 5) == 1
+    with pytest.raises(NoGridMatch) as caught:
+        match_k(0.6180339887498949, 5)
+    assert caught.value.witness == 0.6180339887498949
 
 
 def test_match_k_rejects_off_grid():
@@ -144,23 +152,34 @@ def test_frame_steps_refuse_a_vector_that_is_not_finite(call, bad):
         call(bad)
 
 
-def _diagram_exponents_by_slot_halves(m, k):
+def _slot_exponents_by_slot_halves(m, k):
     # slots 0..n take -2ki, slots n+1..2n take -k(1 + 2i), each mod m
     n = (m - 1) // 2
     return tuple([-2 * k * i % m for i in range(n + 1)] + [-k * (1 + 2 * i) % m for i in range(n)])
 
 
 @given(st.integers(1, 1000).flatmap(lambda n: st.tuples(st.just(2 * n + 1), st.integers(1, n))))
-def test_diagram_exponents_are_a_bijection_exactly_when_k_is_prime_to_m(mk):
+def test_slot_exponents_are_a_bijection_exactly_when_k_is_prime_to_m(mk):
     m, k = mk
-    exponents = _diagram_exponents(m, k)
-    assert exponents == _diagram_exponents_by_slot_halves(m, k)
+    exponents = slot_exponents(m, k)
+    assert exponents == _slot_exponents_by_slot_halves(m, k)
     assert (len(set(exponents)) == m) == (math.gcd(k, m) == 1)
+    # the one index that canon's route takes assigns slot j to w^j
+    assert slot_exponents(m, (m - 1) // 2) == tuple(range(m))
 
 
-def test_match_k_finds_every_index_on_a_fine_grid():
+def test_match_grid_index_finds_every_index_on_a_fine_grid():
     m = 20001
-    assert all(match_k(closed_form_t(m, k), m) == k for k in range(1, (m - 1) // 2 + 1))
+    assert all(match_grid_index(closed_form_t(m, k), m) == k for k in range(1, (m - 1) // 2 + 1))
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 51, 201, 4441, 20001])
+def test_match_k_accepts_t_n_and_refuses_every_other_grid_value(m):
+    n = (m - 1) // 2
+    assert match_k(closed_form_t(m, n), m) == n
+    for k in range(1, n):
+        with pytest.raises(NoGridMatch):
+            match_k(closed_form_t(m, k), m)
 
 
 def test_match_k_window_keeps_grid_tol_up_to_m_4441():
@@ -178,7 +197,9 @@ def test_match_k_window_shrinks_with_the_grid_gap():
     midpoint = (closed_form_t(m, n - 1) + closed_form_t(m, n)) / 2
     with pytest.raises(NoGridMatch):
         match_k(midpoint, m)
-    assert match_k(closed_form_t(m, n - 1), m) == n - 1
+    with pytest.raises(NoGridMatch):
+        match_grid_index(midpoint, m)
+    assert match_grid_index(closed_form_t(m, n - 1), m) == n - 1
 
 
 @pytest.mark.parametrize(

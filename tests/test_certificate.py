@@ -32,19 +32,12 @@ from balcfg.balance import (
     norm_sq_bounds,
     step_constants,
 )
-from balcfg.canonical import (
-    RESIDUAL_TOL,
-    _diagram_exponents,
-    _route,
-    canonicalize,
-    extract_t,
-    frame_map,
-    match_k,
-)
+from balcfg.canonical import RESIDUAL_TOL, _route, canonicalize, extract_t, frame_map
 from balcfg.cli import main
 from balcfg.errors import (
     BalcfgError,
     InconsistentConstants,
+    NoGridMatch,
     NotBalanced,
     NotUniform,
     ResidualTooLarge,
@@ -58,7 +51,7 @@ from balcfg.geometry import (
 )
 from balcfg.search import perturb, random_invertible
 from balcfg.serialization import serialize_config
-from paper_lemmas import verify_antisymmetry
+from paper_lemmas import match_grid_index, slot_exponents, verify_antisymmetry
 
 DATA = Path(__file__).parent / "data"
 
@@ -144,20 +137,48 @@ def _ref_canonicalize(c, tol):
     uniform, pair = _ref_is_uniform(work, None)
     if not uniform:
         raise NotUniform("", witness=pair)
+    g, k, exponents, residual = _ref_route(work)
+    if residual > tol:
+        raise ResidualTooLarge("", witness=residual)
+    return g.scale(1.0 / scale).rows(), k, exponents, residual
+
+
+def _ref_route(work):
+    """The general grid route on work (paper_lemmas): t_C matched against
+    every t_k, and slot j sent to the k-th diagram's exponent."""
     labeled = label_by_increasing_arguments(work)
     m, n = labeled.m, labeled.n
     g_frame = frame_map(labeled[0], labeled[n])
-    k = match_k(extract_t(g_frame, labeled[n + 1]), m)
+    k = match_grid_index(extract_t(g_frame, labeled[n + 1]), m)
     g = frame_map(PlaneVector(1.0, 0.0), unit_vector(2.0 * math.pi * k / m)).inverse()
     g = g.compose(g_frame)
-    exponents = _diagram_exponents(m, k)
+    exponents = slot_exponents(m, k)
+    if math.gcd(k, m) != 1:
+        raise ResidualTooLarge("exponent assignment is not a bijection", witness=exponents)
     targets = [unit_vector(2.0 * math.pi * e / m) for e in exponents]
     residual = max(
         math.hypot(p.x - q.x, p.y - q.y) for p, q in zip(map(g.apply, labeled), targets)
     )
-    if residual > tol:
-        raise ResidualTooLarge("", witness=residual)
-    return g.scale(1.0 / scale).rows(), k, exponents, residual
+    return g, k, exponents, residual
+
+
+@pytest.mark.parametrize("det_sign", [1, -1])
+def test_the_general_grid_route_takes_k_n_and_sends_slot_j_to_w_j(det_sign):
+    # labeled by argument, every GL2 image of U_m is v_j = L w^j for one
+    # linear L, so the route that searches the whole grid finds k = n and
+    # the identity assignment, the one candidate that canon's route tests
+    flip = canonical.LinearMap2(1.0, 0.0, 0.0, -1.0)
+    for m in range(3, 202, 2):
+        g = random_invertible(seed=m)
+        if (g.det() > 0) != (det_sign > 0):
+            g = g.compose(flip)
+        vecs = list(g.apply_configuration(roots_of_unity(m)))
+        random.Random(m).shuffle(vecs)
+        c = Configuration(vecs)
+        ref = _ref_route(c)
+        assert ref[1:3] == ((m - 1) // 2, tuple(range(m)))
+        form = canonical._map_onto_roots(c)
+        assert repr((form.g, form.k, form.index_map, form.residual)) == repr(ref)
 
 
 def _outcome(call):
@@ -481,21 +502,23 @@ def _outcome_pair(verdict):
     return verdict[0], repr(verdict[1])
 
 
-def test_route_refuses_an_exponent_assignment_that_is_not_a_bijection():
+def test_route_refuses_a_grid_value_other_than_t_n():
     # m = 9 in the canonical frame: v_0 = (1, 0) and v_4 = (0, 1) frame it,
-    # v_5 = (-1, -1) gives t = -1 = t_3, and k = 3 shares the factor 3 with
-    # 9, so the exponents take three values; three members lie at arguments
-    # in (0, pi/2) and three in (5 pi/4, 2 pi), so the labeling keeps v_0,
-    # v_4 and v_5 in slots 0, 4 and 5. The residual bounds hold only for a
-    # bijection, so the route certifies nothing, and the rows decide
+    # v_5 = (-1, -1) gives t = -1 = t_3, not t_4; three members lie at
+    # arguments in (0, pi/2) and three in (5 pi/4, 2 pi), so the labeling
+    # keeps v_0, v_4 and v_5 in slots 0, 4 and 5. No image of U_9 has this
+    # t, so the route certifies nothing, and the rows decide. The general
+    # grid route takes k = 3, which shares the factor 3 with 9, and refuses
+    # its exponents as no bijection
     thetas = [0.5, 1.0, 1.2, 5.0, 5.5, 6.0]
     c = Configuration(
         [(1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)] + [(math.cos(t), math.sin(t)) for t in thetas]
     )
     refusal = c.per_member_set(_route)
-    assert isinstance(refusal, ResidualTooLarge)
-    assert "not a bijection" in str(refusal)
-    assert refusal.witness == (0, 3, 6, 0, 3, 6, 0, 3, 6)
+    assert isinstance(refusal, NoGridMatch)
+    assert refusal.witness == -1.0
+    with pytest.raises(ResidualTooLarge, match="not a bijection"):
+        _ref_route(c)
     assert not balance._certified(c, _Bracket(c, None))
     report = is_balanced(c)
     assert (report.balanced, repr(report.witness)) == _outcome_pair(_ref_is_balanced(c, None))

@@ -938,18 +938,40 @@ def test_malformed_json_exits_two(capsys, tmp_path):
 
 
 # a coordinate past the int-string limit: an exact exponent, which Fraction
-# would first raise 10 to, and a JSON int, which json.loads refuses
+# would first raise 10 to; an exact value whose numerator or denominator str
+# could not write back, though its exponent is within the limit; and a JSON
+# int, which json.loads refuses. And JSON nested past the recursion limit
 OVER_THE_LIMIT = {
     "exponent": (
         '{"mode": "exact", "vectors": [["1", "0"], ["0", "1e1000000"]]}',
         "vectors[1]: not a rational: '1e1000000'"
         " (exponent 1000000 exceeds the limit of 4300 digits)",
     ),
+    "value": (
+        '{"mode": "exact", "vectors": [["1", "0"], ["0", "1e4300"], ["-1", "0"]]}',
+        "vectors[1]: not a rational: '1e4300' (the value exceeds the limit of 4300 digits)",
+    ),
+    "mantissa": (
+        '{"mode": "exact", "vectors": [["1", "0"], ["0", "1"], ["-1", "12e4299"]]}',
+        "vectors[2]: not a rational: '12e4299' (the value exceeds the limit of 4300 digits)",
+    ),
+    "denominator": (
+        '{"mode": "exact", "vectors": [["1", "0"], ["0", "3e-4300"]]}',
+        "vectors[1]: not a rational: '3e-4300' (the value exceeds the limit of 4300 digits)",
+    ),
     "int": ('{"mode": "float", "vectors": [[%s, 0]]}' % ("1" * 5000), "Exceeds the limit"),
+    "nested": (
+        '{"mode": "float", "vectors": %s%s}' % ("[" * 100_000, "]" * 100_000),
+        "maximum recursion depth exceeded",
+    ),
 }
 
 
-@pytest.mark.parametrize("command", ["check", "canon", "render"])
+@pytest.mark.parametrize(
+    "command",
+    [("check",), ("canon",), ("render",), ("render", "--format", "json")],
+    ids=["check", "canon", "render", "render-json"],
+)
 @pytest.mark.parametrize("text, message", OVER_THE_LIMIT.values(), ids=list(OVER_THE_LIMIT))
 def test_a_coordinate_past_the_limit_exits_two_at_once_naming_the_file(
     capsys, tmp_path, command, text, message
@@ -957,10 +979,45 @@ def test_a_coordinate_past_the_limit_exits_two_at_once_naming_the_file(
     path = tmp_path / "big.json"
     path.write_text(text)
     start = time.perf_counter()
-    code, out, err = run(capsys, command, str(path))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith(f"error: big.json: {message}") and err.count("\n") == 1
+
+
+def test_render_json_writes_back_every_coordinate_at_the_limit(capsys, tmp_path):
+    # each coordinate has 4300 digits in its numerator or denominator, the
+    # most that the reader accepts, by the two-int path or by Fraction's
+    nines = "9" * 4300
+    vectors = [("1e4299", "0"), ("0", "-" + nines), ("1/" + nines, "-1e-4299"), ("5e4299", "1")]
+    path, c = _exact_file(tmp_path, vectors)
+    code, out, _ = run(capsys, "render", str(path), "--format", "json")
+    assert code == 0
+    assert parse_config(out) == c and out == serialize_config(c)
+
+
+@pytest.mark.parametrize(
+    "command, vectors",
+    [
+        # balanced and uniform: the step constants are 10^4400
+        ("check", [("1e2200", "0"), ("0", "1e2200"), ("-1e2200", "-1e2200")]),
+        # not balanced: the witness is a determinant near 10^4400
+        ("check", [("1e2200", "0"), ("0", "1e2200"), ("-1e2200", "-2e2200")]),
+        ("canon", [("1e2200", "0"), ("0", "1e2200"), ("-1e2200", "-2e2200")]),
+    ],
+    ids=["check-constants", "check-witness", "canon-witness"],
+)
+def test_a_report_value_past_the_limit_exits_two_naming_the_limit(
+    capsys, tmp_path, command, vectors
+):
+    # every coordinate is within the limit, and the file reads back; a
+    # product of two coordinates is not, so the report cannot be written
+    path, c = _exact_file(tmp_path, vectors)
+    code, out, _ = run(capsys, "render", str(path), "--format", "json")
+    assert (code, parse_config(out)) == (0, c)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: report value past the 4300-digit limit\n"
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])

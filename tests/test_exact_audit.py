@@ -9,7 +9,8 @@ check, run through cli.main, must report both verdicts as the oracle does,
 and exit 1 only when the oracle says "not balanced"; canon's verdict must
 not contradict the oracle on the copy that canon decides. The families:
 seeded GL2 images of U_m and perturbed copies, nearly antipodal sets, the
-nearly collinear triples of item 13, and images scaled by 2^k.
+nearly collinear triples of item 13, ill-conditioned images of U_m, and
+images scaled by 2^k.
 """
 
 import json
@@ -20,6 +21,7 @@ from fractions import Fraction
 import pytest
 
 from balcfg.balance import in_safe_range
+from balcfg.canonical import LinearMap2
 from balcfg.cli import main
 from balcfg.geometry import roots_of_unity
 from balcfg.search import perturb, random_invertible
@@ -193,6 +195,71 @@ def test_canon_of_exactly_balanced_nearly_collinear_triples_agrees_with_the_exac
     capsys, tmp_path
 ):
     assert canon_disagreements(capsys, tmp_path, item13_triples()) == []
+
+
+# the errors that canon's route raises after the verdicts: each claims that
+# the canonical map misses the roots of unity
+ROUTE_REFUSALS = {"NotNormalized", "NoGridMatch", "ResidualTooLarge"}
+
+
+def route_refusals(capsys, tmp_path, family):
+    """The members of family on which canon exits 1 with a route refusal."""
+    found = []
+    for vectors in family:
+        code, report = run(capsys, tmp_path, "canon", vectors)
+        if code == 1 and report["error"] in ROUTE_REFUSALS:
+            found.append((vectors, report["error"], report["witness"]))
+    return found
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 25")
+def test_canon_makes_no_route_refusal_on_exact_images_of_u_3(capsys, tmp_path):
+    # each triple is exactly G.U_3 for G = [v1 v2] [1 w]^-1, as G w^2 =
+    # -v1 - v2 = v3, so no refusal that claims "not equivalent" is true;
+    # 26 of the 740 exit 1 with ResidualTooLarge
+    assert route_refusals(capsys, tmp_path, item13_triples()) == []
+
+
+def ill_conditioned_family(m, c, count=30):
+    """Images of U_m under R(theta) diag(1, 10^-c) R(phi), theta and phi
+    seeded per (m, c, seed): condition number 10^c, every coordinate in
+    the safe range."""
+    family = []
+    for seed in range(count):
+        rng = random.Random(10_000 * m + 100 * c + seed)
+        theta, phi = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)
+        rotations = [
+            LinearMap2(math.cos(a), -math.sin(a), math.sin(a), math.cos(a)) for a in (theta, phi)
+        ]
+        g = rotations[0].compose(LinearMap2(1.0, 0.0, 0.0, 10.0**-c)).compose(rotations[1])
+        image = g.apply_configuration(roots_of_unity(m))
+        family.append([[x, y] for x, y in zip(image.xs, image.ys)])
+    return family
+
+
+ILL_CONDITIONED_CASES = [(m, c) for m in (5, 11, 51) for c in (6, 7, 8, 9)]
+# the (m, c) whose families hold a file on which check disagrees (item 13)
+ILL_CONDITIONED_DISAGREE = [(5, 7), (5, 8), (11, 7), (51, 7)]
+
+
+def test_ill_conditioned_images_lie_in_the_safe_range():
+    for m, c in ILL_CONDITIONED_CASES:
+        assert all(in_safe_range(sum(vectors, [])) for vectors in ill_conditioned_family(m, c))
+
+
+@pytest.mark.parametrize(
+    "m, c", [case for case in ILL_CONDITIONED_CASES if case not in ILL_CONDITIONED_DISAGREE]
+)
+def test_check_of_ill_conditioned_images_is_the_exact_verdict(capsys, tmp_path, m, c):
+    assert disagreements(capsys, tmp_path, ill_conditioned_family(m, c)) == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 13")
+def test_check_of_the_ill_conditioned_images_that_item_13_flips_is_the_exact_verdict(
+    capsys, tmp_path
+):
+    family = [v for m, c in ILL_CONDITIONED_DISAGREE for v in ill_conditioned_family(m, c)]
+    assert disagreements(capsys, tmp_path, family) == []
 
 
 def scaled_family(k):

@@ -226,10 +226,11 @@ def test_the_package_binds_its_version_and_submodules_only():
 # command runs: tests/paper_lemmas.py and tests/polynomial_oracles.py hold them
 LEMMA_NAMES = (
     "AmbiguousPairing", "EquivalenceVerdict", "PairingMap", "ParityVerdict", "PolyPair",
-    "_interleaved", "_negligible", "add", "build_pairing", "check_parity_degrees",
-    "cyclic_index", "degree", "gl2_equivalent", "is_even_poly", "is_odd_poly", "neg",
-    "numeric_sequences", "reconstruct_from_triple", "shift_up", "sub", "symbolic_sequences",
-    "verify_antisymmetry", "wn_equation_roots",
+    "_diagram_exponents", "_interleaved", "_negligible", "add", "build_pairing",
+    "check_parity_degrees", "cyclic_index", "degree", "gl2_equivalent", "is_even_poly",
+    "is_odd_poly", "match_grid_index", "neg", "numeric_sequences", "reconstruct_from_triple",
+    "shift_up", "slot_exponents", "sub", "symbolic_sequences", "verify_antisymmetry",
+    "wn_equation_roots",
 )
 # names that no command called, each with the spelling the tests use instead:
 # Configuration.arguments, tuple(v) and serialize_config. Configuration.vectors

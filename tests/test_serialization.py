@@ -387,6 +387,12 @@ rational_texts = st.one_of(
 @example("1e-5")
 @example("1.5")
 @example("1e4300")
+@example("1e4299")
+@example("-1E-4300")
+@example("1e-4299")
+@example("1.5e4299")
+@example("0.5e-4299")
+@example("1" * 4000 + ".5e3000")
 @example("-1E-4301")
 @example("1e4_301")
 @example("1e 4301")
@@ -395,14 +401,33 @@ rational_texts = st.one_of(
 @example("E4301")
 def test_rational_reads_a_string_as_fraction_does(text):
     # where Fraction would first build 10**|e| with |e| past the int-string
-    # limit, _rational refuses the text at once; Fraction's own grammar says where
+    # limit, _rational refuses the text at once; Fraction's own grammar says
+    # where. A value that str cannot write back, its numerator or denominator
+    # past the limit (as 10**4300 is, or the mantissa's digits times 10**e),
+    # is refused too; every value that _rational returns, str writes
+    limit = sys.get_int_max_str_digits()
     match = fractions._RATIONAL_FORMAT.match(text)
     exponent = abs(int(match["exp"])) if match and match["exp"] else 0
-    if exponent > sys.get_int_max_str_digits():
-        message = f"exponent {exponent} exceeds the limit of {sys.get_int_max_str_digits()} digits"
+    if exponent > limit:
+        message = f"exponent {exponent} exceeds the limit of {limit} digits"
         assert _outcome(_rational, text) == (ValueError, message)
-    else:
-        assert _outcome(_rational, text) == _outcome(Fraction, text)
+        return
+    expected = _outcome(Fraction, text)
+    if expected[0] is Fraction:
+        try:
+            str(expected[1])
+        except ValueError:
+            expected = (ValueError, f"the value exceeds the limit of {limit} digits")
+    assert _outcome(_rational, text) == expected
+    if expected[0] is Fraction:
+        assert Fraction(str(_rational(text))) == expected[1]
+
+
+def test_json_nested_past_the_recursion_limit_is_a_config_file_error():
+    # json.loads raises RecursionError, which would escape as an internal error
+    config = '{"mode": "float", "vectors": %s%s}' % ("[" * 100_000, "]" * 100_000)
+    with pytest.raises(ConfigFileError, match=r"^cfg\.json: maximum recursion depth exceeded"):
+        parse_config(config, "cfg.json")
 
 
 def test_an_int_past_the_limit_is_a_config_file_error():
