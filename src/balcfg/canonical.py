@@ -3,19 +3,20 @@ size m = 2n+1 is an invertible linear image of the m-th roots of unity, and
 the map is computed explicitly.
 
 Pipeline: sort by argument; frame (v_0, v_n) onto the unit frame by g_C;
-read t_C off g_C.v_{n+1} = (t_C, -1); check t_C against t_n = 2cos(2n*pi/m);
-compose with the inverse of the frame g_n of (1, w^n). The composite g sends
-v_j to w^j, and its residual (max distance) certifies the equivalence. No
-other t is a candidate: labeled by argument, an image of U_m is v_j = L.w^j
-for one linear L (linear maps keep or reverse cyclic order), so t_C = t_n as
-w^{n+1} = w^{-n} = t_n - w^n.
+read t_C off g_C.v_{n+1}; compose with the inverse of the frame g_n of
+(1, w^n). The composite g sends v_j to w^j, and its residual (max distance)
+certifies the equivalence. Labeled by argument, an image of U_m is
+v_j = L.w^j for one linear L (linear maps keep or reverse cyclic order), so
+g_C.v_{n+1} = (t_n, -1), t_n = 2cos(2n*pi/m), as w^{n+1} = w^{-n} =
+t_n - w^n. The residual alone tests that: slot n+1 misses w^{n+1} by
+(t_C - t_n, 0) + (y + 1).w^n, where y is g_C.v_{n+1}'s second coordinate.
 
 Certificate first, rows last: _route runs the steps above once per member
 set, and balance._residual_bounds bounds its form's determinants by the
 residual; where they clear the tolerance (balance._certified), is_balanced
 and is_uniform certify the input with no row, for every caller. Otherwise
 the rows decide, so no verdict, witness or certificate class depends on the
-route, and canonicalize raises the route's refusal after them. Exact input
+route, and canonicalize raises ResidualTooLarge after them. Exact input
 takes the exact verdicts, which only m = 3 passes (Niven's theorem).
 """
 
@@ -25,7 +26,7 @@ import math
 from typing import NamedTuple, Tuple
 
 from .balance import require_balanced_uniform, require_tolerance
-from .errors import BalcfgError, NoGridMatch, NotNormalized, ResidualTooLarge, SingularFrame
+from .errors import BalcfgError, ResidualTooLarge, SingularFrame
 from .geometry import (
     EXACT,
     Configuration,
@@ -35,14 +36,10 @@ from .geometry import (
     label_by_increasing_arguments,
     unit_vector,
 )
-from .sequences import closed_form_t
 
 # Relative threshold for frame construction: a frame (v0, vn) with
 # |det(v0, vn)| <= FRAME_DET_TOL * |v0| * |vn| is singular, at any scale.
 FRAME_DET_TOL = 1e-12
-# |t - t_n| and |y + 1| matching tolerance; match_k narrows its |t - t_n|
-# window where t_{n-1} lies closer than 4 * GRID_TOL.
-GRID_TOL = 1e-6
 # Default acceptable residual for canonicalize.
 RESIDUAL_TOL = 1e-8
 
@@ -115,57 +112,27 @@ def frame_map(v0: PlaneVector, vn: PlaneVector) -> LinearMap2:
     return LinearMap2(vn.y / d, -vn.x / d, -v0.y / d, v0.x / d)
 
 
-def extract_t(g: LinearMap2, v_next: PlaneVector) -> Scalar:
-    """x-coordinate of g.v_next, after checking its y-coordinate is -1
-    (which the step-constant structure forces for v_{n+1} in frame g)."""
-    p = g.apply(v_next)
-    if abs(p.y + 1) > GRID_TOL:
-        raise NotNormalized(
-            f"g.v_next = ({p.x}, {p.y}) does not have y = -1: "
-            "input is not balanced or is mislabeled",
-            witness=p.y,
-        )
-    return p.x
-
-
-def match_k(t: Scalar, m: int) -> int:
-    """n = (m-1)/2, provided t lies within the window of t_n = 2cos(2n*pi/m),
-    the one grid value that t_C can take (module docstring): GRID_TOL, or a
-    quarter of the gap to t_{n-1} (about 8*pi^2/m^2) when that is smaller,
-    as it is from m = 4443 on. A t that is not finite raises ValueError: it
-    proves nothing about equivalence."""
-    if m % 2 == 0 or m < 3:
-        raise ValueError(f"matching needs odd m >= 3, got {m}")
-    if not math.isfinite(t):
-        raise ValueError(f"t = {t!r} is not finite")
-    n = (m - 1) // 2
-    t_n = closed_form_t(m, n)
-    window = min(GRID_TOL, abs(closed_form_t(m, n - 1) - t_n) / 4) if n > 1 else GRID_TOL
-    if abs(float(t) - t_n) <= window:
-        return n
-    raise NoGridMatch(
-        f"t = {float(t):.9g} is not a grid parameter for m = {m}: "
-        "the configuration is not equivalent to the roots of unity",
-        witness=float(t),
-    )
-
-
 def _map_onto_roots(c: Configuration) -> CanonicalForm:
-    """The form that labels c (float, odd m >= 3) by argument, frames it, checks
-    t_C against t_n and measures g's residual; raises what those steps raise."""
+    """The form that labels c (float, odd m >= 3) by argument, frames it,
+    reads t_C and measures g's residual against w^j; raises what those steps
+    raise, and ValueError for a residual that is not finite."""
     labeled = label_by_increasing_arguments(c)
     m, n = labeled.m, labeled.n
     g_frame = frame_map(labeled[0], labeled[n])
-    t_c = extract_t(g_frame, labeled[n + 1])
-    k = match_k(t_c, m)
+    # apply builds a PlaneVector, which refuses a t_C that is not finite
+    t_c = g_frame.apply(labeled[n + 1]).x
     tau, xs, ys = 2.0 * math.pi, labeled.xs, labeled.ys
-    g = frame_map(PlaneVector(1.0, 0.0), unit_vector(tau * k / m)).inverse().compose(g_frame)
+    g = frame_map(PlaneVector(1.0, 0.0), unit_vector(tau * n / m)).inverse().compose(g_frame)
     thetas = [tau * j / m for j in range(m)]
     ga, gb, gc, gd = g
     gx = [ga * x + gb * y - cos for x, y, cos in zip(xs, ys, map(math.cos, thetas))]
     gy = [gc * x + gd * y - sin for x, y, sin in zip(xs, ys, map(math.sin, thetas))]
-    residual = max(0.0, *map(math.hypot, gx, gy))
-    return CanonicalForm(g, t_c, k, tuple(range(m)), residual)
+    misses = list(map(math.hypot, gx, gy))
+    residual = max(misses)
+    # max passes over a NaN that is not first; their sum is NaN exactly when one is there
+    if not residual < math.inf or math.isnan(sum(misses)):
+        raise ValueError(f"residual of the map {tuple(g)} is not finite")
+    return CanonicalForm(g, t_c, n, tuple(range(m)), residual)
 
 
 def _route(c: Configuration):
@@ -182,18 +149,18 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     the explicit map.
 
     Raises a CertificateError with a witness when the input provably is not
-    equivalent: NotBalanced, NotUniform, NotNormalized, NoGridMatch, or
-    ResidualTooLarge when the map misses the roots of unity by more than tol.
-    DuplicateArgument and SingularFrame are float precision refusals, not
-    certificates. A tol that is not a finite number >= 0 raises ValueError,
-    as does a float copy of c whose largest norm has no finite nonzero
-    reciprocal to rescale by.
+    equivalent: NotBalanced, NotUniform, or ResidualTooLarge when the map
+    misses the roots of unity by more than tol. DuplicateArgument,
+    SingularFrame and a t_C or residual that is not finite (ValueError) are
+    float precision refusals, not certificates. A tol that is not a finite
+    number >= 0 raises ValueError, as does a float copy of c whose largest
+    norm has no finite nonzero reciprocal to rescale by.
 
     Exact c takes the exact verdicts on c itself, as check does; by Niven's
     theorem only m = 3 passes them. Float c takes the verdicts of its copy
     scaled to max norm 1, on which the map is computed, so NotBalanced's
-    witness is c's determinant over c's largest norm^2. The route's refusals
-    come after the verdicts.
+    witness is c's determinant over c's largest norm^2. The route's refusal
+    comes after the verdicts.
     """
     require_tolerance(tol)
     if c.m < 3:

@@ -8,12 +8,12 @@ exit code 1 always comes with a report on stdout that names the certificate.
 Every other error, and a certificate that escapes a command, exits 2.
 
 Only errors that some caller tells apart get a class here: the certificates
-NotBalanced, NotUniform, InconsistentConstants, NotNormalized, NoGridMatch
-and ResidualTooLarge, whose names the canon report prints; DuplicateArgument,
-which check catches; SingularFrame; BudgetExceeded; ConfigFileError. A bad
-argument (mixed modes, a zero vector, a size of the wrong parity, a root
-solver that gives up) is a plain ValueError, which the CLI maps to exit 2
-like every BalcfgError.
+NotBalanced, NotUniform, InconsistentConstants and ResidualTooLarge, whose
+names the canon report prints; DuplicateArgument, which check catches;
+SingularFrame; BudgetExceeded; ConfigFileError. A bad argument (mixed
+modes, a zero vector, a size of the wrong parity, a root solver that gives
+up) is a plain ValueError, which the CLI maps to exit 2 like every
+BalcfgError.
 """
 
 from __future__ import annotations
@@ -52,15 +52,6 @@ class InconsistentConstants(CertificateError):
 
 class SingularFrame(BalcfgError):
     """The would-be frame vectors are linearly dependent."""
-
-
-class NotNormalized(CertificateError):
-    """g . v_{n+1} does not have y = -1: non-balanced or mislabeled input."""
-
-
-class NoGridMatch(CertificateError):
-    """The extracted parameter t lies on no grid point: not GL2-equivalent
-    to the roots of unity."""
 
 
 class ResidualTooLarge(CertificateError):

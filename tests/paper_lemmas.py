@@ -33,9 +33,11 @@ The general grid route: t_C is matched against the whole closure grid
 t_k = 2cos(2k*pi/m), k = 1..n (match_grid_index), and slot j takes the
 exponent of the k-th diagram (slot_exponents): slot i -> -2k i and slot
 n+1+i -> -k (1+2i) (mod m), a bijection onto Z/m exactly when gcd(k, m) = 1.
-At k = n that is slot j -> j, since -2n = 1 (mod m). balcfg.canonical tests
-that one candidate alone; the tests keep the general route as a
-differential oracle, and on every input it meets it finds k = n.
+At k = n that is slot j -> j, since -2n = 1 (mod m). balcfg.canonical maps
+onto that one candidate and lets the residual against w^j decide, with no
+gate on t_C or on y; the tests keep the general route, gated as the package
+once was (GRID_TOL, NotNormalized, NoGridMatch), as a differential oracle,
+and on every input it meets it finds k = n.
 
 Equivalence: by the theorem, two configurations of one size are
 GL2-equivalent when both canonicalize, so gl2_equivalent decides a pair by
@@ -50,15 +52,28 @@ from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from balcfg.balance import _Bracket, require_balanced_uniform
-from balcfg.canonical import FRAME_DET_TOL, GRID_TOL, RESIDUAL_TOL, canonicalize
-from balcfg.errors import CertificateError, NoGridMatch, SingularFrame
+from balcfg.canonical import FRAME_DET_TOL, RESIDUAL_TOL, canonicalize
+from balcfg.errors import CertificateError, SingularFrame
 from balcfg.geometry import Configuration, PlaneVector, Scalar, det2
 from balcfg.sequences import IntPoly, closed_form_t, trim
 from polynomial_oracles import degree, neg, sub
 
 
+# |t - t_k| and |y + 1| matching tolerance of the general grid route
+GRID_TOL = 1e-6
+
+
 class AmbiguousPairing(CertificateError):
     """Float clustering produced an inconsistent pairing at this tolerance."""
+
+
+class NotNormalized(CertificateError):
+    """g . v_{n+1} does not have y = -1: non-balanced or mislabeled input."""
+
+
+class NoGridMatch(CertificateError):
+    """The extracted parameter t lies on no grid point: not GL2-equivalent
+    to the roots of unity."""
 
 
 class PairingMap(NamedTuple):

@@ -8,19 +8,15 @@ from hypothesis import strategies as st
 
 from balcfg.balance import is_balanced, is_uniform
 from balcfg.canonical import (
-    GRID_TOL,
     LinearMap2,
+    _map_onto_roots,
     canonicalize,
-    extract_t,
     frame_map,
-    match_k,
 )
 from balcfg.errors import (
     CertificateError,
     DuplicateArgument,
-    NoGridMatch,
     NotBalanced,
-    NotNormalized,
     NotUniform,
     SingularFrame,
 )
@@ -35,6 +31,7 @@ from balcfg.geometry import (
 from balcfg.search import perturb, random_invertible
 from balcfg.sequences import closed_form_t
 from paper_lemmas import (
+    NoGridMatch,
     gl2_equivalent,
     match_grid_index,
     reconstruct_from_triple,
@@ -87,43 +84,11 @@ def test_frame_map_rejects_collinear(v0, vn):
         frame_map(v0, vn)
 
 
-def test_extract_t_frozen_value_on_pentagon():
-    u5 = roots_of_unity(5)
-    g = frame_map(u5[0], u5[2])
-    t = extract_t(g, u5[3])
-    assert abs(t + 2 * math.cos(math.pi / 5)) < 1e-12
-
-
-def test_extract_t_demands_normalized_second_coordinate():
-    u5 = roots_of_unity(5)
-    g = frame_map(u5[0], u5[2])
-    with pytest.raises(NotNormalized):
-        extract_t(g, u5[1])
-
-
-def test_match_k_frozen_values():
-    assert match_k(-1.618033988749895, 5) == 2
-    assert match_k(-1.0, 3) == 1
+def test_match_grid_index_frozen_values():
+    assert match_grid_index(-1.618033988749895, 5) == 2
+    assert match_grid_index(-1.0, 3) == 1
     # t_1 of m = 5 is a grid value, but not t_n: the general route's k
     assert match_grid_index(0.6180339887498949, 5) == 1
-    with pytest.raises(NoGridMatch) as caught:
-        match_k(0.6180339887498949, 5)
-    assert caught.value.witness == 0.6180339887498949
-
-
-def test_match_k_rejects_off_grid():
-    # beyond [-2, 2] too, where acos(t/2) is undefined
-    for t in (0.5, 2.5, -2.5):
-        with pytest.raises(NoGridMatch):
-            match_k(t, 5)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_match_k_refuses_a_t_that_is_not_finite(bad):
-    # a NoGridMatch would certify "not equivalent" with no proof behind it
-    with pytest.raises(ValueError, match=f"^t = {bad!r} is not finite$") as caught:
-        match_k(bad, 7)
-    assert not isinstance(caught.value, CertificateError)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -132,9 +97,9 @@ def test_match_k_refuses_a_t_that_is_not_finite(bad):
     [
         lambda bad: frame_map(PlaneVector(bad, 1.0), PlaneVector(0.0, 1.0)),
         lambda bad: frame_map(PlaneVector(1.0, 0.0), PlaneVector(0.0, bad)),
-        lambda bad: extract_t(LinearMap2(1.0, 0.0, 0.0, 1.0), PlaneVector(bad, -1.0)),
+        lambda bad: LinearMap2(1.0, 0.0, 0.0, 1.0).apply(PlaneVector(bad, -1.0)),
         # LinearMap2.apply builds the image as a PlaneVector, which refuses it
-        lambda bad: extract_t(LinearMap2(bad, 0.0, 0.0, 1.0), PlaneVector(1.0, -1.0)),
+        lambda bad: LinearMap2(bad, 0.0, 0.0, 1.0).apply(PlaneVector(1.0, -1.0)),
         lambda bad: reconstruct_from_triple(
             PlaneVector(1.0, 0.0), PlaneVector(0.0, 1.0), PlaneVector(bad, -1.0), 5
         ),
@@ -142,14 +107,33 @@ def test_match_k_refuses_a_t_that_is_not_finite(bad):
             PlaneVector(bad, 0.0), PlaneVector(0.0, 1.0), PlaneVector(0.5, -1.0), 5
         ),
     ],
-    ids=["frame_map-v0", "frame_map-vn", "extract_t-vector", "extract_t-map",
+    ids=["frame_map-v0", "frame_map-vn", "apply-vector", "apply-map",
          "reconstruct-vn1", "reconstruct-v0"],
 )
 def test_frame_steps_refuse_a_vector_that_is_not_finite(call, bad):
     # no frame step can take or make a NaN or infinite vector, so none
-    # returns a NaN map or a NaN t
+    # returns a NaN map or a NaN t: the route reads t_C through apply
     with pytest.raises(ValueError, match=r"^vector \(.*\) is not finite$"):
         call(bad)
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        # g = (1e308, -0.81 / 0, 0.59): slot 1's miss overflows to inf
+        [(1e-308, 0.0), (2.0, 1.0), (0.0, 1.0), (1e-308, -1.0), (1.0, -1.0)],
+        # g = (1e308, 1e308 / 0, 0.59): slot 4's miss is inf - inf = NaN,
+        # which max passes over after slot 1's finite 1.5e308
+        [(1e-308, 0.0), (1.0, 0.5), (-1.0, 1.0), (1.0, -1.0), (2.0, -1.9)],
+    ],
+    ids=["inf", "nan"],
+)
+def test_route_refuses_a_residual_that_is_not_finite(vectors):
+    # t_C is finite on both, so only the residual can refuse them, and a
+    # NaN residual would pass every "residual > tol" test
+    with pytest.raises(ValueError, match=r"^residual of the map \(.*\) is not finite$") as caught:
+        _map_onto_roots(Configuration(vectors))
+    assert not isinstance(caught.value, CertificateError)
 
 
 def _slot_exponents_by_slot_halves(m, k):
@@ -173,30 +157,29 @@ def test_match_grid_index_finds_every_index_on_a_fine_grid():
     assert all(match_grid_index(closed_form_t(m, k), m) == k for k in range(1, (m - 1) // 2 + 1))
 
 
-@pytest.mark.parametrize("m", [3, 5, 7, 51, 201, 4441, 20001])
-def test_match_k_accepts_t_n_and_refuses_every_other_grid_value(m):
+@pytest.mark.parametrize("m", [3, 5, 7, 51, 201, 4441])
+@pytest.mark.parametrize("along", ["e1", "w^n"])
+def test_the_residual_measures_t_and_y_at_slot_n_plus_1(m, along):
+    # g.v_{n+1} - w^{n+1} = (t_C - t_n) e1 + (y + 1) w^n: moving v_{n+1} of
+    # U_m by 1e-4 along e1 moves t_C alone, along w^n moves y alone, and
+    # either way the residual is the move
     n = (m - 1) // 2
-    assert match_k(closed_form_t(m, n), m) == n
-    for k in range(1, n):
-        with pytest.raises(NoGridMatch):
-            match_k(closed_form_t(m, k), m)
+    w_n = unit_vector(2 * math.pi * n / m)
+    dx, dy = (1e-4, 0.0) if along == "e1" else (1e-4 * w_n.x, 1e-4 * w_n.y)
+    vecs = list(roots_of_unity(m))
+    vecs[n + 1] = (vecs[n + 1].x + dx, vecs[n + 1].y + dy)
+    form = _map_onto_roots(Configuration(vecs))
+    moved_t = closed_form_t(m, n) + (1e-4 if along == "e1" else 0.0)
+    assert form.t == pytest.approx(moved_t, abs=1e-12)
+    assert form.residual == pytest.approx(1e-4, rel=1e-9)
 
 
-def test_match_k_window_keeps_grid_tol_up_to_m_4441():
-    m = 4441
-    n = (m - 1) // 2
-    for t in (closed_form_t(m, n) - 0.999 * GRID_TOL, closed_form_t(m, n) + 0.999 * GRID_TOL):
-        assert match_k(t, m) == n
-
-
-def test_match_k_window_shrinks_with_the_grid_gap():
+def test_match_grid_index_window_shrinks_with_the_grid_gap():
     # at m = 10001 grid neighbours lie 7.9e-7 apart, closer than 2 * GRID_TOL:
     # their midpoint is a grid parameter of neither
     m = 10001
     n = (m - 1) // 2
     midpoint = (closed_form_t(m, n - 1) + closed_form_t(m, n)) / 2
-    with pytest.raises(NoGridMatch):
-        match_k(midpoint, m)
     with pytest.raises(NoGridMatch):
         match_grid_index(midpoint, m)
     assert match_grid_index(closed_form_t(m, n - 1), m) == n - 1
@@ -205,12 +188,12 @@ def test_match_k_window_shrinks_with_the_grid_gap():
 @pytest.mark.parametrize(
     "refuse",
     [
-        lambda m: match_k(0.0, m),
+        lambda m: match_grid_index(0.0, m),
         lambda m: reconstruct_from_triple(
             PlaneVector(1.0, 0.0), PlaneVector(0.0, 1.0), PlaneVector(-1.0, -1.0), m
         ),
     ],
-    ids=["match_k", "reconstruct_from_triple"],
+    ids=["match_grid_index", "reconstruct_from_triple"],
 )
 def test_grid_matching_and_reconstruction_refuse_even_m(refuse):
     with pytest.raises(ValueError, match="needs odd m >= 3, got 6$"):

@@ -32,12 +32,11 @@ from balcfg.balance import (
     norm_sq_bounds,
     step_constants,
 )
-from balcfg.canonical import RESIDUAL_TOL, _route, canonicalize, extract_t, frame_map
+from balcfg.canonical import RESIDUAL_TOL, CanonicalForm, _route, canonicalize, frame_map
 from balcfg.cli import main
 from balcfg.errors import (
     BalcfgError,
     InconsistentConstants,
-    NoGridMatch,
     NotBalanced,
     NotUniform,
     ResidualTooLarge,
@@ -51,7 +50,13 @@ from balcfg.geometry import (
 )
 from balcfg.search import perturb, random_invertible
 from balcfg.serialization import serialize_config
-from paper_lemmas import match_grid_index, slot_exponents, verify_antisymmetry
+from paper_lemmas import (
+    GRID_TOL,
+    NotNormalized,
+    match_grid_index,
+    slot_exponents,
+    verify_antisymmetry,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -144,12 +149,16 @@ def _ref_canonicalize(c, tol):
 
 
 def _ref_route(work):
-    """The general grid route on work (paper_lemmas): t_C matched against
-    every t_k, and slot j sent to the k-th diagram's exponent."""
+    """The general grid route on work (paper_lemmas): y checked against -1,
+    t_C matched against every t_k, and slot j sent to the k-th diagram's
+    exponent."""
     labeled = label_by_increasing_arguments(work)
     m, n = labeled.m, labeled.n
     g_frame = frame_map(labeled[0], labeled[n])
-    k = match_grid_index(extract_t(g_frame, labeled[n + 1]), m)
+    t_c, y = g_frame.apply(labeled[n + 1])
+    if abs(y + 1) > GRID_TOL:
+        raise NotNormalized(f"g.v_next has y = {y}, not -1", witness=y)
+    k = match_grid_index(t_c, m)
     g = frame_map(PlaneVector(1.0, 0.0), unit_vector(2.0 * math.pi * k / m)).inverse()
     g = g.compose(g_frame)
     exponents = slot_exponents(m, k)
@@ -502,21 +511,22 @@ def _outcome_pair(verdict):
     return verdict[0], repr(verdict[1])
 
 
-def test_route_refuses_a_grid_value_other_than_t_n():
+def test_route_maps_a_grid_value_other_than_t_n_and_certifies_nothing():
     # m = 9 in the canonical frame: v_0 = (1, 0) and v_4 = (0, 1) frame it,
     # v_5 = (-1, -1) gives t = -1 = t_3, not t_4; three members lie at
     # arguments in (0, pi/2) and three in (5 pi/4, 2 pi), so the labeling
     # keeps v_0, v_4 and v_5 in slots 0, 4 and 5. No image of U_9 has this
-    # t, so the route certifies nothing, and the rows decide. The general
-    # grid route takes k = 3, which shares the factor 3 with 9, and refuses
-    # its exponents as no bijection
+    # t: the route maps it, its residual is far from 0, so it certifies
+    # nothing, and the rows decide. The general grid route takes k = 3,
+    # which shares the factor 3 with 9, and refuses its exponents as no
+    # bijection
     thetas = [0.5, 1.0, 1.2, 5.0, 5.5, 6.0]
     c = Configuration(
         [(1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)] + [(math.cos(t), math.sin(t)) for t in thetas]
     )
-    refusal = c.per_member_set(_route)
-    assert isinstance(refusal, NoGridMatch)
-    assert refusal.witness == -1.0
+    form = c.per_member_set(_route)
+    assert isinstance(form, CanonicalForm)
+    assert form.t == -1.0 and round(form.residual, 2) == 1.77
     with pytest.raises(ResidualTooLarge, match="not a bijection"):
         _ref_route(c)
     assert not balance._certified(c, _Bracket(c, None))
@@ -526,15 +536,13 @@ def test_route_refuses_a_grid_value_other_than_t_n():
     assert is_uniform(c) == _ref_is_uniform(c, None) == (True, None)
 
 
-@pytest.mark.parametrize(
-    "eps, route", [(1e-6, "NotNormalized"), (1e-8, "CanonicalForm"), (1e-10, "CanonicalForm")]
-)
-def test_verdicts_read_the_rows_where_a_bound_does_not_clear(rows_computed, eps, route):
-    # a U_21 image moved by eps: at 1e-6 the route refuses it; at 1e-8 and
-    # 1e-10 the route maps it, but its residual cannot certify a tolerance of
-    # 1e-9 * det_max (balanced or not), so is_balanced reads row 0 first
+@pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10])
+def test_verdicts_read_the_rows_where_a_bound_does_not_clear(rows_computed, eps):
+    # a U_21 image moved by eps: the route maps it, but its residual cannot
+    # certify a tolerance of 1e-9 * det_max (balanced or not), so is_balanced
+    # reads row 0 first
     moved = perturb(random_invertible(6).apply_configuration(roots_of_unity(21)), eps, seed=1)
-    assert type(moved.per_member_set(_route)).__name__ == route
+    assert isinstance(moved.per_member_set(_route), CanonicalForm)
     report = is_balanced(moved)
     assert (report.balanced, repr(report.witness)) == _outcome_pair(_ref_is_balanced(moved, None))
     assert report.balanced == (eps == 1e-10)

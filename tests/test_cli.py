@@ -167,6 +167,16 @@ def test_canon_decides_exact_input_by_the_exact_verdicts(capsys, tmp_path):
     assert code == 1 and report["error"] == "NotBalanced" and report["witness"] == [0, "1"]
 
 
+def test_canon_of_a_frame_that_overflows_exits_two(capsys, tmp_path):
+    # balanced and uniform, but 1 / det(v_0, v_1) = 1 / 5e-324 overflows, so
+    # the frame sends v_2 to t = -inf: a precision refusal, not a certificate
+    path = tmp_path / "tiny.json"
+    path.write_text('{"mode": "float", "vectors": [[5e-324, 0.0], [0.0, 1.0], [-5e-324, -1.0]]}')
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0 and json.loads(out)["balanced"] and json.loads(out)["uniform"]
+    assert run(capsys, "canon", str(path)) == (2, "", "error: vector (-inf, -1.0) is not finite\n")
+
+
 def test_check_reports_exact_step_constants_in_input_units(capsys, tmp_path):
     # the members' denominators differ, so the table's scale is 6^2
     path, _ = _exact_file(tmp_path, [("1/2", "0"), ("0", "1/3"), ("-1/2", "-1/3")])

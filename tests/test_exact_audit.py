@@ -197,9 +197,9 @@ def test_canon_of_exactly_balanced_nearly_collinear_triples_agrees_with_the_exac
     assert canon_disagreements(capsys, tmp_path, item13_triples()) == []
 
 
-# the errors that canon's route raises after the verdicts: each claims that
+# the one error that canon's route raises after the verdicts: it claims that
 # the canonical map misses the roots of unity
-ROUTE_REFUSALS = {"NotNormalized", "NoGridMatch", "ResidualTooLarge"}
+ROUTE_REFUSALS = {"ResidualTooLarge"}
 
 
 def route_refusals(capsys, tmp_path, family):

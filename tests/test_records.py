@@ -234,8 +234,13 @@ LEMMA_NAMES = (
 )
 # names that no command called, each with the spelling the tests use instead:
 # Configuration.arguments, tuple(v) and serialize_config. Configuration.vectors
-# stays, because the benchmark's workloads read it.
-UNCALLED_NAMES = ("argument", "as_tuple", "save_config")
+# stays, because the benchmark's workloads read it. Then canon's gates on t_C
+# and y, which its residual against w^j replaced; tests/paper_lemmas.py keeps
+# GRID_TOL, NotNormalized and NoGridMatch for the general grid route.
+UNCALLED_NAMES = (
+    "argument", "as_tuple", "save_config",
+    "extract_t", "match_k", "GRID_TOL", "NotNormalized", "NoGridMatch",
+)
 
 
 def test_no_balcfg_module_binds_a_lemma():
