@@ -9,22 +9,27 @@ mode. It is *uniform* when no two members are linearly dependent. The m-th
 roots of unity are the model uniform balanced configuration.
 
 Certificates first, rows last. is_balanced and is_uniform first ask the
-canonical map onto the roots of unity, once per member set (_certified): a
-float GL2 image of U_m (odd m >= 3) whose residual bounds (_residual_bounds)
-clear the tolerance is balanced and uniform with no row. A member set
-closed under v -> -v is balanced once row 0 has passed: row i holds
--det(v_i, v_j) next to each det(v_i, v_j), exactly for the ints of exact
-mode and for floats with every coordinate in SAFE_COORDINATE_RANGE, where
-fl(-d) = -fl(d). Exact is_uniform and even_m_witness compare the members'
-lines, with no row; float is_uniform bounds every |det| from below by each
-member's nearest argument gap.
+canonical map onto the roots of unity (_certified): a float GL2 image of U_m
+(odd m >= 3) whose residual bounds (_residual_bounds, once per member set)
+clear the tolerance is balanced and uniform with no row. Before the map, a
+gate reads the members' sum S: row i sums to det(v_i, S), so a set whose
+max |det(v_i, S)| exceeds what rows balanced at the tolerance can sum to is
+not balanced, and no map runs (_row_sums_refute). A member set closed under
+v -> -v is balanced once row 0 has passed: row i holds -det(v_i, v_j) next
+to each det(v_i, v_j), exactly for the ints of exact mode and for floats
+with every coordinate in SAFE_COORDINATE_RANGE, where fl(-d) = -fl(d).
+Exact is_uniform and even_m_witness compare the members' lines, with no
+row; float is_uniform bounds every |det| from below by each member's nearest
+argument gap. step_constants of a certified image listed in an affine
+relabeling of its label order reads (A1, An) off row 0's two entries, as
+every step entry lies within the certificate's pair bound of them.
 
 Otherwise the verdicts read the determinant rows in order and stop at the
 first that decides. Configuration.det_row computes each row afresh and
 nothing caches it, so no m x m table is built. Exact rows hold the ints
 D^2 * det (D the lcm of the denominators), compared with tolerance 0; a
 value a caller reads (a witness, det_max) is divided back to input units by
-Configuration.unscale. step_constants reads its 2m entries off the
+Configuration.unscale. step_constants' scan reads its 2m entries off the
 coordinate columns.
 
 The default float tolerance is 1e-9 * det_max, and det_max reads every row
@@ -283,21 +288,64 @@ def _residual_bounds(form: "CanonicalForm", norms) -> Optional[Tuple[float, floa
     return pair, floor
 
 
-def _certified(c: Configuration, bracket: _Bracket) -> bool:
-    """Whether c is a certified GL2 image of U_m at bracket's tolerance; exact
-    input, even m and m < 3 are not. _residual_bounds (pair, floor) of the
-    canonical route's form, read once per member set, must clear the
-    bracket: floor > hi >= eff, and pair <= eff, an explicit tol itself or
-    the default 1e-9 * det_max >= 1e-9 * floor (floor bounds every
-    off-diagonal |entry|, and float multiplication is monotone)."""
-    if c.mode == EXACT or c.m % 2 == 0 or c.m < 3:
-        return False
+def _certificate(c: Configuration) -> Optional[Tuple[float, float]]:
+    """_residual_bounds (pair, floor) of the canonical route's form on c,
+    under c's norm_sq_bounds; None where the route refuses or no bound holds.
+    Read once per member set (per_member_set), like the route itself."""
     # deferred: canonical imports this module, and canonicalize calls the verdicts
     from .canonical import _route
 
     form = c.per_member_set(_route)
-    bounds = not isinstance(form, Exception) and _residual_bounds(form, bracket.norms)
-    if not bounds:
+    if isinstance(form, Exception):
+        return None
+    return _residual_bounds(form, c.per_member_set(norm_sq_bounds))
+
+
+def _row_sums(c: Configuration) -> Tuple[float, float]:
+    """(max_i |fl det(v_i, s)|, |s_x| + |s_y|) for the float sum s of c's
+    members, each column summed by math.fsum (correctly rounded); the same
+    for every order of the members."""
+    sx, sy = math.fsum(c.xs), math.fsum(c.ys)
+    dets = [x * sy - y * sx for x, y in zip(c.xs, c.ys)]
+    return max(max(dets), -min(dets)), abs(sx) + abs(sy)
+
+
+def _row_sums_refute(c: Configuration, bracket: _Bracket) -> bool:
+    """Whether some row of c (float, odd m, with the bracket's norms) fails
+    at the bracket's upper end hi, and so at eff <= hi, by its sum alone.
+
+    Row i sums to det(v_i, S) exactly, S the exact sum of the members, as
+    det(v_i, v_i) = 0. A row of m - 1 = 2n float entries that passes at hi
+    has n pair sums, each within hi / (1 - u) of 0 before its rounding, and
+    each entry is within 3u max |v|^2 of its det (see _residual_bounds), so
+    |det(v_i, S)| <= n hi / (1 - u) + (m - 1) 3u max |v|^2. The statistic
+    fl det(v_i, s) on the correctly rounded s (|s - S| <= u |S| per
+    coordinate) is within 4u max |v| (|s_x| + |s_y|) of det(v_i, S), plus
+    2^-1073 for two products that underflow. A statistic past the sum of
+    these, rounded outward by BOUND_SLACK, refutes that row."""
+    high, u = bracket.norms[1], UNIT_ROUNDOFF
+    top, size = c.per_member_set(_row_sums)
+    own = 4.0 * u * math.sqrt(high) * size + 2.0**-1073
+    limit = c.n * bracket.hi / (1.0 - u) + (c.m - 1) * 3.0 * u * high + own
+    return top > limit * (1.0 + BOUND_SLACK)
+
+
+def _certified(c: Configuration, bracket: _Bracket) -> bool:
+    """Whether c is a certified GL2 image of U_m at bracket's tolerance; exact
+    input, even m and m < 3 are not. Where the bracket has norms, the row
+    sums come first (_row_sums_refute): a set they refute is not balanced,
+    so no certificate can hold, and no route runs; the gate reads no row
+    and never det_max. Then _certificate's (pair, floor) must clear the
+    bracket: floor > hi >= eff, and pair <= eff, an explicit tol itself or
+    the default 1e-9 * det_max >= 1e-9 * floor (floor bounds every
+    off-diagonal |entry|, and float multiplication is monotone). A certified
+    set passes every row, so the gate never refutes one."""
+    if c.mode == EXACT or c.m % 2 == 0 or c.m < 3:
+        return False
+    if bracket.norms is not None and _row_sums_refute(c, bracket):
+        return False
+    bounds = c.per_member_set(_certificate)
+    if bounds is None:
         return False
     pair, floor = bounds
     return floor > bracket.hi and pair <= (
@@ -446,15 +494,39 @@ def step_constants(c: Configuration, tol: Optional[float] = None) -> StepConstan
     """Return (A1, An) for a uniform balanced labeled configuration and verify
     det(v_k, v_{k+1}) = A1 and det(v_k, v_{k+n}) = An for every k cyclically.
 
-    Only these 2m determinants are read, by det2's expression on the columns
-    and the columns rotated by 1 and by n, so they are det_row's entries
-    bit for bit; their distances from (A1, An) go to the bracket (above),
-    with the 2m entries as its lower end's. Raises InconsistentConstants
-    naming the first violating k. A1 and An come back in input units.
+    A certified GL2 image of U_m (_certified) whose member order is an
+    affine relabeling f = r + d*l (mod m) of its label order l
+    (Configuration.label_order) scans nothing: the entry at each k and
+    offset a is det(w_l, w_{l+b}) for the labeled members w and one b =
+    a / d, within the certificate's pair <= eff of det(w_0, w_b) = D[0][a]
+    (see _residual_bounds), so A1 = D[0][1] and An = D[0][n] pass every k.
+    Any other input takes _step_scan.
     """
     if c.m % 2 == 0 or c.m < 3:
         raise ValueError(f"step constants require odd m >= 3, got m = {c.m}")
     bracket = _Bracket(c, tol)
+    if _certified(c, bracket) and _affine(c.label_order):
+        xs, ys = c.xs, c.ys
+        a1, an = (xs[0] * ys[a] - ys[0] * xs[a] for a in (1, c.n))
+        return StepConstants(A1=a1, An=an)
+    return _step_scan(c, bracket)
+
+
+def _affine(order: list) -> bool:
+    """Whether order[l] = r + d*l (mod m) for every l, with r = order[0] and
+    d = order[1] - r: one C-level pass."""
+    m, r = len(order), order[0]
+    d = order[1] - r
+    return order == list(map(operator.mod, range(r, r + d * m, d), repeat(m)))
+
+
+def _step_scan(c: Configuration, bracket: _Bracket) -> StepConstants:
+    """step_constants by its 2m step determinants, read by det2's expression
+    on the columns and the columns rotated by 1 and by n, so they are
+    det_row's entries bit for bit; their distances from (A1, An) go to the
+    bracket (above), with the 2m entries as its lower end's. Raises
+    InconsistentConstants naming the first violating k. A1 and An come back
+    in input units."""
     xs, ys, mul, sub = c.xs, c.ys, operator.mul, operator.sub
     steps = [
         list(map(sub, map(mul, xs, ys[a:] + ys[:a]), map(mul, ys, xs[a:] + xs[:a])))

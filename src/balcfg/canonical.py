@@ -12,9 +12,11 @@ t_n - w^n. The residual alone tests that: slot n+1 misses w^{n+1} by
 (t_C - t_n, 0) + (y + 1).w^n, where y is g_C.v_{n+1}'s second coordinate.
 
 Certificate first, rows last: _route runs the steps above once per member
-set, and balance._residual_bounds bounds its form's determinants by the
-residual; where they clear the tolerance (balance._certified), is_balanced
-and is_uniform certify the input with no row, for every caller. Otherwise
+set, unless the members' row sums already refute balance
+(balance._row_sums_refute), and balance._residual_bounds bounds its form's
+determinants by the residual; where they clear the tolerance
+(balance._certified), is_balanced and is_uniform certify the input with no
+row, for every caller. Otherwise
 the rows decide, so no verdict, witness or certificate class depends on the
 route, and canonicalize raises ResidualTooLarge after them. Exact input
 takes the exact verdicts, which only m = 3 passes (Niven's theorem).
@@ -154,7 +156,8 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     SingularFrame and a t_C or residual that is not finite (ValueError) are
     float precision refusals, not certificates. A tol that is not a finite
     number >= 0 raises ValueError, as does a float copy of c whose largest
-    norm has no finite nonzero reciprocal to rescale by.
+    norm has no finite nonzero reciprocal to rescale by, or whose rescale
+    flushes a member to (0, 0).
 
     Exact c takes the exact verdicts on c itself, as check does; by Niven's
     theorem only m = 3 passes them. Float c takes the verdicts of its copy
@@ -172,7 +175,13 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     s = 1.0 / top
     if not (0.0 < s < math.inf):
         raise ValueError(f"largest norm {top!r} has no finite nonzero reciprocal to rescale by")
-    work = Configuration([s * x for x in work.xs], [s * y for y in work.ys])
+    xs, ys = [s * x for x in work.xs], [s * y for y in work.ys]
+    if (0.0, 0.0) in zip(xs, ys):
+        i = list(zip(xs, ys)).index((0.0, 0.0))
+        raise ValueError(
+            f"rescaling by 1/{top!r} flushes member {i} ({work.xs[i]!r}, {work.ys[i]!r}) to zero"
+        )
+    work = Configuration(xs, ys)
     if c.mode != EXACT:
         require_balanced_uniform(work)
     form = work.per_member_set(_route)

@@ -176,6 +176,13 @@ class Configuration:
         thetas = map(math.atan2, self.ys, self.xs)
         return tuple([t if t >= 0.0 else (t + tau) % tau for t in thetas])
 
+    @cached_property
+    def label_order(self) -> list:
+        """The member indices by increasing argument: slot l of the labeled
+        copy (label_by_increasing_arguments) holds member label_order[l]."""
+        args = self.arguments
+        return sorted(range(len(args)), key=args.__getitem__)
+
     def per_member_set(self, fn: Callable):
         """fn(self) once per member set, which the relabeled copy shares: fn must ignore order."""
         memo = self.__dict__.setdefault("_memo", {})
@@ -267,8 +274,7 @@ def label_by_increasing_arguments(c: Configuration) -> Configuration:
 
 
 def _label(c: Configuration) -> Configuration:
-    args = c.arguments
-    order = sorted(range(len(args)), key=args.__getitem__)
+    args, order = c.arguments, c.label_order
     theta = [args[i] for i in order]
     # gap pos lies between order[pos - 1] and order[pos], cyclically
     gaps = [theta[0] - theta[-1] + 2.0 * math.pi] + [b - a for a, b in zip(theta, theta[1:])]
@@ -278,7 +284,8 @@ def _label(c: Configuration) -> Configuration:
         i, j = order[pos - 1], order[pos]
         raise DuplicateArgument(f"members {i} and {j} share an argument (gap {gaps[pos]:.3e} rad)")
     labeled = c.take(order)
-    labeled.__dict__["_memo"] = c.__dict__.setdefault("_memo", {})
+    # the labeled copy shares c's memo, and is in its own label order
+    labeled.__dict__.update(_memo=c.__dict__.setdefault("_memo", {}), label_order=[*range(c.m)])
     return labeled
 
 

@@ -340,6 +340,8 @@ def moved_negation_closed(draw):
     step = factor * 1e-9 * c.det_max / norm
     x, y = members[k]
     members[k] = (x - step * y0 / norm, y + step * x0 / norm)
+    # a subnormal v_0 can overflow the move; such a member is no input
+    assume(all(map(math.isfinite, members[k])))
     return Configuration(members)
 
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from balcfg.balance import is_balanced, is_uniform
@@ -460,6 +460,8 @@ def _balanced_even(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(_balanced_even())
+# 5e-324 / 2 rounds to 0: the copy scaled to max norm 1 would hold (0, 0)
+@example(Configuration([(0.0, 2.0), (0.0, 5e-324), (-0.0, -2.0), (-0.0, -5e-324)]))
 def test_balanced_even_m_is_refused_with_is_uniforms_pair(c):
     # a balanced even-m set has the zero of its odd-sized row 0, so the
     # verdicts canonicalize takes (on c when exact, else on its copy scaled
@@ -471,7 +473,13 @@ def test_balanced_even_m_is_refused_with_is_uniforms_pair(c):
             with pytest.raises(ValueError, match="no finite nonzero reciprocal"):
                 canonicalize(c)
             return
-        work = Configuration([s * x for x in c.xs], [s * y for y in c.ys])
+        xs, ys = [s * x for x in c.xs], [s * y for y in c.ys]
+        if (0.0, 0.0) in zip(xs, ys):  # a member the rescale flushes: refused before the copy
+            i = list(zip(xs, ys)).index((0.0, 0.0))
+            with pytest.raises(ValueError, match=f"flushes member {i} "):
+                canonicalize(c)
+            return
+        work = Configuration(xs, ys)
     assert is_balanced(work).balanced
     uniform, pair = is_uniform(work)
     assert not uniform and pair is not None

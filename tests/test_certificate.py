@@ -588,11 +588,12 @@ def test_u801_image_verdicts_compute_no_row(count_calls, rows_computed):
 @pytest.mark.parametrize("name", ["u201_image", "u201_image_shuffled", "u201_image_perturbed"])
 def test_cli_runs_the_route_once_per_member_set(capsys, count_calls, command, name):
     # both verdicts, check's step-constant fallback and canonicalize read one
-    # memoized route, whether it certifies, declines or refuses
+    # memoized route; the perturbed copy's row sums refute it before any
+    # route, and its rows decide
     calls = count_calls(canonical._map_onto_roots)
     main([command, str(DATA / f"{name}.json")])
     capsys.readouterr()
-    assert [work.m for (work,) in calls] == [201]
+    assert [work.m for (work,) in calls] == ([] if name.endswith("perturbed") else [201])
 
 
 @pytest.mark.parametrize("eps", [1e-11, 3e-11])
@@ -750,3 +751,155 @@ def test_gap_floor_of_each_member_clears_a_perturbed_image(rows_computed, m, see
     assert is_uniform(c) == (True, None)
     assert rows_computed == []
     assert _ref_is_uniform(c, None) == (True, None)
+
+
+# 2^k scalings whose coordinates stay inside the safe range, or leave it
+# below (where the gate does not apply); tolerances relative to max |v|^2.
+# A common shift delta moves every pair sum of row i the same way, by up to
+# 4 |v_i| |delta|, so rows that pass can sum to about m |v_i| |delta|: a
+# shift of tol / 8 / max |v| puts a balanced set's row sums past the
+# tolerance itself, far inside the gate's n tol
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(1, 100).map(lambda k: 2 * k + 1),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([0.0, 1e-14, 1e-11, 1e-6, 1e-3]),
+    st.booleans(),
+    st.sampled_from([-450, -200, -30, 0, 30, 200, 450]).map(lambda e: 2.0**e),
+    st.sampled_from([None, None, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1]),
+    st.sampled_from([0.0, 0.0, 0.125, 0.25]),
+    st.floats(0.0, 2.0 * math.pi),
+)
+def test_row_sums_refute_no_balanced_set_and_no_image(
+    m, seed, eps, shuffle, scale, rel, shift, phi
+):
+    c = _image(m, seed, eps, shuffle)
+    top = max(map(math.hypot, c.xs, c.ys)) * scale
+    tol = None if rel is None else rel * top**2
+    step = shift * (DEFAULT_REL_TOL if rel is None else rel) * top
+    dx, dy = step * math.cos(phi), step * math.sin(phi)
+    c = Configuration([x * scale + dx for x in c.xs], [y * scale + dy for y in c.ys])
+    bracket = _Bracket(c, tol)
+    refuted = bracket.norms is not None and balance._row_sums_refute(c, bracket)
+    if refuted:
+        assert not is_balanced(c, tol).balanced
+    if eps == 0.0 and shift == 0.0:
+        assert not refuted
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.tuples(safe_coords, safe_coords).filter(any), min_size=3, max_size=9).filter(
+        lambda members: len(members) % 2
+    ),
+    st.sampled_from([None, None, 0.0, 1e-12, 1e-6, 1.0]),
+)
+def test_row_sums_refute_no_balanced_float_set(members, tol):
+    c = Configuration(members)
+    bracket = _Bracket(c, tol)
+    if bracket.norms is not None and balance._row_sums_refute(c, bracket):
+        verdict, _ = _ref_is_balanced(c, tol)
+        assert not verdict and not is_balanced(c, tol).balanced
+
+
+def _orders(m, rng):
+    """(r, d) of the orders j -> r + d*j (mod m) to list U_m in: d = 1, -1
+    and a drawn d coprime to m, each with a drawn r."""
+    units = [d for d in range(2, m - 1) if math.gcd(d, m) == 1]
+    return [(rng.randrange(m), d) for d in [1, -1] + rng.sample(units, min(1, len(units)))]
+
+
+@pytest.mark.parametrize("tol", [None, 1e-10])
+def test_step_constants_of_an_affine_order_are_the_scans_without_a_scan(count_calls, tol):
+    # a certified image listed as r + d*l of its labels l: every step entry
+    # at offset a is within the certificate's pair bound of D[0][a], so
+    # (A1, An) is D[0][1], D[0][n], which the 2m scan (the oracle) returns
+    scan = balance._step_scan
+    scans = count_calls(scan)
+    rng = random.Random(50)
+    for m in range(3, 202, 2):
+        image = random_invertible(m).apply_configuration(roots_of_unity(m))
+        for r, d in _orders(m, rng):
+            c = image.take([(r + d * j) % m for j in range(m)])
+            found = step_constants(c, tol)
+            assert scans == []
+            assert repr(found) == repr(scan(c, _Bracket(c, tol))), (m, r, d)
+
+
+def test_step_constants_of_another_order_scan_and_refuse(count_calls):
+    # the same images in a seeded order that is no affine relabeling: the
+    # scan runs and refuses, as the full table does
+    scans = count_calls(balance._step_scan)
+    rng = random.Random(51)
+    for m in range(5, 202, 2):
+        image = random_invertible(m).apply_configuration(roots_of_unity(m))
+        order = list(range(m))
+        rng.shuffle(order)
+        assert not balance._affine(order)
+        c = image.take(order)
+        assert balance._certified(c, _Bracket(c, None))
+        found = _outcome(lambda: step_constants(c))
+        assert found[0] == "InconsistentConstants"
+        assert found == _outcome(lambda: _ref_step_constants(c, None))
+        assert len(scans) == 1
+        scans.clear()
+
+
+def test_check_of_a_shuffled_image_scans_once_and_keeps_its_bytes(capsys, count_calls):
+    # the file's order scans and refuses; the labeled copy, in its own
+    # label order, reads (A1, An) off row 0
+    scans = count_calls(balance._step_scan)
+    assert main(["check", str(DATA / "u201_image_shuffled.json")]) == 0
+    out = capsys.readouterr().out
+    assert out == (DATA.parent / "golden" / "check_u201_image_shuffled.json").read_text()
+    assert [c.m for c, _ in scans] == [201]
+
+
+def _symmetric_exact(rng, m):
+    """m / 2 distinct exact vectors and their negations, shuffled."""
+    half = set()
+    while len(half) < m // 2:
+        v = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(2))
+        if any(v) and (-v[0], -v[1]) not in half:
+            half.add(v)
+    members = sorted(half) + [(-x, -y) for x, y in sorted(half)]
+    rng.shuffle(members)
+    return Configuration(members)
+
+
+def test_a_certify_pass_runs_a_route_only_for_images(
+    tmp_path, capsys, count_calls, rows_computed
+):
+    # the certify mix: check and canon of U_m images, of copies moved by
+    # 1e-3, and of exact {v, -v} sets. One route per image command; the
+    # moved copies' row sums refute them, so their rows decide at row 0;
+    # the exact sets take row 0 and their lines; no image scans its steps
+    routes = count_calls(canonical._map_onto_roots)
+    scans = count_calls(balance._step_scan)
+    rng = random.Random(1)
+    files = []
+    for m in (51, 51, 201, 801):
+        image = random_invertible(rng.randrange(2**31)).apply_configuration(roots_of_unity(m))
+        files.append(("image", image))
+        files.append(("moved", perturb(image, 1e-3, seed=rng.randrange(2**31))))
+    files += [("exact", _symmetric_exact(rng, 100)) for _ in range(2)]
+    counts = []
+    for k, (kind, c) in enumerate(files):
+        path = tmp_path / f"in_{k}.json"
+        path.write_text(serialize_config(c))
+        for command in ("check", "canon"):
+            rows_computed.clear()
+            code = main([command, str(path)])
+            capsys.readouterr()
+            counts.append((kind, command, code, len(routes), len(scans), len(rows_computed)))
+            routes.clear()
+            scans.clear()
+    expected = {
+        ("image", "check"): (0, 1, 0, 0),
+        ("image", "canon"): (0, 1, 0, 0),
+        ("moved", "check"): (1, 0, 0, 1),
+        ("moved", "canon"): (1, 0, 0, 1),
+        ("exact", "check"): (0, 0, 0, 1),
+        ("exact", "canon"): (1, 0, 0, 1),
+    }
+    assert counts == [(kind, cmd, *expected[kind, cmd]) for kind, cmd, *_ in counts]

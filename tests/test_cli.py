@@ -459,6 +459,18 @@ def test_canon_refuses_a_rescale_that_is_zero_or_not_finite(capsys, tmp_path, mo
     assert err == f"error: largest norm {norm} has no finite nonzero reciprocal to rescale by\n"
 
 
+def test_canon_refuses_a_rescale_that_flushes_a_member(capsys, tmp_path):
+    # 1 / max|v| = 0.5 is finite, but it halves (0, 5e-324) to (0, 0): canon
+    # names the rescale and the input member before it builds the copy
+    path = tmp_path / "flushed.json"
+    path.write_text(
+        '{"mode": "float", "vectors": [[0.0, 2.0], [0.0, 5e-324], [-0.0, -2.0], [-0.0, -5e-324]]}\n'
+    )
+    code, out, err = run(capsys, "canon", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: rescaling by 1/2.0 flushes member 1 (0.0, 5e-324) to zero\n"
+
+
 def test_roots_golden_bytes(capsys):
     code, out, _ = run(capsys, "roots", "--n", "3")
     assert code == 0
