@@ -1,4 +1,5 @@
-"""Balanced/uniform verdicts, their witnesses, and the step constants.
+"""Balanced/uniform verdicts, their witnesses, the step constants, and the
+canonical map onto the roots of unity.
 
 A configuration is *balanced* when, for every member v_i, the multiset of
 determinants {det(v_i, v_j) : j != i} is symmetric around 0: sorted into d
@@ -8,27 +9,40 @@ row's middle entry, which pairs with nothing, has |d[N // 2]| <= tol (not
 mode. It is *uniform* when no two members are linearly dependent. The m-th
 roots of unity are the model uniform balanced configuration.
 
-Certificates first, rows last. is_balanced and is_uniform first ask the
-canonical map onto the roots of unity (_certified): a float GL2 image of U_m
-(odd m >= 3) whose residual bounds (_residual_bounds, once per member set)
-clear the tolerance is balanced and uniform with no row. Before the map, a
-gate reads the members' sum S: row i sums to det(v_i, S), so a set whose
-max |det(v_i, S)| exceeds what rows balanced at the tolerance can sum to is
-not balanced, and no map runs (_row_sums_refute). A member set closed under
-v -> -v is balanced once row 0 has passed: row i holds -det(v_i, v_j) next
-to each det(v_i, v_j), exactly for the ints of exact mode and for floats
-with every coordinate in SAFE_COORDINATE_RANGE, where fl(-d) = -fl(d).
-Exact is_uniform and even_m_witness compare the members' lines, with no
-row; float is_uniform bounds every |det| from below by each member's nearest
-argument gap. step_constants of a certified image listed in an affine
-relabeling of its label order reads (A1, An) off row 0's two entries, as
-every step entry lies within the certificate's pair bound of them.
+Every uniform balanced configuration of odd size m = 2n+1 is an invertible
+linear image of the m-th roots of unity, and _map_onto_roots computes the
+map: sort by argument; frame (v_0, v_n) onto the unit frame by g_C; read t_C
+off g_C.v_{n+1}; compose with the inverse of the frame g_n of (1, w^n). The
+composite g sends v_j to w^j, and its residual is the largest distance
+|g.v_j - w^j|. Labeled by argument, an image of U_m is v_j = L.w^j for one
+linear L (linear maps keep or reverse cyclic order), so g_C.v_{n+1} = (t_n,
+-1), t_n = 2cos(2n*pi/m), as w^{n+1} = w^{-n} = t_n - w^n. The residual
+alone tests that: slot n+1 misses w^{n+1} by (t_C - t_n, 0) + (y + 1).w^n,
+where y is g_C.v_{n+1}'s second coordinate.
+
+Certificate first, rows last. is_balanced and is_uniform first ask that map
+(_certified), for every caller: a float GL2 image of U_m (odd m >= 3) whose
+residual bounds (_residual_bounds, once per member set) clear the tolerance
+is balanced and uniform with no row. Before the map, a gate reads the
+members' sum S: row i sums to det(v_i, S), so a set whose max |det(v_i, S)|
+exceeds what rows balanced at the tolerance can sum to is not balanced, and
+no map runs (_row_sums_refute). A member set closed under v -> -v is
+balanced once row 0 has passed: row i holds -det(v_i, v_j) next to each
+det(v_i, v_j), exactly for the ints of exact mode and for floats with every
+coordinate in SAFE_COORDINATE_RANGE, where fl(-d) = -fl(d). Exact is_uniform
+and even_m_witness compare the members' lines, with no row; float
+is_uniform bounds every |det| from below by each member's nearest argument
+gap. step_constants of a certified image listed in an affine relabeling of
+its label order reads (A1, An) off row 0's two entries, as every step entry
+lies within the certificate's pair bound of them.
 
 Otherwise the verdicts read the determinant rows in order and stop at the
-first that decides. Configuration.det_row computes each row afresh and
-nothing caches it, so no m x m table is built. Exact rows hold the ints
-D^2 * det (D the lcm of the denominators), compared with tolerance 0; a
-value a caller reads (a witness, det_max) is divided back to input units by
+first that decides, so no verdict, witness or certificate class depends on
+the map, and canonicalize's one refusal of the map (ResidualTooLarge) comes
+after them. Configuration.det_row computes each row afresh and nothing
+caches it, so no m x m table is built. Exact rows hold the ints D^2 * det (D
+the lcm of the denominators), compared with tolerance 0; a value a caller
+reads (a witness, det_max) is divided back to input units by
 Configuration.unscale. step_constants' scan reads its 2m entries off the
 coordinate columns.
 
@@ -50,11 +64,22 @@ from functools import cached_property
 from itertools import repeat
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .errors import InconsistentConstants, NotBalanced, NotUniform
-from .geometry import EXACT, Configuration, Scalar
+from .errors import BalcfgError, InconsistentConstants, NotBalanced, NotUniform, ResidualTooLarge
+from .geometry import (
+    EXACT,
+    Configuration,
+    LinearMap2,
+    PlaneVector,
+    Scalar,
+    frame_map,
+    label_by_increasing_arguments,
+    unit_vector,
+)
 
 # Relative factor for the default float tolerance: tol = 1e-9 * max |det|.
 DEFAULT_REL_TOL = 1e-9
+# Default acceptable residual for canonicalize.
+RESIDUAL_TOL = 1e-8
 # Unit roundoff of binary64.
 UNIT_ROUNDOFF = 2.0**-53
 # Nonzero |coordinates| in this range keep every product of two of them, and
@@ -87,6 +112,16 @@ class StepConstants(NamedTuple):
 
     A1: Scalar
     An: Scalar
+
+
+class CanonicalForm(NamedTuple):
+    """Witness of equivalence to the roots of unity: the map g, which sends
+    slot j of the argument order to w^j, the frame parameter t, and the
+    residual."""
+
+    g: LinearMap2
+    t: float
+    residual: float
 
 
 def require_tolerance(tol: float) -> float:
@@ -235,9 +270,41 @@ def _negation_closed(c: Configuration, bracket: _Bracket) -> bool:
     return all(s == tuple(map(operator.neg, reversed(s))) for s in (sx, sy))
 
 
-def _residual_bounds(form: "CanonicalForm", norms) -> Optional[Tuple[float, float]]:
-    """(pair, floor) from canonical._map_onto_roots's form, given norms, the
-    norm_sq_bounds of its members: every pair sum that is_balanced forms on a
+def _map_onto_roots(c: Configuration) -> CanonicalForm:
+    """The form that labels c (float, odd m >= 3) by argument, frames it,
+    reads t_C and measures g's residual against w^j; raises what those steps
+    raise, and ValueError for a residual that is not finite."""
+    labeled = label_by_increasing_arguments(c)
+    m, n = labeled.m, labeled.n
+    g_frame = frame_map(labeled[0], labeled[n])
+    # apply builds a PlaneVector, which refuses a t_C that is not finite
+    t_c = g_frame.apply(labeled[n + 1]).x
+    tau, xs, ys = 2.0 * math.pi, labeled.xs, labeled.ys
+    g = frame_map(PlaneVector(1.0, 0.0), unit_vector(tau * n / m)).inverse().compose(g_frame)
+    thetas = [tau * j / m for j in range(m)]
+    ga, gb, gc, gd = g
+    gx = [ga * x + gb * y - cos for x, y, cos in zip(xs, ys, map(math.cos, thetas))]
+    gy = [gc * x + gd * y - sin for x, y, sin in zip(xs, ys, map(math.sin, thetas))]
+    misses = list(map(math.hypot, gx, gy))
+    residual = max(misses)
+    # max passes over a NaN that is not first; their sum is NaN exactly when one is there
+    if not residual < math.inf or math.isnan(sum(misses)):
+        raise ValueError(f"residual of the map {tuple(g)} is not finite")
+    return CanonicalForm(g, t_c, residual)
+
+
+def _route(c: Configuration):
+    """_map_onto_roots(c)'s form, or the BalcfgError, ArithmeticError or
+    ValueError it raised, without the frames that its memo would keep alive."""
+    try:
+        return _map_onto_roots(c)
+    except (BalcfgError, ArithmeticError, ValueError) as exc:
+        return exc.with_traceback(None)
+
+
+def _residual_bounds(form: CanonicalForm, norms, m: int) -> Optional[Tuple[float, float]]:
+    """(pair, floor) from _map_onto_roots's form on m members, given norms,
+    their norm_sq_bounds: every pair sum that is_balanced forms on a
     sorted row of their float determinant table is at most pair in magnitude,
     and every off-diagonal |entry| is at least floor. None when no bound holds:
     no norms, or an entry of the map, outside SAFE_COORDINATE_RANGE (where
@@ -245,7 +312,7 @@ def _residual_bounds(form: "CanonicalForm", norms) -> Optional[Tuple[float, floa
     bounded away from 0, or a bound that is not finite.
 
     Let G be the float map read as an exact matrix, w^i the exact root of
-    unity that slot i goes to (canonical: v_i -> w^i), and u the unit
+    unity that slot i goes to (v_i -> w^i), and u the unit
     roundoff. Forward-error terms:
     - r >= max |G v_i - w^i|: the residual as evaluated, times 1 + 4u
       for the subtraction and hypot; plus 3u (|a| + |b| + |c| + |d|) max |v|
@@ -280,7 +347,6 @@ def _residual_bounds(form: "CanonicalForm", norms) -> Optional[Tuple[float, floa
     r = (form.residual * (1.0 + 4.0 * u) + 3.0 * u * size * math.sqrt(high) + TARGET_ERR) * up
     spread = (2.0 * r + r * r) * up
     entry_err = 3.0 * u * high * up
-    m = len(form.index_map)
     pair = (2.0 * spread / det_lo + 2.0 * entry_err) * (1.0 + u) * up
     floor = ((math.sin(math.pi / m) * down - spread) / det_hi * down - entry_err) * down
     if not (math.isfinite(pair) and math.isfinite(floor)):
@@ -292,13 +358,10 @@ def _certificate(c: Configuration) -> Optional[Tuple[float, float]]:
     """_residual_bounds (pair, floor) of the canonical route's form on c,
     under c's norm_sq_bounds; None where the route refuses or no bound holds.
     Read once per member set (per_member_set), like the route itself."""
-    # deferred: canonical imports this module, and canonicalize calls the verdicts
-    from .canonical import _route
-
     form = c.per_member_set(_route)
     if isinstance(form, Exception):
         return None
-    return _residual_bounds(form, c.per_member_set(norm_sq_bounds))
+    return _residual_bounds(form, c.per_member_set(norm_sq_bounds), c.m)
 
 
 def _row_sums(c: Configuration) -> Tuple[float, float]:
@@ -460,6 +523,56 @@ def require_balanced_uniform(c: Configuration, tol: Optional[float] = None) -> N
     ok, pair = is_uniform(c, tol)
     if not ok:
         raise NotUniform("configuration is not uniform", witness=pair)
+
+
+def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
+    """Certify that c is GL2-equivalent to the roots of unity and produce
+    the explicit map.
+
+    Raises a CertificateError with a witness: NotBalanced or NotUniform when
+    the verdicts find c not balanced or not uniform, or ResidualTooLarge
+    when the float canonical map misses w^j by more than tol. That map is
+    the labeling by argument plus the frame (v_0, v_n) -> (1, w^n), with
+    slot j -> w^j; no error bound is applied to its residual, so
+    ResidualTooLarge does not yet prove that c is not equivalent (ROADMAP
+    item 25). DuplicateArgument, SingularFrame and a t_C
+    or residual that is not finite (ValueError) are float precision
+    refusals, not certificates. A tol that is not a finite number >= 0
+    raises ValueError, as does a float copy of c whose largest norm has no
+    finite nonzero reciprocal to rescale by, or whose rescale flushes a
+    member to (0, 0).
+
+    Exact c takes the exact verdicts on c itself, as check does; by Niven's
+    theorem only m = 3 passes them. Float c takes the verdicts of its copy
+    scaled to max norm 1, on which the map is computed, so NotBalanced's
+    witness is c's determinant over c's largest norm^2. The route's refusal
+    comes after the verdicts.
+    """
+    require_tolerance(tol)
+    if c.m < 3:
+        raise ValueError(f"canonicalization needs m >= 3, got m = {c.m}")
+    if c.mode == EXACT:
+        require_balanced_uniform(c)
+    work = c.as_float()
+    top = max(map(math.hypot, work.xs, work.ys))
+    s = 1.0 / top
+    if not (0.0 < s < math.inf):
+        raise ValueError(f"largest norm {top!r} has no finite nonzero reciprocal to rescale by")
+    xs, ys = [s * x for x in work.xs], [s * y for y in work.ys]
+    if (0.0, 0.0) in zip(xs, ys):
+        i = list(zip(xs, ys)).index((0.0, 0.0))
+        raise ValueError(
+            f"rescaling by 1/{top!r} flushes member {i} ({work.xs[i]!r}, {work.ys[i]!r}) to zero"
+        )
+    work = Configuration(xs, ys)
+    if c.mode != EXACT:
+        require_balanced_uniform(work)
+    form = work.per_member_set(_route)
+    if not isinstance(form, CanonicalForm):
+        raise form
+    if form.residual > tol:
+        raise ResidualTooLarge(f"residual {form.residual:.3e} exceeds {tol:.3e}", form.residual)
+    return form._replace(g=form.g.scale(s))
 
 
 def even_m_witness(c: Configuration, tol: Optional[float] = None) -> int:

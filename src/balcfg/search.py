@@ -30,9 +30,8 @@ from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
 from .balance import is_balanced, is_uniform
-from .canonical import LinearMap2
 from .errors import BudgetExceeded
-from .geometry import Configuration
+from .geometry import Configuration, LinearMap2
 
 DEFAULT_BUDGET = 10**7
 # Bytes of a join table entry and of a grid vector with small ints, the most one

@@ -33,7 +33,7 @@ The general grid route: t_C is matched against the whole closure grid
 t_k = 2cos(2k*pi/m), k = 1..n (match_grid_index), and slot j takes the
 exponent of the k-th diagram (slot_exponents): slot i -> -2k i and slot
 n+1+i -> -k (1+2i) (mod m), a bijection onto Z/m exactly when gcd(k, m) = 1.
-At k = n that is slot j -> j, since -2n = 1 (mod m). balcfg.canonical maps
+At k = n that is slot j -> j, since -2n = 1 (mod m). balcfg.balance maps
 onto that one candidate and lets the residual against w^j decide, with no
 gate on t_C or on y; the tests keep the general route, gated as the package
 once was (GRID_TOL, NotNormalized, NoGridMatch), as a differential oracle,
@@ -51,10 +51,9 @@ import operator
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from balcfg.balance import _Bracket, require_balanced_uniform
-from balcfg.canonical import FRAME_DET_TOL, RESIDUAL_TOL, canonicalize
+from balcfg.balance import RESIDUAL_TOL, _Bracket, canonicalize, require_balanced_uniform
 from balcfg.errors import CertificateError, SingularFrame
-from balcfg.geometry import Configuration, PlaneVector, Scalar, det2
+from balcfg.geometry import FRAME_DET_TOL, Configuration, PlaneVector, Scalar, det2
 from balcfg.sequences import IntPoly, closed_form_t, trim
 from polynomial_oracles import degree, neg, sub
 

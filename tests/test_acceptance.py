@@ -10,11 +10,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from balcfg.balance import even_m_witness, is_uniform, step_constants
-from balcfg.canonical import canonicalize, frame_map
+from balcfg.balance import canonicalize, even_m_witness, is_uniform, step_constants
 from balcfg.cli import main
 from balcfg.errors import InconsistentConstants
-from balcfg.geometry import roots_of_unity
+from balcfg.geometry import frame_map, roots_of_unity
 from balcfg.search import SearchSpec, enumerate_balanced, perturb, random_invertible
 from balcfg.sequences import closed_form_t, closure_roots, t_grid
 from paper_lemmas import (

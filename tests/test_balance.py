@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from balcfg.balance import (
     BalanceReport,
+    canonicalize,
     even_m_witness,
     in_safe_range,
     is_balanced,
     is_uniform,
     step_constants,
 )
-from balcfg.canonical import LinearMap2, canonicalize
 from balcfg.errors import InconsistentConstants, NotBalanced, NotUniform
-from balcfg.geometry import Configuration, det2, roots_of_unity
+from balcfg.geometry import Configuration, LinearMap2, det2, roots_of_unity
 from balcfg.search import perturb, random_invertible
 from paper_lemmas import AmbiguousPairing, build_pairing, verify_antisymmetry
 

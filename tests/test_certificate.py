@@ -16,23 +16,28 @@ from operator import neg
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from balcfg import balance, canonical
+from balcfg import balance
 from balcfg.balance import (
     DEFAULT_REL_TOL,
+    RESIDUAL_TOL,
     SAFE_COORDINATE_RANGE,
+    TARGET_ERR,
+    UNIT_ROUNDOFF,
+    CanonicalForm,
     _Bracket,
     _negation_closed,
     _residual_bounds,
+    _route,
+    canonicalize,
     in_safe_range,
     is_balanced,
     is_uniform,
     norm_sq_bounds,
     step_constants,
 )
-from balcfg.canonical import RESIDUAL_TOL, CanonicalForm, _route, canonicalize, frame_map
 from balcfg.cli import main
 from balcfg.errors import (
     BalcfgError,
@@ -43,7 +48,9 @@ from balcfg.errors import (
 )
 from balcfg.geometry import (
     Configuration,
+    LinearMap2,
     PlaneVector,
+    frame_map,
     label_by_increasing_arguments,
     roots_of_unity,
     unit_vector,
@@ -143,9 +150,10 @@ def _ref_canonicalize(c, tol):
     if not uniform:
         raise NotUniform("", witness=pair)
     g, k, exponents, residual = _ref_route(work)
+    assert (k, exponents) == (work.n, tuple(range(work.m)))
     if residual > tol:
         raise ResidualTooLarge("", witness=residual)
-    return g.scale(1.0 / scale).rows(), k, exponents, residual
+    return g.scale(1.0 / scale).rows(), residual
 
 
 def _ref_route(work):
@@ -176,7 +184,7 @@ def test_the_general_grid_route_takes_k_n_and_sends_slot_j_to_w_j(det_sign):
     # labeled by argument, every GL2 image of U_m is v_j = L w^j for one
     # linear L, so the route that searches the whole grid finds k = n and
     # the identity assignment, the one candidate that canon's route tests
-    flip = canonical.LinearMap2(1.0, 0.0, 0.0, -1.0)
+    flip = LinearMap2(1.0, 0.0, 0.0, -1.0)
     for m in range(3, 202, 2):
         g = random_invertible(seed=m)
         if (g.det() > 0) != (det_sign > 0):
@@ -186,8 +194,8 @@ def test_the_general_grid_route_takes_k_n_and_sends_slot_j_to_w_j(det_sign):
         c = Configuration(vecs)
         ref = _ref_route(c)
         assert ref[1:3] == ((m - 1) // 2, tuple(range(m)))
-        form = canonical._map_onto_roots(c)
-        assert repr((form.g, form.k, form.index_map, form.residual)) == repr(ref)
+        form = balance._map_onto_roots(c)
+        assert repr((form.g, form.residual)) == repr((ref[0], ref[3]))
 
 
 def _outcome(call):
@@ -236,7 +244,7 @@ def test_certificate_first_verdicts_match_the_full_table(m, seed, eps, shuffle, 
 
     def canon():
         form = canonicalize(c)
-        return form.g.rows(), form.k, form.index_map, form.residual
+        return form.g.rows(), form.residual
 
     assert _outcome(canon) == _outcome(lambda: _ref_canonicalize(c, RESIDUAL_TOL))
     assert verify_antisymmetry(c, tol) == _ref_antisymmetry(c, tol)
@@ -274,8 +282,56 @@ def test_a_certificate_that_fires_bounds_the_full_table(m, seed, eps, shuffle, s
         eff, pair, least = _ref_bounds(c, tol)
         assert pair <= eff < least
         form = c.per_member_set(_route)
-        bound_pair, floor = _residual_bounds(form, _Bracket(c, tol).norms)
+        bound_pair, floor = _residual_bounds(form, _Bracket(c, tol).norms, m)
         assert pair <= bound_pair and floor <= least
+
+
+def _sqrt_above(q):
+    """A rational >= sqrt(q) for a Fraction q >= 0, above it by at most
+    1 / q's denominator."""
+    return Fraction(math.isqrt(q.numerator * q.denominator) + 1, q.denominator)
+
+
+def _exact_residual_bounds(form, c):
+    """_residual_bounds' terms evaluated exactly on the floats of form and c,
+    as its docstring states them: G read as an exact matrix, so det_lo and
+    det_hi are |det G| itself; max |v| taken by a rational upper bound, and
+    sin(pi / m) as math.sin gives it. Returns (pair, floor)."""
+    u = Fraction(UNIT_ROUNDOFF)
+    a, b, cc, d = map(Fraction, form.g)
+    high = max(Fraction(x) ** 2 + Fraction(y) ** 2 for x, y in zip(c.xs, c.ys))
+    size = abs(a) + abs(b) + abs(cc) + abs(d)
+    r = Fraction(form.residual) * (1 + 4 * u) + 3 * u * size * _sqrt_above(high)
+    r += Fraction(TARGET_ERR)
+    spread = 2 * r + r * r
+    det_g = abs(a * d - b * cc)
+    entry_err = 3 * u * high
+    pair = (2 * spread / det_g + 2 * entry_err) * (1 + u)
+    floor = (Fraction(math.sin(math.pi / c.m)) - spread) / det_g - entry_err
+    return pair, floor
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(1, 60).map(lambda k: 2 * k + 1),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([0.0, 1e-15, 1e-13, 1e-11, 1e-9, 1e-6]),
+    st.booleans(),
+    st.sampled_from([-30, 0, 30]).map(lambda e: 2.0**e),
+)
+def test_residual_bounds_hold_their_exact_terms(m, seed, eps, shuffle, scale):
+    # the float pair is at least, and the float floor at most, the value of
+    # the docstring's terms in exact arithmetic on the same floats
+    c = _image(m, seed, eps, shuffle)
+    c = Configuration([x * scale for x in c.xs], [y * scale for y in c.ys])
+    form = c.per_member_set(_route)
+    bounds = None
+    if isinstance(form, CanonicalForm):
+        bounds = _residual_bounds(form, norm_sq_bounds(c), m)
+    assume(bounds is not None)
+    pair, floor = bounds
+    exact_pair, exact_floor = _exact_residual_bounds(form, c)
+    assert pair >= exact_pair and floor <= exact_floor
 
 
 def _fresh_bracket():
@@ -391,8 +447,8 @@ def test_norm_bounds_are_computed_once_per_bracket(capsys, count_calls, tmp_path
 def test_residual_bounds_refuse_a_singular_map_and_a_bound_that_is_not_finite(
     g, residual, bounded
 ):
-    form = canonical.CanonicalForm(canonical.LinearMap2(*g), -1.0, 1, (0, 1, 2), residual)
-    assert (_residual_bounds(form, (1.0, 1.0)) is not None) == bounded
+    form = CanonicalForm(LinearMap2(*g), -1.0, residual)
+    assert (_residual_bounds(form, (1.0, 1.0), 3) is not None) == bounded
 
 
 def test_route_without_norm_bounds_falls_back_to_the_rows(rows_computed):
@@ -404,15 +460,15 @@ def test_route_without_norm_bounds_falls_back_to_the_rows(rows_computed):
     u = roots_of_unity(3)
     c = Configuration([PlaneVector(1.0, 1e-300), u[1], u[2]])
     form = c.per_member_set(_route)
-    assert isinstance(form, canonical.CanonicalForm)
-    assert _residual_bounds(form, _Bracket(c, None).norms) is None
+    assert isinstance(form, CanonicalForm)
+    assert _residual_bounds(form, _Bracket(c, None).norms, 3) is None
     assert not balance._certified(c, _Bracket(c, None))
     assert rows_computed == []
     report = is_balanced(c)
     assert (report.balanced, report.witness) == (True, None) == _ref_is_balanced(c, None)
     assert is_uniform(c) == (True, None) == _ref_is_uniform(c, None)
     assert rows_computed == [(3, 0), (3, 0), (3, 1), (3, 2), (3, 1), (3, 2), (3, 0), (3, 1)]
-    assert canonicalize(c).k == 1
+    assert canonicalize(c).residual <= RESIDUAL_TOL
 
 
 def test_is_balanced_reads_det_max_when_a_sum_falls_inside_the_bracket(rows_computed):
@@ -497,7 +553,7 @@ def test_step_constants_read_their_2m_entries_off_the_columns(rows_computed):
 def test_verdicts_read_the_rows_where_no_bound_holds(
     count_calls, rows_computed, vectors, routes
 ):
-    calls = count_calls(canonical._map_onto_roots)
+    calls = count_calls(balance._map_onto_roots)
     c = Configuration(vectors)
     tol = 0 if c.mode == "exact" else None
     report = is_balanced(c)
@@ -577,7 +633,7 @@ def test_verdicts_certify_at_every_scale(rows_computed, scale):
 
 
 def test_u801_image_verdicts_compute_no_row(count_calls, rows_computed):
-    calls = count_calls(canonical._map_onto_roots)
+    calls = count_calls(balance._map_onto_roots)
     c = random_invertible(3).apply_configuration(roots_of_unity(801))
     assert is_balanced(c) == balance.BalanceReport(True, None)
     assert is_uniform(c) == (True, None)
@@ -590,7 +646,7 @@ def test_cli_runs_the_route_once_per_member_set(capsys, count_calls, command, na
     # both verdicts, check's step-constant fallback and canonicalize read one
     # memoized route; the perturbed copy's row sums refute it before any
     # route, and its rows decide
-    calls = count_calls(canonical._map_onto_roots)
+    calls = count_calls(balance._map_onto_roots)
     main([command, str(DATA / f"{name}.json")])
     capsys.readouterr()
     assert [work.m for (work,) in calls] == ([] if name.endswith("perturbed") else [201])
@@ -602,17 +658,17 @@ def test_canonicalize_maps_onto_the_roots_once(monkeypatch, rows_computed, eps):
     # does not clear: the verdicts read the rows, and the route's first
     # result is the one returned
     c = perturb(random_invertible(11).apply_configuration(roots_of_unity(201)), eps, seed=5)
-    route = canonical._map_onto_roots
+    route = balance._map_onto_roots
     calls = []
 
     def counting(work):
         calls.append(work.m)
         return route(work)
 
-    monkeypatch.setattr(canonical, "_map_onto_roots", counting)
+    monkeypatch.setattr(balance, "_map_onto_roots", counting)
     form = canonicalize(c)
     assert calls == [201] and rows_computed
-    found = form.g.rows(), form.k, form.index_map, form.residual
+    found = form.g.rows(), form.residual
     assert repr(found) == repr(_ref_canonicalize(c, RESIDUAL_TOL))
 
 
@@ -874,7 +930,7 @@ def test_a_certify_pass_runs_a_route_only_for_images(
     # 1e-3, and of exact {v, -v} sets. One route per image command; the
     # moved copies' row sums refute them, so their rows decide at row 0;
     # the exact sets take row 0 and their lines; no image scans its steps
-    routes = count_calls(canonical._map_onto_roots)
+    routes = count_calls(balance._map_onto_roots)
     scans = count_calls(balance._step_scan)
     rng = random.Random(1)
     files = []

@@ -13,11 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balcfg import cli, geometry, sequences
+from balcfg import balance, cli, geometry, sequences
 from balcfg.balance import step_constants
-from balcfg.canonical import LinearMap2
 from balcfg.cli import main
-from balcfg.geometry import Configuration, det2, roots_of_unity
+from balcfg.geometry import Configuration, LinearMap2, det2, roots_of_unity
 from balcfg.render import render_svg
 from balcfg.search import perturb
 from balcfg.serialization import load_config, parse_config, serialize_config
@@ -729,7 +728,7 @@ def test_gen_m801_image_round_trips_and_certifies(capsys, tmp_path):
     code, out, _ = run(capsys, "canon", path)
     report = json.loads(out)
     assert code == 0 and report["ok"] is True
-    assert len(report["index_map"]) == 801
+    assert report["k"] == 400 and report["index_map"] == list(range(801))
 
 
 @pytest.mark.parametrize(
@@ -829,6 +828,17 @@ def test_search_uniform_flag_keeps_the_uniform_hits(capsys, coords, flags, count
     summary = json.loads(out)
     assert summary["require_uniform"] is bool(flags)
     assert (summary["count"], summary["uniform_count"]) == (count, uniform_count)
+
+
+@pytest.mark.parametrize("flags", [["--uniform"], []])
+def test_search_checks_each_hit_for_uniformity_once(capsys, count_calls, flags):
+    # 60 balanced sets, 44 of them uniform: under --uniform the filter in
+    # enumerate_balanced checks each, and the summary counts what it kept;
+    # without it the summary's count checks each
+    calls = count_calls(balance.is_uniform)
+    code, out, _ = run(capsys, "search", "--m", "3", "--coords", "-2,-1,0,1,2", *flags)
+    assert code == 0 and json.loads(out)["uniform_count"] == 44
+    assert len(calls) == len({cfg for (cfg,) in calls}) == 60
 
 
 # (m, coords, count, uniform_count) of search, at least one spec per route

@@ -21,9 +21,8 @@ from fractions import Fraction
 import pytest
 
 from balcfg.balance import in_safe_range
-from balcfg.canonical import LinearMap2
 from balcfg.cli import main
-from balcfg.geometry import roots_of_unity
+from balcfg.geometry import LinearMap2, roots_of_unity
 from balcfg.search import perturb, random_invertible
 
 REL_TOL = Fraction(1e-9)
@@ -260,6 +259,27 @@ def test_check_of_the_ill_conditioned_images_that_item_13_flips_is_the_exact_ver
 ):
     family = [v for m, c in ILL_CONDITIONED_DISAGREE for v in ill_conditioned_family(m, c)]
     assert disagreements(capsys, tmp_path, family) == []
+
+
+# the (m, c) whose families hold a file on which canon exits 1 with
+# NotBalanced though the copy it decides is exactly balanced and uniform
+# (item 13): 3, 1 and 4 of their 30 files
+ILL_CONDITIONED_CANON_DISAGREE = [(5, 7), (5, 8), (11, 7)]
+
+
+@pytest.mark.parametrize(
+    "m, c", [case for case in ILL_CONDITIONED_CASES if case not in ILL_CONDITIONED_CANON_DISAGREE]
+)
+def test_canon_of_ill_conditioned_images_agrees_with_the_exact_verdict(capsys, tmp_path, m, c):
+    assert canon_disagreements(capsys, tmp_path, ill_conditioned_family(m, c)) == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 13")
+def test_canon_of_the_ill_conditioned_images_that_item_13_flips_agrees_with_the_exact_verdict(
+    capsys, tmp_path
+):
+    family = [v for m, c in ILL_CONDITIONED_CANON_DISAGREE for v in ill_conditioned_family(m, c)]
+    assert canon_disagreements(capsys, tmp_path, family) == []
 
 
 def scaled_family(k):

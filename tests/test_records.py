@@ -15,9 +15,8 @@ from pathlib import Path
 import pytest
 
 import balcfg
-from balcfg.balance import BalanceReport, StepConstants
-from balcfg.canonical import CanonicalForm, LinearMap2
-from balcfg.geometry import Configuration, PlaneVector
+from balcfg.balance import BalanceReport, CanonicalForm, StepConstants
+from balcfg.geometry import Configuration, LinearMap2, PlaneVector
 from balcfg.search import SearchSpec
 from balcfg.sequences import RootGrid
 from paper_lemmas import EquivalenceVerdict, PairingMap, ParityVerdict, PolyPair
@@ -45,11 +44,8 @@ RECORDS = [
         "LinearMap2(a=Fraction(1, 1), b=Fraction(0, 1), c=Fraction(1, 3), d=Fraction(-2, 1))",
     ),
     (
-        lambda: CanonicalForm(
-            g=LinearMap2(1.0, 0.0, 0.0, 1.0), t=0.5, k=1, index_map=(0, 2, 1), residual=1e-12
-        ),
-        "CanonicalForm(g=LinearMap2(a=1.0, b=0.0, c=0.0, d=1.0), t=0.5, k=1,"
-        " index_map=(0, 2, 1), residual=1e-12)",
+        lambda: CanonicalForm(g=LinearMap2(1.0, 0.0, 0.0, 1.0), t=0.5, residual=1e-12),
+        "CanonicalForm(g=LinearMap2(a=1.0, b=0.0, c=0.0, d=1.0), t=0.5, residual=1e-12)",
     ),
     (lambda: EquivalenceVerdict(True), "EquivalenceVerdict(equivalent=True, reason=None)"),
     (
@@ -245,7 +241,7 @@ UNCALLED_NAMES = (
 
 def test_no_balcfg_module_binds_a_lemma():
     modules = _modules()
-    held = {"balance", "canonical", "errors", "geometry", "sequences"}
+    held = {"balance", "errors", "geometry", "sequences"}
     assert held <= {mod.__name__.rpartition(".")[2] for mod in modules}
     bound = [(mod.__name__, name) for mod in modules for name in LEMMA_NAMES if hasattr(mod, name)]
     assert bound == []

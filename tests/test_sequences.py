@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from balcfg.canonical import frame_map
-from balcfg.geometry import roots_of_unity
+from balcfg.geometry import frame_map, roots_of_unity
 from balcfg.sequences import (
     RootGrid,
     certify_cells,
