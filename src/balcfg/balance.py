@@ -69,11 +69,10 @@ from .geometry import (
     EXACT,
     Configuration,
     LinearMap2,
-    PlaneVector,
     Scalar,
     frame_map,
     label_by_increasing_arguments,
-    unit_vector,
+    roots_of_unity,
 )
 
 # Relative factor for the default float tolerance: tol = 1e-9 * max |det|.
@@ -92,9 +91,9 @@ BOUND_SLACK = 2.0**-40
 # Absolute error bound of a float argument (atan2, the fold into [0, 2*pi)
 # and the reduction mod pi), in radians.
 ARGUMENT_ERR = 1e-14
-# Distance bound between a float target unit_vector(2*pi*e/m) and the exact
-# root of unity: the float angle is within about 4 ulp of 2*pi of the exact
-# one, and cos and sin round to within 1 ulp.
+# Distance bound between member e of roots_of_unity(m), the float target of
+# slot e, and the exact root of unity: the float angle is within about 4 ulp
+# of 2*pi of the exact one, and cos and sin round to within 1 ulp.
 TARGET_ERR = 1e-14
 
 
@@ -279,12 +278,11 @@ def _map_onto_roots(c: Configuration) -> CanonicalForm:
     g_frame = frame_map(labeled[0], labeled[n])
     # apply builds a PlaneVector, which refuses a t_C that is not finite
     t_c = g_frame.apply(labeled[n + 1]).x
-    tau, xs, ys = 2.0 * math.pi, labeled.xs, labeled.ys
-    g = frame_map(PlaneVector(1.0, 0.0), unit_vector(tau * n / m)).inverse().compose(g_frame)
-    thetas = [tau * j / m for j in range(m)]
+    roots, xs, ys = roots_of_unity(m), labeled.xs, labeled.ys
+    g = frame_map(roots[0], roots[n]).inverse().compose(g_frame)
     ga, gb, gc, gd = g
-    gx = [ga * x + gb * y - cos for x, y, cos in zip(xs, ys, map(math.cos, thetas))]
-    gy = [gc * x + gd * y - sin for x, y, sin in zip(xs, ys, map(math.sin, thetas))]
+    gx = [ga * x + gb * y - cos for x, y, cos in zip(xs, ys, roots.xs)]
+    gy = [gc * x + gd * y - sin for x, y, sin in zip(xs, ys, roots.ys)]
     misses = list(map(math.hypot, gx, gy))
     residual = max(misses)
     # max passes over a NaN that is not first; their sum is NaN exactly when one is there
@@ -317,7 +315,7 @@ def _residual_bounds(form: CanonicalForm, norms, m: int) -> Optional[Tuple[float
     - r >= max |G v_i - w^i|: the residual as evaluated, times 1 + 4u
       for the subtraction and hypot; plus 3u (|a| + |b| + |c| + |d|) max |v|
       for the evaluation of G v_i (two products and a sum per coordinate);
-      plus TARGET_ERR for the float target.
+      plus TARGET_ERR for the float target, member i of roots_of_unity(m).
     - det(G v_i, G v_j) = det(G) det(v_i, v_j) = sin(2 pi (j - i) / m) +
       delta_ij, |delta_ij| <= 2r + r^2, as |det(a, b)| <= |a| |b|.
     - |det G| is bracketed by fl(ad - bc) -+ 3u (|ad| + |bc|).
@@ -329,7 +327,9 @@ def _residual_bounds(form: CanonicalForm, norms, m: int) -> Optional[Tuple[float
     |det G| + 2 * 3u max |v|^2 of 0, times 1 + u for the sum itself: that is
     pair. For odd m, the smallest |sin(2 pi k / m)|, k != 0, is sin(pi / m),
     so every |entry| is at least (sin(pi / m) - 2r - r^2) / |det G| - 3u max
-    |v|^2: that is floor. Each term is rounded outward by BOUND_SLACK.
+    |v|^2: that is floor. Each term is rounded outward by BOUND_SLACK, which
+    at floor's first term must also cover the error of math.sin(math.pi / m)
+    (README's platform assumption).
     """
     g = form.g
     if norms is None or not in_safe_range((g.a, g.b, g.c, g.d)):

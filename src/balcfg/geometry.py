@@ -6,9 +6,10 @@ never mixed in one operation. A Configuration stores its m nonzero, finite
 members of one mode as two columns xs and ys. Its one constructor, the one
 test of member values, takes the columns (or (x, y) pairs, or PlaneVectors),
 tests them in C-level passes and coerces only columns that need it; take
-copies members that passed it, untested. A PlaneVector, built only on
-request, is a checked named tuple (x, y) with mode and no arithmetic: every
-member computation runs on the columns.
+copies members that passed it, and roots_of_unity builds members that pass
+it by construction, untested. A PlaneVector, built only on request, is a
+checked named tuple (x, y) with mode and no arithmetic: every member
+computation runs on the columns.
 
 A configuration's determinant rows keep their entries at one scale. In
 exact mode, with D the lcm of the coordinate denominators, each row is built
@@ -274,7 +275,8 @@ class Configuration:
 
     @classmethod
     def _of_checked(cls, xs: tuple, ys: tuple) -> "Configuration":
-        """The nonempty columns of members that already passed __init__'s tests."""
+        """The nonempty columns of members that already passed __init__'s
+        tests, or that pass them by construction."""
         c = object.__new__(cls)
         vars(c).update(xs=xs, ys=ys)
         return c
@@ -360,9 +362,5 @@ def roots_of_unity(m: int) -> Configuration:
     if m % 2 == 0:
         raise ValueError("m must be odd")
     thetas = [2.0 * math.pi * k / m for k in range(m)]
-    return Configuration(list(map(math.cos, thetas)), list(map(math.sin, thetas)))
-
-
-def unit_vector(theta: float) -> PlaneVector:
-    """Float unit vector at angle theta."""
-    return PlaneVector(math.cos(theta), math.sin(theta))
+    # cos and sin of a finite angle are finite and never both zero
+    return Configuration._of_checked(tuple(map(math.cos, thetas)), tuple(map(math.sin, thetas)))

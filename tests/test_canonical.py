@@ -22,7 +22,6 @@ from balcfg.geometry import (
     frame_map,
     label_by_increasing_arguments,
     roots_of_unity,
-    unit_vector,
 )
 from balcfg.search import perturb, random_invertible
 from balcfg.sequences import closed_form_t
@@ -160,8 +159,8 @@ def test_the_residual_measures_t_and_y_at_slot_n_plus_1(m, along):
     # U_m by 1e-4 along e1 moves t_C alone, along w^n moves y alone, and
     # either way the residual is the move
     n = (m - 1) // 2
-    w_n = unit_vector(2 * math.pi * n / m)
-    dx, dy = (1e-4, 0.0) if along == "e1" else (1e-4 * w_n.x, 1e-4 * w_n.y)
+    theta = 2 * math.pi * n / m
+    dx, dy = (1e-4, 0.0) if along == "e1" else (1e-4 * math.cos(theta), 1e-4 * math.sin(theta))
     vecs = list(roots_of_unity(m))
     vecs[n + 1] = (vecs[n + 1].x + dx, vecs[n + 1].y + dy)
     form = _map_onto_roots(Configuration(vecs))
@@ -283,12 +282,12 @@ def test_reconstruction_refuses_a_recurrence_that_overflows():
 
 def _largest_miss(form, c):
     """max |g.v_j - w^j| over the slots j of c's argument order, recomputed
-    through PlaneVector and unit_vector."""
+    through PlaneVector, math.cos and math.sin."""
     labeled = label_by_increasing_arguments(c)
     misses = []
     for j, v in enumerate(labeled):
-        image, target = form.g.apply(v), unit_vector(2 * math.pi * j / c.m)
-        misses.append(math.hypot(image.x - target.x, image.y - target.y))
+        image, theta = form.g.apply(v), 2 * math.pi * j / c.m
+        misses.append(math.hypot(image.x - math.cos(theta), image.y - math.sin(theta)))
     return max(misses)
 
 

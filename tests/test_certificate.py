@@ -53,7 +53,6 @@ from balcfg.geometry import (
     frame_map,
     label_by_increasing_arguments,
     roots_of_unity,
-    unit_vector,
 )
 from balcfg.search import perturb, random_invertible
 from balcfg.serialization import serialize_config
@@ -156,6 +155,12 @@ def _ref_canonicalize(c, tol):
     return g.scale(1.0 / scale).rows(), residual
 
 
+def _root(m, e):
+    """w^e as cos and sin of 2 pi e / m, evaluated here, apart from roots_of_unity."""
+    theta = 2.0 * math.pi * e / m
+    return PlaneVector(math.cos(theta), math.sin(theta))
+
+
 def _ref_route(work):
     """The general grid route on work (paper_lemmas): y checked against -1,
     t_C matched against every t_k, and slot j sent to the k-th diagram's
@@ -167,12 +172,12 @@ def _ref_route(work):
     if abs(y + 1) > GRID_TOL:
         raise NotNormalized(f"g.v_next has y = {y}, not -1", witness=y)
     k = match_grid_index(t_c, m)
-    g = frame_map(PlaneVector(1.0, 0.0), unit_vector(2.0 * math.pi * k / m)).inverse()
+    g = frame_map(PlaneVector(1.0, 0.0), _root(m, k)).inverse()
     g = g.compose(g_frame)
     exponents = slot_exponents(m, k)
     if math.gcd(k, m) != 1:
         raise ResidualTooLarge("exponent assignment is not a bijection", witness=exponents)
-    targets = [unit_vector(2.0 * math.pi * e / m) for e in exponents]
+    targets = [_root(m, e) for e in exponents]
     residual = max(
         math.hypot(p.x - q.x, p.y - q.y) for p, q in zip(map(g.apply, labeled), targets)
     )
@@ -650,6 +655,15 @@ def test_cli_runs_the_route_once_per_member_set(capsys, count_calls, command, na
     main([command, str(DATA / f"{name}.json")])
     capsys.readouterr()
     assert [work.m for (work,) in calls] == ([] if name.endswith("perturbed") else [201])
+
+
+@pytest.mark.parametrize("command", ["check", "canon"])
+def test_the_route_reads_its_targets_from_roots_of_unity(capsys, count_calls, command):
+    # U_m is evaluated in one place, whose members tests/test_libm.py checks
+    calls = count_calls(roots_of_unity)
+    main([command, str(DATA / "u201_image.json")])
+    capsys.readouterr()
+    assert calls == [(201,)]
 
 
 @pytest.mark.parametrize("eps", [1e-11, 3e-11])

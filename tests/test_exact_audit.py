@@ -8,9 +8,9 @@ sorted pair sum |d_j + d_{N-1-j}| <= eff and an odd row's middle entry has
 check, run through cli.main, must report both verdicts as the oracle does,
 and exit 1 only when the oracle says "not balanced"; canon's verdict must
 not contradict the oracle on the copy that canon decides. The families:
-seeded GL2 images of U_m and perturbed copies, nearly antipodal sets, the
-nearly collinear triples of item 13, ill-conditioned images of U_m, and
-images scaled by 2^k.
+seeded GL2 images of U_m and perturbed copies, item 14's copies perturbed
+near the tolerance, nearly antipodal sets, the nearly collinear triples of
+item 13, ill-conditioned images of U_m, and images scaled by 2^k.
 """
 
 import json
@@ -96,6 +96,28 @@ def test_check_of_u_m_images_and_perturbed_copies_is_the_exact_verdict(capsys, t
     assert disagreements(capsys, tmp_path, image_family(m)) == []
 
 
+def near_tolerance_family():
+    """Item 14's copies at m <= 41: for each odd m <= 41, eight seeded GL2
+    images of U_m (map seeds other than image_family's), each perturbed by
+    1e-14, 1e-13 and 1e-10, near the default tolerance 1e-9 * det_max."""
+    family = []
+    for m in range(3, 42, 2):
+        for seed in range(8):
+            g = random_invertible(seed=100 * m + seed + 7)
+            image = g.apply_configuration(roots_of_unity(m))
+            for eps in (1e-14, 1e-13, 1e-10):
+                c = perturb(image, eps, seed=seed)
+                family.append([[x, y] for x, y in zip(c.xs, c.ys)])
+    return family
+
+
+def test_check_of_near_tolerance_copies_is_the_exact_verdict(capsys, tmp_path):
+    family = near_tolerance_family()
+    # both verdicts occur, so the family tests each side of the tolerance
+    assert {exact_verdicts(vectors)[0] for vectors in family} == {True, False}
+    assert disagreements(capsys, tmp_path, family) == []
+
+
 def item13_triples(count=740, seed=13):
     """Nearly collinear triples v1, v2, -(v1 + v2), each on the lattice
     2^-50 Z with every coordinate below 4 in magnitude, so that the third
@@ -154,6 +176,10 @@ def test_canon_of_u_m_images_and_perturbed_copies_agrees_with_the_exact_verdict(
     capsys, tmp_path, m
 ):
     assert canon_disagreements(capsys, tmp_path, image_family(m)) == []
+
+
+def test_canon_of_near_tolerance_copies_agrees_with_the_exact_verdict(capsys, tmp_path):
+    assert canon_disagreements(capsys, tmp_path, near_tolerance_family()) == []
 
 
 def antipodal_family(count=300, seed=22):

@@ -12,7 +12,6 @@ from balcfg.geometry import (
     det2,
     label_by_increasing_arguments,
     roots_of_unity,
-    unit_vector,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -259,11 +258,6 @@ def test_labeling_is_computed_once_per_member_set():
     labeled = label_by_increasing_arguments(c)
     assert label_by_increasing_arguments(c) is labeled
     assert label_by_increasing_arguments(labeled) is labeled
-
-
-def test_unit_vector_round_trip():
-    for theta in (0.0, 1.0, 2.5, 4.0, 6.0):
-        assert math.isclose(argument(unit_vector(theta)), theta, abs_tol=1e-12)
 
 
 def test_configuration_rejects_zero_vector():

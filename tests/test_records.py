@@ -232,10 +232,11 @@ LEMMA_NAMES = (
 # Configuration.arguments, tuple(v) and serialize_config. Configuration.vectors
 # stays, because the benchmark's workloads read it. Then canon's gates on t_C
 # and y, which its residual against w^j replaced; tests/paper_lemmas.py keeps
-# GRID_TOL, NotNormalized and NoGridMatch for the general grid route.
+# GRID_TOL, NotNormalized and NoGridMatch for the general grid route. Last
+# unit_vector, whose one caller, canon's route, reads roots_of_unity(m).
 UNCALLED_NAMES = (
     "argument", "as_tuple", "save_config",
-    "extract_t", "match_k", "GRID_TOL", "NotNormalized", "NoGridMatch",
+    "extract_t", "match_k", "GRID_TOL", "NotNormalized", "NoGridMatch", "unit_vector",
 )
 
 
