@@ -51,9 +51,12 @@ The default float tolerance is 1e-9 * det_max, and det_max reads every row
 entries it holds, to one _Bracket, which decides each comparison at the
 ends of a bracket first: 1e-9 * max |held entry| below, 1e-9 * a bound on
 max |v|^2 above. A value beyond both ends is decided; anything else reads
-det_max. This module holds the float error model (Higham 2002, ch. 3):
-every forward-error bound of the package, and each constant one rests on,
-the libm assumptions ARGUMENT_ERR and TARGET_ERR included (README).
+det_max. That bound and one on min |v|^2 come from norm_sq_bounds, once per
+member set, which tests the safe coordinate range on one list of
+|coordinates| and no finiteness, as every Configuration member is finite.
+This module holds the float error model (Higham 2002, ch. 3): every
+forward-error bound of the package, and each constant one rests on, the libm
+assumptions ARGUMENT_ERR and TARGET_ERR included (README).
 """
 
 from __future__ import annotations
@@ -138,7 +141,9 @@ def require_tolerance(tol: float) -> float:
 def in_safe_range(values) -> bool:
     """True when every nonzero |value| lies in SAFE_COORDINATE_RANGE; NaN
     and inf do not. C-level passes: finiteness, then the extremes of the
-    nonzero magnitudes."""
+    nonzero magnitudes. It guards the entries of the map in
+    _residual_bounds, which may be NaN or infinite; norm_sq_bounds reads
+    members, which Configuration keeps finite, with no finiteness pass."""
     tiny, huge = SAFE_COORDINATE_RANGE
     sizes = list(map(abs, values))
     if not all(map(math.isfinite, sizes)):
@@ -154,9 +159,16 @@ def norm_sq_bounds(c: Configuration) -> Optional[Tuple[float, float]]:
 
     fl(x*x + y*y) is within a relative 3u of |v|^2 (u = UNIT_ROUNDOFF), as
     x*x and y*y are normal floats or exact zeros; the bounds widen it by
-    BOUND_SLACK.
+    BOUND_SLACK. Every member is finite and nonzero (Configuration), so the
+    range test reads the extremes of one list of |coordinates|, dropping
+    its zeros only when the least one is zero.
     """
-    if c.mode == EXACT or not in_safe_range(c.xs + c.ys):
+    if c.mode == EXACT:
+        return None
+    sizes = list(map(abs, c.xs + c.ys))
+    least = min(sizes) or min(filter(None, sizes))
+    tiny, huge = SAFE_COORDINATE_RANGE
+    if not (tiny <= least and max(sizes) <= huge):
         return None
     norms = [x * x + y * y for x, y in zip(c.xs, c.ys)]
     return min(norms) * (1.0 - BOUND_SLACK), max(norms) * (1.0 + BOUND_SLACK)
@@ -278,17 +290,25 @@ def _map_onto_roots(c: Configuration) -> CanonicalForm:
     g_frame = frame_map(labeled[0], labeled[n])
     # apply builds a PlaneVector, which refuses a t_C that is not finite
     t_c = g_frame.apply(labeled[n + 1]).x
-    roots, xs, ys = roots_of_unity(m), labeled.xs, labeled.ys
-    g = frame_map(roots[0], roots[n]).inverse().compose(g_frame)
+    roots = roots_of_unity(m)
+    g = roots.per_member_set(_target_frame).compose(g_frame)
     ga, gb, gc, gd = g
-    gx = [ga * x + gb * y - cos for x, y, cos in zip(xs, ys, roots.xs)]
-    gy = [gc * x + gd * y - sin for x, y, sin in zip(xs, ys, roots.ys)]
-    misses = list(map(math.hypot, gx, gy))
+    misses = [
+        math.hypot(ga * x + gb * y - cos, gc * x + gd * y - sin)
+        for x, y, cos, sin in zip(labeled.xs, labeled.ys, roots.xs, roots.ys)
+    ]
     residual = max(misses)
     # max passes over a NaN that is not first; their sum is NaN exactly when one is there
     if not residual < math.inf or math.isnan(sum(misses)):
         raise ValueError(f"residual of the map {tuple(g)} is not finite")
     return CanonicalForm(g, t_c, residual)
+
+
+def _target_frame(roots: Configuration) -> LinearMap2:
+    """The map sending the unit frame to (w^0, w^n) of roots, which is
+    roots_of_unity(m): the inverse of its frame_map. roots is in label
+    order, so the labeled copy that shares its memo lists the same members."""
+    return frame_map(roots[0], roots[roots.n]).inverse()
 
 
 def _route(c: Configuration):
@@ -468,11 +488,14 @@ def _gap_floor(c: Configuration, norms: Optional[Tuple[float, float]]) -> Option
     """
     if norms is None or c.m < 2:
         return None
-    args = map(math.fmod, c.arguments, repeat(math.pi))
-    args, sizes = zip(*sorted(zip(args, map(math.hypot, c.xs, c.ys))))
-    # sizes[k] lies between gaps[k] and gaps[k + 1], cyclically
+    args = list(map(math.fmod, c.arguments, repeat(math.pi)))
+    order = sorted(range(c.m), key=args.__getitem__)
+    args = [args[i] for i in order]
+    # member order[k] lies between gaps[k] and gaps[k + 1], cyclically; members
+    # with tied arguments share a gap of 0, so each gets the same near
     gaps = [args[0] + math.pi - args[-1], *map(operator.sub, args[1:], args[:-1])]
-    near = map(operator.sub, map(min, gaps, gaps[1:] + gaps[:1]), repeat(3.0 * ARGUMENT_ERR))
+    near = [(b if b < a else a) - 3.0 * ARGUMENT_ERR for a, b in zip(gaps, gaps[1:] + gaps[:1])]
+    sizes = map(math.hypot, [c.xs[i] for i in order], [c.ys[i] for i in order])
     low, high = norms
     least = min(map(operator.mul, sizes, map(math.sin, near))) * math.sqrt(low)
     return (least * (1.0 - BOUND_SLACK) - 3.0 * UNIT_ROUNDOFF * high) * (1.0 - BOUND_SLACK)
@@ -558,13 +581,14 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     s = 1.0 / top
     if not (0.0 < s < math.inf):
         raise ValueError(f"largest norm {top!r} has no finite nonzero reciprocal to rescale by")
-    xs, ys = [s * x for x in work.xs], [s * y for y in work.ys]
+    xs, ys = tuple([s * x for x in work.xs]), tuple([s * y for y in work.ys])
     if (0.0, 0.0) in zip(xs, ys):
         i = list(zip(xs, ys)).index((0.0, 0.0))
         raise ValueError(
             f"rescaling by 1/{top!r} flushes member {i} ({work.xs[i]!r}, {work.ys[i]!r}) to zero"
         )
-    work = Configuration(xs, ys)
+    # finite, as each |s * x| rounds |x| / top <= 1, and nonzero, as just tested
+    work = Configuration._of_checked(xs, ys)
     if c.mode != EXACT:
         require_balanced_uniform(work)
     form = work.per_member_set(_route)

@@ -213,4 +213,8 @@ def model_configuration(m: int, k: int) -> Configuration:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     sines = [math.sin(2.0 * math.pi * (j * k % m) / m) for j in range(2 * n + 1)]
     x, y = [s / sines[1] for s in sines[1:]], [-s / sines[1] for s in sines[:-1]]
-    return Configuration(x[0::2] + [0.0] + x[1::2], y[0::2] + [1.0] + y[1::2])
+    # finite, over sines[1] = sin(2*pi k / m) != 0, and nonzero: no two
+    # consecutive multiples of k are 0 mod m, and sin(2*pi r / m) != 0 for r != 0
+    return Configuration._of_checked(
+        tuple(x[0::2] + [0.0] + x[1::2]), tuple(y[0::2] + [1.0] + y[1::2])
+    )

@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from balcfg import balance
 from balcfg.balance import _map_onto_roots, canonicalize, is_balanced, is_uniform
 from balcfg.errors import (
     CertificateError,
@@ -25,12 +27,22 @@ from balcfg.geometry import (
 )
 from balcfg.search import perturb, random_invertible
 from balcfg.sequences import closed_form_t
+from balcfg.serialization import load_config
 from paper_lemmas import (
     NoGridMatch,
     gl2_equivalent,
     match_grid_index,
     reconstruct_from_triple,
     slot_exponents,
+)
+from test_exact_audit import (
+    ILL_CONDITIONED_CASES,
+    antipodal_family,
+    ill_conditioned_family,
+    image_family,
+    item13_triples,
+    near_tolerance_family,
+    scaled_family,
 )
 
 
@@ -494,3 +506,34 @@ def test_rounded_exact_pentagon_is_not_equivalent():
     verdict = gl2_equivalent(rounded, roots_of_unity(5))
     assert not verdict
     assert verdict.reason == "first: NotBalanced"
+
+
+class _Decided(Exception):
+    """Raised in place of the verdicts on canonicalize's rescaled copy."""
+
+
+def test_canons_rescaled_copy_passes_the_constructor_it_skips(monkeypatch):
+    # canonicalize builds its copy scaled to max norm 1 untested, after its
+    # own test for a flushed member: each copy must be finite and nonzero
+    # float pairs that the constructor keeps as they are
+    copies = []
+
+    def record(work, tol=None):
+        copies.append(work)
+        raise _Decided
+
+    monkeypatch.setattr(balance, "require_balanced_uniform", record)
+    data = Path(__file__).parent / "data"
+    configs = [load_config(path) for path in sorted(data.glob("*.json"))]
+    families = [near_tolerance_family(), item13_triples(), antipodal_family()]
+    families += [image_family(m) for m in range(3, 42, 2)]
+    families += [ill_conditioned_family(m, c) for m, c in ILL_CONDITIONED_CASES]
+    families += [scaled_family(k) for k in (-470, -400, -200, 200, 400, 470)]
+    configs += [Configuration(vectors) for family in families for vectors in family]
+    floats = [c for c in configs if c.mode == "float"]
+    for c in floats:
+        with pytest.raises(_Decided):
+            canonicalize(c)
+    assert len(copies) == len(floats) > 2000
+    for work in copies:
+        assert Configuration(work.xs, work.ys) == work

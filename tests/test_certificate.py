@@ -9,18 +9,22 @@ witness and certificate must match it exactly.
 """
 
 import math
+import operator
 import random
 from collections import Counter
+from itertools import repeat
 from fractions import Fraction
 from operator import neg
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from balcfg import balance
 from balcfg.balance import (
+    ARGUMENT_ERR,
+    BOUND_SLACK,
     DEFAULT_REL_TOL,
     RESIDUAL_TOL,
     SAFE_COORDINATE_RANGE,
@@ -666,6 +670,18 @@ def test_the_route_reads_its_targets_from_roots_of_unity(capsys, count_calls, co
     assert calls == [(201,)]
 
 
+def test_check_and_canon_leave_the_memoized_roots_as_evaluated(capsys):
+    # the route reads roots_of_unity(201) and memoizes its target frame on
+    # it; neither changes the members that every later caller shares
+    fresh = roots_of_unity.__wrapped__(201)
+    for command in ("check", "canon", "check"):
+        main([command, str(DATA / "u201_image.json")])
+        capsys.readouterr()
+        assert repr(roots_of_unity(201)) == repr(fresh)
+    frame = roots_of_unity(201).per_member_set(balance._target_frame)
+    assert repr(frame) == repr(frame_map(fresh[0], fresh[100]).inverse())
+
+
 @pytest.mark.parametrize("eps", [1e-11, 3e-11])
 def test_canonicalize_maps_onto_the_roots_once(monkeypatch, rows_computed, eps):
     # moved by eps, a U_201 image still canonicalizes, but the route's bound
@@ -821,6 +837,78 @@ def test_gap_floor_of_each_member_clears_a_perturbed_image(rows_computed, m, see
     assert is_uniform(c) == (True, None)
     assert rows_computed == []
     assert _ref_is_uniform(c, None) == (True, None)
+
+
+def _ref_norm_sq_bounds(c):
+    """norm_sq_bounds as it was written before its passes were cut: every
+    coordinate's finiteness and range through in_safe_range."""
+    if c.mode == "exact" or not in_safe_range(c.xs + c.ys):
+        return None
+    norms = [x * x + y * y for x, y in zip(c.xs, c.ys)]
+    return min(norms) * (1.0 - BOUND_SLACK), max(norms) * (1.0 + BOUND_SLACK)
+
+
+def _ref_gap_floor(c, norms):
+    """_gap_floor as it was written before its passes were cut: it sorts
+    (argument mod pi, size) tuples and takes each gap minimum by min."""
+    if norms is None or c.m < 2:
+        return None
+    args = map(math.fmod, c.arguments, repeat(math.pi))
+    args, sizes = zip(*sorted(zip(args, map(math.hypot, c.xs, c.ys))))
+    gaps = [args[0] + math.pi - args[-1], *map(operator.sub, args[1:], args[:-1])]
+    near = map(operator.sub, map(min, gaps, gaps[1:] + gaps[:1]), repeat(3.0 * ARGUMENT_ERR))
+    low, high = norms
+    least = min(map(operator.mul, sizes, map(math.sin, near))) * math.sqrt(low)
+    return (least * (1.0 - BOUND_SLACK) - 3.0 * UNIT_ROUNDOFF * high) * (1.0 - BOUND_SLACK)
+
+
+# signed zeros, subnormals, and the safe range's edges with the floats just
+# past them, next to ordinary values
+edge_coords = st.sampled_from(
+    [
+        0.0,
+        -0.0,
+        5e-324,
+        -(2.0**-1060),
+        SAFE_TINY,
+        -SAFE_TINY,
+        math.nextafter(SAFE_TINY, 0.0),
+        SAFE_HUGE,
+        -SAFE_HUGE,
+        math.nextafter(SAFE_HUGE, math.inf),
+        1.0,
+        -3.0,
+    ]
+)
+
+
+@st.composite
+def tied_members(draw):
+    """Float members, among them 0 to 3 planted copies k * v of drawn ones
+    for power-of-two k of either sign: arguments tied mod pi at other
+    norms, as an exact scaling leaves x / y as it is."""
+    coords = draw(st.sampled_from([safe_coords, st.one_of(edge_coords, st.floats(-8.0, 8.0))]))
+    vectors = st.tuples(coords, coords).filter(lambda v: v != (0, 0))
+    members = draw(st.lists(vectors, min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        (x, y), k = draw(st.sampled_from(members)), draw(st.sampled_from([-4.0, -1.0, 0.5, 2.0]))
+        if (k * x, k * y) != (0, 0):
+            members.insert(draw(st.integers(0, len(members))), (k * x, k * y))
+    return members
+
+
+@settings(deadline=None, max_examples=500)
+@given(tied_members())
+# three members on the x-axis and two on the diagonal, at other norms
+@example([(1.0, 0.0), (3.0, 3.0), (-4.0, 0.0), (0.0, 1.0), (0.5, 0.0), (-6.0, -6.0)])
+# a zero coordinate next to the safe range's least one, and one just past it
+@example([(0.0, SAFE_TINY), (1.0, 0.0)])
+@example([(0.0, math.nextafter(SAFE_TINY, 0.0)), (1.0, 0.0)])
+def test_norm_bounds_and_gap_floor_are_their_references_bit_for_bit(members):
+    c = Configuration(members)
+    norms = norm_sq_bounds(c)
+    assert repr(norms) == repr(_ref_norm_sq_bounds(c))
+    assert repr(balance._gap_floor(c, norms)) == repr(_ref_gap_floor(c, norms))
 
 
 # 2^k scalings whose coordinates stay inside the safe range, or leave it

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from balcfg.geometry import frame_map, roots_of_unity
+from balcfg.geometry import Configuration, frame_map, roots_of_unity
 from balcfg.sequences import (
     RootGrid,
     certify_cells,
@@ -290,6 +290,15 @@ def test_model_configuration_is_the_frame_image_of_the_roots_of_unity_m801():
         for v, e in zip(model_configuration(m, k).vectors, exponents):
             x, y = u[e % m]
             assert math.hypot(v.x - (g.a * x + g.b * y), v.y - (g.c * x + g.d * y)) <= 1e-12
+
+
+def test_model_configuration_passes_the_constructor_it_skips():
+    # model_configuration builds its members untested: each must be a finite,
+    # nonzero float pair that the constructor keeps as it is
+    for m in range(3, 202, 2):
+        for k in range(1, (m - 1) // 2 + 1):
+            c = model_configuration(m, k)
+            assert Configuration(c.xs, c.ys) == c
 
 
 def test_model_configuration_rejects_bad_k():
