@@ -52,11 +52,10 @@ entries it holds, to one _Bracket, which decides each comparison at the
 ends of a bracket first: 1e-9 * max |held entry| below, 1e-9 * a bound on
 max |v|^2 above. A value beyond both ends is decided; anything else reads
 det_max. That bound and one on min |v|^2 come from norm_sq_bounds, once per
-member set, which tests the safe coordinate range on one list of
-|coordinates| and no finiteness, as every Configuration member is finite.
-This module holds the float error model (Higham 2002, ch. 3): every
-forward-error bound of the package, and each constant one rests on, the libm
-assumptions ARGUMENT_ERR and TARGET_ERR included (README).
+member set, for coordinates in the safe range (in_safe_range, one list of
+magnitudes). This module holds the float error model (Higham 2002, ch. 3):
+every forward-error bound of the package, and each constant one rests on,
+the libm assumptions ARGUMENT_ERR and TARGET_ERR included (README).
 """
 
 from __future__ import annotations
@@ -140,16 +139,13 @@ def require_tolerance(tol: float) -> float:
 
 def in_safe_range(values) -> bool:
     """True when every nonzero |value| lies in SAFE_COORDINATE_RANGE; NaN
-    and inf do not. C-level passes: finiteness, then the extremes of the
-    nonzero magnitudes. It guards the entries of the map in
-    _residual_bounds, which may be NaN or infinite; norm_sq_bounds reads
-    members, which Configuration keeps finite, with no finiteness pass."""
+    and inf do not. C-level passes over one list of magnitudes: its
+    extremes, dropping the zeros only when the least one is zero, then its
+    sum, which is NaN exactly when a NaN is there (max refuses inf)."""
     tiny, huge = SAFE_COORDINATE_RANGE
     sizes = list(map(abs, values))
-    if not all(map(math.isfinite, sizes)):
-        return False
-    nonzero = list(filter(None, sizes))
-    return not nonzero or (tiny <= min(nonzero) and max(nonzero) <= huge)
+    least = min(sizes) or min(filter(None, sizes), default=tiny)
+    return tiny <= least and max(sizes) <= huge and not math.isnan(sum(sizes))
 
 
 def norm_sq_bounds(c: Configuration) -> Optional[Tuple[float, float]]:
@@ -159,16 +155,9 @@ def norm_sq_bounds(c: Configuration) -> Optional[Tuple[float, float]]:
 
     fl(x*x + y*y) is within a relative 3u of |v|^2 (u = UNIT_ROUNDOFF), as
     x*x and y*y are normal floats or exact zeros; the bounds widen it by
-    BOUND_SLACK. Every member is finite and nonzero (Configuration), so the
-    range test reads the extremes of one list of |coordinates|, dropping
-    its zeros only when the least one is zero.
+    BOUND_SLACK.
     """
-    if c.mode == EXACT:
-        return None
-    sizes = list(map(abs, c.xs + c.ys))
-    least = min(sizes) or min(filter(None, sizes))
-    tiny, huge = SAFE_COORDINATE_RANGE
-    if not (tiny <= least and max(sizes) <= huge):
+    if c.mode == EXACT or not in_safe_range(c.xs + c.ys):
         return None
     norms = [x * x + y * y for x, y in zip(c.xs, c.ys)]
     return min(norms) * (1.0 - BOUND_SLACK), max(norms) * (1.0 + BOUND_SLACK)
@@ -291,7 +280,7 @@ def _map_onto_roots(c: Configuration) -> CanonicalForm:
     # apply builds a PlaneVector, which refuses a t_C that is not finite
     t_c = g_frame.apply(labeled[n + 1]).x
     roots = roots_of_unity(m)
-    g = roots.per_member_set(_target_frame).compose(g_frame)
+    g = frame_map(roots[0], roots[n]).inverse().compose(g_frame)
     ga, gb, gc, gd = g
     misses = [
         math.hypot(ga * x + gb * y - cos, gc * x + gd * y - sin)
@@ -302,13 +291,6 @@ def _map_onto_roots(c: Configuration) -> CanonicalForm:
     if not residual < math.inf or math.isnan(sum(misses)):
         raise ValueError(f"residual of the map {tuple(g)} is not finite")
     return CanonicalForm(g, t_c, residual)
-
-
-def _target_frame(roots: Configuration) -> LinearMap2:
-    """The map sending the unit frame to (w^0, w^n) of roots, which is
-    roots_of_unity(m): the inverse of its frame_map. roots is in label
-    order, so the labeled copy that shares its memo lists the same members."""
-    return frame_map(roots[0], roots[roots.n]).inverse()
 
 
 def _route(c: Configuration):
@@ -488,14 +470,11 @@ def _gap_floor(c: Configuration, norms: Optional[Tuple[float, float]]) -> Option
     """
     if norms is None or c.m < 2:
         return None
-    args = list(map(math.fmod, c.arguments, repeat(math.pi)))
-    order = sorted(range(c.m), key=args.__getitem__)
-    args = [args[i] for i in order]
-    # member order[k] lies between gaps[k] and gaps[k + 1], cyclically; members
-    # with tied arguments share a gap of 0, so each gets the same near
+    args = map(math.fmod, c.arguments, repeat(math.pi))
+    args, sizes = zip(*sorted(zip(args, map(math.hypot, c.xs, c.ys))))
+    # sizes[k] lies between gaps[k] and gaps[k + 1], cyclically
     gaps = [args[0] + math.pi - args[-1], *map(operator.sub, args[1:], args[:-1])]
     near = [(b if b < a else a) - 3.0 * ARGUMENT_ERR for a, b in zip(gaps, gaps[1:] + gaps[:1])]
-    sizes = map(math.hypot, [c.xs[i] for i in order], [c.ys[i] for i in order])
     low, high = norms
     least = min(map(operator.mul, sizes, map(math.sin, near))) * math.sqrt(low)
     return (least * (1.0 - BOUND_SLACK) - 3.0 * UNIT_ROUNDOFF * high) * (1.0 - BOUND_SLACK)

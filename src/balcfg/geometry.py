@@ -8,8 +8,8 @@ test of member values, takes the columns (or (x, y) pairs, or PlaneVectors),
 tests them in C-level passes and coerces only columns that need it; take
 copies members that passed it, and roots_of_unity, canonicalize's rescaled
 copy and model_configuration build members that pass it by construction,
-untested (Configuration._of_checked). A PlaneVector, built only on request, is a
-checked named tuple (x, y) with mode and no arithmetic: every member
+untested (Configuration._of_checked). A PlaneVector, built only on request,
+is a checked named tuple (x, y) with mode and no arithmetic: every member
 computation runs on the columns.
 
 A configuration's determinant rows keep their entries at one scale. In
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Tuple, Union
 
 from .errors import DuplicateArgument, SingularFrame
@@ -341,8 +341,9 @@ def _label(c: Configuration) -> Configuration:
     theta = [args[i] for i in order]
     # gap pos lies between order[pos - 1] and order[pos], cyclically
     gaps = [theta[0] - theta[-1] + 2.0 * math.pi] + [b - a for a, b in zip(theta, theta[1:])]
-    if min(map(abs, gaps)) < ARGUMENT_TIE_TOL:
-        pos = [abs(gap) < ARGUMENT_TIE_TOL for gap in gaps].index(True)
+    ties = [abs(gap) < ARGUMENT_TIE_TOL for gap in gaps]
+    if True in ties:
+        pos = ties.index(True)
         i, j = order[pos - 1], order[pos]
         raise DuplicateArgument(f"members {i} and {j} share an argument (gap {gaps[pos]:.3e} rad)")
     labeled = c.take(order)
@@ -351,15 +352,11 @@ def _label(c: Configuration) -> Configuration:
     return labeled
 
 
-@lru_cache(maxsize=8)
 def roots_of_unity(m: int) -> Configuration:
     """The m-th roots of unity as a float configuration, in label order.
 
     Only odd m is meaningful downstream (m = 1 is allowed as the degenerate
     single vector); even m is rejected here to fail close to the mistake.
-    Memoized for the last few m: every caller shares one configuration per
-    m, whose columns are immutable and whose cached values depend on the
-    members alone.
     """
     if m < 1:
         raise ValueError("m must be positive")

@@ -13,7 +13,6 @@ from balcfg.geometry import (
     label_by_increasing_arguments,
     roots_of_unity,
 )
-from test_libm import TIER1_MS
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 rationals = st.fractions(
@@ -460,14 +459,3 @@ def test_roots_of_unity_rejects_even_and_nonpositive():
     with pytest.raises(ValueError):
         roots_of_unity(0)
     assert roots_of_unity(1).m == 1
-
-
-def test_roots_of_unity_memo_holds_the_floats_of_a_fresh_evaluation():
-    # every m whose members tests/test_libm.py checks against the exact roots
-    for m in TIER1_MS:
-        cached, fresh = roots_of_unity(m), roots_of_unity.__wrapped__(m)
-        assert roots_of_unity(m) is cached
-        assert repr(cached) == repr(fresh)
-    # a bounded memo: a process that asks for many m keeps only the last few
-    assert 1 <= roots_of_unity.cache_info().maxsize <= 16
-    assert roots_of_unity.cache_info().currsize <= roots_of_unity.cache_info().maxsize
