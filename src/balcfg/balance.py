@@ -22,11 +22,12 @@ where y is g_C.v_{n+1}'s second coordinate.
 
 Certificate first, rows last. is_balanced and is_uniform first ask that map
 (_certified), for every caller: a float GL2 image of U_m (odd m >= 3) whose
-residual bounds (_residual_bounds, once per member set) clear the tolerance
-is balanced and uniform with no row. Before the map, a gate reads the
+residual bounds (_residual_bounds) clear the tolerance is balanced and
+uniform with no row. The map, memoized per member set, runs only where a
+bound can hold: on coordinates in SAFE_COORDINATE_RANGE, past a gate on the
 members' sum S: row i sums to det(v_i, S), so a set whose max |det(v_i, S)|
-exceeds what rows balanced at the tolerance can sum to is not balanced, and
-no map runs (_row_sums_refute). A member set closed under v -> -v is
+exceeds what rows balanced at the tolerance can sum to is not balanced
+(_row_sums_refute). A member set closed under v -> -v is
 balanced once row 0 has passed: row i holds -det(v_i, v_j) next to each
 det(v_i, v_j), exactly for the ints of exact mode and for floats with every
 coordinate in SAFE_COORDINATE_RANGE, where fl(-d) = -fl(d). Exact is_uniform
@@ -38,13 +39,13 @@ lies within the certificate's pair bound of them.
 
 Otherwise the verdicts read the determinant rows in order and stop at the
 first that decides, so no verdict, witness or certificate class depends on
-the map, and canonicalize's one refusal of the map (ResidualTooLarge) comes
-after them. Configuration.det_row computes each row afresh and nothing
-caches it, so no m x m table is built. Exact rows hold the ints D^2 * det (D
-the lcm of the denominators), compared with tolerance 0; a value a caller
-reads (a witness, det_max) is divided back to input units by
-Configuration.unscale. step_constants' scan reads its 2m entries off the
-coordinate columns.
+the map, and canonicalize's one refusal of the map (ResidualTooLarge, on
+float input) comes after them. Configuration.det_row computes each row
+afresh and nothing caches it, so no m x m table is built. Exact rows hold
+the ints D^2 * det (D the lcm of the denominators), compared with tolerance
+0; a value a caller reads (a witness, det_max) is divided back to input
+units by Configuration.unscale. step_constants' scan reads its 2m entries
+off the coordinate columns.
 
 The default float tolerance is 1e-9 * det_max, and det_max reads every row
 (streamed). Every verdict hands the values it compares, and the table
@@ -293,21 +294,12 @@ def _map_onto_roots(c: Configuration) -> CanonicalForm:
     return CanonicalForm(g, t_c, residual)
 
 
-def _route(c: Configuration):
-    """_map_onto_roots(c)'s form, or the BalcfgError, ArithmeticError or
-    ValueError it raised, without the frames that its memo would keep alive."""
-    try:
-        return _map_onto_roots(c)
-    except (BalcfgError, ArithmeticError, ValueError) as exc:
-        return exc.with_traceback(None)
-
-
 def _residual_bounds(form: CanonicalForm, norms, m: int) -> Optional[Tuple[float, float]]:
     """(pair, floor) from _map_onto_roots's form on m members, given norms,
-    their norm_sq_bounds: every pair sum that is_balanced forms on a
-    sorted row of their float determinant table is at most pair in magnitude,
-    and every off-diagonal |entry| is at least floor. None when no bound holds:
-    no norms, or an entry of the map, outside SAFE_COORDINATE_RANGE (where
+    their norm_sq_bounds, which exist: every pair sum that is_balanced
+    forms on a sorted row of their float determinant table is at most pair
+    in magnitude, and every off-diagonal |entry| is at least floor. None when
+    no bound holds: an entry of the map outside SAFE_COORDINATE_RANGE (where
     products may round other than relatively), a map whose determinant is not
     bounded away from 0, or a bound that is not finite.
 
@@ -334,7 +326,7 @@ def _residual_bounds(form: CanonicalForm, norms, m: int) -> Optional[Tuple[float
     (README's platform assumption).
     """
     g = form.g
-    if norms is None or not in_safe_range((g.a, g.b, g.c, g.d)):
+    if not in_safe_range((g.a, g.b, g.c, g.d)):
         return None
     high = norms[1]
     u = UNIT_ROUNDOFF
@@ -357,11 +349,12 @@ def _residual_bounds(form: CanonicalForm, norms, m: int) -> Optional[Tuple[float
 
 
 def _certificate(c: Configuration) -> Optional[Tuple[float, float]]:
-    """_residual_bounds (pair, floor) of the canonical route's form on c,
-    under c's norm_sq_bounds; None where the route refuses or no bound holds.
-    Read once per member set (per_member_set), like the route itself."""
-    form = c.per_member_set(_route)
-    if isinstance(form, Exception):
+    """_residual_bounds (pair, floor) of the route's form on c under its
+    norm_sq_bounds, which exist; None where no bound holds or the route
+    refuses (canonicalize raises that again). Once per member set, like the form."""
+    try:
+        form = c.per_member_set(_map_onto_roots)
+    except (BalcfgError, ArithmeticError, ValueError):
         return None
     return _residual_bounds(form, c.per_member_set(norm_sq_bounds), c.m)
 
@@ -396,18 +389,17 @@ def _row_sums_refute(c: Configuration, bracket: _Bracket) -> bool:
 
 
 def _certified(c: Configuration, bracket: _Bracket) -> bool:
-    """Whether c is a certified GL2 image of U_m at bracket's tolerance; exact
-    input, even m and m < 3 are not. Where the bracket has norms, the row
-    sums come first (_row_sums_refute): a set they refute is not balanced,
-    so no certificate can hold, and no route runs; the gate reads no row
-    and never det_max. Then _certificate's (pair, floor) must clear the
+    """Whether c is a certified GL2 image of U_m at bracket's tolerance. No
+    bound can hold, and no route runs, for even m, m < 3, a bracket without
+    norms (exact input, or a float coordinate outside SAFE_COORDINATE_RANGE)
+    or a set whose row sums refute balance (_row_sums_refute), as a set
+    that is not balanced has no certificate; the gate reads no row and
+    never det_max. Then _certificate's (pair, floor) must clear the
     bracket: floor > hi >= eff, and pair <= eff, an explicit tol itself or
     the default 1e-9 * det_max >= 1e-9 * floor (floor bounds every
     off-diagonal |entry|, and float multiplication is monotone). A certified
     set passes every row, so the gate never refutes one."""
-    if c.mode == EXACT or c.m % 2 == 0 or c.m < 3:
-        return False
-    if bracket.norms is not None and _row_sums_refute(c, bracket):
+    if c.m % 2 == 0 or c.m < 3 or bracket.norms is None or _row_sums_refute(c, bracket):
         return False
     bounds = c.per_member_set(_certificate)
     if bounds is None:
@@ -532,11 +524,11 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     the explicit map.
 
     Raises a CertificateError with a witness: NotBalanced or NotUniform when
-    the verdicts find c not balanced or not uniform, or ResidualTooLarge
-    when the float canonical map misses w^j by more than tol. That map is
-    the labeling by argument plus the frame (v_0, v_n) -> (1, w^n), with
-    slot j -> w^j; no error bound is applied to its residual, so
-    ResidualTooLarge does not yet prove that c is not equivalent (ROADMAP
+    the verdicts find c not balanced or not uniform, or, for float c,
+    ResidualTooLarge when the float canonical map misses w^j by more than
+    tol. That map is the labeling by argument plus the frame (v_0, v_n) ->
+    (1, w^n), with slot j -> w^j; no error bound is applied to its residual,
+    so ResidualTooLarge does not yet prove that c is not equivalent (ROADMAP
     item 25). DuplicateArgument, SingularFrame and a t_C
     or residual that is not finite (ValueError) are float precision
     refusals, not certificates. A tol that is not a finite number >= 0
@@ -545,10 +537,13 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     member to (0, 0).
 
     Exact c takes the exact verdicts on c itself, as check does; by Niven's
-    theorem only m = 3 passes them. Float c takes the verdicts of its copy
-    scaled to max norm 1, on which the map is computed, so NotBalanced's
-    witness is c's determinant over c's largest norm^2. The route's refusal
-    comes after the verdicts.
+    theorem only m = 3 passes them, and three pairwise independent members
+    that sum to 0 are exactly G.U_3 for G = [v_1 v_2] [1 w]^-1. So exact c
+    never gets ResidualTooLarge: a residual above tol is a float precision
+    limit (ValueError). Float c takes the verdicts of its copy scaled to max
+    norm 1, on which the map is computed, so NotBalanced's witness is c's
+    determinant over c's largest norm^2. The route's refusal, raised again by
+    the memoized map, comes after the verdicts.
     """
     require_tolerance(tol)
     if c.m < 3:
@@ -570,11 +565,12 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     work = Configuration._of_checked(xs, ys)
     if c.mode != EXACT:
         require_balanced_uniform(work)
-    form = work.per_member_set(_route)
-    if not isinstance(form, CanonicalForm):
-        raise form
+    form = work.per_member_set(_map_onto_roots)
     if form.residual > tol:
-        raise ResidualTooLarge(f"residual {form.residual:.3e} exceeds {tol:.3e}", form.residual)
+        message = f"residual {form.residual:.3e} exceeds {tol:.3e}"
+        if c.mode == EXACT:
+            raise ValueError(f"{message} on an exact image of U_3: a float precision limit")
+        raise ResidualTooLarge(message, form.residual)
     return form._replace(g=form.g.scale(s))
 
 

@@ -4,10 +4,12 @@ Errors split into two families: certificates (CertificateError: the input
 lacks the property being tested, and the exception carries the witness) and
 everything else (usage, input, precision limits, solver faults). NotBalanced,
 NotUniform and InconsistentConstants come from the verdicts' comparisons.
-ResidualTooLarge claims less: the canonical map, evaluated in floats, misses
-the roots of unity by more than the tolerance; no error bound is applied to
-that residual yet, so it does not prove that the input is not a GL2 image of
-them (ROADMAP item 25).
+ResidualTooLarge claims less: the canonical map of float input, evaluated
+in floats, misses the roots of unity by more than the tolerance; no error
+bound is applied to that residual yet, so it does not prove that the input
+is not a GL2 image of them (ROADMAP item 25). Exact input never gets it:
+exact input that passes the verdicts is exactly an image of U_3, so its
+residual above the tolerance is a precision limit (ValueError).
 Each CLI command catches the certificates it can meet and reports them, so
 exit code 1 always comes with a report on stdout that names the certificate.
 Every other error, and a certificate that escapes a command, exits 2.
@@ -60,8 +62,8 @@ class SingularFrame(BalcfgError):
 
 
 class ResidualTooLarge(CertificateError):
-    """The canonical map, evaluated in floats, misses the roots of unity by
-    more than the residual tolerance."""
+    """The canonical map of float input, evaluated in floats, misses the
+    roots of unity by more than the residual tolerance."""
 
 
 class BudgetExceeded(BalcfgError):

@@ -34,7 +34,6 @@ from balcfg.balance import (
     _Bracket,
     _negation_closed,
     _residual_bounds,
-    _route,
     canonicalize,
     in_safe_range,
     is_balanced,
@@ -207,6 +206,15 @@ def test_the_general_grid_route_takes_k_n_and_sends_slot_j_to_w_j(det_sign):
         assert repr((form.g, form.residual)) == repr((ref[0], ref[3]))
 
 
+def _form_or_refusal(c):
+    """The canonical route's form on c, memoized per member set as the
+    verdicts memoize it, or the refusal that the route raises."""
+    try:
+        return c.per_member_set(balance._map_onto_roots)
+    except (BalcfgError, ArithmeticError, ValueError) as exc:
+        return exc
+
+
 def _outcome(call):
     """What call() returns, or the class and witness of what it raises, in
     a form whose repr tells 0.0 from -0.0."""
@@ -290,7 +298,7 @@ def test_a_certificate_that_fires_bounds_the_full_table(m, seed, eps, shuffle, s
     if balance._certified(c, _Bracket(c, tol)):
         eff, pair, least = _ref_bounds(c, tol)
         assert pair <= eff < least
-        form = c.per_member_set(_route)
+        form = _form_or_refusal(c)
         bound_pair, floor = _residual_bounds(form, _Bracket(c, tol).norms, m)
         assert pair <= bound_pair and floor <= least
 
@@ -333,7 +341,7 @@ def test_residual_bounds_hold_their_exact_terms(m, seed, eps, shuffle, scale):
     # the docstring's terms in exact arithmetic on the same floats
     c = _image(m, seed, eps, shuffle)
     c = Configuration([x * scale for x in c.xs], [y * scale for y in c.ys])
-    form = c.per_member_set(_route)
+    form = _form_or_refusal(c)
     bounds = None
     if isinstance(form, CanonicalForm):
         bounds = _residual_bounds(form, norm_sq_bounds(c), m)
@@ -462,15 +470,16 @@ def test_residual_bounds_refuse_a_singular_map_and_a_bound_that_is_not_finite(
 
 def test_route_without_norm_bounds_falls_back_to_the_rows(rows_computed):
     # v0 has a coordinate outside [2^-480, 2^480]: the route maps the
-    # configuration, but no bound holds, so the verdicts read every row:
+    # configuration, but the bracket has no norm bounds, so no bound can
+    # hold, no route runs in the verdicts, and they read every row:
     # is_balanced's row 0 sends its bracket to det_max, which streams rows
     # 0, 1 and 2, before is_balanced reads rows 1 and 2; is_uniform, with
     # det_max cached, scans rows 0 and 1
     u = roots_of_unity(3)
     c = Configuration([PlaneVector(1.0, 1e-300), u[1], u[2]])
-    form = c.per_member_set(_route)
+    form = _form_or_refusal(c)
     assert isinstance(form, CanonicalForm)
-    assert _residual_bounds(form, _Bracket(c, None).norms, 3) is None
+    assert _Bracket(c, None).norms is None
     assert not balance._certified(c, _Bracket(c, None))
     assert rows_computed == []
     report = is_balanced(c)
@@ -550,12 +559,12 @@ def test_step_constants_read_their_2m_entries_off_the_columns(rows_computed):
         ([(1, 0), (0, 1), (-1, -1)], []),
         # even m: no route either
         ([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)], []),
-        # coordinates outside the range where the bounds hold: the route
-        # maps the configuration once, but certifies nothing
-        ([(1e200, 0.0), (-5e199, 8.660254037844386e199), (-5e199, -8.660254037844386e199)], [3]),
+        # coordinates outside the range where the bounds hold: no bound can
+        # hold, so no route runs
+        ([(1e200, 0.0), (-5e199, 8.660254037844386e199), (-5e199, -8.660254037844386e199)], []),
         (
             [(1e-200, 0.0), (-5e-201, 8.660254037844386e-201), (-5e-201, -8.660254037844386e-201)],
-            [3],
+            [],
         ),
     ],
 )
@@ -589,7 +598,7 @@ def test_route_maps_a_grid_value_other_than_t_n_and_certifies_nothing():
     c = Configuration(
         [(1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)] + [(math.cos(t), math.sin(t)) for t in thetas]
     )
-    form = c.per_member_set(_route)
+    form = _form_or_refusal(c)
     assert isinstance(form, CanonicalForm)
     assert form.t == -1.0 and round(form.residual, 2) == 1.77
     with pytest.raises(ResidualTooLarge, match="not a bijection"):
@@ -607,7 +616,7 @@ def test_verdicts_read_the_rows_where_a_bound_does_not_clear(rows_computed, eps)
     # certify a tolerance of 1e-9 * det_max (balanced or not), so is_balanced
     # reads row 0 first
     moved = perturb(random_invertible(6).apply_configuration(roots_of_unity(21)), eps, seed=1)
-    assert isinstance(moved.per_member_set(_route), CanonicalForm)
+    assert isinstance(_form_or_refusal(moved), CanonicalForm)
     report = is_balanced(moved)
     assert (report.balanced, repr(report.witness)) == _outcome_pair(_ref_is_balanced(moved, None))
     assert report.balanced == (eps == 1e-10)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from balcfg import balance, cli, geometry, sequences
 from balcfg.balance import step_constants
 from balcfg.cli import main
+from balcfg.errors import DuplicateArgument
 from balcfg.geometry import Configuration, LinearMap2, det2, roots_of_unity
 from balcfg.render import render_svg
 from balcfg.search import perturb
@@ -386,14 +387,32 @@ def test_canon_residual_above_its_tolerance_is_a_certificate(capsys):
     assert '"witness": 5.7219584981527971e-16' in out
 
 
-def test_canon_precision_refusal_is_not_a_certificate(capsys, tmp_path):
+def test_canon_precision_refusal_is_not_a_certificate(capsys, tmp_path, count_calls):
+    # the verdicts' route refuses, so it certifies nothing and memoizes no
+    # form; canonicalize runs it again on the same copy (max norm 1) and
+    # reports the route's own refusal
     path = tmp_path / "u5_squeezed.json"
     squeezed = LinearMap2(1.0, 0.0, 0.0, 1e-13).apply_configuration(roots_of_unity(5))
     path.write_text(serialize_config(squeezed))
+    with pytest.raises(DuplicateArgument) as refusal:
+        balance._map_onto_roots(squeezed)
+    calls = count_calls(balance._map_onto_roots)
     code, out, err = run(capsys, "canon", str(path))
     assert code == 2
     assert out == ""
     assert "share an argument" in err
+    assert err.splitlines() == [f"error: {refusal.value}"]
+    assert [work.m for (work,) in calls] == [5, 5]
+
+
+def test_canon_of_exact_input_never_exits_one_on_its_residual(capsys):
+    # exact U_3 is exactly an image of U_3, so the float map's residual
+    # above --tol 0 is a precision limit, not a certificate
+    code, out, err = run(capsys, "canon", str(DATA / "u3_exact.json"), "--tol", "0")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: residual 3.140e-16 exceeds 0.000e+00")
 
 
 @pytest.mark.parametrize("command", ["canon", "render"])

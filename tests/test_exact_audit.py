@@ -10,19 +10,23 @@ and exit 1 only when the oracle says "not balanced"; canon's verdict must
 not contradict the oracle on the copy that canon decides. The families:
 seeded GL2 images of U_m and perturbed copies, item 14's copies perturbed
 near the tolerance, nearly antipodal sets, the nearly collinear triples of
-item 13, ill-conditioned images of U_m, and images scaled by 2^k.
+item 13, ill-conditioned images of U_m, and images scaled by 2^k. One
+family is exact input: nearly collinear exact images of U_3, on which canon
+has no certificate to make.
 """
 
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from balcfg.balance import in_safe_range
+from balcfg.balance import RESIDUAL_TOL, canonicalize, in_safe_range
 from balcfg.cli import main
-from balcfg.geometry import LinearMap2, roots_of_unity
+from balcfg.errors import BalcfgError
+from balcfg.geometry import Configuration, LinearMap2, roots_of_unity
 from balcfg.search import perturb, random_invertible
 
 REL_TOL = Fraction(1e-9)
@@ -52,11 +56,12 @@ def exact_verdicts(vectors):
     return balanced, uniform
 
 
-def run(capsys, tmp_path, command, vectors):
-    """(exit code, report) of command on the float vectors through cli.main;
-    the report is None on exit 2, which writes only an error line."""
+def run(capsys, tmp_path, command, vectors, mode="float"):
+    """(exit code, report) of command on the vectors (floats, or "p/q"
+    strings in exact mode) through cli.main; the report is None on exit 2,
+    which writes only an error line."""
     path = tmp_path / "audit.json"
-    path.write_text(json.dumps({"mode": "float", "vectors": vectors}) + "\n")
+    path.write_text(json.dumps({"mode": mode, "vectors": vectors}) + "\n")
     code = main([command, str(path)])
     out = capsys.readouterr().out
     return code, None if code == 2 else json.loads(out)
@@ -243,6 +248,59 @@ def test_canon_makes_no_route_refusal_on_exact_images_of_u_3(capsys, tmp_path):
     # -v1 - v2 = v3, so no refusal that claims "not equivalent" is true;
     # 26 of the 740 exit 1 with ResidualTooLarge
     assert route_refusals(capsys, tmp_path, item13_triples()) == []
+
+
+def exact_u3_family(count=300, seed=3):
+    """Seeded exact triples v1, v2 = c.v1 + 10^-k.(-v1.y, v1.x), v3 = -v1 -
+    v2 for k = 3..14, where c and v1's coordinates are ratios p/q with |p|
+    and q at most 10^6, as "p/q" strings. det(v1, v2) = 10^-k |v1|^2 is not
+    0 and the triple sums to (0, 0), so each is exactly G.U_3 for G = [v1 v2]
+    [1 w]^-1, nearly collinear for large k."""
+    rng = random.Random(seed)
+
+    def ratio():
+        return Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+
+    family = []
+    for _ in range(count):
+        x, y, c = ratio(), ratio(), ratio()
+        eps = Fraction(1, 10 ** rng.randint(3, 14))
+        v2 = (c * x - eps * y, c * y + eps * x)
+        family.append([[str(f) for f in v] for v in ((x, y), v2, (-x - v2[0], -y - v2[1]))])
+    return family
+
+
+def test_check_of_exact_images_of_u_3_is_balanced_and_uniform(capsys, tmp_path):
+    # each triple is balanced and uniform by construction, and check
+    # decides exact input exactly
+    for vectors in exact_u3_family():
+        code, report = run(capsys, tmp_path, "check", vectors, mode="exact")
+        assert (code, report["balanced"], report["uniform"]) == (0, True, True), vectors
+
+
+def route_residual(vectors):
+    """The residual of canon's float map on the exact vectors, or None where
+    the route refuses them as a precision limit."""
+    c = Configuration([tuple(map(Fraction, v)) for v in vectors])
+    try:
+        return canonicalize(c, sys.float_info.max).residual
+    except (BalcfgError, ValueError):
+        return None
+
+
+def test_canon_of_exact_images_of_u_3_never_exits_1(capsys, tmp_path):
+    # each triple is an image of U_3, so canon has no certificate to make:
+    # it exits 0 where its map's residual clears the tolerance and 2 (a
+    # precision limit) everywhere else: 149 of the 300 exit 0, and of the
+    # 151 that exit 2, 87 name their residual and 64 are DuplicateArgument
+    # or SingularFrame
+    for vectors in exact_u3_family():
+        code, report = run(capsys, tmp_path, "canon", vectors, mode="exact")
+        residual = route_residual(vectors)
+        cleared = residual is not None and residual <= RESIDUAL_TOL
+        assert code == (0 if cleared else 2), (vectors, code, residual)
+        if cleared:
+            assert report["residual"] == residual
 
 
 def ill_conditioned_family(m, c, count=30):
