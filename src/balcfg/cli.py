@@ -47,7 +47,7 @@ from .balance import (
 from .errors import BalcfgError, CertificateError, DuplicateArgument, InconsistentConstants
 from .geometry import Configuration, label_by_increasing_arguments, roots_of_unity
 from .render import render_svg
-from .search import SearchSpec, enumerate_balanced, random_invertible
+from .search import SearchSpec, count_balanced, enumerate_balanced, random_invertible
 from .sequences import chebyshev_s, closure_roots, model_configuration, t_grid
 from .serialization import _rational, dumps_canonical, load_config, serialize_config
 
@@ -178,15 +178,21 @@ def _cmd_search(args) -> Tuple[dict, int]:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"search: bad --coords: {exc}") from exc
     spec = SearchSpec(m=args.m, coordinate_set=coords, require_uniform=args.uniform)
-    hits = enumerate_balanced(spec)
+    if args.out_dir is None:
+        count, uniform_count = count_balanced(spec)
+    else:
+        # one enumeration, whose hits are written; under --uniform it kept
+        # only the uniform ones, else is_uniform counts them
+        hits = enumerate_balanced(spec)
+        count = len(hits)
+        uniform_count = count if args.uniform else sum([is_uniform(cfg)[0] for cfg in hits])
     summary = {
         "command": "search",
         "m": args.m,
         "coords": [str(x) for x in spec.coordinate_set],
         "require_uniform": args.uniform,
-        "count": len(hits),
-        # enumerate_balanced has already kept only the uniform hits under --uniform
-        "uniform_count": len(hits) if args.uniform else sum(is_uniform(cfg)[0] for cfg in hits),
+        "count": count,
+        "uniform_count": uniform_count,
         "files": None,
     }
     if args.out_dir is not None:

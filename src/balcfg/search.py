@@ -14,9 +14,11 @@ most = m // 2 lines (most = m at odd m). When most >= 3 it meets the zero-sum
 sets on 3 to most lines in the middle, joining the sums of the grid's
 ceil(m/2)-subsets with a table of its floor(m/2)-subset sums (for m > n/2, of
 the n - m points each set leaves out). Each joined set is decided on the
-grid's ints and lines (see enumerate_balanced), and is_balanced decides only
-a set of m >= 5 on 3 lines, or on 4 or more with a zero third moment. Each
-hit carries its lines (Configuration.take), which is_uniform compares.
+grid's ints and lines (see _hits), and is_balanced decides only a set of
+m >= 5 on 3 lines, or on 4 or more with a zero third moment. Each hit is
+listed as its sorted tuple of grid indices: count_balanced counts the hits,
+and the uniform ones, from those tuples and the grid's lines alone, and
+enumerate_balanced builds each hit's Configuration from its tuple.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ import operator
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .balance import is_balanced, is_uniform
+from .balance import is_balanced
 from .errors import BudgetExceeded
 from .geometry import Configuration, LinearMap2
 
@@ -107,7 +109,32 @@ class SearchSpec(
 def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     """All balanced configurations of m pairwise distinct vectors over the
     grid, exact arithmetic, in deterministic lexicographic order; optionally
-    only the uniform ones, which is_uniform keeps by their lines.
+    only the uniform ones. Each is built from its index tuple (_hits) by
+    Configuration.take after the sort, unless the join built it already."""
+    grid, found = _hits(spec)
+    return [found[idx] or grid.take(idx) for idx in sorted(found)]
+
+
+def count_balanced(spec: SearchSpec) -> Tuple[int, int]:
+    """(count, uniform_count): how many configurations enumerate_balanced
+    lists, and how many of them are uniform, from their index tuples and the
+    grid's lines; no hit is built but those is_balanced decided, and none
+    goes to is_uniform."""
+    grid, found = _hits(spec)
+    return len(found), len(_uniform(grid, found))
+
+
+def _uniform(grid: Configuration, found) -> List[tuple]:
+    """The index tuples of found whose members lie on pairwise distinct lines
+    of the grid (Configuration.lines): exact is_uniform's rule, read off the
+    grid."""
+    return [idx for idx in found if len(set(map(grid.lines.__getitem__, idx))) == len(idx)]
+
+
+def _hits(spec: SearchSpec) -> Tuple[Optional[Configuration], Dict[tuple, Optional[Configuration]]]:
+    """The grid (None when it has fewer than m vectors) and each hit's sorted
+    index tuple, mapped to the Configuration the join built for is_balanced,
+    else None; under require_uniform, only the tuples _uniform keeps.
 
     Row i of a configuration sums to det(v_i, S), S the sum of its members,
     and a symmetric row sums to 0. So a balanced set is collinear (every det
@@ -137,9 +164,9 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     the line of every member, and a nonzero binary cubic vanishes on at most
     3 lines. 2: at even m with a member alone on its line, it is not
     balanced. 4: at m = 3 it is balanced, as each row's 2 entries sum to
-    det(v_i, S) = 0. 5: otherwise is_balanced decides. Configuration.take
-    builds each set that reaches rule 4 or 5, which a hit keeps, and after
-    the sort every other hit, each with its lines; no grid table and no row.
+    det(v_i, S) = 0, with no Configuration built. 5: otherwise is_balanced
+    decides on the set's Configuration.take, which a hit keeps. No grid
+    table and no row is built.
     The join's table of C(n, floor(s/2)) entries, s = min(m, n - m), is
     held in memory. At every m, BudgetExceeded refuses more than
     DEFAULT_BUDGET left halves, C(n, ceil(s/2)) for n grid vectors, or
@@ -151,7 +178,7 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     # the grid's nonzero vectors, counted before any is built
     m, n = spec.m, len(coords) ** 2 - (0 in coords)
     if m > n:
-        return []
+        return None, {}
     # a set sums to zero exactly when the rest of the grid sums to the
     # grid's total, so the join lists the smaller of the two
     size = min(m, n - m)
@@ -228,13 +255,13 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
                 continue
             if m % 2 == 0 and 1 in map([line_of[a] for a in idx].count, on):
                 continue
-            cfg = grid.take(idx)
-            if m == 3 or is_balanced(cfg).balanced:
+            if m == 3:
+                found[idx] = None
+            elif is_balanced(cfg := grid.take(idx)).balanced:
                 found[idx] = cfg  # a hit the join built is not built again
-    hits = [found[idx] or grid.take(idx) for idx in sorted(found)]
     if spec.require_uniform:
-        return [cfg for cfg in hits if is_uniform(cfg)[0]]
-    return hits
+        return grid, {idx: found[idx] for idx in _uniform(grid, found)}
+    return grid, found
 
 
 def _join(keys: List[int], size: int, target: int):

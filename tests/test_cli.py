@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balcfg import balance, cli, geometry, sequences
-from balcfg.balance import step_constants
+from balcfg import balance, cli, geometry, search, sequences
+from balcfg.balance import is_uniform, step_constants
 from balcfg.cli import main
 from balcfg.errors import DuplicateArgument
 from balcfg.geometry import Configuration, LinearMap2, det2, roots_of_unity
 from balcfg.render import render_svg
-from balcfg.search import perturb
+from balcfg.search import SearchSpec, count_balanced, enumerate_balanced, perturb
 from balcfg.serialization import load_config, parse_config, serialize_config
 
 HERE = Path(__file__).parent
@@ -850,14 +850,48 @@ def test_search_uniform_flag_keeps_the_uniform_hits(capsys, coords, flags, count
 
 
 @pytest.mark.parametrize("flags", [["--uniform"], []])
-def test_search_checks_each_hit_for_uniformity_once(capsys, count_calls, flags):
-    # 60 balanced sets, 44 of them uniform: under --uniform the filter in
-    # enumerate_balanced checks each, and the summary counts what it kept;
-    # without it the summary's count checks each
+@pytest.mark.parametrize("m, count, uniform_count", [(3, 60, 44), (4, 66, 0)])
+def test_search_counts_uniform_hits_with_no_is_uniform_call_and_no_hit_built(
+    capsys, monkeypatch, count_calls, flags, m, count, uniform_count
+):
+    # the summary's uniform_count is the number of enumerate_balanced's hits
+    # that is_uniform accepts: 44 of the 60 at m = 3, none of the 66 at m = 4
+    spec = SearchSpec(m, tuple(map(Fraction, (-2, -1, 0, 1, 2))))
+    hits = enumerate_balanced(spec)
+    assert (len(hits), sum(is_uniform(cfg)[0] for cfg in hits)) == (count, uniform_count)
+    # a plain search counts them from their index tuples and the grid's
+    # lines: it calls is_uniform on none, and builds no Configuration but
+    # the grid of 24 vectors
     calls = count_calls(balance.is_uniform)
-    code, out, _ = run(capsys, "search", "--m", "3", "--coords", "-2,-1,0,1,2", *flags)
-    assert code == 0 and json.loads(out)["uniform_count"] == 44
-    assert len(calls) == len({cfg for (cfg,) in calls}) == 60
+    built = []
+    of_checked, init = Configuration._of_checked.__func__, Configuration.__init__
+    monkeypatch.setattr(
+        Configuration,
+        "_of_checked",
+        classmethod(lambda cls, xs, ys: built.append(len(xs)) or of_checked(cls, xs, ys)),
+    )
+    monkeypatch.setattr(
+        Configuration, "__init__", lambda self, *args: built.append(args) or init(self, *args)
+    )
+    code, out, _ = run(capsys, "search", "--m", str(m), "--coords", "-2,-1,0,1,2", *flags)
+    summary = json.loads(out)
+    expected = (uniform_count, uniform_count) if flags else (count, uniform_count)
+    assert code == 0 and (summary["count"], summary["uniform_count"]) == expected
+    assert calls == [] and built == [24]
+
+
+@pytest.mark.parametrize("flags", [["--uniform"], []])
+def test_search_enumerates_once_per_command(capsys, tmp_path, count_calls, flags):
+    # with --out the hits are listed once, written, and counted; without it
+    # they are listed once and counted
+    calls = count_calls(search._hits)
+    argv = ["search", "--m", "3", "--coords", "-2,-1,0,1,2", *flags]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and len(calls) == 1
+    code, written, _ = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0 and len(calls) == 2
+    counts = [[json.loads(out)[key] for key in ("count", "uniform_count")] for out in (plain, written)]
+    assert counts[0] == counts[1] == ([44, 44] if flags else [60, 44])
 
 
 # (m, coords, count, uniform_count) of search, at least one spec per route
@@ -893,6 +927,33 @@ def test_search_counts(capsys, m, coords, count, uniform_count):
     assert code == 0
     summary = json.loads(out)
     assert (summary["count"], summary["uniform_count"]) == (count, uniform_count)
+
+
+@pytest.mark.parametrize("require_uniform", [False, True])
+@pytest.mark.parametrize("m, coords, count, uniform_count", SEARCH_COUNTS)
+def test_count_balanced_agrees_with_enumerate_balanced_on_search_counts(
+    m, coords, count, uniform_count, require_uniform
+):
+    spec = SearchSpec(m, tuple(map(Fraction, coords.split(","))), require_uniform)
+    hits = enumerate_balanced(spec)
+    assert count_balanced(spec) == (len(hits), sum(is_uniform(cfg)[0] for cfg in hits))
+    assert len(hits) == (uniform_count if require_uniform else count)
+
+
+@pytest.mark.parametrize("flags", [[], ["--uniform"]])
+def test_search_gives_the_frozen_reference_counts(capsys, flags):
+    # [count, uniform_count] of each of the benchmark's 660 search specs, as
+    # recorded when the benchmark was introduced; under --uniform both are
+    # the uniform count
+    reference = json.loads((HERE.parent / "bench" / "search_reference.json").read_text())
+    got, expected = {}, {}
+    for key, (count, uniform_count) in reference.items():
+        m, coords = key.split(":")
+        code, out, _ = run(capsys, "search", "--m", m, "--coords", coords, *flags)
+        summary = json.loads(out)
+        got[key] = [code, summary["count"], summary["uniform_count"]]
+        expected[key] = [0, uniform_count if flags else count, uniform_count]
+    assert len(got) == 660 and got == expected
 
 
 BAD_COORDS = {

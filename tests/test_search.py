@@ -11,7 +11,13 @@ from balcfg import search
 from balcfg.balance import even_m_witness, is_balanced, is_uniform
 from balcfg.errors import BudgetExceeded
 from balcfg.geometry import Configuration, PlaneVector, roots_of_unity
-from balcfg.search import SearchSpec, enumerate_balanced, perturb, random_invertible
+from balcfg.search import (
+    SearchSpec,
+    count_balanced,
+    enumerate_balanced,
+    perturb,
+    random_invertible,
+)
 
 GRID3 = (Fraction(-1), Fraction(0), Fraction(1))
 GRID5 = tuple(Fraction(k, 2) for k in range(-2, 3))
@@ -243,6 +249,28 @@ def test_enumeration_equals_brute_force_on_random_grids(grid, require_uniform):
     expected = brute_force(tuple(sorted(coords)), m, require_uniform)
     assert hits == expected
     assert list(map(_rows, hits)) == list(map(_rows, expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # no brute force here, so the grids may be larger than above
+    st.integers(1, 6).flatmap(
+        lambda m: st.tuples(
+            st.lists(RANDOM_COORDS, min_size=1, max_size=6 if m <= 4 else 5, unique=True),
+            st.just(m),
+        )
+    ),
+    st.booleans(),
+)
+def test_count_balanced_agrees_with_enumerate_balanced_on_random_grids(grid, require_uniform):
+    # count_balanced reads a hit's uniformity off the grid's lines; is_uniform
+    # decides it on the hit that enumerate_balanced builds
+    coords, m = grid
+    spec = SearchSpec(m, tuple(coords), require_uniform)
+    hits = enumerate_balanced(spec)
+    uniform = sum(is_uniform(cfg)[0] for cfg in hits)
+    assert count_balanced(spec) == (len(hits), uniform)
+    assert not require_uniform or uniform == len(hits)
 
 
 def two_line_hits(coords, m):
