@@ -47,7 +47,7 @@ from .balance import (
 from .errors import BalcfgError, CertificateError, DuplicateArgument, InconsistentConstants
 from .geometry import Configuration, label_by_increasing_arguments, roots_of_unity
 from .render import render_svg
-from .search import SearchSpec, count_balanced, enumerate_balanced, random_invertible
+from .search import SearchSpec, random_invertible, search_balanced
 from .sequences import chebyshev_s, closure_roots, model_configuration, t_grid
 from .serialization import _rational, dumps_canonical, load_config, serialize_config
 
@@ -178,14 +178,7 @@ def _cmd_search(args) -> Tuple[dict, int]:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"search: bad --coords: {exc}") from exc
     spec = SearchSpec(m=args.m, coordinate_set=coords, require_uniform=args.uniform)
-    if args.out_dir is None:
-        count, uniform_count = count_balanced(spec)
-    else:
-        # one enumeration, whose hits are written; under --uniform it kept
-        # only the uniform ones, else is_uniform counts them
-        hits = enumerate_balanced(spec)
-        count = len(hits)
-        uniform_count = count if args.uniform else sum([is_uniform(cfg)[0] for cfg in hits])
+    count, uniform_count, hits = search_balanced(spec, build=args.out_dir is not None)
     summary = {
         "command": "search",
         "m": args.m,

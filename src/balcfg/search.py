@@ -16,9 +16,9 @@ ceil(m/2)-subsets with a table of its floor(m/2)-subset sums (for m > n/2, of
 the n - m points each set leaves out). Each joined set is decided on the
 grid's ints and lines (see _hits), and is_balanced decides only a set of
 m >= 5 on 3 lines, or on 4 or more with a zero third moment. Each hit is
-listed as its sorted tuple of grid indices: count_balanced counts the hits,
+listed as its sorted tuple of grid indices: search_balanced counts the hits,
 and the uniform ones, from those tuples and the grid's lines alone, and
-enumerate_balanced builds each hit's Configuration from its tuple.
+builds each hit's Configuration from its tuple only when asked.
 """
 
 from __future__ import annotations
@@ -109,25 +109,31 @@ class SearchSpec(
 def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     """All balanced configurations of m pairwise distinct vectors over the
     grid, exact arithmetic, in deterministic lexicographic order; optionally
-    only the uniform ones. Each is built from its index tuple (_hits) by
-    Configuration.take after the sort, unless the join built it already."""
-    grid, found = _hits(spec)
-    return [found[idx] or grid.take(idx) for idx in sorted(found)]
+    only the uniform ones: search_balanced's hits."""
+    return search_balanced(spec, build=True)[2]
 
 
 def count_balanced(spec: SearchSpec) -> Tuple[int, int]:
-    """(count, uniform_count): how many configurations enumerate_balanced
-    lists, and how many of them are uniform, from their index tuples and the
-    grid's lines; no hit is built but those is_balanced decided, and none
-    goes to is_uniform."""
+    """(count, uniform_count) of enumerate_balanced's hits, none built:
+    search_balanced without its hits."""
+    return search_balanced(spec)[:2]
+
+
+def search_balanced(spec: SearchSpec, build: bool = False) -> Tuple[int, int, List[Configuration]]:
+    """(count, uniform_count, hits) of one enumeration. A hit is uniform
+    exactly when its members lie on pairwise distinct lines of the grid
+    (Configuration.lines), exact is_uniform's rule, read off its index tuple
+    (_hits), so none goes to is_uniform. Only under build are the hits
+    listed (else []): each by Configuration.take after the sort, unless the
+    join built it already for is_balanced; no other hit is built."""
     grid, found = _hits(spec)
-    return len(found), len(_uniform(grid, found))
+    hits = [found[idx] or grid.take(idx) for idx in sorted(found)] if build else []
+    return len(found), len(_uniform(grid, found)), hits
 
 
 def _uniform(grid: Configuration, found) -> List[tuple]:
     """The index tuples of found whose members lie on pairwise distinct lines
-    of the grid (Configuration.lines): exact is_uniform's rule, read off the
-    grid."""
+    of the grid: search_balanced's rule for a uniform hit."""
     return [idx for idx in found if len(set(map(grid.lines.__getitem__, idx))) == len(idx)]
 
 

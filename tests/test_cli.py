@@ -883,13 +883,13 @@ def test_search_counts_uniform_hits_with_no_is_uniform_call_and_no_hit_built(
 @pytest.mark.parametrize("flags", [["--uniform"], []])
 def test_search_enumerates_once_per_command(capsys, tmp_path, count_calls, flags):
     # with --out the hits are listed once, written, and counted; without it
-    # they are listed once and counted
-    calls = count_calls(search._hits)
+    # they are listed once and counted; neither path calls is_uniform
+    calls, uniform_calls = count_calls(search._hits), count_calls(balance.is_uniform)
     argv = ["search", "--m", "3", "--coords", "-2,-1,0,1,2", *flags]
     code, plain, _ = run(capsys, *argv)
     assert code == 0 and len(calls) == 1
     code, written, _ = run(capsys, *argv, "--out", str(tmp_path))
-    assert code == 0 and len(calls) == 2
+    assert code == 0 and len(calls) == 2 and uniform_calls == []
     counts = [[json.loads(out)[key] for key in ("count", "uniform_count")] for out in (plain, written)]
     assert counts[0] == counts[1] == ([44, 44] if flags else [60, 44])
 
