@@ -516,6 +516,29 @@ def test_roots_keeps_the_bytes_of_n_400(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_certify_ops_of_seeds_1_to_10_keep_their_bytes(capsys, monkeypatch, tmp_path):
+    # certify_seeds_1-10.sha256 holds one "<digest>  seed<S>_op<I>_<command>"
+    # line per op of the benchmark's certify workload (bench/workloads.py,
+    # read only) for seeds 1..10, in op order; the digest is the SHA-256 of
+    # "<seed>\n<op id>\n<exit code>\n<stdout>". A benchmark change to the op
+    # list re-records the file.
+    monkeypatch.syspath_prepend(str(HERE.parent / "bench"))
+    import workloads
+
+    got = []
+    for seed in range(1, 11):
+        workdir = tmp_path / f"seed{seed}"
+        workdir.mkdir()
+        for op in workloads.build("certify", seed, str(workdir)):
+            code, out, _ = run(capsys, *op.argv)
+            digest = hashlib.sha256(f"{seed}\n{op.op_id}\n{code}\n{out}".encode()).hexdigest()
+            got.append(f"{digest}  seed{seed}_op{op.op_id}_{op.command}")
+    lines = (GOLDEN / "certify_seeds_1-10.sha256").read_text().splitlines()
+    assert [line.split()[1] for line in got] == [line.split()[1] for line in lines]
+    for mine, recorded in zip(got, lines):
+        assert mine == recorded
+
+
 def test_roots_accepts_m_spelling(capsys):
     _, by_n, _ = run(capsys, "roots", "--n", "3")
     _, by_m, _ = run(capsys, "roots", "--m", "7")
