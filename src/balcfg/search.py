@@ -64,8 +64,6 @@ def random_invertible(seed: int) -> LinearMap2:
         trace = a * a + b * b + c * c + d * d
         disc = math.sqrt(max(trace * trace - 4.0 * det * det, 0.0))
         smin_sq = (trace - disc) / 2.0
-        if smin_sq <= 0.0:
-            continue
         cond = math.sqrt((trace + disc) / 2.0 / smin_sq)
         if cond <= COND_MAX:
             return LinearMap2(a, b, c, d)

@@ -458,8 +458,12 @@ def test_norm_bounds_are_computed_once_per_bracket(capsys, count_calls, tmp_path
         ((1.0, 1.0, 1.0, 1.0), 0.0, False),
         # r^2 overflows, so pair and floor are not finite
         ((1.0, 0.0, 0.0, 1.0), 1e200, False),
+        # an entry below SAFE_COORDINATE_RANGE: pair and floor would be
+        # finite (about 1.4e137 and 2.8e150), but products of it may round
+        # other than relatively, so no bound is given
+        ((2.0**-500, 0.0, 0.0, 1.0), 0.0, False),
     ],
-    ids=["identity", "singular", "overflow"],
+    ids=["identity", "singular", "overflow", "outside-safe-range"],
 )
 def test_residual_bounds_refuse_a_singular_map_and_a_bound_that_is_not_finite(
     g, residual, bounded
