@@ -27,36 +27,31 @@ uniform with no row. The map, memoized per member set, runs only where a
 bound can hold: on coordinates in SAFE_COORDINATE_RANGE, past a gate on the
 members' sum S: row i sums to det(v_i, S), so a set whose max |det(v_i, S)|
 exceeds what rows balanced at the tolerance can sum to is not balanced
-(_row_sums_refute). A member set closed under v -> -v is
-balanced once row 0 has passed: row i holds -det(v_i, v_j) next to each
-det(v_i, v_j), exactly for the ints of exact mode and for floats with every
-coordinate in SAFE_COORDINATE_RANGE, where fl(-d) = -fl(d). Exact is_uniform
-and even_m_witness compare the members' lines, with no row; float
-is_uniform bounds every |det| from below by each member's nearest argument
-gap. step_constants of a certified image listed in an affine relabeling of
-its label order reads (A1, An) off row 0's two entries, as every step entry
-lies within the certificate's pair bound of them.
+(_row_sums_refute). A member set closed under v -> -v is balanced once row
+0 has passed: row i holds -det(v_i, v_j) next to each det(v_i, v_j). Exact
+is_uniform and even_m_witness compare the members' lines, with no row;
+float is_uniform bounds every |det| from below by each member's nearest
+argument gap. step_constants of a certified image listed in an affine
+relabeling of its label order reads (A1, An) off row 0's two entries, as
+every step entry lies within the certificate's pair bound of them.
 
-Otherwise the verdicts read the determinant rows in order and stop at the
-first that decides, so no verdict, witness or certificate class depends on
-the map, and canonicalize's one refusal of the map (ResidualTooLarge, on
-float input) comes after them. Configuration.det_row computes each row
-afresh and nothing caches it, so no m x m table is built. Exact rows hold
-the ints D^2 * det (D the lcm of the denominators), compared with tolerance
-0; a value a caller reads (a witness, det_max) is divided back to input
-units by Configuration.unscale. step_constants' scan reads its 2m entries
-off the coordinate columns.
+Otherwise the verdicts read the rows of the one exact table in order
+(Configuration.det_row: the ints D^2 * det in both modes, a float being the
+dyadic rational it holds) and stop at the first that decides, so no
+verdict, witness or certificate class depends on the map or on rounding,
+and canonicalize's one refusal of the map (ResidualTooLarge, on float
+input) comes after them. A value a caller reads (a witness, a step
+constant) is Configuration.det of the pair that decided.
 
-The default float tolerance is 1e-9 * det_max, and det_max reads every row
-(streamed). Every verdict hands the values it compares, and the table
-entries it holds, to one _Bracket, which decides each comparison at the
-ends of a bracket first: 1e-9 * max |held entry| below, 1e-9 * a bound on
-max |v|^2 above. A value beyond both ends is decided; anything else reads
-det_max. That bound and one on min |v|^2 come from norm_sq_bounds, once per
-member set, for coordinates in the safe range (in_safe_range, one list of
-magnitudes). This module holds the float error model (Higham 2002, ch. 3):
-every forward-error bound of the package, and each constant one rests on,
-the libm assumptions ARGUMENT_ERR and TARGET_ERR included (README).
+The default float tolerance is 1e-9 * det_max, both read exactly, and
+det_max reads every row (streamed). Every verdict hands the values it
+compares, and the table entries it holds, to one _Bracket, which decides
+each comparison at the ends of a bracket first. The certificate, the gate
+and the gap floor compute in floats, build no int, and bound the exact
+table; this module holds their error model (Higham 2002, ch. 3), on the
+norm bounds of norm_sq_bounds (coordinates in_safe_range), and each
+constant it rests on, the libm assumptions ARGUMENT_ERR and TARGET_ERR
+included (README).
 """
 
 from __future__ import annotations
@@ -78,8 +73,10 @@ from .geometry import (
     roots_of_unity,
 )
 
-# Relative factor for the default float tolerance: tol = 1e-9 * max |det|.
+# Relative factor for the default float tolerance: tol = 1e-9 * max |det|,
+# with 1e-9 read at its exact value _REL_NUM / _REL_DEN.
 DEFAULT_REL_TOL = 1e-9
+_REL_NUM, _REL_DEN = DEFAULT_REL_TOL.as_integer_ratio()
 # Default acceptable residual for canonicalize.
 RESIDUAL_TOL = 1e-8
 # Unit roundoff of binary64.
@@ -165,76 +162,84 @@ def norm_sq_bounds(c: Configuration) -> Optional[Tuple[float, float]]:
 
 
 class _Bracket:
-    """Bounds lo <= eff <= hi on the tolerance eff that every verdict
-    compares c's scaled determinant entries with: lo = hi = eff = 0 in exact
-    mode (tol ignored), else tol. Every float comparison, the uniformity
-    scan included, hands its values to above or within, so det_max, which
-    reads every row, is read only when a value falls between lo and hi.
-    Under the default float tolerance, eff = DEFAULT_REL_TOL * det_max, and
-    with every coordinate in the safe range:
-    - lo = 1e-9 * max |held| over the entries of c's scaled table that the
-      verdicts have handed over with their values (held): det_max is the
-      largest |entry|, as the table holds fl(-d) = -fl(d) next to each d;
-    - hi = 1e-9 * high from norms (norm_sq_bounds): |fl det2(v_i, v_j)| <=
-      (1 + u)^2 (|x_i y_j| + |y_i x_j|) <= (1 + u)^2 |v_i| |v_j|.
-    Float multiplication by 1e-9 is monotone, so the bounds hold after it.
-    Elsewhere lo = hi = eff. Norms, hi and eff are computed on first read;
-    lo starts at 0 and is raised by held only where a comparison needs it.
+    """The tolerance eff that every verdict compares c's table entries
+    with, exactly, as an int in table units (the scale D^2 of det_row), with
+    lo <= eff <= hi there and a float top >= eff in input units for the
+    gates that read no row. Exact mode: eff = 0 (tol ignored). An explicit
+    tol: eff = floor(tol * D^2), tol read exactly, and lo = hi = eff. The
+    default: eff = floor(1e-9 * det_max), 1e-9 read exactly, and each
+    comparison hands its values to above or within with the entries it
+    holds, so det_max, which reads every row, is read only for a value
+    between lo = floor(1e-9 * max |held|) (the table holds -d next to each
+    d) and hi = floor(1e-9 * 2 max |X| max |Y|) over the members' ints, as
+    |X_i Y_j - Y_i X_j| <= |X_i| |Y_j| + |Y_i| |X_j|. top is tol, or 1e-9
+    times high from norm_sq_bounds, above max |v|^2 by BOUND_SLACK, far
+    above the product's rounding. All but lo are computed on first read; lo
+    starts at 0 and is raised by held only where a comparison needs it.
     """
 
     def __init__(self, c: Configuration, tol: Optional[float]):
         self.c, self.tol = c, tol
         if tol is not None:
-            self.lo = self.hi = self.eff = require_tolerance(tol)
+            require_tolerance(tol)
         if c.mode == EXACT:
-            self.norms, self.lo, self.hi, self.eff = None, 0, 0, 0
+            self.lo = self.hi = self.eff = 0
+        elif tol is None:
+            self.lo = 0
 
     @cached_property
     def norms(self) -> Optional[Tuple[float, float]]:
         return self.c.per_member_set(norm_sq_bounds)
 
     @cached_property
-    def eff(self) -> Scalar:
-        return DEFAULT_REL_TOL * self.c.det_max
+    def top(self) -> float:
+        return DEFAULT_REL_TOL * self.norms[1] if self.tol is None else self.tol
 
     @cached_property
-    def lo(self) -> Scalar:
-        return self.eff if self.norms is None else 0.0
+    def eff(self) -> int:
+        if self.tol is None:
+            return _REL_NUM * self.c.det_max // _REL_DEN
+        num, den = self.tol.as_integer_ratio()
+        return num * self.c._det_coords[2] // den
 
     @cached_property
-    def hi(self) -> Scalar:
-        return self.eff if self.norms is None else DEFAULT_REL_TOL * self.norms[1]
+    def lo(self) -> int:
+        return self.eff
 
-    def _lift(self, held) -> Scalar:
-        """lo, raised to 1e-9 * max |held| where that is higher."""
+    @cached_property
+    def hi(self) -> int:
+        if self.tol is not None:
+            return self.eff
+        xs, ys, _ = self.c._det_coords
+        return _REL_NUM * 2 * max(map(abs, xs)) * max(map(abs, ys)) // _REL_DEN
+
+    def _lift(self, held) -> int:
+        """lo, raised to floor(1e-9 * max |held|) where that is higher."""
         if self.lo < self.hi:
-            self.lo = max(self.lo, DEFAULT_REL_TOL * max(map(abs, held), default=0.0))
+            self.lo = max(self.lo, _REL_NUM * max(map(abs, held), default=0) // _REL_DEN)
         return self.lo
 
     def above(self, values: list, held) -> Optional[int]:
         """The first j with values[j] > eff, or None: None when no value
         exceeds lo (one C-level max; held is read only when one exceeds the
         lo of earlier comparisons), j when values[j] is the first above lo
-        and is above hi too; anything else narrows the bracket to eff. A NaN
-        value is above no tolerance: max skips it unless it comes first, and
-        then the scan skips it."""
+        and is above hi too; anything else narrows the bracket to eff."""
         top = max(values, default=self.lo)
         if top <= self.lo or top <= self._lift(held):
             return None
         j = _first(operator.lt, self.lo, values)
-        if j is None or values[j] > self.hi:
+        if values[j] > self.hi:
             return j
         return self._at_eff(operator.lt, values)
 
     def within(self, values: list, held) -> Optional[int]:
         """above's mirror: the first j with values[j] <= eff, or None. None
         when every value exceeds hi (one C-level min), j when values[j] is the
-        first within hi and is within lo too, which reads held only then. A
-        NaN value is within no tolerance, as in above."""
+        first within hi and is within lo too, which reads held only then."""
         if min(values, default=math.inf) > self.hi:
             return None
         j = _first(operator.ge, self.hi, values)
-        if j is None or values[j] <= self.lo or values[j] <= self._lift(held):
+        if values[j] <= self.lo or values[j] <= self._lift(held):
             return j
         return self._at_eff(operator.ge, values)
 
@@ -250,21 +255,17 @@ def _first(op, eff: Scalar, values) -> Optional[int]:
     return hits.index(True) if True in hits else None
 
 
-def _negation_closed(c: Configuration, bracket: _Bracket) -> bool:
-    """Whether c's members, as a multiset, are closed under v -> -v where
-    that certifies every row symmetric at every tolerance >= 0: in exact
-    mode, or in float mode with every coordinate in the safe range (the
-    bracket's norms exist).
+def _negation_closed(c: Configuration) -> bool:
+    """Whether c's members, as a multiset, are closed under v -> -v, which
+    certifies every row symmetric at every tolerance >= 0.
 
-    Member j then pairs with a member equal to -v_j, so row i holds
+    Member j then pairs with a member equal to -v_j, so row i holds the int
     det(v_i, -v_j) = -det(v_i, v_j) next to each entry, and a 0 from the
-    member equal to -v_i. The ints of exact mode negate exactly; a float
-    entry fl(x_i y_j - y_i x_j) of normal products negates exactly too, as
-    round-to-nearest is symmetric about 0. Odd m is refused by parity (no
-    nonzero vector is its own negation); otherwise one C-level sort of the
-    scaled coordinate pairs is compared with its negated reversal.
+    member equal to -v_i. Odd m is refused by parity (no nonzero vector is
+    its own negation); otherwise one C-level sort of the scaled coordinate
+    pairs is compared with its negated reversal.
     """
-    if c.m % 2 or (c.mode != EXACT and bracket.norms is None):
+    if c.m % 2:
         return False
     xs, ys, _ = c._det_coords
     sx, sy = zip(*sorted(zip(xs, ys)))
@@ -297,8 +298,8 @@ def _map_onto_roots(c: Configuration) -> CanonicalForm:
 def _residual_bounds(form: CanonicalForm, norms, m: int) -> Optional[Tuple[float, float]]:
     """(pair, floor) from _map_onto_roots's form on m members, given norms,
     their norm_sq_bounds, which exist: every pair sum that is_balanced
-    forms on a sorted row of their float determinant table is at most pair
-    in magnitude, and every off-diagonal |entry| is at least floor. None when
+    forms on a sorted row of their exact determinant table is at most pair
+    in magnitude, and every off-diagonal |det| is at least floor. None when
     no bound holds: an entry of the map outside SAFE_COORDINATE_RANGE (where
     products may round other than relatively), a map whose determinant is not
     bounded away from 0, or a bound that is not finite.
@@ -313,15 +314,13 @@ def _residual_bounds(form: CanonicalForm, norms, m: int) -> Optional[Tuple[float
     - det(G v_i, G v_j) = det(G) det(v_i, v_j) = sin(2 pi (j - i) / m) +
       delta_ij, |delta_ij| <= 2r + r^2, as |det(a, b)| <= |a| |b|.
     - |det G| is bracketed by fl(ad - bc) -+ 3u (|ad| + |bc|).
-    - Each table entry fl(x_i y_j - y_i x_j) is within 3u max |v|^2 of
-      det(v_i, v_j) (products and sum normal or exact; Higham 2002, ch. 3).
-    Each exact row {sin(2 pi (j - i) / m) : j != i} is symmetric, as j - i
-    runs over the nonzero residues mod m. Sorting is 1-Lipschitz in the max
-    norm, so each sorted pair sum of the float row is within 2 (2r + r^2) /
-    |det G| + 2 * 3u max |v|^2 of 0, times 1 + u for the sum itself: that is
-    pair. For odd m, the smallest |sin(2 pi k / m)|, k != 0, is sin(pi / m),
-    so every |entry| is at least (sin(pi / m) - 2r - r^2) / |det G| - 3u max
-    |v|^2: that is floor. Each term is rounded outward by BOUND_SLACK, which
+    Each row {sin(2 pi (j - i) / m) : j != i} is symmetric, as j - i runs
+    over the nonzero residues mod m. Sorting is 1-Lipschitz in the max norm,
+    so each sorted pair sum of the row {det(v_i, v_j)} is within 2 (2r +
+    r^2) / |det G| of 0: that is pair. For odd m, the smallest |sin(2 pi k /
+    m)|, k != 0, is sin(pi / m), so every |det| is at least (sin(pi / m) -
+    2r - r^2) / |det G|: that is floor. Each term is rounded outward by
+    BOUND_SLACK, which
     at floor's first term must also cover the error of math.sin(math.pi / m)
     (README's platform assumption).
     """
@@ -340,9 +339,8 @@ def _residual_bounds(form: CanonicalForm, norms, m: int) -> Optional[Tuple[float
     size = abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d)
     r = (form.residual * (1.0 + 4.0 * u) + 3.0 * u * size * math.sqrt(high) + TARGET_ERR) * up
     spread = (2.0 * r + r * r) * up
-    entry_err = 3.0 * u * high * up
-    pair = (2.0 * spread / det_lo + 2.0 * entry_err) * (1.0 + u) * up
-    floor = ((math.sin(math.pi / m) * down - spread) / det_hi * down - entry_err) * down
+    pair = 2.0 * spread / det_lo * up
+    floor = (math.sin(math.pi / m) * down - spread) / det_hi * down
     if not (math.isfinite(pair) and math.isfinite(floor)):
         return None
     return pair, floor
@@ -370,22 +368,18 @@ def _row_sums(c: Configuration) -> Tuple[float, float]:
 
 def _row_sums_refute(c: Configuration, bracket: _Bracket) -> bool:
     """Whether some row of c (float, odd m, with the bracket's norms) fails
-    at the bracket's upper end hi, and so at eff <= hi, by its sum alone.
+    at the bracket's float end top, and so at eff <= top, by its sum alone.
 
     Row i sums to det(v_i, S) exactly, S the exact sum of the members, as
-    det(v_i, v_i) = 0. A row of m - 1 = 2n float entries that passes at hi
-    has n pair sums, each within hi / (1 - u) of 0 before its rounding, and
-    each entry is within 3u max |v|^2 of its det (see _residual_bounds), so
-    |det(v_i, S)| <= n hi / (1 - u) + (m - 1) 3u max |v|^2. The statistic
+    det(v_i, v_i) = 0. A row of m - 1 = 2n entries that passes at top has n
+    pair sums within top of 0, so |det(v_i, S)| <= n top. The statistic
     fl det(v_i, s) on the correctly rounded s (|s - S| <= u |S| per
     coordinate) is within 4u max |v| (|s_x| + |s_y|) of det(v_i, S), plus
     2^-1073 for two products that underflow. A statistic past the sum of
     these, rounded outward by BOUND_SLACK, refutes that row."""
-    high, u = bracket.norms[1], UNIT_ROUNDOFF
-    top, size = c.per_member_set(_row_sums)
-    own = 4.0 * u * math.sqrt(high) * size + 2.0**-1073
-    limit = c.n * bracket.hi / (1.0 - u) + (c.m - 1) * 3.0 * u * high + own
-    return top > limit * (1.0 + BOUND_SLACK)
+    stat, size = c.per_member_set(_row_sums)
+    own = 4.0 * UNIT_ROUNDOFF * math.sqrt(bracket.norms[1]) * size + 2.0**-1073
+    return stat > (c.n * bracket.top + own) * (1.0 + BOUND_SLACK)
 
 
 def _certified(c: Configuration, bracket: _Bracket) -> bool:
@@ -395,46 +389,45 @@ def _certified(c: Configuration, bracket: _Bracket) -> bool:
     or a set whose row sums refute balance (_row_sums_refute), as a set
     that is not balanced has no certificate; the gate reads no row and
     never det_max. Then _certificate's (pair, floor) must clear the
-    bracket: floor > hi >= eff, and pair <= eff, an explicit tol itself or
+    bracket: floor > top >= eff, and pair <= eff, an explicit tol itself or
     the default 1e-9 * det_max >= 1e-9 * floor (floor bounds every
-    off-diagonal |entry|, and float multiplication is monotone). A certified
-    set passes every row, so the gate never refutes one."""
+    off-diagonal |det|), which the float product, rounded down by
+    BOUND_SLACK, never exceeds. A certified set passes every row, so the
+    gate never refutes one."""
     if c.m % 2 == 0 or c.m < 3 or bracket.norms is None or _row_sums_refute(c, bracket):
         return False
     bounds = c.per_member_set(_certificate)
     if bounds is None:
         return False
     pair, floor = bounds
-    return floor > bracket.hi and pair <= (
-        DEFAULT_REL_TOL * floor if bracket.tol is None else bracket.tol
+    return floor > bracket.top and pair <= (
+        DEFAULT_REL_TOL * floor * (1.0 - BOUND_SLACK) if bracket.tol is None else bracket.tol
     )
 
 
 def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
     """Decide multiset symmetry of every determinant row.
 
-    Exact mode compares exactly (tol ignored); float mode compares within an
-    absolute tolerance (default 1e-9 * max |det|). A certified GL2 image of
-    U_m (_certified) is balanced with no row. Otherwise the rows are
-    computed in order, each without its diagonal entry and sorted in place.
-    Each row hands the bracket (above) the |sums| of its extreme pairs,
-    srow[j] + srow[N-1-j] for j < N // 2, then an odd row's |middle entry|
-    as j = N // 2, where srow[j] and srow[N-1-j] are that one entry, with
-    the row as the bracket's held entries. Once row 0 has passed, a member
-    set closed under negation is balanced with no further row, in exact
-    mode or with every float coordinate in SAFE_COORDINATE_RANGE, where
-    every row is exactly symmetric (_negation_closed).
-    The witness is (i, value) for the first row i that fails: the
-    larger-magnitude side of its first bad pair, else its middle entry, in
-    input units.
+    Exact mode compares exactly (tol ignored); float mode compares the exact
+    table within an absolute tolerance (default 1e-9 * max |det|), read
+    exactly (_Bracket). A certified GL2 image of U_m (_certified) is
+    balanced with no row. Otherwise the rows are computed in order, each
+    sorted without its diagonal entry. Each row hands the bracket (above)
+    the |sums| of its extreme pairs, srow[j] + srow[N-1-j] for j < N // 2,
+    then an odd row's |middle entry| as j = N // 2, where srow[j] and
+    srow[N-1-j] are that one entry, with the row as the bracket's held
+    entries. Once row 0 has passed, a member set closed under negation is
+    balanced with no further row (_negation_closed).
+    The witness is (i, c.det(i, j)) for the first row i that fails, and
+    the first member j whose entry is the larger-magnitude side of its first
+    bad pair, else its middle entry.
     """
     bracket = _Bracket(c, tol)
     if _certified(c, bracket):
         return BalanceReport(True, None)
     for i in range(c.m):
-        srow = c.det_row(i)
-        del srow[i]
-        srow.sort()
+        row = c.det_row(i)
+        srow = sorted(row[:i] + row[i + 1 :])
         half = len(srow) // 2
         sums = list(map(abs, map(operator.add, srow[:half], reversed(srow))))
         sums += map(abs, srow[half : len(srow) - half])
@@ -442,14 +435,14 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
         if j is not None:
             lo, hi = srow[j], srow[-1 - j]
             value = hi if abs(hi) >= abs(lo) else lo
-            return BalanceReport(False, (i, c.unscale(value)))
-        if i == 0 and _negation_closed(c, bracket):
+            return BalanceReport(False, (i, c.det(i, row.index(value))))
+        if i == 0 and _negation_closed(c):
             break
     return BalanceReport(True, None)
 
 
 def _gap_floor(c: Configuration, norms: Optional[Tuple[float, float]]) -> Optional[float]:
-    """A lower bound on every |fl det2(v_i, v_j)|, i != j, of a float
+    """A lower bound on every |det2(v_i, v_j)|, i != j, of a float
     configuration of m >= 2 members with norms, its norm_sq_bounds, from
     each member's nearest gap between the arguments mod pi; None without norms.
 
@@ -457,8 +450,7 @@ def _gap_floor(c: Configuration, norms: Optional[Tuple[float, float]]) -> Option
     the next sorted argument) - 3 * ARGUMENT_ERR from v_i on the circle of
     length pi (an error in each argument, and the rounding of the gap), and
     g_i <= pi / 2, so |det2(v_i, v_j)| >= |v_i| sin(g_i) sqrt(min |v|^2),
-    which is negative, and clears no tolerance, for g_i < 0. Each float
-    entry is within 3u * max |v|^2 of its det2 (see _Bracket).
+    which is negative, and clears no tolerance, for g_i < 0.
     """
     if norms is None or c.m < 2:
         return None
@@ -467,9 +459,8 @@ def _gap_floor(c: Configuration, norms: Optional[Tuple[float, float]]) -> Option
     # sizes[k] lies between gaps[k] and gaps[k + 1], cyclically
     gaps = [args[0] + math.pi - args[-1], *map(operator.sub, args[1:], args[:-1])]
     near = [(b if b < a else a) - 3.0 * ARGUMENT_ERR for a, b in zip(gaps, gaps[1:] + gaps[:1])]
-    low, high = norms
-    least = min(map(operator.mul, sizes, map(math.sin, near))) * math.sqrt(low)
-    return (least * (1.0 - BOUND_SLACK) - 3.0 * UNIT_ROUNDOFF * high) * (1.0 - BOUND_SLACK)
+    least = min(map(operator.mul, sizes, map(math.sin, near))) * math.sqrt(norms[0])
+    return least * (1.0 - BOUND_SLACK)
 
 
 def is_uniform(
@@ -482,23 +473,21 @@ def is_uniform(
     (Configuration.lines) holds a later member, and the least such j. In
     float mode, a certified GL2 image of U_m (_certified) is uniform with no
     row, and so is one whose lower bound on every |det| (_gap_floor) clears
-    the tolerance's upper bracket. Otherwise each row hands its |D[i][j]|, j
+    the bracket's float end top. Otherwise each row hands its |D[i][j]|, j
     > i, to the bracket (within), whose C-level minimum decides whether the
     row holds such a pair; only such a row is scanned for its j. Rows are
     computed in order, so the scan stops at the first row that holds a
-    pair. An overflowed entry (inf - inf) is NaN and counts as nonzero.
+    pair.
     """
+    bracket = _Bracket(c, tol)
     if c.mode == EXACT:
-        if tol is not None:
-            require_tolerance(tol)
         first: Dict[tuple, int] = {}
         later = [(first[key], j) for j, key in enumerate(c.lines) if first.setdefault(key, j) < j]
         return not later, min(later, default=None)
-    bracket = _Bracket(c, tol)
     if _certified(c, bracket):
         return True, None
     floor = _gap_floor(c, bracket.norms)
-    if floor is not None and floor > bracket.hi:
+    if floor is not None and floor > bracket.top:
         return True, None
     for i in range(c.m - 1):
         rest = list(map(abs, c.det_row(i)[i + 1 :]))
@@ -584,8 +573,8 @@ def even_m_witness(c: Configuration, tol: Optional[float] = None) -> int:
     mode (tol checked, then ignored) that j is the first later member on
     v_0's line (Configuration.lines), with no row. Otherwise only row 0 is
     read: when it has no zero, that row alone shows the configuration is
-    not balanced, and NotBalanced carries (0, its entry nearest 0) in input
-    units.
+    not balanced, and NotBalanced carries (0, c.det(0, j)) for the first
+    j whose entry is nearest 0.
     """
     if c.m % 2 == 1:
         raise ValueError(f"m = {c.m} is odd; the even-m obstruction does not apply")
@@ -597,7 +586,7 @@ def even_m_witness(c: Configuration, tol: Optional[float] = None) -> int:
     if bracket.above([abs(row[j])], row) is not None:
         raise NotBalanced(
             "row 0 has odd cardinality and no zero determinant",
-            witness=(0, c.unscale(row[j])),
+            witness=(0, c.det(0, j)),
         )
     return j
 
@@ -612,16 +601,15 @@ def step_constants(c: Configuration, tol: Optional[float] = None) -> StepConstan
     offset a is det(w_l, w_{l+b}) for the labeled members w and one b =
     a / d, within the certificate's pair <= eff of det(w_0, w_b) = D[0][a]
     (see _residual_bounds), so A1 = D[0][1] and An = D[0][n] pass every k.
-    Any other input takes _step_scan.
+    Any other input takes _step_scan. A1 and An are c.det(0, 1) and
+    c.det(0, n) either way.
     """
     if c.m % 2 == 0 or c.m < 3:
         raise ValueError(f"step constants require odd m >= 3, got m = {c.m}")
     bracket = _Bracket(c, tol)
-    if _certified(c, bracket) and _affine(c.label_order):
-        xs, ys = c.xs, c.ys
-        a1, an = (xs[0] * ys[a] - ys[0] * xs[a] for a in (1, c.n))
-        return StepConstants(A1=a1, An=an)
-    return _step_scan(c, bracket)
+    if not (_certified(c, bracket) and _affine(c.label_order)):
+        _step_scan(c, bracket)
+    return StepConstants(A1=c.det(0, 1), An=c.det(0, c.n))
 
 
 def _affine(order: list) -> bool:
@@ -632,19 +620,18 @@ def _affine(order: list) -> bool:
     return order == list(map(operator.mod, range(r, r + d * m, d), repeat(m)))
 
 
-def _step_scan(c: Configuration, bracket: _Bracket) -> StepConstants:
-    """step_constants by its 2m step determinants, read by det2's expression
-    on the columns and the columns rotated by 1 and by n, so they are
-    det_row's entries bit for bit; their distances from (A1, An) go to the
-    bracket (above), with the 2m entries as its lower end's. Raises
-    InconsistentConstants naming the first violating k. A1 and An come back
-    in input units."""
-    xs, ys, mul, sub = c.xs, c.ys, operator.mul, operator.sub
+def _step_scan(c: Configuration, bracket: _Bracket) -> None:
+    """step_constants' check of its 2m step determinants, read off the
+    table's ints and those rotated by 1 and by n, so they are det_row's
+    entries; their distances from (D[0][1], D[0][n]) go to the bracket
+    (above), with the 2m entries as its lower end's. Raises
+    InconsistentConstants naming the first violating k."""
+    xs, ys, _ = c._det_coords
+    mul, sub = operator.mul, operator.sub
     steps = [
         list(map(sub, map(mul, xs, ys[a:] + ys[:a]), map(mul, ys, xs[a:] + xs[:a])))
         for a in (1, c.n)
     ]
-    a1, an = steps[0][0], steps[1][0]
     held = steps[0] + steps[1]
     misses = [list(map(abs, map(sub, row, repeat(row[0])))) for row in steps]
     found = [k for k in (bracket.above(miss, held) for miss in misses) if k is not None]
@@ -653,4 +640,3 @@ def _step_scan(c: Configuration, bracket: _Bracket) -> StepConstants:
         raise InconsistentConstants(
             f"step determinants at k = {k} differ from (A1, An)", witness=k
         )
-    return StepConstants(A1=a1, An=an)

@@ -12,15 +12,17 @@ untested (Configuration._of_checked). A PlaneVector, built only on request,
 is a checked named tuple (x, y) with mode and no arithmetic: every member
 computation runs on the columns.
 
-A configuration's determinant rows keep their entries at one scale. In
-exact mode, with D the lcm of the coordinate denominators, each row is built
-from the integer coordinates x*D, y*D, so every entry is the int D^2 * det2
-and the scale is D^2; the verdicts sort, add and compare these ints. In float
-mode the entries are the float det2 values of the columns, at scale 1. Each
-row is computed where it is read, by one comprehension (Configuration.det_row),
-as a fresh list that nothing caches: a verdict holds one row at a time, and
-no m x m table is built. A value that leaves the package (a witness, a
-maximum) is divided back to input units by Configuration.unscale.
+A configuration's determinant table is one exact table of ints in both
+modes. Every coordinate, a Fraction or a binary float, is a rational whose
+denominator divides one D (a multiple of the denominators' lcm; a power of
+two 2^k in float mode), so the ints x*D, y*D hold every member exactly and
+each entry is the int D^2 * det2. The verdicts sort, add and compare these
+ints. Each row is computed where it is read, by one comprehension
+(Configuration.det_row), as a fresh list that nothing caches: a verdict
+holds one row at a time, and no m x m table is built. A value that leaves
+the package (a witness, a step constant) is Configuration.det of the pair
+that decided: det2 in the members' own arithmetic, the exact det in exact
+mode and the float entry fl(x_i*y_j - y_i*x_j) in float mode.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Tuple, Union
 
 from .errors import DuplicateArgument, SingularFrame
@@ -255,14 +258,26 @@ class Configuration:
     @cached_property
     def _det_coords(self) -> tuple:
         """(xs, ys, scale) that every determinant row is built from: the
-        columns themselves at scale 1 in float mode, the ints x*D, y*D (D the
-        lcm of the denominators) at scale D^2 in exact mode."""
+        ints x*D, y*D at scale D^2. In float mode D is 2^k for k = max(0,
+        53 - e) over the coordinates' frexp exponents e, as a float
+        m * 2^e has 53 bits, and one math.ldexp pass scales exactly; where
+        some x*D would pass the float range, and in exact mode, D is the lcm
+        of the denominators that as_integer_ratio gives."""
+        values = self.xs + self.ys
         if self.mode == FLOAT:
-            return self.xs, self.ys, 1
-        d = math.lcm(*[x.denominator for x in self.xs + self.ys])
-        xs = [x.numerator * (d // x.denominator) for x in self.xs]
-        ys = [y.numerator * (d // y.denominator) for y in self.ys]
-        return xs, ys, d * d
+            k = max(0, 53 - min([e for _, e in map(math.frexp, values)]))
+            try:
+                ints = list(map(int, map(math.ldexp, values, repeat(k))))
+                return ints[: self.m], ints[self.m :], 4**k
+            except OverflowError:
+                pass
+        ratios = [v.as_integer_ratio() for v in values]
+        dens = {q for _, q in ratios}
+        d = math.lcm(*dens)
+        # one division per distinct denominator, of which a float set has few
+        factor = {q: d // q for q in dens}
+        ints = [p * factor[q] for p, q in ratios]
+        return ints[: self.m], ints[self.m :], d * d
 
     @cached_property
     def lines(self) -> tuple:
@@ -296,33 +311,25 @@ class Configuration:
     def det_row(self, i: int) -> list:
         """Row i of the scaled determinant table, computed afresh on every
         call by the one comprehension every row comes from, and cached
-        nowhere: entry j is exactly D^2 * det2(v_i, v_j) in exact mode,
-        det2(v_i, v_j) itself in float mode, the sign of a zero included. No
-        mode check is needed: __init__ rejects mixed modes."""
+        nowhere: entry j is the int D^2 * det2(v_i, v_j), exactly, in both
+        modes."""
         xs, ys, _ = self._det_coords
         xi, yi = xs[i], ys[i]
         return [xi * yj - yi * xj for xj, yj in zip(xs, ys)]
 
-    def unscale(self, value) -> Scalar:
-        """A scaled table entry, or a sum of them, in input units."""
-        return value if self.mode == FLOAT else Fraction(value, self._det_coords[2])
+    def det(self, i: int, j: int) -> Scalar:
+        """det2(v_i, v_j) in the members' own arithmetic, the value that a
+        witness or step constant reports: exact in exact mode, the float
+        entry fl(x_i*y_j - y_i*x_j) in float mode."""
+        return self.xs[i] * self.ys[j] - self.ys[i] * self.xs[j]
 
     @cached_property
-    def det_max(self) -> Scalar:
-        """max |det| in input units: the table's largest entry off the
-        diagonal, as it holds -d next to each d; this mode's zero when there
-        is none. A streaming maximum: each row is computed, reduced to its
-        maximum and dropped, so the memory is O(m).
-
-        A float diagonal entry x*y - y*x is NaN when x*y overflows, and max
-        keeps a NaN that comes first. So row 0 is read past its diagonal,
-        every row's maximum comes after a zero, and a NaN row maximum is
-        skipped: a NaN here would make the default tolerance NaN and pass
-        every comparison.
-        """
-        zero = 0.0 if self.mode == FLOAT else 0
-        maxima = map(max, map(self.det_row, range(1, self.m)))
-        return self.unscale(max((zero, *self.det_row(0)[1:], *maxima)))
+    def det_max(self) -> int:
+        """max |det| in table units (the int D^2 * max |det2|): the table's
+        largest entry, as it holds -d next to each d, and 0 on its
+        diagonal. A streaming maximum: each row is computed, reduced to its
+        maximum and dropped, so the memory is O(m)."""
+        return max(map(max, map(self.det_row, range(self.m))))
 
 
 def label_by_increasing_arguments(c: Configuration) -> Configuration:

@@ -24,10 +24,18 @@ SQUARE = Configuration([(1, 0), (0, 1), (-1, 0), (0, -1)])
 
 
 def _sorted_row(c, i):
-    """Row i of c without its diagonal entry, sorted, in input units."""
-    row = c.det_row(i)
-    del row[i]
-    return tuple(sorted(map(c.unscale, row)))
+    """Row i of c without its diagonal entry, sorted, each entry as det2
+    gives it, the value a witness reports."""
+    return tuple(sorted(det2(c[i], c[j]) for j in range(c.m) if j != i))
+
+
+def _exact_det(v, w):
+    """det2(v, w) of the coordinates read as the rationals they hold."""
+    return Fraction(v.x) * Fraction(w.y) - Fraction(v.y) * Fraction(w.x)
+
+
+def _exact_det_max(c):
+    return max(abs(_exact_det(v, w)) for v in c for w in c)
 
 
 def test_roots_of_unity_are_balanced_and_uniform():
@@ -221,18 +229,13 @@ def configurations(coords):
 
 
 def _reference_tol(c, tol):
-    """The former default: 1e-9 * the largest entry of a table that held
-    zero on its diagonal and -det2(v_i, v_j) below it."""
+    """The tolerance of the exact table: 0 in exact mode, else tol or
+    1e-9 * the largest |det|, each read as the rational it holds."""
     if c.mode == "exact":
         return 0
     if tol is not None:
-        return tol
-    table = [[0.0] * c.m for _ in range(c.m)]
-    for i in range(c.m):
-        for j in range(i + 1, c.m):
-            table[i][j] = det2(c[i], c[j])
-            table[j][i] = -table[i][j]
-    return 1e-9 * max(map(max, table))
+        return Fraction(tol)
+    return Fraction(1e-9) * _exact_det_max(c)
 
 
 @given(
@@ -240,22 +243,24 @@ def _reference_tol(c, tol):
     st.sampled_from([None, 1e-6, 0.5]),
 )
 def test_verdicts_read_the_pairwise_determinants(c, tol):
-    # every row, divided back, must hold exactly det2(v_i, v_j); repr
-    # tells 0.0 from -0.0, which == does not
-    table = tuple(tuple(map(c.unscale, c.det_row(i))) for i in range(c.m))
-    assert repr(table) == repr(tuple(tuple(det2(v, w) for w in c) for v in c))
-    for i in range(c.m):
-        expected = tuple(sorted(det2(c[i], c[j]) for j in range(c.m) if j != i))
-        assert _sorted_row(c, i) == expected
+    # in both modes every row holds ints, which divided by the one scale
+    # are exactly det(v_i, v_j) of the rationals the coordinates hold
+    _, _, scale = c._det_coords
+    rows = [c.det_row(i) for i in range(c.m)]
+    assert {type(e) for row in rows for e in row} == {int}
+    table = [[Fraction(e, scale) for e in row] for row in rows]
+    assert table == [[_exact_det(v, w) for w in c] for v in c]
     assert is_uniform(c, tol) == _reference_is_uniform(c, tol)
 
 
 def _reference_is_balanced(c, tol):
-    """The former two-pointer loop over each sorted row, kept as the oracle
-    for is_balanced's verdict and witness."""
+    """The former two-pointer loop over each sorted row of the exact table,
+    kept as the oracle for is_balanced's verdict; its witness is det2 of
+    the pair, with the first j whose det is the mismatch."""
     eff = _reference_tol(c, tol)
     for i in range(c.m):
-        srow = sorted(det2(c[i], c[j]) for j in range(c.m) if j != i)
+        dets = [_exact_det(c[i], v) for v in c]
+        srow = sorted(dets[:i] + dets[i + 1 :])
         lo, hi = 0, len(srow) - 1
         while lo <= hi:
             if lo == hi:
@@ -265,7 +270,7 @@ def _reference_is_balanced(c, tol):
                 bad = abs(srow[lo] + srow[hi]) > eff
                 mismatch = srow[hi] if abs(srow[hi]) >= abs(srow[lo]) else srow[lo]
             if bad:
-                return False, (i, mismatch)
+                return False, (i, det2(c[i], c[dets.index(mismatch)]))
             lo += 1
             hi -= 1
     return True, None
@@ -277,7 +282,7 @@ def _reference_is_uniform(c, tol):
     eff = _reference_tol(c, tol)
     for i in range(c.m):
         for j in range(i + 1, c.m):
-            if abs(det2(c[i], c[j])) <= eff:
+            if abs(_exact_det(c[i], c[j])) <= eff:
                 return False, (i, j)
     return True, None
 
@@ -287,8 +292,8 @@ def _reference_is_uniform(c, tol):
 tie_coords = st.sampled_from(
     [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1.0 + 2**-20, -1.0 - 2**-30]
 )
-# products of these overflow to inf, so entries (the diagonal among them)
-# can be inf - inf = NaN
+# products of these overflow to inf as floats, so a reported det2 can be
+# inf or inf - inf = NaN, while the exact table decides
 huge_coords = st.sampled_from([1e200, -1e200, 1e160, 1.0, -1.0, 0.0, 1e-200])
 
 
@@ -312,14 +317,14 @@ def test_row_kernels_match_the_former_loops(c, tol):
 
 
 def _reference_even_m_witness(c, tol):
-    """Row 0 of the full table at the reference tolerance: the first j >= 1
+    """Row 0 of the exact table at the reference tolerance: the first j >= 1
     with the smallest |det(v_0, v_j)|, or NotBalanced's class and witness
-    (0, that entry) when it is not within the tolerance."""
+    (0, det2(v_0, v_j)) when it is not within the tolerance."""
     eff = _reference_tol(c, tol)
-    row = [det2(c[0], v) for v in c]
+    row = [_exact_det(c[0], v) for v in c]
     j = min(range(1, c.m), key=lambda i: abs(row[i]))
     if abs(row[j]) > eff:
-        return "NotBalanced", repr((0, row[j]))
+        return "NotBalanced", repr((0, det2(c[0], c[j])))
     return "ok", repr(j)
 
 
@@ -337,7 +342,7 @@ def moved_negation_closed(draw):
     k = draw(st.sampled_from(twins + [draw(st.integers(1, c.m - 1))]))
     factor = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.25, 4.0)))
     norm = math.hypot(x0, y0)
-    step = factor * 1e-9 * c.det_max / norm
+    step = factor * 1e-9 * float(_exact_det_max(c)) / norm
     x, y = members[k]
     members[k] = (x - step * y0 / norm, y + step * x0 / norm)
     # a subnormal v_0 can overflow the move; such a member is no input

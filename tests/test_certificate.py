@@ -1,10 +1,12 @@
 """The certificate-first verdicts against a full-table reference.
 
-The reference below builds the whole determinant table with the expression
-x_i*y_j - y_i*x_j, takes the default tolerance from its largest entry, and
-decides every verdict on it, as the verdicts did before they read rows on
-demand, bracketed their tolerance, bounded uniformity by argument gaps, and
-certified GL2 images of U_m by the canonical map's residual. Every verdict,
+The reference below builds the whole exact determinant table of the
+rationals the coordinates hold, takes the default tolerance from its
+largest entry, reading 1e-9 and an explicit tolerance as the rationals they
+hold too, and decides every verdict on it, as the verdicts would without
+reading rows on demand, bracketing their tolerance, bounding uniformity by
+argument gaps, and certifying GL2 images of U_m by the canonical map's
+residual. A witness is det2 of the pair that decided. Every verdict,
 witness and certificate must match it exactly.
 """
 
@@ -71,17 +73,26 @@ DATA = Path(__file__).parent / "data"
 
 
 def _table(c):
-    xs = [v.x for v in c]
-    ys = [v.y for v in c]
-    return [[xi * yj - yi * xj for xj, yj in zip(xs, ys)] for xi, yi in zip(xs, ys)]
+    """(table, D^2): the ints x*D, y*D of the rationals the coordinates
+    hold, D the lcm of their denominators, and every entry x_i*y_j -
+    y_i*x_j of them, which is D^2 det(v_i, v_j) exactly."""
+    points = [(Fraction(x), Fraction(y)) for x, y in zip(c.xs, c.ys)]
+    d = math.lcm(*(f.denominator for point in points for f in point))
+    ints = [(int(x * d), int(y * d)) for x, y in points]
+    return [[xi * yj - yi * xj for xj, yj in ints] for xi, yi in ints], d * d
 
 
-def _ref_tol(table, tol):
+def _ref_tol(table, scale, tol):
+    """The tolerance in table units: tol * D^2, or 1e-9 * the largest entry,
+    each factor read as the rational it holds."""
     if tol is not None:
-        return tol
-    return DEFAULT_REL_TOL * max(
-        (0.0, *(e for i, row in enumerate(table) for j, e in enumerate(row) if i != j))
-    )
+        return Fraction(tol) * scale
+    return Fraction(DEFAULT_REL_TOL) * max(map(max, table))
+
+
+def _witness(c, i, row, value):
+    """(i, det2(v_i, v_j)) for the first j whose entry in row i is value."""
+    return i, c[i].x * c[row.index(value)].y - c[i].y * c[row.index(value)].x
 
 
 def _ref_row_fault(srow, eff):
@@ -97,20 +108,20 @@ def _ref_row_fault(srow, eff):
 
 
 def _ref_is_balanced(c, tol):
-    table = _table(c)
-    eff = _ref_tol(table, tol)
+    table, scale = _table(c)
+    eff = _ref_tol(table, scale, tol)
     for i, row in enumerate(table):
         srow = sorted(row[:i] + row[i + 1 :])
         j = _ref_row_fault(srow, eff)
         if j is not None:
             lo, hi = srow[j], srow[-1 - j]
-            return False, (i, hi if abs(hi) >= abs(lo) else lo)
+            return False, _witness(c, i, row, hi if abs(hi) >= abs(lo) else lo)
     return True, None
 
 
 def _ref_is_uniform(c, tol):
-    table = _table(c)
-    eff = _ref_tol(table, tol)
+    table, scale = _table(c)
+    eff = _ref_tol(table, scale, tol)
     for i in range(c.m):
         for j in range(i + 1, c.m):
             if abs(table[i][j]) <= eff:
@@ -119,8 +130,8 @@ def _ref_is_uniform(c, tol):
 
 
 def _ref_antisymmetry(c, tol):
-    table = _table(c)
-    eff = _ref_tol(table, tol)
+    table, scale = _table(c)
+    eff = _ref_tol(table, scale, tol)
     m, n = c.m, c.n
     for k in range(m):
         for a in range(1, n + 1):
@@ -130,14 +141,14 @@ def _ref_antisymmetry(c, tol):
 
 
 def _ref_step_constants(c, tol):
-    table = _table(c)
-    eff = _ref_tol(table, tol)
+    table, scale = _table(c)
+    eff = _ref_tol(table, scale, tol)
     m, n = c.m, c.n
     a1, an = table[0][1], table[0][n]
     for k in range(m):
         if abs(table[k][(k + 1) % m] - a1) > eff or abs(table[k][(k + n) % m] - an) > eff:
             raise InconsistentConstants("", witness=k)
-    return a1, an
+    return _witness(c, 0, table[0], a1)[1], _witness(c, 0, table[0], an)[1]
 
 
 def _ref_canonicalize(c, tol):
@@ -270,14 +281,14 @@ def test_certificate_first_verdicts_match_the_full_table(m, seed, eps, shuffle, 
 def _ref_bounds(c, tol):
     """The tolerance of the full table, its largest sorted pair sum in
     magnitude (what is_balanced compares with the tolerance), and its
-    smallest off-diagonal |entry|."""
-    table = _table(c)
-    pairs = [0.0]
+    smallest off-diagonal |entry|, all in input units."""
+    table, scale = _table(c)
+    pairs = [0]
     for i, row in enumerate(table):
         srow = sorted(row[:i] + row[i + 1 :])
         pairs += [abs(a + b) for a, b in zip(srow, reversed(srow))]
     least = min(abs(e) for i, row in enumerate(table) for j, e in enumerate(row) if i != j)
-    return _ref_tol(table, tol), max(pairs), least
+    return _ref_tol(table, scale, tol) / scale, Fraction(max(pairs), scale), Fraction(least, scale)
 
 
 @settings(deadline=None, max_examples=60)
@@ -313,7 +324,8 @@ def _exact_residual_bounds(form, c):
     """_residual_bounds' terms evaluated exactly on the floats of form and c,
     as its docstring states them: G read as an exact matrix, so det_lo and
     det_hi are |det G| itself; max |v| taken by a rational upper bound, and
-    sin(pi / m) as math.sin gives it. Returns (pair, floor)."""
+    sin(pi / m) as math.sin gives it. Returns (pair, floor), bounds on the
+    exact table, which has no rounding term."""
     u = Fraction(UNIT_ROUNDOFF)
     a, b, cc, d = map(Fraction, form.g)
     high = max(Fraction(x) ** 2 + Fraction(y) ** 2 for x, y in zip(c.xs, c.ys))
@@ -322,9 +334,8 @@ def _exact_residual_bounds(form, c):
     r += Fraction(TARGET_ERR)
     spread = 2 * r + r * r
     det_g = abs(a * d - b * cc)
-    entry_err = 3 * u * high
-    pair = (2 * spread / det_g + 2 * entry_err) * (1 + u)
-    floor = (Fraction(math.sin(math.pi / c.m)) - spread) / det_g - entry_err
+    pair = 2 * spread / det_g
+    floor = (Fraction(math.sin(math.pi / c.m)) - spread) / det_g
     return pair, floor
 
 
@@ -353,12 +364,17 @@ def test_residual_bounds_hold_their_exact_terms(m, seed, eps, shuffle, scale):
 
 def _fresh_bracket():
     """A bracket of the default tolerance on a fresh U_9 image (nothing
-    cached), with its ends for the entries of row 0 and its true eff."""
+    cached), with its ends for the entries of row 0 and its true eff, in
+    table units: 1e-9 read exactly, times max |row 0|, 2 max |X| max |Y|
+    over the members' ints and the table's maximum, rounded down."""
     c = random_invertible(4).apply_configuration(roots_of_unity(9))
     row = c.det_row(0)
-    lo = DEFAULT_REL_TOL * max(map(abs, row))
-    hi = DEFAULT_REL_TOL * norm_sq_bounds(c)[1]
-    eff = DEFAULT_REL_TOL * Configuration(c.xs, c.ys).det_max
+    table, scale = _table(c)
+    xs, ys, unit = c._det_coords
+    rel = Fraction(DEFAULT_REL_TOL)
+    lo = math.floor(rel * max(map(abs, row)))
+    hi = math.floor(rel * 2 * max(map(abs, xs)) * max(map(abs, ys)))
+    eff = math.floor(rel * max(map(max, table)) * unit / scale)
     assert lo <= eff <= hi and lo < hi
     return c, _Bracket(c, None), row, lo, hi, eff
 
@@ -374,18 +390,18 @@ def test_bracket_above_decides_at_its_ends_and_narrows_between():
     # values[j] > eff: a value above hi is above eff, and none above lo is
     # none above eff; both decide without det_max
     c, bracket, row, lo, hi, eff = _fresh_bracket()
-    assert bracket.above([lo / 2, 2 * hi, 3 * hi], row) == 1
+    assert bracket.above([lo // 2, 2 * hi, 3 * hi], row) == 1
     assert "det_max" not in c.__dict__
     # no value above lo: decided at the first end; lo, once raised by held,
     # decides later values without reading held again
     c, bracket, row, lo, hi, eff = _fresh_bracket()
-    assert bracket.above([lo / 2, lo], row) is None
-    assert bracket.above([lo, lo / 4], _Unread()) is None
+    assert bracket.above([lo // 2, lo], row) is None
+    assert bracket.above([lo, lo // 4], _Unread()) is None
     assert "det_max" not in c.__dict__
     # the first value above lo is within hi: narrowed to eff
     c, bracket, row, lo, hi, eff = _fresh_bracket()
-    between = (lo + hi) / 2
-    assert bracket.above([lo / 2, between, 2 * hi], row) == (1 if between > eff else 2)
+    between = (lo + hi) // 2
+    assert bracket.above([lo // 2, between, 2 * hi], row) == (1 if between > eff else 2)
     assert bracket.lo == bracket.hi == eff and "det_max" in c.__dict__
 
 
@@ -393,7 +409,7 @@ def test_bracket_within_mirrors_above():
     # values[j] <= eff: a value within lo is within eff, and none within hi
     # is none within eff; both decide without det_max
     c, bracket, row, lo, hi, eff = _fresh_bracket()
-    assert bracket.within([2 * hi, lo / 2, lo / 4], row) == 1
+    assert bracket.within([2 * hi, lo // 2, lo // 4], row) == 1
     assert "det_max" not in c.__dict__
     # no value within hi: decided at the first end, without reading held
     c, bracket, row, lo, hi, eff = _fresh_bracket()
@@ -401,8 +417,8 @@ def test_bracket_within_mirrors_above():
     assert "det_max" not in c.__dict__
     # the first value within hi is above lo: narrowed to eff
     c, bracket, row, lo, hi, eff = _fresh_bracket()
-    between = (lo + hi) / 2
-    assert bracket.within([2 * hi, between, lo / 2], row) == (1 if between <= eff else 2)
+    between = (lo + hi) // 2
+    assert bracket.within([2 * hi, between, lo // 2], row) == (1 if between <= eff else 2)
     assert bracket.lo == bracket.hi == eff and "det_max" in c.__dict__
 
 
@@ -413,10 +429,10 @@ def test_is_uniform_decides_the_square_without_det_max():
     assert "det_max" not in c.__dict__
 
 
-@pytest.mark.parametrize("delta, pair", [(1e-11, None), (1e-13, (0, 1))])
+@pytest.mark.parametrize("delta, pair", [(1.5e-12, None), (1e-13, (0, 1))])
 def test_is_uniform_reads_det_max_when_an_entry_falls_inside_the_bracket(delta, pair):
     # det(v0, v1) = delta lies between 1e-9 * max |row 0| = 1e-12 and
-    # 1e-9 * max |v|^2 only for the first delta
+    # 1e-9 * 2 max |x| max |y| = 2e-12 only for the first delta
     c = Configuration([(1.0, 0.0), (1.0, delta), (0.0, 1e-3)])
     assert is_uniform(c) == (pair is None, pair) == _ref_is_uniform(c, None)
     assert ("det_max" in c.__dict__) == (pair is None)
@@ -475,10 +491,10 @@ def test_residual_bounds_refuse_a_singular_map_and_a_bound_that_is_not_finite(
 def test_route_without_norm_bounds_falls_back_to_the_rows(rows_computed):
     # v0 has a coordinate outside [2^-480, 2^480]: the route maps the
     # configuration, but the bracket has no norm bounds, so no bound can
-    # hold, no route runs in the verdicts, and they read every row:
-    # is_balanced's row 0 sends its bracket to det_max, which streams rows
-    # 0, 1 and 2, before is_balanced reads rows 1 and 2; is_uniform, with
-    # det_max cached, scans rows 0 and 1
+    # hold, no route runs in the verdicts, and they read every row. The
+    # bracket's ends come from the exact ints, at any scale, so det_max is
+    # never read: is_balanced reads rows 0, 1 and 2, each passing at the
+    # lower end, and is_uniform scans rows 0 and 1, clear of the upper end
     u = roots_of_unity(3)
     c = Configuration([PlaneVector(1.0, 1e-300), u[1], u[2]])
     form = _form_or_refusal(c)
@@ -489,15 +505,17 @@ def test_route_without_norm_bounds_falls_back_to_the_rows(rows_computed):
     report = is_balanced(c)
     assert (report.balanced, report.witness) == (True, None) == _ref_is_balanced(c, None)
     assert is_uniform(c) == (True, None) == _ref_is_uniform(c, None)
-    assert rows_computed == [(3, 0), (3, 0), (3, 1), (3, 2), (3, 1), (3, 2), (3, 0), (3, 1)]
+    assert rows_computed == [(3, 0), (3, 1), (3, 2), (3, 0), (3, 1)]
+    assert "det_max" not in c.__dict__
     assert canonicalize(c).residual <= RESIDUAL_TOL
 
 
 def test_is_balanced_reads_det_max_when_a_sum_falls_inside_the_bracket(rows_computed):
-    # a squeezed U_3 (|det| ~ 8.7e-4, max |v|^2 ~ 1), whose route's residual
-    # (1e-8) certifies nothing: row 0's pair sum of 1e-11 fails 1e-9 * max
-    # |row 0|, and passes 1e-9 * max |v|^2, so det_max streams rows 0, 1, 2
-    c = Configuration([(1.0, 0.0), (-0.5, 0.866e-3 + 1e-11), (-0.5, -0.866e-3)])
+    # a squeezed U_3 (|det| ~ 8.7e-4, max |x| max |y| ~ 8.7e-4), whose
+    # route's residual certifies nothing: row 0's pair sum of 1.2e-12 fails
+    # 1e-9 * max |row 0|, and passes 1e-9 * 2 max |x| max |y|, so det_max
+    # streams rows 0, 1, 2
+    c = Configuration([(1.0, 0.0), (-0.5, 0.866e-3 + 1.2e-12), (-0.5, -0.866e-3)])
     report = is_balanced(c)
     assert (report.balanced, report.witness) == _ref_is_balanced(c, None)
     assert not report.balanced
@@ -548,11 +566,12 @@ def test_is_balanced_tests_closure_once_after_row_0(count_calls, rows_computed):
 
 
 def test_step_constants_read_their_2m_entries_off_the_columns(rows_computed):
-    # no row is read: the bracket's lower end comes from the 2m entries
+    # no row is read: the scan rotates the columns of the table's ints, and
+    # the bracket's lower end comes from the 2m entries; (A1, An) are det2
+    # of (v_0, v_1) and (v_0, v_n)
     c = random_invertible(2).apply_configuration(roots_of_unity(31))
     found = step_constants(c)
-    table = _table(c)
-    assert (repr(found.A1), repr(found.An)) == (repr(table[0][1]), repr(table[0][15]))
+    assert (repr(found.A1), repr(found.An)) == tuple(map(repr, _ref_step_constants(c, None)))
     assert rows_computed == []
 
 
@@ -662,6 +681,27 @@ def test_u801_image_verdicts_compute_no_row(count_calls, rows_computed):
     assert rows_computed == [] and len(calls) == 1
 
 
+@pytest.mark.parametrize("tol", [[], ["--tol", "1e-12"]], ids=["default", "explicit"])
+@pytest.mark.parametrize("command", ["check", "canon"])
+def test_a_certified_image_never_builds_the_table_ints(
+    capsys, monkeypatch, rows_computed, command, tol
+):
+    # the certificate, the row-sum gate and the gap floor stay float, so
+    # check and canon of a U_201 image read no row and never the ints that
+    # every row is built from
+    built = Configuration._det_coords
+    reads = []
+
+    def watched(c):
+        reads.append(c.m)
+        return built.func(c)
+
+    monkeypatch.setattr(Configuration, "_det_coords", property(watched))
+    assert main([command, str(DATA / "u201_image.json"), *tol]) == 0
+    capsys.readouterr()
+    assert rows_computed == [] and reads == []
+
+
 @pytest.mark.parametrize("command", ["check", "canon"])
 @pytest.mark.parametrize("name", ["u201_image", "u201_image_shuffled", "u201_image_perturbed"])
 def test_cli_runs_the_route_once_per_member_set(capsys, count_calls, command, name):
@@ -753,12 +793,11 @@ def test_negation_closed_sets_match_the_full_table(rows_computed, members, tol):
     # exact mode compares exactly whatever tol is
     verdict, witness = _ref_is_balanced(c, 0 if c.mode == "exact" else tol)
     assert (report.balanced, repr(report.witness)) == (verdict, repr(witness))
-    # the certificate fires exactly on a closed multiset whose rows negate
-    # exactly: exact input, or every float coordinate in the safe range
+    # the certificate fires exactly on a closed multiset, in either mode and
+    # at every float scale, as the rows are exact
     closed = Counter(zip(c.xs, c.ys)) == Counter(zip(map(neg, c.xs), map(neg, c.ys)))
-    exact_rows = c.mode == "exact" or in_safe_range(c.xs + c.ys)
-    fires = _negation_closed(c, _Bracket(c, tol))
-    assert fires == (closed and exact_rows)
+    fires = _negation_closed(c)
+    assert fires == closed
     if fires:
         assert verdict
     if verdict:
@@ -823,8 +862,9 @@ def planted_near_pairs(draw):
 def test_gap_floor_never_exceeds_an_entry_of_the_full_table(members):
     c = Configuration(members)
     floor = balance._gap_floor(c, norm_sq_bounds(c))
-    table = _table(c)
+    table, scale = _table(c)
     least = min(abs(e) for i, row in enumerate(table) for j, e in enumerate(row) if i != j)
+    least = Fraction(least, scale)
     # None: a coordinate outside the safe range, where no bound holds
     assert floor is None or floor <= least
 
@@ -860,16 +900,16 @@ def _ref_norm_sq_bounds(c):
 
 def _ref_gap_floor(c, norms):
     """_gap_floor as it was written before its passes were cut: it takes
-    each gap minimum by min."""
+    each gap minimum by min. It bounds the exact table, so it has no
+    rounding term."""
     if norms is None or c.m < 2:
         return None
     args = map(math.fmod, c.arguments, repeat(math.pi))
     args, sizes = zip(*sorted(zip(args, map(math.hypot, c.xs, c.ys))))
     gaps = [args[0] + math.pi - args[-1], *map(operator.sub, args[1:], args[:-1])]
     near = map(operator.sub, map(min, gaps, gaps[1:] + gaps[:1]), repeat(3.0 * ARGUMENT_ERR))
-    low, high = norms
-    least = min(map(operator.mul, sizes, map(math.sin, near))) * math.sqrt(low)
-    return (least * (1.0 - BOUND_SLACK) - 3.0 * UNIT_ROUNDOFF * high) * (1.0 - BOUND_SLACK)
+    least = min(map(operator.mul, sizes, map(math.sin, near))) * math.sqrt(norms[0])
+    return least * (1.0 - BOUND_SLACK)
 
 
 # signed zeros, subnormals, and the safe range's edges with the floats just
@@ -996,7 +1036,8 @@ def _orders(m, rng):
 def test_step_constants_of_an_affine_order_are_the_scans_without_a_scan(count_calls, tol):
     # a certified image listed as r + d*l of its labels l: every step entry
     # at offset a is within the certificate's pair bound of D[0][a], so
-    # (A1, An) is D[0][1], D[0][n], which the 2m scan (the oracle) returns
+    # (A1, An) is det2 of (v_0, v_1) and (v_0, v_n), which the 2m scan (the
+    # oracle) passes
     scan = balance._step_scan
     scans = count_calls(scan)
     rng = random.Random(50)
@@ -1006,7 +1047,8 @@ def test_step_constants_of_an_affine_order_are_the_scans_without_a_scan(count_ca
             c = image.take([(r + d * j) % m for j in range(m)])
             found = step_constants(c, tol)
             assert scans == []
-            assert repr(found) == repr(scan(c, _Bracket(c, tol))), (m, r, d)
+            scan(c, _Bracket(c, tol))
+            assert found == (c[0].x * c[1].y - c[0].y * c[1].x, c[0].x * c[m // 2].y - c[0].y * c[m // 2].x)
 
 
 def test_step_constants_of_another_order_scan_and_refuse(count_calls):

@@ -94,9 +94,34 @@ def test_check_tol_flag_loosens_the_verdict(capsys, tmp_path):
     assert json.loads(out)["tol"] == 1e-3
 
 
+@pytest.mark.parametrize(
+    "vectors, tol, code, value",
+    [
+        # det = 2^-53 - 2^-105 > tol, while its float entry rounds to 0
+        ([[1.0000000000000002, 1.0], [1.0, 0.9999999999999999]], "1e-17", 1, 0.0),
+        # det = 1.5 * 2^-52 <= tol = 1.75 * 2^-52, while its float entry
+        # rounds up to 2^-52 * 2
+        ([[1.0000000000000002, 1.5], [1.0, 1.5]], "3.885780586188048e-16", 0, None),
+    ],
+    ids=["exact-above", "exact-within"],
+)
+def test_check_reads_an_explicit_tol_exactly(capsys, tmp_path, vectors, tol, code, value):
+    # two members: each row's one entry pairs with nothing, so the set is
+    # balanced exactly when |det(v_0, v_1)| <= tol. The float entry and the
+    # exact det fall on opposite sides of tol, and check follows the exact
+    # det; a witness reports the float entry of the pair that decided
+    path = tmp_path / "straddle.json"
+    path.write_text(json.dumps({"mode": "float", "vectors": vectors}) + "\n")
+    got, out, _ = run(capsys, "check", str(path), "--tol", tol)
+    report = json.loads(out)
+    assert (got, report["balanced"], report["uniform"]) == (code, code == 0, code == 1)
+    assert report["balance_witness"] == (None if code == 0 else {"index": 0, "value": value})
+
+
 def test_check_overflowing_diagonal_keeps_the_default_tolerance(capsys, tmp_path):
-    # x*y of v_0 overflows, so the table's diagonal entry x*y - y*x is NaN;
-    # a NaN det_max would make the default tolerance NaN and pass every row
+    # x*y of v_0 overflows as a float, where the diagonal entry x*y - y*x
+    # would be NaN and a NaN det_max would pass every row; the table's ints
+    # hold it exactly, and the witness is the float entry det2(v_0, v_1)
     path = tmp_path / "huge.json"
     path.write_text('{"mode": "float", "vectors": [[1e200, 1e200], [1, 0]]}\n')
     code, out, _ = run(capsys, "check", str(path))
@@ -289,13 +314,20 @@ def test_exact_symmetric_set_computes_only_row_0(
     assert rows_computed == [(100, 0)] * rows
 
 
-# The float scale bug (ROADMAP item 2): at 1e308 the determinants overflow,
-# at 1e-200 they underflow to 0, and check reports "uniform": false while
-# canon certifies U_3. The certificate route declines coordinates outside the
-# range where its bounds hold, so the bug stands until the scale is
-# normalized.
-@pytest.mark.xfail(strict=True, reason="float scale normalization, ROADMAP item 2")
-@pytest.mark.parametrize("s", ["1e308", "1e-200"])
+# Float scale extremes (ROADMAP item 2). check decides on the exact table,
+# which has no range, so at 1e-200, where float determinants underflow to
+# 0, it agrees with canon, which certifies U_3. At 1e308 the step constants
+# it reports overflow as floats, so check exits 2: item 2's reporting rule.
+@pytest.mark.parametrize(
+    "s",
+    [
+        pytest.param(
+            "1e308",
+            marks=pytest.mark.xfail(strict=True, reason="float reporting rule, ROADMAP item 2"),
+        ),
+        "1e-200",
+    ],
+)
 def test_item4_check_agrees_with_canon_at_float_scale_extremes(capsys, tmp_path, s):
     path = tmp_path / "u3_extreme.json"
     path.write_text(f'{{"mode": "float", "vectors": [[{s}, 0.0], [0.0, {s}], [-{s}, -{s}]]}}\n')
@@ -306,8 +338,9 @@ def test_item4_check_agrees_with_canon_at_float_scale_extremes(capsys, tmp_path,
 
 
 # ROADMAP item 13: a float triple that sums to exactly (0, 0) is balanced,
-# and its exact file checks balanced, yet check of the float file exits 1
-# with the witness (0, -2.1646847425671467e-07), which rounding makes
+# and its exact file checks balanced; a float table's rounding made the
+# witness (0, -2.1646847425671467e-07), and check of the float file exited
+# 1, until the rows were read on the exact ints
 ITEM13_TRIPLE = [
     [1.4316555559635162, 0.8170396685600281],
     [1.43165692129665, 0.8170405989512801],
@@ -323,7 +356,6 @@ def test_item13_triple_sums_to_zero_and_its_exact_file_checks_balanced(capsys, t
     assert code == 0 and json.loads(out)["balanced"] is True
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
 def test_item13_check_of_an_exactly_balanced_float_triple_exits_zero(capsys, tmp_path):
     path = tmp_path / "item13.json"
     path.write_text(json.dumps({"mode": "float", "vectors": ITEM13_TRIPLE}) + "\n")

@@ -5,9 +5,11 @@ uniform verdicts and canon's ok and error; the swap negates every det2 and
 2^k multiplies it by 4^k, so check's balance witness keeps its index and its
 value maps by -1 and 4^k. Inputs are float U_m images, copies perturbed well
 past the tolerance, exact {v, -v} sets and exact zero-sum triples; draws near
-the tolerance are left to ROADMAP item 13. Past |k| = 512 a product of two
-float coordinates overflows or underflows, and the verdicts change: strict
-xfails pin that until ROADMAP item 2 lands."""
+the tolerance are left to the exact audit (tests/test_exact_audit.py). Past
+|k| = 512 a product of two float coordinates overflows or underflows; the
+verdicts read the exact table and keep, but above 2^512 a reported value
+overflows as a float: strict xfails pin that until ROADMAP item 2's
+reporting rule lands."""
 
 import contextlib
 import io
@@ -122,17 +124,18 @@ def test_u51_verdicts_hold_up_to_2_to_the_512(tmp_path):
             assert _verdicts(_reports(scaled, path)) == verdicts, k
 
 
-@pytest.mark.xfail(strict=True, reason="float scale normalization, ROADMAP item 2")
+# above 2^512 check exits 2 on a witness or step constant that overflows
+# as a float (ROADMAP item 2's reporting rule)
+REPORT_OVERFLOWS = pytest.mark.xfail(strict=True, reason="float reporting rule, ROADMAP item 2")
+
+
 @pytest.mark.parametrize(
     "c, k",
     [
-        # check exits 0 with "balanced": true and "uniform": false; canon
-        # still reports NotBalanced
-        pytest.param(U51_PERTURBED, 520, id="perturbed-520"),
-        pytest.param(U51_PERTURBED, 600, id="perturbed-600"),
+        pytest.param(U51_PERTURBED, 520, id="perturbed-520", marks=REPORT_OVERFLOWS),
+        pytest.param(U51_PERTURBED, 600, id="perturbed-600", marks=REPORT_OVERFLOWS),
         pytest.param(U51_PERTURBED, -600, id="perturbed-minus-600"),
-        # check reads "uniform": false
-        pytest.param(U51_IMAGE, 520, id="image-520"),
+        pytest.param(U51_IMAGE, 520, id="image-520", marks=REPORT_OVERFLOWS),
         pytest.param(U51_IMAGE, -600, id="image-minus-600"),
     ],
 )

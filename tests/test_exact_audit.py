@@ -10,7 +10,9 @@ and exit 1 only when the oracle says "not balanced"; canon's verdict must
 not contradict the oracle on the copy that canon decides. The families:
 seeded GL2 images of U_m and perturbed copies, item 14's copies perturbed
 near the tolerance, nearly antipodal sets, the nearly collinear triples of
-item 13, ill-conditioned images of U_m, and images scaled by 2^k. One
+item 13, ill-conditioned images of U_m, and images scaled by 2^k, with a
+Hypothesis differential over the same kinds of sets. check's verdicts read
+the same exact table as the oracle, so they must agree everywhere. One
 family is exact input: nearly collinear exact images of U_3, on which canon
 has no certificate to make.
 """
@@ -22,6 +24,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from balcfg.balance import RESIDUAL_TOL, canonicalize, in_safe_range
 from balcfg.cli import main
@@ -148,7 +152,6 @@ def test_item13_triples_sum_to_zero_and_are_exactly_balanced_and_uniform():
         assert exact_verdicts(triple) == (True, True)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 13")
 def test_check_of_exactly_balanced_nearly_collinear_triples_is_the_exact_verdict(
     capsys, tmp_path
 ):
@@ -220,7 +223,6 @@ def test_canon_of_nearly_antipodal_sets_agrees_with_the_exact_verdict(capsys, tm
     assert canon_disagreements(capsys, tmp_path, antipodal_family()) == []
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 13")
 def test_canon_of_exactly_balanced_nearly_collinear_triples_agrees_with_the_exact_verdict(
     capsys, tmp_path
 ):
@@ -321,7 +323,8 @@ def ill_conditioned_family(m, c, count=30):
 
 
 ILL_CONDITIONED_CASES = [(m, c) for m in (5, 11, 51) for c in (6, 7, 8, 9)]
-# the (m, c) whose families hold a file on which check disagrees (item 13)
+# the (m, c) whose families held a file on which check disagreed while it
+# read a rounded float table (ROADMAP item 13)
 ILL_CONDITIONED_DISAGREE = [(5, 7), (5, 8), (11, 7), (51, 7)]
 
 
@@ -337,7 +340,6 @@ def test_check_of_ill_conditioned_images_is_the_exact_verdict(capsys, tmp_path, 
     assert disagreements(capsys, tmp_path, ill_conditioned_family(m, c)) == []
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 13")
 def test_check_of_the_ill_conditioned_images_that_item_13_flips_is_the_exact_verdict(
     capsys, tmp_path
 ):
@@ -345,9 +347,9 @@ def test_check_of_the_ill_conditioned_images_that_item_13_flips_is_the_exact_ver
     assert disagreements(capsys, tmp_path, family) == []
 
 
-# the (m, c) whose families hold a file on which canon exits 1 with
-# NotBalanced though the copy it decides is exactly balanced and uniform
-# (item 13): 3, 1 and 4 of their 30 files
+# the (m, c) whose families held a file on which canon exited 1 with
+# NotBalanced though the copy it decides is exactly balanced and uniform,
+# while it read a rounded float table (item 13): 3, 1 and 4 of their 30 files
 ILL_CONDITIONED_CANON_DISAGREE = [(5, 7), (5, 8), (11, 7)]
 
 
@@ -358,7 +360,6 @@ def test_canon_of_ill_conditioned_images_agrees_with_the_exact_verdict(capsys, t
     assert canon_disagreements(capsys, tmp_path, ill_conditioned_family(m, c)) == []
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 13")
 def test_canon_of_the_ill_conditioned_images_that_item_13_flips_agrees_with_the_exact_verdict(
     capsys, tmp_path
 ):
@@ -383,9 +384,105 @@ def test_check_of_sets_scaled_by_2_to_the_k_is_the_exact_verdict(capsys, tmp_pat
     assert disagreements(capsys, tmp_path, family) == []
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+def test_check_of_sets_scaled_below_the_safe_coordinate_range_is_the_exact_verdict(
+    capsys, tmp_path
+):
+    # the rows are exact ints at any scale, and every value check reports
+    # is at most about |v|^2, which stays a finite float below the range
+    family = [vectors for k in (-700, -600, -520) for vectors in scaled_family(k)]
+    assert disagreements(capsys, tmp_path, family) == []
+
+
+# above the range the verdicts are exact too, but a witness or step
+# constant near |v|^2 overflows as a float and check exits 2 on all 120
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2's reporting rule")
 def test_check_of_sets_scaled_past_the_safe_coordinate_range_is_the_exact_verdict(
     capsys, tmp_path
 ):
     family = [vectors for k in (-700, -600, -520, 520, 600, 700) for vectors in scaled_family(k)]
     assert disagreements(capsys, tmp_path, family) == []
+
+
+# the one report check cannot make: a witness or step constant, the float
+# entry of the exact pair that decided, that is not finite (ROADMAP item 2)
+NOT_FINITE = "error: cannot serialize non-finite float"
+angles = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def conditioned_images(draw):
+    """An image of U_m, m odd in 3..41, under R(theta) diag(1, 10^-c)
+    R(phi) for c in [0, 12] (condition 1 to 1e12), perturbed by up to
+    10^-k for a drawn k or not at all."""
+    m = 2 * draw(st.integers(1, 20)) + 1
+    c, theta, phi = draw(st.floats(0.0, 12.0)), draw(angles), draw(angles)
+    rotations = [LinearMap2(math.cos(a), -math.sin(a), math.sin(a), math.cos(a)) for a in (theta, phi)]
+    g = rotations[0].compose(LinearMap2(1.0, 0.0, 0.0, 10.0**-c)).compose(rotations[1])
+    image = g.apply_configuration(roots_of_unity(m))
+    eps = draw(st.sampled_from([0.0, 0.0, 1e-16, 1e-13, 1e-10, 1e-7]))
+    if eps:
+        image = perturb(image, eps, seed=draw(st.integers(0, 2**31 - 1)))
+    return [[x, y] for x, y in zip(image.xs, image.ys)]
+
+
+@st.composite
+def zero_sum_triples(draw):
+    """v1, v2 at a relative angle of 10^-9..10^-3 and -(v1 + v2), on the
+    lattice 2^-50 Z, so the triple sums to exactly (0, 0)."""
+    theta, r = draw(angles), draw(st.floats(0.5, 1.8))
+    turn = 10.0 ** draw(st.floats(-9.0, -3.0))
+    v1, v2 = (
+        [round(size * f(a) * 2.0**50) * 2.0**-50 for f in (math.cos, math.sin)]
+        for size, a in ((r, theta), (r * draw(st.floats(0.9, 1.1)), theta + turn))
+    )
+    return [v1, v2, [-(v1[0] + v2[0]), -(v1[1] + v2[1])]]
+
+
+@st.composite
+def antipodal_sets(draw):
+    """ceil(m/2) members of norm 0.5 to 2 for m in 3..12, floor(m/2) of them
+    with a partner at their angle + pi +- 10^-13..10^-7, shuffled."""
+    m = draw(st.integers(3, 12))
+    members = []
+    for i in range((m + 1) // 2):
+        r, theta = draw(st.floats(0.5, 2.0)), draw(angles)
+        turns = [0.0] if i >= m // 2 else [0.0, math.pi + draw(st.sampled_from([-1, 1])) * 10.0 ** draw(st.floats(-13.0, -7.0))]
+        members += [[r * math.cos(theta + t), r * math.sin(theta + t)] for t in turns]
+    return draw(st.permutations(members))
+
+
+@st.composite
+def fuzz_sets(draw):
+    """A set of one of the three families, scaled by 2^k: k = 0, or a k
+    that takes a unit set to subnormals or toward the top of the float
+    range. A scaling that overflows or flushes a member to (0, 0) is no
+    input."""
+    vectors = draw(st.one_of(conditioned_images(), zero_sum_triples(), antipodal_sets()))
+    k = draw(st.one_of(st.just(0), st.integers(-1090, -1000), st.integers(-700, 1000)))
+    try:
+        scaled = [[math.ldexp(x, k), math.ldexp(y, k)] for x, y in vectors]
+    except OverflowError:
+        scaled = None
+    assume(scaled is not None and [0.0, 0.0] not in scaled)
+    return scaled
+
+
+@settings(
+    deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(fuzz_sets())
+def test_check_is_the_exact_verdict_on_fuzzed_float_sets(capsys, tmp_path, vectors):
+    # check reads the oracle's exact table, so its verdicts and exit code
+    # are the oracle's everywhere; the one named exception is a report that
+    # holds a float entry that is not finite
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps({"mode": "float", "vectors": vectors}) + "\n")
+    code = main(["check", str(path)])
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert err.startswith(NOT_FINITE), err
+        assert max(x * x + y * y for x, y in vectors) > sys.float_info.max / 4
+        return
+    report = json.loads(out)
+    balanced, uniform = exact_verdicts(vectors)
+    assert (report["balanced"], report["uniform"], code) == (balanced, uniform, 0 if balanced else 1)

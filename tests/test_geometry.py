@@ -90,6 +90,25 @@ def test_det_row_is_computed_afresh_on_every_call():
     assert c.det_row(0) == [0, -60] and c.det_row(0) is not c.det_row(0)
 
 
+@pytest.mark.parametrize(
+    "vecs",
+    [
+        [(0.1, 3.0), (-2.5, 1e-3)],
+        # x * 2^k would pass the float range for the k that 5e-324 needs
+        [(5e-324, 1.0), (1e300, -2.0)],
+        [(Fraction(1, 3), 2), (Fraction(-5, 7), Fraction(1, 2))],
+    ],
+    ids=["float", "float-wide-range", "exact"],
+)
+def test_det_row_holds_ints_at_one_scale_in_both_modes(vecs):
+    c = Configuration(vecs)
+    xs, ys, scale = c._det_coords
+    assert {type(v) for v in (*xs, *ys, scale)} == {int}
+    assert [Fraction(x, 1) ** 2 / scale for x in xs] == [Fraction(x) ** 2 for x, _ in vecs]
+    (x0, y0), (x1, y1) = (map(Fraction, v) for v in vecs)
+    assert c.det_row(0) == [0, (x0 * y1 - y0 * x1) * scale]
+
+
 def test_lines_are_the_reduced_directions_of_the_scaled_ints():
     c = Configuration([(2, 4), (Fraction(-1, 3), Fraction(-2, 3)), (0, -5), (-3, 0)])
     assert c.lines == ((1, 2), (1, 2), (0, 1), (1, 0))
@@ -143,26 +162,27 @@ def test_take_equals_the_constructor_on_the_same_members(pairs, data, with_lines
 
 
 def test_det_max_reads_no_diagonal_entry():
-    # x*y of v_0 overflows, so its diagonal entry x*y - y*x is inf - inf
+    # x*y of v_0 overflows as a float, but the table holds ints: the
+    # diagonal entry is 0 and det_max the largest entry, in table units
     for vecs in ([(1e200, 1e200), (0.0, 1.0)], [(1e200, 1e200), (1.0, 0.0)]):
         c = Configuration(vecs)
-        assert math.isnan(c.det_row(0)[0])
+        assert c.det_row(0)[0] == 0
         # in the first, the largest entry is in row 0, after its diagonal
-        assert c.det_max == 1e200
-    assert repr(Configuration([(1.0, 0.0)]).det_max) == "0.0"
-    assert Configuration([(1, 0), (2, 0)]).det_max == Fraction(0)
+        assert type(c.det_max) is int and Fraction(c.det_max, c._det_coords[2]) == 1e200
+    assert Configuration([(1.0, 0.0)]).det_max == 0
+    assert Configuration([(1, 0), (2, 0)]).det_max == 0
 
 
 def _table_det_max(c):
-    """det_max as the whole table gave it: the maximum over a zero, row 0
-    past its diagonal, then each later row's maximum, in that order."""
-    rows = [[xi * yj - yi * xj for xj, yj in zip(c.xs, c.ys)] for xi, yi in zip(c.xs, c.ys)]
-    zero = 0.0 if c.mode == "float" else 0
-    return c.unscale(max((zero, *rows[0][1:], *map(max, rows[1:]))))
+    """det_max as the whole exact table gives it, in table units: the
+    largest det of the rationals the coordinates hold, times D^2."""
+    points = [(Fraction(x), Fraction(y)) for x, y in zip(c.xs, c.ys)]
+    top = max(xi * yj - yi * xj for xi, yi in points for xj, yj in points)
+    return top * c._det_coords[2]
 
 
-# products of 1e200 overflow, so diagonal entries and some others are
-# inf - inf = NaN, and a row whose first entry is NaN has a NaN maximum
+# products of 1e200 overflow as floats, where a diagonal entry would be
+# inf - inf = NaN; the table's ints hold them exactly
 streamed_coords = st.one_of(
     st.floats(-1e3, 1e3, allow_nan=False),
     st.sampled_from([0.0, -0.0, 1e200, -1e200, 1e160, 1e-200]),
@@ -176,15 +196,14 @@ streamed_coords = st.one_of(
         lambda vecs: (0, 0) not in vecs
     ),
 )
-# row 1 opens with inf - inf, so its maximum is NaN and skipped, and with
-# it the table's largest entry, det(v_1, v_2) = 2e200
+# as floats, row 1 opens with inf - inf, and the table's largest entry is
+# det(v_1, v_2) = 2e200
 @example([(1e200, 1e160), (1e160, 1e200), (-2.0, 1.0)])
 def test_det_max_streams_the_table_maximum(rows_computed, vecs):
     c = Configuration(vecs)
     rows_computed.clear()
-    # bit for bit the table's maximum, NaN rule included, from each row
-    # computed once, in order
-    assert repr(c.det_max) == repr(_table_det_max(c))
+    # the exact table's maximum, from each row computed once, in order
+    assert c.det_max == _table_det_max(c)
     assert rows_computed == [(c.m, i) for i in range(c.m)]
 
 
