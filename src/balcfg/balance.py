@@ -320,9 +320,8 @@ def _residual_bounds(form: CanonicalForm, norms, m: int) -> Optional[Tuple[float
     r^2) / |det G| of 0: that is pair. For odd m, the smallest |sin(2 pi k /
     m)|, k != 0, is sin(pi / m), so every |det| is at least (sin(pi / m) -
     2r - r^2) / |det G|: that is floor. Each term is rounded outward by
-    BOUND_SLACK, which
-    at floor's first term must also cover the error of math.sin(math.pi / m)
-    (README's platform assumption).
+    BOUND_SLACK, which at floor's first term must also cover the error of
+    math.sin(math.pi / m) (README's platform assumption).
     """
     g = form.g
     if not in_safe_range((g.a, g.b, g.c, g.d)):
