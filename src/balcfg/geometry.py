@@ -14,8 +14,8 @@ computation runs on the columns.
 
 A configuration's determinant table is one exact table of ints in both
 modes. Every coordinate, a Fraction or a binary float, is a rational whose
-denominator divides one D (a multiple of the denominators' lcm; a power of
-two 2^k in float mode), so the ints x*D, y*D hold every member exactly and
+denominator divides D, the denominators' lcm (a power of two 2^k in
+float mode), so the ints x*D, y*D hold every member exactly and
 each entry is the int D^2 * det2. The verdicts sort, add and compare these
 ints. Each row is computed where it is read, by one comprehension
 (Configuration.det_row), as a fresh list that nothing caches: a verdict
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Tuple, Union
 
 from .errors import DuplicateArgument, SingularFrame
@@ -258,20 +257,9 @@ class Configuration:
     @cached_property
     def _det_coords(self) -> tuple:
         """(xs, ys, scale) that every determinant row is built from: the
-        ints x*D, y*D at scale D^2. In float mode D is 2^k for k = max(0,
-        53 - e) over the coordinates' frexp exponents e, as a float
-        m * 2^e has 53 bits, and one math.ldexp pass scales exactly; where
-        some x*D would pass the float range, and in exact mode, D is the lcm
-        of the denominators that as_integer_ratio gives."""
-        values = self.xs + self.ys
-        if self.mode == FLOAT:
-            k = max(0, 53 - min([e for _, e in map(math.frexp, values)]))
-            try:
-                ints = list(map(int, map(math.ldexp, values, repeat(k))))
-                return ints[: self.m], ints[self.m :], 4**k
-            except OverflowError:
-                pass
-        ratios = [v.as_integer_ratio() for v in values]
+        ints x*D, y*D at scale D^2, D the lcm of the denominators that
+        as_integer_ratio gives (in float mode the largest, a power of two)."""
+        ratios = [v.as_integer_ratio() for v in self.xs + self.ys]
         dens = {q for _, q in ratios}
         d = math.lcm(*dens)
         # one division per distinct denominator, of which a float set has few

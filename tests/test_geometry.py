@@ -93,10 +93,10 @@ def test_det_row_is_computed_afresh_on_every_call():
 @pytest.mark.parametrize(
     "vecs",
     [
-        # the least exponent's coordinate has an odd 53-bit mantissa, so
-        # a scale one bit short would leave it a fraction
+        # D is the largest denominator, that of the coordinate with an odd
+        # 53-bit mantissa at the least exponent
         [(0.1, 3.0), (-2.5, 0.0010000000000000002)],
-        # x * 2^k would pass the float range for the k that 5e-324 needs
+        # D = 2^1074, at which 1e300 * D passes the float range
         [(5e-324, 1.0), (1e300, -2.0)],
         [(Fraction(1, 3), 2), (Fraction(-5, 7), Fraction(1, 2))],
     ],
