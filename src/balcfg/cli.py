@@ -201,15 +201,11 @@ def _cmd_render(args) -> Tuple[str, int]:
     return _config_text(load_config(args.path), args.format), 0
 
 
-COMMANDS = ("check", "canon", "roots", "gen", "search", "render")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The balcfg parser, with one subparser per command in the order of
-    COMMANDS. It is built on first use and then shared by every main call
-    in the process: building it takes some 30 times as long as parsing
-    with it."""
+    """The balcfg parser, with one subparser per command. It is built on
+    first use and then shared by every main call in the process: building
+    it takes some 30 times as long as parsing with it."""
     parser = argparse.ArgumentParser(
         prog="balcfg",
         description="Balanced plane vector configurations: verdicts, canonical "

@@ -111,12 +111,6 @@ def enumerate_balanced(spec: SearchSpec) -> List[Configuration]:
     return search_balanced(spec, build=True)[2]
 
 
-def count_balanced(spec: SearchSpec) -> Tuple[int, int]:
-    """(count, uniform_count) of enumerate_balanced's hits, none built:
-    search_balanced without its hits."""
-    return search_balanced(spec)[:2]
-
-
 def search_balanced(spec: SearchSpec, build: bool = False) -> Tuple[int, int, List[Configuration]]:
     """(count, uniform_count, hits) of one enumeration. A hit is uniform
     exactly when its members lie on pairwise distinct lines of the grid

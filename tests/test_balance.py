@@ -18,6 +18,7 @@ from balcfg.balance import (
 from balcfg.errors import InconsistentConstants, NotBalanced, NotUniform
 from balcfg.geometry import Configuration, LinearMap2, det2, roots_of_unity
 from balcfg.search import perturb, random_invertible
+import exact_oracle
 from paper_lemmas import AmbiguousPairing, build_pairing, verify_antisymmetry
 
 SQUARE = Configuration([(1, 0), (0, 1), (-1, 0), (0, -1)])
@@ -27,15 +28,6 @@ def _sorted_row(c, i):
     """Row i of c without its diagonal entry, sorted, each entry as det2
     gives it, the value a witness reports."""
     return tuple(sorted(det2(c[i], c[j]) for j in range(c.m) if j != i))
-
-
-def _exact_det(v, w):
-    """det2(v, w) of the coordinates read as the rationals they hold."""
-    return Fraction(v.x) * Fraction(w.y) - Fraction(v.y) * Fraction(w.x)
-
-
-def _exact_det_max(c):
-    return max(abs(_exact_det(v, w)) for v in c for w in c)
 
 
 def test_roots_of_unity_are_balanced_and_uniform():
@@ -228,16 +220,6 @@ def configurations(coords):
     return st.lists(vectors, min_size=1, max_size=7).map(Configuration)
 
 
-def _reference_tol(c, tol):
-    """The tolerance of the exact table: 0 in exact mode, else tol or
-    1e-9 * the largest |det|, each read as the rational it holds."""
-    if c.mode == "exact":
-        return 0
-    if tol is not None:
-        return Fraction(tol)
-    return Fraction(1e-9) * _exact_det_max(c)
-
-
 @given(
     st.one_of(configurations(float_coords), configurations(rational_coords)),
     st.sampled_from([None, 1e-6, 0.5]),
@@ -249,42 +231,9 @@ def test_verdicts_read_the_pairwise_determinants(c, tol):
     rows = [c.det_row(i) for i in range(c.m)]
     assert {type(e) for row in rows for e in row} == {int}
     table = [[Fraction(e, scale) for e in row] for row in rows]
-    assert table == [[_exact_det(v, w) for w in c] for v in c]
-    assert is_uniform(c, tol) == _reference_is_uniform(c, tol)
-
-
-def _reference_is_balanced(c, tol):
-    """The former two-pointer loop over each sorted row of the exact table,
-    kept as the oracle for is_balanced's verdict; its witness is det2 of
-    the pair, with the first j whose det is the mismatch."""
-    eff = _reference_tol(c, tol)
-    for i in range(c.m):
-        dets = [_exact_det(c[i], v) for v in c]
-        srow = sorted(dets[:i] + dets[i + 1 :])
-        lo, hi = 0, len(srow) - 1
-        while lo <= hi:
-            if lo == hi:
-                bad = abs(srow[lo]) > eff
-                mismatch = srow[lo]
-            else:
-                bad = abs(srow[lo] + srow[hi]) > eff
-                mismatch = srow[hi] if abs(srow[hi]) >= abs(srow[lo]) else srow[lo]
-            if bad:
-                return False, (i, det2(c[i], c[dets.index(mismatch)]))
-            lo += 1
-            hi -= 1
-    return True, None
-
-
-def _reference_is_uniform(c, tol):
-    """The former scan of every pair i < j, kept as the oracle for
-    is_uniform's first dependent pair."""
-    eff = _reference_tol(c, tol)
-    for i in range(c.m):
-        for j in range(i + 1, c.m):
-            if abs(_exact_det(c[i], c[j])) <= eff:
-                return False, (i, j)
-    return True, None
+    exact = exact_oracle.table(c)
+    assert table == [[Fraction(e, exact.scale) for e in row] for row in exact.rows]
+    assert is_uniform(c, tol) == exact_oracle.is_uniform(c, tol)
 
 
 # signed zeros and a few small values make exact ties (|lo| == |hi|) and
@@ -309,23 +258,11 @@ huge_coords = st.sampled_from([1e200, -1e200, 1e160, 1.0, -1.0, 0.0, 1e-200])
 )
 def test_row_kernels_match_the_former_loops(c, tol):
     report = is_balanced(c, tol)
-    verdict, witness = _reference_is_balanced(c, tol)
+    verdict, witness = exact_oracle.is_balanced(c, tol)
     assert report.balanced == verdict
     # repr, so that a witness of -0.0 is not passed by 0.0
     assert repr(report.witness) == repr(witness)
-    assert is_uniform(c, tol) == _reference_is_uniform(c, tol)
-
-
-def _reference_even_m_witness(c, tol):
-    """Row 0 of the exact table at the reference tolerance: the first j >= 1
-    with the smallest |det(v_0, v_j)|, or NotBalanced's class and witness
-    (0, det2(v_0, v_j)) when it is not within the tolerance."""
-    eff = _reference_tol(c, tol)
-    row = [_exact_det(c[0], v) for v in c]
-    j = min(range(1, c.m), key=lambda i: abs(row[i]))
-    if abs(row[j]) > eff:
-        return "NotBalanced", repr((0, det2(c[0], c[j])))
-    return "ok", repr(j)
+    assert is_uniform(c, tol) == exact_oracle.is_uniform(c, tol)
 
 
 @st.composite
@@ -342,7 +279,8 @@ def moved_negation_closed(draw):
     k = draw(st.sampled_from(twins + [draw(st.integers(1, c.m - 1))]))
     factor = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.25, 4.0)))
     norm = math.hypot(x0, y0)
-    step = factor * 1e-9 * float(_exact_det_max(c)) / norm
+    exact = exact_oracle.table(c)
+    step = factor * 1e-9 * float(Fraction(exact.det_max, exact.scale)) / norm
     x, y = members[k]
     members[k] = (x - step * y0 / norm, y + step * x0 / norm)
     # a subnormal v_0 can overflow the move; such a member is no input
@@ -366,11 +304,15 @@ def _even(coords):
     st.sampled_from([None, None, 0.0, 2**-25, 1e-6]),
 )
 def test_even_m_witness_matches_row_0_of_the_full_table(c, tol):
+    assert _outcome(even_m_witness, c, tol) == _outcome(exact_oracle.even_m_witness, c, tol)
+
+
+def _outcome(verdict, c, tol):
+    """What verdict(c, tol) returns, or NotBalanced's witness, as reprs."""
     try:
-        found = "ok", repr(even_m_witness(c, tol))
+        return "ok", repr(verdict(c, tol))
     except NotBalanced as exc:
-        found = "NotBalanced", repr(exc.witness)
-    assert found == _reference_even_m_witness(c, tol)
+        return "NotBalanced", repr(exc.witness)
 
 
 @pytest.mark.parametrize("verdict", [is_balanced, verify_antisymmetry])

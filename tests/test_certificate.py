@@ -1,9 +1,9 @@
-"""The certificate-first verdicts against a full-table reference.
+"""The certificate-first verdicts against the full exact table.
 
-The reference below builds the whole exact determinant table of the
-rationals the coordinates hold, takes the default tolerance from its
+The reference is tests/exact_oracle.py: the whole exact determinant table of
+the rationals the coordinates hold, with the default tolerance taken from its
 largest entry, reading 1e-9 and an explicit tolerance as the rationals they
-hold too, and decides every verdict on it, as the verdicts would without
+hold too, and every verdict decided on it, as the verdicts would without
 reading rows on demand, bracketing their tolerance, bounding uniformity by
 argument gaps, and certifying GL2 images of U_m by the canonical map's
 residual. A witness is det2 of the pair that decided. Every verdict,
@@ -46,7 +46,6 @@ from balcfg.balance import (
 from balcfg.cli import main
 from balcfg.errors import (
     BalcfgError,
-    InconsistentConstants,
     NotBalanced,
     NotUniform,
     ResidualTooLarge,
@@ -61,6 +60,7 @@ from balcfg.geometry import (
 )
 from balcfg.search import perturb, random_invertible
 from balcfg.serialization import serialize_config
+import exact_oracle
 from paper_lemmas import (
     GRID_TOL,
     NotNormalized,
@@ -72,83 +72,15 @@ from paper_lemmas import (
 DATA = Path(__file__).parent / "data"
 
 
-def _table(c):
-    """(table, D^2): the ints x*D, y*D of the rationals the coordinates
-    hold, D the lcm of their denominators, and every entry x_i*y_j -
-    y_i*x_j of them, which is D^2 det(v_i, v_j) exactly."""
-    points = [(Fraction(x), Fraction(y)) for x, y in zip(c.xs, c.ys)]
-    d = math.lcm(*(f.denominator for point in points for f in point))
-    ints = [(int(x * d), int(y * d)) for x, y in points]
-    return [[xi * yj - yi * xj for xj, yj in ints] for xi, yi in ints], d * d
-
-
-def _ref_tol(table, scale, tol):
-    """The tolerance in table units: tol * D^2, or 1e-9 * the largest entry,
-    each factor read as the rational it holds."""
-    if tol is not None:
-        return Fraction(tol) * scale
-    return Fraction(DEFAULT_REL_TOL) * max(map(max, table))
-
-
-def _witness(c, i, row, value):
-    """(i, det2(v_i, v_j)) for the first j whose entry in row i is value."""
-    return i, c[i].x * c[row.index(value)].y - c[i].y * c[row.index(value)].x
-
-
-def _ref_row_fault(srow, eff):
-    """The first j < N // 2 with |srow[j] + srow[N-1-j]| > eff, else N // 2
-    when N is odd and |srow[N // 2]| > eff, else None."""
-    half = len(srow) // 2
-    for j in range(half):
-        if abs(srow[j] + srow[-1 - j]) > eff:
-            return j
-    if len(srow) % 2 and abs(srow[half]) > eff:
-        return half
-    return None
-
-
-def _ref_is_balanced(c, tol):
-    table, scale = _table(c)
-    eff = _ref_tol(table, scale, tol)
-    for i, row in enumerate(table):
-        srow = sorted(row[:i] + row[i + 1 :])
-        j = _ref_row_fault(srow, eff)
-        if j is not None:
-            lo, hi = srow[j], srow[-1 - j]
-            return False, _witness(c, i, row, hi if abs(hi) >= abs(lo) else lo)
-    return True, None
-
-
-def _ref_is_uniform(c, tol):
-    table, scale = _table(c)
-    eff = _ref_tol(table, scale, tol)
-    for i in range(c.m):
-        for j in range(i + 1, c.m):
-            if abs(table[i][j]) <= eff:
-                return False, (i, j)
-    return True, None
-
-
 def _ref_antisymmetry(c, tol):
-    table, scale = _table(c)
-    eff = _ref_tol(table, scale, tol)
+    table = exact_oracle.table(c)
+    eff = table.tolerance(tol)
     m, n = c.m, c.n
     for k in range(m):
         for a in range(1, n + 1):
-            if abs(table[k][(k + a) % m] + table[k][(k - a) % m]) > eff:
+            if abs(table.rows[k][(k + a) % m] + table.rows[k][(k - a) % m]) > eff:
                 return False, (k, a)
     return True, None
-
-
-def _ref_step_constants(c, tol):
-    table, scale = _table(c)
-    eff = _ref_tol(table, scale, tol)
-    m, n = c.m, c.n
-    a1, an = table[0][1], table[0][n]
-    for k in range(m):
-        if abs(table[k][(k + 1) % m] - a1) > eff or abs(table[k][(k + n) % m] - an) > eff:
-            raise InconsistentConstants("", witness=k)
-    return _witness(c, 0, table[0], a1)[1], _witness(c, 0, table[0], an)[1]
 
 
 def _ref_canonicalize(c, tol):
@@ -156,10 +88,10 @@ def _ref_canonicalize(c, tol):
     scale = max(math.hypot(v.x, v.y) for v in work)
     s = 1.0 / scale
     work = Configuration([(s * v.x, s * v.y) for v in work])
-    balanced, witness = _ref_is_balanced(work, None)
+    balanced, witness = exact_oracle.is_balanced(work)
     if not balanced:
         raise NotBalanced("", witness=witness)
-    uniform, pair = _ref_is_uniform(work, None)
+    uniform, pair = exact_oracle.is_uniform(work)
     if not uniform:
         raise NotUniform("", witness=pair)
     g, k, exponents, residual = _ref_route(work)
@@ -259,16 +191,16 @@ def _image(m, seed, eps, shuffle):
 def test_certificate_first_verdicts_match_the_full_table(m, seed, eps, shuffle, tol):
     c = _image(m, seed, eps, shuffle)
     report = is_balanced(c, tol)
-    verdict, witness = _ref_is_balanced(c, tol)
+    verdict, witness = exact_oracle.is_balanced(c, tol)
     assert report.balanced == verdict
     assert repr(report.witness) == repr(witness)
-    assert is_uniform(c, tol) == _ref_is_uniform(c, tol)
+    assert is_uniform(c, tol) == exact_oracle.is_uniform(c, tol)
 
     def constants():
         found = step_constants(c, tol)
         return found.A1, found.An
 
-    assert _outcome(constants) == _outcome(lambda: _ref_step_constants(c, tol))
+    assert _outcome(constants) == _outcome(lambda: exact_oracle.step_constants(c, tol))
 
     def canon():
         form = canonicalize(c)
@@ -282,13 +214,17 @@ def _ref_bounds(c, tol):
     """The tolerance of the full table, its largest sorted pair sum in
     magnitude (what is_balanced compares with the tolerance), and its
     smallest off-diagonal |entry|, all in input units."""
-    table, scale = _table(c)
+    table = exact_oracle.table(c)
     pairs = [0]
-    for i, row in enumerate(table):
+    for i, row in enumerate(table.rows):
         srow = sorted(row[:i] + row[i + 1 :])
         pairs += [abs(a + b) for a, b in zip(srow, reversed(srow))]
-    least = min(abs(e) for i, row in enumerate(table) for j, e in enumerate(row) if i != j)
-    return _ref_tol(table, scale, tol) / scale, Fraction(max(pairs), scale), Fraction(least, scale)
+    least = min(abs(e) for i, row in enumerate(table.rows) for j, e in enumerate(row) if i != j)
+    return (
+        Fraction(table.tolerance(tol), table.scale),
+        Fraction(max(pairs), table.scale),
+        Fraction(least, table.scale),
+    )
 
 
 @settings(deadline=None, max_examples=60)
@@ -369,12 +305,12 @@ def _fresh_bracket():
     over the members' ints and the table's maximum, rounded down."""
     c = random_invertible(4).apply_configuration(roots_of_unity(9))
     row = c.det_row(0)
-    table, scale = _table(c)
+    table = exact_oracle.table(c)
     xs, ys, unit = c._det_coords
     rel = Fraction(DEFAULT_REL_TOL)
     lo = math.floor(rel * max(map(abs, row)))
     hi = math.floor(rel * 2 * max(map(abs, xs)) * max(map(abs, ys)))
-    eff = math.floor(rel * max(map(max, table)) * unit / scale)
+    eff = math.floor(Fraction(table.tolerance(), table.scale) * unit)
     assert lo <= eff <= hi and lo < hi
     return c, _Bracket(c, None), row, lo, hi, eff
 
@@ -425,7 +361,7 @@ def test_bracket_within_mirrors_above():
 def test_is_uniform_decides_the_square_without_det_max():
     # opposite members: |det| = 0 at both ends of the bracket
     c = Configuration([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
-    assert is_uniform(c) == (False, (0, 2)) == _ref_is_uniform(c, None)
+    assert is_uniform(c) == (False, (0, 2)) == exact_oracle.is_uniform(c)
     assert "det_max" not in c.__dict__
 
 
@@ -434,7 +370,7 @@ def test_is_uniform_reads_det_max_when_an_entry_falls_inside_the_bracket(delta, 
     # det(v0, v1) = delta lies between 1e-9 * max |row 0| = 1e-12 and
     # 1e-9 * 2 max |x| max |y| = 2e-12 only for the first delta
     c = Configuration([(1.0, 0.0), (1.0, delta), (0.0, 1e-3)])
-    assert is_uniform(c) == (pair is None, pair) == _ref_is_uniform(c, None)
+    assert is_uniform(c) == (pair is None, pair) == exact_oracle.is_uniform(c)
     assert ("det_max" in c.__dict__) == (pair is None)
 
 
@@ -503,8 +439,8 @@ def test_route_without_norm_bounds_falls_back_to_the_rows(rows_computed):
     assert not balance._certified(c, _Bracket(c, None))
     assert rows_computed == []
     report = is_balanced(c)
-    assert (report.balanced, report.witness) == (True, None) == _ref_is_balanced(c, None)
-    assert is_uniform(c) == (True, None) == _ref_is_uniform(c, None)
+    assert (report.balanced, report.witness) == (True, None) == exact_oracle.is_balanced(c)
+    assert is_uniform(c) == (True, None) == exact_oracle.is_uniform(c)
     assert rows_computed == [(3, 0), (3, 1), (3, 2), (3, 0), (3, 1)]
     assert "det_max" not in c.__dict__
     assert canonicalize(c).residual <= RESIDUAL_TOL
@@ -517,7 +453,7 @@ def test_is_balanced_reads_det_max_when_a_sum_falls_inside_the_bracket(rows_comp
     # streams rows 0, 1, 2
     c = Configuration([(1.0, 0.0), (-0.5, 0.866e-3 + 1.2e-12), (-0.5, -0.866e-3)])
     report = is_balanced(c)
-    assert (report.balanced, report.witness) == _ref_is_balanced(c, None)
+    assert (report.balanced, report.witness) == exact_oracle.is_balanced(c)
     assert not report.balanced
     assert "det_max" in c.__dict__
     assert rows_computed == [(3, 0), (3, 0), (3, 1), (3, 2)]
@@ -528,7 +464,7 @@ def test_is_balanced_decides_a_far_row_on_row_0(rows_computed):
     # own largest |entry|, so neither it nor det_max reads a row
     c = Configuration([(1.0, 0.0), (0.0, 1.0), (-1.0, -0.25)])
     report = is_balanced(c)
-    assert (report.balanced, report.witness) == _ref_is_balanced(c, None) == (False, (0, 1.0))
+    assert (report.balanced, report.witness) == exact_oracle.is_balanced(c) == (False, (0, 1.0))
     assert rows_computed == [(3, 0)]
 
 
@@ -540,7 +476,7 @@ def test_uniformity_by_argument_gap_reads_no_row(rows_computed):
     # opposite members share an argument mod pi: the rows decide, and the
     # scan stops at row 0, which the bracket's lower end reuses
     square = Configuration([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
-    assert is_uniform(square) == (False, (0, 2)) == _ref_is_uniform(square, None)
+    assert is_uniform(square) == (False, (0, 2)) == exact_oracle.is_uniform(square)
     assert rows_computed == [(4, 0)]
 
 
@@ -550,7 +486,8 @@ def test_step_constants_name_the_first_k_of_either_step():
     u = roots_of_unity(7)
     c = Configuration([(1.01 * v.x, 1.01 * v.y) if i == 4 else v for i, v in enumerate(u)])
     found = _outcome(lambda: step_constants(c))
-    assert found == _outcome(lambda: _ref_step_constants(c, None)) == ("InconsistentConstants", "1")
+    reference = _outcome(lambda: exact_oracle.step_constants(c))
+    assert found == reference == ("InconsistentConstants", "1")
 
 
 def test_is_balanced_tests_closure_once_after_row_0(count_calls, rows_computed):
@@ -571,7 +508,7 @@ def test_step_constants_read_their_2m_entries_off_the_columns(rows_computed):
     # of (v_0, v_1) and (v_0, v_n)
     c = random_invertible(2).apply_configuration(roots_of_unity(31))
     found = step_constants(c)
-    assert (repr(found.A1), repr(found.An)) == tuple(map(repr, _ref_step_constants(c, None)))
+    assert (repr(found.A1), repr(found.An)) == tuple(map(repr, exact_oracle.step_constants(c)))
     assert rows_computed == []
 
 
@@ -596,10 +533,9 @@ def test_verdicts_read_the_rows_where_no_bound_holds(
 ):
     calls = count_calls(balance._map_onto_roots)
     c = Configuration(vectors)
-    tol = 0 if c.mode == "exact" else None
     report = is_balanced(c)
-    assert (report.balanced, repr(report.witness)) == _outcome_pair(_ref_is_balanced(c, tol))
-    assert is_uniform(c) == _ref_is_uniform(c, tol)
+    assert (report.balanced, repr(report.witness)) == _outcome_pair(exact_oracle.is_balanced(c))
+    assert is_uniform(c) == exact_oracle.is_uniform(c)
     assert rows_computed[0] == (c.m, 0)
     assert [work.m for (work,) in calls] == routes
 
@@ -628,9 +564,9 @@ def test_route_maps_a_grid_value_other_than_t_n_and_certifies_nothing():
         _ref_route(c)
     assert not balance._certified(c, _Bracket(c, None))
     report = is_balanced(c)
-    assert (report.balanced, repr(report.witness)) == _outcome_pair(_ref_is_balanced(c, None))
+    assert (report.balanced, repr(report.witness)) == _outcome_pair(exact_oracle.is_balanced(c))
     assert report.witness == (0, math.sin(5.0))
-    assert is_uniform(c) == _ref_is_uniform(c, None) == (True, None)
+    assert is_uniform(c) == exact_oracle.is_uniform(c) == (True, None)
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10])
@@ -641,9 +577,9 @@ def test_verdicts_read_the_rows_where_a_bound_does_not_clear(rows_computed, eps)
     moved = perturb(random_invertible(6).apply_configuration(roots_of_unity(21)), eps, seed=1)
     assert isinstance(_form_or_refusal(moved), CanonicalForm)
     report = is_balanced(moved)
-    assert (report.balanced, repr(report.witness)) == _outcome_pair(_ref_is_balanced(moved, None))
+    assert (report.balanced, repr(report.witness)) == _outcome_pair(exact_oracle.is_balanced(moved))
     assert report.balanced == (eps == 1e-10)
-    assert is_uniform(moved) == _ref_is_uniform(moved, None)
+    assert is_uniform(moved) == exact_oracle.is_uniform(moved)
     assert rows_computed[0] == (21, 0)
 
 
@@ -656,8 +592,9 @@ def test_verdicts_read_the_rows_where_the_tolerance_is_too_large(rows_computed):
     assert is_uniform(image) == (True, None)
     assert rows_computed == []
     report = is_balanced(image, 1.0)
-    assert (report.balanced, repr(report.witness)) == _outcome_pair(_ref_is_balanced(image, 1.0))
-    assert is_uniform(image, 1.0) == _ref_is_uniform(image, 1.0) != (True, None)
+    reference = _outcome_pair(exact_oracle.is_balanced(image, 1.0))
+    assert (report.balanced, repr(report.witness)) == reference
+    assert is_uniform(image, 1.0) == exact_oracle.is_uniform(image, 1.0) != (True, None)
     assert rows_computed[0] == (21, 0)
 
 
@@ -791,7 +728,7 @@ def test_negation_closed_sets_match_the_full_table(rows_computed, members, tol):
     report = is_balanced(c, tol)
     read = sorted({i for _, i in rows_computed})
     # exact mode compares exactly whatever tol is
-    verdict, witness = _ref_is_balanced(c, 0 if c.mode == "exact" else tol)
+    verdict, witness = exact_oracle.is_balanced(c, tol)
     assert (report.balanced, repr(report.witness)) == (verdict, repr(witness))
     # the certificate fires exactly on a closed multiset, in either mode and
     # at every float scale, as the rows are exact
@@ -836,7 +773,7 @@ def test_exact_is_uniform_compares_lines_and_computes_no_row(rows_computed, memb
     found = is_uniform(c, tol)
     assert rows_computed == []
     # exact mode compares exactly whatever tol is
-    assert found == _ref_is_uniform(c, 0)
+    assert found == exact_oracle.is_uniform(c, tol)
 
 
 @st.composite
@@ -862,9 +799,9 @@ def planted_near_pairs(draw):
 def test_gap_floor_never_exceeds_an_entry_of_the_full_table(members):
     c = Configuration(members)
     floor = balance._gap_floor(c, norm_sq_bounds(c))
-    table, scale = _table(c)
-    least = min(abs(e) for i, row in enumerate(table) for j, e in enumerate(row) if i != j)
-    least = Fraction(least, scale)
+    table = exact_oracle.table(c)
+    least = min(abs(e) for i, row in enumerate(table.rows) for j, e in enumerate(row) if i != j)
+    least = Fraction(least, table.scale)
     # None: a coordinate outside the safe range, where no bound holds
     assert floor is None or floor <= least
 
@@ -877,7 +814,7 @@ def test_gap_floor_of_each_member_clears_a_perturbed_image(rows_computed, m, see
     c = perturb(random_invertible(2).apply_configuration(roots_of_unity(m)), 1e-3, seed=seed)
     assert is_uniform(c) == (True, None)
     assert rows_computed == []
-    assert _ref_is_uniform(c, None) == (True, None)
+    assert exact_oracle.is_uniform(c) == (True, None)
 
 
 def _ref_in_safe_range(values):
@@ -1021,7 +958,7 @@ def test_row_sums_refute_no_balanced_float_set(members, tol):
     c = Configuration(members)
     bracket = _Bracket(c, tol)
     if bracket.norms is not None and balance._row_sums_refute(c, bracket):
-        verdict, _ = _ref_is_balanced(c, tol)
+        verdict, _ = exact_oracle.is_balanced(c, tol)
         assert not verdict and not is_balanced(c, tol).balanced
 
 
@@ -1065,7 +1002,7 @@ def test_step_constants_of_another_order_scan_and_refuse(count_calls):
         assert balance._certified(c, _Bracket(c, None))
         found = _outcome(lambda: step_constants(c))
         assert found[0] == "InconsistentConstants"
-        assert found == _outcome(lambda: _ref_step_constants(c, None))
+        assert found == _outcome(lambda: exact_oracle.step_constants(c))
         assert len(scans) == 1
         scans.clear()
 

@@ -1,20 +1,20 @@
 """An exact audit of check's and canon's float verdicts (ROADMAP item 22).
 
 Every float coordinate is a dyadic rational, so the exact verdict on the same
-numbers at the same tolerance is a complete oracle: every determinant row
-exactly, eff = Fraction(1e-9) * the exact maximum |det|, balanced when every
-sorted pair sum |d_j + d_{N-1-j}| <= eff and an odd row's middle entry has
-|d| <= eff (balance's module docstring), uniform when every |det| > eff.
-check, run through cli.main, must report both verdicts as the oracle does,
-and exit 1 only when the oracle says "not balanced"; canon's verdict must
-not contradict the oracle on the copy that canon decides. The families:
-seeded GL2 images of U_m and perturbed copies, item 14's copies perturbed
-near the tolerance, nearly antipodal sets, the nearly collinear triples of
-item 13, ill-conditioned images of U_m, and images scaled by 2^k, with a
-Hypothesis differential over the same kinds of sets. check's verdicts read
-the same exact table as the oracle, so they must agree everywhere. One
-family is exact input: nearly collinear exact images of U_3, on which canon
-has no certificate to make.
+numbers at the same tolerance is a complete oracle: tests/exact_oracle.py
+reads every determinant row exactly, eff = Fraction(1e-9) * the exact
+maximum |det|, balanced when every sorted pair sum |d_j + d_{N-1-j}| <= eff
+and an odd row's middle entry has |d| <= eff (balance's module docstring),
+uniform when every |det| > eff. check, run through cli.main, must report
+both verdicts as the oracle does, and exit 1 only when the oracle says "not
+balanced"; canon's verdict must not contradict the oracle on the copy that
+canon decides. The families: seeded GL2 images of U_m and perturbed copies,
+item 14's copies perturbed near the tolerance, nearly antipodal sets, the
+nearly collinear triples of item 13, ill-conditioned images of U_m, and
+images scaled by 2^k, with Hypothesis differentials of check and of canon
+over the same kinds of sets. check's verdicts read the same exact table as
+the oracle, so they must agree everywhere. One family is exact input: nearly
+collinear exact images of U_3, on which canon has no certificate to make.
 """
 
 import json
@@ -32,32 +32,7 @@ from balcfg.cli import main
 from balcfg.errors import BalcfgError
 from balcfg.geometry import Configuration, LinearMap2, roots_of_unity
 from balcfg.search import perturb, random_invertible
-
-REL_TOL = Fraction(1e-9)
-
-
-def exact_verdicts(vectors):
-    """(balanced, uniform) of the float vectors read as exact rationals. The
-    rows hold the ints D^2 * det for D the lcm of the denominators, and
-    |value| <= REL_TOL * max |det| is compared as den * |value| <= num * max
-    |det| for REL_TOL = num / den; both sides scale by D^2 alike."""
-    points = [(Fraction(x), Fraction(y)) for x, y in vectors]
-    scale = math.lcm(*(f.denominator for point in points for f in point))
-    ints = [(int(x * scale), int(y * scale)) for x, y in points]
-    rows = [
-        sorted(xi * yj - yi * xj for j, (xj, yj) in enumerate(ints) if j != i)
-        for i, (xi, yi) in enumerate(ints)
-    ]
-    num, den = REL_TOL.numerator, REL_TOL.denominator
-    eff = num * max(abs(d) for row in rows for d in row)
-    half = (len(points) - 1) // 2
-    balanced = all(
-        all(den * abs(row[j] + row[-1 - j]) <= eff for j in range(half))
-        and (len(row) % 2 == 0 or den * abs(row[half]) <= eff)
-        for row in rows
-    )
-    uniform = all(den * abs(d) > eff for row in rows for d in row)
-    return balanced, uniform
+import exact_oracle
 
 
 def run(capsys, tmp_path, command, vectors, mode="float"):
@@ -81,7 +56,7 @@ def disagreements(capsys, tmp_path, family):
         if report is None:
             wrong.append((vectors, code))
             continue
-        balanced, uniform = exact_verdicts(vectors)
+        balanced, uniform = exact_oracle.verdicts(vectors)
         got = (report["balanced"], report["uniform"], code)
         if got != (balanced, uniform, 0 if balanced else 1):
             wrong.append((vectors, got))
@@ -123,7 +98,7 @@ def near_tolerance_family():
 def test_check_of_near_tolerance_copies_is_the_exact_verdict(capsys, tmp_path):
     family = near_tolerance_family()
     # both verdicts occur, so the family tests each side of the tolerance
-    assert {exact_verdicts(vectors)[0] for vectors in family} == {True, False}
+    assert {exact_oracle.verdicts(vectors)[0] for vectors in family} == {True, False}
     assert disagreements(capsys, tmp_path, family) == []
 
 
@@ -149,7 +124,7 @@ def test_item13_triples_sum_to_zero_and_are_exactly_balanced_and_uniform():
     # each row is {d, -d}, and every |det| is |d| = det_max > eff
     for triple in item13_triples():
         assert [sum(map(Fraction, column)) for column in zip(*triple)] == [0, 0]
-        assert exact_verdicts(triple) == (True, True)
+        assert exact_oracle.verdicts(triple) == (True, True)
 
 
 def test_check_of_exactly_balanced_nearly_collinear_triples_is_the_exact_verdict(
@@ -158,23 +133,32 @@ def test_check_of_exactly_balanced_nearly_collinear_triples_is_the_exact_verdict
     assert disagreements(capsys, tmp_path, item13_triples()) == []
 
 
+# what canon's outcome claims of the (balanced, uniform) verdicts of the copy
+# it decides, by its error class (None for a map): a map needs that copy
+# balanced and uniform, NotBalanced needs it not balanced, and NotUniform
+# balanced and not uniform
+CANON_CLAIMS = {None: (True, True), "NotBalanced": (False,), "NotUniform": (True, False)}
+
+
+def canon_copy_verdicts(vectors):
+    """The exact verdicts of the copy that canon decides: each coordinate
+    times s = 1 / max |v|, as canonicalize rescales it."""
+    s = 1.0 / max(math.hypot(x, y) for x, y in vectors)
+    return exact_oracle.verdicts([[s * x, s * y] for x, y in vectors])
+
+
 def canon_disagreements(capsys, tmp_path, family):
     """The members of family on which canon's verdict contradicts the exact
-    verdicts of the copy that canon decides, each coordinate times s =
-    1 / max |v| (canonicalize's docstring), with canon's error class (None
-    for a map). A map needs that copy balanced and uniform, NotBalanced
-    needs it not balanced, and NotUniform balanced and not uniform; canon's
-    later refusals and its exit 2 claim no verdict."""
-    claims = {None: (True, True), "NotBalanced": (False,), "NotUniform": (True, False)}
+    verdicts of the copy that canon decides (CANON_CLAIMS), with canon's
+    error class; canon's later refusals and its exit 2 claim no verdict."""
     wrong = []
     for vectors in family:
         _, report = run(capsys, tmp_path, "canon", vectors)
-        if report is None or report["error"] not in claims:
+        if report is None or report["error"] not in CANON_CLAIMS:
             continue
         error = report["error"]
-        s = 1.0 / max(math.hypot(x, y) for x, y in vectors)
-        verdicts = exact_verdicts([[s * x, s * y] for x, y in vectors])
-        if verdicts[: len(claims[error])] != claims[error]:
+        verdicts = canon_copy_verdicts(vectors)
+        if verdicts[: len(CANON_CLAIMS[error])] != CANON_CLAIMS[error]:
             wrong.append((vectors, error, verdicts))
     return wrong
 
@@ -215,7 +199,7 @@ def antipodal_family(count=300, seed=22):
 def test_check_of_nearly_antipodal_sets_is_the_exact_verdict(capsys, tmp_path):
     family = antipodal_family()
     # both verdicts occur, so the family tests each side of the tolerance
-    assert {exact_verdicts(vectors)[0] for vectors in family} == {True, False}
+    assert {exact_oracle.verdicts(vectors)[0] for vectors in family} == {True, False}
     assert disagreements(capsys, tmp_path, family) == []
 
 
@@ -484,5 +468,28 @@ def test_check_is_the_exact_verdict_on_fuzzed_float_sets(capsys, tmp_path, vecto
         assert max(x * x + y * y for x, y in vectors) > sys.float_info.max / 4
         return
     report = json.loads(out)
-    balanced, uniform = exact_verdicts(vectors)
+    balanced, uniform = exact_oracle.verdicts(vectors)
     assert (report["balanced"], report["uniform"], code) == (balanced, uniform, 0 if balanced else 1)
+
+
+@settings(
+    deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(fuzz_sets())
+def test_canon_agrees_with_the_exact_verdict_on_fuzzed_float_sets(capsys, tmp_path, vectors):
+    # canon's verdict must not contradict the oracle on the copy it decides
+    # (CANON_CLAIMS); a route refusal is item 25's one named exception, and
+    # exit 2 is a precision refusal, not a verdict. No run is an internal error
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps({"mode": "float", "vectors": vectors}) + "\n")
+    code = main(["canon", str(path)])
+    out, err = capsys.readouterr()
+    assert "error: internal" not in err, err
+    if code == 2:
+        return
+    error = json.loads(out)["error"]
+    assert code == (0 if error is None else 1)
+    if error in ROUTE_REFUSALS:
+        return
+    claim = CANON_CLAIMS[error]
+    assert canon_copy_verdicts(vectors)[: len(claim)] == claim

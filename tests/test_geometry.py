@@ -13,6 +13,7 @@ from balcfg.geometry import (
     label_by_increasing_arguments,
     roots_of_unity,
 )
+import exact_oracle
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 rationals = st.fractions(
@@ -175,14 +176,6 @@ def test_det_max_reads_no_diagonal_entry():
     assert Configuration([(1, 0), (2, 0)]).det_max == 0
 
 
-def _table_det_max(c):
-    """det_max as the whole exact table gives it, in table units: the
-    largest det of the rationals the coordinates hold, times D^2."""
-    points = [(Fraction(x), Fraction(y)) for x, y in zip(c.xs, c.ys)]
-    top = max(xi * yj - yi * xj for xi, yi in points for xj, yj in points)
-    return top * c._det_coords[2]
-
-
 # products of 1e200 overflow as floats, where a diagonal entry would be
 # inf - inf = NaN; the table's ints hold them exactly
 streamed_coords = st.one_of(
@@ -205,7 +198,7 @@ def test_det_max_streams_the_table_maximum(rows_computed, vecs):
     c = Configuration(vecs)
     rows_computed.clear()
     # the exact table's maximum, from each row computed once, in order
-    assert c.det_max == _table_det_max(c)
+    assert c.det_max == exact_oracle.table(c).det_max
     assert rows_computed == [(c.m, i) for i in range(c.m)]
 
 

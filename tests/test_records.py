@@ -236,10 +236,12 @@ LEMMA_NAMES = (
 # unit_vector, whose one caller, canon's route, reads roots_of_unity(m). Last
 # _route, which kept the route's refusal as a memo value: the route itself is
 # memoized now, and canonicalize raises a refusal again where it reads one.
+# Then two names that only tests read: search.count_balanced, spelled
+# search_balanced(spec)[:2], and cli.COMMANDS, whose six names the tests hold.
 UNCALLED_NAMES = (
     "argument", "as_tuple", "save_config",
     "extract_t", "match_k", "GRID_TOL", "NotNormalized", "NoGridMatch", "unit_vector",
-    "_route",
+    "_route", "count_balanced", "COMMANDS",
 )
 
 
