@@ -30,10 +30,11 @@ exceeds what rows balanced at the tolerance can sum to is not balanced
 (_row_sums_refute). A member set closed under v -> -v is balanced once row
 0 has passed: row i holds -det(v_i, v_j) next to each det(v_i, v_j). Exact
 is_uniform and even_m_witness compare the members' lines, with no row;
-float is_uniform bounds every |det| from below by each member's nearest
-argument gap. step_constants of a certified image listed in an affine
-relabeling of its label order reads (A1, An) off row 0's two entries, as
-every step entry lies within the certificate's pair bound of them.
+float is_uniform bounds every |det| from below on the table's ints by each
+member's nearer gap between lines (_gap_floor). step_constants of a
+certified image listed in an affine relabeling of its label order reads
+(A1, An) off row 0's two entries, as every step entry lies within the
+certificate's pair bound of them.
 
 Otherwise the verdicts read the rows of the one exact table in order
 (Configuration.det_row: the ints D^2 * det in both modes, a float being the
@@ -46,12 +47,11 @@ constant) is Configuration.det of the pair that decided.
 The default float tolerance is 1e-9 * det_max, both read exactly, and
 det_max reads every row (streamed). Every verdict hands the values it
 compares, and the table entries it holds, to one _Bracket, which decides
-each comparison at the ends of a bracket first. The certificate, the gate
-and the gap floor compute in floats, build no int, and bound the exact
-table; this module holds their error model (Higham 2002, ch. 3), on the
-norm bounds of norm_sq_bounds (coordinates in_safe_range), and each
-constant it rests on, the libm assumptions ARGUMENT_ERR and TARGET_ERR
-included (README).
+each comparison at the ends of a bracket first. The certificate and the
+gate compute in floats, build no int, and bound the exact table; this
+module holds their error model (Higham 2002, ch. 3), on norm_sq_bound
+(coordinates in_safe_range), and each constant it rests on, README's libm
+assumption (TARGET_ERR and the floor's sin(pi / m)) included.
 """
 
 from __future__ import annotations
@@ -88,9 +88,6 @@ SAFE_COORDINATE_RANGE = (2.0**-480, 2.0**480)
 # Relative slack by which a bound is rounded outward, far above the rounding
 # of the few float operations that evaluate it.
 BOUND_SLACK = 2.0**-40
-# Absolute error bound of a float argument (atan2, the fold into [0, 2*pi)
-# and the reduction mod pi), in radians.
-ARGUMENT_ERR = 1e-14
 # Distance bound between member e of roots_of_unity(m), the float target of
 # slot e, and the exact root of unity: the float angle is within about 4 ulp
 # of 2*pi of the exact one, and cos and sin round to within 1 ulp.
@@ -146,19 +143,18 @@ def in_safe_range(values) -> bool:
     return tiny <= least and max(sizes) <= huge and not math.isnan(sum(sizes))
 
 
-def norm_sq_bounds(c: Configuration) -> Optional[Tuple[float, float]]:
-    """(low, high) with low <= |v|^2 <= high for every member v of a float
-    configuration whose coordinates are in_safe_range; None in exact mode or
-    outside that range, where no bound below holds.
+def norm_sq_bound(c: Configuration) -> Optional[float]:
+    """A float high >= |v|^2 for every member v of a float configuration
+    whose coordinates are in_safe_range; None in exact mode or outside that
+    range, where no bound below holds.
 
     fl(x*x + y*y) is within a relative 3u of |v|^2 (u = UNIT_ROUNDOFF), as
-    x*x and y*y are normal floats or exact zeros; the bounds widen it by
+    x*x and y*y are normal floats or exact zeros; high widens it by
     BOUND_SLACK.
     """
     if c.mode == EXACT or not in_safe_range(c.xs + c.ys):
         return None
-    norms = [x * x + y * y for x, y in zip(c.xs, c.ys)]
-    return min(norms) * (1.0 - BOUND_SLACK), max(norms) * (1.0 + BOUND_SLACK)
+    return max([x * x + y * y for x, y in zip(c.xs, c.ys)]) * (1.0 + BOUND_SLACK)
 
 
 class _Bracket:
@@ -173,7 +169,7 @@ class _Bracket:
     between lo = floor(1e-9 * max |held|) (the table holds -d next to each
     d) and hi = floor(1e-9 * 2 max |X| max |Y|) over the members' ints, as
     |X_i Y_j - Y_i X_j| <= |X_i| |Y_j| + |Y_i| |X_j|. top is tol, or 1e-9
-    times high from norm_sq_bounds, above max |v|^2 by BOUND_SLACK, far
+    times norm_sq, c's norm_sq_bound, above max |v|^2 by BOUND_SLACK, far
     above the product's rounding. All but lo are computed on first read; lo
     starts at 0 and is raised by held only where a comparison needs it.
     """
@@ -188,12 +184,12 @@ class _Bracket:
             self.lo = 0
 
     @cached_property
-    def norms(self) -> Optional[Tuple[float, float]]:
-        return self.c.per_member_set(norm_sq_bounds)
+    def norm_sq(self) -> Optional[float]:
+        return self.c.per_member_set(norm_sq_bound)
 
     @cached_property
     def top(self) -> float:
-        return DEFAULT_REL_TOL * self.norms[1] if self.tol is None else self.tol
+        return DEFAULT_REL_TOL * self.norm_sq if self.tol is None else self.tol
 
     @cached_property
     def eff(self) -> int:
@@ -295,9 +291,9 @@ def _map_onto_roots(c: Configuration) -> CanonicalForm:
     return CanonicalForm(g, t_c, residual)
 
 
-def _residual_bounds(form: CanonicalForm, norms, m: int) -> Optional[Tuple[float, float]]:
-    """(pair, floor) from _map_onto_roots's form on m members, given norms,
-    their norm_sq_bounds, which exist: every pair sum that is_balanced
+def _residual_bounds(form: CanonicalForm, high: float, m: int) -> Optional[Tuple[float, float]]:
+    """(pair, floor) from _map_onto_roots's form on m members, given high,
+    their norm_sq_bound, which exists: every pair sum that is_balanced
     forms on a sorted row of their exact determinant table is at most pair
     in magnitude, and every off-diagonal |det| is at least floor. None when
     no bound holds: an entry of the map outside SAFE_COORDINATE_RANGE (where
@@ -326,7 +322,6 @@ def _residual_bounds(form: CanonicalForm, norms, m: int) -> Optional[Tuple[float
     g = form.g
     if not in_safe_range((g.a, g.b, g.c, g.d)):
         return None
-    high = norms[1]
     u = UNIT_ROUNDOFF
     up, down = 1.0 + BOUND_SLACK, 1.0 - BOUND_SLACK
     cross = abs(g.a * g.d) + abs(g.b * g.c)
@@ -347,13 +342,13 @@ def _residual_bounds(form: CanonicalForm, norms, m: int) -> Optional[Tuple[float
 
 def _certificate(c: Configuration) -> Optional[Tuple[float, float]]:
     """_residual_bounds (pair, floor) of the route's form on c under its
-    norm_sq_bounds, which exist; None where no bound holds or the route
+    norm_sq_bound, which exists; None where no bound holds or the route
     refuses (canonicalize raises that again). Once per member set, like the form."""
     try:
         form = c.per_member_set(_map_onto_roots)
     except (BalcfgError, ArithmeticError, ValueError):
         return None
-    return _residual_bounds(form, c.per_member_set(norm_sq_bounds), c.m)
+    return _residual_bounds(form, c.per_member_set(norm_sq_bound), c.m)
 
 
 def _row_sums(c: Configuration) -> Tuple[float, float]:
@@ -366,7 +361,7 @@ def _row_sums(c: Configuration) -> Tuple[float, float]:
 
 
 def _row_sums_refute(c: Configuration, bracket: _Bracket) -> bool:
-    """Whether some row of c (float, odd m, with the bracket's norms) fails
+    """Whether some row of c (float, odd m, with the bracket's norm_sq) fails
     at the bracket's float end top, and so at eff <= top, by its sum alone.
 
     Row i sums to det(v_i, S) exactly, S the exact sum of the members, as
@@ -377,14 +372,14 @@ def _row_sums_refute(c: Configuration, bracket: _Bracket) -> bool:
     2^-1073 for two products that underflow. A statistic past the sum of
     these, rounded outward by BOUND_SLACK, refutes that row."""
     stat, size = c.per_member_set(_row_sums)
-    own = 4.0 * UNIT_ROUNDOFF * math.sqrt(bracket.norms[1]) * size + 2.0**-1073
+    own = 4.0 * UNIT_ROUNDOFF * math.sqrt(bracket.norm_sq) * size + 2.0**-1073
     return stat > (c.n * bracket.top + own) * (1.0 + BOUND_SLACK)
 
 
 def _certified(c: Configuration, bracket: _Bracket) -> bool:
     """Whether c is a certified GL2 image of U_m at bracket's tolerance. No
     bound can hold, and no route runs, for even m, m < 3, a bracket without
-    norms (exact input, or a float coordinate outside SAFE_COORDINATE_RANGE)
+    norm_sq (exact input, or a float coordinate outside SAFE_COORDINATE_RANGE)
     or a set whose row sums refute balance (_row_sums_refute), as a set
     that is not balanced has no certificate; the gate reads no row and
     never det_max. Then _certificate's (pair, floor) must clear the
@@ -393,7 +388,7 @@ def _certified(c: Configuration, bracket: _Bracket) -> bool:
     off-diagonal |det|), which the float product, rounded down by
     BOUND_SLACK, never exceeds. A certified set passes every row, so the
     gate never refutes one."""
-    if c.m % 2 == 0 or c.m < 3 or bracket.norms is None or _row_sums_refute(c, bracket):
+    if c.m % 2 == 0 or c.m < 3 or bracket.norm_sq is None or _row_sums_refute(c, bracket):
         return False
     bounds = c.per_member_set(_certificate)
     if bounds is None:
@@ -440,26 +435,34 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
     return BalanceReport(True, None)
 
 
-def _gap_floor(c: Configuration, norms: Optional[Tuple[float, float]]) -> Optional[float]:
-    """A lower bound on every |det2(v_i, v_j)|, i != j, of a float
-    configuration of m >= 2 members with norms, its norm_sq_bounds, from
-    each member's nearest gap between the arguments mod pi; None without norms.
+def _gap_floor(c: Configuration, bracket: _Bracket) -> bool:
+    """Whether every |D[i][j]|, i != j, of float c exceeds the bracket's eff
+    by each member's nearer gap between lines, decided exactly on the ints X,
+    Y of c._det_coords, at any scale; False leaves the rows to decide.
 
-    Every other member lies at least g_i = min(gap to the previous, gap to
-    the next sorted argument) - 3 * ARGUMENT_ERR from v_i on the circle of
-    length pi (an error in each argument, and the rounding of the gap), and
-    g_i <= pi / 2, so |det2(v_i, v_j)| >= |v_i| sin(g_i) sqrt(min |v|^2),
-    which is negative, and clears no tolerance, for g_i < 0.
+    Member k's line is represented by u_k = (X, Y) if Y > 0 or Y == 0 < X,
+    else (-X, -Y); c.arguments propose only their ring order, which holds
+    when every d_k = det(u_k, u_{k+1}) > 0, u_m = -u_0: the gaps between
+    neighbouring lines then sum to pi. |det(u_i, u_j)| >= |u_i| |u_j|
+    sin(g_i), g_i the nearer of u_i's two gaps, and |u_k| sin(gap to u_{k+1})
+    = d_k / |u_{k+1}|. So, N_k = |u_k|^2 (N_m = N_0), every entry exceeds T
+    when min N d_k^2 > T^2 max(N_k, N_{k+1}) for every k, T = eff for an
+    explicit tol, else floor(1e-9 max N) >= eff, as |det(a, b)| <= |a| |b|.
     """
-    if norms is None or c.m < 2:
-        return None
-    args = map(math.fmod, c.arguments, repeat(math.pi))
-    args, sizes = zip(*sorted(zip(args, map(math.hypot, c.xs, c.ys))))
-    # sizes[k] lies between gaps[k] and gaps[k + 1], cyclically
-    gaps = [args[0] + math.pi - args[-1], *map(operator.sub, args[1:], args[:-1])]
-    near = [(b if b < a else a) - 3.0 * ARGUMENT_ERR for a, b in zip(gaps, gaps[1:] + gaps[:1])]
-    least = min(map(operator.mul, sizes, map(math.sin, near))) * math.sqrt(norms[0])
-    return least * (1.0 - BOUND_SLACK)
+    ring = sorted(
+        (a, x, y) if y > 0 or y == 0 < x else ((a + math.pi) % math.tau, -x, -y)
+        for x, y, a in zip(*c._det_coords[:2], c.arguments)
+    )
+    _, us, vs = zip(*ring)
+    mul = operator.mul
+    ds = list(map(operator.sub, map(mul, us, vs[1:] + (-vs[0],)), map(mul, vs, us[1:] + (-us[0],))))
+    ns = list(map(operator.add, map(mul, us, us), map(mul, vs, vs)))
+    least, most = min(ns), max(ns)
+    t = bracket.eff if bracket.tol is not None else _REL_NUM * most // _REL_DEN
+    return min(ds) > 0 and (
+        least * min(ds) ** 2 > t * t * most
+        or all(least * d * d > t * t * max(a, b) for d, a, b in zip(ds, ns, ns[1:] + ns[:1]))
+    )
 
 
 def is_uniform(
@@ -471,22 +474,18 @@ def is_uniform(
     Exact mode (tol checked, then ignored) takes the least i whose line
     (Configuration.lines) holds a later member, and the least such j. In
     float mode, a certified GL2 image of U_m (_certified) is uniform with no
-    row, and so is one whose lower bound on every |det| (_gap_floor) clears
-    the bracket's float end top. Otherwise each row hands its |D[i][j]|, j
-    > i, to the bracket (within), whose C-level minimum decides whether the
-    row holds such a pair; only such a row is scanned for its j. Rows are
-    computed in order, so the scan stops at the first row that holds a
-    pair.
+    row, and so is one whose neighbouring lines bound every |det| above eff
+    (_gap_floor). Otherwise each row hands its |D[i][j]|, j > i, to the
+    bracket (within), whose C-level minimum decides whether the row holds
+    such a pair; only such a row is scanned for its j. Rows are computed in
+    order, so the scan stops at the first row that holds a pair.
     """
     bracket = _Bracket(c, tol)
     if c.mode == EXACT:
         first: Dict[tuple, int] = {}
         later = [(first[key], j) for j, key in enumerate(c.lines) if first.setdefault(key, j) < j]
         return not later, min(later, default=None)
-    if _certified(c, bracket):
-        return True, None
-    floor = _gap_floor(c, bracket.norms)
-    if floor is not None and floor > bracket.top:
+    if _certified(c, bracket) or _gap_floor(c, bracket):
         return True, None
     for i in range(c.m - 1):
         rest = list(map(abs, c.det_row(i)[i + 1 :]))
@@ -521,8 +520,8 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     or residual that is not finite (ValueError) are float precision
     refusals, not certificates. A tol that is not a finite number >= 0
     raises ValueError, as does a float copy of c whose largest norm has no
-    finite nonzero reciprocal to rescale by, or whose rescale flushes a
-    member to (0, 0).
+    finite nonzero reciprocal to rescale by, whose rescale flushes a member
+    to (0, 0), or whose map, scaled back to c's units, is not finite.
 
     Exact c takes the exact verdicts on c itself, as check does; by Niven's
     theorem only m = 3 passes them, and three pairwise independent members
@@ -559,7 +558,10 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
         if c.mode == EXACT:
             raise ValueError(f"{message} on an exact image of U_3: a float precision limit")
         raise ResidualTooLarge(message, form.residual)
-    return form._replace(g=form.g.scale(s))
+    g = form.g.scale(s)
+    if not all(map(math.isfinite, g)):
+        raise ValueError(f"the map {tuple(form.g)} scaled by 1/{top!r} is not finite")
+    return form._replace(g=g)
 
 
 def even_m_witness(c: Configuration, tol: Optional[float] = None) -> int:

@@ -29,7 +29,7 @@ import operator
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Set, Tuple
 
 from .balance import is_balanced
 from .errors import BudgetExceeded
@@ -116,10 +116,9 @@ def search_balanced(spec: SearchSpec, build: bool = False) -> Tuple[int, int, Li
     exactly when its members lie on pairwise distinct lines of the grid
     (Configuration.lines), exact is_uniform's rule, read off its index tuple
     (_hits), so none goes to is_uniform. Only under build are the hits
-    listed (else []): each by Configuration.take after the sort, unless the
-    join built it already for is_balanced; no other hit is built."""
+    listed (else []), each by Configuration.take after the sort."""
     grid, found = _hits(spec)
-    hits = [found[idx] or grid.take(idx) for idx in sorted(found)] if build else []
+    hits = [grid.take(idx) for idx in sorted(found)] if build else []
     return len(found), len(_uniform(grid, found)), hits
 
 
@@ -129,10 +128,10 @@ def _uniform(grid: Configuration, found) -> List[tuple]:
     return [idx for idx in found if len(set(map(grid.lines.__getitem__, idx))) == len(idx)]
 
 
-def _hits(spec: SearchSpec) -> Tuple[Optional[Configuration], Dict[tuple, Optional[Configuration]]]:
-    """The grid (None when it has fewer than m vectors) and each hit's sorted
-    index tuple, mapped to the Configuration the join built for is_balanced,
-    else None; under require_uniform, only the tuples _uniform keeps.
+def _hits(spec: SearchSpec) -> Tuple[Optional[Configuration], Set[tuple]]:
+    """The grid (None when it has fewer than m vectors) and the set of each
+    hit's sorted index tuple; under require_uniform, only the tuples
+    _uniform keeps.
 
     Row i of a configuration sums to det(v_i, S), S the sum of its members,
     and a symmetric row sums to 0. So a balanced set is collinear (every det
@@ -163,8 +162,8 @@ def _hits(spec: SearchSpec) -> Tuple[Optional[Configuration], Dict[tuple, Option
     3 lines. 2: at even m with a member alone on its line, it is not
     balanced. 4: at m = 3 it is balanced, as each row's 2 entries sum to
     det(v_i, S) = 0, with no Configuration built. 5: otherwise is_balanced
-    decides on the set's Configuration.take, which a hit keeps. No grid
-    table and no row is built.
+    decides on the set's Configuration.take. No grid table and no row is
+    built.
     The join's table of C(n, floor(s/2)) entries, s = min(m, n - m), is
     held in memory. At every m, BudgetExceeded refuses more than
     DEFAULT_BUDGET left halves, C(n, ceil(s/2)) for n grid vectors, or
@@ -176,7 +175,7 @@ def _hits(spec: SearchSpec) -> Tuple[Optional[Configuration], Dict[tuple, Option
     # the grid's nonzero vectors, counted before any is built
     m, n = spec.m, len(coords) ** 2 - (0 in coords)
     if m > n:
-        return None, {}
+        return None, set()
     # a set sums to zero exactly when the rest of the grid sums to the
     # grid's total, so the join lists the smaller of the two
     size = min(m, n - m)
@@ -223,7 +222,7 @@ def _hits(spec: SearchSpec) -> Tuple[Optional[Configuration], Dict[tuple, Option
     lines = {}
     for i, line in enumerate(line_of):
         lines.setdefault(line, []).append(i)
-    found = {idx: None for members in lines.values() for idx in itertools.combinations(members, m)}
+    found = {idx for members in lines.values() for idx in itertools.combinations(members, m)}
     if m % 2 == 0:
         # rule 3: j pairs {v, -v} of one line and m/2 - j of another
         at = dict(zip(zip(xs, ys), range(n)))
@@ -236,7 +235,7 @@ def _hits(spec: SearchSpec) -> Tuple[Optional[Configuration], Dict[tuple, Option
                 for a, b in itertools.product(
                     itertools.combinations(one, j), itertools.combinations(two, m // 2 - j)
                 ):
-                    found[tuple(sorted(itertools.chain(*a, *b)))] = None
+                    found.add(tuple(sorted(itertools.chain(*a, *b))))
     # rule 2: at even m a set with no member alone on its line spans at most
     # m/2 lines, so the join needs only the zero-sum sets on 3..most lines
     most = m if m % 2 else m // 2
@@ -253,12 +252,10 @@ def _hits(spec: SearchSpec) -> Tuple[Optional[Configuration], Dict[tuple, Option
                 continue
             if m % 2 == 0 and 1 in map([line_of[a] for a in idx].count, on):
                 continue
-            if m == 3:
-                found[idx] = None
-            elif is_balanced(cfg := grid.take(idx)).balanced:
-                found[idx] = cfg  # a hit the join built is not built again
+            if m == 3 or is_balanced(grid.take(idx)).balanced:
+                found.add(idx)
     if spec.require_uniform:
-        return grid, {idx: found[idx] for idx in _uniform(grid, found)}
+        return grid, set(_uniform(grid, found))
     return grid, found
 
 

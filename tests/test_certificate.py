@@ -5,16 +5,14 @@ the rationals the coordinates hold, with the default tolerance taken from its
 largest entry, reading 1e-9 and an explicit tolerance as the rationals they
 hold too, and every verdict decided on it, as the verdicts would without
 reading rows on demand, bracketing their tolerance, bounding uniformity by
-argument gaps, and certifying GL2 images of U_m by the canonical map's
-residual. A witness is det2 of the pair that decided. Every verdict,
+the gaps between lines, and certifying GL2 images of U_m by the canonical
+map's residual. A witness is det2 of the pair that decided. Every verdict,
 witness and certificate must match it exactly.
 """
 
 import math
-import operator
 import random
 from collections import Counter
-from itertools import repeat
 from fractions import Fraction
 from operator import neg
 from pathlib import Path
@@ -25,8 +23,6 @@ from hypothesis import strategies as st
 
 from balcfg import balance
 from balcfg.balance import (
-    ARGUMENT_ERR,
-    BOUND_SLACK,
     DEFAULT_REL_TOL,
     RESIDUAL_TOL,
     SAFE_COORDINATE_RANGE,
@@ -40,7 +36,7 @@ from balcfg.balance import (
     in_safe_range,
     is_balanced,
     is_uniform,
-    norm_sq_bounds,
+    norm_sq_bound,
     step_constants,
 )
 from balcfg.cli import main
@@ -246,7 +242,7 @@ def test_a_certificate_that_fires_bounds_the_full_table(m, seed, eps, shuffle, s
         eff, pair, least = _ref_bounds(c, tol)
         assert pair <= eff < least
         form = _form_or_refusal(c)
-        bound_pair, floor = _residual_bounds(form, _Bracket(c, tol).norms, m)
+        bound_pair, floor = _residual_bounds(form, _Bracket(c, tol).norm_sq, m)
         assert pair <= bound_pair and floor <= least
 
 
@@ -291,7 +287,7 @@ def test_residual_bounds_hold_their_exact_terms(m, seed, eps, shuffle, scale):
     form = _form_or_refusal(c)
     bounds = None
     if isinstance(form, CanonicalForm):
-        bounds = _residual_bounds(form, norm_sq_bounds(c), m)
+        bounds = _residual_bounds(form, norm_sq_bound(c), m)
     assume(bounds is not None)
     pair, floor = bounds
     exact_pair, exact_floor = _exact_residual_bounds(form, c)
@@ -391,12 +387,12 @@ def test_verify_antisymmetry_computes_each_row_once(rows_computed, seed, m):
 
 @pytest.mark.parametrize("command, calls", [("check", 1), ("canon", 1)])
 def test_norm_bounds_are_computed_once_per_bracket(capsys, count_calls, tmp_path, command, calls):
-    # check: is_balanced's bracket, whose norms the residual bounds reuse and
-    # every later bracket of the member set shares; canon: the same for the
-    # verdicts on its scaled copy
+    # check: is_balanced's bracket, whose norm bound the residual bounds
+    # reuse and every later bracket of the member set shares; canon: the
+    # same for the verdicts on its scaled copy
     path = tmp_path / "u51.json"
     path.write_text(serialize_config(random_invertible(3).apply_configuration(roots_of_unity(51))))
-    seen = count_calls(balance.norm_sq_bounds)
+    seen = count_calls(balance.norm_sq_bound)
     assert main([command, str(path)]) == 0
     capsys.readouterr()
     assert [c.m for (c,) in seen] == [51] * calls
@@ -421,27 +417,28 @@ def test_residual_bounds_refuse_a_singular_map_and_a_bound_that_is_not_finite(
     g, residual, bounded
 ):
     form = CanonicalForm(LinearMap2(*g), -1.0, residual)
-    assert (_residual_bounds(form, (1.0, 1.0), 3) is not None) == bounded
+    assert (_residual_bounds(form, 1.0, 3) is not None) == bounded
 
 
 def test_route_without_norm_bounds_falls_back_to_the_rows(rows_computed):
     # v0 has a coordinate outside [2^-480, 2^480]: the route maps the
-    # configuration, but the bracket has no norm bounds, so no bound can
-    # hold, no route runs in the verdicts, and they read every row. The
-    # bracket's ends come from the exact ints, at any scale, so det_max is
-    # never read: is_balanced reads rows 0, 1 and 2, each passing at the
-    # lower end, and is_uniform scans rows 0 and 1, clear of the upper end
+    # configuration, but the bracket has no norm bound, so no bound can
+    # hold, no route runs in the verdicts, and is_balanced reads every row.
+    # The bracket's ends come from the exact ints, at any scale, so det_max
+    # is never read: is_balanced reads rows 0, 1 and 2, each passing at the
+    # lower end; is_uniform reads none, as the gap floor, exact at any
+    # scale, decides
     u = roots_of_unity(3)
     c = Configuration([PlaneVector(1.0, 1e-300), u[1], u[2]])
     form = _form_or_refusal(c)
     assert isinstance(form, CanonicalForm)
-    assert _Bracket(c, None).norms is None
+    assert _Bracket(c, None).norm_sq is None
     assert not balance._certified(c, _Bracket(c, None))
     assert rows_computed == []
     report = is_balanced(c)
     assert (report.balanced, report.witness) == (True, None) == exact_oracle.is_balanced(c)
     assert is_uniform(c) == (True, None) == exact_oracle.is_uniform(c)
-    assert rows_computed == [(3, 0), (3, 1), (3, 2), (3, 0), (3, 1)]
+    assert rows_computed == [(3, 0), (3, 1), (3, 2)]
     assert "det_max" not in c.__dict__
     assert canonicalize(c).residual <= RESIDUAL_TOL
 
@@ -472,9 +469,14 @@ def test_uniformity_by_argument_gap_reads_no_row(rows_computed):
     c = random_invertible(8).apply_configuration(roots_of_unity(51))
     assert is_uniform(c) == (True, None)
     assert is_uniform(c, 1e-3) == (True, None)
+    # atan2 of (-1, 1e-17) rounds to pi, yet that vector of its line lies
+    # just below pi, so the ring order puts it last, not with a line at 0
+    turned = Configuration([(-1.0, 1e-17), *[(math.cos(t), math.sin(t)) for t in (1.0, 2.0)]])
+    assert turned.arguments[0] == math.pi and is_uniform(turned) == (True, None)
     assert rows_computed == []
-    # opposite members share an argument mod pi: the rows decide, and the
-    # scan stops at row 0, which the bracket's lower end reuses
+    # opposite members share a line: the gap floor's order check fails, the
+    # rows decide, and the scan stops at row 0, which the bracket's lower
+    # end reuses
     square = Configuration([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
     assert is_uniform(square) == (False, (0, 2)) == exact_oracle.is_uniform(square)
     assert rows_computed == [(4, 0)]
@@ -794,18 +796,6 @@ def planted_near_pairs(draw):
     return [(r * math.cos(theta), r * math.sin(theta)) for theta, r in members]
 
 
-@settings(deadline=None, max_examples=300)
-@given(planted_near_pairs())
-def test_gap_floor_never_exceeds_an_entry_of_the_full_table(members):
-    c = Configuration(members)
-    floor = balance._gap_floor(c, norm_sq_bounds(c))
-    table = exact_oracle.table(c)
-    least = min(abs(e) for i, row in enumerate(table.rows) for j, e in enumerate(row) if i != j)
-    least = Fraction(least, table.scale)
-    # None: a coordinate outside the safe range, where no bound holds
-    assert floor is None or floor <= least
-
-
 @pytest.mark.parametrize("m, seed", [(51, 9), (201, 1)])
 def test_gap_floor_of_each_member_clears_a_perturbed_image(rows_computed, m, seed):
     # two members lie close in argument; their gap bounds only their own
@@ -825,28 +815,6 @@ def _ref_in_safe_range(values):
         return False
     nonzero = list(filter(None, sizes))
     return not nonzero or (SAFE_TINY <= min(nonzero) and max(nonzero) <= SAFE_HUGE)
-
-
-def _ref_norm_sq_bounds(c):
-    """norm_sq_bounds on _ref_in_safe_range."""
-    if c.mode == "exact" or not _ref_in_safe_range(c.xs + c.ys):
-        return None
-    norms = [x * x + y * y for x, y in zip(c.xs, c.ys)]
-    return min(norms) * (1.0 - BOUND_SLACK), max(norms) * (1.0 + BOUND_SLACK)
-
-
-def _ref_gap_floor(c, norms):
-    """_gap_floor as it was written before its passes were cut: it takes
-    each gap minimum by min. It bounds the exact table, so it has no
-    rounding term."""
-    if norms is None or c.m < 2:
-        return None
-    args = map(math.fmod, c.arguments, repeat(math.pi))
-    args, sizes = zip(*sorted(zip(args, map(math.hypot, c.xs, c.ys))))
-    gaps = [args[0] + math.pi - args[-1], *map(operator.sub, args[1:], args[:-1])]
-    near = map(operator.sub, map(min, gaps, gaps[1:] + gaps[:1]), repeat(3.0 * ARGUMENT_ERR))
-    least = min(map(operator.mul, sizes, map(math.sin, near))) * math.sqrt(norms[0])
-    return least * (1.0 - BOUND_SLACK)
 
 
 # signed zeros, subnormals, and the safe range's edges with the floats just
@@ -884,18 +852,28 @@ def tied_members(draw):
     return members
 
 
-@settings(deadline=None, max_examples=500)
-@given(tied_members())
+@settings(deadline=None, max_examples=600)
+@given(
+    st.one_of(planted_near_pairs(), tied_members()),
+    st.sampled_from([0, 0, -520, -600, -1000, -1060, 520]),
+    st.sampled_from([None, None, 0.0, 1e-300, 1e-12, 1e-3]),
+)
 # three members on the x-axis and two on the diagonal, at other norms
-@example([(1.0, 0.0), (3.0, 3.0), (-4.0, 0.0), (0.0, 1.0), (0.5, 0.0), (-6.0, -6.0)])
-# a zero coordinate next to the safe range's least one, and one just past it
-@example([(0.0, SAFE_TINY), (1.0, 0.0)])
-@example([(0.0, math.nextafter(SAFE_TINY, 0.0)), (1.0, 0.0)])
-def test_norm_bounds_and_gap_floor_are_their_references_bit_for_bit(members):
-    c = Configuration(members)
-    norms = norm_sq_bounds(c)
-    assert repr(norms) == repr(_ref_norm_sq_bounds(c))
-    assert repr(balance._gap_floor(c, norms)) == repr(_ref_gap_floor(c, norms))
+@example([(1.0, 0.0), (3.0, 3.0), (-4.0, 0.0), (0.0, 1.0), (0.5, 0.0), (-6.0, -6.0)], 0, None)
+# U_5 below the normal floats
+@example(list(zip(roots_of_unity(5).xs, roots_of_unity(5).ys)), -1060, 0.0)
+def test_gap_floor_is_sound_against_the_exact_table(members, k, tol):
+    # members scaled by 2^k inside the safe range or past it either way,
+    # subnormals included, less any the scaling flushes to (0, 0): True
+    # only when every off-diagonal |entry| of the oracle's table exceeds
+    # its tolerance; False leaves the rows to decide
+    points = [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in members]
+    assume(any(map(any, points)))
+    c = Configuration([p for p in points if any(p)])
+    if balance._gap_floor(c, _Bracket(c, tol)):
+        table = exact_oracle.table(c)
+        entries = [abs(e) for i, row in enumerate(table.rows) for j, e in enumerate(row) if i != j]
+        assert min(entries) > table.tolerance(tol)
 
 
 # the map entries that _residual_bounds tests may be zero, NaN or infinite
@@ -940,7 +918,7 @@ def test_row_sums_refute_no_balanced_set_and_no_image(
     dx, dy = step * math.cos(phi), step * math.sin(phi)
     c = Configuration([x * scale + dx for x in c.xs], [y * scale + dy for y in c.ys])
     bracket = _Bracket(c, tol)
-    refuted = bracket.norms is not None and balance._row_sums_refute(c, bracket)
+    refuted = bracket.norm_sq is not None and balance._row_sums_refute(c, bracket)
     if refuted:
         assert not is_balanced(c, tol).balanced
     if eps == 0.0 and shift == 0.0:
@@ -957,7 +935,7 @@ def test_row_sums_refute_no_balanced_set_and_no_image(
 def test_row_sums_refute_no_balanced_float_set(members, tol):
     c = Configuration(members)
     bracket = _Bracket(c, tol)
-    if bracket.norms is not None and balance._row_sums_refute(c, bracket):
+    if bracket.norm_sq is not None and balance._row_sums_refute(c, bracket):
         verdict, _ = exact_oracle.is_balanced(c, tol)
         assert not verdict and not is_balanced(c, tol).balanced
 

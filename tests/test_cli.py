@@ -194,14 +194,32 @@ def test_canon_decides_exact_input_by_the_exact_verdicts(capsys, tmp_path):
     assert code == 1 and report["error"] == "NotBalanced" and report["witness"] == [0, "1"]
 
 
-def test_canon_of_a_frame_that_overflows_exits_two(capsys, tmp_path):
-    # balanced and uniform, but 1 / det(v_0, v_1) = 1 / 5e-324 overflows, so
-    # the frame sends v_2 to t = -inf: a precision refusal, not a certificate
+@pytest.mark.parametrize(
+    "vectors, error",
+    [
+        # 1 / det(v_0, v_1) = 1 / 5e-324 overflows: the frame sends v_2 to t = -inf
+        ([[5e-324, 0.0], [0.0, 1.0], [-5e-324, -1.0]], "vector (-inf, -1.0) is not finite"),
+        # a nearly collinear triple: its map at max norm 1 is finite, and
+        # scaled back by 1 / 1.6e-302 it overflows
+        (
+            [
+                [4.03148894516698e-303, 3.697332915781015e-303],
+                [8.062989015703253e-303, 7.394671394246676e-303],
+                [-1.2094477960870233e-302, -1.1092004310027691e-302],
+            ],
+            "the map (6486493.171756335, -7072728.995687583, -5617469.981102549, 6125167.210122775)"
+            " scaled by 1/1.6410635477020646e-302 is not finite",
+        ),
+    ],
+    ids=["frame", "scaled-map"],
+)
+def test_canon_of_a_map_that_overflows_exits_two(capsys, tmp_path, vectors, error):
+    # balanced and uniform, but the map overflows: a precision refusal, not a certificate
     path = tmp_path / "tiny.json"
-    path.write_text('{"mode": "float", "vectors": [[5e-324, 0.0], [0.0, 1.0], [-5e-324, -1.0]]}')
+    path.write_text(json.dumps({"mode": "float", "vectors": vectors}))
     code, out, _ = run(capsys, "check", str(path))
     assert code == 0 and json.loads(out)["balanced"] and json.loads(out)["uniform"]
-    assert run(capsys, "canon", str(path)) == (2, "", "error: vector (-inf, -1.0) is not finite\n")
+    assert run(capsys, "canon", str(path)) == (2, "", f"error: {error}\n")
 
 
 def test_check_reports_exact_step_constants_in_input_units(capsys, tmp_path):
@@ -253,6 +271,17 @@ def test_check_computes_each_row_where_it_is_read(capsys, rows_computed, name, r
     code, _, _ = run(capsys, "check", str(DATA / name))
     assert code == 0
     assert rows_computed == rows
+
+
+def test_check_past_the_safe_range_reads_only_the_balance_rows(capsys, tmp_path, rows_computed):
+    # a U_51 image at scale 2^-1000 gets no certificate, so is_balanced
+    # reads all 51 rows; the gap floor decides uniformity on the ints
+    image = search.random_invertible(3).scale(2.0**-1000).apply_configuration(roots_of_unity(51))
+    path = tmp_path / "u51_tiny.json"
+    path.write_text(serialize_config(image))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0 and json.loads(out)["uniform"]
+    assert rows_computed == [(51, i) for i in range(51)]
 
 
 def _u801_image(tmp_path, variant):
