@@ -448,6 +448,7 @@ def _gap_floor(c: Configuration, bracket: _Bracket) -> bool:
     = d_k / |u_{k+1}|. So, N_k = |u_k|^2 (N_m = N_0), every entry exceeds T
     when min N d_k^2 > T^2 max(N_k, N_{k+1}) for every k, T = eff for an
     explicit tol, else floor(1e-9 max N) >= eff, as |det(a, b)| <= |a| |b|.
+    min N min d^2 > T^2 max N implies each k's test and decides most images.
     """
     ring = sorted(
         (a, x, y) if y > 0 or y == 0 < x else ((a + math.pi) % math.tau, -x, -y)

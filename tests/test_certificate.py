@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from balcfg import balance
 from balcfg.balance import (
+    BOUND_SLACK,
     DEFAULT_REL_TOL,
     RESIDUAL_TOL,
     SAFE_COORDINATE_RANGE,
@@ -817,6 +818,13 @@ def _ref_in_safe_range(values):
     return not nonzero or (SAFE_TINY <= min(nonzero) and max(nonzero) <= SAFE_HUGE)
 
 
+def _ref_norm_sq_bound(c):
+    """norm_sq_bound on _ref_in_safe_range."""
+    if c.mode == "exact" or not _ref_in_safe_range(c.xs + c.ys):
+        return None
+    return max(x * x + y * y for x, y in zip(c.xs, c.ys)) * (1.0 + BOUND_SLACK)
+
+
 # signed zeros, subnormals, and the safe range's edges with the floats just
 # past them, next to ordinary values
 edge_coords = st.sampled_from(
@@ -862,14 +870,19 @@ def tied_members(draw):
 @example([(1.0, 0.0), (3.0, 3.0), (-4.0, 0.0), (0.0, 1.0), (0.5, 0.0), (-6.0, -6.0)], 0, None)
 # U_5 below the normal floats
 @example(list(zip(roots_of_unity(5).xs, roots_of_unity(5).ys)), -1060, 0.0)
+# a zero coordinate next to the safe range's least one, and one just past it
+@example([(0.0, SAFE_TINY), (1.0, 0.0)], 0, None)
+@example([(0.0, math.nextafter(SAFE_TINY, 0.0)), (1.0, 0.0)], 0, None)
 def test_gap_floor_is_sound_against_the_exact_table(members, k, tol):
     # members scaled by 2^k inside the safe range or past it either way,
-    # subnormals included, less any the scaling flushes to (0, 0): True
-    # only when every off-diagonal |entry| of the oracle's table exceeds
-    # its tolerance; False leaves the rows to decide
+    # subnormals included, less any the scaling flushes to (0, 0): the norm
+    # bound is its reference bit for bit, and the gap floor is True only
+    # when every off-diagonal |entry| of the oracle's table exceeds its
+    # tolerance; False leaves the rows to decide
     points = [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in members]
     assume(any(map(any, points)))
     c = Configuration([p for p in points if any(p)])
+    assert repr(norm_sq_bound(c)) == repr(_ref_norm_sq_bound(c))
     if balance._gap_floor(c, _Bracket(c, tol)):
         table = exact_oracle.table(c)
         entries = [abs(e) for i, row in enumerate(table.rows) for j, e in enumerate(row) if i != j]
