@@ -51,7 +51,7 @@ each comparison at the ends of a bracket first. The certificate and the
 gate compute in floats, build no int, and bound the exact table; this
 module holds their error model (Higham 2002, ch. 3), on norm_sq_bound
 (coordinates in_safe_range), and each constant it rests on, README's libm
-assumption (TARGET_ERR and the floor's sin(pi / m)) included.
+assumption (TARGET_ERR) included.
 """
 
 from __future__ import annotations
@@ -160,18 +160,16 @@ def norm_sq_bound(c: Configuration) -> Optional[float]:
 class _Bracket:
     """The tolerance eff that every verdict compares c's table entries
     with, exactly, as an int in table units (the scale D^2 of det_row), with
-    lo <= eff <= hi there and a float top >= eff in input units for the
-    gates that read no row. Exact mode: eff = 0 (tol ignored). An explicit
+    lo <= eff <= hi there. Exact mode: eff = 0 (tol ignored). An explicit
     tol: eff = floor(tol * D^2), tol read exactly, and lo = hi = eff. The
     default: eff = floor(1e-9 * det_max), 1e-9 read exactly, and each
     comparison hands its values to above or within with the entries it
     holds, so det_max, which reads every row, is read only for a value
     between lo = floor(1e-9 * max |held|) (the table holds -d next to each
     d) and hi = floor(1e-9 * 2 max |X| max |Y|) over the members' ints, as
-    |X_i Y_j - Y_i X_j| <= |X_i| |Y_j| + |Y_i| |X_j|. top is tol, or 1e-9
-    times norm_sq, c's norm_sq_bound, above max |v|^2 by BOUND_SLACK, far
-    above the product's rounding. All but lo are computed on first read; lo
-    starts at 0 and is raised by held only where a comparison needs it.
+    |X_i Y_j - Y_i X_j| <= |X_i| |Y_j| + |Y_i| |X_j|. eff and hi are
+    computed on first read; lo starts at 0 and is raised by held only where
+    a comparison needs it.
     """
 
     def __init__(self, c: Configuration, tol: Optional[float]):
@@ -182,14 +180,6 @@ class _Bracket:
             self.lo = self.hi = self.eff = 0
         elif tol is None:
             self.lo = 0
-
-    @cached_property
-    def norm_sq(self) -> Optional[float]:
-        return self.c.per_member_set(norm_sq_bound)
-
-    @cached_property
-    def top(self) -> float:
-        return DEFAULT_REL_TOL * self.norm_sq if self.tol is None else self.tol
 
     @cached_property
     def eff(self) -> int:
@@ -314,10 +304,11 @@ def _residual_bounds(form: CanonicalForm, high: float, m: int) -> Optional[Tuple
     over the nonzero residues mod m. Sorting is 1-Lipschitz in the max norm,
     so each sorted pair sum of the row {det(v_i, v_j)} is within 2 (2r +
     r^2) / |det G| of 0: that is pair. For odd m, the smallest |sin(2 pi k /
-    m)|, k != 0, is sin(pi / m), so every |det| is at least (sin(pi / m) -
-    2r - r^2) / |det G|: that is floor. Each term is rounded outward by
-    BOUND_SLACK, which at floor's first term must also cover the error of
-    math.sin(math.pi / m) (README's platform assumption).
+    m)|, k != 0, is sin(pi / m) >= x - x^3 / 6 for x = math.pi / m rounded
+    down, below pi / m <= pi / 3: sin y >= y - y^3 / 6 for y >= 0, and y -
+    y^3 / 6 increases on [0, sqrt 2]. So every |det| is at least (x - x^3 /
+    6 - 2r - r^2) / |det G|: that is floor. Each term is rounded outward by
+    BOUND_SLACK.
     """
     g = form.g
     if not in_safe_range((g.a, g.b, g.c, g.d)):
@@ -334,7 +325,8 @@ def _residual_bounds(form: CanonicalForm, high: float, m: int) -> Optional[Tuple
     r = (form.residual * (1.0 + 4.0 * u) + 3.0 * u * size * math.sqrt(high) + TARGET_ERR) * up
     spread = (2.0 * r + r * r) * up
     pair = 2.0 * spread / det_lo * up
-    floor = (math.sin(math.pi / m) * down - spread) / det_hi * down
+    x = math.pi / m * down
+    floor = ((x - x * x * x / 6.0) * down - spread) / det_hi * down
     if not (math.isfinite(pair) and math.isfinite(floor)):
         return None
     return pair, floor
@@ -360,9 +352,9 @@ def _row_sums(c: Configuration) -> Tuple[float, float]:
     return max(max(dets), -min(dets)), abs(sx) + abs(sy)
 
 
-def _row_sums_refute(c: Configuration, bracket: _Bracket) -> bool:
-    """Whether some row of c (float, odd m, with the bracket's norm_sq) fails
-    at the bracket's float end top, and so at eff <= top, by its sum alone.
+def _row_sums_refute(c: Configuration, top: float, high: float) -> bool:
+    """Whether some row of c (float, odd m, with norm_sq_bound high) fails
+    at the float tolerance top, and so at eff <= top, by its sum alone.
 
     Row i sums to det(v_i, S) exactly, S the exact sum of the members, as
     det(v_i, v_i) = 0. A row of m - 1 = 2n entries that passes at top has n
@@ -372,31 +364,34 @@ def _row_sums_refute(c: Configuration, bracket: _Bracket) -> bool:
     2^-1073 for two products that underflow. A statistic past the sum of
     these, rounded outward by BOUND_SLACK, refutes that row."""
     stat, size = c.per_member_set(_row_sums)
-    own = 4.0 * UNIT_ROUNDOFF * math.sqrt(bracket.norm_sq) * size + 2.0**-1073
-    return stat > (c.n * bracket.top + own) * (1.0 + BOUND_SLACK)
+    own = 4.0 * UNIT_ROUNDOFF * math.sqrt(high) * size + 2.0**-1073
+    return stat > (c.n * top + own) * (1.0 + BOUND_SLACK)
 
 
-def _certified(c: Configuration, bracket: _Bracket) -> bool:
-    """Whether c is a certified GL2 image of U_m at bracket's tolerance. No
-    bound can hold, and no route runs, for even m, m < 3, a bracket without
-    norm_sq (exact input, or a float coordinate outside SAFE_COORDINATE_RANGE)
-    or a set whose row sums refute balance (_row_sums_refute), as a set
-    that is not balanced has no certificate; the gate reads no row and
-    never det_max. Then _certificate's (pair, floor) must clear the
-    bracket: floor > top >= eff, and pair <= eff, an explicit tol itself or
-    the default 1e-9 * det_max >= 1e-9 * floor (floor bounds every
+def _certified(c: Configuration, tol: Optional[float]) -> bool:
+    """Whether c is a certified GL2 image of U_m at tolerance tol (None: the
+    default). No bound can hold, and no route runs, for even m, m < 3, no
+    norm_sq_bound high (exact input, or a float coordinate outside
+    SAFE_COORDINATE_RANGE) or a set whose row sums refute balance at top
+    (_row_sums_refute), as a set that is not balanced has no certificate;
+    the gate reads no row and never det_max. top >= eff is tol, or 1e-9 *
+    high, above 1e-9 * max |v|^2 >= 1e-9 * det_max by BOUND_SLACK, far above
+    the product's rounding. Then _certificate's (pair, floor) must clear
+    the tolerance: floor > top >= eff, and pair <= eff, an explicit tol
+    itself or the default 1e-9 * det_max >= 1e-9 * floor (floor bounds every
     off-diagonal |det|), which the float product, rounded down by
     BOUND_SLACK, never exceeds. A certified set passes every row, so the
     gate never refutes one."""
-    if c.m % 2 == 0 or c.m < 3 or bracket.norm_sq is None or _row_sums_refute(c, bracket):
+    high = c.per_member_set(norm_sq_bound) if c.m % 2 and c.m >= 3 else None
+    if high is None:
         return False
-    bounds = c.per_member_set(_certificate)
+    top = DEFAULT_REL_TOL * high if tol is None else tol
+    bounds = None if _row_sums_refute(c, top, high) else c.per_member_set(_certificate)
     if bounds is None:
         return False
     pair, floor = bounds
-    return floor > bracket.top and pair <= (
-        DEFAULT_REL_TOL * floor * (1.0 - BOUND_SLACK) if bracket.tol is None else bracket.tol
-    )
+    limit = DEFAULT_REL_TOL * floor * (1.0 - BOUND_SLACK) if tol is None else tol
+    return floor > top and pair <= limit
 
 
 def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
@@ -417,7 +412,7 @@ def is_balanced(c: Configuration, tol: Optional[float] = None) -> BalanceReport:
     bad pair, else its middle entry.
     """
     bracket = _Bracket(c, tol)
-    if _certified(c, bracket):
+    if _certified(c, tol):
         return BalanceReport(True, None)
     for i in range(c.m):
         row = c.det_row(i)
@@ -486,7 +481,7 @@ def is_uniform(
         first: Dict[tuple, int] = {}
         later = [(first[key], j) for j, key in enumerate(c.lines) if first.setdefault(key, j) < j]
         return not later, min(later, default=None)
-    if _certified(c, bracket) or _gap_floor(c, bracket):
+    if _certified(c, tol) or _gap_floor(c, bracket):
         return True, None
     for i in range(c.m - 1):
         rest = list(map(abs, c.det_row(i)[i + 1 :]))
@@ -520,9 +515,10 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
     item 25). DuplicateArgument, SingularFrame and a t_C
     or residual that is not finite (ValueError) are float precision
     refusals, not certificates. A tol that is not a finite number >= 0
-    raises ValueError, as does a float copy of c whose largest norm has no
-    finite nonzero reciprocal to rescale by, whose rescale flushes a member
-    to (0, 0), or whose map, scaled back to c's units, is not finite.
+    raises ValueError, as does a float copy of c whose largest norm
+    overflows, whose rescale flushes a member to (0, 0), or whose map,
+    scaled back to c's units, is not finite. A largest norm whose reciprocal
+    overflows scales the copy up by 2^600 first, which is exact.
 
     Exact c takes the exact verdicts on c itself, as check does; by Niven's
     theorem only m = 3 passes them, and three pairwise independent members
@@ -540,10 +536,14 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
         require_balanced_uniform(c)
     work = c.as_float()
     top = max(map(math.hypot, work.xs, work.ys))
-    s = 1.0 / top
-    if not (0.0 < s < math.inf):
+    s, up, xs, ys = 1.0 / top, 1.0, work.xs, work.ys
+    if s == 0.0:
         raise ValueError(f"largest norm {top!r} has no finite nonzero reciprocal to rescale by")
-    xs, ys = tuple([s * x for x in work.xs]), tuple([s * y for y in work.ys])
+    if s == math.inf:  # top below about 5.6e-309: scale up by 2^600 first, exactly
+        up = 2.0**600
+        xs, ys = [up * x for x in xs], [up * y for y in ys]
+        s = 1.0 / max(map(math.hypot, xs, ys))
+    xs, ys = tuple([s * x for x in xs]), tuple([s * y for y in ys])
     if (0.0, 0.0) in zip(xs, ys):
         i = list(zip(xs, ys)).index((0.0, 0.0))
         raise ValueError(
@@ -559,7 +559,7 @@ def canonicalize(c: Configuration, tol: float = RESIDUAL_TOL) -> CanonicalForm:
         if c.mode == EXACT:
             raise ValueError(f"{message} on an exact image of U_3: a float precision limit")
         raise ResidualTooLarge(message, form.residual)
-    g = form.g.scale(s)
+    g = form.g.scale(s).scale(up)
     if not all(map(math.isfinite, g)):
         raise ValueError(f"the map {tuple(form.g)} scaled by 1/{top!r} is not finite")
     return form._replace(g=g)
@@ -609,7 +609,7 @@ def step_constants(c: Configuration, tol: Optional[float] = None) -> StepConstan
     if c.m % 2 == 0 or c.m < 3:
         raise ValueError(f"step constants require odd m >= 3, got m = {c.m}")
     bracket = _Bracket(c, tol)
-    if not (_certified(c, bracket) and _affine(c.label_order)):
+    if not (_certified(c, tol) and _affine(c.label_order)):
         _step_scan(c, bracket)
     return StepConstants(A1=c.det(0, 1), An=c.det(0, c.n))
 

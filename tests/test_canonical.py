@@ -475,18 +475,20 @@ def _balanced_even(draw):
 @given(_balanced_even())
 # 5e-324 / 2 rounds to 0: the copy scaled to max norm 1 would hold (0, 0)
 @example(Configuration([(0.0, 2.0), (0.0, 5e-324), (-0.0, -2.0), (-0.0, -5e-324)]))
+# 1 / 1e-310 overflows: the copy is scaled up by 2^600 first, exactly
+@example(Configuration([(0.0, 1e-310), (0.0, 5e-324), (-0.0, -1e-310), (-0.0, -5e-324)]))
 def test_balanced_even_m_is_refused_with_is_uniforms_pair(c):
     # a balanced even-m set has the zero of its odd-sized row 0, so the
     # verdicts canonicalize takes (on c when exact, else on its copy scaled
     # to max norm 1) find a dependent pair, and NotUniform carries it
     work = c
     if c.mode != "exact":
-        s = 1.0 / max(map(math.hypot, c.xs, c.ys))
-        if s == math.inf:  # subnormal members: canonicalize refuses to rescale first
-            with pytest.raises(ValueError, match="no finite nonzero reciprocal"):
-                canonicalize(c)
-            return
-        xs, ys = [s * x for x in c.xs], [s * y for y in c.ys]
+        xs, ys = c.xs, c.ys
+        s = 1.0 / max(map(math.hypot, xs, ys))
+        if s == math.inf:  # subnormal members: canonicalize scales up by 2^600 first
+            xs, ys = [x * 2.0**600 for x in xs], [y * 2.0**600 for y in ys]
+            s = 1.0 / max(map(math.hypot, xs, ys))
+        xs, ys = [s * x for x in xs], [s * y for y in ys]
         if (0.0, 0.0) in zip(xs, ys):  # a member the rescale flushes: refused before the copy
             i = list(zip(xs, ys)).index((0.0, 0.0))
             with pytest.raises(ValueError, match=f"flushes member {i} "):

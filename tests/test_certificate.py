@@ -13,6 +13,7 @@ witness and certificate must match it exactly.
 import math
 import random
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import neg
 from pathlib import Path
@@ -65,6 +66,7 @@ from paper_lemmas import (
     slot_exponents,
     verify_antisymmetry,
 )
+from test_libm import DIGITS, exact_root
 
 DATA = Path(__file__).parent / "data"
 
@@ -239,11 +241,11 @@ def test_a_certificate_that_fires_bounds_the_full_table(m, seed, eps, shuffle, s
     # and its smallest |entry| above it, so both verdicts are certain
     c = _image(m, seed, eps, shuffle)
     c = Configuration([x * scale for x in c.xs], [y * scale for y in c.ys])
-    if balance._certified(c, _Bracket(c, tol)):
+    if balance._certified(c, tol):
         eff, pair, least = _ref_bounds(c, tol)
         assert pair <= eff < least
         form = _form_or_refusal(c)
-        bound_pair, floor = _residual_bounds(form, _Bracket(c, tol).norm_sq, m)
+        bound_pair, floor = _residual_bounds(form, norm_sq_bound(c), m)
         assert pair <= bound_pair and floor <= least
 
 
@@ -253,12 +255,31 @@ def _sqrt_above(q):
     return Fraction(math.isqrt(q.numerator * q.denominator) + 1, q.denominator)
 
 
+def _exact_sine_floor(m):
+    """_residual_bounds' first floor term x - x^3 / 6, exactly, at x =
+    math.pi / m, which the float term's x, rounded down, never exceeds."""
+    x = Fraction(math.pi) / m
+    return x - x**3 / 6
+
+
+def test_the_exact_floor_term_is_below_sin_pi_over_m():
+    # sin(pi / m) is the sine of root (m - 1) / 2, as 2 pi n / m = pi - pi /
+    # m; the gap, about (pi / m)^5 / 120, is 8e-17 or more for m <= 2001,
+    # far above the reference's error near 1e-38
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        for m in range(3, 2002, 2):
+            term = _exact_sine_floor(m)
+            sine = exact_root(m, (m - 1) // 2)[1]
+            assert 0 < Decimal(term.numerator) / term.denominator < sine - Decimal("1e-30"), m
+
+
 def _exact_residual_bounds(form, c):
     """_residual_bounds' terms evaluated exactly on the floats of form and c,
     as its docstring states them: G read as an exact matrix, so det_lo and
     det_hi are |det G| itself; max |v| taken by a rational upper bound, and
-    sin(pi / m) as math.sin gives it. Returns (pair, floor), bounds on the
-    exact table, which has no rounding term."""
+    x = math.pi / m not rounded down (_exact_sine_floor). Returns (pair,
+    floor), bounds on the exact table, which has no rounding term."""
     u = Fraction(UNIT_ROUNDOFF)
     a, b, cc, d = map(Fraction, form.g)
     high = max(Fraction(x) ** 2 + Fraction(y) ** 2 for x, y in zip(c.xs, c.ys))
@@ -268,7 +289,7 @@ def _exact_residual_bounds(form, c):
     spread = 2 * r + r * r
     det_g = abs(a * d - b * cc)
     pair = 2 * spread / det_g
-    floor = (Fraction(math.sin(math.pi / c.m)) - spread) / det_g
+    floor = (_exact_sine_floor(c.m) - spread) / det_g
     return pair, floor
 
 
@@ -433,8 +454,8 @@ def test_route_without_norm_bounds_falls_back_to_the_rows(rows_computed):
     c = Configuration([PlaneVector(1.0, 1e-300), u[1], u[2]])
     form = _form_or_refusal(c)
     assert isinstance(form, CanonicalForm)
-    assert _Bracket(c, None).norm_sq is None
-    assert not balance._certified(c, _Bracket(c, None))
+    assert norm_sq_bound(c) is None
+    assert not balance._certified(c, None)
     assert rows_computed == []
     report = is_balanced(c)
     assert (report.balanced, report.witness) == (True, None) == exact_oracle.is_balanced(c)
@@ -565,7 +586,7 @@ def test_route_maps_a_grid_value_other_than_t_n_and_certifies_nothing():
     assert form.t == -1.0 and round(form.residual, 2) == 1.77
     with pytest.raises(ResidualTooLarge, match="not a bijection"):
         _ref_route(c)
-    assert not balance._certified(c, _Bracket(c, None))
+    assert not balance._certified(c, None)
     report = is_balanced(c)
     assert (report.balanced, repr(report.witness)) == _outcome_pair(exact_oracle.is_balanced(c))
     assert report.witness == (0, math.sin(5.0))
@@ -904,6 +925,14 @@ def test_in_safe_range_is_its_reference(values):
     assert in_safe_range(values) is _ref_in_safe_range(values)
 
 
+def _row_sums_refute(c, tol):
+    """_certified's gate on c: the row sums against its float tolerance top,
+    where c has a norm bound high."""
+    high = norm_sq_bound(c)
+    top = DEFAULT_REL_TOL * high if tol is None and high is not None else tol
+    return high is not None and balance._row_sums_refute(c, top, high)
+
+
 # 2^k scalings whose coordinates stay inside the safe range, or leave it
 # below (where the gate does not apply); tolerances relative to max |v|^2.
 # A common shift delta moves every pair sum of row i the same way, by up to
@@ -930,8 +959,7 @@ def test_row_sums_refute_no_balanced_set_and_no_image(
     step = shift * (DEFAULT_REL_TOL if rel is None else rel) * top
     dx, dy = step * math.cos(phi), step * math.sin(phi)
     c = Configuration([x * scale + dx for x in c.xs], [y * scale + dy for y in c.ys])
-    bracket = _Bracket(c, tol)
-    refuted = bracket.norm_sq is not None and balance._row_sums_refute(c, bracket)
+    refuted = _row_sums_refute(c, tol)
     if refuted:
         assert not is_balanced(c, tol).balanced
     if eps == 0.0 and shift == 0.0:
@@ -945,10 +973,20 @@ def test_row_sums_refute_no_balanced_set_and_no_image(
     ),
     st.sampled_from([None, None, 0.0, 1e-12, 1e-6, 1.0]),
 )
+# exactly collinear (y = 5x), so balanced at tol 0, while the float sum of
+# the members is off that line: only the statistic's own rounding term
+# keeps the gate from refuting it
+@example(
+    [
+        (-0.1697394682677551, -0.8486973413387755),
+        (0.40448138422010205, 2.0224069211005102),
+        (-108.65548035970232, -543.2774017985116),
+    ],
+    0.0,
+)
 def test_row_sums_refute_no_balanced_float_set(members, tol):
     c = Configuration(members)
-    bracket = _Bracket(c, tol)
-    if bracket.norm_sq is not None and balance._row_sums_refute(c, bracket):
+    if _row_sums_refute(c, tol):
         verdict, _ = exact_oracle.is_balanced(c, tol)
         assert not verdict and not is_balanced(c, tol).balanced
 
@@ -990,7 +1028,7 @@ def test_step_constants_of_another_order_scan_and_refuse(count_calls):
         rng.shuffle(order)
         assert not balance._affine(order)
         c = image.take(order)
-        assert balance._certified(c, _Bracket(c, None))
+        assert balance._certified(c, None)
         found = _outcome(lambda: step_constants(c))
         assert found[0] == "InconsistentConstants"
         assert found == _outcome(lambda: exact_oracle.step_constants(c))

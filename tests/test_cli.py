@@ -110,7 +110,8 @@ def test_check_reads_an_explicit_tol_exactly(capsys, tmp_path, vectors, tol, cod
     # balanced exactly when |det(v_0, v_1)| <= tol. The float entry and the
     # exact det fall on opposite sides of tol, and check follows the exact
     # det. The witness names row 0; its value, the rounded float entry, is
-    # left unpinned, as it reads 0.0 where the exact det exceeds tol
+    # left unpinned, as it reads 0.0 where the exact det exceeds tol (the
+    # strict xfail below)
     path = tmp_path / "straddle.json"
     path.write_text(json.dumps({"mode": "float", "vectors": vectors}) + "\n")
     got, out, _ = run(capsys, "check", str(path), "--tol", tol)
@@ -118,6 +119,18 @@ def test_check_reads_an_explicit_tol_exactly(capsys, tmp_path, vectors, tol, cod
     assert (got, report["balanced"], report["uniform"]) == (code, code == 0, code == 1)
     witness = report["balance_witness"]
     assert witness is None if code == 0 else witness["index"] == 0
+
+
+# ROADMAP item 2's reporting rule: a witness shows the failure it names. Here
+# the exact det 2^-53 - 2^-105 exceeds tol, and check exits 1, while the
+# witness value, the float entry det2(v_0, v_1), rounds to 0
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2's reporting rule")
+def test_check_exits_one_with_no_balance_witness_that_reads_zero(capsys, tmp_path):
+    vectors = [[1.0000000000000002, 1.0], [1.0, 0.9999999999999999]]
+    path = tmp_path / "straddle.json"
+    path.write_text(json.dumps({"mode": "float", "vectors": vectors}) + "\n")
+    code, out, _ = run(capsys, "check", str(path), "--tol", "1e-17")
+    assert code != 1 or json.loads(out)["balance_witness"]["value"] != 0
 
 
 def test_check_overflowing_diagonal_keeps_the_default_tolerance(capsys, tmp_path):
@@ -522,7 +535,8 @@ def test_exact_input_whose_float_copy_underflows_exits_two(capsys, tmp_path, com
     [
         # hypot overflows, so 1 / max |v| is 0
         ("float", "1.5e308", "inf"),
-        # max |v| is subnormal, so 1 / max |v| overflows
+        # max |v| is subnormal, so 1 / max |v| overflows: the copy is scaled
+        # up by 2^600 first, and the map onto U_3, scaled back, overflows
         ("float", "1e-310", "1.4142135623731e-310"),
         ("exact", '"1e-320"', "1.414e-320"),
     ],
@@ -537,7 +551,38 @@ def test_canon_refuses_a_rescale_that_is_zero_or_not_finite(capsys, tmp_path, mo
     code, out, err = run(capsys, "canon", str(path))
     assert code == 2
     assert out == ""
-    assert err == f"error: largest norm {norm} has no finite nonzero reciprocal to rescale by\n"
+    if norm == "inf":
+        assert err == f"error: largest norm {norm} has no finite nonzero reciprocal to rescale by\n"
+    else:
+        assert err.startswith("error: the map (")
+        assert err.endswith(f") scaled by 1/{norm} is not finite\n")
+
+
+@pytest.mark.parametrize(
+    "vectors, error, witness",
+    [
+        (
+            [[1e-310, 0.0], [0.0, 1e-310], [-1e-310, -2e-310]],
+            "NotBalanced",
+            [0, -0.39999999999999997],
+        ),
+        (
+            [[1e-310, 0.0], [0.0, 1e-310], [-1e-310, -1e-310], [2e-310, 0.0], [-2e-310, 0.0]],
+            "NotUniform",
+            [0, 3],
+        ),
+    ],
+)
+def test_canon_decides_a_set_whose_largest_norm_is_subnormal(
+    capsys, tmp_path, vectors, error, witness
+):
+    # 1 / max |v| overflows, so canon scales its copy up by 2^600 first,
+    # exactly, and then to max norm 1, where the verdicts decide it
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps({"mode": "float", "vectors": vectors}) + "\n")
+    code, out, _ = run(capsys, "canon", str(path))
+    report = json.loads(out)
+    assert (code, report["error"], report["witness"]) == (1, error, witness)
 
 
 def test_canon_refuses_a_rescale_that_flushes_a_member(capsys, tmp_path):

@@ -142,8 +142,12 @@ CANON_CLAIMS = {None: (True, True), "NotBalanced": (False,), "NotUniform": (True
 
 def canon_copy_verdicts(vectors):
     """The exact verdicts of the copy that canon decides: each coordinate
-    times s = 1 / max |v|, as canonicalize rescales it."""
+    times s = 1 / max |v|, as canonicalize rescales it, after an exact
+    2^600 when that reciprocal overflows."""
     s = 1.0 / max(math.hypot(x, y) for x, y in vectors)
+    if s == math.inf:
+        vectors = [[x * 2.0**600, y * 2.0**600] for x, y in vectors]
+        s = 1.0 / max(math.hypot(x, y) for x, y in vectors)
     return exact_oracle.verdicts([[s * x, s * y] for x, y in vectors])
 
 
